@@ -1,82 +1,9 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
-
-Set ``BUNDLELIFT_DISABLE_NUMBA=1`` to force the numpy path (also taken
-automatically when numba is not importable). The active backend is fixed
-at import time; ``BACKEND`` reports which one is in use. The benchmark in
-``benchmarks/bench_kernels.py`` times both implementations side by side.
+"""Hot numeric kernels, in numpy: RK4 transport steps, plaquette phases
+and solid angles. The symmetric eigensolver is LAPACK's, behind
+:func:`bundlelift.numkernel.sym_eigh`.
 """
 
-import math
-import os
-
 import numpy as np
-
-_ENV_DISABLED = os.environ.get("BUNDLELIFT_DISABLE_NUMBA", "") not in ("", "0")
-
-try:
-    from numba import njit as _njit
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _njit = None
-
-_USE_NUMBA = _njit is not None and not _ENV_DISABLED
-BACKEND = "numba" if _USE_NUMBA else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# Jacobi eigensolver for small dense symmetric matrices.
-#
-# Cyclic-by-rows sweeps; deterministic (no pivot search randomness), which
-# keeps every downstream fiber basis bitwise reproducible for equal input.
-
-
-def _jacobi_eigh_loop(a):
-    n = a.shape[0]
-    v = np.eye(n)
-    scale = 0.0
-    for i in range(n):
-        for j in range(n):
-            scale += a[i, j] * a[i, j]
-    scale = math.sqrt(scale)
-    if scale == 0.0:
-        return np.zeros(n), v
-    for _sweep in range(60):
-        off = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                off += a[i, j] * a[i, j]
-        if math.sqrt(2.0 * off) <= 1e-15 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                if theta >= 0.0:
-                    t = 1.0 / (theta + math.sqrt(theta * theta + 1.0))
-                else:
-                    t = -1.0 / (-theta + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                for k in range(n):
-                    akp = a[k, p]
-                    akq = a[k, q]
-                    a[k, p] = c * akp - s * akq
-                    a[k, q] = s * akp + c * akq
-                for k in range(n):
-                    apk = a[p, k]
-                    aqk = a[q, k]
-                    a[p, k] = c * apk - s * aqk
-                    a[q, k] = s * apk + c * aqk
-                for k in range(n):
-                    vkp = v[k, p]
-                    vkq = v[k, q]
-                    v[k, p] = c * vkp - s * vkq
-                    v[k, q] = s * vkp + c * vkq
-    w = np.empty(n)
-    for i in range(n):
-        w[i] = a[i, i]
-    return w, v
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +14,7 @@ def _jacobi_eigh_loop(a):
 # (t_0, t_0+h/2, t_1, ...); qnode holds the projector at the steps+1 nodes.
 
 
-def _rk4_transport_loop(qp, qnode, x0):
+def rk4_transport(qp, qnode, x0):
     steps = qnode.shape[0] - 1
     h = 1.0 / steps
     x = x0.copy()
@@ -108,26 +35,7 @@ def _rk4_transport_loop(qp, qnode, x0):
 # Bargmann-phase plaquette sums: arg tr(Q_a Q_b Q_c) per oriented triangle.
 
 
-def _plaquette_phases_loop(qv, tris):
-    nt = tris.shape[0]
-    phases = np.empty(nt)
-    min_abs = 1e300
-    for k in range(nt):
-        qa = qv[tris[k, 0]]
-        qb = qv[tris[k, 1]]
-        qc = qv[tris[k, 2]]
-        m = qa @ qb @ qc
-        tr = 0.0 + 0.0j
-        for j in range(m.shape[0]):
-            tr += m[j, j]
-        mag = abs(tr)
-        if mag < min_abs:
-            min_abs = mag
-        phases[k] = math.atan2(tr.imag, tr.real)
-    return phases, min_abs
-
-
-def _plaquette_phases_numpy(qv, tris):
+def plaquette_phases(qv, tris):
     qa = qv[tris[:, 0]]
     qb = qv[tris[:, 1]]
     qc = qv[tris[:, 2]]
@@ -141,29 +49,7 @@ def _plaquette_phases_numpy(qv, tris):
 # Signed solid angles of spherical triangles (Van Oosterom-Strackee).
 
 
-def _solid_angles_loop(pts, tris):
-    nt = tris.shape[0]
-    out = np.empty(nt)
-    for k in range(nt):
-        a = pts[tris[k, 0]]
-        b = pts[tris[k, 1]]
-        c = pts[tris[k, 2]]
-        num = (
-            a[0] * (b[1] * c[2] - b[2] * c[1])
-            - a[1] * (b[0] * c[2] - b[2] * c[0])
-            + a[2] * (b[0] * c[1] - b[1] * c[0])
-        )
-        den = (
-            1.0
-            + a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-            + b[0] * c[0] + b[1] * c[1] + b[2] * c[2]
-            + c[0] * a[0] + c[1] * a[1] + c[2] * a[2]
-        )
-        out[k] = 2.0 * math.atan2(num, den)
-    return out
-
-
-def _solid_angles_numpy(pts, tris):
+def solid_angles(pts, tris):
     a = pts[tris[:, 0]]
     b = pts[tris[:, 1]]
     c = pts[tris[:, 2]]
@@ -175,49 +61,3 @@ def _solid_angles_numpy(pts, tris):
         + np.einsum("ki,ki->k", c, a)
     )
     return 2.0 * np.arctan2(num, den)
-
-
-# ---------------------------------------------------------------------------
-# Backend selection. Loop bodies are shared between backends where the
-# computation is inherently sequential (Jacobi, RK4); the plaquette and
-# solid-angle kernels get vectorized numpy fallbacks instead.
-
-PURE_IMPLS = {
-    "jacobi_eigh": _jacobi_eigh_loop,
-    "rk4_transport": _rk4_transport_loop,
-    "plaquette_phases": _plaquette_phases_numpy,
-    "solid_angles": _solid_angles_numpy,
-}
-
-_JIT_SOURCES = {
-    "jacobi_eigh": _jacobi_eigh_loop,
-    "rk4_transport": _rk4_transport_loop,
-    "plaquette_phases": _plaquette_phases_loop,
-    "solid_angles": _solid_angles_loop,
-}
-
-_jit_cache = {}
-
-
-def jit_impl(name):
-    """Compile (and cache) the numba version of a kernel, regardless of the
-    env flag. Raises ImportError when numba is unavailable."""
-    if _njit is None:
-        raise ImportError("numba is not installed")
-    if name not in _jit_cache:
-        _jit_cache[name] = _njit(cache=True)(_JIT_SOURCES[name])
-    return _jit_cache[name]
-
-
-if _USE_NUMBA:
-    jacobi_eigh = jit_impl("jacobi_eigh")
-    rk4_transport = jit_impl("rk4_transport")
-    solid_angles = jit_impl("solid_angles")
-else:
-    jacobi_eigh = PURE_IMPLS["jacobi_eigh"]
-    rk4_transport = PURE_IMPLS["rk4_transport"]
-    solid_angles = PURE_IMPLS["solid_angles"]
-
-# batched einsum beats the jitted loop for the plaquette sums (see
-# benchmarks/bench_kernels.py), so that kernel stays on numpy either way
-plaquette_phases = PURE_IMPLS["plaquette_phases"]

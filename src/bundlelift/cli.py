@@ -11,7 +11,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -60,6 +59,8 @@ class ScenarioConfig:
     no_timestamp: bool = False
 
     def validate(self):
+        if self.seed < 0:
+            raise ConfigInvalid("seed must be >= 0")
         if self.samples < 1:
             raise ConfigInvalid("samples must be >= 1")
         if self.transport_steps < 16:
@@ -590,18 +591,6 @@ def _render_report(report):
     return json.dumps(report, indent=2) + "\n"
 
 
-def _apply_thread_cap():
-    cap = os.environ.get("BUNDLELIFT_THREADS")
-    if not cap:
-        return
-    try:
-        import numba
-
-        numba.set_num_threads(max(1, int(cap)))
-    except (ImportError, ValueError):
-        pass
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="bundlelift",
@@ -632,7 +621,6 @@ def build_parser():
 
 
 def main(argv=None):
-    _apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "list":

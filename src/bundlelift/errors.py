@@ -9,10 +9,6 @@ class NotSPD(BundleLiftError):
     """Matrix expected to be symmetric positive definite is not."""
 
 
-class RankDeficient(BundleLiftError):
-    """Spanning vectors are not linearly independent."""
-
-
 class Singular(BundleLiftError):
     """Matrix expected to be invertible is (numerically) singular."""
 

@@ -124,6 +124,15 @@ class LiftReport:
         }
 
 
+def _worst(*residuals):
+    """max() in which a NaN wins, so a residual that could not be measured
+    fails its verdict (the builtin max drops a NaN after the first item)."""
+    for r in residuals:
+        if r != r:
+            return r
+    return max(residuals)
+
+
 def check_lift(lift, samples=DEFAULT_SAMPLES, seed=0, tolerance=None):
     """Evaluate lift residuals on seeded random (x, v) probes.
 
@@ -159,18 +168,18 @@ def check_lift(lift, samples=DEFAULT_SAMPLES, seed=0, tolerance=None):
         out = lift.apply(FiberVector(x, v))
         w = out.ambient
         q_y = bundle.fiber_projector(y)
-        base_res = max(base_res,
-                       base.distance(out.base_point, y),
-                       float(np.linalg.norm(q_y @ w - w)))
+        base_res = _worst(base_res,
+                          base.distance(out.base_point, y),
+                          float(np.linalg.norm(q_y @ w - w)))
 
         w_u = lift.action(x, u)
         w_mix = lift.action(x, alpha * u + beta * v)
         lin = np.linalg.norm(w_mix - alpha * w_u - beta * w)
-        lin_res = max(lin_res, float(lin) / (abs(alpha) + abs(beta) + 1.0))
+        lin_res = _worst(lin_res, float(lin) / (abs(alpha) + abs(beta) + 1.0))
 
         m = lift.fiber_matrix_in_bases(x)
         gram = m.T @ m
-        iso_res = max(iso_res, float(np.max(np.abs(gram - np.eye(m.shape[0])))))
+        iso_res = _worst(iso_res, float(np.max(np.abs(gram - np.eye(m.shape[0])))))
         evals, _ = sym_eigh(gram)
         min_sv = min(min_sv, float(np.sqrt(max(evals[0], 0.0))))
 
@@ -184,8 +193,8 @@ def check_lift(lift, samples=DEFAULT_SAMPLES, seed=0, tolerance=None):
             # the image has nonzero J-component
             if c_i < 1e-12 and a_i < 1e-12 and np.linalg.norm(j_y @ w) > 1e-6:
                 raise AssertionError("complex-linearity checker inconsistency")
-            c_res = max(c_res, c_i)
-            a_res = max(a_res, a_i)
+            c_res = _worst(c_res, c_i)
+            a_res = _worst(a_res, a_i)
 
     verdicts = {
         "base": base_res <= tol,

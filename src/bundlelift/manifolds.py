@@ -71,14 +71,6 @@ class ManifoldModel:
 class Sphere(ManifoldModel):
     n: int
 
-    @property
-    def ambient_dim(self):
-        return self.n + 1
-
-    @property
-    def intrinsic_dim(self):
-        return self.n
-
     def membership_residual(self, point):
         return abs(float(np.linalg.norm(point)) - 1.0)
 
@@ -89,22 +81,10 @@ class Sphere(ManifoldModel):
         v = rng.normal(size=self.n + 1)
         return v / np.linalg.norm(v)
 
-    def retract(self, raw):
-        raw = np.asarray(raw, dtype=float)
-        return raw / np.linalg.norm(raw)
-
 
 @dataclass(frozen=True)
 class Torus(ManifoldModel):
     n: int
-
-    @property
-    def ambient_dim(self):
-        return self.n
-
-    @property
-    def intrinsic_dim(self):
-        return self.n
 
     def membership_residual(self, point):
         point = np.asarray(point, dtype=float)
@@ -116,9 +96,6 @@ class Torus(ManifoldModel):
 
     def random_point(self, rng):
         return rng.uniform(0.0, 1.0, size=self.n)
-
-    def retract(self, raw):
-        return np.mod(np.asarray(raw, dtype=float), 1.0)
 
 
 def _projector_residual(p, trace_target):
@@ -138,14 +115,6 @@ class GrassmannReal(ManifoldModel):
         if not 0 < self.k < self.n:
             raise BadParams(f"need 0 < k < n, got k={self.k}, n={self.n}")
 
-    @property
-    def ambient_dim(self):
-        return self.n * self.n
-
-    @property
-    def intrinsic_dim(self):
-        return self.k * (self.n - self.k)
-
     def membership_residual(self, point):
         return _projector_residual(point, self.k)
 
@@ -157,26 +126,10 @@ class GrassmannReal(ManifoldModel):
         q, _ = np.linalg.qr(a)
         return q @ q.T
 
-    def retract(self, raw):
-        from .numkernel import sym_eigh
-
-        w, v = sym_eigh(0.5 * (raw + raw.T))
-        cols = v[:, -self.k:]
-        return cols @ cols.T
-
 
 @dataclass(frozen=True)
 class ComplexProjective(ManifoldModel):
     n: int
-
-    @property
-    def ambient_dim(self):
-        # realified matrix entries
-        return 2 * (self.n + 1) ** 2
-
-    @property
-    def intrinsic_dim(self):
-        return 2 * self.n
 
     def membership_residual(self, point):
         return _projector_residual(point, 1.0)
@@ -189,25 +142,11 @@ class ComplexProjective(ManifoldModel):
         z = z / np.linalg.norm(z)
         return np.outer(z, z.conj())
 
-    def retract(self, raw):
-        h = 0.5 * (raw + raw.conj().T)
-        _, v = np.linalg.eigh(h)
-        z = v[:, -1]
-        return np.outer(z, z.conj())
-
 
 @dataclass(frozen=True)
 class Product(ManifoldModel):
     left: ManifoldModel
     right: ManifoldModel
-
-    @property
-    def ambient_dim(self):
-        return self.left.ambient_dim + self.right.ambient_dim
-
-    @property
-    def intrinsic_dim(self):
-        return self.left.intrinsic_dim + self.right.intrinsic_dim
 
     def membership_residual(self, point):
         a, b = point
@@ -218,9 +157,6 @@ class Product(ManifoldModel):
 
     def random_point(self, rng):
         return (self.left.random_point(rng), self.right.random_point(rng))
-
-    def retract(self, raw):
-        return (self.left.retract(raw[0]), self.right.retract(raw[1]))
 
     def copy_point(self, point):
         return (self.left.copy_point(point[0]), self.right.copy_point(point[1]))
@@ -450,10 +386,6 @@ def named_diffeo(model, name, **params):
         if model.distance(diffeo.inverse(diffeo.forward(x)), x) > 1e-8:
             raise BadParams(f"{name}: inverse round-trip check failed")
     return diffeo
-
-
-def registered_diffeo_names():
-    return sorted({name for _, name in _DIFFEO_REGISTRY})
 
 
 # ---------------------------------------------------------------------------

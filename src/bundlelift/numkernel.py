@@ -1,23 +1,20 @@
 """Small dense linear-algebra kernel shared by every other module.
 
 All routines work on plain float64 numpy arrays (complex data travels in
-the realified 2n x 2n block form, see :func:`realify`). The symmetric
-eigensolver is a cyclic Jacobi sweep with a fixed rotation order and a
-fixed eigenvector sign convention, so repeated calls on equal input are
-bitwise identical.
+the realified 2n x 2n block form, see :func:`realify`). Eigenvalues and
+singular values come from LAPACK through ``numpy.linalg``; the symmetric
+eigensolver fixes the eigenvector signs, so repeated calls on equal input
+are bitwise identical.
 """
 
 import numpy as np
 
-from . import _kernels
 from .config import DEFAULT_TOLERANCES as TOL
-from .errors import NotComplexStructure, NotSPD, RankDeficient, Singular
+from .errors import NotComplexStructure, NotSPD, Singular
 
 __all__ = [
-    "Projector",
     "sym_eigh",
     "sym_sqrt",
-    "projector_from_span",
     "polar_two_metric",
     "complex_structure_conjugator",
     "singular_values",
@@ -38,17 +35,13 @@ def _as_square(a, name="matrix"):
 
 
 def sym_eigh(s):
-    """Eigendecomposition of a symmetric matrix via Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix (LAPACK ``syevd``).
 
     Returns (w, v) with eigenvalues ascending and each eigenvector's first
     nonzero component made positive.
     """
     s = _as_square(s)
-    work = np.ascontiguousarray(0.5 * (s + s.T))
-    w, v = _kernels.jacobi_eigh(work)
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    v = v[:, order]
+    w, v = np.linalg.eigh(0.5 * (s + s.T))
     for j in range(v.shape[1]):
         col = v[:, j]
         big = np.max(np.abs(col))
@@ -61,14 +54,11 @@ def sym_eigh(s):
 
 
 def singular_values(f):
-    """Singular values (ascending) of a rectangular matrix, computed from
-    the symmetric eigenvalues of F^T F for determinism."""
+    """Singular values (ascending) of a rectangular matrix."""
     f = np.asarray(f, dtype=float)
     if f.ndim != 2:
         raise ValueError("expected a 2-d array")
-    g = f.T @ f if f.shape[0] >= f.shape[1] else f @ f.T
-    w, _ = sym_eigh(g)
-    return np.sqrt(np.clip(w, 0.0, None))
+    return np.linalg.svd(f, compute_uv=False)[::-1]
 
 
 def sym_sqrt(s):
@@ -90,51 +80,14 @@ def _inv_spd(s):
     return (v / w) @ v.T
 
 
-class Projector:
-    """Symmetric idempotent matrix together with its rank."""
-
-    __slots__ = ("matrix", "rank")
-
-    def __init__(self, matrix, rank):
-        matrix = _as_square(matrix, "projector")
-        idem = np.max(np.abs(matrix @ matrix - matrix))
-        sym = np.max(np.abs(matrix - matrix.T))
-        if idem > 1e-10 or sym > 1e-10:
-            raise ValueError(
-                f"not a projector: idempotency defect {idem:.3e}, symmetry {sym:.3e}"
-            )
-        if abs(np.trace(matrix) - rank) > 1e-8:
-            raise ValueError(f"trace {np.trace(matrix):.6f} != rank {rank}")
-        self.matrix = matrix
-        self.rank = int(rank)
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
-
-def projector_from_span(vectors):
-    """Orthogonal projector onto the span of the given ambient vectors."""
-    cols = np.column_stack([np.asarray(v, dtype=float) for v in vectors])
-    if not np.all(np.isfinite(cols)):
-        raise ValueError("span vectors have non-finite entries")
-    sv = singular_values(cols)
-    if sv[0] <= TOL.rank_rel * sv[-1] or sv[-1] == 0.0:
-        raise RankDeficient(
-            f"smallest singular value {sv[0]:.3e} fails independence threshold"
-        )
-    gram_inv = _inv_spd(cols.T @ cols)
-    p = cols @ gram_inv @ cols.T
-    p = 0.5 * (p + p.T)
-    return Projector(p, cols.shape[1])
-
-
 def polar_two_metric(f, g_u, g_w):
     """Two-metric polar factorization F = Xi @ Psi.
 
     Psi is a (G_U, G_W)-isometry and Xi is G_W-self-adjoint positive
-    definite; both factors are unique. Xi is the G_W-symmetric square root
-    of F F^sharp with F^sharp = G_U^{-1} F^T G_W the metric adjoint.
+    definite; both factors are unique. With S = sqrt(G), both come from
+    the SVD U Sigma V^T of A = S_W F S_U^{-1}: Psi = S_W^{-1} U V^T S_U and
+    Xi = S_W^{-1} U Sigma U^T S_W. Working on A directly (Higham 1986)
+    keeps the condition number of F instead of squaring it.
     """
     f = _as_square(f, "F")
     g_u = _as_square(g_u, "G_U")
@@ -142,15 +95,12 @@ def polar_two_metric(f, g_u, g_w):
     sv = singular_values(f)
     if sv[0] <= 1e-10:
         raise Singular(f"min singular value {sv[0]:.3e} <= 1e-10")
-    s = sym_sqrt(g_w)
-    s_inv = _inv_spd(s)
-    g_u_inv = _inv_spd(g_u)
-    # F F^sharp is G_W-self-adjoint; conjugating by sqrt(G_W) makes it
-    # symmetric in the Euclidean sense so sym_sqrt applies.
-    m = s @ f @ g_u_inv @ f.T @ s
-    m = 0.5 * (m + m.T)
-    xi = s_inv @ sym_sqrt(m) @ s
-    psi = np.linalg.solve(xi, f)
+    s_u = sym_sqrt(g_u)
+    s_w = sym_sqrt(g_w)
+    s_w_inv = _inv_spd(s_w)
+    u, sigma, vt = np.linalg.svd(s_w @ f @ _inv_spd(s_u))
+    psi = s_w_inv @ u @ vt @ s_u
+    xi = s_w_inv @ (u * sigma) @ u.T @ s_w
     return psi, xi
 
 

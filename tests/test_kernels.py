@@ -1,113 +1,71 @@
-"""Backend parity: the numba kernels and the pure-numpy fallbacks must
-agree, and the env flag must actually select the fallback."""
+"""The numpy kernels against slow oracles: per-triangle loops for the
+plaquette and solid-angle sums, and the exact one-step RK4 polynomial for
+transport with a constant generator."""
 
-import os
-import subprocess
-import sys
+import math
 
 import numpy as np
-import pytest
 
 from bundlelift import _kernels
 
 
-def _have_numba():
-    try:
-        import numba  # noqa: F401
-        return True
-    except ImportError:
-        return False
+def _plaquette_phases_loop(qv, tris):
+    phases = np.empty(tris.shape[0])
+    min_abs = 1e300
+    for k, (a, b, c) in enumerate(tris):
+        tr = np.trace(qv[a] @ qv[b] @ qv[c])
+        min_abs = min(min_abs, abs(tr))
+        phases[k] = math.atan2(tr.imag, tr.real)
+    return phases, min_abs
 
 
-needs_numba = pytest.mark.skipif(not _have_numba(), reason="numba not installed")
+def _solid_angles_loop(pts, tris):
+    out = np.empty(tris.shape[0])
+    for k, (ia, ib, ic) in enumerate(tris):
+        a, b, c = pts[ia], pts[ib], pts[ic]
+        num = float(np.linalg.det(np.array([a, b, c])))
+        den = 1.0 + a @ b + b @ c + c @ a
+        out[k] = 2.0 * math.atan2(num, den)
+    return out
 
 
 def _random_projector_field(rng, count, dim):
-    qs = np.empty((count, dim, dim), dtype=complex)
-    for i in range(count):
-        z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        z /= np.linalg.norm(z)
-        qs[i] = np.outer(z, z.conj())
-    return qs
+    z = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    return np.einsum("ki,kj->kij", z, z.conj())
 
 
-@needs_numba
-@pytest.mark.parametrize("name", ["jacobi_eigh", "rk4_transport",
-                                  "plaquette_phases", "solid_angles"])
-def test_numba_matches_numpy(name):
+def test_plaquette_phases_match_loop():
     rng = np.random.default_rng(0)
-    py = _kernels.PURE_IMPLS[name]
-    jit = _kernels.jit_impl(name)
-    if name == "jacobi_eigh":
-        a = rng.normal(size=(6, 6))
-        a = a + a.T
-        w1, v1 = py(a.copy())
-        w2, v2 = jit(a.copy())
-        assert np.allclose(w1, w2, atol=1e-12)
-        assert np.allclose(v1, v2, atol=1e-12)
-    elif name == "rk4_transport":
-        steps = 32
-        qp = rng.normal(size=(2 * steps + 1, 4, 4)) * 0.1
-        qnode = np.tile(np.eye(4), (steps + 1, 1, 1))
-        x0 = rng.normal(size=(4, 2))
-        out1 = py(qp, qnode, np.ascontiguousarray(x0))
-        out2 = jit(qp, qnode, np.ascontiguousarray(x0))
-        assert np.allclose(out1, out2, atol=1e-12)
-    elif name == "plaquette_phases":
-        qv = _random_projector_field(rng, 30, 2)
-        tris = rng.integers(0, 30, size=(50, 3)).astype(np.int64)
-        p1, m1 = py(qv, tris)
-        p2, m2 = jit(np.ascontiguousarray(qv), np.ascontiguousarray(tris))
-        assert np.allclose(p1, p2, atol=1e-12)
-        assert abs(m1 - m2) < 1e-12
-    else:
-        pts = rng.normal(size=(20, 3))
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        tris = rng.integers(0, 20, size=(40, 3)).astype(np.int64)
-        assert np.allclose(py(pts, tris),
-                           jit(np.ascontiguousarray(pts),
-                               np.ascontiguousarray(tris)), atol=1e-12)
+    qv = _random_projector_field(rng, 30, 3)
+    tris = rng.integers(0, 30, size=(50, 3))
+    phases, min_abs = _kernels.plaquette_phases(qv, tris)
+    ref_phases, ref_min = _plaquette_phases_loop(qv, tris)
+    assert np.allclose(phases, ref_phases, atol=1e-12)
+    assert abs(min_abs - ref_min) < 1e-12
 
 
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, BUNDLELIFT_DISABLE_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from bundlelift import _kernels; print(_kernels.BACKEND)"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert out.stdout.strip() == "numpy"
+def test_solid_angles_match_loop():
+    rng = np.random.default_rng(1)
+    pts = rng.normal(size=(20, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    tris = rng.integers(0, 20, size=(40, 3))
+    assert np.allclose(_kernels.solid_angles(pts, tris),
+                       _solid_angles_loop(pts, tris), atol=1e-12)
 
 
-@needs_numba
-def test_default_backend_is_numba():
-    env = {k: v for k, v in os.environ.items()
-           if k != "BUNDLELIFT_DISABLE_NUMBA"}
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from bundlelift import _kernels; print(_kernels.BACKEND)"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert out.stdout.strip() == "numba"
-
-
-def test_fallback_transport_agrees_in_subprocess(tmp_path):
-    script = tmp_path / "t.py"
-    script.write_text(
-        "import numpy as np\n"
-        "from bundlelift import bundles as bd\n"
-        "ts = bd.tangent_sphere(2)\n"
-        "import bundlelift.manifolds as mf\n"
-        "h = mf.rotation_homotopy(mf.Sphere(2), (0, 1), 0.8)\n"
-        "x = mf.random_point(mf.Sphere(2), 3)\n"
-        "v = ts.random_fiber_vector(x, np.random.default_rng(0))\n"
-        "out = bd.transport(ts, bd.homotopy_path(h, x), v, steps=64)\n"
-        "print(repr(out.ambient.tolist()))\n"
-    )
-    results = []
-    for flag in ("0", "1"):
-        env = dict(os.environ, BUNDLELIFT_DISABLE_NUMBA=flag)
-        out = subprocess.run([sys.executable, str(script)],
-                             capture_output=True, text=True, env=env, check=True)
-        results.append(np.array(eval(out.stdout.strip())))
-    assert np.allclose(results[0], results[1], atol=1e-12)
+def test_rk4_transport_constant_generator_is_taylor_polynomial():
+    # with A constant and no re-projection, one RK4 step is the degree-4
+    # Taylor polynomial of exp(hA)
+    rng = np.random.default_rng(2)
+    steps = 32
+    h = 1.0 / steps
+    a = rng.normal(size=(4, 4))
+    qp = np.tile(a, (2 * steps + 1, 1, 1))
+    qnode = np.tile(np.eye(4), (steps + 1, 1, 1))
+    x0 = rng.normal(size=(4, 2))
+    ha = h * a
+    step = np.eye(4) + ha + ha @ ha / 2 + ha @ ha @ ha / 6 + ha @ ha @ ha @ ha / 24
+    expected = np.linalg.matrix_power(step, steps) @ x0
+    assert np.allclose(_kernels.rk4_transport(qp, qnode, x0), expected,
+                       rtol=1e-12, atol=1e-12)

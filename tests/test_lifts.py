@@ -35,6 +35,22 @@ class TestCheckLift:
         assert not rep.passed
         assert rep.base_residual >= 0.9
 
+    def test_nan_residual_fails_its_verdict(self):
+        # NaN off unit vectors: only the linearity probe alpha*u + beta*v
+        # sees it, and a NaN residual must not read as 0
+        bundle = bd.tangent_sphere(2)
+
+        def action(x, v):
+            return v.copy() if abs(np.linalg.norm(v) - 1.0) < 1e-12 else v * np.nan
+
+        lift = lf.Lift(bundle, mf.identity_diffeo(bundle.base), action,
+                       "nan_off_unit", 1e-10)
+        rep = lf.check_lift(lift, samples=5, seed=0)
+        assert np.isnan(rep.linearity_residual)
+        assert not rep.verdicts["linearity"]
+        assert not rep.passed
+        assert rep.verdicts["base"] and rep.verdicts["isometry"]
+
     def test_samples_floor(self):
         with pytest.raises(BadParams):
             lf.check_lift(lf.identity_lift(bd.tangent_sphere(2)), samples=0)

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bundlelift import numkernel as nk
-from bundlelift.errors import (NotComplexStructure, NotSPD, RankDeficient,
-                               Singular)
+from bundlelift.errors import NotComplexStructure, NotSPD, Singular
 
 
 def random_spd(rng, n, floor=0.1):
@@ -50,30 +49,6 @@ class TestSymSqrt:
         r1 = nk.sym_sqrt(s)
         r2 = nk.sym_sqrt(s.copy())
         assert np.array_equal(r1, r2)
-
-
-class TestProjectorFromSpan:
-    def test_axis(self):
-        p = nk.projector_from_span([np.array([1.0, 0.0])])
-        assert np.allclose(p.matrix, np.diag([1.0, 0.0]), atol=1e-12)
-        assert p.rank == 1
-
-    def test_diagonal_span(self):
-        p = nk.projector_from_span([np.array([1.0, 1.0]) / np.sqrt(2)])
-        assert np.allclose(p.matrix, np.full((2, 2), 0.5), atol=1e-12)
-
-    def test_random_two_planes(self):
-        rng = np.random.default_rng(7)
-        vs = [rng.normal(size=4) for _ in range(2)]
-        p = nk.projector_from_span(vs)
-        assert np.max(np.abs(p.matrix @ p.matrix - p.matrix)) <= 1e-10
-        for v in vs:
-            assert np.max(np.abs(p.matrix @ v - v)) <= 1e-10
-
-    def test_rank_deficient(self):
-        v = np.array([1.0, 2.0, 0.0])
-        with pytest.raises(RankDeficient):
-            nk.projector_from_span([v, 2 * v])
 
 
 class TestPolarTwoMetric:
@@ -175,3 +150,88 @@ def test_sym_eigh_sign_and_order():
         nz = np.nonzero(np.abs(col) > 1e-12 * np.max(np.abs(col)))[0]
         assert col[nz[0]] > 0
     assert np.max(np.abs(s @ v - v * w)) <= 1e-10 * np.max(np.abs(s))
+
+
+# -- oracles for the LAPACK paths ---------------------------------------------
+
+
+def _jacobi_eigh(a):
+    """Cyclic-by-rows Jacobi sweeps; eigenvalues unsorted."""
+    a = np.array(a, dtype=float)
+    n = a.shape[0]
+    v = np.eye(n)
+    scale = np.sqrt(np.sum(a * a))
+    if scale == 0.0:
+        return np.zeros(n), v
+    for _sweep in range(60):
+        off = np.sum(np.triu(a, 1) ** 2)
+        if np.sqrt(2.0 * off) <= 1e-15 * scale:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) <= 1e-300:
+                    continue
+                theta = 0.5 * (a[q, q] - a[p, p]) / apq
+                t = 1.0 / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                if theta < 0.0:
+                    t = -t
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                rot = np.array([[c, s], [-s, c]])
+                a[:, [p, q]] = a[:, [p, q]] @ rot
+                a[[p, q], :] = rot.T @ a[[p, q], :]
+                v[:, [p, q]] = v[:, [p, q]] @ rot
+    return np.diag(a).copy(), v
+
+
+def _polar_via_sym_sqrt(f, g_u, g_w):
+    """Xi = G_W-symmetric square root of F F^sharp, Psi = Xi^{-1} F."""
+    s = nk.sym_sqrt(g_w)
+    m = s @ f @ np.linalg.inv(g_u) @ f.T @ s
+    xi = np.linalg.inv(s) @ nk.sym_sqrt(0.5 * (m + m.T)) @ s
+    return np.linalg.solve(xi, f), xi
+
+
+def test_sym_eigh_matches_jacobi_oracle():
+    rng = np.random.default_rng(17)
+    compared = 0
+    for n in range(2, 9):
+        for _ in range(10):
+            a = rng.normal(size=(n, n))
+            a = a + a.T
+            w, v = nk.sym_eigh(a)
+            w_ref, v_ref = _jacobi_eigh(a)
+            order = np.argsort(w_ref, kind="stable")
+            w_ref, v_ref = w_ref[order], v_ref[:, order]
+            scale = np.max(np.abs(w_ref))
+            assert np.max(np.abs(w - w_ref)) <= 1e-12 * scale
+            if np.min(np.diff(w_ref)) < 1e-3 * scale:
+                continue
+            first = np.argmax(np.abs(v_ref) > 1e-12, axis=0)
+            v_ref = v_ref * np.sign(v_ref[first, np.arange(n)])
+            assert np.max(np.abs(v - v_ref)) <= 1e-11
+            compared += 1
+    assert compared >= 50
+
+
+def test_polar_two_metric_matches_sym_sqrt_oracle():
+    rng = np.random.default_rng(29)
+    compared = 0
+    while compared < 40:
+        n = int(rng.integers(2, 6))
+        f = rng.normal(size=(n, n))
+        if np.linalg.cond(f) > 1e3:
+            continue
+        g_u = random_spd(rng, n, floor=0.4)
+        g_w = random_spd(rng, n, floor=0.4)
+        psi, xi = nk.polar_two_metric(f, g_u, g_w)
+        psi_ref, xi_ref = _polar_via_sym_sqrt(f, g_u, g_w)
+        assert np.max(np.abs(psi - psi_ref)) <= 1e-10
+        assert np.max(np.abs(xi - xi_ref)) <= 1e-10
+        compared += 1
+
+
+def test_singular_values_ascending():
+    f = np.diag([3.0, 1.0, 2.0])[:, :2]
+    assert np.allclose(nk.singular_values(f), [1.0, 3.0], atol=1e-15)
