@@ -8,11 +8,17 @@ Hermitian projector field and expose the realified picture (C^m as R^{2m},
 J the realified multiplication by i restricted to the fiber).
 
 Transport integrates chi'(t) = Q'(t) chi(t) with classical RK4 and
-re-projects after every step; Q' comes from central differences on the
-path parameter unless both the path and the bundle provide exact
-derivatives.
+re-projects after every step. Q' is the bundle's exact projector
+differential along the path velocity when the path has a velocity and the
+bundle a projector differential, and central differences on the path
+parameter otherwise.
+
+Per-point work (fiber bases here, fiber operators of the cached lifts in
+``lifts``) is memoized in one kind of cache, ``PointCache``, bounded by
+``POINT_CACHE_SIZE`` entries.
 """
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +56,32 @@ def _point_key(point):
     return np.asarray(point).tobytes()
 
 
+POINT_CACHE_SIZE = 4096
+
+
+class PointCache:
+    """Memo of a per-point value, keyed by the exact point, holding at most
+    POINT_CACHE_SIZE entries and evicting the oldest first.
+
+    ``compute`` is passed on each call rather than stored, so the cache
+    holds no reference back to its owner (a stored bound method would make
+    a reference cycle that only the garbage collector frees).
+    """
+
+    def __init__(self):
+        self._entries = OrderedDict()
+
+    def get(self, point, compute):
+        key = _point_key(point)
+        value = self._entries.get(key)
+        if value is None:
+            value = compute(point)
+            if len(self._entries) >= POINT_CACHE_SIZE:
+                self._entries.popitem(last=False)
+            self._entries[key] = value
+        return value
+
+
 class BundleModel:
     """A vector bundle as a projector field on a fixed ambient fiber space."""
 
@@ -66,7 +98,7 @@ class BundleModel:
             self._j_std = standard_complex_structure(ambient_fiber_dim // 2)
         else:
             self._j_std = None
-        self._basis_cache = {}
+        self._bases = PointCache()
 
     def __repr__(self):
         return f"<BundleModel {self.key}>"
@@ -100,10 +132,9 @@ class BundleModel:
     def fiber_basis(self, x):
         """Orthonormal basis of the fiber over x as columns of an (N, r)
         matrix; deterministic, cached per point."""
-        key = _point_key(x)
-        cached = self._basis_cache.get(key)
-        if cached is not None:
-            return cached
+        return self._bases.get(x, self._orthonormal_basis)
+
+    def _orthonormal_basis(self, x):
         q = self.fiber_projector(x)
         w, v = sym_eigh(q)
         cols = v[:, w > 0.5]
@@ -111,9 +142,6 @@ class BundleModel:
             raise BadParams(
                 f"projector rank {cols.shape[1]} != bundle rank {self.real_rank}"
             )
-        if len(self._basis_cache) > 4096:
-            self._basis_cache.clear()
-        self._basis_cache[key] = cols
         return cols
 
     def random_fiber_vector(self, x, rng, unit=True):
@@ -348,21 +376,14 @@ def _as_path(path):
     return path if isinstance(path, Path) else Path(path)
 
 
-def _stage_arrays(bundle, path, steps, derivative):
+def _stage_arrays(bundle, path, steps):
     """Projector derivatives at the 2*steps+1 RK4 stage times and the
     projectors at the steps+1 nodes."""
     n = bundle.ambient_fiber_dim
     h = 1.0 / steps
     n_stage = 2 * steps + 1
-    use_exact = derivative == "exact" or (
-        derivative == "auto"
-        and path.velocity is not None
-        and bundle.projector_differential is not None
-    )
-    if use_exact and (path.velocity is None or bundle.projector_differential is None):
-        raise BadParams("exact derivative requested but not available")
     qp = np.empty((n_stage, n, n))
-    if use_exact:
+    if path.velocity is not None and bundle.projector_differential is not None:
         for j in range(n_stage):
             t = 0.5 * h * j
             qp[j] = bundle.projector_differential(path(t), path.velocity(t))
@@ -378,13 +399,8 @@ def _stage_arrays(bundle, path, steps, derivative):
     return qp, qnode
 
 
-def transport(bundle, path, v0, steps=DEFAULT_TRANSPORT_STEPS, derivative="fd"):
-    """Parallel transport of a fiber vector along a path.
-
-    ``derivative`` selects how Q' is obtained: "fd" (central differences,
-    the default), "exact" (requires path velocity and the bundle's
-    projector differential) or "auto".
-    """
+def transport(bundle, path, v0, steps=DEFAULT_TRANSPORT_STEPS):
+    """Parallel transport of a fiber vector along a path."""
     if steps < 16:
         raise BadParams("transport needs at least 16 steps")
     path = _as_path(path)
@@ -398,25 +414,23 @@ def transport(bundle, path, v0, steps=DEFAULT_TRANSPORT_STEPS, derivative="fd"):
             f"start vector is not in the fiber (residual "
             f"{bundle.membership_residual(x0, vec):.3e})"
         )
-    qp, qnode = _stage_arrays(bundle, path, steps, derivative)
+    qp, qnode = _stage_arrays(bundle, path, steps)
     out = _kernels.rk4_transport(qp, qnode, np.ascontiguousarray(vec.reshape(-1, 1)))
     return FiberVector(base_point=path(1.0), ambient=out[:, 0])
 
 
-def transport_operator(bundle, path, steps=DEFAULT_TRANSPORT_STEPS,
-                       derivative="fd"):
+def transport_operator(bundle, path, steps=DEFAULT_TRANSPORT_STEPS):
     """The full transport map fiber(path(0)) -> fiber(path(1)) as an
     ambient matrix (the orthogonal complement of the fiber is killed)."""
     if steps < 16:
         raise BadParams("transport needs at least 16 steps")
     path = _as_path(path)
-    qp, qnode = _stage_arrays(bundle, path, steps, derivative)
+    qp, qnode = _stage_arrays(bundle, path, steps)
     x0 = np.ascontiguousarray(qnode[0])
     return _kernels.rk4_transport(qp, qnode, x0)
 
 
-def holonomy_sign(line_bundle, loop, steps=DEFAULT_TRANSPORT_STEPS,
-                  derivative="fd"):
+def holonomy_sign(line_bundle, loop, steps=DEFAULT_TRANSPORT_STEPS):
     """Orientation sign picked up by a real line bundle around a closed loop."""
     if line_bundle.real_rank != 1:
         raise BadParams("holonomy_sign needs a real line bundle (rank 1)")
@@ -425,7 +439,7 @@ def holonomy_sign(line_bundle, loop, steps=DEFAULT_TRANSPORT_STEPS,
     if gap > 1e-10:
         raise BadParams(f"loop is not closed (gap {gap:.3e})")
     v0 = line_bundle.fiber_basis(loop(0.0))[:, 0]
-    out = transport(line_bundle, loop, v0, steps=steps, derivative=derivative)
+    out = transport(line_bundle, loop, v0, steps=steps)
     v1 = out.ambient / np.linalg.norm(out.ambient)
     inner = float(v1 @ v0)
     if abs(inner) <= 0.9:

@@ -37,7 +37,7 @@ from .manifolds import (ComplexProjective, Sphere, cp1_power_map, degree,
                         identity_diffeo, named_diffeo, random_orthogonal,
                         random_point, random_unimodular, rotation_homotopy,
                         sphere_power_map)
-from .numkernel import polar_two_metric
+from .numkernel import polar_two_metric, worst
 from .obstruction import (lattice_chern_number, plaquette_phases,
                           pullback_invariance_report, torus_criterion,
                           w1_profile)
@@ -109,7 +109,7 @@ def _scenario_homotopy_lift_sphere(cfg):
     endpoint_gap = 0.0
     for i in range(min(cfg.samples, 100)):
         x = random_point(Sphere(2), cfg.seed + 1000 + i)
-        endpoint_gap = max(endpoint_gap, float(np.linalg.norm(
+        endpoint_gap = worst(endpoint_gap, float(np.linalg.norm(
             h.family(1.0, x) - h.endpoint.forward(x))))
     checks.append(_check("homotopy.endpoint_agreement", endpoint_gap, 1e-10))
     return checks, None
@@ -140,10 +140,10 @@ def _scenario_metrize_random(cfg):
         x = random_point(model, cfg.seed + 500 + i)
         m1 = iso.fiber_matrix_in_bases(x)
         m2 = iso2.fiber_matrix_in_bases(x)
-        idem = max(idem, float(np.max(np.abs(m1 - m2))))
+        idem = worst(idem, float(np.max(np.abs(m1 - m2))))
         f = vert.fiber_matrix_in_bases(x)
         psi, xi = polar_two_metric(f, np.eye(3), np.eye(3))
-        fact = max(fact, float(np.max(np.abs(xi @ psi - f))))
+        fact = worst(fact, float(np.max(np.abs(xi @ psi - f))))
     checks.append(_check("metrize.idempotence", idem, 1e-8))
     checks.append(_check("metrize.factorization", fact, 1e-8))
     return checks, None
@@ -162,10 +162,10 @@ def _scenario_frame_view(cfg):
         frame = FiberFrame(x, bundle.fiber_basis(x))
         out = frame_lift_view(lift, frame)
         gram = out.vectors.T @ out.vectors
-        gram_defect = max(gram_defect, float(np.max(np.abs(gram - np.eye(2)))))
+        gram_defect = worst(gram_defect, float(np.max(np.abs(gram - np.eye(2)))))
         rotated = FiberFrame(x, frame.vectors @ g)
         out_rot = frame_lift_view(lift, rotated)
-        equiv = max(equiv, float(np.max(np.abs(out_rot.vectors - out.vectors @ g))))
+        equiv = worst(equiv, float(np.max(np.abs(out_rot.vectors - out.vectors @ g))))
     checks = [
         _check("frame.output_gram", gram_defect, cfg.tol_exact),
         _check("frame.equivariance", equiv, 1e-8),
@@ -245,7 +245,7 @@ def _scenario_grassmann_action(cfg):
     hom = 0.0
     for i in range(min(cfg.samples, 100)):
         x = random_point(l1.bundle.base, cfg.seed + i)
-        hom = max(hom, l1.bundle.base.distance(
+        hom = worst(hom, l1.bundle.base.distance(
             comp.base_map.forward(x), l1.base_map.forward(l2.base_map.forward(x))))
     checks.append(_check("compose.base_homomorphism", hom, 1e-10))
     inv_rep = check_lift(compose(l1, invert(l1)),
@@ -276,7 +276,7 @@ def _scenario_cpn_conjugation(cfg):
         j_x = lift.bundle.complex_structure(x)
         j_y = lift.bundle.complex_structure(y)
         corrected = psi @ lift.fiber_matrix(y)
-        corr = max(corr, float(np.max(np.abs(
+        corr = worst(corr, float(np.max(np.abs(
             (corrected @ j_y - j_x @ corrected) @ lift.bundle.fiber_projector(y)))))
     checks.append(_check("fiberwise_correction.commutation", corr, 1e-8))
 
@@ -411,7 +411,7 @@ def _scenario_s1xs2_generators(cfg):
             x2 = ComplexProjective(1).random_point(rng)
             x = (p1, x2)
             v = r_lift.bundle.random_fiber_vector(x, rng)
-            slice_res = max(slice_res, float(np.linalg.norm(
+            slice_res = worst(slice_res, float(np.linalg.norm(
                 r_lift.action(x, v) - v)))
         checks.append(_check(f"r_lift.n{n}.theta0_identity", slice_res, 1e-12))
         s_lift = s1xs2_generator_lift("s", n, steps=cfg.transport_steps)
@@ -419,7 +419,7 @@ def _scenario_s1xs2_generators(cfg):
         for i in range(min(cfg.samples, 20)):
             x = random_point(s_lift.bundle.base, cfg.seed + 900 + i)
             y = s_lift.base_map.forward(s_lift.base_map.forward(x))
-            roundtrip = max(roundtrip, s_lift.bundle.base.distance(x, y))
+            roundtrip = worst(roundtrip, s_lift.bundle.base.distance(x, y))
         checks.append(_check(f"s_lift.n{n}.involution", roundtrip, 1e-10))
     return checks, None
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotOrthonormal, PatchNotInvariant
+from .numkernel import worst
 
 __all__ = [
     "LocalLiftDatum",
@@ -26,7 +27,7 @@ def _check_orthogonal_field(alpha, points, label):
     for x in points:
         a = np.asarray(alpha(x), dtype=float)
         defect = float(np.max(np.abs(a @ a.T - np.eye(a.shape[0]))))
-        if defect > 1e-8:
+        if not defect <= 1e-8:
             raise NotOrthonormal(
                 f"{label} is not orthogonal at a sample (defect {defect:.3e})"
             )
@@ -73,8 +74,8 @@ def cocycle_compat_check(d1, d2, transition, diffeo, tolerance=1e-6):
         a_there = np.asarray(transition.alpha(diffeo.forward(x)), dtype=float)
         predicted = np.linalg.inv(a_there) @ a1 @ a_here
         # spectral norm: a rotation perturbation by angle d scores 2 sin(d/2)
-        max_residual = max(max_residual,
-                           float(np.linalg.norm(a2 - predicted, 2)))
+        max_residual = worst(max_residual,
+                             float(np.linalg.norm(a2 - predicted, 2)))
     return {"max_residual": max_residual,
             "compatible": max_residual <= tolerance}
 
@@ -93,11 +94,9 @@ def local_data_from_lift(lift, patch1, patch2, frame1, frame2, overlap_points):
 
     def make_alpha(frame):
         def alpha(x):
-            s_in = np.asarray(frame(x), dtype=float)
-            s_out = np.asarray(frame(phi.forward(x)), dtype=float)
-            images = np.column_stack([lift.action(x, s_in[:, i])
-                                      for i in range(s_in.shape[1])])
-            return s_out.T @ images
+            return lift.fiber_matrix_between(
+                x, np.asarray(frame(x), dtype=float),
+                np.asarray(frame(phi.forward(x)), dtype=float))
 
         return alpha
 

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bundles import (FiberVector, direct_sum, homotopy_path, pullback,
-                      tangent_sphere, tautological_complex, tautological_real,
-                      torus_line, transport_operator)
+from .bundles import (FiberVector, PointCache, direct_sum, homotopy_path,
+                      pullback, tangent_sphere, tautological_complex,
+                      tautological_real, torus_line, transport_operator)
 from .config import DEFAULT_SAMPLES, DEFAULT_TOLERANCES as TOL
 from .config import DEFAULT_TRANSPORT_STEPS
 from .errors import (BadParams, BundleMismatch, CriterionFails,
@@ -24,7 +24,7 @@ from .manifolds import (Diffeo, Sphere, cp1_plane_rotation_homotopy,
                         cp1_power_map, identity_diffeo, named_diffeo,
                         product_diffeo, random_point)
 from .numkernel import (complex_structure_conjugator, polar_two_metric,
-                        singular_values, sym_eigh)
+                        singular_values, sym_eigh, worst)
 
 __all__ = [
     "Lift",
@@ -124,15 +124,6 @@ class LiftReport:
         }
 
 
-def _worst(*residuals):
-    """max() in which a NaN wins, so a residual that could not be measured
-    fails its verdict (the builtin max drops a NaN after the first item)."""
-    for r in residuals:
-        if r != r:
-            return r
-    return max(residuals)
-
-
 def check_lift(lift, samples=DEFAULT_SAMPLES, seed=0, tolerance=None):
     """Evaluate lift residuals on seeded random (x, v) probes.
 
@@ -168,18 +159,18 @@ def check_lift(lift, samples=DEFAULT_SAMPLES, seed=0, tolerance=None):
         out = lift.apply(FiberVector(x, v))
         w = out.ambient
         q_y = bundle.fiber_projector(y)
-        base_res = _worst(base_res,
-                          base.distance(out.base_point, y),
-                          float(np.linalg.norm(q_y @ w - w)))
+        base_res = worst(base_res,
+                         base.distance(out.base_point, y),
+                         float(np.linalg.norm(q_y @ w - w)))
 
         w_u = lift.action(x, u)
         w_mix = lift.action(x, alpha * u + beta * v)
         lin = np.linalg.norm(w_mix - alpha * w_u - beta * w)
-        lin_res = _worst(lin_res, float(lin) / (abs(alpha) + abs(beta) + 1.0))
+        lin_res = worst(lin_res, float(lin) / (abs(alpha) + abs(beta) + 1.0))
 
         m = lift.fiber_matrix_in_bases(x)
         gram = m.T @ m
-        iso_res = _worst(iso_res, float(np.max(np.abs(gram - np.eye(m.shape[0])))))
+        iso_res = worst(iso_res, float(np.max(np.abs(gram - np.eye(m.shape[0])))))
         evals, _ = sym_eigh(gram)
         min_sv = min(min_sv, float(np.sqrt(max(evals[0], 0.0))))
 
@@ -193,8 +184,8 @@ def check_lift(lift, samples=DEFAULT_SAMPLES, seed=0, tolerance=None):
             # the image has nonzero J-component
             if c_i < 1e-12 and a_i < 1e-12 and np.linalg.norm(j_y @ w) > 1e-6:
                 raise AssertionError("complex-linearity checker inconsistency")
-            c_res = _worst(c_res, c_i)
-            a_res = _worst(a_res, a_i)
+            c_res = worst(c_res, c_i)
+            a_res = worst(a_res, a_i)
 
     verdicts = {
         "base": base_res <= tol,
@@ -242,62 +233,54 @@ def compose(outer, inner):
                 max(outer.tolerance, inner.tolerance))
 
 
+def _operator_lift(bundle, base_map, operator_at, provenance, tolerance):
+    """A lift whose fiber map at x is the ambient matrix operator_at(x),
+    computed once per point."""
+    cache = PointCache()
+    return Lift(bundle, base_map, lambda x, v: cache.get(x, operator_at) @ v,
+                provenance, tolerance)
+
+
 def invert(lift):
     """Inverse automorphism; fiber maps are inverted in orthonormal bases."""
     bundle = lift.bundle
     base = lift.base_map.inverted()
-    cache = {}
 
-    def action(x, v):
-        key = np.asarray(x).tobytes() if not isinstance(x, tuple) else \
-            tuple(np.asarray(p).tobytes() for p in x)
-        entry = cache.get(key)
-        if entry is None:
-            y = base.forward(x)  # phi^{-1}(x)
-            b_y = bundle.fiber_basis(y)
-            b_x = bundle.fiber_basis(x)
-            # b_x must be the basis at the caller's exact x: phi(y) only
-            # reproduces x up to roundoff, and a degenerate-eigenspace
-            # basis at a perturbed point can be arbitrarily rotated
-            m = lift.fiber_matrix_between(y, b_y, b_x)
-            sv = singular_values(m)
-            if sv[0] <= 1e-8:
-                raise Singular(f"fiber map not invertible (sv {sv[0]:.3e})")
-            entry = (b_y, np.linalg.inv(m), b_x)
-            cache[key] = entry
-        b_y, m_inv, b_x = entry
-        return b_y @ (m_inv @ (b_x.T @ v))
+    def operator_at(x):
+        y = base.forward(x)  # phi^{-1}(x)
+        b_y = bundle.fiber_basis(y)
+        b_x = bundle.fiber_basis(x)
+        # b_x must be the basis at the caller's exact x: phi(y) only
+        # reproduces x up to roundoff, and a degenerate-eigenspace
+        # basis at a perturbed point can be arbitrarily rotated
+        m = lift.fiber_matrix_between(y, b_y, b_x)
+        sv = singular_values(m)
+        if sv[0] <= 1e-8:
+            raise Singular(f"fiber map not invertible (sv {sv[0]:.3e})")
+        return b_y @ np.linalg.inv(m) @ b_x.T
 
-    return Lift(bundle, base, action, f"invert({lift.provenance})",
-                max(lift.tolerance, TOL.pipeline))
+    return _operator_lift(bundle, base, operator_at,
+                          f"invert({lift.provenance})",
+                          max(lift.tolerance, TOL.pipeline))
 
 
 # ---------------------------------------------------------------------------
 # Constructors
 
 
-def lift_from_homotopy(bundle, homotopy, steps=DEFAULT_TRANSPORT_STEPS,
-                       derivative="fd"):
+def lift_from_homotopy(bundle, homotopy, steps=DEFAULT_TRANSPORT_STEPS):
     """Lift of the homotopy endpoint by parallel transport along the
     tracks t -> family(t, x)."""
     if homotopy.source != bundle.base:
         raise BadParams("homotopy lives on a different model than the bundle")
-    cache = {}
 
-    def action(x, v):
-        key = np.asarray(x).tobytes() if not isinstance(x, tuple) else \
-            tuple(np.asarray(p).tobytes() for p in x)
-        op = cache.get(key)
-        if op is None:
-            op = transport_operator(bundle, homotopy_path(homotopy, x),
-                                    steps=steps, derivative=derivative)
-            if len(cache) > 2048:
-                cache.clear()
-            cache[key] = op
-        return op @ v
+    def operator_at(x):
+        return transport_operator(bundle, homotopy_path(homotopy, x),
+                                  steps=steps)
 
-    return Lift(bundle, homotopy.endpoint, action,
-                f"homotopy({homotopy.name},steps={steps})", TOL.transport)
+    return _operator_lift(bundle, homotopy.endpoint, operator_at,
+                          f"homotopy({homotopy.name},steps={steps})",
+                          TOL.transport)
 
 
 def metrize(lift):
@@ -305,29 +288,21 @@ def metrize(lift):
     polar decomposition; the base map is unchanged and isometric lifts are
     fixed points."""
     bundle = lift.bundle
-    cache = {}
 
-    def action(x, v):
-        key = np.asarray(x).tobytes() if not isinstance(x, tuple) else \
-            tuple(np.asarray(p).tobytes() for p in x)
-        entry = cache.get(key)
-        if entry is None:
-            b_in = bundle.fiber_basis(x)
-            b_out = bundle.fiber_basis(lift.base_map.forward(x))
-            f = lift.fiber_matrix_between(x, b_in, b_out)
-            r = f.shape[0]
-            # orthonormal bases make both fiber metrics the identity
-            psi, _ = polar_two_metric(f, np.eye(r), np.eye(r))
-            entry = (b_in, psi, b_out)
-            cache[key] = entry
-        b_in, psi, b_out = entry
-        return b_out @ (psi @ (b_in.T @ v))
+    def operator_at(x):
+        b_in = bundle.fiber_basis(x)
+        b_out = bundle.fiber_basis(lift.base_map.forward(x))
+        f = lift.fiber_matrix_between(x, b_in, b_out)
+        r = f.shape[0]
+        # orthonormal bases make both fiber metrics the identity
+        psi, _ = polar_two_metric(f, np.eye(r), np.eye(r))
+        return b_out @ psi @ b_in.T
 
-    return Lift(bundle, lift.base_map, action,
-                f"metrize({lift.provenance})", lift.tolerance)
+    return _operator_lift(bundle, lift.base_map, operator_at,
+                          f"metrize({lift.provenance})", lift.tolerance)
 
 
-def differential_lift(diffeo, fd_delta=None):
+def differential_lift(diffeo):
     """Lift of a sphere diffeomorphism to the tangent bundle by its
     Jacobian (central differences on the radial extension), projected to
     the target tangent fiber."""
@@ -335,40 +310,31 @@ def differential_lift(diffeo, fd_delta=None):
     if not isinstance(model, Sphere):
         raise BadParams("differential_lift is defined for sphere diffeomorphisms")
     bundle = tangent_sphere(model.n)
-    delta = TOL.fd_delta if fd_delta is None else fd_delta
+    delta = TOL.fd_delta
     dim = model.n + 1
-    cache = {}
 
     def extended(y):
         nrm = np.linalg.norm(y)
         return nrm * np.asarray(diffeo.forward(y / nrm))
 
-    def jacobian(x):
-        key = np.asarray(x).tobytes()
-        jac = cache.get(key)
-        if jac is None:
-            jac = np.empty((dim, dim))
-            for i in range(dim):
-                step = np.zeros(dim)
-                step[i] = delta
-                jac[:, i] = (extended(x + step) - extended(x - step)) / (2 * delta)
-            b_in = bundle.fiber_basis(x)
-            b_out = bundle.fiber_basis(diffeo.forward(x))
-            sv = singular_values(b_out.T @ jac @ b_in)
-            if sv[0] < 1e-6:
-                raise DegenerateJacobian(
-                    f"Jacobian singular value {sv[0]:.3e} below 1e-6"
-                )
-            cache[key] = jac
-        return jac
-
-    def action(x, v):
+    def operator_at(x):
+        jac = np.empty((dim, dim))
+        for i in range(dim):
+            step = np.zeros(dim)
+            step[i] = delta
+            jac[:, i] = (extended(x + step) - extended(x - step)) / (2 * delta)
         y = diffeo.forward(x)
-        q_y = bundle.fiber_projector(y)
-        return q_y @ (jacobian(x) @ v)
+        b_in = bundle.fiber_basis(x)
+        b_out = bundle.fiber_basis(y)
+        sv = singular_values(b_out.T @ jac @ b_in)
+        if sv[0] < 1e-6:
+            raise DegenerateJacobian(
+                f"Jacobian singular value {sv[0]:.3e} below 1e-6"
+            )
+        return bundle.fiber_projector(y) @ jac
 
-    return Lift(bundle, diffeo, action,
-                f"differential({diffeo.name})", TOL.transport)
+    return _operator_lift(bundle, diffeo, operator_at,
+                          f"differential({diffeo.name})", TOL.transport)
 
 
 def ambient_projection_lift(bundle, diffeo, variant="fiber",
@@ -593,14 +559,14 @@ def frame_lift_view(lift, frame):
     vecs = np.asarray(frame.vectors, dtype=float)
     gram_in = vecs.T @ vecs
     defect_in = float(np.max(np.abs(gram_in - np.eye(vecs.shape[1]))))
-    if defect_in > 1e-8:
+    if not defect_in <= 1e-8:
         raise NotOrthonormal(f"input frame defect {defect_in:.3e} > 1e-8")
     x = frame.base_point
     out = np.column_stack([lift.action(x, vecs[:, i])
                            for i in range(vecs.shape[1])])
     gram_out = out.T @ out
     defect_out = float(np.max(np.abs(gram_out - np.eye(out.shape[1]))))
-    if defect_out > 1e-6:
+    if not defect_out <= 1e-6:
         raise NotIsometric(f"output frame defect {defect_out:.3e} > 1e-6")
     return FiberFrame(lift.base_map.forward(x), out)
 
@@ -622,8 +588,8 @@ def complex_linearity_defect(lift, samples=50, seed=0):
         j_y = bundle.complex_structure(y)
         w = lift.action(x, v)
         w_jv = lift.action(x, j_x @ v)
-        c_res = max(c_res, float(np.linalg.norm(w_jv - j_y @ w)))
-        a_res = max(a_res, float(np.linalg.norm(w_jv + j_y @ w)))
+        c_res = worst(c_res, float(np.linalg.norm(w_jv - j_y @ w)))
+        a_res = worst(a_res, float(np.linalg.norm(w_jv + j_y @ w)))
     return c_res, a_res
 
 
@@ -642,8 +608,7 @@ def fiberwise_complex_correction(lift, x):
     y = lift.base_map.inverse(x)  # phi^{-1}(x)
     b_y = bundle.fiber_basis(y)
     b_x = bundle.fiber_basis(x)
-    m = b_x.T @ np.column_stack([lift.action(y, b_y[:, i])
-                                 for i in range(b_y.shape[1])])
+    m = lift.fiber_matrix_between(y, b_y, b_x)
     sv = singular_values(m)
     if sv[0] <= 1e-8:
         raise Singular(f"fiber map not invertible at x (sv {sv[0]:.3e})")

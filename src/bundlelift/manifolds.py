@@ -504,20 +504,12 @@ def cp1_to_sphere(p):
                      p[0, 0].real - p[1, 1].real])
 
 
-def cpn_homogeneous(p, canonical=False):
-    """A unit homogeneous-coordinate vector spanning the image of p.
-
-    With ``canonical=True`` the first sizable coordinate is made real
-    positive.
-    """
+def cpn_homogeneous(p):
+    """A unit homogeneous-coordinate vector spanning the image of p."""
     p = np.asarray(p)
     norms = np.linalg.norm(p, axis=0)
     w = p[:, int(np.argmax(norms))]
-    w = w / np.linalg.norm(w)
-    if canonical:
-        idx = int(np.nonzero(np.abs(w) > 1e-8)[0][0])
-        w = w * (np.conj(w[idx]) / abs(w[idx]))
-    return w
+    return w / np.linalg.norm(w)
 
 
 def cp1_power_map(n):

@@ -19,9 +19,7 @@ __all__ = [
     "complex_structure_conjugator",
     "singular_values",
     "realify",
-    "complexify",
-    "realify_vector",
-    "complexify_vector",
+    "worst",
 ]
 
 
@@ -168,30 +166,20 @@ def realify(a):
     return np.block([[re, -im], [im, re]])
 
 
-def complexify(m, check=True):
-    m = np.asarray(m, dtype=float)
-    n = m.shape[0] // 2
-    a = m[:n, :n] + 1j * m[n:, :n]
-    if check:
-        defect = np.max(np.abs(m - realify(a)))
-        if defect > 1e-8:
-            raise ValueError(f"matrix is not complex-linear (defect {defect:.3e})")
-    return a
-
-
-def realify_vector(z):
-    z = np.asarray(z, dtype=complex)
-    return np.concatenate([z.real, z.imag])
-
-
-def complexify_vector(x):
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0] // 2
-    return x[:n] + 1j * x[n:]
-
-
 def standard_complex_structure(n):
     """Realified multiplication by i on C^n."""
     z = np.zeros((n, n))
     eye = np.eye(n)
     return np.block([[z, -eye], [eye, z]])
+
+
+# -- residual accumulation ---------------------------------------------------
+
+
+def worst(*residuals):
+    """max() in which a NaN wins, so a residual that could not be measured
+    fails its verdict (the builtin max drops a NaN after the first item)."""
+    for r in residuals:
+        if r != r:
+            return r
+    return max(residuals)

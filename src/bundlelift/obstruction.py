@@ -39,10 +39,6 @@ class ChernResult:
     mesh_level: int
     stable: bool
 
-    def to_dict(self):
-        return {"value": self.value, "raw": self.raw,
-                "mesh_level": self.mesh_level, "stable": self.stable}
-
 
 @functools.lru_cache(maxsize=8)
 def _cp1_mesh_points(level):
@@ -130,10 +126,6 @@ class TorusCriterionResult:
     b: np.ndarray
     fast_verdict: bool
     oracle_verdict: bool
-
-    @property
-    def liftable(self):
-        return self.fast_verdict
 
 
 def _check_bits(b):

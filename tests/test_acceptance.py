@@ -114,11 +114,9 @@ def test_criterion_3_homotopy_lifting_order():
         for i in range(3):
             x = mf.random_point(model, 40 + i)
             path = bd.homotopy_path(h_order, x)
-            ref = bd.transport_operator(bundle, path, steps=16384,
-                                        derivative="exact")
+            ref = bd.transport_operator(bundle, path, steps=16384)
             err = {s: float(np.max(np.abs(
-                bd.transport_operator(bundle, path, steps=s,
-                                      derivative="exact") - ref)))
+                bd.transport_operator(bundle, path, steps=s) - ref)))
                    for s in (1024, 4096)}
             assert err[1024] <= 1e-5
             assert err[1024] >= 10.0 * err[4096], (bundle.key, i, err)

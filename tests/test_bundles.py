@@ -144,8 +144,8 @@ class TestTransport:
         x = mf.random_point(mf.Sphere(2), 10)
         v = ts.random_fiber_vector(x, np.random.default_rng(6))
         path = bd.homotopy_path(h, x)
-        out_fd = bd.transport(ts, path, v, steps=256, derivative="fd")
-        out_ex = bd.transport(ts, path, v, steps=256, derivative="exact")
+        out_fd = bd.transport(ts, bd.Path(path.fn), v, steps=256)
+        out_ex = bd.transport(ts, path, v, steps=256)
         assert np.linalg.norm(out_fd.ambient - out_ex.ambient) <= 1e-8
 
     def test_operator_matches_vector_transport(self):
@@ -198,6 +198,39 @@ class TestHolonomySign:
         synthetic = bd.BundleModel(("synthetic_quarter",), base, 2, 1, q_quarter)
         with pytest.raises(Ambiguous):
             bd.holonomy_sign(synthetic, lambda t: np.array([t]), steps=64)
+
+
+class TestPointCache:
+    def test_bound_and_oldest_first_eviction(self):
+        computed = []
+
+        def compute(x):
+            computed.append(int(x[0]))
+            return np.array([2.0 * x[0]])
+
+        cache = bd.PointCache()
+        size = bd.POINT_CACHE_SIZE
+        points = [np.array([float(i)]) for i in range(size + 1)]
+        for p in points:
+            cache.get(p, compute)
+        # the newest POINT_CACHE_SIZE points are held
+        for p in points[1:]:
+            cache.get(p, compute)
+        assert computed == list(range(size + 1))
+        # the oldest was evicted; computing it again evicts the next oldest
+        assert np.array_equal(cache.get(points[0], compute), [0.0])
+        cache.get(points[1], compute)
+        assert computed[size + 1:] == [0, 1]
+
+    def test_evicted_fiber_basis_is_recomputed_identically(self):
+        ts = bd.tangent_sphere(2)
+        x = mf.random_point(ts.base, 0)
+        first = ts.fiber_basis(x)
+        for i in range(bd.POINT_CACHE_SIZE):
+            ts.fiber_basis(np.array([0.0, np.sin(i), np.cos(i)]))
+        again = ts.fiber_basis(x)
+        assert again is not first
+        assert np.array_equal(again, first)
 
 
 def test_direct_sum_blocks():

@@ -6,7 +6,6 @@ import pytest
 
 from bundlelift import bundles as bd, lifts as lf, manifolds as mf
 from bundlelift.errors import (BadParams, CriterionFails, NoComplexStructure)
-from bundlelift.numkernel import realify_vector
 
 
 class TestCpnConjugationLift:
@@ -14,7 +13,7 @@ class TestCpnConjugationLift:
         lift = lf.cpn_conjugation_lift(1)
         z = np.array([0.6, 0.8], dtype=complex)  # real point, real fiber vector
         x = np.outer(z, z.conj())
-        v = realify_vector(z)
+        v = np.concatenate([z.real, z.imag])
         assert np.linalg.norm(lift.action(x, v) - v) <= 1e-12
 
     def test_anti_linearity_identity(self):
@@ -50,6 +49,13 @@ class TestCpnConjugationLift:
                                            samples=20, seed=2)
         assert c <= 1e-12
         assert abs(a - 2.0) <= 1e-10  # |2 J v| = 2 on unit probes
+
+    def test_nan_lift_defects_are_nan(self):
+        bundle = bd.tautological_complex(1)
+        nan_lift = lf.Lift(bundle, mf.identity_diffeo(bundle.base),
+                           lambda x, v: v * np.nan, "nan", 1e-10)
+        c, a = lf.complex_linearity_defect(nan_lift, samples=3, seed=0)
+        assert np.isnan(c) and np.isnan(a)
 
     def test_no_complex_structure(self):
         with pytest.raises(NoComplexStructure):

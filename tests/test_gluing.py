@@ -115,6 +115,11 @@ class TestCocycleCheck:
         with pytest.raises(NotOrthonormal):
             gl.LocalLiftDatum("U1", points, lambda x: 2.0 * np.eye(3))
 
+    def test_nan_field_rejected(self):
+        points = [np.zeros(2)]
+        with pytest.raises(NotOrthonormal):
+            gl.LocalLiftDatum("U1", points, lambda x: np.full((3, 3), np.nan))
+
 
 class TestAdapter:
     def test_grassmann_lift_local_data_compatible(self):

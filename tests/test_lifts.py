@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -312,6 +315,45 @@ class TestFrameLiftView:
         frame = lf.FiberFrame(x, bundle.fiber_basis(x))
         with pytest.raises(NotIsometric):
             lf.frame_lift_view(stretch, frame)
+
+    def test_rejects_nan_output(self):
+        bundle = bd.tautological_complex(1)
+        nan_lift = lf.Lift(bundle, mf.identity_diffeo(bundle.base),
+                           lambda x, v: v * np.nan, "nan", 1e-10)
+        x = mf.random_point(bundle.base, 8)
+        frame = lf.FiberFrame(x, bundle.fiber_basis(x))
+        with pytest.raises(NotIsometric):
+            lf.frame_lift_view(nan_lift, frame)
+
+
+@pytest.mark.parametrize("kind", ["bundle", "metrize", "invert", "differential",
+                                  "homotopy"])
+def test_cached_objects_are_freed_without_gc(kind):
+    # a cache that kept a bound method of its owner would form a reference
+    # cycle, freed only when the garbage collector runs
+    bundle = bd.tangent_sphere(2)
+    sigma = mf.named_diffeo(bundle.base, "sphere_reflection")
+    h = mf.rotation_homotopy(bundle.base, (0, 1), 0.5)
+    x, v = _probe(lf.identity_lift(bundle), 1)
+    make = {
+        "bundle": lambda: bd.tangent_sphere(2),
+        "metrize": lambda: lf.metrize(lf.differential_lift(sigma)),
+        "invert": lambda: lf.invert(lf.differential_lift(sigma)),
+        "differential": lambda: lf.differential_lift(sigma),
+        "homotopy": lambda: lf.lift_from_homotopy(bundle, h, steps=16),
+    }[kind]
+    gc.disable()
+    try:
+        obj = make()
+        if kind == "bundle":
+            obj.fiber_basis(x)
+        else:
+            obj.action(x, v)
+        ref = weakref.ref(obj)
+        del obj
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_homotopy_invariance_mechanism():

@@ -196,12 +196,6 @@ class TestIdentification:
         x = np.array([1.0, 0.0, 0.0])
         assert np.linalg.norm(f.forward(x) - x) <= 1e-12
 
-    def test_homogeneous_canonical_phase(self):
-        z = np.array([0.3 + 0.4j, 0.5 - 0.7j])
-        z /= np.linalg.norm(z)
-        w = mf.cpn_homogeneous(np.outer(z, z.conj()), canonical=True)
-        assert abs(w[0].imag) <= 1e-12 and w[0].real > 0
-
 
 class TestIcosphere:
     def test_counts(self):

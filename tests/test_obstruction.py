@@ -106,8 +106,8 @@ class TestTorusCriterion:
 
     def test_shear_cases(self):
         a = np.array([[1, 1], [0, 1]])
-        assert not ob.torus_criterion(a, (1, 0)).liftable
-        assert ob.torus_criterion(a, (0, 1)).liftable
+        assert not ob.torus_criterion(a, (1, 0)).fast_verdict
+        assert ob.torus_criterion(a, (0, 1)).fast_verdict
 
     def test_exhaustive_sweep_fast_equals_oracle(self):
         total = 0
@@ -181,7 +181,7 @@ def test_torus_lift_agrees_with_criterion():
         for b in _all_bits(n):
             for i in range(20):
                 a = mf.random_unimodular(n, 555 * n + 13 * i + hash(b) % 101)
-                expected = ob.torus_criterion(a, b).liftable
+                expected = ob.torus_criterion(a, b).fast_verdict
                 try:
                     lf.torus_line_lift(a, b)
                     built = True
