@@ -7,11 +7,12 @@ metric is the restricted Euclidean product. Complex bundles store their
 Hermitian projector field and expose the realified picture (C^m as R^{2m},
 J the realified multiplication by i restricted to the fiber).
 
-Transport integrates chi'(t) = Q'(t) chi(t) with classical RK4 and
-re-projects after every step. Q' is the bundle's exact projector
-differential along the path velocity when the path has a velocity and the
-bundle a projector differential, and central differences on the path
-parameter otherwise.
+Fiber vectors are plain ambient arrays. ``transport_operator`` is the one
+transport: it returns the transport map as an ambient matrix, integrating
+chi'(t) = Q'(t) chi(t) with classical RK4 and re-projecting after every
+step. Q' is the bundle's exact projector differential along the path
+velocity when the path has a velocity and the bundle a projector
+differential, and central differences on the path parameter otherwise.
 
 Per-point work (fiber bases here, fiber operators of the cached lifts in
 ``lifts``) is memoized in one kind of cache, ``PointCache``, bounded by
@@ -19,21 +20,19 @@ Per-point work (fiber bases here, fiber operators of the cached lifts in
 """
 
 from collections import OrderedDict
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from .config import DEFAULT_TOLERANCES as TOL
 from .config import DEFAULT_TRANSPORT_STEPS
-from .errors import Ambiguous, BadParams, NotInFiber
+from .errors import Ambiguous, BadParams
 from .manifolds import (ComplexProjective, GrassmannReal, Product, Sphere,
                         Torus)
 from .numkernel import realify, standard_complex_structure, sym_eigh
 
 __all__ = [
     "BundleModel",
-    "FiberVector",
     "Path",
     "homotopy_path",
     "tautological_real",
@@ -44,7 +43,6 @@ __all__ = [
     "trivial",
     "complement",
     "direct_sum",
-    "transport",
     "transport_operator",
     "holonomy_sign",
 ]
@@ -144,24 +142,19 @@ class BundleModel:
             )
         return cols
 
-    def random_fiber_vector(self, x, rng, unit=True):
+    def random_fiber_vector(self, x, rng):
+        """A unit vector in the fiber over x."""
         q = self.fiber_projector(x)
         for _ in range(8):
             v = q @ rng.normal(size=self.ambient_fiber_dim)
             nrm = np.linalg.norm(v)
             if nrm > 1e-6:
-                return v / nrm if unit else v
+                return v / nrm
         raise BadParams("could not sample a fiber vector (degenerate projector?)")
 
     def membership_residual(self, x, v):
         q = self.fiber_projector(x)
         return float(np.linalg.norm(q @ v - v))
-
-
-@dataclass
-class FiberVector:
-    base_point: object
-    ambient: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +206,14 @@ def pullback(f, w):
     )
 
 
+def _check_bits(b):
+    """b as an int64 array, rejected unless it is a nonzero 0/1 vector."""
+    b = np.asarray(b, dtype=np.int64)
+    if b.ndim != 1 or not np.all((b == 0) | (b == 1)) or not np.any(b):
+        raise BadParams("b must be a nonzero 0/1 vector")
+    return b
+
+
 def torus_line(b):
     """The real line bundle L_b over the torus, embedded in a trivial R^2:
     Q(x) = u u^T with u(x) = (cos(pi b.x), sin(pi b.x)).
@@ -220,9 +221,7 @@ def torus_line(b):
     Changing x by an integer vector m flips u by (-1)^{b.m}, so Q is
     well defined on the torus.
     """
-    b = np.asarray(b, dtype=np.int64)
-    if b.ndim != 1 or not np.all((b == 0) | (b == 1)) or not np.any(b):
-        raise BadParams("b must be a nonzero 0/1 vector")
+    b = _check_bits(b)
     n = b.shape[0]
     bf = b.astype(float)
 
@@ -249,7 +248,6 @@ def torus_line(b):
         projector_differential=q_diff,
     )
     model.unit_section = u_of
-    model.bits = b
     return model
 
 
@@ -354,10 +352,9 @@ def direct_sum(v1, v2):
 class Path:
     """Curve [0,1] -> base, optionally carrying an exact velocity."""
 
-    def __init__(self, fn, velocity=None, name="path"):
+    def __init__(self, fn, velocity=None):
         self.fn = fn
         self.velocity = velocity
-        self.name = name
 
     def __call__(self, t):
         return self.fn(t)
@@ -368,8 +365,7 @@ def homotopy_path(homotopy, x):
     vel = None
     if homotopy.velocity is not None:
         vel = lambda t: homotopy.velocity(t, x)
-    return Path(lambda t: homotopy.family(t, x), velocity=vel,
-                name=f"{homotopy.name}@point")
+    return Path(lambda t: homotopy.family(t, x), velocity=vel)
 
 
 def _as_path(path):
@@ -399,26 +395,6 @@ def _stage_arrays(bundle, path, steps):
     return qp, qnode
 
 
-def transport(bundle, path, v0, steps=DEFAULT_TRANSPORT_STEPS):
-    """Parallel transport of a fiber vector along a path."""
-    if steps < 16:
-        raise BadParams("transport needs at least 16 steps")
-    path = _as_path(path)
-    if isinstance(v0, FiberVector):
-        vec = np.asarray(v0.ambient, dtype=float)
-    else:
-        vec = np.asarray(v0, dtype=float)
-    x0 = path(0.0)
-    if bundle.membership_residual(x0, vec) > 1e-8:
-        raise NotInFiber(
-            f"start vector is not in the fiber (residual "
-            f"{bundle.membership_residual(x0, vec):.3e})"
-        )
-    qp, qnode = _stage_arrays(bundle, path, steps)
-    out = _kernels.rk4_transport(qp, qnode, np.ascontiguousarray(vec.reshape(-1, 1)))
-    return FiberVector(base_point=path(1.0), ambient=out[:, 0])
-
-
 def transport_operator(bundle, path, steps=DEFAULT_TRANSPORT_STEPS):
     """The full transport map fiber(path(0)) -> fiber(path(1)) as an
     ambient matrix (the orthogonal complement of the fiber is killed)."""
@@ -439,8 +415,8 @@ def holonomy_sign(line_bundle, loop, steps=DEFAULT_TRANSPORT_STEPS):
     if gap > 1e-10:
         raise BadParams(f"loop is not closed (gap {gap:.3e})")
     v0 = line_bundle.fiber_basis(loop(0.0))[:, 0]
-    out = transport(line_bundle, loop, v0, steps=steps)
-    v1 = out.ambient / np.linalg.norm(out.ambient)
+    out = transport_operator(line_bundle, loop, steps=steps) @ v0
+    v1 = out / np.linalg.norm(out)
     inner = float(v1 @ v0)
     if abs(inner) <= 0.9:
         raise Ambiguous(

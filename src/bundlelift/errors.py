@@ -33,10 +33,6 @@ class NonConvergent(BundleLiftError):
     """Integer-valued quantity failed to stabilize across mesh levels."""
 
 
-class NotInFiber(BundleLiftError):
-    """Vector does not lie in the fiber over its claimed base point."""
-
-
 class Ambiguous(BundleLiftError):
     """Holonomy sign could not be resolved (insufficient transport steps)."""
 

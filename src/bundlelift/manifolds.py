@@ -636,12 +636,12 @@ def random_orthogonal(n, seed):
     return q * np.sign(np.diag(r))
 
 
-def random_unimodular(n, seed, max_ops=8):
-    """Product of at most ``max_ops`` elementary integer matrices (row
-    additions and swaps), so |det| = 1 holds exactly in integer arithmetic."""
+def random_unimodular(n, seed):
+    """Product of at most 8 elementary integer matrices (row additions and
+    swaps), so |det| = 1 holds exactly in integer arithmetic."""
     rng = np.random.default_rng(seed)
     a = np.eye(n, dtype=np.int64)
-    n_ops = int(rng.integers(1, max_ops + 1))
+    n_ops = int(rng.integers(1, 9))
     for _ in range(n_ops):
         if n == 1:
             break

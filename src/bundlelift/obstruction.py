@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .bundles import holonomy_sign, pullback, torus_line
+from .bundles import _check_bits, holonomy_sign, pullback, torus_line
 from .config import DEFAULT_TRANSPORT_STEPS
 from .errors import BadParams, DegeneratePlaquette, NonConvergent
 from .manifolds import (ComplexProjective, Sphere, icosphere, integer_inverse,
@@ -128,13 +128,6 @@ class TorusCriterionResult:
     oracle_verdict: bool
 
 
-def _check_bits(b):
-    b = np.asarray(b, dtype=np.int64)
-    if b.ndim != 1 or not np.all((b == 0) | (b == 1)) or not np.any(b):
-        raise BadParams("b must be a nonzero 0/1 vector")
-    return b
-
-
 def subgroup_generators(b):
     """Generators of the index-2 subgroup {x : b.x even} of Z^n: e_i for
     the zero bits, one doubled basis vector for the first set bit, and the
@@ -174,14 +167,12 @@ def torus_criterion(a, b):
     return TorusCriterionResult(a=a, b=b, fast_verdict=fast, oracle_verdict=oracle)
 
 
-def w1_profile(b, n=None, steps=DEFAULT_TRANSPORT_STEPS):
-    """Holonomy signs of L_b around the n coordinate loops of the torus
-    (the first Stiefel-Whitney class evaluated on the standard 1-cycles)."""
+def w1_profile(b, steps=DEFAULT_TRANSPORT_STEPS):
+    """Holonomy signs of L_b around the n = len(b) coordinate loops of the
+    torus (the first Stiefel-Whitney class evaluated on the standard
+    1-cycles)."""
     b = _check_bits(b)
-    if n is None:
-        n = b.shape[0]
-    if n != b.shape[0]:
-        raise BadParams("n must match len(b)")
+    n = b.shape[0]
     if n > 4:
         raise BadParams("w1_profile supports n <= 4")
     bundle = torus_line(b)

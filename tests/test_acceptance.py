@@ -67,9 +67,8 @@ def test_criterion_2_conjugation_obstruction():
 
     rep = lf.check_lift(lift, samples=50, seed=7)
     assert rep.passed
-    c_res, a_res = lf.complex_linearity_defect(lift, samples=50, seed=7)
-    assert a_res <= 1e-10
-    assert c_res >= 1.0
+    assert rep.anti_linearity_residual <= 1e-10
+    assert rep.complex_linearity_residual >= 1.0
 
     bundle = lift.bundle
     for i in range(20):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bundlelift import bundles as bd, manifolds as mf
-from bundlelift.errors import Ambiguous, BadParams, NotInFiber
+from bundlelift.errors import Ambiguous, BadParams
 
 
 ALL_BUNDLES = [
@@ -74,20 +74,14 @@ class TestTransport:
         ts = bd.tangent_sphere(2)
         x = mf.random_point(mf.Sphere(2), 1)
         v = ts.random_fiber_vector(x, np.random.default_rng(0))
-        out = bd.transport(ts, lambda t: x, v, steps=64)
-        assert np.linalg.norm(out.ambient - v) <= 1e-12
-
-    def test_not_in_fiber(self):
-        ts = bd.tangent_sphere(2)
-        x = np.array([1.0, 0.0, 0.0])
-        with pytest.raises(NotInFiber):
-            bd.transport(ts, lambda t: x, x, steps=64)
+        out = bd.transport_operator(ts, lambda t: x, steps=64) @ v
+        assert np.linalg.norm(out - v) <= 1e-12
 
     def test_step_floor(self):
         ts = bd.tangent_sphere(2)
         x = np.array([1.0, 0.0, 0.0])
         with pytest.raises(BadParams):
-            bd.transport(ts, lambda t: x, np.array([0.0, 1.0, 0.0]), steps=4)
+            bd.transport_operator(ts, lambda t: x, steps=4)
 
     def test_octant_holonomy(self):
         # geodesic triangle e1 -> e2 -> e3 -> e1 encloses one octant
@@ -101,31 +95,18 @@ class TestTransport:
             a, b = e[leg], e[(leg + 1) % 3]
             return np.cos(s * np.pi / 2) * a + np.sin(s * np.pi / 2) * b
 
-        out = bd.transport(ts, loop, e[2], steps=2048)
-        assert np.linalg.norm(out.ambient - (-e[1])) <= 1e-4
-        oracle = bd.transport(ts, loop, e[2], steps=8192)
-        assert np.linalg.norm(out.ambient - oracle.ambient) <= 1e-4
+        out = bd.transport_operator(ts, loop, steps=2048) @ e[2]
+        assert np.linalg.norm(out - (-e[1])) <= 1e-4
+        oracle = bd.transport_operator(ts, loop, steps=8192) @ e[2]
+        assert np.linalg.norm(out - oracle) <= 1e-4
 
     def test_norm_preserved_complex_line(self):
         tc = bd.tautological_complex(1)
         h = mf.cpn_phase_homotopy(mf.ComplexProjective(1), 1.9)
         x = mf.random_point(mf.ComplexProjective(1), 6)
         v = tc.random_fiber_vector(x, np.random.default_rng(2))
-        out = bd.transport(tc, bd.homotopy_path(h, x), v, steps=256)
-        assert abs(np.linalg.norm(out.ambient) - 1.0) <= 1e-6
-
-    def test_linearity(self):
-        ts = bd.tangent_sphere(2)
-        h = mf.rotation_homotopy(mf.Sphere(2), (0, 2), 0.9)
-        x = mf.random_point(mf.Sphere(2), 8)
-        rng = np.random.default_rng(4)
-        u = ts.random_fiber_vector(x, rng)
-        v = ts.random_fiber_vector(x, rng)
-        path = bd.homotopy_path(h, x)
-        tu = bd.transport(ts, path, u, steps=128).ambient
-        tv = bd.transport(ts, path, v, steps=128).ambient
-        tmix = bd.transport(ts, path, 0.3 * u - 1.2 * v, steps=128).ambient
-        assert np.linalg.norm(tmix - 0.3 * tu + 1.2 * tv) <= 1e-6
+        out = bd.transport_operator(tc, bd.homotopy_path(h, x), steps=256) @ v
+        assert abs(np.linalg.norm(out) - 1.0) <= 1e-6
 
     def test_reversal(self):
         ts = bd.tangent_sphere(2)
@@ -133,10 +114,10 @@ class TestTransport:
         x = mf.random_point(mf.Sphere(2), 9)
         v = ts.random_fiber_vector(x, np.random.default_rng(5))
         fwd_path = bd.homotopy_path(h, x)
-        out = bd.transport(ts, fwd_path, v, steps=512)
-        back = bd.transport(ts, lambda t: fwd_path(1.0 - t), out.ambient,
-                            steps=512)
-        assert np.linalg.norm(back.ambient - v) <= 1e-5
+        out = bd.transport_operator(ts, fwd_path, steps=512) @ v
+        back = bd.transport_operator(ts, lambda t: fwd_path(1.0 - t),
+                                     steps=512) @ out
+        assert np.linalg.norm(back - v) <= 1e-5
 
     def test_exact_derivative_matches_fd(self):
         ts = bd.tangent_sphere(2)
@@ -144,19 +125,9 @@ class TestTransport:
         x = mf.random_point(mf.Sphere(2), 10)
         v = ts.random_fiber_vector(x, np.random.default_rng(6))
         path = bd.homotopy_path(h, x)
-        out_fd = bd.transport(ts, bd.Path(path.fn), v, steps=256)
-        out_ex = bd.transport(ts, path, v, steps=256)
-        assert np.linalg.norm(out_fd.ambient - out_ex.ambient) <= 1e-8
-
-    def test_operator_matches_vector_transport(self):
-        tc = bd.tautological_complex(1)
-        h = mf.cpn_phase_homotopy(mf.ComplexProjective(1), 1.2)
-        x = mf.random_point(mf.ComplexProjective(1), 11)
-        v = tc.random_fiber_vector(x, np.random.default_rng(7))
-        path = bd.homotopy_path(h, x)
-        op = bd.transport_operator(tc, path, steps=128)
-        direct = bd.transport(tc, path, v, steps=128)
-        assert np.linalg.norm(op @ v - direct.ambient) <= 1e-12
+        out_fd = bd.transport_operator(ts, bd.Path(path.fn), steps=256) @ v
+        out_ex = bd.transport_operator(ts, path, steps=256) @ v
+        assert np.linalg.norm(out_fd - out_ex) <= 1e-8
 
 
 class TestHolonomySign:

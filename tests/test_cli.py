@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from bundlelift import cli
 from bundlelift.cli import (SCENARIOS, ScenarioConfig, emit_plot_data,
                             run_scenario)
 from bundlelift.errors import ConfigInvalid, UnknownScenario
@@ -61,6 +62,18 @@ def test_negative_seed_exits_2():
     assert out.returncode == 2
     assert "seed must be >= 0" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("exc", [ValueError("bad value"),
+                                 MemoryError("cannot allocate")])
+def test_unexpected_error_exits_2(monkeypatch, capsys, exc):
+    def scenario(cfg):
+        raise exc
+
+    monkeypatch.setitem(cli.SCENARIOS, "gluing_demo", scenario)
+    assert cli.main(["scenario", "gluing_demo", "--no-timestamp"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {type(exc).__name__}: {exc}\n"
 
 
 def test_scenario_report_structure(tmp_path):

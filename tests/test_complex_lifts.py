@@ -1,4 +1,4 @@
-"""Conjugation lifts, complex-linearity defects, fiberwise corrections,
+"""Conjugation lifts, complex-linearity residuals, fiberwise corrections,
 torus line-bundle lifts and the S^1 x S^2 generator lifts."""
 
 import numpy as np
@@ -38,28 +38,32 @@ class TestCpnConjugationLift:
         assert not rep.verdicts["complex_linear"]
 
     def test_defect_pair(self):
-        c, a = lf.complex_linearity_defect(lf.cpn_conjugation_lift(1),
-                                           samples=30, seed=1)
-        assert c >= 1.0
-        assert a <= 1e-10
+        rep = lf.check_lift(lf.cpn_conjugation_lift(1), samples=30, seed=1)
+        assert rep.complex_linearity_residual >= 1.0
+        assert rep.anti_linearity_residual <= 1e-10
 
     def test_identity_defect_pair(self):
         bundle = bd.tautological_complex(1)
-        c, a = lf.complex_linearity_defect(lf.identity_lift(bundle),
-                                           samples=20, seed=2)
-        assert c <= 1e-12
-        assert abs(a - 2.0) <= 1e-10  # |2 J v| = 2 on unit probes
+        rep = lf.check_lift(lf.identity_lift(bundle), samples=20, seed=2)
+        assert rep.complex_linearity_residual <= 1e-12
+        # |2 J v| = 2 on unit probes
+        assert abs(rep.anti_linearity_residual - 2.0) <= 1e-10
 
     def test_nan_lift_defects_are_nan(self):
         bundle = bd.tautological_complex(1)
         nan_lift = lf.Lift(bundle, mf.identity_diffeo(bundle.base),
                            lambda x, v: v * np.nan, "nan", 1e-10)
-        c, a = lf.complex_linearity_defect(nan_lift, samples=3, seed=0)
-        assert np.isnan(c) and np.isnan(a)
+        rep = lf.check_lift(nan_lift, samples=3, seed=0)
+        assert np.isnan(rep.complex_linearity_residual)
+        assert np.isnan(rep.anti_linearity_residual)
+        assert np.isnan(rep.min_singular_value)
+        assert not any(rep.verdicts.values())
 
     def test_no_complex_structure(self):
-        with pytest.raises(NoComplexStructure):
-            lf.complex_linearity_defect(lf.identity_lift(bd.tangent_sphere(2)))
+        rep = lf.check_lift(lf.identity_lift(bd.tangent_sphere(2)), samples=5)
+        assert rep.complex_linearity_residual is None
+        assert rep.anti_linearity_residual is None
+        assert "complex_linear" not in rep.verdicts
 
 
 class TestPullbackConjugationLift:
@@ -114,8 +118,8 @@ class TestFiberwiseCorrection:
         bundle = bd.tautological_complex(1)
         h = mf.cpn_phase_homotopy(mf.ComplexProjective(1), 1.1)
         lift = lf.lift_from_homotopy(bundle, h, steps=1024)
-        c, _ = lf.complex_linearity_defect(lift, samples=10, seed=5)
-        assert c <= 1e-5
+        rep = lf.check_lift(lift, samples=10, seed=5)
+        assert rep.complex_linearity_residual <= 1e-5
 
     def test_c_linear_lift_gives_conjugation_of_j_itself(self):
         bundle = bd.tautological_complex(1)

@@ -54,6 +54,21 @@ class TestCheckLift:
         assert not rep.passed
         assert rep.verdicts["base"] and rep.verdicts["isometry"]
 
+    def test_near_singular_map_fails_invertibility(self):
+        # smallest singular value 3e-9, below the 1e-8 floor; through the
+        # Gram matrix m^T m it read 1.4e-8 and passed
+        rng = np.random.default_rng(5)
+        q1, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        q2, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        m = q1 @ np.diag([1.0, 0.7, 3e-9]) @ q2.T
+        bundle = bd.trivial(mf.Sphere(2), 3)
+        lift = lf.Lift(bundle, mf.identity_diffeo(bundle.base),
+                       lambda x, v: m @ v, "near_singular", 1e-10)
+        rep = lf.check_lift(lift, samples=3, seed=0)
+        assert abs(rep.min_singular_value - 3e-9) <= 1e-12
+        assert not rep.verdicts["invertibility"]
+        assert not rep.passed
+
     def test_samples_floor(self):
         with pytest.raises(BadParams):
             lf.check_lift(lf.identity_lift(bd.tangent_sphere(2)), samples=0)
@@ -62,7 +77,7 @@ class TestCheckLift:
         lift = lf.grassmann_orthogonal_lift(mf.random_orthogonal(4, 2), 2)
         r1 = lf.check_lift(lift, samples=12, seed=9)
         r2 = lf.check_lift(lift, samples=12, seed=9)
-        assert r1.to_dict() == r2.to_dict()
+        assert r1 == r2
 
 
 class TestGroupStructure:
