@@ -7,12 +7,20 @@ metric is the restricted Euclidean product. Complex bundles store their
 Hermitian projector field and expose the realified picture (C^m as R^{2m},
 J the realified multiplication by i restricted to the fiber).
 
+The fields (projector, projector differential, complex projector) take
+one point or a stack of points on a leading axis (see ``manifolds``) and
+are each written once in broadcasting numpy.
+
 Fiber vectors are plain ambient arrays. ``transport_operator`` is the one
 transport: it returns the transport map as an ambient matrix, integrating
 chi'(t) = Q'(t) chi(t) with classical RK4 and re-projecting after every
 step. Q' is the bundle's exact projector differential along the path
 velocity when the path has a velocity and the bundle a projector
 differential, and central differences on the path parameter otherwise.
+A ``Path`` is evaluated on the whole vector of RK4 stage times at once, so
+each field is called once per track for each kind of stage array. A plain
+callable c(t) of one time is accepted wherever a path is; ``_as_path``,
+the one adapter, stacks it over the time vector.
 
 Per-point work (fiber bases here, fiber operators of the cached lifts in
 ``lifts``) is memoized in one kind of cache, ``PointCache``, bounded by
@@ -28,7 +36,7 @@ from .config import DEFAULT_TOLERANCES as TOL
 from .config import DEFAULT_TRANSPORT_STEPS
 from .errors import Ambiguous, BadParams
 from .manifolds import (ComplexProjective, GrassmannReal, Product, Sphere,
-                        Torus)
+                        Torus, stack_points)
 from .numkernel import realify, standard_complex_structure, sym_eigh
 
 __all__ = [
@@ -81,7 +89,15 @@ class PointCache:
 
 
 class BundleModel:
-    """A vector bundle as a projector field on a fixed ambient fiber space."""
+    """A vector bundle as a projector field on a fixed ambient fiber space.
+
+    ``fiber_projector(x)`` gives the real (N, N) projector Q(x),
+    ``projector_differential(x, xdot)`` its derivative along xdot and
+    ``complex_projector(x)`` the Hermitian projector of a complex bundle.
+    Each accepts one base point or a stack of points on a leading axis (a
+    pair of stacks over a product base) and then returns the stack of
+    matrices, equal to the per-point results.
+    """
 
     def __init__(self, key, base, ambient_fiber_dim, real_rank, fiber_projector,
                  complex_projector=None, projector_differential=None):
@@ -91,7 +107,7 @@ class BundleModel:
         self.real_rank = real_rank
         self._fiber_projector = fiber_projector
         self._complex_projector = complex_projector
-        self.projector_differential = projector_differential
+        self._projector_differential = projector_differential
         if complex_projector is not None:
             self._j_std = standard_complex_structure(ambient_fiber_dim // 2)
         else:
@@ -111,8 +127,15 @@ class BundleModel:
     def has_complex_structure(self):
         return self._complex_projector is not None
 
+    @property
+    def has_projector_differential(self):
+        return self._projector_differential is not None
+
     def fiber_projector(self, x):
         return self._fiber_projector(x)
+
+    def projector_differential(self, x, xdot):
+        return self._projector_differential(x, xdot)
 
     def complex_fiber_projector(self, x):
         if self._complex_projector is None:
@@ -121,7 +144,7 @@ class BundleModel:
 
     def complex_structure(self, x):
         """J(x): realified multiplication by i restricted to the fiber;
-        satisfies J Q = Q J and J^2 = -Q."""
+        satisfies J Q = Q J and J^2 = -Q. Accepts a stack of points."""
         if self._j_std is None:
             return None
         q = self.fiber_projector(x)
@@ -161,6 +184,21 @@ class BundleModel:
 # Concrete constructors
 
 
+def _outer(a, b):
+    """np.outer of the last axes, over any leading stack axes."""
+    return a[..., :, None] * b[..., None, :]
+
+
+def _block_diag(a, b):
+    """Block-diagonal [[a, 0], [0, b]] of two stacks of square matrices."""
+    n1, n2 = a.shape[-1], b.shape[-1]
+    out = np.zeros(a.shape[:-2] + (n1 + n2, n1 + n2),
+                   dtype=np.result_type(a, b))
+    out[..., :n1, :n1] = a
+    out[..., n1:, n1:] = b
+    return out
+
+
 def tautological_real(k, n):
     """gamma^k(R^n) over the Grassmannian of k-planes: the fiber over a
     projector point P is the image of P, so Q(P) = P."""
@@ -190,7 +228,8 @@ def tautological_complex(n):
 
 
 def pullback(f, w):
-    """Pullback bundle f^* W with fibers Q(x) = Q_W(f(x))."""
+    """Pullback bundle f^* W with fibers Q(x) = Q_W(f(x)). Its fields take
+    stacks when ``f.forward`` does."""
     if f.target != w.base:
         raise BadParams(f"map target {f.target} does not match bundle base {w.base}")
     cproj = None
@@ -225,19 +264,24 @@ def torus_line(b):
     n = b.shape[0]
     bf = b.astype(float)
 
+    quarter_turn = np.array([-1.0, 1.0])
+
     def u_of(x):
-        phase = np.pi * float(bf @ np.asarray(x, dtype=float))
-        return np.array([np.cos(phase), np.sin(phase)])
+        phase = np.pi * (np.asarray(x, dtype=float) @ bf)
+        u = np.empty(np.shape(phase) + (2,))
+        u[..., 0] = np.cos(phase)
+        u[..., 1] = np.sin(phase)
+        return u
 
     def q_of(x):
         u = u_of(x)
-        return np.outer(u, u)
+        return _outer(u, u)
 
     def q_diff(x, xdot):
-        phase = np.pi * float(bf @ np.asarray(x, dtype=float))
-        u = np.array([np.cos(phase), np.sin(phase)])
-        du = np.pi * float(bf @ np.asarray(xdot, dtype=float)) * np.array([-u[1], u[0]])
-        return np.outer(du, u) + np.outer(u, du)
+        u = u_of(x)
+        rate = np.pi * (np.asarray(xdot, dtype=float) @ bf)
+        du = rate[..., None] * (u[..., ::-1] * quarter_turn)
+        return _outer(du, u) + _outer(u, du)
 
     model = BundleModel(
         key=("torus_line", tuple(int(v) for v in b)),
@@ -259,33 +303,27 @@ def tangent_sphere(n):
         base=Sphere(n),
         ambient_fiber_dim=n + 1,
         real_rank=n,
-        fiber_projector=lambda x: eye - np.outer(x, x),
-        projector_differential=lambda x, xdot: -(np.outer(xdot, x) + np.outer(x, xdot)),
+        fiber_projector=lambda x: eye - _outer(x, x),
+        projector_differential=lambda x, xdot: -(_outer(xdot, x) + _outer(x, xdot)),
     )
 
 
 def trivial(model, rank, complex_fibers=False):
     """The product bundle with constant fiber R^rank (or C^rank realified)."""
-    if complex_fibers:
-        eye_c = np.eye(rank, dtype=complex)
-        eye_r = np.eye(2 * rank)
-        return BundleModel(
-            key=("trivial_complex", model, rank),
-            base=model,
-            ambient_fiber_dim=2 * rank,
-            real_rank=2 * rank,
-            fiber_projector=lambda x: eye_r.copy(),
-            complex_projector=lambda x: eye_c.copy(),
-            projector_differential=lambda x, xdot: np.zeros((2 * rank, 2 * rank)),
-        )
-    eye = np.eye(rank)
+    n = 2 * rank if complex_fibers else rank
+
+    def constant(m):
+        return lambda x, *_: np.zeros(model.stack_shape(x) + m.shape, m.dtype) + m
+
     return BundleModel(
-        key=("trivial", model, rank),
+        key=("trivial_complex" if complex_fibers else "trivial", model, rank),
         base=model,
-        ambient_fiber_dim=rank,
-        real_rank=rank,
-        fiber_projector=lambda x: eye.copy(),
-        projector_differential=lambda x, xdot: np.zeros((rank, rank)),
+        ambient_fiber_dim=n,
+        real_rank=n,
+        fiber_projector=constant(np.eye(n)),
+        complex_projector=(constant(np.eye(rank, dtype=complex))
+                           if complex_fibers else None),
+        projector_differential=constant(np.zeros((n, n))),
     )
 
 
@@ -298,7 +336,7 @@ def complement(w):
         eye_c = np.eye(n // 2, dtype=complex)
         cproj = lambda x: eye_c - w.complex_fiber_projector(x)
     pdiff = None
-    if w.projector_differential is not None:
+    if w.has_projector_differential:
         pdiff = lambda x, xdot: -w.projector_differential(x, xdot)
     return BundleModel(
         key=("complement", w.key),
@@ -315,30 +353,20 @@ def direct_sum(v1, v2):
     """External direct sum over the product base: the fiber over (x1, x2)
     is fiber_1(x1) + fiber_2(x2), block diagonal in the ambient space."""
     base = Product(v1.base, v2.base)
-    n1, n2 = v1.ambient_fiber_dim, v2.ambient_fiber_dim
 
     def q_of(p):
-        x1, x2 = p
-        out = np.zeros((n1 + n2, n1 + n2))
-        out[:n1, :n1] = v1.fiber_projector(x1)
-        out[n1:, n1:] = v2.fiber_projector(x2)
-        return out
+        return _block_diag(v1.fiber_projector(p[0]), v2.fiber_projector(p[1]))
 
     cproj = None
     if v1.has_complex_structure and v2.has_complex_structure:
-        c1, c2 = n1 // 2, n2 // 2
-
         def cproj(p):
-            x1, x2 = p
-            out = np.zeros((c1 + c2, c1 + c2), dtype=complex)
-            out[:c1, :c1] = v1.complex_fiber_projector(x1)
-            out[c1:, c1:] = v2.complex_fiber_projector(x2)
-            return out
+            return _block_diag(v1.complex_fiber_projector(p[0]),
+                               v2.complex_fiber_projector(p[1]))
 
     return BundleModel(
         key=("direct_sum", v1.key, v2.key),
         base=base,
-        ambient_fiber_dim=n1 + n2,
+        ambient_fiber_dim=v1.ambient_fiber_dim + v2.ambient_fiber_dim,
         real_rank=v1.real_rank + v2.real_rank,
         fiber_projector=q_of,
         complex_projector=cproj,
@@ -350,7 +378,11 @@ def direct_sum(v1, v2):
 
 
 class Path:
-    """Curve [0,1] -> base, optionally carrying an exact velocity."""
+    """Curve [0,1] -> base, optionally carrying an exact velocity.
+
+    ``fn`` and ``velocity`` take one time or a 1-d array of times; for an
+    array they return the stack of points (velocities) at those times.
+    """
 
     def __init__(self, fn, velocity=None):
         self.fn = fn
@@ -361,7 +393,8 @@ class Path:
 
 
 def homotopy_path(homotopy, x):
-    """The track t -> family(t, x) of a point under a homotopy."""
+    """The track t -> family(t, x) of a point under a homotopy, evaluated
+    on time vectors by the homotopy's family and velocity."""
     vel = None
     if homotopy.velocity is not None:
         vel = lambda t: homotopy.velocity(t, x)
@@ -369,29 +402,32 @@ def homotopy_path(homotopy, x):
 
 
 def _as_path(path):
-    return path if isinstance(path, Path) else Path(path)
+    """The one adapter at the public boundary: a plain callable c(t) of one
+    time becomes a Path that stacks c over a time vector."""
+    if isinstance(path, Path):
+        return path
+
+    def fn(ts):
+        if np.ndim(ts) == 0:
+            return path(ts)
+        return stack_points([path(t) for t in ts])
+
+    return Path(fn)
 
 
 def _stage_arrays(bundle, path, steps):
     """Projector derivatives at the 2*steps+1 RK4 stage times and the
-    projectors at the steps+1 nodes."""
-    n = bundle.ambient_fiber_dim
+    projectors at the steps+1 nodes, each from one field call on the stack
+    of points at those times."""
     h = 1.0 / steps
-    n_stage = 2 * steps + 1
-    qp = np.empty((n_stage, n, n))
-    if path.velocity is not None and bundle.projector_differential is not None:
-        for j in range(n_stage):
-            t = 0.5 * h * j
-            qp[j] = bundle.projector_differential(path(t), path.velocity(t))
+    ts = (0.5 * h) * np.arange(2 * steps + 1)
+    if path.velocity is not None and bundle.has_projector_differential:
+        qp = bundle.projector_differential(path(ts), path.velocity(ts))
     else:
         delta = TOL.fd_delta
-        for j in range(n_stage):
-            t = 0.5 * h * j
-            qp[j] = (bundle.fiber_projector(path(t + delta))
-                     - bundle.fiber_projector(path(t - delta))) / (2.0 * delta)
-    qnode = np.empty((steps + 1, n, n))
-    for i in range(steps + 1):
-        qnode[i] = bundle.fiber_projector(path(i * h))
+        qp = (bundle.fiber_projector(path(ts + delta))
+              - bundle.fiber_projector(path(ts - delta))) / (2.0 * delta)
+    qnode = bundle.fiber_projector(path(h * np.arange(steps + 1)))
     return qp, qnode
 
 

@@ -146,7 +146,8 @@ def check_lift(lift, samples=DEFAULT_SAMPLES, seed=0, tolerance=None):
         lin = np.linalg.norm(w_mix - alpha * w_u - beta * w)
         lin_res = worst(lin_res, float(lin) / (abs(alpha) + abs(beta) + 1.0))
 
-        m = lift.fiber_matrix_in_bases(x)
+        m = lift.fiber_matrix_between(x, bundle.fiber_basis(x),
+                                      bundle.fiber_basis(y))
         iso_res = worst(iso_res,
                         float(np.max(np.abs(m.T @ m - np.eye(m.shape[0])))))
         # LAPACK's SVD rejects a non-finite matrix; NaN then fails the verdict

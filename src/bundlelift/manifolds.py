@@ -9,6 +9,10 @@ Point representations by model:
 * ``ComplexProjective(n)`` -- Hermitian rank-1 projector ((n+1) x (n+1),
   complex). Homogeneous coordinate vectors are a convenience view.
 * ``Product(left, right)`` -- tuple of factor points
+
+A stack of points carries a leading axis in front of the point axes; a
+stack of ``Product`` points is the pair of the factors' stacks. Bundle
+fields, homotopy families and ``cp1_power_map`` accept stacks.
 """
 
 import functools
@@ -31,6 +35,7 @@ __all__ = [
     "Diffeo",
     "Homotopy",
     "random_point",
+    "stack_points",
     "named_diffeo",
     "product_diffeo",
     "identity_diffeo",
@@ -54,6 +59,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ManifoldModel:
+    point_ndim = 1  # array axes of one point
+
+    def stack_shape(self, point):
+        """Leading shape of a stack of points; () for one point."""
+        return np.shape(point)[:np.ndim(point) - self.point_ndim]
+
     def membership_residual(self, point):
         raise NotImplementedError
 
@@ -110,6 +121,7 @@ def _projector_residual(p, trace_target):
 class GrassmannReal(ManifoldModel):
     k: int
     n: int
+    point_ndim = 2
 
     def __post_init__(self):
         if not 0 < self.k < self.n:
@@ -130,6 +142,7 @@ class GrassmannReal(ManifoldModel):
 @dataclass(frozen=True)
 class ComplexProjective(ManifoldModel):
     n: int
+    point_ndim = 2
 
     def membership_residual(self, point):
         return _projector_residual(point, 1.0)
@@ -148,6 +161,9 @@ class Product(ManifoldModel):
     left: ManifoldModel
     right: ManifoldModel
 
+    def stack_shape(self, point):
+        return self.left.stack_shape(point[0])
+
     def membership_residual(self, point):
         a, b = point
         return max(self.left.membership_residual(a), self.right.membership_residual(b))
@@ -165,6 +181,14 @@ class Product(ManifoldModel):
 def random_point(model, seed):
     """Deterministic membership-valid point for the given seed."""
     return model.random_point(np.random.default_rng(seed))
+
+
+def stack_points(points):
+    """One stack from a sequence of points (a pair of stacks for product
+    points)."""
+    if isinstance(points[0], tuple):
+        return tuple(stack_points(factor) for factor in zip(*points))
+    return np.stack(points)
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +236,11 @@ class Diffeo(SmoothMap):
 class Homotopy:
     """One-parameter family family(t, x) with family(0, .) = id.
 
-    ``velocity(t, x)``, when provided, returns the exact time derivative of
-    the family at (t, x) in point coordinates; transport can use it instead
-    of finite differences.
+    ``t`` is one time or a 1-d array of times; for an array the family
+    returns the stack of the points at those times. ``velocity(t, x)``,
+    when provided, returns the exact time derivative of the family at
+    (t, x) in point coordinates, stacked the same way; transport can use it
+    instead of finite differences.
     """
 
     def __init__(self, name, family, endpoint, source, velocity=None):
@@ -404,24 +430,26 @@ def rotation_homotopy(model, plane, angle):
     gen = np.zeros((dim, dim))
     gen[i, j] = -1.0
     gen[j, i] = 1.0
+    eye = np.eye(dim)
 
     def rot(alpha):
-        r = np.eye(dim)
-        c, s = math.cos(alpha), math.sin(alpha)
-        r[i, i] = c
-        r[j, j] = c
-        r[i, j] = -s
-        r[j, i] = s
+        c, s = np.cos(alpha), np.sin(alpha)
+        r = np.zeros(np.shape(alpha) + (dim, dim)) + eye
+        r[..., i, i] = c
+        r[..., j, j] = c
+        r[..., i, j] = -s
+        r[..., j, i] = s
         return r
 
-    endpoint = Diffeo("sphere_rotation", lambda x: rot(angle) @ x,
-                      lambda x: rot(-angle) @ x, model)
+    r_end, r_back = rot(angle), rot(-angle)
+    endpoint = Diffeo("sphere_rotation", lambda x: r_end @ x,
+                      lambda x: r_back @ x, model)
 
     def family(t, x):
         return rot(t * angle) @ x
 
     def velocity(t, x):
-        return angle * (gen @ family(t, x))
+        return angle * (family(t, x) @ gen.T)
 
     return Homotopy(f"rotation[{i},{j};{angle:g}]", family, endpoint, model,
                     velocity=velocity)
@@ -438,6 +466,7 @@ def _unitary_family_homotopy(model, x_gen, name):
     vh = v.conj().T
 
     def unitary(t):
+        t = np.asarray(t, dtype=float)[..., None, None]
         return (v * np.exp(1j * t * w)) @ vh
 
     u1 = unitary(1.0)
@@ -446,7 +475,7 @@ def _unitary_family_homotopy(model, x_gen, name):
 
     def family(t, p):
         u = unitary(t)
-        return u @ p @ u.conj().T
+        return u @ p @ np.conj(np.swapaxes(u, -1, -2))
 
     def velocity(t, p):
         pt = family(t, p)
@@ -480,8 +509,13 @@ def cp1_plane_rotation_homotopy(model, angle):
 
 def constant_homotopy(model):
     ident = identity_diffeo(model)
-    return Homotopy("constant", lambda t, x: model.copy_point(x), ident, model,
-                    velocity=None)
+
+    def family(t, x):
+        if np.ndim(t) == 0:
+            return model.copy_point(x)
+        return stack_points([x] * len(t))
+
+    return Homotopy("constant", family, ident, model, velocity=None)
 
 
 # ---------------------------------------------------------------------------
@@ -504,25 +538,32 @@ def cp1_to_sphere(p):
                      p[0, 0].real - p[1, 1].real])
 
 
-def cpn_homogeneous(p):
-    """A unit homogeneous-coordinate vector spanning the image of p."""
-    p = np.asarray(p)
-    norms = np.linalg.norm(p, axis=0)
-    w = p[:, int(np.argmax(norms))]
-    return w / np.linalg.norm(w)
-
-
 def cp1_power_map(n):
-    """The degree-n self map [w0, w1] -> [w0^n, w1^n] of CP^1."""
+    """The degree-n self map [w0, w1] -> [w0^n, w1^n] of CP^1.
+
+    On the projector p = w w^* it is the closed form
+    [[p00^n, p01^n], [p10^n, p11^n]] / (p00^n + p11^n), which is v v^* for
+    v = (w0^n, w1^n) / |v|. The denominator is at least 2^(1-n), because
+    p00 + p11 = 1. The diagonal is read as real and the lower corner as the
+    conjugate of the upper one, so the image is exactly Hermitian. Accepts
+    a stack of projectors.
+    """
     if n < 1:
         raise BadParams("power must be >= 1")
     model = ComplexProjective(1)
 
     def fwd(p):
-        w = cpn_homogeneous(p)
-        v = np.array([w[0] ** n, w[1] ** n])
-        v = v / np.linalg.norm(v)
-        return np.outer(v, v.conj())
+        p = np.asarray(p)
+        d0 = p[..., 0, 0].real ** n
+        d1 = p[..., 1, 1].real ** n
+        norm = d0 + d1
+        off = p[..., 0, 1] ** n / norm
+        out = np.empty(p.shape, dtype=complex)
+        out[..., 0, 0] = d0 / norm
+        out[..., 0, 1] = off
+        out[..., 1, 0] = np.conj(off)
+        out[..., 1, 1] = d1 / norm
+        return out
 
     return SmoothMap(f"cp1_power[{n}]", fwd, model, model)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .bundles import _check_bits, holonomy_sign, pullback, torus_line
+from .bundles import Path, _check_bits, holonomy_sign, pullback, torus_line
 from .config import DEFAULT_TRANSPORT_STEPS
 from .errors import BadParams, DegeneratePlaquette, NonConvergent
 from .manifolds import (ComplexProjective, Sphere, icosphere, integer_inverse,
@@ -177,9 +177,8 @@ def w1_profile(b, steps=DEFAULT_TRANSPORT_STEPS):
         raise BadParams("w1_profile supports n <= 4")
     bundle = torus_line(b)
     signs = []
-    for i in range(n):
-        direction = np.zeros(n)
-        direction[i] = 1.0
-        loop = lambda t, d=direction: t * d
+    for d in np.eye(n):
+        loop = Path(lambda ts, d=d: np.multiply.outer(ts, d),
+                    velocity=lambda ts, d=d: np.multiply.outer(np.ones_like(ts), d))
         signs.append(holonomy_sign(bundle, loop, steps=steps))
     return np.array(signs, dtype=np.int64)

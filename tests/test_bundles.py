@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bundlelift import bundles as bd, manifolds as mf
+from bundlelift import _kernels, bundles as bd, manifolds as mf
+from bundlelift.config import DEFAULT_TOLERANCES as TOL
 from bundlelift.errors import Ambiguous, BadParams
 
 
@@ -41,6 +42,26 @@ def test_fiber_basis_and_sampling(name, bundle):
     assert np.max(np.abs(basis.T @ basis - np.eye(bundle.real_rank))) <= 1e-10
     v = bundle.random_fiber_vector(x, rng)
     assert bundle.membership_residual(x, v) <= 1e-10
+
+
+@pytest.mark.parametrize("name,bundle", ALL_BUNDLES, ids=[n for n, _ in ALL_BUNDLES])
+def test_fields_on_a_stack_equal_per_point_fields(name, bundle):
+    seeds = range(20, 27)
+    xs = [mf.random_point(bundle.base, s) for s in seeds]
+    stack = mf.stack_points(xs)
+    # any array of the point shape serves as a direction for the differential
+    dirs = [mf.random_point(bundle.base, s + 100) for s in seeds]
+    fields = [bundle.fiber_projector]
+    if bundle.has_complex_structure:
+        fields += [bundle.complex_fiber_projector, bundle.complex_structure]
+    for field in fields:
+        per_point = np.stack([field(x) for x in xs])
+        assert np.max(np.abs(field(stack) - per_point)) <= 1e-15, field
+    if bundle.has_projector_differential:
+        per_point = np.stack([bundle.projector_differential(x, d)
+                              for x, d in zip(xs, dirs)])
+        batched = bundle.projector_differential(stack, mf.stack_points(dirs))
+        assert np.max(np.abs(batched - per_point)) <= 1e-15
 
 
 def test_pullback_fibers_bitwise():
@@ -130,6 +151,86 @@ class TestTransport:
         assert np.linalg.norm(out_fd - out_ex) <= 1e-8
 
 
+def _looped_stage_arrays(bundle, path, steps):
+    # the per-stage assembly that the batched field calls replaced: one
+    # field evaluation per stage time, kept as the oracle
+    n = bundle.ambient_fiber_dim
+    h = 1.0 / steps
+    n_stage = 2 * steps + 1
+    qp = np.empty((n_stage, n, n))
+    if path.velocity is not None and bundle.has_projector_differential:
+        for j in range(n_stage):
+            t = 0.5 * h * j
+            qp[j] = bundle.projector_differential(path(t), path.velocity(t))
+    else:
+        delta = TOL.fd_delta
+        for j in range(n_stage):
+            t = 0.5 * h * j
+            qp[j] = (bundle.fiber_projector(path(t + delta))
+                     - bundle.fiber_projector(path(t - delta))) / (2.0 * delta)
+    qnode = np.empty((steps + 1, n, n))
+    for i in range(steps + 1):
+        qnode[i] = bundle.fiber_projector(path(i * h))
+    return qp, qnode
+
+
+def _looped_transport(bundle, path, steps):
+    qp, qnode = _looped_stage_arrays(bundle, path, steps)
+    return _kernels.rk4_transport(qp, qnode, np.ascontiguousarray(qnode[0]))
+
+
+def _torus_loop(n, i):
+    d = np.eye(n)[i]
+    return bd.Path(lambda ts: np.multiply.outer(ts, d),
+                   velocity=lambda ts: np.multiply.outer(np.ones_like(ts), d))
+
+
+ORACLE_TRACKS = [
+    # (bundle, path, bound); exact projector differentials first
+    ("sphere_rotation", bd.tangent_sphere(2),
+     bd.homotopy_path(mf.rotation_homotopy(mf.Sphere(2), (0, 1), 1.8 * np.pi),
+                      mf.random_point(mf.Sphere(2), 41)), 1e-12),
+    ("complex_phase", bd.tautological_complex(1),
+     bd.homotopy_path(mf.cpn_phase_homotopy(mf.ComplexProjective(1), 6 * np.pi),
+                      mf.random_point(mf.ComplexProjective(1), 41)), 1e-12),
+    ("torus_loop", bd.torus_line((1, 1, 0)), _torus_loop(3, 1), 1e-12),
+    # central differences divide last-bit differences of Q by 2 fd_delta
+    ("pullback_fd", bd.pullback(mf.cp1_power_map(2), bd.tautological_complex(1)),
+     bd.homotopy_path(mf.cp1_plane_rotation_homotopy(mf.ComplexProjective(1), np.pi),
+                      mf.random_point(mf.ComplexProjective(1), 41)), 1e-10),
+]
+
+
+@pytest.mark.parametrize("name,bundle,path,bound", ORACLE_TRACKS,
+                         ids=[t[0] for t in ORACLE_TRACKS])
+def test_batched_transport_matches_per_stage_oracle(name, bundle, path, bound):
+    batched = bd.transport_operator(bundle, path, steps=1024)
+    oracle = _looped_transport(bundle, path, steps=1024)
+    assert np.max(np.abs(batched - oracle)) <= bound
+
+
+@pytest.mark.parametrize("name,exact", [("exact", True), ("fd", False)])
+def test_transport_makes_at_most_three_field_calls_per_track(monkeypatch,
+                                                             name, exact):
+    calls = []
+    for attr in ("fiber_projector", "projector_differential"):
+        original = getattr(bd.BundleModel, attr)
+
+        def counted(self, *args, _original=original, _attr=attr):
+            calls.append(_attr)
+            return _original(self, *args)
+
+        monkeypatch.setattr(bd.BundleModel, attr, counted)
+    ts = bd.tangent_sphere(2)
+    h = mf.rotation_homotopy(mf.Sphere(2), (0, 1), 1.1)
+    path = bd.homotopy_path(h, mf.random_point(mf.Sphere(2), 3))
+    if not exact:
+        path = bd.Path(path.fn)
+    bd.transport_operator(ts, path, steps=1024)
+    assert len(calls) <= 3
+    assert ("projector_differential" in calls) == exact
+
+
 class TestHolonomySign:
     def test_trivial_bundle(self):
         tr = bd.trivial(mf.Torus(2), 1)
@@ -162,9 +263,10 @@ class TestHolonomySign:
         base = mf.Torus(1)
 
         def q_quarter(x):
-            phase = 0.25 * np.pi * float(x[0])
-            u = np.array([np.cos(phase), np.sin(phase)])
-            return np.outer(u, u)
+            # one point (1,) or a stack (T, 1), as the field contract requires
+            phase = 0.25 * np.pi * np.asarray(x, dtype=float)[..., 0]
+            u = np.stack([np.cos(phase), np.sin(phase)], axis=-1)
+            return u[..., :, None] * u[..., None, :]
 
         synthetic = bd.BundleModel(("synthetic_quarter",), base, 2, 1, q_quarter)
         with pytest.raises(Ambiguous):

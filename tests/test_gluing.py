@@ -120,6 +120,23 @@ class TestCocycleCheck:
         with pytest.raises(NotOrthonormal):
             gl.LocalLiftDatum("U1", points, lambda x: np.full((3, 3), np.nan))
 
+    def test_nan_residual_off_the_samples_is_incompatible(self):
+        # the NaN sits at an overlap point that is no sample point, so the
+        # orthogonality guard never sees it; the residual must read NaN
+        samples = [np.zeros(2)]
+        bad = np.array([0.5, 0.5])
+        overlap = [np.array([0.1, 0.2]), bad]
+        ident = lambda x: np.eye(3)
+        nan_at_bad = (lambda x: np.full((3, 3), np.nan)
+                      if np.array_equal(x, bad) else np.eye(3))
+        phi = mf.Diffeo("id", lambda x: x, lambda x: x, None)
+        out = gl.cocycle_compat_check(
+            gl.LocalLiftDatum("U1", samples, nan_at_bad),
+            gl.LocalLiftDatum("U2", samples, ident),
+            gl.TransitionDatum(overlap, ident), phi)
+        assert np.isnan(out["max_residual"])
+        assert out["compatible"] is False
+
 
 class TestAdapter:
     def test_grassmann_lift_local_data_compatible(self):

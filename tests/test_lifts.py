@@ -79,6 +79,38 @@ class TestCheckLift:
         r2 = lf.check_lift(lift, samples=12, seed=9)
         assert r1 == r2
 
+    @pytest.mark.parametrize("make,samples,seed", [
+        (lambda: lf.cpn_conjugation_lift(1), 50, 7),
+        (lambda: lf.lift_from_homotopy(
+            bd.tangent_sphere(2),
+            mf.rotation_homotopy(mf.Sphere(2), (0, 1), np.pi / 2), steps=64),
+         6, 3),
+    ], ids=["cpn_conjugation", "transport"])
+    def test_one_forward_per_probe_same_report(self, monkeypatch, make,
+                                               samples, seed):
+        # the probe's own y = phi(x) picks the target basis
+        lift = make()
+        forward = lift.base_map.forward
+        calls = []
+
+        def counted(x):
+            calls.append(1)
+            return forward(x)
+
+        monkeypatch.setattr(lift.base_map, "forward", counted)
+        r_own_y = lf.check_lift(lift, samples=samples, seed=seed)
+        assert len(calls) == samples
+        # reference: the target basis from a second forward call, as
+        # fiber_matrix_in_bases takes it
+        original = lf.Lift.fiber_matrix_between
+        monkeypatch.setattr(
+            lf.Lift, "fiber_matrix_between",
+            lambda self, x, b_in, b_out: original(
+                self, x, b_in, self.bundle.fiber_basis(self.base_map.forward(x))))
+        r_second_map = lf.check_lift(lift, samples=samples, seed=seed)
+        assert len(calls) == 3 * samples
+        assert r_second_map == r_own_y
+
 
 class TestGroupStructure:
     def setup_method(self):

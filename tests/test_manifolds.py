@@ -173,6 +173,58 @@ class TestHomotopies:
                 assert model.distance(h(0.0, x), x) <= 1e-10
 
 
+@pytest.mark.parametrize("model,make", [
+    (mf.Sphere(2), lambda m: mf.rotation_homotopy(m, (0, 2), 1.8 * np.pi)),
+    (mf.Sphere(3), lambda m: mf.rotation_homotopy(m, (3, 1), -0.7)),
+    (mf.ComplexProjective(1), lambda m: mf.cpn_phase_homotopy(m, 6 * np.pi)),
+    (mf.ComplexProjective(2), lambda m: mf.cpn_phase_homotopy(m, 1.3, slot=2)),
+    (mf.ComplexProjective(1), lambda m: mf.cp1_plane_rotation_homotopy(m, np.pi)),
+    (mf.Torus(2), mf.constant_homotopy),
+    (mf.Product(mf.GrassmannReal(1, 2), mf.ComplexProjective(1)),
+     mf.constant_homotopy),
+], ids=["rot_s2", "rot_s3", "phase_cp1", "phase_cp2", "plane_cp1",
+        "const_torus", "const_product"])
+def test_homotopy_on_time_vector_stacks_per_time_values(model, make):
+    h = make(model)
+    ts = np.linspace(-0.1, 1.1, 13)
+    for seed in range(3):
+        x = mf.random_point(model, seed)
+        stacked = mf.stack_points([h.family(t, x) for t in ts])
+        assert _points_equal(h.family(ts, x), stacked)
+        if h.velocity is not None:
+            assert np.array_equal(h.velocity(ts, x),
+                                  np.stack([h.velocity(t, x) for t in ts]))
+
+
+def _points_equal(a, b):
+    if isinstance(a, tuple):
+        return all(_points_equal(p, q) for p, q in zip(a, b))
+    return np.array_equal(a, b)
+
+
+def _homogeneous_power_map(p, n):
+    # the formula cp1_power_map had before its closed form: a unit
+    # homogeneous vector from the largest column of p, raised entrywise
+    norms = np.linalg.norm(p, axis=0)
+    w = p[:, int(np.argmax(norms))]
+    w = w / np.linalg.norm(w)
+    v = np.array([w[0] ** n, w[1] ** n])
+    v = v / np.linalg.norm(v)
+    return np.outer(v, v.conj())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_power_map_closed_form_matches_homogeneous_formula(n):
+    f = mf.cp1_power_map(n)
+    m = mf.ComplexProjective(1)
+    ps = [mf.random_point(m, seed) for seed in range(200)]
+    ps += [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
+    for p in ps:
+        assert np.max(np.abs(f.forward(p) - _homogeneous_power_map(p, n))) <= 1e-14
+    stacked = f.forward(np.stack(ps))
+    assert np.array_equal(stacked, np.stack([f.forward(p) for p in ps]))
+
+
 class TestIdentification:
     def test_north_pole_chart_center(self):
         p = mf.sphere_to_cp1(np.array([0.0, 0.0, 1.0]))
