@@ -17,14 +17,21 @@ chi'(t) = Q'(t) chi(t) with classical RK4 and re-projecting after every
 step. Q' is the bundle's exact projector differential along the path
 velocity when the path has a velocity and the bundle a projector
 differential, and central differences on the path parameter otherwise.
-A ``Path`` is evaluated on the whole vector of RK4 stage times at once, so
-each field is called once per track for each kind of stage array. A plain
-callable c(t) of one time is accepted wherever a path is; ``_as_path``,
-the one adapter, stacks it over the time vector.
+
+A ``Path`` is one track or a stack of P tracks: evaluated on a vector of T
+times it returns shape (T, ...) or (T, P, ...). ``transport_operator``
+evaluates it on the whole vector of RK4 stage times at once, calls each
+field once on the flattened times x tracks stack, and hands all tracks of
+a chunk to one RK4 kernel call, stacked on the axis after time. It returns
+one (N, N) operator, or (P, N, N) for a stack. A chunk holds as many
+tracks as fit in ``TRANSPORT_CHUNK_BYTES`` of stage arrays at the given
+step count and fiber dimension. ``holonomy_sign`` likewise takes one loop
+or a stack of loops.
 
 Per-point work (fiber bases here, fiber operators of the cached lifts in
 ``lifts``) is memoized in one kind of cache, ``PointCache``, bounded by
-``POINT_CACHE_SIZE`` entries.
+``POINT_CACHE_SIZE`` entries; the misses of a stack are computed in one
+call on their stack.
 """
 
 from collections import OrderedDict
@@ -36,8 +43,8 @@ from .config import DEFAULT_TOLERANCES as TOL
 from .config import DEFAULT_TRANSPORT_STEPS
 from .errors import Ambiguous, BadParams
 from .manifolds import (ComplexProjective, GrassmannReal, Product, Sphere,
-                        Torus, stack_points)
-from .numkernel import realify, standard_complex_structure, sym_eigh
+                        Torus, map_points, stack_points)
+from .numkernel import norms, realify, standard_complex_structure, sym_eigh
 
 __all__ = [
     "BundleModel",
@@ -66,26 +73,37 @@ POINT_CACHE_SIZE = 4096
 
 
 class PointCache:
-    """Memo of a per-point value, keyed by the exact point, holding at most
-    POINT_CACHE_SIZE entries and evicting the oldest first.
+    """Memo of a per-point value on the points of ``model``, keyed by the
+    exact point, holding at most POINT_CACHE_SIZE entries and evicting the
+    oldest first.
 
-    ``compute`` is passed on each call rather than stored, so the cache
-    holds no reference back to its owner (a stored bound method would make
-    a reference cycle that only the garbage collector frees).
+    ``get`` takes one point or a one-axis stack of points and returns the
+    value or the stack of values; ``compute`` takes the same and is called
+    at most once per ``get``, on the stack of the missing points. It is
+    passed on each call rather than stored, so the cache holds no reference
+    back to its owner (a stored bound method would make a reference cycle
+    that only the garbage collector frees).
     """
 
-    def __init__(self):
+    def __init__(self, model):
+        self._model = model
         self._entries = OrderedDict()
 
-    def get(self, point, compute):
-        key = _point_key(point)
-        value = self._entries.get(key)
-        if value is None:
-            value = compute(point)
-            if len(self._entries) >= POINT_CACHE_SIZE:
-                self._entries.popitem(last=False)
-            self._entries[key] = value
-        return value
+    def get(self, points, compute):
+        single = not self._model.stack_shape(points)
+        items = self._model.unstack(points)
+        keys = [_point_key(p) for p in items]
+        values = [self._entries.get(k) for k in keys]
+        missing = [i for i, v in enumerate(values) if v is None]
+        if missing:
+            fresh = (compute(points) if single else
+                     compute(stack_points([items[i] for i in missing])))
+            for j, i in enumerate(missing):
+                values[i] = fresh if single else fresh[j]
+                if len(self._entries) >= POINT_CACHE_SIZE:
+                    self._entries.popitem(last=False)
+                self._entries[keys[i]] = values[i]
+        return values[0] if single else np.stack(values)
 
 
 class BundleModel:
@@ -112,7 +130,7 @@ class BundleModel:
             self._j_std = standard_complex_structure(ambient_fiber_dim // 2)
         else:
             self._j_std = None
-        self._bases = PointCache()
+        self._bases = PointCache(base)
 
     def __repr__(self):
         return f"<BundleModel {self.key}>"
@@ -152,18 +170,17 @@ class BundleModel:
 
     def fiber_basis(self, x):
         """Orthonormal basis of the fiber over x as columns of an (N, r)
-        matrix; deterministic, cached per point."""
+        matrix, or a stack of them; deterministic, cached per point."""
         return self._bases.get(x, self._orthonormal_basis)
 
     def _orthonormal_basis(self, x):
-        q = self.fiber_projector(x)
-        w, v = sym_eigh(q)
-        cols = v[:, w > 0.5]
-        if cols.shape[1] != self.real_rank:
-            raise BadParams(
-                f"projector rank {cols.shape[1]} != bundle rank {self.real_rank}"
-            )
-        return cols
+        w, v = sym_eigh(self.fiber_projector(x))
+        # eigenvalues ascend, so the rank-r fiber is the last r columns
+        ranks = np.sum(w > 0.5, axis=-1)
+        if np.any(ranks != self.real_rank):
+            bad = int(ranks[ranks != self.real_rank].flat[0])
+            raise BadParams(f"projector rank {bad} != bundle rank {self.real_rank}")
+        return v[..., v.shape[-1] - self.real_rank:]
 
     def random_fiber_vector(self, x, rng):
         """A unit vector in the fiber over x."""
@@ -176,8 +193,8 @@ class BundleModel:
         raise BadParams("could not sample a fiber vector (degenerate projector?)")
 
     def membership_residual(self, x, v):
-        q = self.fiber_projector(x)
-        return float(np.linalg.norm(q @ v - v))
+        """|Q(x) v - v|, or one residual per point of a stack."""
+        return norms(np.matvec(self.fiber_projector(x), v) - v)
 
 
 # ---------------------------------------------------------------------------
@@ -378,84 +395,123 @@ def direct_sum(v1, v2):
 
 
 class Path:
-    """Curve [0,1] -> base, optionally carrying an exact velocity.
+    """Curve [0,1] -> base, or a stack of P curves (tracks), optionally
+    carrying an exact velocity.
 
-    ``fn`` and ``velocity`` take one time or a 1-d array of times; for an
-    array they return the stack of points (velocities) at those times.
+    ``fn`` and ``velocity`` take one time or a 1-d array of T times; for an
+    array they return the points (velocities) at those times, shape
+    (T, ...) for one track and (T, P, ...) for a stack of tracks.
+    ``tracks(index)`` is the path of the selected tracks; ``select``, when
+    given, builds it without evaluating the other tracks.
     """
 
-    def __init__(self, fn, velocity=None):
+    def __init__(self, fn, velocity=None, select=None):
         self.fn = fn
         self.velocity = velocity
+        self._select = select
 
     def __call__(self, t):
         return self.fn(t)
 
+    def tracks(self, index):
+        """The path of the tracks ``index`` of a stack of tracks."""
+        if self._select is not None:
+            return self._select(index)
+        fn, velocity = self.fn, self.velocity
+        return Path(lambda t: _take_tracks(fn(t), t, index),
+                    velocity=(None if velocity is None else
+                              lambda t: _take_tracks(velocity(t), t, index)))
+
+
+def _take_tracks(points, t, index):
+    """The tracks ``index`` of points evaluated at the time(s) t."""
+    axis = np.ndim(t)  # the track axis follows the time axis of a time vector
+    return map_points(lambda a: a[(slice(None),) * axis + (index,)], points)
+
 
 def homotopy_path(homotopy, x):
-    """The track t -> family(t, x) of a point under a homotopy, evaluated
-    on time vectors by the homotopy's family and velocity."""
+    """The track t -> family(t, x) of a point under a homotopy, or the stack
+    of tracks of a stack of points, evaluated on time vectors by the
+    homotopy's family and velocity."""
     vel = None
     if homotopy.velocity is not None:
         vel = lambda t: homotopy.velocity(t, x)
-    return Path(lambda t: homotopy.family(t, x), velocity=vel)
-
-
-def _as_path(path):
-    """The one adapter at the public boundary: a plain callable c(t) of one
-    time becomes a Path that stacks c over a time vector."""
-    if isinstance(path, Path):
-        return path
-
-    def fn(ts):
-        if np.ndim(ts) == 0:
-            return path(ts)
-        return stack_points([path(t) for t in ts])
-
-    return Path(fn)
+    return Path(lambda t: homotopy.family(t, x), velocity=vel,
+                select=lambda index: homotopy_path(
+                    homotopy, map_points(lambda a: a[index], x)))
 
 
 def _stage_arrays(bundle, path, steps):
     """Projector derivatives at the 2*steps+1 RK4 stage times and the
     projectors at the steps+1 nodes, each from one field call on the stack
-    of points at those times."""
+    of points of all tracks at those times (time axis first)."""
     h = 1.0 / steps
     ts = (0.5 * h) * np.arange(2 * steps + 1)
+
+    def field(fn, *args):
+        # flatten times x tracks into one stack for the call
+        shape = bundle.base.stack_shape(args[0])
+        flat = [map_points(lambda a: a.reshape((-1,) + a.shape[len(shape):]), a)
+                for a in args]
+        out = fn(*flat)
+        return out.reshape(shape + out.shape[1:])
+
     if path.velocity is not None and bundle.has_projector_differential:
-        qp = bundle.projector_differential(path(ts), path.velocity(ts))
+        qp = field(bundle.projector_differential, path(ts), path.velocity(ts))
     else:
         delta = TOL.fd_delta
-        qp = (bundle.fiber_projector(path(ts + delta))
-              - bundle.fiber_projector(path(ts - delta))) / (2.0 * delta)
-    qnode = bundle.fiber_projector(path(h * np.arange(steps + 1)))
+        qp = (field(bundle.fiber_projector, path(ts + delta))
+              - field(bundle.fiber_projector, path(ts - delta))) / (2.0 * delta)
+    qnode = field(bundle.fiber_projector, path(h * np.arange(steps + 1)))
     return qp, qnode
+
+
+# Bytes of stage arrays (qp and qnode together) one RK4 kernel call may take:
+# a stack of tracks is transported in chunks of as many tracks as fit.
+TRANSPORT_CHUNK_BYTES = 2 ** 20
+
+
+def _transport_chunk(bundle, path, steps):
+    qp, qnode = _stage_arrays(bundle, path, steps)
+    return _kernels.rk4_transport(qp, qnode, np.ascontiguousarray(qnode[0]))
 
 
 def transport_operator(bundle, path, steps=DEFAULT_TRANSPORT_STEPS):
     """The full transport map fiber(path(0)) -> fiber(path(1)) as an
-    ambient matrix (the orthogonal complement of the fiber is killed)."""
+    ambient matrix (the orthogonal complement of the fiber is killed); for
+    a stack of P tracks, the (P, N, N) stack of the per-track maps, each
+    bitwise equal to the map of its track alone."""
     if steps < 16:
         raise BadParams("transport needs at least 16 steps")
-    path = _as_path(path)
-    qp, qnode = _stage_arrays(bundle, path, steps)
-    x0 = np.ascontiguousarray(qnode[0])
-    return _kernels.rk4_transport(qp, qnode, x0)
+    tracks = bundle.base.stack_shape(path(0.0))
+    if not tracks:
+        return _transport_chunk(bundle, path, steps)
+    n = bundle.ambient_fiber_dim
+    per_chunk = max(1, TRANSPORT_CHUNK_BYTES // ((3 * steps + 2) * n * n * 8))
+    out = np.empty(tracks + (n, n))
+    for start in range(0, tracks[0], per_chunk):
+        chunk = slice(start, start + per_chunk)
+        out[chunk] = _transport_chunk(bundle, path.tracks(chunk), steps)
+    return out
 
 
 def holonomy_sign(line_bundle, loop, steps=DEFAULT_TRANSPORT_STEPS):
-    """Orientation sign picked up by a real line bundle around a closed loop."""
+    """Orientation sign picked up by a real line bundle around a closed
+    loop; for a stack of loops, the int array of one sign per loop."""
     if line_bundle.real_rank != 1:
         raise BadParams("holonomy_sign needs a real line bundle (rank 1)")
-    loop = _as_path(loop)
-    gap = line_bundle.base.distance(loop(0.0), loop(1.0))
+    base = line_bundle.base
+    start = loop(0.0)
+    gap = max(base.distance(a, b)
+              for a, b in zip(base.unstack(start), base.unstack(loop(1.0))))
     if gap > 1e-10:
         raise BadParams(f"loop is not closed (gap {gap:.3e})")
-    v0 = line_bundle.fiber_basis(loop(0.0))[:, 0]
-    out = transport_operator(line_bundle, loop, steps=steps) @ v0
-    v1 = out / np.linalg.norm(out)
-    inner = float(v1 @ v0)
-    if abs(inner) <= 0.9:
+    v0 = line_bundle.fiber_basis(start)[..., 0]
+    out = np.matvec(transport_operator(line_bundle, loop, steps=steps), v0)
+    inner = np.vecdot(out / norms(out)[..., None], v0)
+    if np.any(np.abs(inner) <= 0.9):
         raise Ambiguous(
-            f"|<chi(1), v0>| = {abs(inner):.3f} <= 0.9; increase steps"
+            f"|<chi(1), v0>| = {np.min(np.abs(inner)):.3f} <= 0.9; increase steps"
         )
-    return 1 if inner > 0 else -1
+    signs = np.where(inner > 0, 1, -1)
+    return int(signs) if signs.ndim == 0 else signs

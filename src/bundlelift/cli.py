@@ -1,16 +1,19 @@
 """Scenario runner: every construction and check in the library exposed as
 named, reproducible commands with JSON reports and optional CSV tables.
 
-The report schema is versioned ("schema": "1"). Reports are byte-identical
-for equal configurations when ``--no-timestamp`` is passed (it nulls both
-the timestamp and the wall-time field). Exit codes: 0 all verdicts pass,
-1 at least one verdict failed, 2 configuration or runtime error.
+The report schema is versioned ("schema": "1"). Reports are strict JSON:
+a residual that is NaN or infinite is written as null with a "nonfinite"
+marker. Reports are byte-identical for equal configurations when
+``--no-timestamp`` is passed (it nulls both the timestamp and the wall-time
+field). Exit codes: 0 all verdicts pass, 1 at least one verdict failed,
+2 configuration or runtime error.
 """
 
 import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -125,10 +128,12 @@ def _scenario_metrize_random(cfg):
     s = rng.normal(size=(3, 3))
 
     def field(x):
-        return a + 0.2 * float(x[0]) * s
+        # one matrix per point of a stack of points
+        return a + 0.2 * np.asarray(x)[..., 0, None, None] * s
 
-    vert = Lift(bundle, identity_diffeo(model), lambda x, v: field(x) @ v,
-                "vertical_random", cfg.tol_exact)
+    vert = Lift(bundle, identity_diffeo(model),
+                lambda x, v: np.matvec(field(x), v), "vertical_random",
+                cfg.tol_exact)
     iso = metrize(vert)
     rep = check_lift(iso, samples=cfg.samples, seed=cfg.seed, tolerance=1e-8)
     checks = []
@@ -530,7 +535,9 @@ REPORT_SCHEMA = {
         "scenario": "scenario name",
         "version": "package version",
         "config": "echo of the scenario configuration",
-        "checks": "list of {name, residual, tolerance, comparator, verdict}",
+        "checks": "list of {name, residual, tolerance, comparator, verdict}; "
+                  "a NaN or infinite residual is null and its check also "
+                  "carries nonfinite: \"nan\" | \"inf\" | \"-inf\"",
         "overall": "conjunction of all verdicts",
         "wall_time": "seconds, null when --no-timestamp is used",
         "timestamp": "UTC ISO-8601, null when --no-timestamp is used",
@@ -587,8 +594,18 @@ def _checks_table(report):
     }
 
 
+def _strict_check(check):
+    # JSON has no NaN or infinity: write null and name the value instead
+    r = check["residual"]
+    if math.isfinite(r):
+        return check
+    return {**check, "residual": None,
+            "nonfinite": "nan" if r != r else ("inf" if r > 0 else "-inf")}
+
+
 def _render_report(report):
-    return json.dumps(report, indent=2) + "\n"
+    strict = {**report, "checks": [_strict_check(c) for c in report["checks"]]}
+    return json.dumps(strict, indent=2, allow_nan=False) + "\n"
 
 
 def build_parser():

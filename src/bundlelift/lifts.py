@@ -6,6 +6,13 @@ A Lift is a closure pair (base diffeomorphism, fiberwise action); fiber
 matrices are extracted on demand by probing an orthonormal fiber basis.
 Formula-backed lifts carry the ``exact`` tolerance, transport-derived ones
 the looser ``transport`` tolerance.
+
+Lifts take stacks like the fields of ``bundles`` do: ``Lift.action(x, v)``
+takes one point and one vector, or a stack of points and the matching
+stack of vectors, and every lift built here computes a stack in one pass
+(operator lifts compute their cache misses in one call on the stack, so a
+transport lift runs one stacked transport). ``check_lift`` draws all of its
+probes first and then evaluates each quantity once on the probe stack.
 """
 
 from dataclasses import dataclass, field
@@ -22,8 +29,8 @@ from .errors import (BadParams, BundleMismatch, CriterionFails,
                      NotIsometric, NotOrthonormal, Singular)
 from .manifolds import (Diffeo, Sphere, cp1_plane_rotation_homotopy,
                         cp1_power_map, identity_diffeo, named_diffeo,
-                        product_diffeo, random_point)
-from .numkernel import (complex_structure_conjugator, polar_two_metric,
+                        product_diffeo, random_point, stack_points)
+from .numkernel import (complex_structure_conjugator, norms, polar_two_metric,
                         singular_values, worst)
 
 __all__ = [
@@ -62,22 +69,26 @@ class Lift:
         return f"<Lift {self.provenance} over {self.bundle.key}>"
 
     def action(self, x, v):
-        """Apply the fiber map at x to an ambient fiber vector."""
+        """Apply the fiber map at x to an ambient fiber vector, or at each
+        point of a stack to the matching vector of a stack."""
         return self._action(x, np.asarray(v, dtype=float))
 
+    def _images(self, x, basis):
+        # the images of the basis columns, as the columns of a matrix
+        return np.stack([self.action(x, basis[..., i])
+                         for i in range(basis.shape[-1])], axis=-1)
+
     def fiber_matrix(self, x):
-        """Ambient matrix of the fiber map at x (zero on the complement)."""
+        """Ambient matrix of the fiber map at x (zero on the complement),
+        or the stack of them."""
         basis = self.bundle.fiber_basis(x)
-        images = np.column_stack([self.action(x, basis[:, i])
-                                  for i in range(basis.shape[1])])
-        return images @ basis.T
+        return self._images(x, basis) @ np.swapaxes(basis, -1, -2)
 
     def fiber_matrix_between(self, x, b_in, b_out):
         """r x r matrix of the fiber map against explicit orthonormal
-        bases of the source and target fibers."""
-        images = np.column_stack([self.action(x, b_in[:, i])
-                                  for i in range(b_in.shape[1])])
-        return b_out.T @ images
+        bases of the source and target fibers (stacks for a stack of
+        points)."""
+        return np.swapaxes(b_out, -1, -2) @ self._images(x, b_in)
 
     def fiber_matrix_in_bases(self, x):
         """r x r matrix in the cached orthonormal fiber bases at x and
@@ -106,6 +117,36 @@ class LiftReport:
                 and self.verdicts["invertibility"])
 
 
+def _draw_probes(bundle, samples, seed):
+    """The check_lift probes (x, v, u, alpha, beta), stacked. Probe i draws
+    x, the Gaussian vectors behind v and u, and (alpha, beta) from its own
+    default_rng([seed, i]) stream, as random_point, random_fiber_vector
+    twice and normal(size=2) would; v and u are then projected and
+    normalized on the whole stack."""
+    base = bundle.base
+    rngs = [np.random.default_rng([seed, i]) for i in range(samples)]
+    xs = stack_points([base.random_point(rng) for rng in rngs])
+    gauss = np.stack([rng.normal(size=(2, bundle.ambient_fiber_dim))
+                      for rng in rngs])
+    coeffs = np.stack([rng.normal(size=2) for rng in rngs])
+    vu = np.matvec(bundle.fiber_projector(xs)[:, None], gauss)
+    nrm = norms(vu)
+    for i in np.nonzero(np.any(nrm <= 1e-6, axis=1))[0]:
+        # a draw the projector nearly kills is redrawn from the probe's
+        # stream, as random_fiber_vector does (and raises when it cannot)
+        rng = np.random.default_rng([seed, i])
+        x = base.random_point(rng)
+        vu[i] = [bundle.random_fiber_vector(x, rng) for _ in range(2)]
+        coeffs[i] = rng.normal(size=2)
+        nrm[i] = 1.0
+    vu = vu / nrm[..., None]
+    return xs, vu[:, 0], vu[:, 1], coeffs[:, 0], coeffs[:, 1]
+
+
+def _worst_of(residuals):
+    return float(worst(0.0, *np.ravel(residuals)))
+
+
 def check_lift(lift, samples=DEFAULT_SAMPLES, seed=0, tolerance=None):
     """Evaluate lift residuals on seeded random (x, v) probes.
 
@@ -114,58 +155,47 @@ def check_lift(lift, samples=DEFAULT_SAMPLES, seed=0, tolerance=None):
     of the extracted fiber matrix), isometry, and, when the bundle is
     complex, commutation and anti-commutation defects against J on unit
     probes. Verdict thresholds default to the lift's own tolerance tier; a
-    residual that could not be measured (NaN) fails its verdict.
+    residual that could not be measured (NaN) fails its verdict. Every
+    quantity is evaluated once on the stack of all probes.
     """
     if samples < 1:
         raise BadParams("samples must be >= 1")
     tol = lift.tolerance if tolerance is None else tolerance
     bundle = lift.bundle
-    base = bundle.base
     has_j = bundle.has_complex_structure
 
-    base_res = 0.0
-    lin_res = 0.0
-    iso_res = 0.0
-    min_sv = np.inf
-    c_res = 0.0 if has_j else None
-    a_res = 0.0 if has_j else None
+    x, v, u, alpha, beta = _draw_probes(bundle, samples, seed)
+    y = lift.base_map.forward(x)
+    w = lift.action(x, v)
+    base_res = _worst_of(bundle.membership_residual(y, w))
 
-    for i in range(samples):
-        rng = np.random.default_rng([seed, i])
-        x = base.random_point(rng)
-        v = bundle.random_fiber_vector(x, rng)
-        u = bundle.random_fiber_vector(x, rng)
-        alpha, beta = rng.normal(size=2)
+    w_u = lift.action(x, u)
+    w_mix = lift.action(x, alpha[:, None] * u + beta[:, None] * v)
+    lin = norms(w_mix - alpha[:, None] * w_u - beta[:, None] * w)
+    lin_res = _worst_of(lin / (abs(alpha) + abs(beta) + 1.0))
 
-        y = lift.base_map.forward(x)
-        w = lift.action(x, v)
-        base_res = worst(base_res, bundle.membership_residual(y, w))
+    m = lift.fiber_matrix_between(x, bundle.fiber_basis(x), bundle.fiber_basis(y))
+    gram = np.swapaxes(m, -1, -2) @ m
+    iso_res = _worst_of(np.max(np.abs(gram - np.eye(m.shape[-1])), axis=(1, 2)))
+    # LAPACK's SVD rejects a non-finite matrix; NaN then fails the verdict
+    finite = np.all(np.isfinite(m), axis=(1, 2))
+    sv = np.full(samples, np.nan)
+    if np.any(finite):
+        sv[finite] = singular_values(m[finite])[:, 0]
+    min_sv = float(np.min(sv))
 
-        w_u = lift.action(x, u)
-        w_mix = lift.action(x, alpha * u + beta * v)
-        lin = np.linalg.norm(w_mix - alpha * w_u - beta * w)
-        lin_res = worst(lin_res, float(lin) / (abs(alpha) + abs(beta) + 1.0))
-
-        m = lift.fiber_matrix_between(x, bundle.fiber_basis(x),
-                                      bundle.fiber_basis(y))
-        iso_res = worst(iso_res,
-                        float(np.max(np.abs(m.T @ m - np.eye(m.shape[0])))))
-        # LAPACK's SVD rejects a non-finite matrix; NaN then fails the verdict
-        sv = singular_values(m)[0] if np.all(np.isfinite(m)) else np.nan
-        min_sv = float(np.minimum(min_sv, sv))
-
-        if has_j:
-            j_x = bundle.complex_structure(x)
-            j_y = bundle.complex_structure(y)
-            w_jv = lift.action(x, j_x @ v)
-            c_i = float(np.linalg.norm(w_jv - j_y @ w))
-            a_i = float(np.linalg.norm(w_jv + j_y @ w))
-            # sanity guard on the checker: both defects cannot vanish when
-            # the image has nonzero J-component
-            if c_i < 1e-12 and a_i < 1e-12 and np.linalg.norm(j_y @ w) > 1e-6:
-                raise AssertionError("complex-linearity checker inconsistency")
-            c_res = worst(c_res, c_i)
-            a_res = worst(a_res, a_i)
+    c_res = a_res = None
+    if has_j:
+        w_jv = lift.action(x, np.matvec(bundle.complex_structure(x), v))
+        jw = np.matvec(bundle.complex_structure(y), w)
+        c_i = norms(w_jv - jw)
+        a_i = norms(w_jv + jw)
+        # sanity guard on the checker: both defects cannot vanish when
+        # the image has nonzero J-component
+        if np.any((c_i < 1e-12) & (a_i < 1e-12) & (norms(jw) > 1e-6)):
+            raise AssertionError("complex-linearity checker inconsistency")
+        c_res = _worst_of(c_i)
+        a_res = _worst_of(a_i)
 
     verdicts = {
         "base": base_res <= tol,
@@ -215,9 +245,11 @@ def compose(outer, inner):
 
 def _operator_lift(bundle, base_map, operator_at, provenance, tolerance):
     """A lift whose fiber map at x is the ambient matrix operator_at(x),
-    computed once per point."""
-    cache = PointCache()
-    return Lift(bundle, base_map, lambda x, v: cache.get(x, operator_at) @ v,
+    computed once per point; operator_at takes one point or a stack and is
+    called once per action, on the points not yet cached."""
+    cache = PointCache(bundle.base)
+    return Lift(bundle, base_map,
+                lambda x, v: np.matvec(cache.get(x, operator_at), v),
                 provenance, tolerance)
 
 
@@ -234,10 +266,10 @@ def invert(lift):
         # reproduces x up to roundoff, and a degenerate-eigenspace
         # basis at a perturbed point can be arbitrarily rotated
         m = lift.fiber_matrix_between(y, b_y, b_x)
-        sv = singular_values(m)
-        if sv[0] <= 1e-8:
-            raise Singular(f"fiber map not invertible (sv {sv[0]:.3e})")
-        return b_y @ np.linalg.inv(m) @ b_x.T
+        low = singular_values(m)[..., 0]
+        if np.any(low <= 1e-8):
+            raise Singular(f"fiber map not invertible (sv {np.min(low):.3e})")
+        return b_y @ np.linalg.inv(m) @ np.swapaxes(b_x, -1, -2)
 
     return _operator_lift(bundle, base, operator_at,
                           f"invert({lift.provenance})",
@@ -273,10 +305,10 @@ def metrize(lift):
         b_in = bundle.fiber_basis(x)
         b_out = bundle.fiber_basis(lift.base_map.forward(x))
         f = lift.fiber_matrix_between(x, b_in, b_out)
-        r = f.shape[0]
+        r = f.shape[-1]
         # orthonormal bases make both fiber metrics the identity
         psi, _ = polar_two_metric(f, np.eye(r), np.eye(r))
-        return b_out @ psi @ b_in.T
+        return b_out @ psi @ np.swapaxes(b_in, -1, -2)
 
     return _operator_lift(bundle, lift.base_map, operator_at,
                           f"metrize({lift.provenance})", lift.tolerance)
@@ -294,22 +326,22 @@ def differential_lift(diffeo):
     dim = model.n + 1
 
     def extended(y):
-        nrm = np.linalg.norm(y)
+        nrm = norms(y)[..., None]
         return nrm * np.asarray(diffeo.forward(y / nrm))
 
     def operator_at(x):
-        jac = np.empty((dim, dim))
+        jac = np.empty(np.shape(x) + (dim,))
         for i in range(dim):
             step = np.zeros(dim)
             step[i] = delta
-            jac[:, i] = (extended(x + step) - extended(x - step)) / (2 * delta)
+            jac[..., i] = (extended(x + step) - extended(x - step)) / (2 * delta)
         y = diffeo.forward(x)
         b_in = bundle.fiber_basis(x)
         b_out = bundle.fiber_basis(y)
-        sv = singular_values(b_out.T @ jac @ b_in)
-        if sv[0] < 1e-6:
+        low = singular_values(np.swapaxes(b_out, -1, -2) @ jac @ b_in)[..., 0]
+        if np.any(low < 1e-6):
             raise DegenerateJacobian(
-                f"Jacobian singular value {sv[0]:.3e} below 1e-6"
+                f"Jacobian singular value {np.min(low):.3e} below 1e-6"
             )
         return bundle.fiber_projector(y) @ jac
 
@@ -351,7 +383,7 @@ def ambient_projection_lift(bundle, diffeo, variant="fiber", seed=1):
             )
 
     def action(x, v):
-        return target_projector(diffeo.forward(x)) @ v
+        return np.matvec(target_projector(diffeo.forward(x)), v)
 
     return Lift(bundle, diffeo, action,
                 f"ambient_projection({diffeo.name},{variant})", TOL.exact)
@@ -364,15 +396,15 @@ def grassmann_orthogonal_lift(a, k):
     bundle = tautological_real(k, a.shape[0])
     # raises BadParams unless a is orthogonal
     base = named_diffeo(bundle.base, "grassmann_action", matrix=a)
-    return Lift(bundle, base, lambda x, v: a @ v,
+    return Lift(bundle, base, lambda x, v: np.matvec(a, v),
                 "grassmann_orthogonal", TOL.exact)
 
 
 def _realified_conjugation(v):
     # (Re w, Im w) -> (Re w, -Im w)
-    n = v.shape[0] // 2
+    n = v.shape[-1] // 2
     out = v.copy()
-    out[n:] = -out[n:]
+    out[..., n:] = -out[..., n:]
     return out
 
 
@@ -429,8 +461,8 @@ def torus_line_lift(a, b):
 
     def action(x, v):
         xr = np.mod(np.asarray(x, dtype=float), 1.0)
-        s = float(u_of(xr) @ v)
-        return s * u_of(af @ xr)
+        s = np.vecdot(u_of(xr), v)
+        return s[..., None] * u_of(np.matvec(af, xr))
 
     return Lift(bundle, base, action, f"torus_line[{b.tolist()}]", TOL.exact)
 
@@ -439,8 +471,8 @@ def _split_product_lift(bundle, n1, base, act1, act2, provenance, tolerance):
     def action(p, v):
         x1, x2 = p
         out = np.empty_like(v)
-        out[:n1] = act1(x1, v[:n1])
-        out[n1:] = act2(x2, v[n1:])
+        out[..., :n1] = act1(x1, v[..., :n1])
+        out[..., n1:] = act2(x2, v[..., n1:])
         return out
 
     return Lift(bundle, base, action, provenance, tolerance)
@@ -479,27 +511,32 @@ def s1xs2_generator_lift(name, n, steps=DEFAULT_TRANSPORT_STEPS):
     if name == "r":
         def theta_of(p1):
             # line at angle alpha in R^2 <-> circle coordinate theta = 2 alpha
-            return float(np.arctan2(2.0 * p1[0, 1], p1[0, 0] - p1[1, 1]))
+            return np.arctan2(2.0 * p1[..., 0, 1], p1[..., 0, 0] - p1[..., 1, 1])
+
+        def phase_matrix(phase):
+            # diag(exp(i phase), 1), one per point
+            u = np.zeros(np.shape(phase) + (2, 2), dtype=complex)
+            u[..., 0, 0] = np.exp(1j * phase)
+            u[..., 1, 1] = 1.0
+            return u
 
         def rotate(p, sign):
             x1, x2 = p
-            th = theta_of(x1)
-            u = np.diag([np.exp(sign * 1j * th), 1.0])
-            return (x1, u @ x2 @ u.conj().T)
+            u = phase_matrix(sign * theta_of(x1))
+            return (x1, u @ x2 @ np.conj(np.swapaxes(u, -1, -2)))
 
         base = Diffeo("r", lambda p: rotate(p, 1.0), lambda p: rotate(p, -1.0),
                        model)
 
         def act2(w2, theta):
-            u = np.diag([np.exp(1j * n * theta), 1.0])
-            z = u @ (w2[:2] + 1j * w2[2:])
-            return np.concatenate([z.real, z.imag])
+            z = np.matvec(phase_matrix(n * theta), w2[..., :2] + 1j * w2[..., 2:])
+            return np.concatenate([z.real, z.imag], axis=-1)
 
         def action(p, v):
             x1, _ = p
             out = np.empty_like(v)
-            out[:2] = v[:2]
-            out[2:] = act2(v[2:], theta_of(x1))
+            out[..., :2] = v[..., :2]
+            out[..., 2:] = act2(v[..., 2:], theta_of(x1))
             return out
 
         return Lift(bundle, base, action, "s1xs2_r", TOL.exact)

@@ -10,9 +10,13 @@ Point representations by model:
   complex). Homogeneous coordinate vectors are a convenience view.
 * ``Product(left, right)`` -- tuple of factor points
 
-A stack of points carries a leading axis in front of the point axes; a
+A stack of points carries leading axes in front of the point axes; a
 stack of ``Product`` points is the pair of the factors' stacks. Bundle
-fields, homotopy families and ``cp1_power_map`` accept stacks.
+fields, every registered ``Diffeo`` (and ``identity_diffeo``,
+``product_diffeo``, ``then``, ``inverted``), homotopy families and
+``cp1_power_map`` accept stacks and return the stack of the per-point
+results, bitwise equal to them. A homotopy family on a time vector and a
+stack of points returns times first: shape (T, P, ...).
 """
 
 import functools
@@ -36,6 +40,7 @@ __all__ = [
     "Homotopy",
     "random_point",
     "stack_points",
+    "map_points",
     "named_diffeo",
     "product_diffeo",
     "identity_diffeo",
@@ -64,6 +69,13 @@ class ManifoldModel:
     def stack_shape(self, point):
         """Leading shape of a stack of points; () for one point."""
         return np.shape(point)[:np.ndim(point) - self.point_ndim]
+
+    def unstack(self, points):
+        """The points of a one-axis stack as a list; [points] for one point."""
+        shape = self.stack_shape(points)
+        if not shape:
+            return [points]
+        return [map_points(lambda a, i=i: a[i], points) for i in range(shape[0])]
 
     def membership_residual(self, point):
         raise NotImplementedError
@@ -191,6 +203,20 @@ def stack_points(points):
     return np.stack(points)
 
 
+def map_points(fn, points):
+    """fn applied to the array of a point or a stack of points, factor by
+    factor for product points."""
+    if isinstance(points, tuple):
+        return tuple(map_points(fn, p) for p in points)
+    return fn(points)
+
+
+def _per_time(m, t, model, x):
+    """A stack of matrices over the times t, given one singleton axis per
+    stack axis of x, so that it broadcasts to shape t + stack of x."""
+    return m.reshape(np.shape(t) + (1,) * len(model.stack_shape(x)) + m.shape[-2:])
+
+
 # ---------------------------------------------------------------------------
 # Maps, diffeomorphisms, homotopies
 
@@ -212,7 +238,11 @@ class SmoothMap:
 
 
 class Diffeo(SmoothMap):
-    """Invertible smooth self-map with an exact inverse formula."""
+    """Invertible smooth self-map with an exact inverse formula.
+
+    ``forward`` and ``inverse`` of every diffeomorphism built here take one
+    point or a stack of points and return the matching stack.
+    """
 
     def __init__(self, name, forward, inverse, source, target=None):
         super().__init__(name, forward, source, target or source)
@@ -307,7 +337,8 @@ def integer_inverse(a):
 
 def _build_sphere_rotation(model, params):
     a = _check_orthogonal(params["matrix"], model.n + 1)
-    return Diffeo("sphere_rotation", lambda x: a @ x, lambda x: a.T @ x, model)
+    return Diffeo("sphere_rotation", lambda x: np.matvec(a, x),
+                  lambda x: np.matvec(a.T, x), model)
 
 
 def _build_sphere_reflection(model, params):
@@ -378,8 +409,8 @@ def _build_torus_auto(model, params):
     ainv = integer_inverse(a)
     af = a.astype(float)
     ainvf = ainv.astype(float)
-    return Diffeo("torus_auto", lambda x: np.mod(af @ x, 1.0),
-                  lambda x: np.mod(ainvf @ x, 1.0), model)
+    return Diffeo("torus_auto", lambda x: np.mod(np.matvec(af, x), 1.0),
+                  lambda x: np.mod(np.matvec(ainvf, x), 1.0), model)
 
 
 _DIFFEO_REGISTRY = {
@@ -442,11 +473,11 @@ def rotation_homotopy(model, plane, angle):
         return r
 
     r_end, r_back = rot(angle), rot(-angle)
-    endpoint = Diffeo("sphere_rotation", lambda x: r_end @ x,
-                      lambda x: r_back @ x, model)
+    endpoint = Diffeo("sphere_rotation", lambda x: np.matvec(r_end, x),
+                      lambda x: np.matvec(r_back, x), model)
 
     def family(t, x):
-        return rot(t * angle) @ x
+        return np.matvec(_per_time(rot(t * angle), t, model, x), x)
 
     def velocity(t, x):
         return angle * (family(t, x) @ gen.T)
@@ -474,7 +505,7 @@ def _unitary_family_homotopy(model, x_gen, name):
                       lambda p: u1.conj().T @ p @ u1, model)
 
     def family(t, p):
-        u = unitary(t)
+        u = _per_time(unitary(t), t, model, p)
         return u @ p @ np.conj(np.swapaxes(u, -1, -2))
 
     def velocity(t, p):

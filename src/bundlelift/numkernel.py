@@ -5,6 +5,14 @@ the realified 2n x 2n block form, see :func:`realify`). Eigenvalues and
 singular values come from LAPACK through ``numpy.linalg``; the symmetric
 eigensolver fixes the eigenvector signs, so repeated calls on equal input
 are bitwise identical.
+
+``sym_eigh``, ``sym_sqrt``, ``singular_values`` and ``polar_two_metric``
+take one matrix or a stack of matrices on leading axes; LAPACK factors
+each matrix of a stack on its own, so every result is bitwise the
+per-matrix result. Matrix-vector products on stacks are
+``np.matvec``, and :func:`norms` is the Euclidean norm of each vector of a
+stack, both bitwise equal to ``m @ v`` and ``np.linalg.norm(v)`` per
+vector.
 """
 
 import numpy as np
@@ -19,63 +27,72 @@ __all__ = [
     "complex_structure_conjugator",
     "singular_values",
     "realify",
+    "norms",
     "worst",
 ]
 
 
 def _as_square(a, name="matrix"):
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} has non-finite entries")
     return a
 
 
+def _swap(a):
+    return np.swapaxes(a, -1, -2)
+
+
 def sym_eigh(s):
     """Eigendecomposition of a symmetric matrix (LAPACK ``syevd``).
 
     Returns (w, v) with eigenvalues ascending and each eigenvector's first
-    nonzero component made positive.
+    nonzero component (the first entry above 1e-12 times the column's
+    largest magnitude) made positive.
     """
     s = _as_square(s)
-    w, v = np.linalg.eigh(0.5 * (s + s.T))
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        big = np.max(np.abs(col))
-        if big == 0.0:
-            continue
-        nz = np.nonzero(np.abs(col) > 1e-12 * big)[0]
-        if nz.size and col[nz[0]] < 0.0:
-            v[:, j] = -col
-    return w, v
+    w, v = np.linalg.eigh(0.5 * (s + _swap(s)))
+    mag = np.abs(v)
+    first = np.argmax(mag > 1e-12 * np.max(mag, axis=-2, keepdims=True), axis=-2)
+    # a zero column has no nonzero entry: argmax gives row 0, which is 0
+    lead = np.take_along_axis(v, first[..., None, :], axis=-2)
+    return w, np.where(lead < 0.0, -v, v)
 
 
 def singular_values(f):
-    """Singular values (ascending) of a rectangular matrix."""
+    """Singular values (ascending) of a rectangular matrix or a stack."""
     f = np.asarray(f, dtype=float)
-    if f.ndim != 2:
-        raise ValueError("expected a 2-d array")
-    return np.linalg.svd(f, compute_uv=False)[::-1]
+    if f.ndim < 2:
+        raise ValueError("expected a matrix or a stack of matrices")
+    return np.linalg.svd(f, compute_uv=False)[..., ::-1]
+
+
+def norms(v):
+    """Euclidean norm of a vector, or of each vector of a stack."""
+    return np.sqrt(np.vecdot(v, v))
 
 
 def sym_sqrt(s):
     """Symmetric positive-definite square root R with R @ R = S."""
     s = _as_square(s)
-    defect = np.max(np.abs(s - s.T))
+    defect = np.max(np.abs(s - _swap(s)))
     if defect > 1e-10:
         raise NotSPD(f"symmetry defect {defect:.3e} exceeds 1e-10")
     w, v = sym_eigh(s)
-    if w[0] <= TOL.spd_eig:
-        raise NotSPD(f"eigenvalue {w[0]:.3e} below SPD floor {TOL.spd_eig:.0e}")
-    return (v * np.sqrt(w)) @ v.T
+    low = np.min(w[..., 0])
+    if low <= TOL.spd_eig:
+        raise NotSPD(f"eigenvalue {low:.3e} below SPD floor {TOL.spd_eig:.0e}")
+    return (v * np.sqrt(w)[..., None, :]) @ _swap(v)
 
 
 def _inv_spd(s):
     w, v = sym_eigh(_as_square(s))
-    if w[0] <= TOL.spd_eig:
-        raise NotSPD(f"eigenvalue {w[0]:.3e} below SPD floor")
-    return (v / w) @ v.T
+    low = np.min(w[..., 0])
+    if low <= TOL.spd_eig:
+        raise NotSPD(f"eigenvalue {low:.3e} below SPD floor")
+    return (v / w[..., None, :]) @ _swap(v)
 
 
 def polar_two_metric(f, g_u, g_w):
@@ -85,20 +102,21 @@ def polar_two_metric(f, g_u, g_w):
     definite; both factors are unique. With S = sqrt(G), both come from
     the SVD U Sigma V^T of A = S_W F S_U^{-1}: Psi = S_W^{-1} U V^T S_U and
     Xi = S_W^{-1} U Sigma U^T S_W. Working on A directly (Higham 1986)
-    keeps the condition number of F instead of squaring it.
+    keeps the condition number of F instead of squaring it. F, G_U and G_W
+    may each be a stack; the factors then broadcast over it.
     """
     f = _as_square(f, "F")
     g_u = _as_square(g_u, "G_U")
     g_w = _as_square(g_w, "G_W")
-    sv = singular_values(f)
-    if sv[0] <= 1e-10:
-        raise Singular(f"min singular value {sv[0]:.3e} <= 1e-10")
+    low = singular_values(f)[..., 0]
+    if np.any(low <= 1e-10):
+        raise Singular(f"min singular value {np.min(low):.3e} <= 1e-10")
     s_u = sym_sqrt(g_u)
     s_w = sym_sqrt(g_w)
     s_w_inv = _inv_spd(s_w)
     u, sigma, vt = np.linalg.svd(s_w @ f @ _inv_spd(s_u))
     psi = s_w_inv @ u @ vt @ s_u
-    xi = s_w_inv @ (u * sigma) @ u.T @ s_w
+    xi = s_w_inv @ (u * sigma[..., None, :]) @ _swap(u) @ s_w
     return psi, xi
 
 
@@ -161,10 +179,15 @@ def complex_structure_conjugator(j, k):
 
 
 def _blocks(a, b, c, d):
-    # [[a, b], [c, d]] on the last two axes; leading axes broadcast
-    # (np.concatenate, a third of np.block's cost on 2x2 blocks)
-    return np.concatenate([np.concatenate([a, b], axis=-1),
-                           np.concatenate([c, d], axis=-1)], axis=-2)
+    # [[a, b], [c, d]] on the last two axes of four equal-shape stacks,
+    # written into the result (no intermediate arrays, unlike np.block)
+    n, m = a.shape[-2:]
+    out = np.empty(a.shape[:-2] + (2 * n, 2 * m), dtype=np.result_type(a, b, c, d))
+    out[..., :n, :m] = a
+    out[..., :n, m:] = b
+    out[..., n:, :m] = c
+    out[..., n:, m:] = d
+    return out
 
 
 def realify(a):

@@ -175,10 +175,8 @@ def w1_profile(b, steps=DEFAULT_TRANSPORT_STEPS):
     n = b.shape[0]
     if n > 4:
         raise BadParams("w1_profile supports n <= 4")
-    bundle = torus_line(b)
-    signs = []
-    for d in np.eye(n):
-        loop = Path(lambda ts, d=d: np.multiply.outer(ts, d),
-                    velocity=lambda ts, d=d: np.multiply.outer(np.ones_like(ts), d))
-        signs.append(holonomy_sign(bundle, loop, steps=steps))
-    return np.array(signs, dtype=np.int64)
+    # the n coordinate loops t -> t e_i as one stack of tracks
+    eye = np.eye(n)
+    loops = Path(lambda ts: np.multiply.outer(ts, eye),
+                 velocity=lambda ts: np.multiply.outer(np.ones_like(ts), eye))
+    return holonomy_sign(torus_line(b), loops, steps=steps).astype(np.int64)

@@ -1,5 +1,13 @@
 """Shared test state: collects acceptance-criterion outcomes so the
-terminal summary can print one pass/fail line per criterion."""
+terminal summary can print one pass/fail line per criterion, and loads the
+Hypothesis profile of the suite."""
+
+from hypothesis import settings
+
+# the same examples on every run, and no per-example deadline (a first
+# example pays for imports and caches)
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 ACCEPTANCE = {}
 

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bundlelift import _kernels, bundles as bd, manifolds as mf
 from bundlelift.config import DEFAULT_TOLERANCES as TOL
 from bundlelift.errors import Ambiguous, BadParams
+from bundlelift.numkernel import norms
 
 
 ALL_BUNDLES = [
@@ -64,6 +66,17 @@ def test_fields_on_a_stack_equal_per_point_fields(name, bundle):
         assert np.max(np.abs(batched - per_point)) <= 1e-15
 
 
+@pytest.mark.parametrize("name,bundle", ALL_BUNDLES, ids=[n for n, _ in ALL_BUNDLES])
+def test_fiber_basis_on_a_stack_equals_per_point_bases(name, bundle):
+    xs = [mf.random_point(bundle.base, s) for s in range(30, 37)]
+    # fresh models: no basis comes from the cache
+    fresh = [bd.BundleModel(bundle.key, bundle.base, bundle.ambient_fiber_dim,
+                            bundle.real_rank, bundle.fiber_projector)
+             for _ in range(2)]
+    stacked = fresh[0].fiber_basis(mf.stack_points(xs))
+    assert np.array_equal(stacked, np.stack([fresh[1].fiber_basis(x) for x in xs]))
+
+
 def test_pullback_fibers_bitwise():
     w = bd.tautological_complex(1)
     f = mf.cp1_power_map(2)
@@ -90,19 +103,28 @@ def test_torus_line_rejects_bad_bits():
         bd.torus_line((2, 1))
 
 
+def _line(d):
+    # the path t -> t d, on one time or a time vector
+    return bd.Path(lambda t: np.multiply.outer(t, d))
+
+
+def _constant(x):
+    return bd.Path(lambda t: np.multiply.outer(np.ones_like(t), x))
+
+
 class TestTransport:
     def test_constant_path_fixes_vector(self):
         ts = bd.tangent_sphere(2)
         x = mf.random_point(mf.Sphere(2), 1)
         v = ts.random_fiber_vector(x, np.random.default_rng(0))
-        out = bd.transport_operator(ts, lambda t: x, steps=64) @ v
+        out = bd.transport_operator(ts, _constant(x), steps=64) @ v
         assert np.linalg.norm(out - v) <= 1e-12
 
     def test_step_floor(self):
         ts = bd.tangent_sphere(2)
         x = np.array([1.0, 0.0, 0.0])
         with pytest.raises(BadParams):
-            bd.transport_operator(ts, lambda t: x, steps=4)
+            bd.transport_operator(ts, _constant(x), steps=4)
 
     def test_octant_holonomy(self):
         # geodesic triangle e1 -> e2 -> e3 -> e1 encloses one octant
@@ -111,11 +133,14 @@ class TestTransport:
         ts = bd.tangent_sphere(2)
         e = np.eye(3)
 
-        def loop(t):
-            s, leg = (t * 3) % 1.0, int(min(t * 3, 2.999))
+        def loop_fn(t):
+            s = (t * 3) % 1.0
+            leg = np.floor(np.minimum(t * 3, 2.999)).astype(int)
             a, b = e[leg], e[(leg + 1) % 3]
-            return np.cos(s * np.pi / 2) * a + np.sin(s * np.pi / 2) * b
+            return (np.cos(s * np.pi / 2)[..., None] * a
+                    + np.sin(s * np.pi / 2)[..., None] * b)
 
+        loop = bd.Path(loop_fn)
         out = bd.transport_operator(ts, loop, steps=2048) @ e[2]
         assert np.linalg.norm(out - (-e[1])) <= 1e-4
         oracle = bd.transport_operator(ts, loop, steps=8192) @ e[2]
@@ -136,7 +161,7 @@ class TestTransport:
         v = ts.random_fiber_vector(x, np.random.default_rng(5))
         fwd_path = bd.homotopy_path(h, x)
         out = bd.transport_operator(ts, fwd_path, steps=512) @ v
-        back = bd.transport_operator(ts, lambda t: fwd_path(1.0 - t),
+        back = bd.transport_operator(ts, bd.Path(lambda t: fwd_path(1.0 - t)),
                                      steps=512) @ out
         assert np.linalg.norm(back - v) <= 1e-5
 
@@ -209,6 +234,100 @@ def test_batched_transport_matches_per_stage_oracle(name, bundle, path, bound):
     assert np.max(np.abs(batched - oracle)) <= bound
 
 
+def _torus_loops(n):
+    # the n coordinate loops as one stack of tracks, as w1_profile builds it
+    eye = np.eye(n)
+    return bd.Path(lambda ts: np.multiply.outer(ts, eye),
+                   velocity=lambda ts: np.multiply.outer(np.ones_like(ts), eye))
+
+
+STACKED_TRACKS = [
+    # (bundle, tracks from a stack of points or one point, model); the
+    # pullback's projector has no differential: central differences
+    ("tangent_sphere", bd.tangent_sphere(2),
+     lambda x: bd.homotopy_path(
+         mf.rotation_homotopy(mf.Sphere(2), (0, 1), 1.8 * np.pi), x), mf.Sphere(2)),
+    ("tautological_complex", bd.tautological_complex(1),
+     lambda x: bd.homotopy_path(
+         mf.cpn_phase_homotopy(mf.ComplexProjective(1), 6 * np.pi), x),
+     mf.ComplexProjective(1)),
+    ("pullback_fd", bd.pullback(mf.cp1_power_map(2), bd.tautological_complex(1)),
+     lambda x: bd.homotopy_path(
+         mf.cp1_plane_rotation_homotopy(mf.ComplexProjective(1), np.pi), x),
+     mf.ComplexProjective(1)),
+]
+
+
+def _chunk_bytes(tracks, steps, n):
+    # the budget that holds exactly ``tracks`` tracks of stage arrays
+    return tracks * (3 * steps + 2) * n * n * 8
+
+
+@pytest.mark.parametrize("name,bundle,tracks,model", STACKED_TRACKS,
+                         ids=[t[0] for t in STACKED_TRACKS])
+def test_stacked_transport_is_bitwise_per_track(monkeypatch, name, bundle,
+                                                tracks, model):
+    xs = [mf.random_point(model, 60 + i) for i in range(5)]
+    stacked = bd.transport_operator(bundle, tracks(mf.stack_points(xs)), steps=256)
+    assert stacked.shape == (5,) + 2 * (bundle.ambient_fiber_dim,)
+    for i, x in enumerate(xs):
+        assert np.array_equal(stacked[i],
+                              bd.transport_operator(bundle, tracks(x), steps=256))
+    # chunks of two tracks (three kernel calls) give the same operators
+    monkeypatch.setattr(bd, "TRANSPORT_CHUNK_BYTES",
+                        _chunk_bytes(2, 256, bundle.ambient_fiber_dim))
+    assert np.array_equal(
+        bd.transport_operator(bundle, tracks(mf.stack_points(xs)), steps=256),
+        stacked)
+
+
+def test_stacked_torus_loops_are_bitwise_per_loop(monkeypatch):
+    bundle = bd.torus_line((1, 1, 0))
+    stacked = bd.transport_operator(bundle, _torus_loops(3), steps=256)
+    for i in range(3):
+        assert np.array_equal(stacked[i],
+                              bd.transport_operator(bundle, _torus_loop(3, i),
+                                                    steps=256))
+    # a path without a track selector is chunked by slicing its values
+    monkeypatch.setattr(bd, "TRANSPORT_CHUNK_BYTES", _chunk_bytes(1, 256, 2))
+    assert np.array_equal(bd.transport_operator(bundle, _torus_loops(3), steps=256),
+                          stacked)
+
+
+def test_chunk_budget_sets_the_kernel_calls(monkeypatch):
+    calls = []
+    kernel = _kernels.rk4_transport
+
+    def counted(qp, qnode, x0):
+        calls.append(qp.shape[1])
+        return kernel(qp, qnode, x0)
+
+    monkeypatch.setattr(_kernels, "rk4_transport", counted)
+    monkeypatch.setattr(bd, "TRANSPORT_CHUNK_BYTES", _chunk_bytes(3, 64, 3))
+    xs = mf.stack_points([mf.random_point(mf.Sphere(2), s) for s in range(7)])
+    h = mf.rotation_homotopy(mf.Sphere(2), (0, 2), 0.8)
+    bd.transport_operator(bd.tangent_sphere(2), bd.homotopy_path(h, xs), steps=64)
+    assert calls == [3, 3, 1]
+
+
+@settings(max_examples=15)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       angle=st.floats(min_value=-2 * np.pi, max_value=2 * np.pi),
+       plane=st.sampled_from([(0, 1), (1, 2), (0, 2)]))
+def test_reversed_stacked_path_inverts_transport(seed, angle, plane):
+    # re-projected RK4 stays in the fiber, so transport back along the
+    # reversed tracks undoes the forward transport on the fiber
+    ts = bd.tangent_sphere(2)
+    rng = np.random.default_rng(seed)
+    xs = mf.stack_points([ts.base.random_point(rng) for _ in range(3)])
+    vs = np.stack([ts.random_fiber_vector(x, rng) for x in ts.base.unstack(xs)])
+    forward = bd.homotopy_path(mf.rotation_homotopy(ts.base, plane, angle), xs)
+    out = np.matvec(bd.transport_operator(ts, forward, steps=512), vs)
+    backward = bd.Path(lambda t: forward(1.0 - t))
+    back = np.matvec(bd.transport_operator(ts, backward, steps=512), out)
+    assert np.max(norms(back - vs)) <= 1e-5
+
+
 @pytest.mark.parametrize("name,exact", [("exact", True), ("fd", False)])
 def test_transport_makes_at_most_three_field_calls_per_track(monkeypatch,
                                                              name, exact):
@@ -234,7 +353,7 @@ def test_transport_makes_at_most_three_field_calls_per_track(monkeypatch,
 class TestHolonomySign:
     def test_trivial_bundle(self):
         tr = bd.trivial(mf.Torus(2), 1)
-        assert bd.holonomy_sign(tr, lambda t: np.array([t, 0.0]), steps=64) == 1
+        assert bd.holonomy_sign(tr, _line([1.0, 0.0]), steps=64) == 1
 
     @pytest.mark.parametrize("b,n", [((1,), 1), ((1, 0), 2), ((0, 1), 2),
                                      ((1, 1), 2), ((1, 0, 1), 3)])
@@ -244,18 +363,24 @@ class TestHolonomySign:
         for i in range(n):
             direction = np.zeros(n)
             direction[i] = 1.0
-            sign = bd.holonomy_sign(tl, lambda t, d=direction: t * d, steps=256)
+            sign = bd.holonomy_sign(tl, _line(direction), steps=256)
             assert sign == (-1) ** b[i]
 
     def test_open_loop_rejected(self):
         tl = bd.torus_line((1, 0))
         with pytest.raises(BadParams):
-            bd.holonomy_sign(tl, lambda t: np.array([0.4 * t, 0.0]), steps=64)
+            bd.holonomy_sign(tl, _line([0.4, 0.0]), steps=64)
 
     def test_rank_requirement(self):
         ts = bd.tangent_sphere(2)
         with pytest.raises(BadParams):
-            bd.holonomy_sign(ts, lambda t: np.array([1.0, 0.0, 0.0]), steps=64)
+            bd.holonomy_sign(ts, _constant([1.0, 0.0, 0.0]), steps=64)
+
+    def test_stack_of_loops_gives_per_loop_signs(self):
+        tl = bd.torus_line((1, 0, 1))
+        signs = bd.holonomy_sign(tl, _torus_loops(3), steps=256)
+        assert signs.tolist() == [bd.holonomy_sign(tl, _torus_loop(3, i), steps=256)
+                                  for i in range(3)] == [-1, 1, -1]
 
     def test_ambiguous_quarter_turn(self):
         # a synthetic line field rotating by pi/4 over one period leaves
@@ -270,7 +395,7 @@ class TestHolonomySign:
 
         synthetic = bd.BundleModel(("synthetic_quarter",), base, 2, 1, q_quarter)
         with pytest.raises(Ambiguous):
-            bd.holonomy_sign(synthetic, lambda t: np.array([t]), steps=64)
+            bd.holonomy_sign(synthetic, _line([1.0]), steps=64)
 
 
 class TestPointCache:
@@ -281,7 +406,7 @@ class TestPointCache:
             computed.append(int(x[0]))
             return np.array([2.0 * x[0]])
 
-        cache = bd.PointCache()
+        cache = bd.PointCache(mf.Torus(1))
         size = bd.POINT_CACHE_SIZE
         points = [np.array([float(i)]) for i in range(size + 1)]
         for p in points:
@@ -294,6 +419,22 @@ class TestPointCache:
         assert np.array_equal(cache.get(points[0], compute), [0.0])
         cache.get(points[1], compute)
         assert computed[size + 1:] == [0, 1]
+
+    def test_stack_computes_its_misses_in_one_call(self):
+        calls = []
+
+        def compute(x):
+            calls.append(np.shape(x))
+            return 2.0 * x
+
+        cache = bd.PointCache(mf.Torus(1))
+        points = np.arange(6.0)[:, None]
+        cache.get(points[:2], compute)
+        out = cache.get(points, compute)
+        assert calls == [(2, 1), (4, 1)]
+        assert np.array_equal(out, 2.0 * points)
+        assert np.array_equal(cache.get(points[3], compute), [6.0])
+        assert len(calls) == 2
 
     def test_evicted_fiber_basis_is_recomputed_identically(self):
         ts = bd.tangent_sphere(2)

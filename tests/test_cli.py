@@ -76,6 +76,35 @@ def test_unexpected_error_exits_2(monkeypatch, capsys, exc):
     assert err == f"error: {type(exc).__name__}: {exc}\n"
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("value,comparator,marker", [
+    (float("nan"), "le", "nan"), (float("inf"), "le", "inf"),
+    (float("-inf"), "ge", "-inf")])
+def test_nonfinite_residual_is_written_as_strict_json(monkeypatch, tmp_path,
+                                                      value, comparator, marker):
+    def scenario(cfg):
+        return [cli._check("unmeasured", value, 1e-10, comparator),
+                cli._check("measured", 0.0, 1e-10)], None
+
+    monkeypatch.setitem(cli.SCENARIOS, "gluing_demo", scenario)
+    # the report dictionary keeps the value, its name and its verdict
+    report, _ = run_scenario(ScenarioConfig("gluing_demo", no_timestamp=True))
+    assert report["checks"][0]["name"] == "unmeasured"
+    assert report["checks"][0]["verdict"] is False
+    assert np.array_equal(report["checks"][0]["residual"], value, equal_nan=True)
+    path = tmp_path / "report.json"
+    assert cli.main(["scenario", "gluing_demo", "--no-timestamp",
+                     "--json", str(path)]) == 1
+    written = json.loads(path.read_text(), parse_constant=_reject_constant)
+    bad, good = written["checks"]
+    assert bad == {"name": "unmeasured", "residual": None, "tolerance": 1e-10,
+                   "comparator": comparator, "verdict": False, "nonfinite": marker}
+    assert good == report["checks"][1]
+
+
 def test_scenario_report_structure(tmp_path):
     path = tmp_path / "report.json"
     out = _run("scenario", "grassmann_action", "--samples", "10",

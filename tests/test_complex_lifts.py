@@ -155,7 +155,7 @@ class TestFiberwiseCorrection:
 
         def action(x, v):
             q = bundle.fiber_projector(x)
-            w = q @ (a @ v)
+            w = np.matvec(q, np.matvec(a, v))
             # keep it invertible on the fiber: add the original vector back
             return w + v
 

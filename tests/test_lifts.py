@@ -4,9 +4,10 @@ import weakref
 import numpy as np
 import pytest
 
-from bundlelift import bundles as bd, lifts as lf, manifolds as mf
+from bundlelift import _kernels, bundles as bd, lifts as lf, manifolds as mf
 from bundlelift.errors import (BadParams, BundleMismatch, DegenerateJacobian,
                                NonInjective, NotIsometric, NotOrthonormal)
+from bundlelift.numkernel import singular_values, worst
 
 
 def _probe(lift, seed=0):
@@ -14,6 +15,109 @@ def _probe(lift, seed=0):
     x = lift.bundle.base.random_point(rng)
     v = lift.bundle.random_fiber_vector(x, rng)
     return x, v
+
+
+def _per_probe_check_lift(lift, samples, seed, tolerance=None):
+    # the one-probe-at-a-time checker that the stacked check_lift
+    # replaced, kept as its oracle
+    tol = lift.tolerance if tolerance is None else tolerance
+    bundle = lift.bundle
+    has_j = bundle.has_complex_structure
+    base_res = lin_res = iso_res = 0.0
+    min_sv = np.inf
+    c_res = 0.0 if has_j else None
+    a_res = 0.0 if has_j else None
+    for i in range(samples):
+        rng = np.random.default_rng([seed, i])
+        x = bundle.base.random_point(rng)
+        v = bundle.random_fiber_vector(x, rng)
+        u = bundle.random_fiber_vector(x, rng)
+        alpha, beta = rng.normal(size=2)
+        y = lift.base_map.forward(x)
+        w = lift.action(x, v)
+        base_res = worst(base_res, float(bundle.membership_residual(y, w)))
+        w_u = lift.action(x, u)
+        w_mix = lift.action(x, alpha * u + beta * v)
+        lin = np.linalg.norm(w_mix - alpha * w_u - beta * w)
+        lin_res = worst(lin_res, float(lin) / (abs(alpha) + abs(beta) + 1.0))
+        m = lift.fiber_matrix_between(x, bundle.fiber_basis(x),
+                                      bundle.fiber_basis(y))
+        iso_res = worst(iso_res,
+                        float(np.max(np.abs(m.T @ m - np.eye(m.shape[0])))))
+        sv = singular_values(m)[0] if np.all(np.isfinite(m)) else np.nan
+        min_sv = float(np.minimum(min_sv, sv))
+        if has_j:
+            j_x = bundle.complex_structure(x)
+            j_y = bundle.complex_structure(y)
+            w_jv = lift.action(x, j_x @ v)
+            c_res = worst(c_res, float(np.linalg.norm(w_jv - j_y @ w)))
+            a_res = worst(a_res, float(np.linalg.norm(w_jv + j_y @ w)))
+    verdicts = {"base": base_res <= tol, "linearity": lin_res <= tol,
+                "invertibility": min_sv > 1e-8, "isometry": iso_res <= tol}
+    if has_j:
+        verdicts["complex_linear"] = c_res <= tol
+        verdicts["anti_linear"] = a_res <= tol
+    return lf.LiftReport(base_res, lin_res, min_sv, iso_res, c_res, a_res,
+                         samples, verdicts)
+
+
+def _metrized_random_lift(seed):
+    # the metrize_random scenario's lift
+    model = mf.Sphere(2)
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(3, 3)) + 2.5 * np.eye(3)
+    s = rng.normal(size=(3, 3))
+    vert = lf.Lift(bd.trivial(model, 3), mf.identity_diffeo(model),
+                   lambda x, v: np.matvec(a + 0.2 * x[..., 0, None, None] * s, v),
+                   "vertical_random", 1e-10)
+    return lf.metrize(vert)
+
+
+ORACLE_LIFTS = [
+    # (make, samples, seed); a fresh lift per check, so no cache is shared
+    ("cpn_conjugation", lambda: lf.cpn_conjugation_lift(1), 50, 7),
+    ("transport", lambda: lf.lift_from_homotopy(
+        bd.tangent_sphere(2),
+        mf.rotation_homotopy(mf.Sphere(2), (0, 1), np.pi / 2), steps=256), 6, 3),
+    ("s1xs2_a", lambda: lf.s1xs2_generator_lift("a", 2, steps=256), 5, 11),
+    ("metrize_random", lambda: _metrized_random_lift(42), 20, 42),
+]
+
+
+@pytest.mark.parametrize("name,make,samples,seed", ORACLE_LIFTS,
+                         ids=[c[0] for c in ORACLE_LIFTS])
+def test_stacked_check_lift_equals_per_probe_oracle(name, make, samples, seed):
+    stacked = lf.check_lift(make(), samples=samples, seed=seed)
+    oracle = _per_probe_check_lift(make(), samples=samples, seed=seed)
+    assert stacked == oracle
+
+
+def test_check_lift_calls_do_not_grow_with_samples(monkeypatch):
+    # every probe's track goes to one kernel call, and every field is
+    # evaluated once on the probe stack
+    counts = {}
+    kernel = _kernels.rk4_transport
+    projector = bd.BundleModel.fiber_projector
+
+    def counted_kernel(qp, qnode, x0):
+        counts["rk4_transport"] = counts.get("rk4_transport", 0) + 1
+        return kernel(qp, qnode, x0)
+
+    def counted_projector(self, x):
+        counts["fiber_projector"] = counts.get("fiber_projector", 0) + 1
+        return projector(self, x)
+
+    monkeypatch.setattr(_kernels, "rk4_transport", counted_kernel)
+    monkeypatch.setattr(bd.BundleModel, "fiber_projector", counted_projector)
+    h = mf.rotation_homotopy(mf.Sphere(2), (0, 1), np.pi / 2)
+    per_samples = {}
+    for samples in (4, 40):
+        counts.clear()
+        lift = lf.lift_from_homotopy(bd.tangent_sphere(2), h, steps=64)
+        lf.check_lift(lift, samples=samples, seed=1)
+        per_samples[samples] = dict(counts)
+    assert per_samples[4] == per_samples[40]
+    assert per_samples[4]["rk4_transport"] == 1
 
 
 class TestCheckLift:
@@ -44,7 +148,8 @@ class TestCheckLift:
         bundle = bd.tangent_sphere(2)
 
         def action(x, v):
-            return v.copy() if abs(np.linalg.norm(v) - 1.0) < 1e-12 else v * np.nan
+            unit = np.abs(np.linalg.norm(v, axis=-1) - 1.0) < 1e-12
+            return np.where(unit[..., None], v, np.nan)
 
         lift = lf.Lift(bundle, mf.identity_diffeo(bundle.base), action,
                        "nan_off_unit", 1e-10)
@@ -63,11 +168,19 @@ class TestCheckLift:
         m = q1 @ np.diag([1.0, 0.7, 3e-9]) @ q2.T
         bundle = bd.trivial(mf.Sphere(2), 3)
         lift = lf.Lift(bundle, mf.identity_diffeo(bundle.base),
-                       lambda x, v: m @ v, "near_singular", 1e-10)
+                       lambda x, v: np.matvec(m, v), "near_singular", 1e-10)
         rep = lf.check_lift(lift, samples=3, seed=0)
         assert abs(rep.min_singular_value - 3e-9) <= 1e-12
         assert not rep.verdicts["invertibility"]
         assert not rep.passed
+
+    def test_degenerate_projector_raises_as_per_point_sampling(self):
+        # every draw is killed by a zero projector: the probe is redrawn per
+        # point, and random_fiber_vector gives up
+        zero = bd.BundleModel(("zero",), mf.Sphere(2), 3, 1,
+                              lambda x: np.zeros(np.shape(x)[:-1] + (3, 3)))
+        with pytest.raises(BadParams, match="could not sample"):
+            lf.check_lift(lf.identity_lift(zero), samples=3)
 
     def test_samples_floor(self):
         with pytest.raises(BadParams):
@@ -99,7 +212,8 @@ class TestCheckLift:
 
         monkeypatch.setattr(lift.base_map, "forward", counted)
         r_own_y = lf.check_lift(lift, samples=samples, seed=seed)
-        assert len(calls) == samples
+        # one call, on the stack of all probes
+        assert len(calls) == 1
         # reference: the target basis from a second forward call, as
         # fiber_matrix_in_bases takes it
         original = lf.Lift.fiber_matrix_between
@@ -108,7 +222,7 @@ class TestCheckLift:
             lambda self, x, b_in, b_out: original(
                 self, x, b_in, self.bundle.fiber_basis(self.base_map.forward(x))))
         r_second_map = lf.check_lift(lift, samples=samples, seed=seed)
-        assert len(calls) == 3 * samples
+        assert len(calls) == 3
         assert r_second_map == r_own_y
 
 
@@ -205,7 +319,7 @@ class TestMetrize:
         th = 0.8
         r = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
         lift = lf.Lift(bundle, mf.identity_diffeo(mf.Sphere(2)),
-                       lambda x, v: 2.0 * (r @ v), "conformal", 1e-10)
+                       lambda x, v: 2.0 * np.matvec(r, v), "conformal", 1e-10)
         iso = lf.metrize(lift)
         x, v = _probe(lift, 7)
         assert np.linalg.norm(iso.action(x, v) - r @ v) <= 1e-10
@@ -215,7 +329,7 @@ class TestMetrize:
         rng = np.random.default_rng(12)
         a = rng.normal(size=(3, 3)) + 2.0 * np.eye(3)
         lift = lf.Lift(bundle, mf.identity_diffeo(mf.Sphere(2)),
-                       lambda x, v: a @ v, "vertical", 1e-10)
+                       lambda x, v: np.matvec(a, v), "vertical", 1e-10)
         iso = lf.metrize(lift)
         rep = lf.check_lift(iso, samples=10, seed=4)
         assert rep.isometry_residual <= 1e-8
@@ -357,7 +471,8 @@ class TestFrameLiftView:
     def test_rejects_non_isometric_lift(self):
         bundle = bd.trivial(mf.Sphere(2), 2)
         stretch = lf.Lift(bundle, mf.identity_diffeo(mf.Sphere(2)),
-                          lambda x, v: np.diag([2.0, 1.0]) @ v, "stretch", 1e-10)
+                          lambda x, v: np.matvec(np.diag([2.0, 1.0]), v),
+                          "stretch", 1e-10)
         x = mf.random_point(mf.Sphere(2), 7)
         frame = lf.FiberFrame(x, bundle.fiber_basis(x))
         with pytest.raises(NotIsometric):

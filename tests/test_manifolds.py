@@ -173,7 +173,46 @@ class TestHomotopies:
                 assert model.distance(h(0.0, x), x) <= 1e-10
 
 
-@pytest.mark.parametrize("model,make", [
+REGISTERED = [
+    (mf.Sphere(2), "sphere_rotation", {"matrix": mf.random_orthogonal(3, 1)}),
+    (mf.Sphere(2), "sphere_reflection", {"axis": 2}),
+    (mf.Sphere(3), "antipodal", {}),
+    (mf.GrassmannReal(2, 4), "grassmann_action", {"matrix": mf.random_orthogonal(4, 2)}),
+    (mf.GrassmannReal(2, 4), "grassmann_involution", {}),
+    (mf.ComplexProjective(1), "cpn_conjugation", {}),
+    (mf.ComplexProjective(2), "cpn_unitary",
+     {"matrix": np.diag([np.exp(0.7j), 1.0, np.exp(-0.2j)])}),
+    (mf.ComplexProjective(1), "cp1_antipodal", {}),
+    (mf.Torus(3), "torus_auto", {"matrix": mf.random_unimodular(3, 5)}),
+]
+
+
+def test_stack_cases_cover_the_registry():
+    assert {(type(m), name) for m, name, _ in REGISTERED} == set(mf._DIFFEO_REGISTRY)
+
+
+@pytest.mark.parametrize("model,name,params", REGISTERED,
+                         ids=[c[1] for c in REGISTERED])
+def test_registered_diffeo_on_a_stack_equals_per_point(model, name, params):
+    d = mf.named_diffeo(model, name, **params)
+    xs = [mf.random_point(model, 70 + s) for s in range(7)]
+    stack = mf.stack_points(xs)
+    maps = [d.forward, d.inverse, d.inverted().forward, d.then(d).forward,
+            mf.identity_diffeo(model).forward]
+    for f in maps:
+        assert np.array_equal(f(stack), np.stack([f(x) for x in xs]))
+
+
+def test_product_diffeo_on_a_stack_equals_per_point():
+    model = mf.Product(mf.GrassmannReal(1, 2), mf.ComplexProjective(1))
+    d = mf.product_diffeo(model, mf.named_diffeo(model.left, "grassmann_involution"),
+                          mf.named_diffeo(model.right, "cp1_antipodal"))
+    xs = [mf.random_point(model, 80 + s) for s in range(7)]
+    for f in (d.forward, d.inverse):
+        assert _points_equal(f(mf.stack_points(xs)), mf.stack_points([f(x) for x in xs]))
+
+
+HOMOTOPIES = [
     (mf.Sphere(2), lambda m: mf.rotation_homotopy(m, (0, 2), 1.8 * np.pi)),
     (mf.Sphere(3), lambda m: mf.rotation_homotopy(m, (3, 1), -0.7)),
     (mf.ComplexProjective(1), lambda m: mf.cpn_phase_homotopy(m, 6 * np.pi)),
@@ -182,8 +221,31 @@ class TestHomotopies:
     (mf.Torus(2), mf.constant_homotopy),
     (mf.Product(mf.GrassmannReal(1, 2), mf.ComplexProjective(1)),
      mf.constant_homotopy),
-], ids=["rot_s2", "rot_s3", "phase_cp1", "phase_cp2", "plane_cp1",
-        "const_torus", "const_product"])
+]
+HOMOTOPY_IDS = ["rot_s2", "rot_s3", "phase_cp1", "phase_cp2", "plane_cp1",
+                "const_torus", "const_product"]
+
+
+@pytest.mark.parametrize("model,make", HOMOTOPIES, ids=HOMOTOPY_IDS)
+def test_homotopy_on_a_point_stack_stacks_per_point_tracks(model, make):
+    # times first: family(ts, stack) has shape (T, P, ...)
+    h = make(model)
+    ts = np.linspace(-0.1, 1.1, 13)
+    xs = [mf.random_point(model, seed) for seed in range(5)]
+    stack = mf.stack_points(xs)
+    per_point = mf.stack_points([h.family(ts, x) for x in xs])
+    assert _points_equal(h.family(ts, stack),
+                         mf.map_points(lambda a: np.swapaxes(a, 0, 1), per_point))
+    assert _points_equal(h.family(0.4, stack),
+                         mf.stack_points([h.family(0.4, x) for x in xs]))
+    if h.velocity is not None:
+        per_point = np.stack([h.velocity(ts, x) for x in xs], axis=1)
+        assert np.array_equal(h.velocity(ts, stack), per_point)
+    assert _points_equal(h.endpoint.forward(stack),
+                         mf.stack_points([h.endpoint.forward(x) for x in xs]))
+
+
+@pytest.mark.parametrize("model,make", HOMOTOPIES, ids=HOMOTOPY_IDS)
 def test_homotopy_on_time_vector_stacks_per_time_values(model, make):
     h = make(model)
     ts = np.linspace(-0.1, 1.1, 13)

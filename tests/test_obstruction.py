@@ -120,7 +120,7 @@ class TestTorusCriterion:
                     total += 1
         assert total == (1 + 3 + 7) * 20
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.integers(min_value=1, max_value=4),
            st.integers(min_value=0, max_value=10 ** 6))
     def test_property_sweep(self, n, seed):
