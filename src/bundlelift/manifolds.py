@@ -14,9 +14,12 @@ A stack of points carries leading axes in front of the point axes; a
 stack of ``Product`` points is the pair of the factors' stacks. Bundle
 fields, every registered ``Diffeo`` (and ``identity_diffeo``,
 ``product_diffeo``, ``then``, ``inverted``), homotopy families and
-``cp1_power_map`` accept stacks and return the stack of the per-point
-results, bitwise equal to them. A homotopy family on a time vector and a
-stack of points returns times first: shape (T, P, ...).
+``cp1_power_map``, the chart ``sphere_to_cp1`` / ``cp1_to_sphere`` and
+``sphere_power_map`` accept stacks and return the stack of the per-point
+results, bitwise equal to them. ``degree`` hands its map the stack of all
+mesh vertices in one call, so the map must take a stack. A homotopy family
+on a time vector and a stack of points returns times first: shape
+(T, P, ...).
 """
 
 import functools
@@ -554,19 +557,24 @@ def constant_homotopy(model):
 
 
 def sphere_to_cp1(x):
-    """Inverse stereographic identification; north pole (0,0,1) -> [1,0]."""
-    x1, x2, x3 = float(x[0]), float(x[1]), float(x[2])
-    if x3 >= 0.0:
-        w = np.array([1.0 + x3, x1 - 1j * x2])
-    else:
-        w = np.array([x1 + 1j * x2, 1.0 - x3])
-    w = w / np.linalg.norm(w)
-    return np.outer(w, w.conj())
+    """Inverse stereographic identification; north pole (0,0,1) -> [1,0].
+    Accepts a stack of points."""
+    x = np.asarray(x, dtype=float)
+    x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
+    north = x3 >= 0.0
+    w = np.stack([np.where(north, 1.0 + x3, x1 + 1j * x2),
+                  np.where(north, x1 - 1j * x2, 1.0 - x3)], axis=-1)
+    # bitwise the per-point np.linalg.norm(w), unlike norm(w, axis=-1)
+    nrm = np.sqrt(np.vecdot(w.real, w.real) + np.vecdot(w.imag, w.imag))
+    w = w / nrm[..., None]
+    return w[..., :, None] * w.conj()[..., None, :]
 
 
 def cp1_to_sphere(p):
-    return np.array([2.0 * p[0, 1].real, 2.0 * p[0, 1].imag,
-                     p[0, 0].real - p[1, 1].real])
+    """The inverse chart; accepts a stack of projectors."""
+    p = np.asarray(p)
+    return np.stack([2.0 * p[..., 0, 1].real, 2.0 * p[..., 0, 1].imag,
+                     p[..., 0, 0].real - p[..., 1, 1].real], axis=-1)
 
 
 def cp1_power_map(n):
@@ -668,9 +676,7 @@ def icosphere(level):
 def _degree_raw(f, level):
     verts, tris = icosphere(level)
     fwd = f.forward if isinstance(f, SmoothMap) else f
-    img = np.empty_like(verts)
-    for i in range(verts.shape[0]):
-        img[i] = fwd(verts[i])
+    img = np.asarray(fwd(verts), dtype=float)
     img = img / np.linalg.norm(img, axis=1, keepdims=True)
     angles = _kernels.solid_angles(img, np.ascontiguousarray(tris))
     return float(np.sum(angles)) / (4.0 * math.pi)
@@ -679,21 +685,25 @@ def _degree_raw(f, level):
 def degree(f, mesh_level):
     """Degree of a smooth self-map of S^2 via the pulled-back area form.
 
-    Sums signed solid angles of image triangles over an icosphere mesh;
-    the identity has degree +1. Retries one level finer before declaring
-    non-convergence.
+    ``f`` (a ``SmoothMap`` or a callable) takes the stack of all mesh
+    vertices at once and returns the stack of their images. Sums signed
+    solid angles of image triangles over an icosphere mesh; the identity
+    has degree +1. Retries one level finer before declaring
+    non-convergence; a non-finite sum is non-convergence too.
     """
     if mesh_level < 3:
         raise BadParams("mesh_level must be >= 3")
-    raw = _degree_raw(f, mesh_level)
-    if abs(raw - round(raw)) <= 0.1:
-        return int(round(raw))
-    raw2 = _degree_raw(f, mesh_level + 1)
-    if abs(raw2 - round(raw2)) <= 0.1:
-        return int(round(raw2))
+    raws = []
+    for level in (mesh_level, mesh_level + 1):
+        raw = _degree_raw(f, level)
+        if not math.isfinite(raw):
+            raise NonConvergent(f"degree estimate is {raw} at level {level}")
+        if abs(raw - round(raw)) <= 0.1:
+            return int(round(raw))
+        raws.append(raw)
     raise NonConvergent(
         f"degree estimate not near an integer at levels {mesh_level} "
-        f"({raw:.4f}) and {mesh_level + 1} ({raw2:.4f})"
+        f"({raws[0]:.4f}) and {mesh_level + 1} ({raws[1]:.4f})"
     )
 
 

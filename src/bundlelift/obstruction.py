@@ -4,7 +4,8 @@ criterion for torus line bundles.
 
 The Chern number of a complex line bundle over the two-sphere is computed
 from gauge-invariant Bargmann phases arg tr(Q_a Q_b Q_c) accumulated over
-an icosphere triangulation; the orientation convention is pinned by the
+an icosphere triangulation, with one projector-field call on the stack of
+all mesh vertices per mesh; the orientation convention is pinned by the
 calibration anchor c1(tautological line over CP^1) = -1. Only
 convention-independent ratios and products are meaningful across other
 conventions.
@@ -43,7 +44,10 @@ class ChernResult:
 @functools.lru_cache(maxsize=8)
 def _cp1_mesh_points(level):
     verts, _ = icosphere(level)
-    return [sphere_to_cp1(v) for v in verts]
+    pts = sphere_to_cp1(verts)
+    # cached and shared: guard against accidental mutation
+    pts.setflags(write=False)
+    return pts
 
 
 def _mesh_base_points(base, level):
@@ -51,19 +55,20 @@ def _mesh_base_points(base, level):
         return _cp1_mesh_points(level)
     if isinstance(base, Sphere) and base.n == 2:
         verts, _ = icosphere(level)
-        return list(verts)
+        return verts
     raise BadParams(f"chern computation needs a base S^2 or CP^1, got {base}")
 
 
 def plaquette_phases(line_bundle, mesh_level):
     """Per-triangle Bargmann phases of the bundle on the icosphere mesh,
-    in triangle-index order."""
+    in triangle-index order. The complex projector field is evaluated once,
+    on the stack of all mesh vertices; a NaN overlap counts as degenerate."""
     pts = _mesh_base_points(line_bundle.base, mesh_level)
     _, tris = icosphere(mesh_level)
-    qv = np.stack([line_bundle.complex_fiber_projector(p) for p in pts])
+    qv = line_bundle.complex_fiber_projector(pts)
     phases, min_abs = _kernels.plaquette_phases(
         np.ascontiguousarray(qv), np.ascontiguousarray(tris))
-    if min_abs < 1e-12:
+    if not min_abs >= 1e-12:
         raise DegeneratePlaquette(
             f"plaquette overlap {min_abs:.3e} < 1e-12 at level {mesh_level}"
         )

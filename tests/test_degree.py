@@ -1,11 +1,13 @@
 """Degree of sphere self-maps: production path (area-form pullback over an
 icosphere) against an independent regular-value preimage-count oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
-from bundlelift import manifolds as mf
-from bundlelift.errors import BadParams
+from bundlelift import _kernels, manifolds as mf
+from bundlelift.errors import BadParams, NonConvergent
 
 
 def _tangent_basis(x):
@@ -132,16 +134,18 @@ def test_non_convergent_retry_logic(monkeypatch):
     assert mf.degree(lambda x: x, 3) == 2
 
 
+def _wild(x):
+    # one point (3,) or a stack (P, 3), as degree's contract requires
+    t = 25.0 * (x[..., 0] + 2.0 * x[..., 1]) + 0.3
+    return np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=-1)
+
+
 def test_aliasing_shows_up_as_level_disagreement():
     # sub-mesh-scale oscillation yields (exact) integers that differ between
     # consecutive levels -- the instability a caller detects by comparing
     # levels, as the acceptance checks do
-    def wild(x):
-        t = 25.0 * (x[0] + 2.0 * x[1]) + 0.3
-        return np.array([np.cos(t), np.sin(t), 0.0])
-
-    r3 = mf._degree_raw(wild, 3)
-    r4 = mf._degree_raw(wild, 4)
+    r3 = mf._degree_raw(_wild, 3)
+    r4 = mf._degree_raw(_wild, 4)
     assert abs(r3 - round(r3)) <= 0.1
     assert abs(r4 - round(r4)) <= 0.1
     assert round(r3) != round(r4)
@@ -150,3 +154,63 @@ def test_aliasing_shows_up_as_level_disagreement():
 def test_degree_stable_across_levels():
     f = mf.sphere_power_map(3)
     assert mf.degree(f, 3) == mf.degree(f, 4) == 3
+
+
+def _degree_raw_per_vertex(f, level):
+    # the per-vertex evaluation that _degree_raw replaced, kept as its oracle
+    verts, tris = mf.icosphere(level)
+    fwd = f.forward if isinstance(f, mf.SmoothMap) else f
+    img = np.empty_like(verts)
+    for i in range(verts.shape[0]):
+        img[i] = fwd(verts[i])
+    img = img / np.linalg.norm(img, axis=1, keepdims=True)
+    angles = _kernels.solid_angles(img, np.ascontiguousarray(tris))
+    return float(np.sum(angles)) / (4.0 * math.pi)
+
+
+def _oracle_maps():
+    f2 = mf.sphere_power_map(2)
+    return {
+        "id": mf.identity_diffeo(mf.Sphere(2)),
+        "sigma": mf.named_diffeo(mf.Sphere(2), "sphere_reflection"),
+        "rotation": mf.named_diffeo(mf.Sphere(2), "sphere_rotation",
+                                    matrix=mf.random_orthogonal(3, 5)),
+        "f2": f2,
+        "f3": mf.sphere_power_map(3),
+        "f2of2": lambda x: f2.forward(f2.forward(x)),
+        "wild": _wild,
+    }
+
+
+@pytest.mark.parametrize("level", [3, 4, 5])
+def test_degree_raw_matches_per_vertex_oracle(level):
+    for name, f in _oracle_maps().items():
+        raw = mf._degree_raw(f, level)
+        oracle = _degree_raw_per_vertex(f, level)
+        assert np.float64(raw).tobytes() == np.float64(oracle).tobytes(), name
+
+
+def test_degree_raw_makes_one_map_call_per_mesh():
+    f = mf.sphere_power_map(2)
+    shapes = []
+
+    def counted(x):
+        shapes.append(np.shape(x))
+        return f.forward(x)
+
+    assert mf.degree(counted, 4) == 2
+    assert shapes == [mf.icosphere(4)[0].shape]
+
+
+def test_nan_image_is_non_convergent():
+    # a map undefined at one mesh vertex used to reach round(nan) and die
+    # with a ValueError
+    pole = mf.icosphere(3)[0][0]
+
+    def holed(x):
+        y = np.array(x, dtype=float)
+        y[np.linalg.norm(x - pole, axis=-1) < 1e-9] = np.nan
+        return y
+
+    with pytest.raises(NonConvergent):
+        mf.degree(holed, 3)

@@ -287,7 +287,64 @@ def test_power_map_closed_form_matches_homogeneous_formula(n):
     assert np.array_equal(stacked, np.stack([f.forward(p) for p in ps]))
 
 
+def _sphere_to_cp1_per_point(x):
+    # the one-point chart that the stacked sphere_to_cp1 replaced
+    x1, x2, x3 = float(x[0]), float(x[1]), float(x[2])
+    if x3 >= 0.0:
+        w = np.array([1.0 + x3, x1 - 1j * x2])
+    else:
+        w = np.array([x1 + 1j * x2, 1.0 - x3])
+    w = w / np.linalg.norm(w)
+    return np.outer(w, w.conj())
+
+
+def _cp1_to_sphere_per_point(p):
+    # the one-point inverse chart that the stacked cp1_to_sphere replaced
+    return np.array([2.0 * p[0, 1].real, 2.0 * p[0, 1].imag,
+                     p[0, 0].real - p[1, 1].real])
+
+
+def _bitwise_equal(a, b):
+    # unlike np.array_equal, tells -0.0 from 0.0
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# both poles, the equator with x3 = 0.0 and x3 = -0.0 (both take the north
+# branch), signed zeros in x1 and x2, and random points
+_CHART_POINTS = np.concatenate([
+    np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0],
+              [1.0, 0.0, 0.0], [1.0, -0.0, -0.0], [-0.0, -1.0, 0.0],
+              [0.6, -0.8, 0.0], [-0.6, 0.8, -0.0]]),
+    np.stack([mf.random_point(mf.Sphere(2), seed) for seed in range(50)]),
+])
+
+
 class TestIdentification:
+    def test_sphere_to_cp1_stack_matches_per_point(self):
+        xs = np.concatenate([_CHART_POINTS, mf.icosphere(5)[0]])
+        stacked = mf.sphere_to_cp1(xs)
+        oracle = np.stack([_sphere_to_cp1_per_point(x) for x in xs])
+        assert _bitwise_equal(stacked, oracle)
+        for x in _CHART_POINTS[:7]:
+            assert _bitwise_equal(mf.sphere_to_cp1(x), _sphere_to_cp1_per_point(x))
+
+    def test_cp1_to_sphere_stack_matches_per_point(self):
+        ps = np.concatenate([
+            mf.sphere_to_cp1(_CHART_POINTS),
+            np.stack([mf.random_point(mf.ComplexProjective(1), seed)
+                      for seed in range(50)]),
+        ])
+        stacked = mf.cp1_to_sphere(ps)
+        oracle = np.stack([_cp1_to_sphere_per_point(p) for p in ps])
+        assert _bitwise_equal(stacked, oracle)
+        assert _bitwise_equal(mf.cp1_to_sphere(ps[3]), _cp1_to_sphere_per_point(ps[3]))
+
+    def test_sphere_power_map_takes_stacks(self):
+        f = mf.sphere_power_map(3)
+        stacked = f.forward(_CHART_POINTS)
+        assert _bitwise_equal(stacked, np.stack([f.forward(x) for x in _CHART_POINTS]))
+
     def test_north_pole_chart_center(self):
         p = mf.sphere_to_cp1(np.array([0.0, 0.0, 1.0]))
         assert np.allclose(p, np.diag([1.0, 0.0]), atol=1e-12)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bundlelift import bundles as bd, manifolds as mf, obstruction as ob
+from bundlelift import _kernels, bundles as bd, manifolds as mf, obstruction as ob
 from bundlelift.errors import BadParams, DegeneratePlaquette
 
 
@@ -198,10 +198,12 @@ def test_degenerate_plaquette_detected():
     pole = verts[0]
 
     def field(p):
+        # one point or a stack, as the field contract requires
         x = mf.cp1_to_sphere(p)
-        z = np.array([0.0, 1.0], dtype=complex) if np.linalg.norm(x - pole) < 1e-9 \
-            else np.array([1.0, 0.0], dtype=complex)
-        return np.outer(z, z.conj())
+        at_pole = np.linalg.norm(x - pole, axis=-1) < 1e-9
+        z = np.where(at_pole[..., None], np.array([0.0, 1.0], dtype=complex),
+                     np.array([1.0, 0.0], dtype=complex))
+        return z[..., :, None] * z.conj()[..., None, :]
 
     bundle = bd.BundleModel(("pointwise_orthogonal",), base, 4, 2,
                             lambda p: np.eye(4), complex_projector=field)
@@ -209,20 +211,143 @@ def test_degenerate_plaquette_detected():
         ob.lattice_chern_number(bundle, 3)
 
 
+def _spiky(p):
+    # one point or a stack, as the field contract requires
+    x = mf.cp1_to_sphere(p)
+    s = 40.0 * x[..., 0] + 40.03 * x[..., 1]
+    z = np.stack([np.ones_like(s), s], axis=-1).astype(complex)
+    z /= np.linalg.norm(z, axis=-1, keepdims=True)
+    return z[..., :, None] * z.conj()[..., None, :]
+
+
+def _spiky_bundle():
+    return bd.BundleModel(("spiky",), mf.ComplexProjective(1), 4, 2,
+                          lambda p: np.eye(4), complex_projector=_spiky)
+
+
 def test_non_convergent_detected():
     # variation far below the mesh scale aliases into different integers
     # at consecutive levels
     from bundlelift.errors import NonConvergent
 
-    base = mf.ComplexProjective(1)
-
-    def spiky(p):
-        x = mf.cp1_to_sphere(p)
-        z = np.array([1.0, 40.0 * x[0] + 40.03 * x[1]], dtype=complex)
-        z /= np.linalg.norm(z)
-        return np.outer(z, z.conj())
-
-    bundle = bd.BundleModel(("spiky",), base, 4, 2, lambda p: np.eye(4),
-                            complex_projector=spiky)
     with pytest.raises(NonConvergent):
+        ob.lattice_chern_number(_spiky_bundle(), 3)
+
+
+def test_nan_projector_is_degenerate():
+    # a NaN overlap used to pass the `min_abs < 1e-12` guard, and the NaN
+    # phases then died in int(round(nan)) with a ValueError
+    pole = mf.icosphere(3)[0][0]
+
+    def holed(p):
+        q = np.array(p, dtype=complex)
+        q[np.linalg.norm(mf.cp1_to_sphere(p) - pole, axis=-1) < 1e-9] = np.nan
+        return q
+
+    bundle = bd.BundleModel(("holed",), mf.ComplexProjective(1), 4, 2,
+                            lambda p: np.eye(4), complex_projector=holed)
+    with pytest.raises(DegeneratePlaquette):
+        ob.plaquette_phases(bundle, 3)
+    with pytest.raises(DegeneratePlaquette):
         ob.lattice_chern_number(bundle, 3)
+
+
+def test_cached_mesh_points_are_read_only():
+    # every Chern number at a level shares this cached stack
+    pts = ob._cp1_mesh_points(3)
+    with pytest.raises(ValueError):
+        pts[0, 0, 0] = 2.0
+    assert ob.lattice_chern_number(bd.tautological_complex(1), 3).value == -1
+
+
+def _plaquette_phases_per_vertex(line_bundle, pts, tris):
+    # the per-vertex evaluation that plaquette_phases replaced, kept as its
+    # oracle; pts is the list of mesh points in the bundle's base
+    qv = np.stack([line_bundle.complex_fiber_projector(p) for p in pts])
+    phases, _ = _kernels.plaquette_phases(
+        np.ascontiguousarray(qv), np.ascontiguousarray(tris))
+    return phases
+
+
+def _oracle_bundles():
+    cp1 = mf.ComplexProjective(1)
+    gamma = bd.tautological_complex(1)
+    chart = mf.SmoothMap("chart", mf.sphere_to_cp1, mf.Sphere(2), cp1)
+    return {
+        "trivial": bd.trivial(cp1, 1, complex_fibers=True),
+        "gamma": gamma,
+        "f2": bd.pullback(mf.cp1_power_map(2), gamma),
+        "f3": bd.pullback(mf.cp1_power_map(3), gamma),
+        "conj": bd.pullback(mf.named_diffeo(cp1, "cpn_conjugation"), gamma),
+        "sphere_chart": bd.pullback(chart, gamma),
+        "spiky": _spiky_bundle(),
+    }
+
+
+@pytest.mark.parametrize("level", [3, 4, 5])
+def test_plaquette_phases_match_per_vertex_oracle(level):
+    verts, tris = mf.icosphere(level)
+    pts = {mf.Sphere(2): list(verts),
+           mf.ComplexProjective(1): [mf.sphere_to_cp1(v) for v in verts]}
+    for name, bundle in _oracle_bundles().items():
+        phases = ob.plaquette_phases(bundle, level)
+        oracle = _plaquette_phases_per_vertex(bundle, pts[bundle.base], tris)
+        assert phases.dtype == oracle.dtype and phases.shape == oracle.shape
+        assert phases.tobytes() == oracle.tobytes(), name
+
+
+def test_plaquette_phases_evaluates_each_field_once(monkeypatch):
+    counts = {}
+    field = bd.BundleModel.complex_fiber_projector
+
+    def counted(self, x):
+        counts[self.key] = counts.get(self.key, 0) + 1
+        return field(self, x)
+
+    monkeypatch.setattr(bd.BundleModel, "complex_fiber_projector", counted)
+    gamma = bd.tautological_complex(1)
+    bundle = bd.pullback(mf.cp1_power_map(3), gamma)
+    ob.plaquette_phases(bundle, 3)
+    # the pullback's field calls gamma's field once, on the mapped stack
+    assert counts == {bundle.key: 1, gamma.key: 1}
+
+
+# Naturality c1(f^* gamma) = deg(f) c1(gamma), with f read on the sphere
+# through the chart.
+
+def _on_sphere(f):
+    return lambda x: mf.cp1_to_sphere(f.forward(mf.sphere_to_cp1(x)))
+
+
+def _random_unitary(seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q
+
+
+@settings(max_examples=5)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_unitary_pullback_keeps_c1(seed):
+    phi = mf.named_diffeo(mf.ComplexProjective(1), "cpn_unitary",
+                          matrix=_random_unitary(seed))
+    gamma = bd.tautological_complex(1)
+    c_pb = ob.lattice_chern_number(bd.pullback(phi, gamma), 3).value
+    assert c_pb == -1
+    assert mf.degree(_on_sphere(phi), 3) * ob.lattice_chern_number(gamma, 3).value == c_pb
+
+
+@settings(max_examples=5)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_rotation_degree_is_determinant(seed):
+    r = mf.random_orthogonal(3, seed)
+    rot = mf.named_diffeo(mf.Sphere(2), "sphere_rotation", matrix=r)
+    assert mf.degree(rot, 3) == round(np.linalg.det(r))
+
+
+@settings(max_examples=5)
+@given(st.integers(min_value=1, max_value=3))
+def test_power_map_naturality(n):
+    gamma = bd.tautological_complex(1)
+    c_gamma = ob.lattice_chern_number(gamma, 3).value
+    c_pb = ob.lattice_chern_number(bd.pullback(mf.cp1_power_map(n), gamma), 3).value
+    assert mf.degree(mf.sphere_power_map(n), 3) * c_gamma == c_pb
