@@ -11,12 +11,14 @@ import numpy as np
 # with re-projection X <- Qnode X after every step.
 #
 # qp holds the derivative matrix at the 2*steps+1 stage times
-# (t_0, t_0+h/2, t_1, ...); qnode holds the projector at the steps+1 nodes.
+# (t_0, t_0+h/2, t_1, ...); qnode holds the projector at the steps+1 nodes
+# and x0 the state at t_0. The method is one-step: a run split at a node,
+# the second call started from the first call's result, is bitwise the
+# same as the whole run.
 
 
-def rk4_transport(qp, qnode, x0):
+def rk4_transport(qp, qnode, x0, h):
     steps = qnode.shape[0] - 1
-    h = 1.0 / steps
     x = x0.copy()
     for i in range(steps):
         a0 = qp[2 * i]

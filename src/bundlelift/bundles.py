@@ -20,13 +20,15 @@ differential, and central differences on the path parameter otherwise.
 
 A ``Path`` is one track or a stack of P tracks: evaluated on a vector of T
 times it returns shape (T, ...) or (T, P, ...). ``transport_operator``
-evaluates it on the whole vector of RK4 stage times at once, calls each
-field once on the flattened times x tracks stack, and hands all tracks of
-a chunk to one RK4 kernel call, stacked on the axis after time. It returns
-one (N, N) operator, or (P, N, N) for a stack. A chunk holds as many
-tracks as fit in ``TRANSPORT_CHUNK_BYTES`` of stage arrays at the given
-step count and fiber dimension. ``holonomy_sign`` likewise takes one loop
-or a stack of loops.
+walks the RK4 time grid in windows of consecutive steps. Per window it
+evaluates the path on the window's stage and node times, calls each field
+once on the flattened times x tracks stack, and hands all tracks to one RK4
+kernel call, stacked on the axis after time, which continues from the
+previous window's state. A window holds as many steps as fit in
+``TRANSPORT_CHUNK_BYTES`` of stage arrays for all tracks, so memory stays
+bounded at any step count, and one track is the case P = 1. It returns one
+(N, N) operator, or (P, N, N) for a stack. ``holonomy_sign`` likewise takes
+one loop or a stack of loops.
 
 Per-point work (fiber bases here, fiber operators of the cached lifts in
 ``lifts``) is memoized in one kind of cache, ``PointCache``, bounded by
@@ -34,6 +36,7 @@ Per-point work (fiber bases here, fiber operators of the cached lifts in
 call on their stack.
 """
 
+import math
 from collections import OrderedDict
 
 import numpy as np
@@ -401,32 +404,16 @@ class Path:
     ``fn`` and ``velocity`` take one time or a 1-d array of T times; for an
     array they return the points (velocities) at those times, shape
     (T, ...) for one track and (T, P, ...) for a stack of tracks.
-    ``tracks(index)`` is the path of the selected tracks; ``select``, when
-    given, builds it without evaluating the other tracks.
+    ``transport_operator`` calls them on consecutive windows of its time
+    grid, every track in each call.
     """
 
-    def __init__(self, fn, velocity=None, select=None):
+    def __init__(self, fn, velocity=None):
         self.fn = fn
         self.velocity = velocity
-        self._select = select
 
     def __call__(self, t):
         return self.fn(t)
-
-    def tracks(self, index):
-        """The path of the tracks ``index`` of a stack of tracks."""
-        if self._select is not None:
-            return self._select(index)
-        fn, velocity = self.fn, self.velocity
-        return Path(lambda t: _take_tracks(fn(t), t, index),
-                    velocity=(None if velocity is None else
-                              lambda t: _take_tracks(velocity(t), t, index)))
-
-
-def _take_tracks(points, t, index):
-    """The tracks ``index`` of points evaluated at the time(s) t."""
-    axis = np.ndim(t)  # the track axis follows the time axis of a time vector
-    return map_points(lambda a: a[(slice(None),) * axis + (index,)], points)
 
 
 def homotopy_path(homotopy, x):
@@ -436,17 +423,13 @@ def homotopy_path(homotopy, x):
     vel = None
     if homotopy.velocity is not None:
         vel = lambda t: homotopy.velocity(t, x)
-    return Path(lambda t: homotopy.family(t, x), velocity=vel,
-                select=lambda index: homotopy_path(
-                    homotopy, map_points(lambda a: a[index], x)))
+    return Path(lambda t: homotopy.family(t, x), velocity=vel)
 
 
-def _stage_arrays(bundle, path, steps):
-    """Projector derivatives at the 2*steps+1 RK4 stage times and the
-    projectors at the steps+1 nodes, each from one field call on the stack
-    of points of all tracks at those times (time axis first)."""
-    h = 1.0 / steps
-    ts = (0.5 * h) * np.arange(2 * steps + 1)
+def _stage_arrays(bundle, path, ts, nodes):
+    """Projector derivatives at the RK4 stage times ts and the projectors at
+    the node times, each from one field call on the stack of points of all
+    tracks at those times (time axis first)."""
 
     def field(fn, *args):
         # flatten times x tracks into one stack for the call
@@ -462,18 +445,13 @@ def _stage_arrays(bundle, path, steps):
         delta = TOL.fd_delta
         qp = (field(bundle.fiber_projector, path(ts + delta))
               - field(bundle.fiber_projector, path(ts - delta))) / (2.0 * delta)
-    qnode = field(bundle.fiber_projector, path(h * np.arange(steps + 1)))
+    qnode = field(bundle.fiber_projector, path(nodes))
     return qp, qnode
 
 
 # Bytes of stage arrays (qp and qnode together) one RK4 kernel call may take:
-# a stack of tracks is transported in chunks of as many tracks as fit.
+# the time grid is walked in windows of as many steps as fit for all tracks.
 TRANSPORT_CHUNK_BYTES = 2 ** 20
-
-
-def _transport_chunk(bundle, path, steps):
-    qp, qnode = _stage_arrays(bundle, path, steps)
-    return _kernels.rk4_transport(qp, qnode, np.ascontiguousarray(qnode[0]))
 
 
 def transport_operator(bundle, path, steps=DEFAULT_TRANSPORT_STEPS):
@@ -483,16 +461,19 @@ def transport_operator(bundle, path, steps=DEFAULT_TRANSPORT_STEPS):
     bitwise equal to the map of its track alone."""
     if steps < 16:
         raise BadParams("transport needs at least 16 steps")
-    tracks = bundle.base.stack_shape(path(0.0))
-    if not tracks:
-        return _transport_chunk(bundle, path, steps)
     n = bundle.ambient_fiber_dim
-    per_chunk = max(1, TRANSPORT_CHUNK_BYTES // ((3 * steps + 2) * n * n * 8))
-    out = np.empty(tracks + (n, n))
-    for start in range(0, tracks[0], per_chunk):
-        chunk = slice(start, start + per_chunk)
-        out[chunk] = _transport_chunk(bundle, path.tracks(chunk), steps)
-    return out
+    tracks = math.prod(bundle.base.stack_shape(path(0.0)))
+    # a window of w steps holds 2w+1 stage and w+1 node matrices per track
+    window = max(1, (TRANSPORT_CHUNK_BYTES // (tracks * n * n * 8) - 2) // 3)
+    h = 1.0 / steps
+    ts = (0.5 * h) * np.arange(2 * steps + 1)
+    nodes = h * np.arange(steps + 1)
+    x = None
+    for i in range(0, steps, window):
+        j = min(i + window, steps)
+        qp, qnode = _stage_arrays(bundle, path, ts[2 * i:2 * j + 1], nodes[i:j + 1])
+        x = _kernels.rk4_transport(qp, qnode, qnode[0] if x is None else x, h)
+    return x
 
 
 def holonomy_sign(line_bundle, loop, steps=DEFAULT_TRANSPORT_STEPS):

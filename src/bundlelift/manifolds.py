@@ -626,45 +626,49 @@ def sphere_power_map(n):
 def icosphere(level):
     """Subdivided icosahedron: (vertices (nv,3), triangles (nt,3)).
 
+    Level L splits every triangle of the cached level L-1 into four at its
+    edge midpoints, pushed out to the sphere and appended in face order.
     Triangles are oriented outward (positive triple product); vertex and
     triangle order are deterministic.
     """
     if level < 0:
         raise BadParams("subdivision level must be >= 0")
-    phi = (1.0 + math.sqrt(5.0)) / 2.0
-    raw = [
-        (-1, phi, 0), (1, phi, 0), (-1, -phi, 0), (1, -phi, 0),
-        (0, -1, phi), (0, 1, phi), (0, -1, -phi), (0, 1, -phi),
-        (phi, 0, -1), (phi, 0, 1), (-phi, 0, -1), (-phi, 0, 1),
-    ]
-    verts = [np.array(v, dtype=float) / np.linalg.norm(v) for v in raw]
-    faces = [
-        (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
-        (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
-        (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
-        (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
-    ]
-    faces = [
-        f if np.linalg.det(np.stack([verts[f[0]], verts[f[1]], verts[f[2]]])) > 0
-        else (f[0], f[2], f[1])
-        for f in faces
-    ]
-    for _ in range(level):
-        midpoint = {}
-
-        def mid(i, j):
-            key = (i, j) if i < j else (j, i)
-            if key not in midpoint:
-                m = verts[i] + verts[j]
-                verts.append(m / np.linalg.norm(m))
-                midpoint[key] = len(verts) - 1
-            return midpoint[key]
-
-        new_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-        faces = new_faces
+    if level == 0:
+        phi = (1.0 + math.sqrt(5.0)) / 2.0
+        raw = [
+            (-1, phi, 0), (1, phi, 0), (-1, -phi, 0), (1, -phi, 0),
+            (0, -1, phi), (0, 1, phi), (0, -1, -phi), (0, 1, -phi),
+            (phi, 0, -1), (phi, 0, 1), (-phi, 0, -1), (-phi, 0, 1),
+        ]
+        verts = [np.array(v, dtype=float) / np.linalg.norm(v) for v in raw]
+        faces = [
+            (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
+            (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
+            (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
+            (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
+        ]
+        faces = [
+            f if np.linalg.det(np.stack([verts[f[0]], verts[f[1]], verts[f[2]]])) > 0
+            else (f[0], f[2], f[1])
+            for f in faces
+        ]
+    else:
+        coarse, tris = icosphere(level - 1)
+        # the edges ab, bc, ca of every triangle in face order; a midpoint
+        # takes the next vertex index at the first edge that reaches it
+        edges = np.sort(tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        pairs, first, inverse = np.unique(edges, axis=0, return_index=True,
+                                          return_inverse=True)
+        order = np.argsort(first)
+        index = np.empty_like(order)
+        index[order] = np.arange(len(coarse), len(coarse) + len(order))
+        ab, bc, ca = index[inverse].reshape(-1, 3).T
+        a, b, c = tris.T
+        m = coarse[pairs[order, 0]] + coarse[pairs[order, 1]]
+        # sqrt(vecdot) is bitwise the per-vector np.linalg.norm
+        verts = np.concatenate([coarse, m / np.sqrt(np.vecdot(m, m))[:, None]])
+        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca],
+                         axis=1).reshape(-1, 3)
     verts_arr = np.array(verts)
     faces_arr = np.array(faces, dtype=np.int64)
     # cached and shared: guard against accidental mutation

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -201,7 +203,8 @@ def _looped_stage_arrays(bundle, path, steps):
 
 def _looped_transport(bundle, path, steps):
     qp, qnode = _looped_stage_arrays(bundle, path, steps)
-    return _kernels.rk4_transport(qp, qnode, np.ascontiguousarray(qnode[0]))
+    return _kernels.rk4_transport(qp, qnode, np.ascontiguousarray(qnode[0]),
+                                  1.0 / steps)
 
 
 def _torus_loop(n, i):
@@ -258,56 +261,92 @@ STACKED_TRACKS = [
 ]
 
 
-def _chunk_bytes(tracks, steps, n):
-    # the budget that holds exactly ``tracks`` tracks of stage arrays
-    return tracks * (3 * steps + 2) * n * n * 8
+def _window_bytes(tracks, window, n):
+    # the budget that holds exactly ``window`` steps of stage arrays for
+    # ``tracks`` tracks
+    return tracks * (3 * window + 2) * n * n * 8
+
+
+# windows of one step, of 7 steps (the last one short) and one window over
+# the whole grid of 256 steps
+WINDOWS = (1, 7, 256)
 
 
 @pytest.mark.parametrize("name,bundle,tracks,model", STACKED_TRACKS,
                          ids=[t[0] for t in STACKED_TRACKS])
 def test_stacked_transport_is_bitwise_per_track(monkeypatch, name, bundle,
                                                 tracks, model):
+    n = bundle.ambient_fiber_dim
     xs = [mf.random_point(model, 60 + i) for i in range(5)]
     stacked = bd.transport_operator(bundle, tracks(mf.stack_points(xs)), steps=256)
-    assert stacked.shape == (5,) + 2 * (bundle.ambient_fiber_dim,)
-    for i, x in enumerate(xs):
-        assert np.array_equal(stacked[i],
-                              bd.transport_operator(bundle, tracks(x), steps=256))
-    # chunks of two tracks (three kernel calls) give the same operators
-    monkeypatch.setattr(bd, "TRANSPORT_CHUNK_BYTES",
-                        _chunk_bytes(2, 256, bundle.ambient_fiber_dim))
-    assert np.array_equal(
-        bd.transport_operator(bundle, tracks(mf.stack_points(xs)), steps=256),
-        stacked)
+    single = [bd.transport_operator(bundle, tracks(x), steps=256) for x in xs]
+    assert stacked.shape == (5,) + 2 * (n,)
+    for i in range(5):
+        assert np.array_equal(stacked[i], single[i])
+    # the window size does not change the operators
+    for window in WINDOWS:
+        monkeypatch.setattr(bd, "TRANSPORT_CHUNK_BYTES", _window_bytes(5, window, n))
+        assert np.array_equal(
+            bd.transport_operator(bundle, tracks(mf.stack_points(xs)), steps=256),
+            stacked)
+        monkeypatch.setattr(bd, "TRANSPORT_CHUNK_BYTES", _window_bytes(1, window, n))
+        for i, x in enumerate(xs):
+            assert np.array_equal(bd.transport_operator(bundle, tracks(x), steps=256),
+                                  single[i])
 
 
 def test_stacked_torus_loops_are_bitwise_per_loop(monkeypatch):
     bundle = bd.torus_line((1, 1, 0))
     stacked = bd.transport_operator(bundle, _torus_loops(3), steps=256)
+    single = [bd.transport_operator(bundle, _torus_loop(3, i), steps=256)
+              for i in range(3)]
     for i in range(3):
-        assert np.array_equal(stacked[i],
-                              bd.transport_operator(bundle, _torus_loop(3, i),
-                                                    steps=256))
-    # a path without a track selector is chunked by slicing its values
-    monkeypatch.setattr(bd, "TRANSPORT_CHUNK_BYTES", _chunk_bytes(1, 256, 2))
-    assert np.array_equal(bd.transport_operator(bundle, _torus_loops(3), steps=256),
-                          stacked)
+        assert np.array_equal(stacked[i], single[i])
+    # the window size does not change the operators
+    for window in WINDOWS:
+        monkeypatch.setattr(bd, "TRANSPORT_CHUNK_BYTES", _window_bytes(3, window, 2))
+        assert np.array_equal(bd.transport_operator(bundle, _torus_loops(3), steps=256),
+                              stacked)
+        monkeypatch.setattr(bd, "TRANSPORT_CHUNK_BYTES", _window_bytes(1, window, 2))
+        for i in range(3):
+            assert np.array_equal(
+                bd.transport_operator(bundle, _torus_loop(3, i), steps=256), single[i])
 
 
-def test_chunk_budget_sets_the_kernel_calls(monkeypatch):
+def _counted_kernel(monkeypatch):
+    # (steps, stage bytes, tracks) of every RK4 kernel call
     calls = []
     kernel = _kernels.rk4_transport
 
-    def counted(qp, qnode, x0):
-        calls.append(qp.shape[1])
-        return kernel(qp, qnode, x0)
+    def counted(qp, qnode, *rest):
+        calls.append((qnode.shape[0] - 1, qp.nbytes + qnode.nbytes, qp.shape[1]))
+        return kernel(qp, qnode, *rest)
 
     monkeypatch.setattr(_kernels, "rk4_transport", counted)
-    monkeypatch.setattr(bd, "TRANSPORT_CHUNK_BYTES", _chunk_bytes(3, 64, 3))
+    return calls
+
+
+def test_chunk_budget_sets_the_kernel_calls(monkeypatch):
+    calls = _counted_kernel(monkeypatch)
+    monkeypatch.setattr(bd, "TRANSPORT_CHUNK_BYTES", _window_bytes(7, 10, 3))
     xs = mf.stack_points([mf.random_point(mf.Sphere(2), s) for s in range(7)])
     h = mf.rotation_homotopy(mf.Sphere(2), (0, 2), 0.8)
     bd.transport_operator(bd.tangent_sphere(2), bd.homotopy_path(h, xs), steps=64)
-    assert calls == [3, 3, 1]
+    assert len(calls) == math.ceil(64 / 10)
+    assert [c[0] for c in calls] == [10] * 6 + [4]
+    assert all(c[2] == 7 for c in calls)
+
+
+def test_transport_stage_arrays_stay_in_budget_at_large_step_counts(monkeypatch):
+    # one track at 2**16 steps: the stage arrays of the whole grid would be
+    # 9.4 MB, but every kernel call stays within TRANSPORT_CHUNK_BYTES
+    calls = _counted_kernel(monkeypatch)
+    steps = 2 ** 16
+    h = mf.rotation_homotopy(mf.Sphere(2), (0, 1), 0.8)
+    x = mf.random_point(mf.Sphere(2), 3)
+    bd.transport_operator(bd.tangent_sphere(2), bd.homotopy_path(h, x), steps=steps)
+    assert max(c[1] for c in calls) <= bd.TRANSPORT_CHUNK_BYTES
+    assert sum(c[0] for c in calls) == steps
 
 
 @settings(max_examples=15)

@@ -67,5 +67,20 @@ def test_rk4_transport_constant_generator_is_taylor_polynomial():
     ha = h * a
     step = np.eye(4) + ha + ha @ ha / 2 + ha @ ha @ ha / 6 + ha @ ha @ ha @ ha / 24
     expected = np.linalg.matrix_power(step, steps) @ x0
-    assert np.allclose(_kernels.rk4_transport(qp, qnode, x0), expected,
+    assert np.allclose(_kernels.rk4_transport(qp, qnode, x0, h), expected,
                        rtol=1e-12, atol=1e-12)
+
+
+def test_rk4_transport_continued_through_x0_is_bitwise_one_call():
+    # a run split at a node and continued from the first call's result is
+    # the same arithmetic as the whole run, for a stack of tracks
+    rng = np.random.default_rng(3)
+    steps, split = 32, 13
+    h = 1.0 / steps
+    qp = rng.normal(size=(2 * steps + 1, 2, 4, 4))
+    qnode = 0.5 * rng.normal(size=(steps + 1, 2, 4, 4))
+    x0 = rng.normal(size=(2, 4, 4))
+    whole = _kernels.rk4_transport(qp, qnode, x0, h)
+    first = _kernels.rk4_transport(qp[:2 * split + 1], qnode[:split + 1], x0, h)
+    assert np.array_equal(
+        _kernels.rk4_transport(qp[2 * split:], qnode[split:], first, h), whole)

@@ -99,9 +99,9 @@ def test_check_lift_calls_do_not_grow_with_samples(monkeypatch):
     kernel = _kernels.rk4_transport
     projector = bd.BundleModel.fiber_projector
 
-    def counted_kernel(qp, qnode, x0):
+    def counted_kernel(qp, qnode, x0, h):
         counts["rk4_transport"] = counts.get("rk4_transport", 0) + 1
-        return kernel(qp, qnode, x0)
+        return kernel(qp, qnode, x0, h)
 
     def counted_projector(self, x):
         counts["fiber_projector"] = counts.get("fiber_projector", 0) + 1

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -368,7 +370,56 @@ class TestIdentification:
         assert np.linalg.norm(f.forward(x) - x) <= 1e-12
 
 
+def _icosphere_from_scratch(level):
+    # every level rebuilt from the icosahedron, the construction the cached
+    # one-level subdivision replaced; kept as the oracle
+    phi = (1.0 + math.sqrt(5.0)) / 2.0
+    raw = [
+        (-1, phi, 0), (1, phi, 0), (-1, -phi, 0), (1, -phi, 0),
+        (0, -1, phi), (0, 1, phi), (0, -1, -phi), (0, 1, -phi),
+        (phi, 0, -1), (phi, 0, 1), (-phi, 0, -1), (-phi, 0, 1),
+    ]
+    verts = [np.array(v, dtype=float) / np.linalg.norm(v) for v in raw]
+    faces = [
+        (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
+        (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
+        (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
+        (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
+    ]
+    faces = [
+        f if np.linalg.det(np.stack([verts[f[0]], verts[f[1]], verts[f[2]]])) > 0
+        else (f[0], f[2], f[1])
+        for f in faces
+    ]
+    for _ in range(level):
+        midpoint = {}
+
+        def mid(i, j):
+            key = (i, j) if i < j else (j, i)
+            if key not in midpoint:
+                m = verts[i] + verts[j]
+                verts.append(m / np.linalg.norm(m))
+                midpoint[key] = len(verts) - 1
+            return midpoint[key]
+
+        new_faces = []
+        for a, b, c in faces:
+            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
+        faces = new_faces
+    return np.array(verts), np.array(faces, dtype=np.int64)
+
+
 class TestIcosphere:
+    def test_matches_from_scratch_oracle_bytewise(self):
+        for level in range(7):
+            verts, tris = mf.icosphere(level)
+            ref_verts, ref_tris = _icosphere_from_scratch(level)
+            assert verts.shape == ref_verts.shape and tris.shape == ref_tris.shape
+            assert verts.dtype == ref_verts.dtype and tris.dtype == ref_tris.dtype
+            assert verts.tobytes() == ref_verts.tobytes()
+            assert tris.tobytes() == ref_tris.tobytes()
+
     def test_counts(self):
         for level, nv, nt in [(0, 12, 20), (1, 42, 80), (2, 162, 320)]:
             verts, tris = mf.icosphere(level)
