@@ -17,6 +17,11 @@ chi'(t) = Q'(t) chi(t) with classical RK4 and re-projecting after every
 step. Q' is the bundle's exact projector differential along the path
 velocity when the path has a velocity and the bundle a projector
 differential, and central differences on the path parameter otherwise.
+The ODE is linear, so the kernel builds the RK4 increment D of every step
+of a window in batched products of the stage matrices and then loops
+chi <- Qnode (chi + D chi). The identity is kept out of D: folded in, it
+would round chi to the size of I and raise the roundoff floor of long
+runs.
 
 A ``Path`` is one track or a stack of P tracks: evaluated on a vector of T
 times it returns shape (T, ...) or (T, P, ...). ``transport_operator``
@@ -47,7 +52,8 @@ from .config import DEFAULT_TRANSPORT_STEPS
 from .errors import Ambiguous, BadParams
 from .manifolds import (ComplexProjective, GrassmannReal, Product, Sphere,
                         Torus, map_points, stack_points)
-from .numkernel import norms, realify, standard_complex_structure, sym_eigh
+from .numkernel import (norms, realify, standard_complex_structure, sym_eigh,
+                        worst)
 
 __all__ = [
     "BundleModel",
@@ -451,6 +457,8 @@ def _stage_arrays(bundle, path, ts, nodes):
 
 # Bytes of stage arrays (qp and qnode together) one RK4 kernel call may take:
 # the time grid is walked in windows of as many steps as fit for all tracks.
+# The kernel adds its step increments D (w matrices per track for a window
+# of w steps) and a few temporaries of that size, outside this budget.
 TRANSPORT_CHUNK_BYTES = 2 ** 20
 
 
@@ -483,14 +491,16 @@ def holonomy_sign(line_bundle, loop, steps=DEFAULT_TRANSPORT_STEPS):
         raise BadParams("holonomy_sign needs a real line bundle (rank 1)")
     base = line_bundle.base
     start = loop(0.0)
-    gap = max(base.distance(a, b)
-              for a, b in zip(base.unstack(start), base.unstack(loop(1.0))))
-    if gap > 1e-10:
+    gap = worst(*(base.distance(a, b)
+                  for a, b in zip(base.unstack(start), base.unstack(loop(1.0)))))
+    # negated, so that a NaN gap (a loop that could not be evaluated) fails
+    if not gap <= 1e-10:
         raise BadParams(f"loop is not closed (gap {gap:.3e})")
     v0 = line_bundle.fiber_basis(start)[..., 0]
     out = np.matvec(transport_operator(line_bundle, loop, steps=steps), v0)
     inner = np.vecdot(out / norms(out)[..., None], v0)
-    if np.any(np.abs(inner) <= 0.9):
+    # a NaN transport has no sign: every |inner| must clear 0.9
+    if not np.all(np.abs(inner) > 0.9):
         raise Ambiguous(
             f"|<chi(1), v0>| = {np.min(np.abs(inner)):.3f} <= 0.9; increase steps"
         )

@@ -436,6 +436,33 @@ class TestHolonomySign:
         with pytest.raises(Ambiguous):
             bd.holonomy_sign(synthetic, _line([1.0]), steps=64)
 
+    @staticmethod
+    def _nan_after_half(keep_end):
+        # the loop t -> t on T^1, whose points turn NaN after t = 0.5; with
+        # ``keep_end`` the point at t = 1 stays finite, so the loop closes
+        def fn(t):
+            t = np.asarray(t, dtype=float)
+            bad = (t > 0.5) & ~(keep_end & (t == 1.0))
+            return np.where(bad, np.nan, t)[..., None]
+        return bd.Path(fn)
+
+    def test_nan_transport_is_ambiguous_not_a_sign(self):
+        # torus_line((1,)) has sign -1, which a NaN used to come back as
+        tl = bd.torus_line((1,))
+        with pytest.raises(Ambiguous):
+            bd.holonomy_sign(tl, self._nan_after_half(keep_end=True), steps=64)
+
+    def test_nan_gap_is_not_closed(self):
+        tl = bd.torus_line((1,))
+        nan_loop = self._nan_after_half(keep_end=False)
+        with pytest.raises(BadParams, match="not closed"):
+            bd.holonomy_sign(tl, nan_loop, steps=64)
+        # also behind a closed loop in a stack: the builtin max drops a NaN
+        # after the first item
+        stack = bd.Path(lambda t: np.stack([_line([1.0])(t), nan_loop(t)], axis=-2))
+        with pytest.raises(BadParams, match="not closed"):
+            bd.holonomy_sign(tl, stack, steps=64)
+
 
 class TestPointCache:
     def test_bound_and_oldest_first_eviction(self):

@@ -1,12 +1,14 @@
 """The numpy kernels against slow oracles: per-triangle loops for the
-plaquette and solid-angle sums, and the exact one-step RK4 polynomial for
-transport with a constant generator."""
+plaquette and solid-angle sums, the per-step staged RK4 loop for transport,
+and the exact one-step RK4 polynomial for a constant generator."""
 
 import math
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
-from bundlelift import _kernels
+from bundlelift import _kernels, bundles as bd, manifolds as mf
 
 
 def _plaquette_phases_loop(qv, tris):
@@ -27,6 +29,24 @@ def _solid_angles_loop(pts, tris):
         den = 1.0 + a @ b + b @ c + c @ a
         out[k] = 2.0 * math.atan2(num, den)
     return out
+
+
+def _staged_rk4_transport(qp, qnode, x0, h):
+    # the per-step loop of four stage products that the batched increments
+    # replaced, kept as the oracle
+    steps = qnode.shape[0] - 1
+    x = x0.copy()
+    for i in range(steps):
+        a0 = qp[2 * i]
+        a1 = qp[2 * i + 1]
+        a2 = qp[2 * i + 2]
+        k1 = a0 @ x
+        k2 = a1 @ (x + (0.5 * h) * k1)
+        k3 = a1 @ (x + (0.5 * h) * k2)
+        k4 = a2 @ (x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = qnode[i + 1] @ x
+    return x
 
 
 def _random_projector_field(rng, count, dim):
@@ -84,3 +104,53 @@ def test_rk4_transport_continued_through_x0_is_bitwise_one_call():
     first = _kernels.rk4_transport(qp[:2 * split + 1], qnode[:split + 1], x0, h)
     assert np.array_equal(
         _kernels.rk4_transport(qp[2 * split:], qnode[split:], first, h), whole)
+
+
+@settings(max_examples=12)
+@given(steps=st.integers(1, 24), data=st.data(),
+       tracks=st.sampled_from((1, 2, 5)), n=st.sampled_from((2, 3, 4)))
+def test_rk4_transport_split_at_any_node_is_bitwise_one_call(steps, data, tracks, n):
+    split = data.draw(st.integers(0, steps), label="split")
+    h = 1.0 / steps
+    rng = np.random.default_rng([steps, split, tracks, n])
+    qp = rng.normal(size=(2 * steps + 1, tracks, n, n))
+    qnode = 0.5 * rng.normal(size=(steps + 1, tracks, n, n))
+    x0 = rng.normal(size=(tracks, n, n))
+    whole = _kernels.rk4_transport(qp, qnode, x0, h)
+    first = _kernels.rk4_transport(qp[:2 * split + 1], qnode[:split + 1], x0, h)
+    assert np.array_equal(
+        _kernels.rk4_transport(qp[2 * split:], qnode[split:], first, h), whole)
+
+
+ORACLE_STEPS = 16384
+
+STACKED_TRACKS = [
+    # (bundle, tracks of a stack of points, model); the pullback's projector
+    # has no differential: central differences
+    ("sphere_rotation", bd.tangent_sphere(2),
+     lambda x: bd.homotopy_path(
+         mf.rotation_homotopy(mf.Sphere(2), (0, 1), 1.8 * np.pi), x), mf.Sphere(2)),
+    ("complex_phase", bd.tautological_complex(1),
+     lambda x: bd.homotopy_path(
+         mf.cpn_phase_homotopy(mf.ComplexProjective(1), 6 * np.pi), x),
+     mf.ComplexProjective(1)),
+    ("pullback_fd", bd.pullback(mf.cp1_power_map(2), bd.tautological_complex(1)),
+     lambda x: bd.homotopy_path(
+         mf.cp1_plane_rotation_homotopy(mf.ComplexProjective(1), np.pi), x),
+     mf.ComplexProjective(1)),
+]
+
+
+@pytest.mark.parametrize("name,bundle,tracks,model", STACKED_TRACKS,
+                         ids=[t[0] for t in STACKED_TRACKS])
+def test_rk4_transport_matches_staged_oracle(name, bundle, tracks, model):
+    # the batched increments regroup the RK4 arithmetic, so they agree with
+    # the staged loop to roundoff over a long run, not bitwise
+    path = tracks(mf.stack_points([mf.random_point(model, 70 + i) for i in range(3)]))
+    h = 1.0 / ORACLE_STEPS
+    qp, qnode = bd._stage_arrays(bundle, path,
+                                 (0.5 * h) * np.arange(2 * ORACLE_STEPS + 1),
+                                 h * np.arange(ORACLE_STEPS + 1))
+    new = _kernels.rk4_transport(qp, qnode, qnode[0], h)
+    oracle = _staged_rk4_transport(qp, qnode, qnode[0], h)
+    assert np.max(np.abs(new - oracle)) <= 1e-13
