@@ -35,14 +35,11 @@ bounded at any step count, and one track is the case P = 1. It returns one
 (N, N) operator, or (P, N, N) for a stack. ``holonomy_sign`` likewise takes
 one loop or a stack of loops.
 
-Per-point work (fiber bases here, fiber operators of the cached lifts in
-``lifts``) is memoized in one kind of cache, ``PointCache``, bounded by
-``POINT_CACHE_SIZE`` entries; the misses of a stack are computed in one
-call on their stack.
+Nothing is cached per point: ``fiber_basis`` is one stacked eigensolve,
+deterministic in the point.
 """
 
 import math
-from collections import OrderedDict
 
 import numpy as np
 
@@ -51,7 +48,7 @@ from .config import DEFAULT_TOLERANCES as TOL
 from .config import DEFAULT_TRANSPORT_STEPS
 from .errors import Ambiguous, BadParams
 from .manifolds import (ComplexProjective, GrassmannReal, Product, Sphere,
-                        Torus, map_points, stack_points)
+                        Torus, map_points)
 from .numkernel import (norms, realify, standard_complex_structure, sym_eigh,
                         worst)
 
@@ -70,49 +67,6 @@ __all__ = [
     "transport_operator",
     "holonomy_sign",
 ]
-
-
-def _point_key(point):
-    if isinstance(point, tuple):
-        return tuple(_point_key(p) for p in point)
-    return np.asarray(point).tobytes()
-
-
-POINT_CACHE_SIZE = 4096
-
-
-class PointCache:
-    """Memo of a per-point value on the points of ``model``, keyed by the
-    exact point, holding at most POINT_CACHE_SIZE entries and evicting the
-    oldest first.
-
-    ``get`` takes one point or a one-axis stack of points and returns the
-    value or the stack of values; ``compute`` takes the same and is called
-    at most once per ``get``, on the stack of the missing points. It is
-    passed on each call rather than stored, so the cache holds no reference
-    back to its owner (a stored bound method would make a reference cycle
-    that only the garbage collector frees).
-    """
-
-    def __init__(self, model):
-        self._model = model
-        self._entries = OrderedDict()
-
-    def get(self, points, compute):
-        single = not self._model.stack_shape(points)
-        items = self._model.unstack(points)
-        keys = [_point_key(p) for p in items]
-        values = [self._entries.get(k) for k in keys]
-        missing = [i for i, v in enumerate(values) if v is None]
-        if missing:
-            fresh = (compute(points) if single else
-                     compute(stack_points([items[i] for i in missing])))
-            for j, i in enumerate(missing):
-                values[i] = fresh if single else fresh[j]
-                if len(self._entries) >= POINT_CACHE_SIZE:
-                    self._entries.popitem(last=False)
-                self._entries[keys[i]] = values[i]
-        return values[0] if single else np.stack(values)
 
 
 class BundleModel:
@@ -139,7 +93,6 @@ class BundleModel:
             self._j_std = standard_complex_structure(ambient_fiber_dim // 2)
         else:
             self._j_std = None
-        self._bases = PointCache(base)
 
     def __repr__(self):
         return f"<BundleModel {self.key}>"
@@ -179,10 +132,8 @@ class BundleModel:
 
     def fiber_basis(self, x):
         """Orthonormal basis of the fiber over x as columns of an (N, r)
-        matrix, or a stack of them; deterministic, cached per point."""
-        return self._bases.get(x, self._orthonormal_basis)
-
-    def _orthonormal_basis(self, x):
+        matrix, or a stack of them; deterministic: equal points give equal
+        bases."""
         w, v = sym_eigh(self.fiber_projector(x))
         # eigenvalues ascend, so the rank-r fiber is the last r columns
         ranks = np.sum(w > 0.5, axis=-1)
@@ -459,6 +410,9 @@ def _stage_arrays(bundle, path, ts, nodes):
 # the time grid is walked in windows of as many steps as fit for all tracks.
 # The kernel adds its step increments D (w matrices per track for a window
 # of w steps) and a few temporaries of that size, outside this budget.
+# A window holds at least one step (five N x N matrices per track), so a
+# stack of more than about budget / (5 * 8 * N^2) tracks exceeds the budget:
+# about 2,900 tracks on the tangent bundle of S^2 (N = 3).
 TRANSPORT_CHUNK_BYTES = 2 ** 20
 
 

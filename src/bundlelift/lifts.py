@@ -9,19 +9,22 @@ the looser ``transport`` tolerance.
 
 Lifts take stacks like the fields of ``bundles`` do: ``Lift.action(x, v)``
 takes one point and one vector, or a stack of points and the matching
-stack of vectors, and every lift built here computes a stack in one pass
-(operator lifts compute their cache misses in one call on the stack, so a
+stack of vectors, and v may carry further leading axes of vectors in front
+of the point axes. Every lift built here computes all of that in one pass
+(an operator lift evaluates its operators once per action call, so a
 transport lift runs one stacked transport). ``check_lift`` draws all of its
-probes first and then evaluates each quantity once on the probe stack.
+probes first, applies the lift once to every vector it needs on the probe
+stack (one action call) and evaluates each other quantity once on that
+stack. Nothing is cached between calls.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bundles import (PointCache, direct_sum, homotopy_path, pullback,
-                      tangent_sphere, tautological_complex, tautological_real,
-                      torus_line, transport_operator)
+from .bundles import (direct_sum, homotopy_path, pullback, tangent_sphere,
+                      tautological_complex, tautological_real, torus_line,
+                      transport_operator)
 from .config import DEFAULT_SAMPLES, DEFAULT_TOLERANCES as TOL
 from .config import DEFAULT_TRANSPORT_STEPS
 from .errors import (BadParams, BundleMismatch, CriterionFails,
@@ -70,13 +73,18 @@ class Lift:
 
     def action(self, x, v):
         """Apply the fiber map at x to an ambient fiber vector, or at each
-        point of a stack to the matching vector of a stack."""
+        point of a stack to the matching vector of a stack.
+
+        v may carry extra leading axes in front of x's stack axes (shape
+        (..., P, N) for P points), and the map at each point applies to
+        every vector over it. Write actions so that they broadcast:
+        ``np.matvec(m, v)``, not ``m @ v``, which reads a leading axis of
+        v as matrix columns."""
         return self._action(x, np.asarray(v, dtype=float))
 
     def _images(self, x, basis):
         # the images of the basis columns, as the columns of a matrix
-        return np.stack([self.action(x, basis[..., i])
-                         for i in range(basis.shape[-1])], axis=-1)
+        return np.moveaxis(self.action(x, np.moveaxis(basis, -1, 0)), 0, -1)
 
     def fiber_matrix(self, x):
         """Ambient matrix of the fiber map at x (zero on the complement),
@@ -91,7 +99,7 @@ class Lift:
         return np.swapaxes(b_out, -1, -2) @ self._images(x, b_in)
 
     def fiber_matrix_in_bases(self, x):
-        """r x r matrix in the cached orthonormal fiber bases at x and
+        """r x r matrix in the deterministic orthonormal fiber bases at x and
         phi(x). The bases of degenerate eigenspaces are only defined up to
         rotation, so use this for basis-invariant quantities (Gram
         defects, singular values); pass explicit bases otherwise."""
@@ -166,15 +174,21 @@ def check_lift(lift, samples=DEFAULT_SAMPLES, seed=0, tolerance=None):
 
     x, v, u, alpha, beta = _draw_probes(bundle, samples, seed)
     y = lift.base_map.forward(x)
-    w = lift.action(x, v)
+    # every vector the checks need, on a leading axis: one action call
+    vecs = [v, u, alpha[:, None] * u + beta[:, None] * v]
+    if has_j:
+        vecs.append(np.matvec(bundle.complex_structure(x), v))
+    n_vecs = len(vecs)
+    images = lift.action(x, np.concatenate(
+        [np.stack(vecs), np.moveaxis(bundle.fiber_basis(x), -1, 0)]))
+    w, w_u, w_mix = images[:3]
     base_res = _worst_of(bundle.membership_residual(y, w))
 
-    w_u = lift.action(x, u)
-    w_mix = lift.action(x, alpha[:, None] * u + beta[:, None] * v)
     lin = norms(w_mix - alpha[:, None] * w_u - beta[:, None] * w)
     lin_res = _worst_of(lin / (abs(alpha) + abs(beta) + 1.0))
 
-    m = lift.fiber_matrix_between(x, bundle.fiber_basis(x), bundle.fiber_basis(y))
+    m = (np.swapaxes(bundle.fiber_basis(y), -1, -2)
+         @ np.moveaxis(images[n_vecs:], 0, -1))
     gram = np.swapaxes(m, -1, -2) @ m
     iso_res = _worst_of(np.max(np.abs(gram - np.eye(m.shape[-1])), axis=(1, 2)))
     # LAPACK's SVD rejects a non-finite matrix; NaN then fails the verdict
@@ -186,7 +200,7 @@ def check_lift(lift, samples=DEFAULT_SAMPLES, seed=0, tolerance=None):
 
     c_res = a_res = None
     if has_j:
-        w_jv = lift.action(x, np.matvec(bundle.complex_structure(x), v))
+        w_jv = images[3]
         jw = np.matvec(bundle.complex_structure(y), w)
         c_i = norms(w_jv - jw)
         a_i = norms(w_jv + jw)
@@ -244,12 +258,10 @@ def compose(outer, inner):
 
 
 def _operator_lift(bundle, base_map, operator_at, provenance, tolerance):
-    """A lift whose fiber map at x is the ambient matrix operator_at(x),
-    computed once per point; operator_at takes one point or a stack and is
-    called once per action, on the points not yet cached."""
-    cache = PointCache(bundle.base)
+    """A lift whose fiber map at x is the ambient matrix operator_at(x);
+    operator_at takes one point or a stack and is called once per action."""
     return Lift(bundle, base_map,
-                lambda x, v: np.matvec(cache.get(x, operator_at), v),
+                lambda x, v: np.matvec(operator_at(x), v),
                 provenance, tolerance)
 
 
@@ -576,8 +588,7 @@ def frame_lift_view(lift, frame):
     if not defect_in <= 1e-8:
         raise NotOrthonormal(f"input frame defect {defect_in:.3e} > 1e-8")
     x = frame.base_point
-    out = np.column_stack([lift.action(x, vecs[:, i])
-                           for i in range(vecs.shape[1])])
+    out = lift._images(x, vecs)
     gram_out = out.T @ out
     defect_out = float(np.max(np.abs(gram_out - np.eye(out.shape[1]))))
     if not defect_out <= 1e-6:

@@ -309,7 +309,8 @@ def _check_orthogonal(a, n):
     if a.shape != (n, n):
         raise BadParams(f"expected a {n}x{n} matrix, got {a.shape}")
     defect = np.max(np.abs(a @ a.T - np.eye(n)))
-    if defect > 1e-10:
+    # negated, so that a matrix that cannot be measured (NaN) is refused
+    if not defect <= 1e-10:
         raise BadParams(f"matrix is not orthogonal (defect {defect:.3e})")
     return a
 
@@ -319,7 +320,7 @@ def _check_unitary(u, n):
     if u.shape != (n, n):
         raise BadParams(f"expected a {n}x{n} matrix, got {u.shape}")
     defect = np.max(np.abs(u @ u.conj().T - np.eye(n)))
-    if defect > 1e-10:
+    if not defect <= 1e-10:
         raise BadParams(f"matrix is not unitary (defect {defect:.3e})")
     return u
 
@@ -408,8 +409,9 @@ def _build_torus_auto(model, params):
     a = np.asarray(params["matrix"])
     if a.shape != (model.n, model.n):
         raise BadParams(f"expected {model.n}x{model.n}, got {a.shape}")
-    a = a.astype(np.int64)
+    # validates integrality and |det| = 1 before the cast could truncate
     ainv = integer_inverse(a)
+    a = a.astype(np.int64)
     af = a.astype(float)
     ainvf = ainv.astype(float)
     return Diffeo("torus_auto", lambda x: np.mod(np.matvec(af, x), 1.0),
@@ -443,7 +445,7 @@ def named_diffeo(model, name, **params):
     diffeo = builder(model, params)
     for s in (3, 17, 40):
         x = random_point(model, s)
-        if model.distance(diffeo.inverse(diffeo.forward(x)), x) > 1e-8:
+        if not model.distance(diffeo.inverse(diffeo.forward(x)), x) <= 1e-8:
             raise BadParams(f"{name}: inverse round-trip check failed")
     return diffeo
 
@@ -494,7 +496,7 @@ def _unitary_family_homotopy(model, x_gen, name):
     dim = model.n + 1
     x_gen = np.asarray(x_gen, dtype=complex)
     herm = -1j * x_gen
-    if np.max(np.abs(herm - herm.conj().T)) > 1e-12:
+    if not np.max(np.abs(herm - herm.conj().T)) <= 1e-12:
         raise BadParams("generator must be anti-Hermitian")
     w, v = np.linalg.eigh(herm)
     vh = v.conj().T

@@ -133,7 +133,7 @@ def test_criterion_4_polar_metrization():
         s = rng.normal(size=(3, 3))
         field = lambda x, a=a, s=s: a + 0.2 * float(x[0]) * s
         lift = lf.Lift(bundle, mf.identity_diffeo(model),
-                       lambda x, v, f=field: f(x) @ v, f"vert{i}", 1e-10)
+                       lambda x, v, f=field: np.matvec(f(x), v), f"vert{i}", 1e-10)
         iso = lf.metrize(lift)
         iso2 = lf.metrize(iso)
         for j in range(4):

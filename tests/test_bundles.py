@@ -71,12 +71,8 @@ def test_fields_on_a_stack_equal_per_point_fields(name, bundle):
 @pytest.mark.parametrize("name,bundle", ALL_BUNDLES, ids=[n for n, _ in ALL_BUNDLES])
 def test_fiber_basis_on_a_stack_equals_per_point_bases(name, bundle):
     xs = [mf.random_point(bundle.base, s) for s in range(30, 37)]
-    # fresh models: no basis comes from the cache
-    fresh = [bd.BundleModel(bundle.key, bundle.base, bundle.ambient_fiber_dim,
-                            bundle.real_rank, bundle.fiber_projector)
-             for _ in range(2)]
-    stacked = fresh[0].fiber_basis(mf.stack_points(xs))
-    assert np.array_equal(stacked, np.stack([fresh[1].fiber_basis(x) for x in xs]))
+    stacked = bundle.fiber_basis(mf.stack_points(xs))
+    assert np.array_equal(stacked, np.stack([bundle.fiber_basis(x) for x in xs]))
 
 
 def test_pullback_fibers_bitwise():
@@ -464,53 +460,13 @@ class TestHolonomySign:
             bd.holonomy_sign(tl, stack, steps=64)
 
 
-class TestPointCache:
-    def test_bound_and_oldest_first_eviction(self):
-        computed = []
-
-        def compute(x):
-            computed.append(int(x[0]))
-            return np.array([2.0 * x[0]])
-
-        cache = bd.PointCache(mf.Torus(1))
-        size = bd.POINT_CACHE_SIZE
-        points = [np.array([float(i)]) for i in range(size + 1)]
-        for p in points:
-            cache.get(p, compute)
-        # the newest POINT_CACHE_SIZE points are held
-        for p in points[1:]:
-            cache.get(p, compute)
-        assert computed == list(range(size + 1))
-        # the oldest was evicted; computing it again evicts the next oldest
-        assert np.array_equal(cache.get(points[0], compute), [0.0])
-        cache.get(points[1], compute)
-        assert computed[size + 1:] == [0, 1]
-
-    def test_stack_computes_its_misses_in_one_call(self):
-        calls = []
-
-        def compute(x):
-            calls.append(np.shape(x))
-            return 2.0 * x
-
-        cache = bd.PointCache(mf.Torus(1))
-        points = np.arange(6.0)[:, None]
-        cache.get(points[:2], compute)
-        out = cache.get(points, compute)
-        assert calls == [(2, 1), (4, 1)]
-        assert np.array_equal(out, 2.0 * points)
-        assert np.array_equal(cache.get(points[3], compute), [6.0])
-        assert len(calls) == 2
-
-    def test_evicted_fiber_basis_is_recomputed_identically(self):
-        ts = bd.tangent_sphere(2)
-        x = mf.random_point(ts.base, 0)
-        first = ts.fiber_basis(x)
-        for i in range(bd.POINT_CACHE_SIZE):
-            ts.fiber_basis(np.array([0.0, np.sin(i), np.cos(i)]))
-        again = ts.fiber_basis(x)
-        assert again is not first
-        assert np.array_equal(again, first)
+def test_fiber_basis_calls_return_equal_distinct_arrays():
+    ts = bd.tangent_sphere(2)
+    x = mf.random_point(ts.base, 0)
+    first = ts.fiber_basis(x)
+    again = ts.fiber_basis(x)
+    assert again is not first
+    assert np.array_equal(again, first)
 
 
 def test_direct_sum_blocks():

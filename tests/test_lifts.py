@@ -19,7 +19,7 @@ def _probe(lift, seed=0):
 
 def _per_probe_check_lift(lift, samples, seed, tolerance=None):
     # the one-probe-at-a-time checker that the stacked check_lift
-    # replaced, kept as its oracle
+    # replaced, kept as its oracle: one action call per vector
     tol = lift.tolerance if tolerance is None else tolerance
     bundle = lift.bundle
     has_j = bundle.has_complex_structure
@@ -40,8 +40,10 @@ def _per_probe_check_lift(lift, samples, seed, tolerance=None):
         w_mix = lift.action(x, alpha * u + beta * v)
         lin = np.linalg.norm(w_mix - alpha * w_u - beta * w)
         lin_res = worst(lin_res, float(lin) / (abs(alpha) + abs(beta) + 1.0))
-        m = lift.fiber_matrix_between(x, bundle.fiber_basis(x),
-                                      bundle.fiber_basis(y))
+        b_x = bundle.fiber_basis(x)
+        images = np.stack([lift.action(x, b_x[:, i])
+                           for i in range(b_x.shape[1])], axis=-1)
+        m = bundle.fiber_basis(y).T @ images
         iso_res = worst(iso_res,
                         float(np.max(np.abs(m.T @ m - np.eye(m.shape[0])))))
         sv = singular_values(m)[0] if np.all(np.isfinite(m)) else np.nan
@@ -74,13 +76,15 @@ def _metrized_random_lift(seed):
 
 
 ORACLE_LIFTS = [
-    # (make, samples, seed); a fresh lift per check, so no cache is shared
+    # (name, make, samples, seed)
     ("cpn_conjugation", lambda: lf.cpn_conjugation_lift(1), 50, 7),
     ("transport", lambda: lf.lift_from_homotopy(
         bd.tangent_sphere(2),
         mf.rotation_homotopy(mf.Sphere(2), (0, 1), np.pi / 2), steps=256), 6, 3),
     ("s1xs2_a", lambda: lf.s1xs2_generator_lift("a", 2, steps=256), 5, 11),
     ("metrize_random", lambda: _metrized_random_lift(42), 20, 42),
+    ("torus_line", lambda: lf.torus_line_lift([[1, 0], [1, 1]], [1, 0]), 20, 5),
+    ("s1xs2_r", lambda: lf.s1xs2_generator_lift("r", 2), 20, 9),
 ]
 
 
@@ -93,11 +97,17 @@ def test_stacked_check_lift_equals_per_probe_oracle(name, make, samples, seed):
 
 
 def test_check_lift_calls_do_not_grow_with_samples(monkeypatch):
-    # every probe's track goes to one kernel call, and every field is
-    # evaluated once on the probe stack
+    # every vector of every probe goes to one action call, every probe's
+    # track to one kernel call, and every field is evaluated once on the
+    # probe stack
     counts = {}
     kernel = _kernels.rk4_transport
     projector = bd.BundleModel.fiber_projector
+    action = lf.Lift.action
+
+    def counted_action(self, x, v):
+        counts["action"] = counts.get("action", 0) + 1
+        return action(self, x, v)
 
     def counted_kernel(qp, qnode, x0, h):
         counts["rk4_transport"] = counts.get("rk4_transport", 0) + 1
@@ -109,6 +119,7 @@ def test_check_lift_calls_do_not_grow_with_samples(monkeypatch):
 
     monkeypatch.setattr(_kernels, "rk4_transport", counted_kernel)
     monkeypatch.setattr(bd.BundleModel, "fiber_projector", counted_projector)
+    monkeypatch.setattr(lf.Lift, "action", counted_action)
     h = mf.rotation_homotopy(mf.Sphere(2), (0, 1), np.pi / 2)
     per_samples = {}
     for samples in (4, 40):
@@ -118,6 +129,7 @@ def test_check_lift_calls_do_not_grow_with_samples(monkeypatch):
         per_samples[samples] = dict(counts)
     assert per_samples[4] == per_samples[40]
     assert per_samples[4]["rk4_transport"] == 1
+    assert per_samples[4]["action"] == 1
 
 
 class TestCheckLift:
@@ -214,16 +226,9 @@ class TestCheckLift:
         r_own_y = lf.check_lift(lift, samples=samples, seed=seed)
         # one call, on the stack of all probes
         assert len(calls) == 1
-        # reference: the target basis from a second forward call, as
-        # fiber_matrix_in_bases takes it
-        original = lf.Lift.fiber_matrix_between
-        monkeypatch.setattr(
-            lf.Lift, "fiber_matrix_between",
-            lambda self, x, b_in, b_out: original(
-                self, x, b_in, self.bundle.fiber_basis(self.base_map.forward(x))))
-        r_second_map = lf.check_lift(lift, samples=samples, seed=seed)
-        assert len(calls) == 3
-        assert r_second_map == r_own_y
+        # reference: the per-probe oracle, which maps each probe on its own
+        assert r_own_y == _per_probe_check_lift(make(), samples=samples,
+                                                seed=seed)
 
 
 class TestGroupStructure:
@@ -491,7 +496,7 @@ class TestFrameLiftView:
 @pytest.mark.parametrize("kind", ["bundle", "metrize", "invert", "differential",
                                   "homotopy"])
 def test_cached_objects_are_freed_without_gc(kind):
-    # a cache that kept a bound method of its owner would form a reference
+    # an object that kept a bound method of itself would form a reference
     # cycle, freed only when the garbage collector runs
     bundle = bd.tangent_sphere(2)
     sigma = mf.named_diffeo(bundle.base, "sphere_reflection")

@@ -58,11 +58,25 @@ class TestNamedDiffeos:
         with pytest.raises(BadParams):
             mf.named_diffeo(mf.Sphere(2), "sphere_rotation",
                             matrix=np.diag([2.0, 1.0, 1.0]))
+        # a defect that cannot be measured (NaN) is refused, not passed
+        with pytest.raises(BadParams):
+            mf.named_diffeo(mf.Sphere(2), "sphere_rotation",
+                            matrix=np.full((3, 3), np.nan))
+        with pytest.raises(BadParams):
+            mf.named_diffeo(mf.ComplexProjective(1), "cpn_unitary",
+                            matrix=np.full((2, 2), np.nan))
+        with pytest.raises(BadParams):
+            mf.named_diffeo(mf.GrassmannReal(2, 4), "grassmann_action",
+                            matrix=np.full((4, 4), np.nan))
 
     def test_bad_torus_matrix(self):
         with pytest.raises(BadParams):
             mf.named_diffeo(mf.Torus(2), "torus_auto",
                             matrix=np.array([[2, 0], [0, 1]]))
+        # not truncated to the identity by the integer cast
+        with pytest.raises(BadParams):
+            mf.named_diffeo(mf.Torus(2), "torus_auto",
+                            matrix=[[1.5, 0], [0, 1]])
 
     def test_torus_identity(self):
         d = mf.named_diffeo(mf.Torus(2), "torus_auto", matrix=np.eye(2, dtype=int))
@@ -151,6 +165,10 @@ class TestHomotopies:
             assert m.distance(h(0.0, x), x) <= 1e-10
             assert m.distance(h(1.0, x), h.endpoint.forward(x)) <= 1e-10
             assert m.membership_residual(h(0.37, x)) <= 1e-10
+
+    def test_nan_generator_is_refused(self):
+        with pytest.raises(BadParams, match="anti-Hermitian"):
+            mf.cpn_phase_homotopy(mf.ComplexProjective(1), np.nan)
 
     def test_velocity_matches_finite_difference(self):
         h = mf.cpn_phase_homotopy(mf.ComplexProjective(1), 0.9)
