@@ -225,7 +225,7 @@ def pullback(f, w):
 def _check_bits(b):
     """b as an int64 array, rejected unless it is a nonzero 0/1 vector."""
     b = np.asarray(b, dtype=np.int64)
-    if b.ndim != 1 or not np.all((b == 0) | (b == 1)) or not np.any(b):
+    if b.ndim != 1 or not ((b == 0) | (b == 1)).all() or not b.any():
         raise BadParams("b must be a nonzero 0/1 vector")
     return b
 

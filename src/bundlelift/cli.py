@@ -25,7 +25,7 @@ from . import __version__
 from .bundles import (pullback, tangent_sphere, tautological_complex,
                       tautological_real, trivial)
 from .config import (DEFAULT_MESH_LEVEL, DEFAULT_SAMPLES, DEFAULT_SEED,
-                     DEFAULT_TRANSPORT_STEPS)
+                     DEFAULT_TRANSPORT_STEPS, MAX_MESH_LEVEL)
 from .errors import (BundleLiftError, ConfigInvalid, NonInjective,
                      UnknownScenario)
 from .gluing import (LocalLiftDatum, TransitionDatum, cocycle_compat_check,
@@ -70,6 +70,8 @@ class ScenarioConfig:
             raise ConfigInvalid("transport steps must be >= 16")
         if self.mesh_level < 3:
             raise ConfigInvalid("mesh level must be >= 3")
+        if self.mesh_level > MAX_MESH_LEVEL:
+            raise ConfigInvalid(f"mesh level must be <= {MAX_MESH_LEVEL}")
         if not (0 < self.tol_exact <= 1e-2 and 0 < self.tol_transport <= 1e-2):
             raise ConfigInvalid("tolerances must lie in (0, 1e-2]")
         if self.scenario not in SCENARIOS:
@@ -352,31 +354,35 @@ def _scenario_torus_sweep(cfg):
     rows = []
     mismatches = 0
     lift_disagreements = 0
+    # every matrix first, one stack of 20 per bit vector b
+    cases = []
     total = 0
     for n in (1, 2, 3):
-        bits = [tuple(int(x) for x in np.binary_repr(m, width=n))
-                for m in range(1, 2 ** n)]
-        for b in bits:
+        for m in range(1, 2 ** n):
+            b = tuple(int(x) for x in np.binary_repr(m, width=n))
+            mats = []
             for i in range(20):
-                a = random_unimodular(n, cfg.seed + 101 * i + 7 * total)
-                res = torus_criterion(a, b)
+                mats.append(random_unimodular(n, cfg.seed + 101 * i + 7 * total))
                 total += 1
-                if res.fast_verdict != res.oracle_verdict:
-                    mismatches += 1
-                try:
-                    torus_line_lift(a, b)
-                    built = True
-                except BundleLiftError:
-                    built = False
-                if built != res.fast_verdict:
-                    lift_disagreements += 1
-                rows.append([n, "".join(map(str, b)), i,
-                             int(res.fast_verdict), int(res.oracle_verdict)])
+            cases.append((n, b, np.stack(mats)))
+    for n, b, mats in cases:
+        res = torus_criterion(mats, b)  # one call per bit vector
+        mismatches += int(np.sum(res.fast_verdict != res.oracle_verdict))
+        for i, a in enumerate(mats):
+            try:
+                torus_line_lift(a, b)
+                built = True
+            except BundleLiftError:
+                built = False
+            if built != res.fast_verdict[i]:
+                lift_disagreements += 1
+            rows.append([n, "".join(map(str, b)), i,
+                         int(res.fast_verdict[i]), int(res.oracle_verdict[i])])
     checks.append(_check("criterion.fast_vs_oracle_mismatches", mismatches, 0.5))
     checks.append(_check("criterion.lift_construction_agreement",
                          lift_disagreements, 0.5))
     # (2^1 - 1) + (2^2 - 1) + (2^3 - 1) = 11 bit vectors, 20 matrices each
-    checks.append(_check("criterion.cases_swept", total, 220, "ge"))
+    checks.append(_check("criterion.cases_swept", len(rows), 220, "ge"))
 
     w1_bad = 0
     for n in (1, 2, 3):
@@ -622,7 +628,8 @@ def build_parser():
     run.add_argument("--steps", type=int, default=DEFAULT_TRANSPORT_STEPS,
                      help="transport integration steps")
     run.add_argument("--mesh", type=int, default=DEFAULT_MESH_LEVEL,
-                     help="icosphere subdivision level")
+                     help=f"icosphere subdivision level, 3 to {MAX_MESH_LEVEL} "
+                          f"(level {MAX_MESH_LEVEL} peaks near 0.5 GB)")
     run.add_argument("--tol-exact", type=float, default=1e-10)
     run.add_argument("--tol-transport", type=float, default=1e-5)
     run.add_argument("--json", dest="json_path", default=None,

@@ -32,7 +32,7 @@ from .errors import (BadParams, BundleMismatch, CriterionFails,
                      NotIsometric, NotOrthonormal, Singular)
 from .manifolds import (Diffeo, Sphere, cp1_plane_rotation_homotopy,
                         cp1_power_map, identity_diffeo, named_diffeo,
-                        product_diffeo, random_point, stack_points)
+                        product_diffeo, random_point)
 from .numkernel import (complex_structure_conjugator, norms, polar_two_metric,
                         singular_values, worst)
 
@@ -129,14 +129,17 @@ def _draw_probes(bundle, samples, seed):
     """The check_lift probes (x, v, u, alpha, beta), stacked. Probe i draws
     x, the Gaussian vectors behind v and u, and (alpha, beta) from its own
     default_rng([seed, i]) stream, as random_point, random_fiber_vector
-    twice and normal(size=2) would; v and u are then projected and
-    normalized on the whole stack."""
+    twice and normal(size=2) would; x is drawn by base.random_points, and
+    v and u are projected and normalized on the whole stack."""
     base = bundle.base
+    dim = bundle.ambient_fiber_dim
     rngs = [np.random.default_rng([seed, i]) for i in range(samples)]
-    xs = stack_points([base.random_point(rng) for rng in rngs])
-    gauss = np.stack([rng.normal(size=(2, bundle.ambient_fiber_dim))
-                      for rng in rngs])
-    coeffs = np.stack([rng.normal(size=2) for rng in rngs])
+    xs = base.random_points(rngs)
+    # one normal(size=2 dim + 2) draw is the two vector draws, then (alpha,
+    # beta), in stream order
+    normals = np.stack([rng.normal(size=2 * dim + 2) for rng in rngs])
+    gauss = normals[:, :2 * dim].reshape(samples, 2, dim)
+    coeffs = normals[:, 2 * dim:]
     vu = np.matvec(bundle.fiber_projector(xs)[:, None], gauss)
     nrm = norms(vu)
     for i in np.nonzero(np.any(nrm <= 1e-6, axis=1))[0]:
@@ -450,13 +453,13 @@ def torus_line_lift(a, b):
     inconsistent across representatives of the same torus point and the
     construction is refused with a sign-mismatch witness.
     """
-    from .obstruction import torus_criterion
-
-    result = torus_criterion(a, b)
-    a = np.asarray(a, dtype=np.int64)
+    bundle = torus_line(b)
+    # validates the shape, integrality and |det| = 1 of A
+    base = named_diffeo(bundle.base, "torus_auto", matrix=a)
+    a = np.asarray(a).astype(np.int64)
     b = np.asarray(b, dtype=np.int64)
-    if not result.fast_verdict:
-        mismatch = np.mod(b @ a - b, 2)
+    mismatch = np.mod(b @ a - b, 2)
+    if mismatch.any():
         j = int(np.nonzero(mismatch)[0][0])
         m = np.zeros(b.shape[0], dtype=np.int64)
         m[j] = 1
@@ -466,8 +469,6 @@ def torus_line_lift(a, b):
             f"opposite sign ((-1)^{{b.Am}} = -1 while (-1)^{{b.m}} = +1)",
             witness={"x": np.zeros(b.shape[0]), "m": m},
         )
-    bundle = torus_line(b)
-    base = named_diffeo(bundle.base, "torus_auto", matrix=a)
     af = a.astype(float)
     u_of = bundle.unit_section
 

@@ -19,7 +19,8 @@ fields, every registered ``Diffeo`` (and ``identity_diffeo``,
 results, bitwise equal to them. ``degree`` hands its map the stack of all
 mesh vertices in one call, so the map must take a stack. A homotopy family
 on a time vector and a stack of points returns times first: shape
-(T, P, ...).
+(T, P, ...). Each model draws a stack with ``random_points(rngs)``, one
+point per generator, bitwise equal to the per-point draws.
 """
 
 import functools
@@ -86,8 +87,14 @@ class ManifoldModel:
     def distance(self, a, b):
         raise NotImplementedError
 
-    def random_point(self, rng):
+    def random_points(self, rngs):
+        """One point from each generator, stacked. Each stream is drawn in
+        the order random_point draws it; the normalisation then runs once
+        on the whole stack, bitwise equal to the per-point results."""
         raise NotImplementedError
+
+    def random_point(self, rng):
+        return map_points(lambda a: a[0], self.random_points([rng]))
 
     def copy_point(self, point):
         return np.array(point)
@@ -103,9 +110,10 @@ class Sphere(ManifoldModel):
     def distance(self, a, b):
         return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
 
-    def random_point(self, rng):
-        v = rng.normal(size=self.n + 1)
-        return v / np.linalg.norm(v)
+    def random_points(self, rngs):
+        v = np.stack([rng.normal(size=self.n + 1) for rng in rngs])
+        # sqrt(vecdot) is bitwise the per-vector np.linalg.norm
+        return v / np.sqrt(np.vecdot(v, v))[:, None]
 
 
 @dataclass(frozen=True)
@@ -120,8 +128,8 @@ class Torus(ManifoldModel):
         d = np.mod(np.asarray(a) - np.asarray(b) + 0.5, 1.0) - 0.5
         return float(np.linalg.norm(d))
 
-    def random_point(self, rng):
-        return rng.uniform(0.0, 1.0, size=self.n)
+    def random_points(self, rngs):
+        return np.stack([rng.uniform(0.0, 1.0, size=self.n) for rng in rngs])
 
 
 def _projector_residual(p, trace_target):
@@ -148,10 +156,10 @@ class GrassmannReal(ManifoldModel):
     def distance(self, a, b):
         return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
 
-    def random_point(self, rng):
-        a = rng.normal(size=(self.n, self.k))
+    def random_points(self, rngs):
+        a = np.stack([rng.normal(size=(self.n, self.k)) for rng in rngs])
         q, _ = np.linalg.qr(a)
-        return q @ q.T
+        return q @ np.swapaxes(q, -1, -2)
 
 
 @dataclass(frozen=True)
@@ -165,10 +173,12 @@ class ComplexProjective(ManifoldModel):
     def distance(self, a, b):
         return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
 
-    def random_point(self, rng):
-        z = rng.normal(size=self.n + 1) + 1j * rng.normal(size=self.n + 1)
-        z = z / np.linalg.norm(z)
-        return np.outer(z, z.conj())
+    def random_points(self, rngs):
+        z = np.stack([rng.normal(size=self.n + 1) + 1j * rng.normal(size=self.n + 1)
+                      for rng in rngs])
+        # bitwise the per-vector np.linalg.norm, as in sphere_to_cp1
+        z = z / np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))[:, None]
+        return z[:, :, None] * z.conj()[:, None, :]
 
 
 @dataclass(frozen=True)
@@ -186,8 +196,9 @@ class Product(ManifoldModel):
     def distance(self, a, b):
         return max(self.left.distance(a[0], b[0]), self.right.distance(a[1], b[1]))
 
-    def random_point(self, rng):
-        return (self.left.random_point(rng), self.right.random_point(rng))
+    def random_points(self, rngs):
+        # each stream draws its left factor, then its right one
+        return (self.left.random_points(rngs), self.right.random_points(rngs))
 
     def copy_point(self, point):
         return (self.left.copy_point(point[0]), self.right.copy_point(point[1]))
@@ -325,17 +336,36 @@ def _check_unitary(u, n):
     return u
 
 
+def _refuse(bad, problem):
+    """Raise BadParams if a flag is set: bad is one flag for one matrix, or
+    one flag per matrix of a stack, and the message then names the first
+    flagged matrix. problem(i) describes it, given its index i (() for one
+    matrix)."""
+    if np.count_nonzero(bad):
+        i = np.unravel_index(np.argmax(bad), np.shape(bad))
+        where = f"matrix {i[0]} of the stack" if i else "matrix"
+        raise BadParams(f"{where} {problem(i)}")
+
+
 def integer_inverse(a):
-    """Exact inverse of an integer matrix with |det| = 1."""
+    """Exact inverse of an integer matrix with |det| = 1, or the stack of
+    the inverses of a stack of such matrices (shape (m, n, n)). Every test
+    runs once on the whole stack, and a refusal names the first bad
+    matrix."""
     a = np.asarray(a)
     if not np.issubdtype(a.dtype, np.integer):
+        # name the matrix that holds a non-integer (or NaN) entry
+        if np.issubdtype(a.dtype, np.number):
+            _refuse(~(a == np.rint(a)).all(axis=(-2, -1)),
+                    lambda i: "is not an integer matrix")
         raise BadParams("expected an integer matrix")
-    det = int(round(float(np.linalg.det(a.astype(float)))))
-    if abs(det) != 1:
-        raise BadParams(f"matrix is not unimodular (det {det})")
-    inv = np.rint(np.linalg.inv(a.astype(float))).astype(np.int64)
-    if not np.array_equal(a @ inv, np.eye(a.shape[0], dtype=np.int64)):
-        raise BadParams("integer inverse reconstruction failed")
+    af = a.astype(float)
+    # + 0.0 writes a rounded -0 as 0
+    det = np.rint(np.linalg.det(af)) + 0.0
+    _refuse(abs(det) != 1, lambda i: f"is not unimodular (det {det[i]:.0f})")
+    inv = np.rint(np.linalg.inv(af)).astype(np.int64)
+    _refuse((a @ inv != np.eye(a.shape[-1], dtype=np.int64)).any(axis=(-2, -1)),
+            lambda i: "failed its integer inverse reconstruction")
     return inv
 
 
@@ -409,11 +439,9 @@ def _build_torus_auto(model, params):
     a = np.asarray(params["matrix"])
     if a.shape != (model.n, model.n):
         raise BadParams(f"expected {model.n}x{model.n}, got {a.shape}")
-    # validates integrality and |det| = 1 before the cast could truncate
-    ainv = integer_inverse(a)
-    a = a.astype(np.int64)
+    # validates integrality and |det| = 1 before any cast
+    ainvf = integer_inverse(a).astype(float)
     af = a.astype(float)
-    ainvf = ainv.astype(float)
     return Diffeo("torus_auto", lambda x: np.mod(np.matvec(af, x), 1.0),
                   lambda x: np.mod(np.matvec(ainvf, x), 1.0), model)
 
@@ -443,10 +471,11 @@ def named_diffeo(model, name, **params):
     if builder is None:
         raise UnknownName(f"no diffeomorphism named {name!r} on {model}")
     diffeo = builder(model, params)
-    for s in (3, 17, 40):
-        x = random_point(model, s)
-        if not model.distance(diffeo.inverse(diffeo.forward(x)), x) <= 1e-8:
-            raise BadParams(f"{name}: inverse round-trip check failed")
+    # one round trip on a stack of three points from one seeded stream;
+    # the distance of two stacks bounds each per-point distance from above
+    x = model.random_points([np.random.default_rng(3)] * 3)
+    if not model.distance(diffeo.inverse(diffeo.forward(x)), x) <= 1e-8:
+        raise BadParams(f"{name}: inverse round-trip check failed")
     return diffeo
 
 

@@ -127,10 +127,12 @@ def pullback_invariance_report(diffeo, line_bundle, mesh_level=4):
 
 @dataclass
 class TorusCriterionResult:
+    """The verdicts for one matrix (bools), or for each matrix of a stack
+    (boolean arrays)."""
     a: np.ndarray
     b: np.ndarray
-    fast_verdict: bool
-    oracle_verdict: bool
+    fast_verdict: bool | np.ndarray
+    oracle_verdict: bool | np.ndarray
 
 
 def subgroup_generators(b):
@@ -152,23 +154,33 @@ def subgroup_generators(b):
 def torus_criterion(a, b):
     """Does the torus automorphism x -> Ax lift to the line bundle L_b?
 
-    The fast mod-2 verdict (b^T A = b^T mod 2) is always cross-checked
-    against the brute-force subgroup oracle A(S_b) <= S_b on generators;
-    a mismatch is a hard internal error.
+    ``a`` is one n x n integer matrix or a stack of them (m, n, n); each
+    test below runs once on the whole stack. The fast mod-2 verdict
+    (b^T A = b^T mod 2) is always cross-checked against the brute-force
+    subgroup oracle A(S_b) <= S_b on generators; a mismatch is a hard
+    internal error.
     """
     b = _check_bits(b)
+    n = b.shape[0]
     a = np.asarray(a)
-    if a.shape != (b.shape[0], b.shape[0]):
-        raise BadParams(f"A must be {b.shape[0]}x{b.shape[0]}, got {a.shape}")
+    if a.ndim not in (2, 3) or a.shape[-2:] != (n, n):
+        raise BadParams(f"A must be {n}x{n} or a stack of them, got {a.shape}")
     integer_inverse(a)  # validates integrality and |det| = 1
     a = a.astype(np.int64)
-    fast = bool(np.all(np.mod(b @ a - b, 2) == 0))
-    oracle = all(int(b @ (a @ g)) % 2 == 0 for g in subgroup_generators(b))
-    if fast != oracle:
+    fast = np.all(np.mod(b @ a - b, 2) == 0, axis=-1)
+    gens = np.stack(subgroup_generators(b), axis=-1)
+    oracle = np.all(np.mod(b @ (a @ gens), 2) == 0, axis=-1)
+    mismatch = fast != oracle
+    if np.any(mismatch):
+        # the first mismatching matrix: () for one matrix, (i,) in a stack
+        i = np.unravel_index(np.argmax(mismatch), mismatch.shape)
+        where = f" (matrix {i[0]} of the stack)" if i else ""
         raise AssertionError(
-            f"criterion mismatch for A={a.tolist()}, b={b.tolist()}: "
-            f"fast={fast}, oracle={oracle}"
+            f"criterion mismatch for A={a[i].tolist()}{where}, b={b.tolist()}: "
+            f"fast={fast[i]}, oracle={oracle[i]}"
         )
+    if a.ndim == 2:
+        fast, oracle = bool(fast), bool(oracle)
     return TorusCriterionResult(a=a, b=b, fast_verdict=fast, oracle_verdict=oracle)
 
 

@@ -11,6 +11,7 @@ import pytest
 from bundlelift import cli
 from bundlelift.cli import (SCENARIOS, ScenarioConfig, emit_plot_data,
                             run_scenario)
+from bundlelift.config import MAX_MESH_LEVEL
 from bundlelift.errors import ConfigInvalid, UnknownScenario
 
 
@@ -191,3 +192,30 @@ def test_metrize_random_passes_at_seed(seed):
                                             no_timestamp=True))
     failed = [c["name"] for c in report["checks"] if not c["verdict"]]
     assert report["overall"], failed
+
+
+def test_mesh_level_above_the_cap_is_refused_by_validation():
+    # validation alone: a mesh above the cap is never built
+    ScenarioConfig(scenario="cpn_conjugation", mesh_level=MAX_MESH_LEVEL).validate()
+    with pytest.raises(ConfigInvalid, match=f"<= {MAX_MESH_LEVEL}"):
+        ScenarioConfig(scenario="cpn_conjugation",
+                       mesh_level=MAX_MESH_LEVEL + 1).validate()
+    with pytest.raises(ConfigInvalid):
+        ScenarioConfig(scenario="sphere_pullbacks", mesh_level=10 ** 6).validate()
+
+
+def test_mesh_above_the_cap_exits_2_before_the_scenario_runs(monkeypatch, capsys):
+    ran = []
+    monkeypatch.setitem(SCENARIOS, "cpn_conjugation",
+                        lambda cfg: ran.append(cfg) or ([], None))
+    code = cli.main(["scenario", "cpn_conjugation", "--mesh",
+                     str(MAX_MESH_LEVEL + 1), "--no-timestamp"])
+    assert code == 2 and not ran
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigInvalid") and err.count("\n") == 1
+
+
+def test_help_states_the_mesh_cap(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["scenario", "--help"])
+    assert f"3 to {MAX_MESH_LEVEL}" in " ".join(capsys.readouterr().out.split())

@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bundlelift import _kernels, bundles as bd, lifts as lf, manifolds as mf
 from bundlelift.errors import (BadParams, BundleMismatch, DegenerateJacobian,
@@ -61,6 +62,66 @@ def _per_probe_check_lift(lift, samples, seed, tolerance=None):
         verdicts["anti_linear"] = a_res <= tol
     return lf.LiftReport(base_res, lin_res, min_sv, iso_res, c_res, a_res,
                          samples, verdicts)
+
+
+def _per_probe_draws(bundle, samples, seed):
+    # the per-probe draws that _draw_probes stacks, kept as its oracle
+    xs, vs, us, alphas, betas = [], [], [], [], []
+    for i in range(samples):
+        rng = np.random.default_rng([seed, i])
+        xs.append(bundle.base.random_point(rng))
+        vs.append(bundle.random_fiber_vector(xs[-1], rng))
+        us.append(bundle.random_fiber_vector(xs[-1], rng))
+        alpha, beta = rng.normal(size=2)
+        alphas.append(alpha)
+        betas.append(beta)
+    return (mf.stack_points(xs), np.stack(vs), np.stack(us), np.array(alphas),
+            np.array(betas))
+
+
+def _faint_bundle(base, scale):
+    # the field scale * e0 e0^T at every point: a Gaussian draw g survives
+    # the 1e-6 norm floor only if scale |g0| > 1e-6, so some probes are
+    # redrawn and some are not
+    field = np.zeros((3, 3))
+    field[0, 0] = scale
+    return bd.BundleModel(
+        ("faint", scale), base, 3, 1,
+        lambda x: np.broadcast_to(field, base.stack_shape(x) + (3, 3)))
+
+
+DRAW_BUNDLES = [
+    ("tangent_sphere", lambda: bd.tangent_sphere(2)),
+    ("tautological_real", lambda: bd.tautological_real(2, 4)),
+    ("tautological_complex", lambda: bd.tautological_complex(2)),
+    ("torus_line", lambda: bd.torus_line((1, 1))),
+    ("product", lambda: lf.s1xs2_generator_lift("a", 1).bundle),
+    ("faint_sphere", lambda: _faint_bundle(mf.Sphere(2), 1.5e-6)),
+    ("faint_product", lambda: _faint_bundle(
+        mf.Product(mf.Torus(1), mf.GrassmannReal(2, 4)), 1.5e-6)),
+]
+
+
+@pytest.mark.parametrize("name,make", DRAW_BUNDLES, ids=[d[0] for d in DRAW_BUNDLES])
+def test_stacked_probe_draws_are_bitwise_the_per_probe_draws(name, make):
+    bundle = make()
+    samples, seed = 24, 3
+    stacked = lf._draw_probes(bundle, samples, seed)
+    oracle = _per_probe_draws(bundle, samples, seed)
+
+    def raw(p):
+        return mf.map_points(lambda a: (a.dtype, a.shape, a.tobytes()), p)
+
+    assert [raw(p) for p in stacked] == [raw(p) for p in oracle]
+    if name.startswith("faint"):
+        # the redraw branch ran for some probes and not for others
+        killed = 0
+        for i in range(samples):
+            rng = np.random.default_rng([seed, i])
+            bundle.base.random_point(rng)  # the probe's point comes first
+            g0 = rng.normal(size=(2, 3))[:, 0]
+            killed += bool(np.any(1.5e-6 * np.abs(g0) <= 1e-6))
+        assert 0 < killed < samples
 
 
 def _metrized_random_lift(seed):
@@ -275,6 +336,102 @@ class TestGroupStructure:
             x = mf.random_point(mf.Sphere(2), seed)
             assert np.linalg.norm(comp.base_map.forward(x)
                                   - h12.endpoint.forward(x)) <= 1e-8
+
+
+def _plane_rotation(angle, plane):
+    r = np.eye(3)
+    i, j = plane
+    r[i, i] = r[j, j] = np.cos(angle)
+    r[i, j], r[j, i] = -np.sin(angle), np.sin(angle)
+    return r
+
+
+_SPHERE = mf.Sphere(2)
+_PLANES = [(0, 1), (0, 2), (1, 2)]
+
+
+def _registered_sphere_lift(seed):
+    # the differential of a random registered diffeomorphism of S^2
+    kind = seed % 3
+    if kind == 0:
+        d = mf.named_diffeo(_SPHERE, "sphere_rotation",
+                            matrix=mf.random_orthogonal(3, seed))
+    elif kind == 1:
+        d = mf.named_diffeo(_SPHERE, "sphere_reflection", axis=seed % 3)
+    else:
+        d = mf.named_diffeo(_SPHERE, "antipodal")
+    return lf.differential_lift(d)
+
+
+def _registered_lift(family, seed):
+    if family == "sphere":
+        return _registered_sphere_lift(seed)
+    return lf.grassmann_orthogonal_lift(mf.random_orthogonal(4, seed), 2)
+
+
+def _random_vertical_lift(seed):
+    # a random x-dependent, non-isometric linear map on each fiber
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(3, 3)) + 2.5 * np.eye(3)
+    s = rng.normal(size=(3, 3))
+    return lf.Lift(bd.trivial(_SPHERE, 3), mf.identity_diffeo(_SPHERE),
+                   lambda x, v: np.matvec(a + 0.2 * x[..., 0, None, None] * s, v),
+                   "vertical_random", 1e-10)
+
+
+def _random_formula_lift(seed):
+    rng = np.random.default_rng(seed)
+    kind = seed % 3
+    if kind == 0:
+        # projection onto the tangent plane at a rotated point: not isometric
+        rot = mf.named_diffeo(_SPHERE, "sphere_rotation", matrix=_plane_rotation(
+            rng.uniform(-1.0, 1.0), _PLANES[rng.integers(3)]))
+        return lf.ambient_projection_lift(bd.tangent_sphere(2), rot)
+    if kind == 1:
+        return _registered_sphere_lift(int(rng.integers(10 ** 6)))
+    return lf.grassmann_orthogonal_lift(mf.random_orthogonal(4, seed), 2)
+
+
+def _gap(l1, l2, x, v):
+    """The largest action and base-map differences of two lifts on probes."""
+    act = np.max(np.abs(l1.action(x, v) - l2.action(x, v)))
+    base = l1.bundle.base.distance(l1.base_map.forward(x), l2.base_map.forward(x))
+    return max(act, base)
+
+
+class TestAlgebraProperties:
+    """Group laws and metrize idempotence on random lifts, each checked on
+    a stack of check_lift probes."""
+
+    @settings(max_examples=25)
+    @given(st.sampled_from(["sphere", "grassmann"]),
+           st.lists(st.integers(min_value=0, max_value=10 ** 6), min_size=3,
+                    max_size=3))
+    def test_compose_is_associative(self, family, seeds):
+        l1, l2, l3 = (_registered_lift(family, s) for s in seeds)
+        x, v, _, _, _ = lf._draw_probes(l1.bundle, 8, seeds[0])
+        left = lf.compose(lf.compose(l1, l2), l3)
+        right = lf.compose(l1, lf.compose(l2, l3))
+        assert _gap(left, right, x, v) <= 1e-10
+
+    @settings(max_examples=25)
+    @given(st.sampled_from(["sphere", "grassmann"]),
+           st.integers(min_value=0, max_value=10 ** 6))
+    def test_invert_is_a_two_sided_inverse(self, family, seed):
+        lift = _registered_lift(family, seed)
+        ident = lf.identity_lift(lift.bundle)
+        x, v, _, _, _ = lf._draw_probes(lift.bundle, 8, seed)
+        assert _gap(lf.compose(lift, lf.invert(lift)), ident, x, v) <= 1e-8
+        assert _gap(lf.compose(lf.invert(lift), lift), ident, x, v) <= 1e-8
+
+    @settings(max_examples=25)
+    @given(st.sampled_from(["vertical", "formula"]),
+           st.integers(min_value=0, max_value=10 ** 6))
+    def test_metrize_is_idempotent(self, kind, seed):
+        make = _random_vertical_lift if kind == "vertical" else _random_formula_lift
+        once = lf.metrize(make(seed))
+        x, v, _, _, _ = lf._draw_probes(once.bundle, 8, seed)
+        assert _gap(lf.metrize(once), once, x, v) <= 1e-8
 
 
 class TestLiftFromHomotopy:

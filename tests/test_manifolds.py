@@ -29,6 +29,55 @@ def test_random_points_are_members_and_repeatable(model):
         assert model.distance(x, y) == 0.0
 
 
+def _per_point_draw(model, rng):
+    # the per-point draws that random_points replaced, kept as its oracle
+    if isinstance(model, mf.Product):
+        return (_per_point_draw(model.left, rng), _per_point_draw(model.right, rng))
+    if isinstance(model, mf.Sphere):
+        v = rng.normal(size=model.n + 1)
+        return v / np.linalg.norm(v)
+    if isinstance(model, mf.Torus):
+        return rng.uniform(0.0, 1.0, size=model.n)
+    if isinstance(model, mf.GrassmannReal):
+        q, _ = np.linalg.qr(rng.normal(size=(model.n, model.k)))
+        return q @ q.T
+    z = rng.normal(size=model.n + 1) + 1j * rng.normal(size=model.n + 1)
+    z = z / np.linalg.norm(z)
+    return np.outer(z, z.conj())
+
+
+def _same_bytes(a, b):
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_same_bytes, a, b))
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+DRAW_MODELS = MODELS + [
+    mf.Sphere(1),
+    mf.Sphere(9),
+    mf.GrassmannReal(3, 7),
+    mf.ComplexProjective(4),
+    mf.Product(mf.Torus(1), mf.Sphere(2)),
+]
+
+
+@pytest.mark.parametrize("model", DRAW_MODELS, ids=str)
+def test_stacked_draws_are_bitwise_the_per_point_draws(model):
+    rngs = [np.random.default_rng([7, i]) for i in range(64)]
+    stacked = model.random_points(rngs)
+    assert model.stack_shape(stacked) == (64,)
+    refs = [np.random.default_rng([7, i]) for i in range(64)]
+    oracle = [_per_point_draw(model, ref) for ref in refs]
+    assert _same_bytes(stacked, mf.stack_points(oracle))
+    # every stream is left where the per-point draw leaves it
+    assert [rng.random() for rng in rngs] == [ref.random() for ref in refs]
+    # random_point is the one-generator case
+    for i in range(64):
+        rng, ref = np.random.default_rng([7, i]), np.random.default_rng([7, i])
+        assert _same_bytes(model.random_point(rng), _per_point_draw(model, ref))
+        assert rng.random() == ref.random()
+
+
 def test_sphere_point_norm():
     x = mf.random_point(mf.Sphere(2), 5)
     assert abs(np.linalg.norm(x) - 1.0) <= 1e-12

@@ -148,6 +148,87 @@ class TestTorusCriterion:
         assert (1, 0, 1) in arrs        # pair of set bits
 
 
+def _per_matrix_criterion(a, b):
+    # the per-matrix criterion that the stacked torus_criterion replaced,
+    # kept as its oracle: Python integers against the subgroup generators
+    b = np.asarray(b, dtype=np.int64)
+    a = np.asarray(a, dtype=np.int64)
+    fast = bool(np.all(np.mod(b @ a - b, 2) == 0))
+    oracle = all(int(b @ (a @ g)) % 2 == 0 for g in ob.subgroup_generators(b))
+    return fast, oracle
+
+
+class TestStackedCriterion:
+    @settings(max_examples=40)
+    @given(st.integers(min_value=1, max_value=3),
+           st.lists(st.integers(min_value=0, max_value=10 ** 6), min_size=1,
+                    max_size=12))
+    def test_stack_equals_per_matrix_calls(self, n, seeds):
+        mats = np.stack([mf.random_unimodular(n, s) for s in seeds])
+        inv = mf.integer_inverse(mats)
+        assert inv.dtype == np.int64
+        for a, a_inv in zip(mats, inv):
+            one = mf.integer_inverse(a)
+            assert one.dtype == a_inv.dtype and one.tobytes() == a_inv.tobytes()
+        for b in _all_bits(n):
+            res = ob.torus_criterion(mats, b)
+            assert res.fast_verdict.shape == res.oracle_verdict.shape == (len(seeds),)
+            for i, a in enumerate(mats):
+                one = ob.torus_criterion(a, b)
+                assert ((one.fast_verdict, one.oracle_verdict)
+                        == _per_matrix_criterion(a, b))
+                assert res.fast_verdict[i] == one.fast_verdict
+                assert res.oracle_verdict[i] == one.oracle_verdict
+
+    @settings(max_examples=30)
+    @given(st.integers(min_value=1, max_value=3),
+           st.lists(st.integers(min_value=0, max_value=10 ** 6), min_size=2,
+                    max_size=8),
+           st.data())
+    def test_bad_matrix_in_stack_is_named(self, n, seeds, data):
+        mats = np.stack([mf.random_unimodular(n, s) for s in seeds])
+        k = data.draw(st.integers(min_value=0, max_value=len(seeds) - 2))
+        b = (1,) + (0,) * (n - 1)
+        singular = mats.copy()
+        singular[k, 0] = 0
+        singular[k + 1, 0] = 0  # a later bad matrix: the first one is named
+        fractional = mats.astype(float)
+        fractional[k, 0, 0] += 0.5
+        fractional[k + 1, 0, 0] += 0.5
+        for bad in (singular, fractional):
+            with pytest.raises(BadParams, match=rf"^matrix {k} of the stack "):
+                mf.integer_inverse(bad)
+            with pytest.raises(BadParams, match=rf"^matrix {k} of the stack "):
+                ob.torus_criterion(bad, b)
+
+    def test_one_bad_matrix_keeps_its_message(self):
+        with pytest.raises(BadParams, match=r"^matrix is not unimodular \(det 2\)"):
+            mf.integer_inverse(np.array([[2, 0], [0, 1]]))
+        with pytest.raises(BadParams, match=r"^matrix is not unimodular \(det 0\)"):
+            mf.integer_inverse(np.array([[1, 2], [2, 4]]))
+        with pytest.raises(BadParams, match=r"^matrix is not an integer matrix"):
+            mf.integer_inverse(np.array([[1.5, 0.0], [0.0, 1.0]]))
+        with pytest.raises(BadParams, match=r"^expected an integer matrix"):
+            mf.integer_inverse(np.eye(2))
+
+    def test_rejects_bad_stack_shapes(self):
+        for a in (np.zeros((2, 2, 2, 2), dtype=int), np.eye(3, dtype=int)):
+            with pytest.raises(BadParams, match="A must be 2x2"):
+                ob.torus_criterion(a, (1, 0))
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_fast_oracle_mismatch_is_a_hard_error(self, monkeypatch, stacked):
+        # generators that are all even make the oracle accept every matrix
+        monkeypatch.setattr(ob, "subgroup_generators",
+                            lambda b: [np.zeros(len(b), dtype=np.int64)])
+        shear = np.array([[1, 1], [0, 1]])
+        a = np.stack([np.eye(2, dtype=int), shear]) if stacked else shear
+        where = r" \(matrix 1 of the stack\)" if stacked else ""
+        with pytest.raises(AssertionError,
+                           match=rf"A=\[\[1, 1\], \[0, 1\]\]{where}, b=\[1, 0\]"):
+            ob.torus_criterion(a, (1, 0))
+
+
 class TestW1Profile:
     @pytest.mark.parametrize("b,expected", [
         ((1, 0), (-1, 1)),
