@@ -49,8 +49,7 @@ from .config import DEFAULT_TRANSPORT_STEPS
 from .errors import Ambiguous, BadParams
 from .manifolds import (ComplexProjective, GrassmannReal, Product, Sphere,
                         Torus, map_points)
-from .numkernel import (norms, realify, standard_complex_structure, sym_eigh,
-                        worst)
+from .numkernel import norms, realify, standard_complex_structure, sym_eigh
 
 __all__ = [
     "BundleModel",
@@ -445,8 +444,7 @@ def holonomy_sign(line_bundle, loop, steps=DEFAULT_TRANSPORT_STEPS):
         raise BadParams("holonomy_sign needs a real line bundle (rank 1)")
     base = line_bundle.base
     start = loop(0.0)
-    gap = worst(*(base.distance(a, b)
-                  for a, b in zip(base.unstack(start), base.unstack(loop(1.0)))))
+    gap = np.max(base.distance(start, loop(1.0)))
     # negated, so that a NaN gap (a loop that could not be evaluated) fails
     if not gap <= 1e-10:
         raise BadParams(f"loop is not closed (gap {gap:.3e})")

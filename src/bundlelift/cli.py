@@ -26,7 +26,7 @@ from .bundles import (pullback, tangent_sphere, tautological_complex,
                       tautological_real, trivial)
 from .config import (DEFAULT_MESH_LEVEL, DEFAULT_SAMPLES, DEFAULT_SEED,
                      DEFAULT_TRANSPORT_STEPS, MAX_MESH_LEVEL)
-from .errors import (BundleLiftError, ConfigInvalid, NonInjective,
+from .errors import (BadParams, BundleLiftError, ConfigInvalid, NonInjective,
                      UnknownScenario)
 from .gluing import (LocalLiftDatum, TransitionDatum, cocycle_compat_check,
                      local_data_from_lift)
@@ -97,6 +97,17 @@ def _report_checks(prefix, report, tol, checks, isometry=True):
         checks.append(_check(f"{prefix}.isometry", report.isometry_residual, tol))
 
 
+def _draw(model, first_seed, count):
+    """The stack of random_point(model, first_seed + i), i < count, bitwise."""
+    return model.random_points([np.random.default_rng(first_seed + i)
+                                for i in range(count)])
+
+
+def _max_abs(m):
+    # the largest |entry| of each matrix of a stack
+    return np.max(np.abs(m), axis=(-2, -1))
+
+
 # ---------------------------------------------------------------------------
 # Scenarios. Each returns (checks, table-or-None).
 
@@ -111,11 +122,9 @@ def _scenario_homotopy_lift_sphere(cfg):
                      tolerance=cfg.tol_transport)
     checks = []
     _report_checks("homotopy_lift", rep, cfg.tol_transport, checks)
-    endpoint_gap = 0.0
-    for i in range(min(cfg.samples, 100)):
-        x = random_point(Sphere(2), cfg.seed + 1000 + i)
-        endpoint_gap = worst(endpoint_gap, float(np.linalg.norm(
-            h.family(1.0, x) - h.endpoint.forward(x))))
+    x = _draw(Sphere(2), cfg.seed + 1000, min(cfg.samples, 100))
+    endpoint_gap = worst(0.0, *Sphere(2).distance(h.family(1.0, x),
+                                                  h.endpoint.forward(x)))
     checks.append(_check("homotopy.endpoint_agreement", endpoint_gap, 1e-10))
     return checks, None
 
@@ -141,16 +150,13 @@ def _scenario_metrize_random(cfg):
     checks = []
     _report_checks("metrized", rep, 1e-8, checks)
     iso2 = metrize(iso)
-    idem = 0.0
-    fact = 0.0
-    for i in range(min(cfg.samples, 20)):
-        x = random_point(model, cfg.seed + 500 + i)
-        m1 = iso.fiber_matrix_in_bases(x)
-        m2 = iso2.fiber_matrix_in_bases(x)
-        idem = worst(idem, float(np.max(np.abs(m1 - m2))))
-        f = vert.fiber_matrix_in_bases(x)
-        psi, xi = polar_two_metric(f, np.eye(3), np.eye(3))
-        fact = worst(fact, float(np.max(np.abs(xi @ psi - f))))
+    x = _draw(model, cfg.seed + 500, min(cfg.samples, 20))
+    m1 = iso.fiber_matrix_in_bases(x)
+    m2 = iso2.fiber_matrix_in_bases(x)
+    idem = worst(0.0, *_max_abs(m1 - m2))
+    f = vert.fiber_matrix_in_bases(x)
+    psi, xi = polar_two_metric(f, np.eye(3), np.eye(3))
+    fact = worst(0.0, *_max_abs(xi @ psi - f))
     checks.append(_check("metrize.idempotence", idem, 1e-8))
     checks.append(_check("metrize.factorization", fact, 1e-8))
     return checks, None
@@ -162,17 +168,13 @@ def _scenario_frame_view(cfg):
     lift = grassmann_orthogonal_lift(random_orthogonal(4, cfg.seed), 2)
     bundle = lift.bundle
     g = random_orthogonal(2, cfg.seed + 1)
-    gram_defect = 0.0
-    equiv = 0.0
-    for i in range(min(cfg.samples, 50)):
-        x = random_point(bundle.base, cfg.seed + i)
-        frame = FiberFrame(x, bundle.fiber_basis(x))
-        out = frame_lift_view(lift, frame)
-        gram = out.vectors.T @ out.vectors
-        gram_defect = worst(gram_defect, float(np.max(np.abs(gram - np.eye(2)))))
-        rotated = FiberFrame(x, frame.vectors @ g)
-        out_rot = frame_lift_view(lift, rotated)
-        equiv = worst(equiv, float(np.max(np.abs(out_rot.vectors - out.vectors @ g))))
+    x = _draw(bundle.base, cfg.seed, min(cfg.samples, 50))
+    frame = FiberFrame(x, bundle.fiber_basis(x))
+    out = frame_lift_view(lift, frame)
+    gram = np.swapaxes(out.vectors, -1, -2) @ out.vectors
+    gram_defect = worst(0.0, *_max_abs(gram - np.eye(2)))
+    out_rot = frame_lift_view(lift, FiberFrame(x, frame.vectors @ g))
+    equiv = worst(0.0, *_max_abs(out_rot.vectors - out.vectors @ g))
     checks = [
         _check("frame.output_gram", gram_defect, cfg.tol_exact),
         _check("frame.equivariance", equiv, 1e-8),
@@ -249,11 +251,9 @@ def _scenario_grassmann_action(cfg):
     checks = []
     _report_checks("orthogonal_lift", rep, cfg.tol_exact, checks)
     comp = compose(l1, l2)
-    hom = 0.0
-    for i in range(min(cfg.samples, 100)):
-        x = random_point(l1.bundle.base, cfg.seed + i)
-        hom = worst(hom, l1.bundle.base.distance(
-            comp.base_map.forward(x), l1.base_map.forward(l2.base_map.forward(x))))
+    x = _draw(l1.bundle.base, cfg.seed, min(cfg.samples, 100))
+    hom = worst(0.0, *l1.bundle.base.distance(
+        comp.base_map.forward(x), l1.base_map.forward(l2.base_map.forward(x))))
     checks.append(_check("compose.base_homomorphism", hom, 1e-10))
     inv_rep = check_lift(compose(l1, invert(l1)),
                          samples=min(cfg.samples, 50), seed=cfg.seed,
@@ -426,11 +426,9 @@ def _scenario_s1xs2_generators(cfg):
                 r_lift.action(x, v) - v)))
         checks.append(_check(f"r_lift.n{n}.theta0_identity", slice_res, 1e-12))
         s_lift = s1xs2_generator_lift("s", n, steps=cfg.transport_steps)
-        roundtrip = 0.0
-        for i in range(min(cfg.samples, 20)):
-            x = random_point(s_lift.bundle.base, cfg.seed + 900 + i)
-            y = s_lift.base_map.forward(s_lift.base_map.forward(x))
-            roundtrip = worst(roundtrip, s_lift.bundle.base.distance(x, y))
+        x = _draw(s_lift.bundle.base, cfg.seed + 900, min(cfg.samples, 20))
+        y = s_lift.base_map.forward(s_lift.base_map.forward(x))
+        roundtrip = worst(0.0, *s_lift.bundle.base.distance(x, y))
         checks.append(_check(f"s_lift.n{n}.involution", roundtrip, 1e-10))
     return checks, None
 
@@ -510,6 +508,9 @@ def _scenario_gluing_demo(cfg):
             pts2.append(p)
         if in_u1(p) and in_u2(p):
             overlap.append(p)
+    if len(overlap) < 8:
+        raise BadParams(f"{i} draws gave {len(overlap)} overlap points, "
+                        f"fewer than 8")
     da, db, dt = local_data_from_lift(lift, ("U1", pts1, in_u1),
                                       ("U2", pts2, in_u2),
                                       frame_u1, frame_u2, overlap)

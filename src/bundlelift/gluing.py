@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotOrthonormal, PatchNotInvariant
+from .errors import BadParams, NotOrthonormal, PatchNotInvariant
 from .numkernel import worst
 
 __all__ = [
@@ -57,7 +57,10 @@ class TransitionDatum:
 def cocycle_compat_check(d1, d2, transition, diffeo, tolerance=1e-6):
     """Largest deviation from the overlap compatibility identity, plus the
     verdict. Patch invariance under the diffeomorphism is checked first
-    wherever a membership predicate was supplied."""
+    wherever a membership predicate was supplied. An empty overlap is
+    refused: with nothing to measure there is no verdict."""
+    if len(transition.overlap_points) == 0:
+        raise BadParams("no overlap points to check the cocycle condition on")
     for datum in (d1, d2):
         if datum.contains is None:
             continue

@@ -31,8 +31,8 @@ from .errors import (BadParams, BundleMismatch, CriterionFails,
                      DegenerateJacobian, NoComplexStructure, NonInjective,
                      NotIsometric, NotOrthonormal, Singular)
 from .manifolds import (Diffeo, Sphere, cp1_plane_rotation_homotopy,
-                        cp1_power_map, identity_diffeo, named_diffeo,
-                        product_diffeo, random_point)
+                        cp1_power_map, identity_diffeo, map_points,
+                        named_diffeo, product_diffeo)
 from .numkernel import (complex_structure_conjugator, norms, polar_two_metric,
                         singular_values, worst)
 
@@ -385,17 +385,22 @@ def ambient_projection_lift(bundle, diffeo, variant="fiber", seed=1):
             return q
         return np.eye(bundle.ambient_fiber_dim) - q
 
-    for i in range(25):
-        x = random_point(base, np.random.default_rng([seed, i]).integers(2**32))
-        b_in = bundle.fiber_basis(x)
-        cols = target_projector(diffeo.forward(x)) @ b_in
-        sv = singular_values(cols)
-        if sv[0] <= 1e-6:
-            raise NonInjective(
-                f"projection onto the target not injective at a probe point "
-                f"(singular value {sv[0]:.3e})",
-                witness_point=x, singular_value=float(sv[0]),
-            )
+    # probe i draws its point from default_rng(default_rng([seed, i])
+    # .integers(2**32)); all 25 are checked at once, and a refusal names
+    # the first probe that fails
+    x = base.random_points([
+        np.random.default_rng(np.random.default_rng([seed, i]).integers(2**32))
+        for i in range(25)])
+    cols = target_projector(diffeo.forward(x)) @ bundle.fiber_basis(x)
+    sv = singular_values(cols)[:, 0]
+    if np.any(sv <= 1e-6):
+        i = int(np.argmax(sv <= 1e-6))
+        raise NonInjective(
+            f"projection onto the target not injective at a probe point "
+            f"(singular value {sv[i]:.3e})",
+            witness_point=map_points(lambda a: a[i], x),
+            singular_value=float(sv[i]),
+        )
 
     def action(x, v):
         return np.matvec(target_projector(diffeo.forward(x)), v)
@@ -574,24 +579,30 @@ def s1xs2_generator_lift(name, n, steps=DEFAULT_TRANSPORT_STEPS):
 @dataclass
 class FiberFrame:
     base_point: object
-    vectors: np.ndarray  # (N, r), orthonormal columns
+    vectors: np.ndarray  # (N, r) orthonormal columns, or a (P, N, r) stack
+
+
+def _gram_defect(vecs):
+    # worst |V^T V - I| entry over a frame or a stack of frames; NaN wins
+    gram = np.swapaxes(vecs, -1, -2) @ vecs
+    return float(np.max(np.abs(gram - np.eye(vecs.shape[-1]))))
 
 
 def frame_lift_view(lift, frame):
-    """Image of an orthonormal fiber frame under an isometric lift.
+    """Image of an orthonormal fiber frame under an isometric lift, or of
+    a stack of frames (vectors (P, N, r) over a stack of P base points).
 
     Equivariant for the right O(r) action on frames; this is the induced
-    automorphism of the orthonormal frame bundle, evaluated pointwise.
+    automorphism of the orthonormal frame bundle, evaluated pointwise. A
+    stack is refused if any one of its frames is.
     """
     vecs = np.asarray(frame.vectors, dtype=float)
-    gram_in = vecs.T @ vecs
-    defect_in = float(np.max(np.abs(gram_in - np.eye(vecs.shape[1]))))
+    defect_in = _gram_defect(vecs)
     if not defect_in <= 1e-8:
         raise NotOrthonormal(f"input frame defect {defect_in:.3e} > 1e-8")
     x = frame.base_point
     out = lift._images(x, vecs)
-    gram_out = out.T @ out
-    defect_out = float(np.max(np.abs(gram_out - np.eye(out.shape[1]))))
+    defect_out = _gram_defect(out)
     if not defect_out <= 1e-6:
         raise NotIsometric(f"output frame defect {defect_out:.3e} > 1e-6")
     return FiberFrame(lift.base_map.forward(x), out)

@@ -20,7 +20,8 @@ results, bitwise equal to them. ``degree`` hands its map the stack of all
 mesh vertices in one call, so the map must take a stack. A homotopy family
 on a time vector and a stack of points returns times first: shape
 (T, P, ...). Each model draws a stack with ``random_points(rngs)``, one
-point per generator, bitwise equal to the per-point draws.
+point per generator, bitwise equal to the per-point draws, and
+``distance`` of two stacks is the array of the per-point distances.
 """
 
 import functools
@@ -31,6 +32,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import BadParams, BadPlane, NonConvergent, UnknownName
+from .numkernel import norms
 
 __all__ = [
     "ManifoldModel",
@@ -74,18 +76,13 @@ class ManifoldModel:
         """Leading shape of a stack of points; () for one point."""
         return np.shape(point)[:np.ndim(point) - self.point_ndim]
 
-    def unstack(self, points):
-        """The points of a one-axis stack as a list; [points] for one point."""
-        shape = self.stack_shape(points)
-        if not shape:
-            return [points]
-        return [map_points(lambda a, i=i: a[i], points) for i in range(shape[0])]
-
     def membership_residual(self, point):
         raise NotImplementedError
 
     def distance(self, a, b):
-        raise NotImplementedError
+        """Distance of two points (a float), or the array of the per-point
+        distances of two stacks, each bitwise the one-point value."""
+        return _flat_norms(np.asarray(a) - np.asarray(b), self.point_ndim)
 
     def random_points(self, rngs):
         """One point from each generator, stacked. Each stream is drawn in
@@ -107,9 +104,6 @@ class Sphere(ManifoldModel):
     def membership_residual(self, point):
         return abs(float(np.linalg.norm(point)) - 1.0)
 
-    def distance(self, a, b):
-        return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
-
     def random_points(self, rngs):
         v = np.stack([rng.normal(size=self.n + 1) for rng in rngs])
         # sqrt(vecdot) is bitwise the per-vector np.linalg.norm
@@ -126,10 +120,23 @@ class Torus(ManifoldModel):
 
     def distance(self, a, b):
         d = np.mod(np.asarray(a) - np.asarray(b) + 0.5, 1.0) - 0.5
-        return float(np.linalg.norm(d))
+        return _flat_norms(d, self.point_ndim)
 
     def random_points(self, rngs):
         return np.stack([rng.uniform(0.0, 1.0, size=self.n) for rng in rngs])
+
+
+def _flat_norms(d, point_ndim):
+    """Bitwise np.linalg.norm of each point of a stack of differences (a
+    float for one point): the dot product of the flattened point, and for
+    complex points the real and imaginary dots added, as norm does
+    (complex vecdot differs from it in the last bit)."""
+    d = d.reshape(d.shape[:d.ndim - point_ndim] + (-1,))
+    if np.iscomplexobj(d):
+        n = np.sqrt(np.vecdot(d.real, d.real) + np.vecdot(d.imag, d.imag))
+    else:
+        n = norms(d)
+    return float(n) if n.ndim == 0 else n
 
 
 def _projector_residual(p, trace_target):
@@ -153,9 +160,6 @@ class GrassmannReal(ManifoldModel):
     def membership_residual(self, point):
         return _projector_residual(point, self.k)
 
-    def distance(self, a, b):
-        return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
-
     def random_points(self, rngs):
         a = np.stack([rng.normal(size=(self.n, self.k)) for rng in rngs])
         q, _ = np.linalg.qr(a)
@@ -169,9 +173,6 @@ class ComplexProjective(ManifoldModel):
 
     def membership_residual(self, point):
         return _projector_residual(point, 1.0)
-
-    def distance(self, a, b):
-        return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
 
     def random_points(self, rngs):
         z = np.stack([rng.normal(size=self.n + 1) + 1j * rng.normal(size=self.n + 1)
@@ -194,7 +195,9 @@ class Product(ManifoldModel):
         return max(self.left.membership_residual(a), self.right.membership_residual(b))
 
     def distance(self, a, b):
-        return max(self.left.distance(a[0], b[0]), self.right.distance(a[1], b[1]))
+        d = np.maximum(self.left.distance(a[0], b[0]),
+                       self.right.distance(a[1], b[1]))
+        return float(d) if np.ndim(d) == 0 else d
 
     def random_points(self, rngs):
         # each stream draws its left factor, then its right one
@@ -472,9 +475,9 @@ def named_diffeo(model, name, **params):
         raise UnknownName(f"no diffeomorphism named {name!r} on {model}")
     diffeo = builder(model, params)
     # one round trip on a stack of three points from one seeded stream;
-    # the distance of two stacks bounds each per-point distance from above
+    # negated, so that a NaN at any point refuses the map
     x = model.random_points([np.random.default_rng(3)] * 3)
-    if not model.distance(diffeo.inverse(diffeo.forward(x)), x) <= 1e-8:
+    if not np.max(model.distance(diffeo.inverse(diffeo.forward(x)), x)) <= 1e-8:
         raise BadParams(f"{name}: inverse round-trip check failed")
     return diffeo
 

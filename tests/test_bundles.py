@@ -355,7 +355,8 @@ def test_reversed_stacked_path_inverts_transport(seed, angle, plane):
     ts = bd.tangent_sphere(2)
     rng = np.random.default_rng(seed)
     xs = mf.stack_points([ts.base.random_point(rng) for _ in range(3)])
-    vs = np.stack([ts.random_fiber_vector(x, rng) for x in ts.base.unstack(xs)])
+    vs = np.stack([ts.random_fiber_vector(mf.map_points(lambda a: a[i], xs), rng)
+                   for i in range(3)])
     forward = bd.homotopy_path(mf.rotation_homotopy(ts.base, plane, angle), xs)
     out = np.matvec(bd.transport_operator(ts, forward, steps=512), vs)
     backward = bd.Path(lambda t: forward(1.0 - t))

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from bundlelift import gluing as gl, lifts as lf, manifolds as mf
-from bundlelift.errors import NotOrthonormal, PatchNotInvariant
+from bundlelift import cli, gluing as gl, lifts as lf, manifolds as mf
+from bundlelift.errors import BadParams, NotOrthonormal, PatchNotInvariant
 
 
 def rot(angle, axes=(0, 1), dim=3):
@@ -136,6 +136,31 @@ class TestCocycleCheck:
             gl.TransitionDatum(overlap, ident), phi)
         assert np.isnan(out["max_residual"])
         assert out["compatible"] is False
+
+
+    def test_empty_overlap_is_refused_not_passed(self):
+        # nothing to measure is no verdict: it must not read compatible
+        points = [np.array([0.1, 0.2])]
+        ident = lambda x: np.eye(2)
+        phi = mf.Diffeo("id", lambda x: x, lambda x: x, None)
+        with pytest.raises(BadParams, match="no overlap points"):
+            gl.cocycle_compat_check(
+                gl.LocalLiftDatum("U1", points, ident),
+                gl.LocalLiftDatum("U2", points, ident),
+                gl.TransitionDatum([], ident), phi)
+
+
+def test_gluing_demo_with_too_few_overlap_points_exits_2(monkeypatch, capsys):
+    # the first three draws lie in both patches, every later one in U1 only,
+    # so the 200 draws give 3 overlap points instead of 8
+    both = np.full((2, 2), 0.5)
+    u1_only = np.diag([1.0, 0.0])
+    monkeypatch.setattr(cli, "random_point",
+                        lambda model, seed: both if seed < 45 else u1_only)
+    code = cli.main(["scenario", "gluing_demo", "--seed", "42",
+                     "--no-timestamp"])
+    assert code == 2
+    assert "200 draws gave 3 overlap points" in capsys.readouterr().err
 
 
 class TestAdapter:

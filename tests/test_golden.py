@@ -1,7 +1,10 @@
 """Byte-identity gate: seed-42 `--no-timestamp` outputs equal the golden
-files in tests/data, written before the torus sweep and the probe draws
-were stacked. Regenerate a file only for a change that is meant to move
-its bytes, and say which bytes moved and why."""
+files in tests/data. The torus sweep and grassmann_action files were
+written before the torus sweep and the probe draws were stacked; the
+metrize_random, frame_view, ambient_projection, homotopy_lift_sphere and
+s1xs2_generators files before those scenarios' per-point checks were
+stacked. Regenerate a file only for a change that is meant to move its
+bytes, and say which bytes moved and why."""
 
 from pathlib import Path
 
@@ -17,6 +20,10 @@ GOLDEN = [
                          "--csv": "torus_sweep.csv"}),
     ("grassmann_action", ["--samples", "200"],
      {"--json": "grassmann_action.json"}),
+] + [
+    (name, [], {"--json": f"{name}.json"})
+    for name in ("metrize_random", "frame_view", "ambient_projection",
+                 "homotopy_lift_sphere", "s1xs2_generators")
 ]
 
 

@@ -395,7 +395,10 @@ def _random_formula_lift(seed):
 def _gap(l1, l2, x, v):
     """The largest action and base-map differences of two lifts on probes."""
     act = np.max(np.abs(l1.action(x, v) - l2.action(x, v)))
-    base = l1.bundle.base.distance(l1.base_map.forward(x), l2.base_map.forward(x))
+    # root-sum-square of the per-point distances: the distance of the two
+    # stacks read as single points, no weaker than their maximum
+    base = np.linalg.norm(
+        l1.bundle.base.distance(l1.base_map.forward(x), l2.base_map.forward(x)))
     return max(act, base)
 
 
@@ -573,6 +576,64 @@ class TestAmbientProjection:
         assert rep.base_residual >= 0.9
 
 
+def _per_probe_injectivity(bundle, diffeo, seed):
+    # the one-probe-at-a-time injectivity loop that the stacked probes
+    # replaced, kept as their oracle: (point, singular value) of the first
+    # failing probe, or None
+    for i in range(25):
+        x = mf.random_point(bundle.base,
+                            np.random.default_rng([seed, i]).integers(2**32))
+        cols = bundle.fiber_projector(diffeo.forward(x)) @ bundle.fiber_basis(x)
+        sv = singular_values(cols)
+        if sv[0] <= 1e-6:
+            return x, float(sv[0])
+    return None
+
+
+def _half_flip(model):
+    # fixes the lines of RP^1 nearer the x-axis and sends the others to
+    # their orthocomplement: projection fails at the flipped probes only
+    eye = np.eye(2)
+
+    def flip(p):
+        p = np.asarray(p)
+        return np.where((p[..., 0, 0] < 0.5)[..., None, None], eye - p, p)
+
+    return mf.Diffeo("half_flip", flip, flip, model)
+
+
+class TestStackedInjectivityProbes:
+    # seeds whose first failing probe is not probe 0 (seed 1, the default,
+    # fails at probe 0 already)
+    @pytest.mark.parametrize("seed", [3, 5, 14, 34])
+    def test_refusal_names_the_first_failing_probe(self, seed):
+        bundle = bd.tautological_real(1, 2)
+        phi = _half_flip(bundle.base)
+        x = bundle.base.random_points([
+            np.random.default_rng(np.random.default_rng([seed, i]).integers(2**32))
+            for i in range(25)])
+        flipped = np.nonzero(x[:, 0, 0] < 0.5)[0]
+        # some probes fail but not all, and not only the first
+        assert 2 <= len(flipped) < 25 and flipped[0] > 0
+        oracle_x, oracle_sv = _per_probe_injectivity(bundle, phi, seed)
+        with pytest.raises(NonInjective) as err:
+            lf.ambient_projection_lift(bundle, phi, seed=seed)
+        assert err.value.witness_point.tobytes() == oracle_x.tobytes()
+        assert err.value.singular_value == oracle_sv
+        assert f"{oracle_sv:.3e}" in str(err.value)
+
+    @pytest.mark.parametrize("make", [
+        lambda b: mf.named_diffeo(b.base, "grassmann_action",
+                                  matrix=mf.random_orthogonal(2, 4)),
+        lambda b: mf.identity_diffeo(b.base),
+    ])
+    def test_accepted_where_every_probe_passes(self, make):
+        bundle = bd.tautological_real(1, 2)
+        phi = make(bundle)
+        assert _per_probe_injectivity(bundle, phi, 7) is None
+        lf.ambient_projection_lift(bundle, phi, seed=7)
+
+
 class TestGrassmannLift:
     def test_identity_matrix(self):
         lift = lf.grassmann_orthogonal_lift(np.eye(2), 1)
@@ -621,6 +682,48 @@ class TestFrameLiftView:
         out = lf.frame_lift_view(lift, frame)
         out_rot = lf.frame_lift_view(lift, lf.FiberFrame(x, frame.vectors @ g))
         assert np.max(np.abs(out_rot.vectors - out.vectors @ g)) <= 1e-8
+
+    def test_stack_of_frames_equals_per_frame_calls(self):
+        lift = lf.grassmann_orthogonal_lift(mf.random_orthogonal(4, 9), 2)
+        base = lift.bundle.base
+        x = base.random_points([np.random.default_rng(i) for i in range(30)])
+        g = mf.random_orthogonal(2, 10)
+        for vectors in (lift.bundle.fiber_basis(x),
+                        lift.bundle.fiber_basis(x) @ g):
+            out = lf.frame_lift_view(lift, lf.FiberFrame(x, vectors))
+            assert out.vectors.shape == (30, 4, 2)
+            for i in range(30):
+                one = lf.frame_lift_view(lift, lf.FiberFrame(x[i], vectors[i]))
+                assert out.vectors[i].tobytes() == one.vectors.tobytes()
+                assert out.base_point[i].tobytes() == one.base_point.tobytes()
+
+    @pytest.mark.parametrize("bad", [0, 4, 9])
+    def test_one_bad_frame_refuses_the_stack(self, bad):
+        bundle = bd.tautological_real(2, 4)
+        lift = lf.identity_lift(bundle)
+        x = bundle.base.random_points([np.random.default_rng(i) for i in range(10)])
+        vectors = bundle.fiber_basis(x)
+        lf.frame_lift_view(lift, lf.FiberFrame(x, vectors))
+        vectors[bad] *= 1.5
+        with pytest.raises(NotOrthonormal):
+            lf.frame_lift_view(lift, lf.FiberFrame(x, vectors))
+
+    @pytest.mark.parametrize("bad", [0, 6])
+    def test_one_non_isometric_image_refuses_the_stack(self, bad):
+        bundle = bd.trivial(mf.Sphere(2), 2)
+
+        def action(x, v):
+            # stretches the fiber over one point of the stack only
+            out = np.array(v)
+            if np.ndim(x) == 2:
+                out[..., bad, 0] *= 2.0
+            return out
+
+        stretch = lf.Lift(bundle, mf.identity_diffeo(mf.Sphere(2)), action,
+                          "stretch_one", 1e-10)
+        x = mf.Sphere(2).random_points([np.random.default_rng(i) for i in range(8)])
+        with pytest.raises(NotIsometric):
+            lf.frame_lift_view(stretch, lf.FiberFrame(x, bundle.fiber_basis(x)))
 
     def test_rejects_bad_frame(self):
         bundle = bd.tautological_real(2, 4)

@@ -98,6 +98,83 @@ def test_torus_distance_wraps():
     assert t.distance(np.array([0.05]), np.array([0.95])) == pytest.approx(0.1)
 
 
+def _per_point_distance(model, a, b):
+    # the one-point distances that the stacked distance replaced, kept as
+    # its oracle
+    if isinstance(model, mf.Product):
+        return max(_per_point_distance(model.left, a[0], b[0]),
+                   _per_point_distance(model.right, a[1], b[1]))
+    d = np.asarray(a) - np.asarray(b)
+    if isinstance(model, mf.Torus):
+        d = np.mod(d + 0.5, 1.0) - 0.5
+    return float(np.linalg.norm(d))
+
+
+DISTANCE_MODELS = [
+    mf.Sphere(2),
+    mf.Sphere(9),
+    mf.Torus(1),
+    mf.Torus(3),
+    mf.GrassmannReal(1, 2),
+    mf.GrassmannReal(2, 4),
+    mf.GrassmannReal(3, 7),
+    mf.ComplexProjective(1),
+    mf.ComplexProjective(2),
+    mf.Product(mf.GrassmannReal(1, 2), mf.ComplexProjective(1)),
+    mf.Product(mf.Torus(2), mf.Sphere(2)),
+]
+
+
+@pytest.mark.parametrize("model", DISTANCE_MODELS, ids=str)
+def test_stacked_distance_is_bitwise_the_per_point_distance(model):
+    a = model.random_points([np.random.default_rng([5, i]) for i in range(40)])
+    far = model.random_points([np.random.default_rng([6, i]) for i in range(40)])
+    # a nearby stack too: points moved by about 1e-9, where rounding shows
+    near = model.random_points([np.random.default_rng([5, i]) for i in range(40)])
+    near = mf.map_points(
+        lambda p: p + 1e-9 * np.random.default_rng(8).normal(size=p.shape), near)
+    for b in (far, near):
+        stacked = model.distance(a, b)
+        assert stacked.shape == (40,)
+        for i in range(40):
+            ai, bi = (mf.map_points(lambda p: p[i], q) for q in (a, b))
+            one = model.distance(ai, bi)
+            assert type(one) is float
+            assert stacked[i] == one == _per_point_distance(model, ai, bi)
+    # further leading axes are stack axes too
+    grid = mf.map_points(lambda p: p.reshape((4, 10) + p.shape[1:]), a)
+    other = mf.map_points(lambda p: p.reshape((4, 10) + p.shape[1:]), far)
+    assert np.array_equal(model.distance(grid, other),
+                          model.distance(a, far).reshape(4, 10))
+
+
+def test_product_distance_keeps_a_nan_in_either_factor():
+    model = mf.Product(mf.Sphere(2), mf.Sphere(2))
+    x = model.random_points([np.random.default_rng(i) for i in range(3)])
+    broken = (x[0], x[1].copy())
+    broken[1][2] = np.nan
+    d = model.distance(x, broken)
+    assert np.isnan(d[2]) and np.all(d[:2] == 0.0)
+
+
+def _build_nan_at_one_point(model, params):
+    # exact on one point, but a stack's inverse loses its second point
+    def inverse(x):
+        out = np.array(x, dtype=float)
+        if out.ndim == 2:
+            out[1] = np.nan
+        return out
+
+    return mf.Diffeo("nan_at_one_point", lambda x: np.array(x), inverse, model)
+
+
+def test_round_trip_with_a_nan_at_one_point_is_refused(monkeypatch):
+    monkeypatch.setitem(mf._DIFFEO_REGISTRY, (mf.Sphere, "nan_at_one_point"),
+                        _build_nan_at_one_point)
+    with pytest.raises(BadParams, match="round-trip"):
+        mf.named_diffeo(mf.Sphere(2), "nan_at_one_point")
+
+
 class TestNamedDiffeos:
     def test_unknown_name(self):
         with pytest.raises(UnknownName):

@@ -1,0 +1,162 @@
+"""The stacked checks of the CLI scenarios against the per-point loops
+they replaced, and a guard that keeps them stacked: a scenario's
+eigensolve count must not grow with --samples."""
+
+import sys
+
+import numpy as np
+import pytest
+
+from bundlelift import numkernel
+from bundlelift.bundles import trivial
+from bundlelift.cli import ScenarioConfig, run_scenario
+from bundlelift.lifts import (FiberFrame, Lift, compose, frame_lift_view,
+                              grassmann_orthogonal_lift, metrize,
+                              s1xs2_generator_lift)
+from bundlelift.manifolds import (Sphere, identity_diffeo, random_orthogonal,
+                                  random_point, rotation_homotopy)
+from bundlelift.numkernel import polar_two_metric, worst
+
+
+def _residuals(name, **config):
+    report, _ = run_scenario(ScenarioConfig(scenario=name, **config))
+    return {c["name"]: c["residual"] for c in report["checks"]}
+
+
+def _one_point_distance(a, b):
+    # the one-point distance of Sphere, GrassmannReal, ComplexProjective
+    # and of a Product of them, as the loops read it
+    if isinstance(a, tuple):
+        return max(_one_point_distance(a[0], b[0]),
+                   _one_point_distance(a[1], b[1]))
+    return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
+
+
+# -- the per-point loops, kept as oracles -------------------------------------
+
+
+def _metrize_random_loop(seed, samples):
+    model = Sphere(2)
+    bundle = trivial(model, 3)
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(3, 3)) + 2.5 * np.eye(3)
+    s = rng.normal(size=(3, 3))
+    vert = Lift(bundle, identity_diffeo(model),
+                lambda x, v: np.matvec(a + 0.2 * np.asarray(x)[..., 0, None, None]
+                                       * s, v), "vertical_random", 1e-10)
+    iso = metrize(vert)
+    iso2 = metrize(iso)
+    idem = fact = 0.0
+    for i in range(min(samples, 20)):
+        x = random_point(model, seed + 500 + i)
+        m1 = iso.fiber_matrix_in_bases(x)
+        m2 = iso2.fiber_matrix_in_bases(x)
+        idem = worst(idem, float(np.max(np.abs(m1 - m2))))
+        f = vert.fiber_matrix_in_bases(x)
+        psi, xi = polar_two_metric(f, np.eye(3), np.eye(3))
+        fact = worst(fact, float(np.max(np.abs(xi @ psi - f))))
+    return {"metrize.idempotence": idem, "metrize.factorization": fact}
+
+
+def _frame_view_loop(seed, samples):
+    lift = grassmann_orthogonal_lift(random_orthogonal(4, seed), 2)
+    bundle = lift.bundle
+    g = random_orthogonal(2, seed + 1)
+    gram_defect = equiv = 0.0
+    for i in range(min(samples, 50)):
+        x = random_point(bundle.base, seed + i)
+        frame = FiberFrame(x, bundle.fiber_basis(x))
+        out = frame_lift_view(lift, frame)
+        gram = out.vectors.T @ out.vectors
+        gram_defect = worst(gram_defect, float(np.max(np.abs(gram - np.eye(2)))))
+        out_rot = frame_lift_view(lift, FiberFrame(x, frame.vectors @ g))
+        equiv = worst(equiv, float(np.max(np.abs(out_rot.vectors
+                                                 - out.vectors @ g))))
+    return {"frame.output_gram": gram_defect, "frame.equivariance": equiv}
+
+
+def _grassmann_action_loop(seed, samples):
+    l1 = grassmann_orthogonal_lift(random_orthogonal(4, seed), 2)
+    l2 = grassmann_orthogonal_lift(random_orthogonal(4, seed + 1), 2)
+    comp = compose(l1, l2)
+    hom = 0.0
+    for i in range(min(samples, 100)):
+        x = random_point(l1.bundle.base, seed + i)
+        hom = worst(hom, _one_point_distance(
+            comp.base_map.forward(x),
+            l1.base_map.forward(l2.base_map.forward(x))))
+    return {"compose.base_homomorphism": hom}
+
+
+def _homotopy_endpoint_loop(seed, samples):
+    h = rotation_homotopy(Sphere(2), (0, 1), np.pi / 2)
+    gap = 0.0
+    for i in range(min(samples, 100)):
+        x = random_point(Sphere(2), seed + 1000 + i)
+        gap = worst(gap, float(np.linalg.norm(h.family(1.0, x)
+                                              - h.endpoint.forward(x))))
+    return {"homotopy.endpoint_agreement": gap}
+
+
+def _s1xs2_involution_loop(seed, samples):
+    out = {}
+    for n in (1, 2):
+        s_lift = s1xs2_generator_lift("s", n, steps=64)
+        roundtrip = 0.0
+        for i in range(min(samples, 20)):
+            x = random_point(s_lift.bundle.base, seed + 900 + i)
+            y = s_lift.base_map.forward(s_lift.base_map.forward(x))
+            roundtrip = worst(roundtrip, _one_point_distance(x, y))
+        out[f"s_lift.n{n}.involution"] = roundtrip
+    return out
+
+
+LOOPS = [
+    ("metrize_random", _metrize_random_loop),
+    ("frame_view", _frame_view_loop),
+    ("grassmann_action", _grassmann_action_loop),
+    ("homotopy_lift_sphere", _homotopy_endpoint_loop),
+    ("s1xs2_generators", _s1xs2_involution_loop),
+]
+
+
+@pytest.mark.parametrize("seed,samples", [(0, 3), (7, 40), (42, 200)])
+@pytest.mark.parametrize("scenario,loop", LOOPS, ids=[n for n, _ in LOOPS])
+def test_stacked_checks_equal_the_per_point_loops(scenario, loop, seed, samples):
+    # transport steps do not enter these checks; 64 keeps the lifts cheap
+    got = _residuals(scenario, seed=seed, samples=samples, transport_steps=64)
+    for name, residual in loop(seed, samples).items():
+        assert got[name] == residual, name
+
+
+# -- the work-count guard -----------------------------------------------------
+
+
+def _count_sym_eigh(monkeypatch):
+    """Count numkernel.sym_eigh calls from every module that holds it."""
+    calls = []
+    original = numkernel.sym_eigh
+
+    def counted(s):
+        calls.append(np.shape(s))
+        return original(s)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "bundlelift" and \
+                getattr(module, "sym_eigh", None) is original:
+            monkeypatch.setattr(module, "sym_eigh", counted)
+    return calls
+
+
+@pytest.mark.parametrize("scenario", ["metrize_random", "frame_view",
+                                      "ambient_projection"])
+def test_eigensolve_count_does_not_grow_with_samples(monkeypatch, scenario):
+    # a per-point loop makes one eigensolve per point, so its count would
+    # follow min(samples, loop length)
+    calls = _count_sym_eigh(monkeypatch)
+    counts = []
+    for samples in (5, 200):
+        calls.clear()
+        run_scenario(ScenarioConfig(scenario=scenario, samples=samples))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
