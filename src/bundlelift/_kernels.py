@@ -1,7 +1,7 @@
 """Hot numeric kernels, in numpy: RK4 transport (step increments built in
-batched products, then one short loop over the steps), plaquette phases
-and solid angles. The symmetric eigensolver is LAPACK's, behind
-:func:`bundlelift.numkernel.sym_eigh`.
+batched products over blocks of steps, then one short loop over the
+steps), plaquette phases and solid angles. The symmetric eigensolver is
+LAPACK's, behind :func:`bundlelift.numkernel.sym_eigh`.
 """
 
 import numpy as np
@@ -18,33 +18,48 @@ import numpy as np
 #   K2 = a1 + (h/2) a1 a0,  K3 = a1 + (h/2) a1 K2,  K4 = a2 + h a2 K3,
 #   D  = (h/6) (a0 + 2 K2 + 2 K3 + K4).
 # The increments D of all steps are built first, in batched products over
-# the whole window, so the loop keeps two products and a sum per step. The
-# identity is not folded into D: a step matrix Qnode (I + D) rounds the
-# state to the size of I, and the roundoff floor of a long run rises about
-# 60x, while x + D x keeps the small increment apart from the state.
+# blocks of consecutive steps, so the loop keeps two products and a sum per
+# step. The identity is not folded into D: a step matrix Qnode (I + D)
+# rounds the state to the size of I, and the roundoff floor of a long run
+# rises about 60x, while x + D x keeps the small increment apart from the
+# state.
 # The method is one-step: a run split at a node, the second call started
 # from the first call's result, is bitwise the same as the whole run.
 
+# Bytes of one matrix stack of an increment block (one matrix per track and
+# step): the temporaries of the batched products are a few blocks, so next
+# to the stage arrays the kernel holds D (one matrix per track and step)
+# and little else. Each D is computed from its own step's stage matrices,
+# so the block size does not change a bit of the result.
+INCREMENT_BLOCK_BYTES = 2 ** 16
+
 
 def rk4_transport(qp, qnode, x0, h):
-    a0, a1, a2 = qp[:-2:2], qp[1::2], qp[2::2]
-    # in place: the temporaries are d, k and one product, each w matrices
-    # per track for a window of w steps
-    k = a1 @ a0
-    k *= 0.5 * h
-    k += a1
-    d = a0 + 2.0 * k
-    k = a1 @ k
-    k *= 0.5 * h
-    k += a1
-    d += 2.0 * k
-    k = a2 @ k
-    k *= h
-    k += a2
-    d += k
-    d *= h / 6.0
+    steps = qnode.shape[0] - 1
+    d = np.empty((steps,) + qp.shape[1:], dtype=qp.dtype)
+    block = max(1, INCREMENT_BLOCK_BYTES // qnode[0].nbytes)
+    for s in range(0, steps, block):
+        e = min(s + block, steps)
+        a0 = qp[2 * s:2 * e:2]
+        a1 = qp[2 * s + 1:2 * e:2]
+        a2 = qp[2 * s + 2:2 * e + 1:2]
+        # in place: the temporaries are k and one product, each one block
+        k = a1 @ a0
+        k *= 0.5 * h
+        k += a1
+        de = d[s:e]
+        np.add(a0, 2.0 * k, out=de)
+        k = a1 @ k
+        k *= 0.5 * h
+        k += a1
+        de += 2.0 * k
+        k = a2 @ k
+        k *= h
+        k += a2
+        de += k
+        de *= h / 6.0
     x = x0
-    for i in range(qnode.shape[0] - 1):
+    for i in range(steps):
         x = qnode[i + 1] @ (x + d[i] @ x)
     return x
 

@@ -11,8 +11,9 @@ The fields (projector, projector differential, complex projector) take
 one point or a stack of points on a leading axis (see ``manifolds``) and
 are each written once in broadcasting numpy.
 
-Fiber vectors are plain ambient arrays. ``transport_operator`` is the one
-transport: it returns the transport map as an ambient matrix, integrating
+Fiber vectors are plain ambient arrays. ``joint_transport_operators`` is
+the one transport, and ``transport_operator`` its one-pair case: it
+returns the transport map as an ambient matrix, integrating
 chi'(t) = Q'(t) chi(t) with classical RK4 and re-projecting after every
 step. Q' is the bundle's exact projector differential along the path
 velocity when the path has a velocity and the bundle a projector
@@ -24,21 +25,25 @@ would round chi to the size of I and raise the roundoff floor of long
 runs.
 
 A ``Path`` is one track or a stack of P tracks: evaluated on a vector of T
-times it returns shape (T, ...) or (T, P, ...). ``transport_operator``
-walks the RK4 time grid in windows of consecutive steps. Per window it
-evaluates the path on the window's stage and node times, calls each field
-once on the flattened times x tracks stack, and hands all tracks to one RK4
-kernel call, stacked on the axis after time, which continues from the
-previous window's state. A window holds as many steps as fit in
-``TRANSPORT_CHUNK_BYTES`` of stage arrays for all tracks, so memory stays
-bounded at any step count, and one track is the case P = 1. It returns one
-(N, N) operator, or (P, N, N) for a stack. ``holonomy_sign`` likewise takes
-one loop or a stack of loops.
+times it returns shape (T, ...) or (T, P, ...). ``joint_transport_operators``
+takes a list of (bundle, path) pairs whose bundles share the ambient fiber
+dimension N, and walks the RK4 time grid in windows of consecutive steps.
+Per window and pair it evaluates the path on the window's stage and node
+times and calls each field once on the flattened times x tracks stack; the
+tracks of all pairs go side by side on the axis after time, into one RK4
+kernel call, which continues from the previous window's state. A window
+holds as many steps as fit in ``TRANSPORT_CHUNK_BYTES`` of stage arrays for
+all tracks, so memory stays bounded at any step count, and one track is
+the case P = 1. Each pair gets one (N, N) operator, or (P, N, N) for a
+stack, bitwise the operator of that pair transported alone.
+``holonomy_signs`` likewise takes (line bundle, loop) pairs, each loop one
+loop or a stack of loops, and ``holonomy_sign`` is its one-pair case.
 
 Nothing is cached per point: ``fiber_basis`` is one stacked eigensolve,
 deterministic in the point.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -63,7 +68,9 @@ __all__ = [
     "trivial",
     "complement",
     "direct_sum",
+    "joint_transport_operators",
     "transport_operator",
+    "holonomy_signs",
     "holonomy_sign",
 ]
 
@@ -384,8 +391,8 @@ def homotopy_path(homotopy, x):
 
 def _stage_arrays(bundle, path, ts, nodes):
     """Projector derivatives at the RK4 stage times ts and the projectors at
-    the node times, each from one field call on the stack of points of all
-    tracks at those times (time axis first)."""
+    the node times, laid out (time, track, N, N), each from one field call
+    on the stack of points of all tracks at those times (time axis first)."""
 
     def field(fn, *args):
         # flatten times x tracks into one stack for the call
@@ -393,7 +400,7 @@ def _stage_arrays(bundle, path, ts, nodes):
         flat = [map_points(lambda a: a.reshape((-1,) + a.shape[len(shape):]), a)
                 for a in args]
         out = fn(*flat)
-        return out.reshape(shape + out.shape[1:])
+        return out.reshape((shape[0], -1) + out.shape[1:])
 
     if path.velocity is not None and bundle.has_projector_differential:
         qp = field(bundle.projector_differential, path(ts), path.velocity(ts))
@@ -405,25 +412,57 @@ def _stage_arrays(bundle, path, ts, nodes):
     return qp, qnode
 
 
-# Bytes of stage arrays (qp and qnode together) one RK4 kernel call may take:
-# the time grid is walked in windows of as many steps as fit for all tracks.
-# The kernel adds its step increments D (w matrices per track for a window
-# of w steps) and a few temporaries of that size, outside this budget.
-# A window holds at least one step (five N x N matrices per track), so a
-# stack of more than about budget / (5 * 8 * N^2) tracks exceeds the budget:
-# about 2,900 tracks on the tangent bundle of S^2 (N = 3).
+def _place(window, part, start, tracks):
+    """The window array with one pair's stage array copied into its track
+    slice from ``start``, allocated at the first pair. A part that holds
+    every track is the window itself, uncopied."""
+    if part.shape[1] == tracks:
+        return part
+    if window is None:
+        window = np.empty((part.shape[0], tracks) + part.shape[2:])
+    window[:, start:start + part.shape[1]] = part
+    return window
+
+
+# Bytes of window stage arrays (qp and qnode together) one RK4 kernel call
+# may take: the time grid is walked in windows of as many steps as fit for
+# all tracks of all (bundle, path) pairs of a ``joint_transport_operators``
+# call, which share this one budget. Each pair's stage arrays are copied
+# into its track slice of the window, one pair at a time, so one pair's
+# arrays come on top of the budget (none for a single pair, whose arrays
+# are the window), as do the kernel's step increments D (w matrices per
+# track for a window of w steps) and its few increment blocks. A window
+# holds at least one step (five N x N matrices per track), so more
+# than about budget / (5 * 8 * N^2) tracks exceed the budget: about 2,900
+# tracks on the tangent bundle of S^2 (N = 3).
 TRANSPORT_CHUNK_BYTES = 2 ** 20
 
 
-def transport_operator(bundle, path, steps=DEFAULT_TRANSPORT_STEPS):
-    """The full transport map fiber(path(0)) -> fiber(path(1)) as an
-    ambient matrix (the orthogonal complement of the fiber is killed); for
-    a stack of P tracks, the (P, N, N) stack of the per-track maps, each
-    bitwise equal to the map of its track alone."""
+def _pair_name(k, m):
+    # the prefix that names the failing pair of a several-pair call
+    return f"pair {k} of {m}: " if m > 1 else ""
+
+
+def joint_transport_operators(pairs, steps=DEFAULT_TRANSPORT_STEPS):
+    """``transport_operator`` of every (bundle, path) pair of a list, each
+    pair's result in that pair's own shape and bitwise equal to the pair
+    transported alone. The bundles must share ``ambient_fiber_dim``: the
+    tracks of all pairs go side by side into each window, and each window
+    makes one RK4 kernel call."""
     if steps < 16:
         raise BadParams("transport needs at least 16 steps")
-    n = bundle.ambient_fiber_dim
-    tracks = math.prod(bundle.base.stack_shape(path(0.0)))
+    if not pairs:
+        raise BadParams("no (bundle, path) pairs to transport")
+    n = pairs[0][0].ambient_fiber_dim
+    for k, (bundle, _) in enumerate(pairs):
+        if bundle.ambient_fiber_dim != n:
+            raise BadParams(
+                f"{_pair_name(k, len(pairs))}ambient fiber dimension "
+                f"{bundle.ambient_fiber_dim} != {n} of pair 0")
+    shapes = [bundle.base.stack_shape(path(0.0)) for bundle, path in pairs]
+    ends = list(itertools.accumulate(math.prod(shape) for shape in shapes))
+    starts = [0] + ends[:-1]
+    tracks = ends[-1]
     # a window of w steps holds 2w+1 stage and w+1 node matrices per track
     window = max(1, (TRANSPORT_CHUNK_BYTES // (tracks * n * n * 8) - 2) // 3)
     h = 1.0 / steps
@@ -432,29 +471,57 @@ def transport_operator(bundle, path, steps=DEFAULT_TRANSPORT_STEPS):
     x = None
     for i in range(0, steps, window):
         j = min(i + window, steps)
-        qp, qnode = _stage_arrays(bundle, path, ts[2 * i:2 * j + 1], nodes[i:j + 1])
+        qp = qnode = None
+        for (bundle, path), start in zip(pairs, starts):
+            part_qp, part_qnode = _stage_arrays(bundle, path, ts[2 * i:2 * j + 1],
+                                                nodes[i:j + 1])
+            qp = _place(qp, part_qp, start, tracks)
+            qnode = _place(qnode, part_qnode, start, tracks)
         x = _kernels.rk4_transport(qp, qnode, qnode[0] if x is None else x, h)
-    return x
+    return [x[a:b].reshape(shape + (n, n))
+            for shape, a, b in zip(shapes, starts, ends)]
+
+
+def transport_operator(bundle, path, steps=DEFAULT_TRANSPORT_STEPS):
+    """The full transport map fiber(path(0)) -> fiber(path(1)) as an
+    ambient matrix (the orthogonal complement of the fiber is killed); for
+    a stack of P tracks, the (P, N, N) stack of the per-track maps, each
+    bitwise equal to the map of its track alone."""
+    return joint_transport_operators([(bundle, path)], steps)[0]
+
+
+def holonomy_signs(pairs, steps=DEFAULT_TRANSPORT_STEPS):
+    """``holonomy_sign`` of every (line bundle, loop) pair of a list, from
+    one ``joint_transport_operators`` call. An open loop, a NaN gap or an
+    ambiguous sign names the failing pair."""
+    m = len(pairs)
+    v0s = []
+    for k, (line_bundle, loop) in enumerate(pairs):
+        if line_bundle.real_rank != 1:
+            raise BadParams(f"{_pair_name(k, m)}holonomy_sign needs a real line "
+                            "bundle (rank 1)")
+        start = loop(0.0)
+        gap = np.max(line_bundle.base.distance(start, loop(1.0)))
+        # negated, so that a NaN gap (a loop that could not be evaluated) fails
+        if not gap <= 1e-10:
+            raise BadParams(f"{_pair_name(k, m)}loop is not closed (gap {gap:.3e})")
+        v0s.append(line_bundle.fiber_basis(start)[..., 0])
+    ops = joint_transport_operators(pairs, steps)
+    signs = []
+    for k, (v0, op) in enumerate(zip(v0s, ops)):
+        out = np.matvec(op, v0)
+        inner = np.vecdot(out / norms(out)[..., None], v0)
+        # a NaN transport has no sign: every |inner| must clear 0.9
+        if not np.all(np.abs(inner) > 0.9):
+            raise Ambiguous(
+                f"{_pair_name(k, m)}|<chi(1), v0>| = {np.min(np.abs(inner)):.3f} "
+                "<= 0.9; increase steps")
+        sign = np.where(inner > 0, 1, -1)
+        signs.append(int(sign) if sign.ndim == 0 else sign)
+    return signs
 
 
 def holonomy_sign(line_bundle, loop, steps=DEFAULT_TRANSPORT_STEPS):
     """Orientation sign picked up by a real line bundle around a closed
     loop; for a stack of loops, the int array of one sign per loop."""
-    if line_bundle.real_rank != 1:
-        raise BadParams("holonomy_sign needs a real line bundle (rank 1)")
-    base = line_bundle.base
-    start = loop(0.0)
-    gap = np.max(base.distance(start, loop(1.0)))
-    # negated, so that a NaN gap (a loop that could not be evaluated) fails
-    if not gap <= 1e-10:
-        raise BadParams(f"loop is not closed (gap {gap:.3e})")
-    v0 = line_bundle.fiber_basis(start)[..., 0]
-    out = np.matvec(transport_operator(line_bundle, loop, steps=steps), v0)
-    inner = np.vecdot(out / norms(out)[..., None], v0)
-    # a NaN transport has no sign: every |inner| must clear 0.9
-    if not np.all(np.abs(inner) > 0.9):
-        raise Ambiguous(
-            f"|<chi(1), v0>| = {np.min(np.abs(inner)):.3f} <= 0.9; increase steps"
-        )
-    signs = np.where(inner > 0, 1, -1)
-    return int(signs) if signs.ndim == 0 else signs
+    return holonomy_signs([(line_bundle, loop)], steps)[0]

@@ -43,7 +43,7 @@ from .manifolds import (ComplexProjective, Sphere, cp1_power_map, degree,
 from .numkernel import polar_two_metric, worst
 from .obstruction import (lattice_chern_number, plaquette_phases,
                           pullback_invariance_report, torus_criterion,
-                          w1_profile)
+                          w1_profiles)
 
 SCHEMA_VERSION = "1"
 
@@ -385,12 +385,11 @@ def _scenario_torus_sweep(cfg):
     checks.append(_check("criterion.cases_swept", len(rows), 220, "ge"))
 
     w1_bad = 0
-    for n in (1, 2, 3):
-        for m in range(1, 2 ** n):
-            b = tuple(int(x) for x in np.binary_repr(m, width=n))
-            profile = w1_profile(b, steps=cfg.transport_steps)
-            expected = np.array([(-1) ** bi for bi in b])
-            w1_bad += int(np.any(profile != expected))
+    bs = [b for _, b, _ in cases]
+    # one transport for all 11 bundles' coordinate loops
+    for b, profile in zip(bs, w1_profiles(bs, steps=cfg.transport_steps)):
+        expected = np.array([(-1) ** bi for bi in b])
+        w1_bad += int(np.any(profile != expected))
     checks.append(_check("w1.profile_mismatches", w1_bad, 0.5))
     table = {
         "name": "torus_sweep",

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import BadParams, BadPlane, NonConvergent, UnknownName
-from .numkernel import norms
+from .numkernel import norms, worst
 
 __all__ = [
     "ManifoldModel",
@@ -144,7 +144,7 @@ def _projector_residual(p, trace_target):
     idem = float(np.max(np.abs(p @ p - p)))
     herm = float(np.max(np.abs(p - p.conj().T)))
     tr = abs(complex(np.trace(p)).real - trace_target) + abs(complex(np.trace(p)).imag)
-    return max(idem, herm, tr)
+    return worst(idem, herm, tr)
 
 
 @dataclass(frozen=True)
@@ -192,7 +192,7 @@ class Product(ManifoldModel):
 
     def membership_residual(self, point):
         a, b = point
-        return max(self.left.membership_residual(a), self.right.membership_residual(b))
+        return worst(self.left.membership_residual(a), self.right.membership_residual(b))
 
     def distance(self, a, b):
         d = np.maximum(self.left.distance(a[0], b[0]),

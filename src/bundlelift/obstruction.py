@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .bundles import Path, _check_bits, holonomy_sign, pullback, torus_line
+from .bundles import Path, _check_bits, holonomy_signs, pullback, torus_line
 from .config import DEFAULT_TRANSPORT_STEPS
 from .errors import BadParams, DegeneratePlaquette, NonConvergent
 from .manifolds import (ComplexProjective, Sphere, icosphere, integer_inverse,
@@ -30,6 +30,7 @@ __all__ = [
     "TorusCriterionResult",
     "torus_criterion",
     "w1_profile",
+    "w1_profiles",
 ]
 
 
@@ -184,16 +185,29 @@ def torus_criterion(a, b):
     return TorusCriterionResult(a=a, b=b, fast_verdict=fast, oracle_verdict=oracle)
 
 
+def _coordinate_loops(n):
+    # the n coordinate loops t -> t e_i of T^n as one stack of tracks
+    eye = np.eye(n)
+    return Path(lambda ts: np.multiply.outer(ts, eye),
+                velocity=lambda ts: np.multiply.outer(np.ones_like(ts), eye))
+
+
+def w1_profiles(bs, steps=DEFAULT_TRANSPORT_STEPS):
+    """``w1_profile`` of every bit vector of a list, from one
+    ``holonomy_signs`` call: the coordinate loops of all the line bundles
+    share each RK4 window."""
+    pairs = []
+    for b in bs:
+        b = _check_bits(b)
+        n = b.shape[0]
+        if n > 4:
+            raise BadParams("w1_profile supports n <= 4")
+        pairs.append((torus_line(b), _coordinate_loops(n)))
+    return [signs.astype(np.int64) for signs in holonomy_signs(pairs, steps=steps)]
+
+
 def w1_profile(b, steps=DEFAULT_TRANSPORT_STEPS):
     """Holonomy signs of L_b around the n = len(b) coordinate loops of the
     torus (the first Stiefel-Whitney class evaluated on the standard
     1-cycles)."""
-    b = _check_bits(b)
-    n = b.shape[0]
-    if n > 4:
-        raise BadParams("w1_profile supports n <= 4")
-    # the n coordinate loops t -> t e_i as one stack of tracks
-    eye = np.eye(n)
-    loops = Path(lambda ts: np.multiply.outer(ts, eye),
-                 velocity=lambda ts: np.multiply.outer(np.ones_like(ts), eye))
-    return holonomy_sign(torus_line(b), loops, steps=steps).astype(np.int64)
+    return w1_profiles([b], steps=steps)[0]

@@ -386,6 +386,59 @@ def test_transport_makes_at_most_three_field_calls_per_track(monkeypatch,
     assert ("projector_differential" in calls) == exact
 
 
+def _all_bits(n):
+    return [tuple(int(c) for c in np.binary_repr(m, width=n)) for m in range(1, 2 ** n)]
+
+
+def _joint_pairs():
+    # the 11 torus line bundles over T^1, T^2, T^3 with their coordinate
+    # loops (stacks of tracks), then more pairs of ambient dimension 2: the
+    # tangent bundle of S^1 on one track, on a stack of four tracks and on
+    # one track by central differences, and one torus loop alone
+    pairs = [(bd.torus_line(b), _torus_loops(n)) for n in (1, 2, 3) for b in _all_bits(n)]
+    ts1 = bd.tangent_sphere(1)
+    h = mf.rotation_homotopy(mf.Sphere(1), (0, 1), 1.3 * np.pi)
+    one = bd.homotopy_path(h, mf.random_point(mf.Sphere(1), 79))
+    xs = mf.stack_points([mf.random_point(mf.Sphere(1), 80 + i) for i in range(4)])
+    pairs += [(ts1, one), (ts1, bd.homotopy_path(h, xs)), (ts1, bd.Path(one.fn)),
+              (bd.torus_line((1, 0)), _torus_loop(2, 1))]
+    return pairs
+
+
+def test_joint_transport_is_bitwise_each_pair_alone(monkeypatch):
+    pairs = _joint_pairs()
+    alone = [bd.transport_operator(b, p, steps=256) for b, p in pairs]
+    assert {a.shape for a in alone} >= {(2, 2), (1, 2, 2), (3, 2, 2), (4, 2, 2)}
+    tracks = sum(math.prod(a.shape[:-2]) for a in alone)
+    assert tracks == 28 + 7
+    joint = bd.joint_transport_operators(pairs, steps=256)
+    assert len(joint) == len(pairs)
+    for got, want in zip(joint, alone):
+        assert got.shape == want.shape and np.array_equal(got, want)
+    # the window size does not change the operators
+    for window in WINDOWS:
+        monkeypatch.setattr(bd, "TRANSPORT_CHUNK_BYTES", _window_bytes(tracks, window, 2))
+        calls = _counted_kernel(monkeypatch)
+        joint = bd.joint_transport_operators(pairs, steps=256)
+        monkeypatch.undo()
+        assert [c[0] for c in calls] == [window] * (256 // window) + (
+            [256 % window] if 256 % window else [])
+        assert all(c[2] == tracks for c in calls)
+        for got, want in zip(joint, alone):
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_joint_transport_refuses_mixed_fiber_dimensions_and_no_pairs():
+    pairs = [(bd.torus_line((1,)), _torus_loops(1)),
+             (bd.tangent_sphere(2), _constant([1.0, 0.0, 0.0]))]
+    with pytest.raises(BadParams, match=r"^pair 1 of 2: ambient fiber dimension 3 != 2"):
+        bd.joint_transport_operators(pairs, steps=64)
+    with pytest.raises(BadParams, match="no .* pairs"):
+        bd.joint_transport_operators([], steps=64)
+    with pytest.raises(BadParams, match="no .* pairs"):
+        bd.holonomy_signs([], steps=64)
+
+
 class TestHolonomySign:
     def test_trivial_bundle(self):
         tr = bd.trivial(mf.Torus(2), 1)
@@ -459,6 +512,50 @@ class TestHolonomySign:
         stack = bd.Path(lambda t: np.stack([_line([1.0])(t), nan_loop(t)], axis=-2))
         with pytest.raises(BadParams, match="not closed"):
             bd.holonomy_sign(tl, stack, steps=64)
+
+    def test_pairs_give_each_pair_its_own_signs(self):
+        pairs = [(bd.torus_line(b), _torus_loops(n))
+                 for n in (1, 2, 3) for b in _all_bits(n)]
+        pairs.append((bd.torus_line((1, 0)), _line([1.0, 0.0])))
+        signs = bd.holonomy_signs(pairs, steps=256)
+        for (line_bundle, loop), got in zip(pairs, signs):
+            want = bd.holonomy_sign(line_bundle, loop, steps=256)
+            assert type(got) is type(want) and np.array_equal(got, want)
+        assert signs[-1] == -1
+
+    def _good_pairs(self):
+        return [(bd.torus_line(b), _torus_loops(len(b)))
+                for b in ((1,), (1, 0), (0, 1, 1), (1, 1), (1,))]
+
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    @pytest.mark.parametrize("keep_end,error,message", [
+        (False, BadParams, r"loop is not closed \(gap nan\)$"),
+        (True, Ambiguous, r"\|<chi\(1\), v0>\| = nan <= 0\.9; increase steps$"),
+    ], ids=["nan_gap", "nan_transport"])
+    def test_nan_loop_names_its_pair(self, k, keep_end, error, message):
+        # a NaN loop at pair k, and another after it: the first is named
+        tl = bd.torus_line((1,))
+        pairs = self._good_pairs()
+        for j in range(k, len(pairs), 3):
+            pairs[j] = (tl, self._nan_after_half(keep_end))
+        with pytest.raises(error, match=rf"^pair {k} of 5: {message}"):
+            bd.holonomy_signs(pairs, steps=64)
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_open_loop_names_its_pair(self, k):
+        pairs = self._good_pairs()
+        pairs[k] = (bd.torus_line((1,)), _line([0.4]))
+        with pytest.raises(BadParams, match=rf"^pair {k} of 5: loop is not closed"):
+            bd.holonomy_signs(pairs, steps=64)
+
+    def test_one_pair_keeps_its_messages(self):
+        tl = bd.torus_line((1,))
+        with pytest.raises(BadParams, match=r"^loop is not closed \(gap nan\)$"):
+            bd.holonomy_sign(tl, self._nan_after_half(keep_end=False), steps=64)
+        with pytest.raises(Ambiguous, match=r"^\|<chi\(1\), v0>\| = nan <= 0\.9"):
+            bd.holonomy_sign(tl, self._nan_after_half(keep_end=True), steps=64)
+        with pytest.raises(BadParams, match=r"^holonomy_sign needs a real line"):
+            bd.holonomy_sign(bd.tangent_sphere(2), _constant([1.0, 0.0, 0.0]), steps=64)
 
 
 def test_fiber_basis_calls_return_equal_distinct_arrays():

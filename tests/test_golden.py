@@ -3,7 +3,9 @@ files in tests/data. The torus sweep and grassmann_action files were
 written before the torus sweep and the probe draws were stacked; the
 metrize_random, frame_view, ambient_projection, homotopy_lift_sphere and
 s1xs2_generators files before those scenarios' per-point checks were
-stacked. Regenerate a file only for a change that is meant to move its
+stacked; the cpn_conjugation, gluing_demo, sphere_pullbacks and
+tangent_isometry files before the w1 sweep's transports were joined, so
+that every scenario is gated. Regenerate a file only for a change that is meant to move its
 bytes, and say which bytes moved and why."""
 
 from pathlib import Path
@@ -23,7 +25,8 @@ GOLDEN = [
 ] + [
     (name, [], {"--json": f"{name}.json"})
     for name in ("metrize_random", "frame_view", "ambient_projection",
-                 "homotopy_lift_sphere", "s1xs2_generators")
+                 "homotopy_lift_sphere", "s1xs2_generators", "cpn_conjugation",
+                 "gluing_demo", "sphere_pullbacks", "tangent_isometry")
 ]
 
 

@@ -3,6 +3,7 @@ plaquette and solid-angle sums, the per-step staged RK4 loop for transport,
 and the exact one-step RK4 polynomial for a constant generator."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +121,67 @@ def test_rk4_transport_split_at_any_node_is_bitwise_one_call(steps, data, tracks
     first = _kernels.rk4_transport(qp[:2 * split + 1], qnode[:split + 1], x0, h)
     assert np.array_equal(
         _kernels.rk4_transport(qp[2 * split:], qnode[split:], first, h), whole)
+
+
+def _unblocked_rk4_transport(qp, qnode, x0, h):
+    # the increments of the whole window in one batch of products, as
+    # before they were built in blocks; kept as the oracle
+    a0, a1, a2 = qp[:-2:2], qp[1::2], qp[2::2]
+    k = a1 @ a0
+    k *= 0.5 * h
+    k += a1
+    d = a0 + 2.0 * k
+    k = a1 @ k
+    k *= 0.5 * h
+    k += a1
+    d += 2.0 * k
+    k = a2 @ k
+    k *= h
+    k += a2
+    d += k
+    d *= h / 6.0
+    x = x0
+    for i in range(qnode.shape[0] - 1):
+        x = qnode[i + 1] @ (x + d[i] @ x)
+    return x
+
+
+@pytest.mark.parametrize("steps,tracks,n", [(61, 5, 3), (40, 1, 2), (3, 28, 2)])
+def test_rk4_increment_blocks_do_not_change_a_bit(monkeypatch, steps, tracks, n):
+    rng = np.random.default_rng([steps, tracks, n])
+    h = 1.0 / steps
+    qp = rng.normal(size=(2 * steps + 1, tracks, n, n))
+    qnode = 0.5 * rng.normal(size=(steps + 1, tracks, n, n))
+    x0 = rng.normal(size=(tracks, n, n))
+    oracle = _unblocked_rk4_transport(qp, qnode, x0, h)
+    step_bytes = tracks * n * n * 8
+    # blocks of one step, of 7 steps (the last one short) and of the whole
+    # window, and the default
+    for block in (step_bytes, 7 * step_bytes, steps * step_bytes,
+                  _kernels.INCREMENT_BLOCK_BYTES):
+        monkeypatch.setattr(_kernels, "INCREMENT_BLOCK_BYTES", block)
+        assert np.array_equal(_kernels.rk4_transport(qp, qnode, x0, h), oracle)
+
+
+def test_rk4_transport_adds_one_increment_per_step_and_a_few_blocks():
+    # the kernel's working set next to its stage arrays: the increments D
+    # (one matrix per track and step) and about three blocks of products,
+    # not three more window-sized temporaries; here a window of the torus
+    # sweep's w1 transport, 389 steps of 28 tracks
+    steps, tracks, n = 389, 28, 2
+    rng = np.random.default_rng(5)
+    qp = rng.normal(size=(2 * steps + 1, tracks, n, n))
+    qnode = 0.5 * rng.normal(size=(steps + 1, tracks, n, n))
+    increments = steps * tracks * n * n * 8
+    tracemalloc.start()
+    try:
+        _kernels.rk4_transport(qp, qnode, qnode[0], 1.0 / steps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= increments + 3 * _kernels.INCREMENT_BLOCK_BYTES + 2 ** 14
+    # whole-window temporaries would make it three times D
+    assert peak < 2 * increments
 
 
 ORACLE_STEPS = 16384

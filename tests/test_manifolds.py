@@ -157,6 +157,18 @@ def test_product_distance_keeps_a_nan_in_either_factor():
     assert np.isnan(d[2]) and np.all(d[:2] == 0.0)
 
 
+@pytest.mark.parametrize("model,point", [
+    (mf.Product(mf.Sphere(1), mf.Sphere(2)), ([1.0, 0.0], [np.nan, 0.0, 1.0])),
+    (mf.Product(mf.Sphere(1), mf.Sphere(2)), ([np.nan, 0.0], [1.0, 0.0, 0.0])),
+    (mf.Product(mf.Sphere(2), mf.ComplexProjective(1)),
+     ([0.0, 0.0, 1.0], np.array([[np.nan, 0.0], [0.0, 0.0]], dtype=complex))),
+    (mf.Product(mf.GrassmannReal(1, 2), mf.Torus(1)),
+     (np.array([[1.0, 0.0], [0.0, 0.0]]), [np.nan])),
+], ids=["nan_right", "nan_left", "nan_right_cpn", "nan_right_torus"])
+def test_product_membership_keeps_a_nan_in_either_factor(model, point):
+    assert np.isnan(model.membership_residual(point))
+
+
 def _build_nan_at_one_point(model, params):
     # exact on one point, but a stack's inverse loses its second point
     def inverse(x):

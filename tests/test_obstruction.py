@@ -253,6 +253,29 @@ class TestW1Profile:
         with pytest.raises(BadParams):
             ob.w1_profile((1, 0, 0, 0, 1), steps=64)
 
+    @staticmethod
+    def _per_bundle_profile(b, steps):
+        # the one transport per bit vector that w1_profiles replaced, kept
+        # as the oracle
+        n = len(b)
+        eye = np.eye(n)
+        loops = bd.Path(lambda ts: np.multiply.outer(ts, eye),
+                        velocity=lambda ts: np.multiply.outer(np.ones_like(ts), eye))
+        return bd.holonomy_sign(bd.torus_line(b), loops, steps=steps).astype(np.int64)
+
+    def test_stacked_profiles_equal_the_per_bundle_loop(self):
+        bs = [b for n in (1, 2, 3) for b in _all_bits(n)]
+        profiles = ob.w1_profiles(bs, steps=256)
+        assert len(profiles) == len(bs) == 11
+        for b, profile in zip(bs, profiles):
+            want = self._per_bundle_profile(b, 256)
+            assert profile.dtype == want.dtype == np.int64
+            assert np.array_equal(profile, want)
+            assert np.array_equal(ob.w1_profile(b, steps=256), want)
+        for bad in ([(1, 0), (1, 0, 0, 0, 1)], [(1, 0), (0, 0)], []):
+            with pytest.raises(BadParams):
+                ob.w1_profiles(bad, steps=64)
+
 
 def test_torus_lift_agrees_with_criterion():
     from bundlelift import lifts as lf

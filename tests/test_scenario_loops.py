@@ -2,12 +2,13 @@
 they replaced, and a guard that keeps them stacked: a scenario's
 eigensolve count must not grow with --samples."""
 
+import math
 import sys
 
 import numpy as np
 import pytest
 
-from bundlelift import numkernel
+from bundlelift import _kernels, bundles, numkernel
 from bundlelift.bundles import trivial
 from bundlelift.cli import ScenarioConfig, run_scenario
 from bundlelift.lifts import (FiberFrame, Lift, compose, frame_lift_view,
@@ -160,3 +161,31 @@ def test_eigensolve_count_does_not_grow_with_samples(monkeypatch, scenario):
         run_scenario(ScenarioConfig(scenario=scenario, samples=samples))
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("steps,window", [(1024, None), (64, 10)])
+def test_torus_sweep_transports_every_w1_loop_in_one_window_walk(monkeypatch, steps,
+                                                                 window):
+    # the 28 coordinate loops of the 11 torus line bundles share each RK4
+    # window: ceil(steps / window) kernel calls of 28 tracks each, where one
+    # transport per bit vector makes 11 walks of 1-3 tracks
+    calls = []
+    kernel = _kernels.rk4_transport
+
+    def counted(qp, qnode, *rest):
+        calls.append((qnode.shape[0] - 1, qp.shape[1]))
+        return kernel(qp, qnode, *rest)
+
+    monkeypatch.setattr(_kernels, "rk4_transport", counted)
+    if window is not None:
+        monkeypatch.setattr(bundles, "TRANSPORT_CHUNK_BYTES",
+                            28 * (3 * window + 2) * 2 * 2 * 8)
+    else:
+        window = (bundles.TRANSPORT_CHUNK_BYTES // (28 * 2 * 2 * 8) - 2) // 3
+    got = _residuals("torus_sweep", transport_steps=steps)
+    assert got["w1.profile_mismatches"] == 0
+    assert len(calls) == math.ceil(steps / window)
+    assert sum(c[0] for c in calls) == steps
+    assert all(c[1] == 28 for c in calls)
+    if steps == 1024:
+        assert [c[0] for c in calls] == [389, 389, 246]
