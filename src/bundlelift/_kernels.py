@@ -37,7 +37,7 @@ INCREMENT_BLOCK_BYTES = 2 ** 16
 def rk4_transport(qp, qnode, x0, h):
     steps = qnode.shape[0] - 1
     d = np.empty((steps,) + qp.shape[1:], dtype=qp.dtype)
-    block = max(1, INCREMENT_BLOCK_BYTES // qnode[0].nbytes)
+    block = max(1, INCREMENT_BLOCK_BYTES // max(1, qnode[0].nbytes))
     for s in range(0, steps, block):
         e = min(s + block, steps)
         a0 = qp[2 * s:2 * e:2]

@@ -463,8 +463,11 @@ def joint_transport_operators(pairs, steps=DEFAULT_TRANSPORT_STEPS):
     ends = list(itertools.accumulate(math.prod(shape) for shape in shapes))
     starts = [0] + ends[:-1]
     tracks = ends[-1]
-    # a window of w steps holds 2w+1 stage and w+1 node matrices per track
-    window = max(1, (TRANSPORT_CHUNK_BYTES // (tracks * n * n * 8) - 2) // 3)
+    # a window of w steps holds 2w+1 stage and w+1 node matrices per track;
+    # with no track at all, one window of empty arrays gives each pair its
+    # empty operator
+    stack_bytes = max(tracks, 1) * n * n * 8
+    window = max(1, (TRANSPORT_CHUNK_BYTES // stack_bytes - 2) // 3)
     h = 1.0 / steps
     ts = (0.5 * h) * np.arange(2 * steps + 1)
     nodes = h * np.arange(steps + 1)

@@ -28,6 +28,7 @@ __all__ = [
     "singular_values",
     "realify",
     "norms",
+    "small_matmul",
     "worst",
 ]
 
@@ -72,6 +73,19 @@ def singular_values(f):
 def norms(v):
     """Euclidean norm of a vector, or of each vector of a stack."""
     return np.sqrt(np.vecdot(v, v))
+
+
+def small_matmul(a, b):
+    """``a @ b`` for broadcast stacks of small matrices, as the sum over the
+    inner index j = 0..N-1 of broadcast elementwise products. On stacks of
+    2x2 complex matrices numpy's ``@`` costs about 1.3 us per matrix; this
+    costs a few ufunc calls per product. Each entry is computed alone, so a
+    stacked call is bitwise equal to its per-matrix calls (to ``@`` it
+    agrees to rounding only)."""
+    out = a[..., :, :1] * b[..., :1, :]
+    for j in range(1, a.shape[-1]):
+        out += a[..., :, j:j + 1] * b[..., j:j + 1, :]
+    return out
 
 
 def sym_sqrt(s):

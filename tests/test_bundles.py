@@ -439,6 +439,20 @@ def test_joint_transport_refuses_mixed_fiber_dimensions_and_no_pairs():
         bd.holonomy_signs([], steps=64)
 
 
+def test_transport_of_no_tracks_gives_empty_operators():
+    # every pair empty: the window size and the kernel's increment block
+    # must not divide by the zero bytes of zero tracks
+    h = mf.rotation_homotopy(mf.Sphere(1), (0, 1), 1.0)
+    empty = bd.homotopy_path(h, np.zeros((0, 2)))
+    op = bd.transport_operator(bd.tangent_sphere(1), empty, 32)
+    assert op.shape == (0, 2, 2)
+    ops = bd.joint_transport_operators(
+        [(bd.tangent_sphere(1), empty),
+         (bd.torus_line((1,)), bd.homotopy_path(mf.constant_homotopy(mf.Torus(1)),
+                                                np.zeros((3, 0, 1))))], steps=32)
+    assert [o.shape for o in ops] == [(0, 2, 2), (3, 0, 2, 2)]
+
+
 class TestHolonomySign:
     def test_trivial_bundle(self):
         tr = bd.trivial(mf.Torus(2), 1)

@@ -6,8 +6,18 @@ s1xs2_generators files before those scenarios' per-point checks were
 stacked; the cpn_conjugation, gluing_demo, sphere_pullbacks and
 tangent_isometry files before the w1 sweep's transports were joined, so
 that every scenario is gated. Regenerate a file only for a change that is meant to move its
-bytes, and say which bytes moved and why."""
+bytes, and say which bytes moved and why. A failure names the first JSON
+paths (or CSV cells) that moved, with their golden and new values.
 
+s1xs2_generators.json was regenerated when the unitary homotopy family
+moved from complex ``@`` to ``numkernel.small_matmul``: six residuals of
+the antipodal lifts moved in their last digits (``checks[8]``, ``[9]``,
+``[10]``, ``[21]``, ``[22]``, ``[23]``, listed in CHANGES.md), and every
+name and verdict stayed."""
+
+import csv
+import io
+import json
 from pathlib import Path
 
 import pytest
@@ -41,4 +51,75 @@ def test_seed42_outputs_are_byte_identical_to_golden(tmp_path, scenario, flags,
             *outputs]
     assert cli.main(argv) == 0
     for name in golden.values():
-        assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
+        new, old = (tmp_path / name).read_bytes(), (DATA / name).read_bytes()
+        assert new == old, _describe_changes(name, old, new)
+
+
+_ABSENT = "<absent>"
+
+
+def _json_changes(old, new, path="$"):
+    # (path, golden value, new value) where two parsed JSON documents
+    # differ, in document order; 1 and 1.0 differ, as their bytes do
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in list(old) + [k for k in new if k not in old]:
+            yield from _json_changes(old.get(key, _ABSENT), new.get(key, _ABSENT),
+                                     f"{path}.{key}")
+    elif isinstance(old, list) and isinstance(new, list):
+        for i in range(max(len(old), len(new))):
+            yield from _json_changes(old[i] if i < len(old) else _ABSENT,
+                                     new[i] if i < len(new) else _ABSENT,
+                                     f"{path}[{i}]")
+    elif type(old) is not type(new) or old != new:
+        yield path, old, new
+
+
+def _csv_changes(old, new):
+    rows = [list(csv.reader(io.StringIO(text.decode()))) for text in (old, new)]
+    header = rows[0][0] if rows[0] else []
+    for r in range(max(map(len, rows))):
+        cells = [table[r] if r < len(table) else [] for table in rows]
+        for c in range(max(map(len, cells))):
+            a, b = (row[c] if c < len(row) else _ABSENT for row in cells)
+            if a != b:
+                column = header[c] if c < len(header) else c
+                yield f"line {r + 1}, column {column}", a, b
+
+
+def _describe_changes(name, old, new, limit=10):
+    """The failure message of a golden mismatch: the first paths that
+    moved, each with its golden and its new value."""
+    try:
+        if name.endswith(".json"):
+            changes = list(_json_changes(json.loads(old), json.loads(new)))
+        else:
+            changes = list(_csv_changes(old, new))
+    except ValueError as exc:
+        return f"{name}: bytes differ, and the new output does not parse ({exc})"
+    if not changes:
+        return f"{name}: bytes differ, but every value is equal (layout or key order)"
+    lines = [f"{name}: {len(changes)} value(s) moved, the first {min(limit, len(changes))}:"]
+    lines += [f"  {path}: {a!r} -> {b!r}" for path, a, b in changes[:limit]]
+    return "\n".join(lines)
+
+
+def test_golden_mismatch_names_the_moved_values():
+    old = json.dumps({"checks": [{"residual": 0.9999999999973996, "verdict": True}],
+                      "n": 1}).encode()
+    new = json.dumps({"checks": [{"residual": 0.9999999999974566, "verdict": True},
+                                 {"residual": 0.5}], "n": 1.0}).encode()
+    message = _describe_changes("s.json", old, new)
+    assert message.splitlines() == [
+        "s.json: 3 value(s) moved, the first 3:",
+        "  $.checks[0].residual: 0.9999999999973996 -> 0.9999999999974566",
+        "  $.checks[1]: '<absent>' -> {'residual': 0.5}",
+        "  $.n: 1 -> 1.0"]
+    assert _describe_changes("s.json", old, old.replace(b", ", b",")).endswith(
+        "every value is equal (layout or key order)")
+    assert "does not parse" in _describe_changes("s.json", old, b"{")
+    message = _describe_changes("t.csv", b"n,b\n1,1\n2,0\n", b"n,b\n1,1\n2,1\n3,0\n")
+    assert message.splitlines() == [
+        "t.csv: 3 value(s) moved, the first 3:",
+        "  line 3, column b: '0' -> '1'",
+        "  line 4, column n: '<absent>' -> '3'",
+        "  line 4, column b: '<absent>' -> '0'"]

@@ -416,6 +416,35 @@ def test_homotopy_on_time_vector_stacks_per_time_values(model, make):
                                   np.stack([h.velocity(t, x) for t in ts]))
 
 
+UNITARY_HOMOTOPIES = [
+    # (homotopy, its anti-Hermitian generator X)
+    (HOMOTOPIES[2], np.diag([6j * np.pi, 0.0])),
+    (HOMOTOPIES[3], np.diag([0.0, 0.0, 1.3j])),
+    (HOMOTOPIES[4], 0.5 * np.pi * np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)),
+]
+
+
+@pytest.mark.parametrize("homotopy,x_gen", UNITARY_HOMOTOPIES,
+                         ids=["phase_cp1", "phase_cp2", "plane_cp1"])
+def test_unitary_family_matches_matmul_oracle(homotopy, x_gen):
+    # the complex @ forms that small_matmul replaced in the unitary family:
+    # P(t) = U(t) P U(t)^*, velocity X P(t) - P(t) X
+    model, make = homotopy
+    h = make(model)
+    w, v = np.linalg.eigh(-1j * x_gen)
+    ts = np.linspace(-0.1, 1.1, 13)
+    u = ((v * np.exp(1j * ts[:, None, None] * w)) @ v.conj().T)[:, None]
+    p = mf.stack_points([mf.random_point(model, seed) for seed in range(5)])
+    want = u @ p @ np.conj(np.swapaxes(u, -1, -2))
+    pt = h.family(ts, p)
+    assert pt.shape == want.shape == (13, 5) + p.shape[1:]
+    assert np.max(np.abs(pt - want)) <= 1e-14
+    assert np.max(np.abs(h.velocity(ts, p) - (x_gen @ want - want @ x_gen))
+                  ) <= 1e-14 * np.max(np.abs(x_gen))
+    assert np.max(np.abs(pt - np.conj(np.swapaxes(pt, -1, -2)))) <= 1e-14
+    assert np.max(np.abs(pt @ pt - pt)) <= 1e-14
+
+
 def _points_equal(a, b):
     if isinstance(a, tuple):
         return all(_points_equal(p, q) for p, q in zip(a, b))
