@@ -3,13 +3,16 @@ for the projection connection, and loop holonomy.
 
 Every bundle fixes an ambient fiber space R^N and a smooth field of
 orthogonal projectors Q(x); the fiber over x is the image of Q(x) and the
-metric is the restricted Euclidean product. Complex bundles store their
-Hermitian projector field and expose the realified picture (C^m as R^{2m},
-J the realified multiplication by i restricted to the fiber).
+metric is the restricted Euclidean product. A bundle is given by one
+field: a complex bundle by its Hermitian projector P(x) alone, which
+``BundleModel`` realifies to Q = realify(P) (C^m as R^{2m}, J the realified
+multiplication by i restricted to the fiber). A sum of two complex bundles
+is realified as a whole, with real coordinates (Re z1, Re z2, Im z1, Im z2);
+a mixed sum keeps its summands' real blocks.
 
-The fields (projector, projector differential, complex projector) take
-one point or a stack of points on a leading axis (see ``manifolds``) and
-are each written once in broadcasting numpy.
+The field and its differential take one point or a stack of points on a
+leading axis (see ``manifolds``) and are each written once in broadcasting
+numpy.
 
 Fiber vectors are plain ambient arrays. ``joint_transport_operators`` is
 the one transport, and ``transport_operator`` its one-pair case: it
@@ -76,29 +79,28 @@ __all__ = [
 
 
 class BundleModel:
-    """A vector bundle as a projector field on a fixed ambient fiber space.
+    """A vector bundle as one projector field on a fixed ambient fiber space.
 
-    ``fiber_projector(x)`` gives the real (N, N) projector Q(x),
-    ``projector_differential(x, xdot)`` its derivative along xdot and
-    ``complex_projector(x)`` the Hermitian projector of a complex bundle.
-    Each accepts one base point or a stack of points on a leading axis (a
-    pair of stacks over a product base) and then returns the stack of
-    matrices, equal to the per-point results.
+    ``projector(x)`` and the optional ``projector_differential(x, xdot)``
+    give the real (N, N) projector Q(x) and its derivative along xdot or, on
+    a complex bundle, the Hermitian (N/2, N/2) projector P(x) and its
+    derivative, which ``fiber_projector`` and ``projector_differential``
+    realify. Each accepts one base point or a stack of points on a leading
+    axis (a pair of stacks over a product base) and then returns the stack
+    of matrices, equal to the per-point results.
     """
 
-    def __init__(self, key, base, ambient_fiber_dim, real_rank, fiber_projector,
-                 complex_projector=None, projector_differential=None):
+    def __init__(self, key, base, ambient_fiber_dim, real_rank, projector,
+                 projector_differential=None, complex_fibers=False):
         self.key = key
         self.base = base
         self.ambient_fiber_dim = ambient_fiber_dim
         self.real_rank = real_rank
-        self._fiber_projector = fiber_projector
-        self._complex_projector = complex_projector
+        self._projector = projector
         self._projector_differential = projector_differential
-        if complex_projector is not None:
+        self.has_complex_structure = complex_fibers
+        if complex_fibers:
             self._j_std = standard_complex_structure(ambient_fiber_dim // 2)
-        else:
-            self._j_std = None
 
     def __repr__(self):
         return f"<BundleModel {self.key}>"
@@ -110,29 +112,29 @@ class BundleModel:
         return hash(self.key)
 
     @property
-    def has_complex_structure(self):
-        return self._complex_projector is not None
-
-    @property
     def has_projector_differential(self):
         return self._projector_differential is not None
 
+    def _require_complex(self):
+        if not self.has_complex_structure:
+            raise BadParams(f"bundle {self.key} has no complex structure")
+
     def fiber_projector(self, x):
-        return self._fiber_projector(x)
+        q = self._projector(x)
+        return realify(q) if self.has_complex_structure else q
 
     def projector_differential(self, x, xdot):
-        return self._projector_differential(x, xdot)
+        dq = self._projector_differential(x, xdot)
+        return realify(dq) if self.has_complex_structure else dq
 
     def complex_fiber_projector(self, x):
-        if self._complex_projector is None:
-            raise BadParams(f"bundle {self.key} has no complex structure")
-        return self._complex_projector(x)
+        self._require_complex()
+        return self._projector(x)
 
     def complex_structure(self, x):
         """J(x): realified multiplication by i restricted to the fiber;
         satisfies J Q = Q J and J^2 = -Q. Accepts a stack of points."""
-        if self._j_std is None:
-            return None
+        self._require_complex()
         q = self.fiber_projector(x)
         return q @ self._j_std @ q
 
@@ -191,7 +193,7 @@ def tautological_real(k, n):
         base=base,
         ambient_fiber_dim=n,
         real_rank=k,
-        fiber_projector=lambda p: np.asarray(p, dtype=float),
+        projector=lambda p: np.asarray(p, dtype=float),
         projector_differential=lambda p, pdot: np.asarray(pdot, dtype=float),
     )
 
@@ -204,9 +206,9 @@ def tautological_complex(n):
         base=base,
         ambient_fiber_dim=2 * (n + 1),
         real_rank=2,
-        fiber_projector=lambda p: realify(p),
-        complex_projector=lambda p: np.asarray(p, dtype=complex),
-        projector_differential=lambda p, pdot: realify(pdot),
+        projector=lambda p: np.asarray(p, dtype=complex),
+        projector_differential=lambda p, pdot: np.asarray(pdot, dtype=complex),
+        complex_fibers=True,
     )
 
 
@@ -215,16 +217,13 @@ def pullback(f, w):
     stacks when ``f.forward`` does."""
     if f.target != w.base:
         raise BadParams(f"map target {f.target} does not match bundle base {w.base}")
-    cproj = None
-    if w.has_complex_structure:
-        cproj = lambda x: w.complex_fiber_projector(f.forward(x))
     return BundleModel(
         key=("pullback", f.name, w.key),
         base=f.source,
         ambient_fiber_dim=w.ambient_fiber_dim,
         real_rank=w.real_rank,
-        fiber_projector=lambda x: w.fiber_projector(f.forward(x)),
-        complex_projector=cproj,
+        projector=lambda x: w._projector(f.forward(x)),
+        complex_fibers=w.has_complex_structure,
     )
 
 
@@ -271,7 +270,7 @@ def torus_line(b):
         base=Torus(n),
         ambient_fiber_dim=2,
         real_rank=1,
-        fiber_projector=q_of,
+        projector=q_of,
         projector_differential=q_diff,
     )
     model.unit_section = u_of
@@ -286,7 +285,7 @@ def tangent_sphere(n):
         base=Sphere(n),
         ambient_fiber_dim=n + 1,
         real_rank=n,
-        fiber_projector=lambda x: eye - _outer(x, x),
+        projector=lambda x: eye - _outer(x, x),
         projector_differential=lambda x, xdot: -(_outer(xdot, x) + _outer(x, xdot)),
     )
 
@@ -294,6 +293,7 @@ def tangent_sphere(n):
 def trivial(model, rank, complex_fibers=False):
     """The product bundle with constant fiber R^rank (or C^rank realified)."""
     n = 2 * rank if complex_fibers else rank
+    eye = np.eye(rank, dtype=complex if complex_fibers else float)
 
     def constant(m):
         return lambda x, *_: np.zeros(model.stack_shape(x) + m.shape, m.dtype) + m
@@ -303,56 +303,46 @@ def trivial(model, rank, complex_fibers=False):
         base=model,
         ambient_fiber_dim=n,
         real_rank=n,
-        fiber_projector=constant(np.eye(n)),
-        complex_projector=(constant(np.eye(rank, dtype=complex))
-                           if complex_fibers else None),
-        projector_differential=constant(np.zeros((n, n))),
+        projector=constant(eye),
+        projector_differential=constant(np.zeros_like(eye)),
+        complex_fibers=complex_fibers,
     )
 
 
 def complement(w):
     """Orthogonal complement of W inside its ambient trivial bundle."""
     n = w.ambient_fiber_dim
-    eye = np.eye(n)
-    cproj = None
-    if w.has_complex_structure:
-        eye_c = np.eye(n // 2, dtype=complex)
-        cproj = lambda x: eye_c - w.complex_fiber_projector(x)
+    eye = np.eye(n // 2 if w.has_complex_structure else n)
     pdiff = None
     if w.has_projector_differential:
-        pdiff = lambda x, xdot: -w.projector_differential(x, xdot)
+        pdiff = lambda x, xdot: -w._projector_differential(x, xdot)
     return BundleModel(
         key=("complement", w.key),
         base=w.base,
         ambient_fiber_dim=n,
         real_rank=n - w.real_rank,
-        fiber_projector=lambda x: eye - w.fiber_projector(x),
-        complex_projector=cproj,
+        projector=lambda x: eye - w._projector(x),
         projector_differential=pdiff,
+        complex_fibers=w.has_complex_structure,
     )
 
 
 def direct_sum(v1, v2):
     """External direct sum over the product base: the fiber over (x1, x2)
-    is fiber_1(x1) + fiber_2(x2), block diagonal in the ambient space."""
-    base = Product(v1.base, v2.base)
+    is fiber_1(x1) + fiber_2(x2), block diagonal: in C^{N/2} for two complex
+    bundles, in R^N for any other pair."""
+    complex_fibers = v1.has_complex_structure and v2.has_complex_structure
 
-    def q_of(p):
-        return _block_diag(v1.fiber_projector(p[0]), v2.fiber_projector(p[1]))
-
-    cproj = None
-    if v1.has_complex_structure and v2.has_complex_structure:
-        def cproj(p):
-            return _block_diag(v1.complex_fiber_projector(p[0]),
-                               v2.complex_fiber_projector(p[1]))
+    def field(v, x):
+        return v._projector(x) if complex_fibers else v.fiber_projector(x)
 
     return BundleModel(
         key=("direct_sum", v1.key, v2.key),
-        base=base,
+        base=Product(v1.base, v2.base),
         ambient_fiber_dim=v1.ambient_fiber_dim + v2.ambient_fiber_dim,
         real_rank=v1.real_rank + v2.real_rank,
-        fiber_projector=q_of,
-        complex_projector=cproj,
+        projector=lambda p: _block_diag(field(v1, p[0]), field(v2, p[1])),
+        complex_fibers=complex_fibers,
     )
 
 

@@ -25,7 +25,8 @@ from . import __version__
 from .bundles import (pullback, tangent_sphere, tautological_complex,
                       tautological_real, trivial)
 from .config import (DEFAULT_MESH_LEVEL, DEFAULT_SAMPLES, DEFAULT_SEED,
-                     DEFAULT_TRANSPORT_STEPS, MAX_MESH_LEVEL)
+                     DEFAULT_TOLERANCES as TOL, DEFAULT_TRANSPORT_STEPS,
+                     MAX_MESH_LEVEL)
 from .errors import (BadParams, BundleLiftError, ConfigInvalid, NonInjective,
                      UnknownScenario)
 from .gluing import (LocalLiftDatum, TransitionDatum, cocycle_compat_check,
@@ -55,8 +56,8 @@ class ScenarioConfig:
     samples: int = DEFAULT_SAMPLES
     transport_steps: int = DEFAULT_TRANSPORT_STEPS
     mesh_level: int = DEFAULT_MESH_LEVEL
-    tol_exact: float = 1e-10
-    tol_transport: float = 1e-5
+    tol_exact: float = TOL.exact
+    tol_transport: float = TOL.transport
     json_path: str | None = None
     csv_path: str | None = None
     no_timestamp: bool = False
@@ -630,8 +631,8 @@ def build_parser():
     run.add_argument("--mesh", type=int, default=DEFAULT_MESH_LEVEL,
                      help=f"icosphere subdivision level, 3 to {MAX_MESH_LEVEL} "
                           f"(level {MAX_MESH_LEVEL} peaks near 0.5 GB)")
-    run.add_argument("--tol-exact", type=float, default=1e-10)
-    run.add_argument("--tol-transport", type=float, default=1e-5)
+    run.add_argument("--tol-exact", type=float, default=TOL.exact)
+    run.add_argument("--tol-transport", type=float, default=TOL.transport)
     run.add_argument("--json", dest="json_path", default=None,
                      help="write the JSON report to this path")
     run.add_argument("--csv", dest="csv_path", default=None,

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from bundlelift import _kernels, bundles as bd, manifolds as mf
 from bundlelift.config import DEFAULT_TOLERANCES as TOL
 from bundlelift.errors import Ambiguous, BadParams
-from bundlelift.numkernel import norms
+from bundlelift.numkernel import norms, realify
 
 
 ALL_BUNDLES = [
@@ -20,6 +20,8 @@ ALL_BUNDLES = [
     ("pullback_f2", bd.pullback(mf.cp1_power_map(2), bd.tautological_complex(1))),
     ("direct_sum", bd.direct_sum(bd.tautological_real(1, 2),
                                  bd.tautological_complex(1))),
+    ("direct_sum_complex", bd.direct_sum(bd.tautological_complex(1),
+                                         bd.tautological_complex(1))),
 ]
 
 
@@ -35,6 +37,7 @@ def test_projector_field_invariants(name, bundle):
             j = bundle.complex_structure(x)
             assert np.max(np.abs(j @ q - q @ j)) <= 1e-8
             assert np.max(np.abs(j @ j + q)) <= 1e-8
+            assert np.array_equal(q, realify(bundle.complex_fiber_projector(x)))
 
 
 @pytest.mark.parametrize("name,bundle", ALL_BUNDLES, ids=[n for n, _ in ALL_BUNDLES])
@@ -591,6 +594,26 @@ def test_direct_sum_blocks():
     assert not ds.has_complex_structure
 
 
+def test_complex_direct_sum_is_one_hermitian_field():
+    v1, v2 = bd.tautological_complex(1), bd.tautological_complex(2)
+    ds = bd.direct_sum(v1, v2)
+    assert ds.has_complex_structure
+    assert (ds.ambient_fiber_dim, ds.real_rank) == (10, 4)
+    x = mf.random_point(ds.base, 5)
+    p = ds.complex_fiber_projector(x)
+    assert np.array_equal(p[:2, :2], v1.complex_fiber_projector(x[0]))
+    assert np.array_equal(p[2:, 2:], v2.complex_fiber_projector(x[1]))
+    assert not p[:2, 2:].any() and not p[2:, :2].any()
+
+
+def test_real_bundle_has_no_complex_structure():
+    ts = bd.tangent_sphere(2)
+    x = mf.random_point(ts.base, 0)
+    for field in (ts.complex_fiber_projector, ts.complex_structure):
+        with pytest.raises(BadParams, match="no complex structure"):
+            field(x)
+
+
 def test_complement_of_complex_bundle_keeps_structure():
     w = bd.tautological_complex(1)
     c = bd.complement(w)
@@ -598,3 +621,5 @@ def test_complement_of_complex_bundle_keeps_structure():
     x = mf.random_point(c.base, 2)
     pc = c.complex_fiber_projector(x)
     assert np.allclose(pc + w.complex_fiber_projector(x), np.eye(2), atol=1e-12)
+    # realified from I - P_W, the real field equals I - Q_W exactly
+    assert np.array_equal(c.fiber_projector(x), np.eye(4) - w.fiber_projector(x))

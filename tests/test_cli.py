@@ -11,7 +11,7 @@ import pytest
 from bundlelift import cli
 from bundlelift.cli import (SCENARIOS, ScenarioConfig, emit_plot_data,
                             run_scenario)
-from bundlelift.config import MAX_MESH_LEVEL
+from bundlelift.config import DEFAULT_TOLERANCES, MAX_MESH_LEVEL
 from bundlelift.errors import ConfigInvalid, UnknownScenario
 
 
@@ -219,3 +219,11 @@ def test_help_states_the_mesh_cap(capsys):
     with pytest.raises(SystemExit):
         cli.main(["scenario", "--help"])
     assert f"3 to {MAX_MESH_LEVEL}" in " ".join(capsys.readouterr().out.split())
+
+
+def test_tolerance_defaults_come_from_the_config():
+    args = cli.build_parser().parse_args(["scenario", "frame_view"])
+    cfg = ScenarioConfig(scenario="frame_view")
+    assert (args.tol_exact, args.tol_transport) == \
+        (cfg.tol_exact, cfg.tol_transport) == \
+        (DEFAULT_TOLERANCES.exact, DEFAULT_TOLERANCES.transport)

@@ -1,5 +1,6 @@
-"""Every name a module exports in ``__all__`` exists in that module, and
-every name a module imports is used in it."""
+"""Every name a module exports in ``__all__`` exists in that module, every
+name a module imports is used in it, and every private function and class
+is used somewhere in the package outside its own body."""
 
 import ast
 import importlib
@@ -42,3 +43,28 @@ def _unused_imports(tree):
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def _private_definitions(tree):
+    return [node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")]
+
+
+def _references(tree):
+    # every name read as a bare name or as an attribute, one entry per use
+    return [node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+
+
+def test_every_private_helper_is_used_in_the_package():
+    # a private function or class that only its own body (or the tests)
+    # refers to is dead code
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    uses = [name for tree in trees.values() for name in _references(tree)]
+    unused = [f"{module}:{node.lineno} {node.name}"
+              for module, tree in trees.items()
+              for node in _private_definitions(tree)
+              if uses.count(node.name) == _references(node).count(node.name)]
+    assert unused == []

@@ -309,8 +309,8 @@ def test_degenerate_plaquette_detected():
                      np.array([1.0, 0.0], dtype=complex))
         return z[..., :, None] * z.conj()[..., None, :]
 
-    bundle = bd.BundleModel(("pointwise_orthogonal",), base, 4, 2,
-                            lambda p: np.eye(4), complex_projector=field)
+    bundle = bd.BundleModel(("pointwise_orthogonal",), base, 4, 2, field,
+                            complex_fibers=True)
     with pytest.raises(DegeneratePlaquette):
         ob.lattice_chern_number(bundle, 3)
 
@@ -325,8 +325,8 @@ def _spiky(p):
 
 
 def _spiky_bundle():
-    return bd.BundleModel(("spiky",), mf.ComplexProjective(1), 4, 2,
-                          lambda p: np.eye(4), complex_projector=_spiky)
+    return bd.BundleModel(("spiky",), mf.ComplexProjective(1), 4, 2, _spiky,
+                          complex_fibers=True)
 
 
 def test_non_convergent_detected():
@@ -348,8 +348,8 @@ def test_nan_projector_is_degenerate():
         q[np.linalg.norm(mf.cp1_to_sphere(p) - pole, axis=-1) < 1e-9] = np.nan
         return q
 
-    bundle = bd.BundleModel(("holed",), mf.ComplexProjective(1), 4, 2,
-                            lambda p: np.eye(4), complex_projector=holed)
+    bundle = bd.BundleModel(("holed",), mf.ComplexProjective(1), 4, 2, holed,
+                            complex_fibers=True)
     with pytest.raises(DegeneratePlaquette):
         ob.plaquette_phases(bundle, 3)
     with pytest.raises(DegeneratePlaquette):
@@ -402,18 +402,27 @@ def test_plaquette_phases_match_per_vertex_oracle(level):
 
 def test_plaquette_phases_evaluates_each_field_once(monkeypatch):
     counts = {}
-    field = bd.BundleModel.complex_fiber_projector
+    public = bd.BundleModel.complex_fiber_projector
 
     def counted(self, x):
         counts[self.key] = counts.get(self.key, 0) + 1
-        return field(self, x)
+        return public(self, x)
+
+    stacks = []
+
+    def gamma_field(p):
+        stacks.append(np.shape(p))
+        return np.asarray(p, dtype=complex)
 
     monkeypatch.setattr(bd.BundleModel, "complex_fiber_projector", counted)
-    gamma = bd.tautological_complex(1)
+    gamma = bd.BundleModel(("counted_gamma",), mf.ComplexProjective(1), 4, 2,
+                           gamma_field, complex_fibers=True)
     bundle = bd.pullback(mf.cp1_power_map(3), gamma)
     ob.plaquette_phases(bundle, 3)
-    # the pullback's field calls gamma's field once, on the mapped stack
-    assert counts == {bundle.key: 1, gamma.key: 1}
+    # one public call on the pullback, which evaluates gamma's own field
+    # once, on the mapped stack of all mesh vertices
+    assert counts == {bundle.key: 1}
+    assert stacks == [(len(mf.icosphere(3)[0]), 2, 2)]
 
 
 # Naturality c1(f^* gamma) = deg(f) c1(gamma), with f read on the sphere
