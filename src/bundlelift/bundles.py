@@ -151,14 +151,28 @@ class BundleModel:
         return v[..., v.shape[-1] - self.real_rank:]
 
     def random_fiber_vector(self, x, rng):
-        """A unit vector in the fiber over x."""
-        q = self.fiber_projector(x)
+        """A unit vector in the fiber over x, or one over each point of a
+        stack, from one block of Gaussians of rng (see unit_fiber_vectors)."""
+        shape = self.base.stack_shape(x) + (self.ambient_fiber_dim,)
+        return self.unit_fiber_vectors(x, rng.normal(size=shape), rng)
+
+    def unit_fiber_vectors(self, x, g, rng):
+        """The ambient vectors g projected onto the fibers over x and
+        normalised; g may carry leading axes in front of x's stack axes, as
+        for Lift.action. A vector the projector nearly kills is redrawn from
+        one further block of rng per round, at most 8 rounds."""
+        q = np.broadcast_to(self.fiber_projector(x), g.shape + g.shape[-1:])
+        v = np.matvec(q, g)
         for _ in range(8):
-            v = q @ rng.normal(size=self.ambient_fiber_dim)
-            nrm = np.linalg.norm(v)
-            if nrm > 1e-6:
-                return v / nrm
-        raise BadParams("could not sample a fiber vector (degenerate projector?)")
+            faint = norms(v) <= 1e-6
+            if not np.any(faint):
+                break
+            v[faint] = np.matvec(q[faint], rng.normal(
+                size=(np.count_nonzero(faint), g.shape[-1])))
+        nrm = norms(v)
+        if np.any(nrm <= 1e-6):
+            raise BadParams("could not sample a fiber vector (degenerate projector?)")
+        return v / nrm[..., None]
 
     def membership_residual(self, x, v):
         """|Q(x) v - v|, or one residual per point of a stack."""

@@ -39,9 +39,8 @@ from .lifts import (ambient_projection_lift, check_lift, compose,
                     torus_line_lift)
 from .manifolds import (ComplexProjective, Sphere, cp1_power_map, degree,
                         identity_diffeo, named_diffeo, random_orthogonal,
-                        random_point, random_unimodular, rotation_homotopy,
-                        sphere_power_map)
-from .numkernel import polar_two_metric, worst
+                        random_unimodular, rotation_homotopy, sphere_power_map)
+from .numkernel import norms, polar_two_metric, worst
 from .obstruction import (lattice_chern_number, plaquette_phases,
                           pullback_invariance_report, torus_criterion,
                           w1_profiles)
@@ -98,10 +97,11 @@ def _report_checks(prefix, report, tol, checks, isometry=True):
         checks.append(_check(f"{prefix}.isometry", report.isometry_residual, tol))
 
 
-def _draw(model, first_seed, count):
-    """The stack of random_point(model, first_seed + i), i < count, bitwise."""
-    return model.random_points([np.random.default_rng(first_seed + i)
-                                for i in range(count)])
+def _draw(model, seed, tag, count):
+    """count points of model, one block from the stream [seed, tag]. Each
+    draw of a scenario has its own tag: not 0 (the stream [seed, 0] is
+    default_rng(seed)), and not 1-3, the tags of the lifts module's probes."""
+    return model.random_points(np.random.default_rng([seed, tag]), count)
 
 
 def _max_abs(m):
@@ -123,7 +123,7 @@ def _scenario_homotopy_lift_sphere(cfg):
                      tolerance=cfg.tol_transport)
     checks = []
     _report_checks("homotopy_lift", rep, cfg.tol_transport, checks)
-    x = _draw(Sphere(2), cfg.seed + 1000, min(cfg.samples, 100))
+    x = _draw(Sphere(2), cfg.seed, 1000, min(cfg.samples, 100))
     endpoint_gap = worst(0.0, *Sphere(2).distance(h.family(1.0, x),
                                                   h.endpoint.forward(x)))
     checks.append(_check("homotopy.endpoint_agreement", endpoint_gap, 1e-10))
@@ -151,7 +151,7 @@ def _scenario_metrize_random(cfg):
     checks = []
     _report_checks("metrized", rep, 1e-8, checks)
     iso2 = metrize(iso)
-    x = _draw(model, cfg.seed + 500, min(cfg.samples, 20))
+    x = _draw(model, cfg.seed, 500, min(cfg.samples, 20))
     m1 = iso.fiber_matrix_in_bases(x)
     m2 = iso2.fiber_matrix_in_bases(x)
     idem = worst(0.0, *_max_abs(m1 - m2))
@@ -169,7 +169,7 @@ def _scenario_frame_view(cfg):
     lift = grassmann_orthogonal_lift(random_orthogonal(4, cfg.seed), 2)
     bundle = lift.bundle
     g = random_orthogonal(2, cfg.seed + 1)
-    x = _draw(bundle.base, cfg.seed, min(cfg.samples, 50))
+    x = _draw(bundle.base, cfg.seed, 100, min(cfg.samples, 50))
     frame = FiberFrame(x, bundle.fiber_basis(x))
     out = frame_lift_view(lift, frame)
     gram = np.swapaxes(out.vectors, -1, -2) @ out.vectors
@@ -252,7 +252,7 @@ def _scenario_grassmann_action(cfg):
     checks = []
     _report_checks("orthogonal_lift", rep, cfg.tol_exact, checks)
     comp = compose(l1, l2)
-    x = _draw(l1.bundle.base, cfg.seed, min(cfg.samples, 100))
+    x = _draw(l1.bundle.base, cfg.seed, 200, min(cfg.samples, 100))
     hom = worst(0.0, *l1.bundle.base.distance(
         comp.base_map.forward(x), l1.base_map.forward(l2.base_map.forward(x))))
     checks.append(_check("compose.base_homomorphism", hom, 1e-10))
@@ -277,8 +277,7 @@ def _scenario_cpn_conjugation(cfg):
                          rep.complex_linearity_residual, 1.0, "ge"))
 
     corr = 0.0
-    for i in range(20):
-        x = random_point(ComplexProjective(1), cfg.seed + 300 + i)
+    for x in _draw(ComplexProjective(1), cfg.seed, 300, 20):
         y = lift.base_map.inverse(x)
         psi = fiberwise_complex_correction(lift, x)
         j_x = lift.bundle.complex_structure(x)
@@ -415,18 +414,16 @@ def _scenario_s1xs2_generators(cfg):
                            isometry=(name != "a"))
         # theta = 0 slice of r: fiber action is the identity
         r_lift = s1xs2_generator_lift("r", n, steps=cfg.transport_steps)
-        slice_res = 0.0
-        p1 = np.array([[1.0, 0.0], [0.0, 0.0]])  # line at angle 0
-        for i in range(min(cfg.samples, 20)):
-            rng = np.random.default_rng([cfg.seed, 77, i])
-            x2 = ComplexProjective(1).random_point(rng)
-            x = (p1, x2)
-            v = r_lift.bundle.random_fiber_vector(x, rng)
-            slice_res = worst(slice_res, float(np.linalg.norm(
-                r_lift.action(x, v) - v)))
+        count = min(cfg.samples, 20)
+        rng = np.random.default_rng([cfg.seed, 77])
+        # lines at angle 0
+        x = (np.broadcast_to(np.diag([1.0, 0.0]), (count, 2, 2)),
+             ComplexProjective(1).random_points(rng, count))
+        v = r_lift.bundle.random_fiber_vector(x, rng)
+        slice_res = worst(0.0, *norms(r_lift.action(x, v) - v))
         checks.append(_check(f"r_lift.n{n}.theta0_identity", slice_res, 1e-12))
         s_lift = s1xs2_generator_lift("s", n, steps=cfg.transport_steps)
-        x = _draw(s_lift.bundle.base, cfg.seed + 900, min(cfg.samples, 20))
+        x = _draw(s_lift.bundle.base, cfg.seed, 900, min(cfg.samples, 20))
         y = s_lift.base_map.forward(s_lift.base_map.forward(x))
         roundtrip = worst(0.0, *s_lift.bundle.base.distance(x, y))
         checks.append(_check(f"s_lift.n{n}.involution", roundtrip, 1e-10))
@@ -484,10 +481,10 @@ def _scenario_gluing_demo(cfg):
     bundle = lift.bundle
 
     def in_u1(p):
-        return p[0, 0] > 0.1
+        return p[..., 0, 0] > 0.1
 
     def in_u2(p):
-        return p[1, 1] > 0.1
+        return p[..., 1, 1] > 0.1
 
     def frame_u1(p):
         col = np.asarray(p)[:, 0]
@@ -497,20 +494,13 @@ def _scenario_gluing_demo(cfg):
         col = np.asarray(p)[:, 1]
         return (col / np.linalg.norm(col)).reshape(2, 1)
 
-    pts1, pts2, overlap = [], [], []
-    i = 0
-    while len(overlap) < 8 and i < 200:
-        p = random_point(bundle.base, cfg.seed + i)
-        i += 1
-        if in_u1(p):
-            pts1.append(p)
-        if in_u2(p):
-            pts2.append(p)
-        if in_u1(p) and in_u2(p):
-            overlap.append(p)
-    if len(overlap) < 8:
-        raise BadParams(f"{i} draws gave {len(overlap)} overlap points, "
-                        f"fewer than 8")
+    # 200 candidates, of which the prefix up to the 8th overlap point is kept
+    p = _draw(bundle.base, cfg.seed, 400, 200)
+    both = np.flatnonzero(in_u1(p) & in_u2(p))
+    if len(both) < 8:
+        raise BadParams(f"200 draws gave {len(both)} overlap points, fewer than 8")
+    p = p[:both[7] + 1]
+    pts1, pts2, overlap = (list(p[m]) for m in (in_u1(p), in_u2(p), both[:8]))
     da, db, dt = local_data_from_lift(lift, ("U1", pts1, in_u1),
                                       ("U2", pts2, in_u2),
                                       frame_u1, frame_u2, overlap)

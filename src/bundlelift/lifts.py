@@ -13,9 +13,9 @@ stack of vectors, and v may carry further leading axes of vectors in front
 of the point axes. Every lift built here computes all of that in one pass
 (an operator lift evaluates its operators once per action call, so a
 transport lift runs one stacked transport). ``check_lift`` draws all of its
-probes first, applies the lift once to every vector it needs on the probe
-stack (one action call) and evaluates each other quantity once on that
-stack. Nothing is cached between calls.
+probes first, as blocks from one stream, applies the lift once to every
+vector it needs on the probe stack (one action call) and evaluates each
+other quantity once on that stack. Nothing is cached between calls.
 """
 
 from dataclasses import dataclass, field
@@ -126,32 +126,20 @@ class LiftReport:
 
 
 def _draw_probes(bundle, samples, seed):
-    """The check_lift probes (x, v, u, alpha, beta), stacked. Probe i draws
-    x, the Gaussian vectors behind v and u, and (alpha, beta) from its own
-    default_rng([seed, i]) stream, as random_point, random_fiber_vector
-    twice and normal(size=2) would; x is drawn by base.random_points, and
-    v and u are projected and normalized on the whole stack."""
-    base = bundle.base
-    dim = bundle.ambient_fiber_dim
-    rngs = [np.random.default_rng([seed, i]) for i in range(samples)]
-    xs = base.random_points(rngs)
-    # one normal(size=2 dim + 2) draw is the two vector draws, then (alpha,
-    # beta), in stream order
-    normals = np.stack([rng.normal(size=2 * dim + 2) for rng in rngs])
-    gauss = normals[:, :2 * dim].reshape(samples, 2, dim)
-    coeffs = normals[:, 2 * dim:]
-    vu = np.matvec(bundle.fiber_projector(xs)[:, None], gauss)
-    nrm = norms(vu)
-    for i in np.nonzero(np.any(nrm <= 1e-6, axis=1))[0]:
-        # a draw the projector nearly kills is redrawn from the probe's
-        # stream, as random_fiber_vector does (and raises when it cannot)
-        rng = np.random.default_rng([seed, i])
-        x = base.random_point(rng)
-        vu[i] = [bundle.random_fiber_vector(x, rng) for _ in range(2)]
-        coeffs[i] = rng.normal(size=2)
-        nrm[i] = 1.0
-    vu = vu / nrm[..., None]
-    return xs, vu[:, 0], vu[:, 1], coeffs[:, 0], coeffs[:, 1]
+    """The check_lift probes (x, v, u, alpha, beta), stacked: x, the
+    (samples, 2, N) Gaussians behind v and u, and (alpha, beta) are three
+    blocks from the stream default_rng([seed, 1]). v and u are projected
+    and normalised on the whole stack; a vector the projector nearly kills
+    is redrawn from the stream [seed, 2] (see unit_fiber_vectors). Each
+    purpose has its own nonzero tag: default_rng(seed) is the stream
+    [seed, 0], which random_point(model, seed) draws."""
+    rng = np.random.default_rng([seed, 1])
+    xs = bundle.base.random_points(rng, samples)
+    gauss = rng.normal(size=(samples, 2, bundle.ambient_fiber_dim))
+    alpha, beta = rng.normal(size=(samples, 2)).T
+    v, u = bundle.unit_fiber_vectors(xs, np.swapaxes(gauss, 0, 1),
+                                     np.random.default_rng([seed, 2]))
+    return xs, v, u, alpha, beta
 
 
 def _worst_of(residuals):
@@ -385,12 +373,10 @@ def ambient_projection_lift(bundle, diffeo, variant="fiber", seed=1):
             return q
         return np.eye(bundle.ambient_fiber_dim) - q
 
-    # probe i draws its point from default_rng(default_rng([seed, i])
-    # .integers(2**32)); all 25 are checked at once, and a refusal names
+    # the 25 probe points are one block from the stream [seed, 3] (check_lift
+    # draws from tags 1 and 2); all are checked at once, and a refusal names
     # the first probe that fails
-    x = base.random_points([
-        np.random.default_rng(np.random.default_rng([seed, i]).integers(2**32))
-        for i in range(25)])
+    x = base.random_points(np.random.default_rng([seed, 3]), 25)
     cols = target_projector(diffeo.forward(x)) @ bundle.fiber_basis(x)
     sv = singular_values(cols)[:, 0]
     if np.any(sv <= 1e-6):

@@ -19,9 +19,10 @@ fields, every registered ``Diffeo`` (and ``identity_diffeo``,
 results, bitwise equal to them. ``degree`` hands its map the stack of all
 mesh vertices in one call, so the map must take a stack. A homotopy family
 on a time vector and a stack of points returns times first: shape
-(T, P, ...). Each model draws a stack with ``random_points(rngs)``, one
-point per generator, bitwise equal to the per-point draws, and
-``distance`` of two stacks is the array of the per-point distances.
+(T, P, ...). Each model draws a stack with ``random_points(rng, count)``:
+one block of normals or uniforms from one stream, mapped onto the model on
+the whole stack; ``random_point(rng)`` is its one-point case. ``distance``
+of two stacks is the array of the per-point distances.
 """
 
 import functools
@@ -84,14 +85,14 @@ class ManifoldModel:
         distances of two stacks, each bitwise the one-point value."""
         return _flat_norms(np.asarray(a) - np.asarray(b), self.point_ndim)
 
-    def random_points(self, rngs):
-        """One point from each generator, stacked. Each stream is drawn in
-        the order random_point draws it; the normalisation then runs once
-        on the whole stack, bitwise equal to the per-point results."""
+    def random_points(self, rng, count):
+        """A stack of count points: one block of normals or uniforms from
+        rng, then one map onto the model (normalisation, QR or outer
+        product) on the whole stack."""
         raise NotImplementedError
 
     def random_point(self, rng):
-        return map_points(lambda a: a[0], self.random_points([rng]))
+        return map_points(lambda a: a[0], self.random_points(rng, 1))
 
     def copy_point(self, point):
         return np.array(point)
@@ -104,8 +105,8 @@ class Sphere(ManifoldModel):
     def membership_residual(self, point):
         return abs(float(np.linalg.norm(point)) - 1.0)
 
-    def random_points(self, rngs):
-        v = np.stack([rng.normal(size=self.n + 1) for rng in rngs])
+    def random_points(self, rng, count):
+        v = rng.normal(size=(count, self.n + 1))
         # sqrt(vecdot) is bitwise the per-vector np.linalg.norm
         return v / np.sqrt(np.vecdot(v, v))[:, None]
 
@@ -122,8 +123,8 @@ class Torus(ManifoldModel):
         d = np.mod(np.asarray(a) - np.asarray(b) + 0.5, 1.0) - 0.5
         return _flat_norms(d, self.point_ndim)
 
-    def random_points(self, rngs):
-        return np.stack([rng.uniform(0.0, 1.0, size=self.n) for rng in rngs])
+    def random_points(self, rng, count):
+        return rng.uniform(0.0, 1.0, size=(count, self.n))
 
 
 def _flat_norms(d, point_ndim):
@@ -160,9 +161,8 @@ class GrassmannReal(ManifoldModel):
     def membership_residual(self, point):
         return _projector_residual(point, self.k)
 
-    def random_points(self, rngs):
-        a = np.stack([rng.normal(size=(self.n, self.k)) for rng in rngs])
-        q, _ = np.linalg.qr(a)
+    def random_points(self, rng, count):
+        q, _ = np.linalg.qr(rng.normal(size=(count, self.n, self.k)))
         return q @ np.swapaxes(q, -1, -2)
 
 
@@ -174,9 +174,10 @@ class ComplexProjective(ManifoldModel):
     def membership_residual(self, point):
         return _projector_residual(point, 1.0)
 
-    def random_points(self, rngs):
-        z = np.stack([rng.normal(size=self.n + 1) + 1j * rng.normal(size=self.n + 1)
-                      for rng in rngs])
+    def random_points(self, rng, count):
+        # the real and then the imaginary parts of each point
+        g = rng.normal(size=(count, 2, self.n + 1))
+        z = g[:, 0] + 1j * g[:, 1]
         # bitwise the per-vector np.linalg.norm, as in sphere_to_cp1
         z = z / np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))[:, None]
         return z[:, :, None] * z.conj()[:, None, :]
@@ -199,9 +200,10 @@ class Product(ManifoldModel):
                        self.right.distance(a[1], b[1]))
         return float(d) if np.ndim(d) == 0 else d
 
-    def random_points(self, rngs):
-        # each stream draws its left factor, then its right one
-        return (self.left.random_points(rngs), self.right.random_points(rngs))
+    def random_points(self, rng, count):
+        # the left block, then the right one
+        return (self.left.random_points(rng, count),
+                self.right.random_points(rng, count))
 
     def copy_point(self, point):
         return (self.left.copy_point(point[0]), self.right.copy_point(point[1]))
@@ -474,9 +476,9 @@ def named_diffeo(model, name, **params):
     if builder is None:
         raise UnknownName(f"no diffeomorphism named {name!r} on {model}")
     diffeo = builder(model, params)
-    # one round trip on a stack of three points from one seeded stream;
-    # negated, so that a NaN at any point refuses the map
-    x = model.random_points([np.random.default_rng(3)] * 3)
+    # one round trip on a stack of three seeded points; negated, so that a
+    # NaN at any point refuses the map
+    x = model.random_points(np.random.default_rng(3), 3)
     if not np.max(model.distance(diffeo.inverse(diffeo.forward(x)), x)) <= 1e-8:
         raise BadParams(f"{name}: inverse round-trip check failed")
     return diffeo
@@ -579,17 +581,6 @@ def cp1_plane_rotation_homotopy(model, angle):
         raise BadParams("cp1_plane_rotation_homotopy is defined on CP^1")
     gen = 0.5 * angle * np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
     return _unitary_family_homotopy(model, gen, f"cp1_plane_rotation[{angle:g}]")
-
-
-def constant_homotopy(model):
-    ident = identity_diffeo(model)
-
-    def family(t, x):
-        if np.ndim(t) == 0:
-            return model.copy_point(x)
-        return stack_points([x] * len(t))
-
-    return Homotopy("constant", family, ident, model, velocity=None)
 
 
 # ---------------------------------------------------------------------------

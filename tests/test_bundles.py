@@ -9,6 +9,8 @@ from bundlelift.config import DEFAULT_TOLERANCES as TOL
 from bundlelift.errors import Ambiguous, BadParams
 from bundlelift.numkernel import norms, realify
 
+from helpers import constant_homotopy
+
 
 ALL_BUNDLES = [
     ("tangent_sphere", bd.tangent_sphere(2)),
@@ -451,7 +453,7 @@ def test_transport_of_no_tracks_gives_empty_operators():
     assert op.shape == (0, 2, 2)
     ops = bd.joint_transport_operators(
         [(bd.tangent_sphere(1), empty),
-         (bd.torus_line((1,)), bd.homotopy_path(mf.constant_homotopy(mf.Torus(1)),
+         (bd.torus_line((1,)), bd.homotopy_path(constant_homotopy(mf.Torus(1)),
                                                 np.zeros((3, 0, 1))))], steps=32)
     assert [o.shape for o in ops] == [(0, 2, 2), (3, 0, 2, 2)]
 

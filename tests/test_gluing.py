@@ -155,8 +155,8 @@ def test_gluing_demo_with_too_few_overlap_points_exits_2(monkeypatch, capsys):
     # so the 200 draws give 3 overlap points instead of 8
     both = np.full((2, 2), 0.5)
     u1_only = np.diag([1.0, 0.0])
-    monkeypatch.setattr(cli, "random_point",
-                        lambda model, seed: both if seed < 45 else u1_only)
+    monkeypatch.setattr(cli, "_draw", lambda model, seed, tag, count:
+                        np.stack([both] * 3 + [u1_only] * (count - 3)))
     code = cli.main(["scenario", "gluing_demo", "--seed", "42",
                      "--no-timestamp"])
     assert code == 2

@@ -13,7 +13,18 @@ s1xs2_generators.json was regenerated when the unitary homotopy family
 moved from complex ``@`` to ``numkernel.small_matmul``: six residuals of
 the antipodal lifts moved in their last digits (``checks[8]``, ``[9]``,
 ``[10]``, ``[21]``, ``[22]``, ``[23]``, listed in CHANGES.md), and every
-name and verdict stayed."""
+name and verdict stayed.
+
+ambient_projection, cpn_conjugation, frame_view, grassmann_action,
+homotopy_lift_sphere, metrize_random, s1xs2_generators and
+tangent_isometry .json were regenerated when random points came to be
+drawn as blocks from one stream per purpose (check_lift's probes, the
+injectivity probes of ambient_projection_lift, and each scenario's own
+points) instead of one generator per point or probe: the residuals
+measured on those points moved (listed in CHANGES.md), and every name,
+verdict and tolerance stayed. gluing_demo.json kept its bytes: its
+overlap points are drawn anew too, but its residuals came out the same.
+The torus sweep files draw no points and are unchanged."""
 
 import csv
 import io

@@ -10,6 +10,8 @@ from bundlelift.errors import (BadParams, BundleMismatch, DegenerateJacobian,
                                NonInjective, NotIsometric, NotOrthonormal)
 from bundlelift.numkernel import singular_values, worst
 
+from helpers import constant_homotopy
+
 
 def _probe(lift, seed=0):
     rng = np.random.default_rng(seed)
@@ -20,7 +22,8 @@ def _probe(lift, seed=0):
 
 def _per_probe_check_lift(lift, samples, seed, tolerance=None):
     # the one-probe-at-a-time checker that the stacked check_lift
-    # replaced, kept as its oracle: one action call per vector
+    # replaced, kept as its oracle: each probe of the drawn blocks on its
+    # own, one action call per vector
     tol = lift.tolerance if tolerance is None else tolerance
     bundle = lift.bundle
     has_j = bundle.has_complex_structure
@@ -28,12 +31,10 @@ def _per_probe_check_lift(lift, samples, seed, tolerance=None):
     min_sv = np.inf
     c_res = 0.0 if has_j else None
     a_res = 0.0 if has_j else None
+    xs, vs, us, alphas, betas = _per_probe_draws(bundle, samples, seed)
     for i in range(samples):
-        rng = np.random.default_rng([seed, i])
-        x = bundle.base.random_point(rng)
-        v = bundle.random_fiber_vector(x, rng)
-        u = bundle.random_fiber_vector(x, rng)
-        alpha, beta = rng.normal(size=2)
+        x = mf.map_points(lambda a: a[i], xs)
+        v, u, alpha, beta = vs[i], us[i], alphas[i], betas[i]
         y = lift.base_map.forward(x)
         w = lift.action(x, v)
         base_res = worst(base_res, float(bundle.membership_residual(y, w)))
@@ -64,19 +65,34 @@ def _per_probe_check_lift(lift, samples, seed, tolerance=None):
                          samples, verdicts)
 
 
+def _blocks(bundle, samples, seed):
+    # the three blocks of the probe stream: points, the Gaussians behind v
+    # and u, and (alpha, beta)
+    rng = np.random.default_rng([seed, 1])
+    xs = bundle.base.random_points(rng, samples)
+    gauss = rng.normal(size=(samples, 2, bundle.ambient_fiber_dim))
+    return xs, gauss, rng.normal(size=(samples, 2))
+
+
 def _per_probe_draws(bundle, samples, seed):
-    # the per-probe draws that _draw_probes stacks, kept as its oracle
-    xs, vs, us, alphas, betas = [], [], [], [], []
-    for i in range(samples):
-        rng = np.random.default_rng([seed, i])
-        xs.append(bundle.base.random_point(rng))
-        vs.append(bundle.random_fiber_vector(xs[-1], rng))
-        us.append(bundle.random_fiber_vector(xs[-1], rng))
-        alpha, beta = rng.normal(size=2)
-        alphas.append(alpha)
-        betas.append(beta)
-    return (mf.stack_points(xs), np.stack(vs), np.stack(us), np.array(alphas),
-            np.array(betas))
+    # the oracle of _draw_probes: each probe of the drawn blocks projected
+    # and normalised on its own; a round redraws the faint vectors from the
+    # redraw stream, every v before every u, in probe order
+    xs, gauss, coeffs = _blocks(bundle, samples, seed)
+    redraw = np.random.default_rng([seed, 2])
+    points = [mf.map_points(lambda a: a[i], xs) for i in range(samples)]
+    vecs = [[bundle.fiber_projector(x) @ g for g in pair]
+            for x, pair in zip(points, gauss)]
+    for _ in range(8):
+        for k in range(2):
+            for i, x in enumerate(points):
+                if np.linalg.norm(vecs[i][k]) <= 1e-6:
+                    vecs[i][k] = bundle.fiber_projector(x) @ redraw.normal(
+                        size=bundle.ambient_fiber_dim)
+    if any(np.linalg.norm(w) <= 1e-6 for pair in vecs for w in pair):
+        raise BadParams("could not sample a fiber vector")
+    vs, us = ([w / np.linalg.norm(w) for w in slot] for slot in zip(*vecs))
+    return xs, np.stack(vs), np.stack(us), coeffs[:, 0], coeffs[:, 1]
 
 
 def _faint_bundle(base, scale):
@@ -115,13 +131,41 @@ def test_stacked_probe_draws_are_bitwise_the_per_probe_draws(name, make):
     assert [raw(p) for p in stacked] == [raw(p) for p in oracle]
     if name.startswith("faint"):
         # the redraw branch ran for some probes and not for others
-        killed = 0
-        for i in range(samples):
-            rng = np.random.default_rng([seed, i])
-            bundle.base.random_point(rng)  # the probe's point comes first
-            g0 = rng.normal(size=(2, 3))[:, 0]
-            killed += bool(np.any(1.5e-6 * np.abs(g0) <= 1e-6))
-        assert 0 < killed < samples
+        gauss = _blocks(bundle, samples, seed)[1]
+        killed = np.any(1.5e-6 * np.abs(gauss[..., 0]) <= 1e-6, axis=1)
+        assert 0 < np.count_nonzero(killed) < samples
+
+
+def _key(points, i):
+    # the bytes of point i of a stack (a pair of them for product points)
+    return mf.map_points(lambda a: a[i].tobytes(), points)
+
+
+def _row(probes, i):
+    return [_key(p, i) for p in probes]
+
+
+@pytest.mark.parametrize("name,make", DRAW_BUNDLES, ids=[d[0] for d in DRAW_BUNDLES])
+def test_drawing_the_block_again_reproduces_each_probe(name, make):
+    # a probe is re-checked by drawing the blocks again and taking its row
+    bundle = make()
+    first = lf._draw_probes(bundle, 24, 3)
+    for i in (0, 9, 23):
+        assert _row(lf._draw_probes(bundle, 24, 3), i) == _row(first, i)
+
+
+@pytest.mark.parametrize("model", [
+    mf.Sphere(2), mf.Torus(2), mf.GrassmannReal(2, 4), mf.ComplexProjective(1),
+    mf.Product(mf.GrassmannReal(1, 2), mf.ComplexProjective(1))], ids=str)
+def test_probe_points_share_no_row_with_the_seed_stream(model):
+    # default_rng(s) is the stream [s, 0], which random_point(model, s),
+    # random_orthogonal(n, s) and the scenarios' seeded draws read
+    n = 16
+    for seed in (0, 42):
+        probes = lf._draw_probes(bd.trivial(model, 2), n, seed)[0]
+        plain = model.random_points(np.random.default_rng(seed), n)
+        rows = {_key(probes, i) for i in range(n)}
+        assert not rows & {_key(plain, i) for i in range(n)}
 
 
 def _metrized_random_lift(seed):
@@ -248,8 +292,8 @@ class TestCheckLift:
         assert not rep.passed
 
     def test_degenerate_projector_raises_as_per_point_sampling(self):
-        # every draw is killed by a zero projector: the probe is redrawn per
-        # point, and random_fiber_vector gives up
+        # every draw is killed by a zero projector: the vectors are redrawn
+        # for 8 rounds, and unit_fiber_vectors gives up
         zero = bd.BundleModel(("zero",), mf.Sphere(2), 3, 1,
                               lambda x: np.zeros(np.shape(x)[:-1] + (3, 3)))
         with pytest.raises(BadParams, match="could not sample"):
@@ -440,7 +484,7 @@ class TestAlgebraProperties:
 class TestLiftFromHomotopy:
     def test_constant_homotopy_gives_identity(self):
         bundle = bd.tautological_real(2, 4)
-        h = mf.constant_homotopy(bundle.base)
+        h = constant_homotopy(bundle.base)
         lift = lf.lift_from_homotopy(bundle, h, steps=64)
         x, v = _probe(lift, 3)
         assert np.linalg.norm(lift.action(x, v) - v) <= 1e-12
@@ -578,11 +622,9 @@ class TestAmbientProjection:
 
 def _per_probe_injectivity(bundle, diffeo, seed):
     # the one-probe-at-a-time injectivity loop that the stacked probes
-    # replaced, kept as their oracle: (point, singular value) of the first
-    # failing probe, or None
-    for i in range(25):
-        x = mf.random_point(bundle.base,
-                            np.random.default_rng([seed, i]).integers(2**32))
+    # replaced, kept as their oracle on the same block of 25 points:
+    # (point, singular value) of the first failing probe, or None
+    for x in bundle.base.random_points(np.random.default_rng([seed, 3]), 25):
         cols = bundle.fiber_projector(diffeo.forward(x)) @ bundle.fiber_basis(x)
         sv = singular_values(cols)
         if sv[0] <= 1e-6:
@@ -609,9 +651,7 @@ class TestStackedInjectivityProbes:
     def test_refusal_names_the_first_failing_probe(self, seed):
         bundle = bd.tautological_real(1, 2)
         phi = _half_flip(bundle.base)
-        x = bundle.base.random_points([
-            np.random.default_rng(np.random.default_rng([seed, i]).integers(2**32))
-            for i in range(25)])
+        x = bundle.base.random_points(np.random.default_rng([seed, 3]), 25)
         flipped = np.nonzero(x[:, 0, 0] < 0.5)[0]
         # some probes fail but not all, and not only the first
         assert 2 <= len(flipped) < 25 and flipped[0] > 0
@@ -686,7 +726,7 @@ class TestFrameLiftView:
     def test_stack_of_frames_equals_per_frame_calls(self):
         lift = lf.grassmann_orthogonal_lift(mf.random_orthogonal(4, 9), 2)
         base = lift.bundle.base
-        x = base.random_points([np.random.default_rng(i) for i in range(30)])
+        x = base.random_points(np.random.default_rng(0), 30)
         g = mf.random_orthogonal(2, 10)
         for vectors in (lift.bundle.fiber_basis(x),
                         lift.bundle.fiber_basis(x) @ g):
@@ -701,7 +741,7 @@ class TestFrameLiftView:
     def test_one_bad_frame_refuses_the_stack(self, bad):
         bundle = bd.tautological_real(2, 4)
         lift = lf.identity_lift(bundle)
-        x = bundle.base.random_points([np.random.default_rng(i) for i in range(10)])
+        x = bundle.base.random_points(np.random.default_rng(0), 10)
         vectors = bundle.fiber_basis(x)
         lf.frame_lift_view(lift, lf.FiberFrame(x, vectors))
         vectors[bad] *= 1.5
@@ -721,7 +761,7 @@ class TestFrameLiftView:
 
         stretch = lf.Lift(bundle, mf.identity_diffeo(mf.Sphere(2)), action,
                           "stretch_one", 1e-10)
-        x = mf.Sphere(2).random_points([np.random.default_rng(i) for i in range(8)])
+        x = mf.Sphere(2).random_points(np.random.default_rng(0), 8)
         with pytest.raises(NotIsometric):
             lf.frame_lift_view(stretch, lf.FiberFrame(x, bundle.fiber_basis(x)))
 

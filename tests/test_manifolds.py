@@ -6,6 +6,8 @@ import pytest
 from bundlelift import manifolds as mf
 from bundlelift.errors import BadParams, BadPlane, UnknownName
 
+from helpers import constant_homotopy
+
 
 MODELS = [
     mf.Sphere(2),
@@ -29,21 +31,23 @@ def test_random_points_are_members_and_repeatable(model):
         assert model.distance(x, y) == 0.0
 
 
-def _per_point_draw(model, rng):
-    # the per-point draws that random_points replaced, kept as its oracle
+def _per_point_map(model, rng, count):
+    # the block a model draws, mapped onto the model one point at a time:
+    # the oracle of the stacked map in random_points
     if isinstance(model, mf.Product):
-        return (_per_point_draw(model.left, rng), _per_point_draw(model.right, rng))
+        left = _per_point_map(model.left, rng, count)
+        return left, _per_point_map(model.right, rng, count)
     if isinstance(model, mf.Sphere):
-        v = rng.normal(size=model.n + 1)
-        return v / np.linalg.norm(v)
+        return np.stack([v / np.linalg.norm(v)
+                         for v in rng.normal(size=(count, model.n + 1))])
     if isinstance(model, mf.Torus):
-        return rng.uniform(0.0, 1.0, size=model.n)
+        return np.stack([rng.uniform(0.0, 1.0, size=model.n) for _ in range(count)])
     if isinstance(model, mf.GrassmannReal):
-        q, _ = np.linalg.qr(rng.normal(size=(model.n, model.k)))
-        return q @ q.T
-    z = rng.normal(size=model.n + 1) + 1j * rng.normal(size=model.n + 1)
-    z = z / np.linalg.norm(z)
-    return np.outer(z, z.conj())
+        qs = [np.linalg.qr(a)[0] for a in rng.normal(size=(count, model.n, model.k))]
+        return np.stack([q @ q.T for q in qs])
+    g = rng.normal(size=(count, 2, model.n + 1))
+    zs = [z / np.linalg.norm(z) for z in g[:, 0] + 1j * g[:, 1]]
+    return np.stack([np.outer(z, z.conj()) for z in zs])
 
 
 def _same_bytes(a, b):
@@ -63,19 +67,39 @@ DRAW_MODELS = MODELS + [
 
 @pytest.mark.parametrize("model", DRAW_MODELS, ids=str)
 def test_stacked_draws_are_bitwise_the_per_point_draws(model):
-    rngs = [np.random.default_rng([7, i]) for i in range(64)]
-    stacked = model.random_points(rngs)
+    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+    stacked = model.random_points(rng, 64)
     assert model.stack_shape(stacked) == (64,)
-    refs = [np.random.default_rng([7, i]) for i in range(64)]
-    oracle = [_per_point_draw(model, ref) for ref in refs]
-    assert _same_bytes(stacked, mf.stack_points(oracle))
-    # every stream is left where the per-point draw leaves it
-    assert [rng.random() for rng in rngs] == [ref.random() for ref in refs]
-    # random_point is the one-generator case
+    assert _same_bytes(stacked, _per_point_map(model, ref, 64))
+    # the block leaves the stream where the per-point draws leave it
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("model", DRAW_MODELS, ids=str)
+def test_block_draws_are_members(model):
+    stack = model.random_points(np.random.default_rng(7), 64)
+    assert model.stack_shape(stack) == (64,)
     for i in range(64):
-        rng, ref = np.random.default_rng([7, i]), np.random.default_rng([7, i])
-        assert _same_bytes(model.random_point(rng), _per_point_draw(model, ref))
-        assert rng.random() == ref.random()
+        point = mf.map_points(lambda a: a[i], stack)
+        assert model.membership_residual(point) <= 1e-10
+
+
+@pytest.mark.parametrize("model", DRAW_MODELS, ids=str)
+def test_equal_seeds_give_bitwise_equal_stacks(model):
+    first = model.random_points(np.random.default_rng([7, 5]), 33)
+    again = model.random_points(np.random.default_rng([7, 5]), 33)
+    other = model.random_points(np.random.default_rng([7, 6]), 33)
+    assert _same_bytes(first, again)
+    assert not _same_bytes(first, other)
+
+
+@pytest.mark.parametrize("model", DRAW_MODELS, ids=str)
+def test_random_point_is_row_0_of_the_one_point_draw(model):
+    for seed in (0, 3, 42):
+        one = model.random_point(np.random.default_rng(seed))
+        stack = model.random_points(np.random.default_rng(seed), 1)
+        assert model.stack_shape(stack) == (1,)
+        assert _same_bytes(one, mf.map_points(lambda a: a[0], stack))
 
 
 def test_sphere_point_norm():
@@ -127,10 +151,10 @@ DISTANCE_MODELS = [
 
 @pytest.mark.parametrize("model", DISTANCE_MODELS, ids=str)
 def test_stacked_distance_is_bitwise_the_per_point_distance(model):
-    a = model.random_points([np.random.default_rng([5, i]) for i in range(40)])
-    far = model.random_points([np.random.default_rng([6, i]) for i in range(40)])
+    a = model.random_points(np.random.default_rng(5), 40)
+    far = model.random_points(np.random.default_rng(6), 40)
     # a nearby stack too: points moved by about 1e-9, where rounding shows
-    near = model.random_points([np.random.default_rng([5, i]) for i in range(40)])
+    near = model.random_points(np.random.default_rng(5), 40)
     near = mf.map_points(
         lambda p: p + 1e-9 * np.random.default_rng(8).normal(size=p.shape), near)
     for b in (far, near):
@@ -150,7 +174,7 @@ def test_stacked_distance_is_bitwise_the_per_point_distance(model):
 
 def test_product_distance_keeps_a_nan_in_either_factor():
     model = mf.Product(mf.Sphere(2), mf.Sphere(2))
-    x = model.random_points([np.random.default_rng(i) for i in range(3)])
+    x = model.random_points(np.random.default_rng(0), 3)
     broken = (x[0], x[1].copy())
     broken[1][2] = np.nan
     d = model.distance(x, broken)
@@ -322,7 +346,7 @@ class TestHomotopies:
              mf.cpn_phase_homotopy(mf.ComplexProjective(1), 1.7)),
             (mf.ComplexProjective(1),
              mf.cp1_plane_rotation_homotopy(mf.ComplexProjective(1), 0.9)),
-            (mf.Torus(2), mf.constant_homotopy(mf.Torus(2))),
+            (mf.Torus(2), constant_homotopy(mf.Torus(2))),
         ]
         for model, h in cases:
             for seed in range(100):
@@ -376,9 +400,9 @@ HOMOTOPIES = [
     (mf.ComplexProjective(1), lambda m: mf.cpn_phase_homotopy(m, 6 * np.pi)),
     (mf.ComplexProjective(2), lambda m: mf.cpn_phase_homotopy(m, 1.3, slot=2)),
     (mf.ComplexProjective(1), lambda m: mf.cp1_plane_rotation_homotopy(m, np.pi)),
-    (mf.Torus(2), mf.constant_homotopy),
+    (mf.Torus(2), constant_homotopy),
     (mf.Product(mf.GrassmannReal(1, 2), mf.ComplexProjective(1)),
-     mf.constant_homotopy),
+     constant_homotopy),
 ]
 HOMOTOPY_IDS = ["rot_s2", "rot_s3", "phase_cp1", "phase_cp2", "plane_cp1",
                 "const_torus", "const_product"]

@@ -14,8 +14,8 @@ from bundlelift.cli import ScenarioConfig, run_scenario
 from bundlelift.lifts import (FiberFrame, Lift, compose, frame_lift_view,
                               grassmann_orthogonal_lift, metrize,
                               s1xs2_generator_lift)
-from bundlelift.manifolds import (Sphere, identity_diffeo, random_orthogonal,
-                                  random_point, rotation_homotopy)
+from bundlelift.manifolds import (Sphere, identity_diffeo, map_points,
+                                  random_orthogonal, rotation_homotopy)
 from bundlelift.numkernel import polar_two_metric, worst
 
 
@@ -33,6 +33,13 @@ def _one_point_distance(a, b):
     return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
 
 
+def _rows(model, seed, tag, count):
+    # the points of a scenario's block draw from the stream [seed, tag], one
+    # at a time
+    block = model.random_points(np.random.default_rng([seed, tag]), count)
+    return [map_points(lambda a: a[i], block) for i in range(count)]
+
+
 # -- the per-point loops, kept as oracles -------------------------------------
 
 
@@ -48,8 +55,7 @@ def _metrize_random_loop(seed, samples):
     iso = metrize(vert)
     iso2 = metrize(iso)
     idem = fact = 0.0
-    for i in range(min(samples, 20)):
-        x = random_point(model, seed + 500 + i)
+    for x in _rows(model, seed, 500, min(samples, 20)):
         m1 = iso.fiber_matrix_in_bases(x)
         m2 = iso2.fiber_matrix_in_bases(x)
         idem = worst(idem, float(np.max(np.abs(m1 - m2))))
@@ -64,8 +70,7 @@ def _frame_view_loop(seed, samples):
     bundle = lift.bundle
     g = random_orthogonal(2, seed + 1)
     gram_defect = equiv = 0.0
-    for i in range(min(samples, 50)):
-        x = random_point(bundle.base, seed + i)
+    for x in _rows(bundle.base, seed, 100, min(samples, 50)):
         frame = FiberFrame(x, bundle.fiber_basis(x))
         out = frame_lift_view(lift, frame)
         gram = out.vectors.T @ out.vectors
@@ -81,8 +86,7 @@ def _grassmann_action_loop(seed, samples):
     l2 = grassmann_orthogonal_lift(random_orthogonal(4, seed + 1), 2)
     comp = compose(l1, l2)
     hom = 0.0
-    for i in range(min(samples, 100)):
-        x = random_point(l1.bundle.base, seed + i)
+    for x in _rows(l1.bundle.base, seed, 200, min(samples, 100)):
         hom = worst(hom, _one_point_distance(
             comp.base_map.forward(x),
             l1.base_map.forward(l2.base_map.forward(x))))
@@ -92,8 +96,7 @@ def _grassmann_action_loop(seed, samples):
 def _homotopy_endpoint_loop(seed, samples):
     h = rotation_homotopy(Sphere(2), (0, 1), np.pi / 2)
     gap = 0.0
-    for i in range(min(samples, 100)):
-        x = random_point(Sphere(2), seed + 1000 + i)
+    for x in _rows(Sphere(2), seed, 1000, min(samples, 100)):
         gap = worst(gap, float(np.linalg.norm(h.family(1.0, x)
                                               - h.endpoint.forward(x))))
     return {"homotopy.endpoint_agreement": gap}
@@ -104,8 +107,7 @@ def _s1xs2_involution_loop(seed, samples):
     for n in (1, 2):
         s_lift = s1xs2_generator_lift("s", n, steps=64)
         roundtrip = 0.0
-        for i in range(min(samples, 20)):
-            x = random_point(s_lift.bundle.base, seed + 900 + i)
+        for x in _rows(s_lift.bundle.base, seed, 900, min(samples, 20)):
             y = s_lift.base_map.forward(s_lift.base_map.forward(x))
             roundtrip = worst(roundtrip, _one_point_distance(x, y))
         out[f"s_lift.n{n}.involution"] = roundtrip
