@@ -32,13 +32,15 @@ times it returns shape (T, ...) or (T, P, ...). ``joint_transport_operators``
 takes a list of (bundle, path) pairs whose bundles share the ambient fiber
 dimension N, and walks the RK4 time grid in windows of consecutive steps.
 Per window and pair it evaluates the path on the window's stage and node
-times and calls each field once on the flattened times x tracks stack; the
-tracks of all pairs go side by side on the axis after time, into one RK4
-kernel call, which continues from the previous window's state. A window
-holds as many steps as fit in ``TRANSPORT_CHUNK_BYTES`` of stage arrays for
-all tracks, so memory stays bounded at any step count, and one track is
-the case P = 1. Each pair gets one (N, N) operator, or (P, N, N) for a
-stack, bitwise the operator of that pair transported alone.
+times (once, on the stage times, for a path with an exact velocity) and
+calls each field once on the flattened times x tracks stack; the tracks of
+all pairs go side by side on the axis after time, into one RK4 kernel
+call, which continues from the previous window's state. A window holds as
+many steps as fit in ``TRANSPORT_CHUNK_BYTES`` of stage arrays for all
+tracks, so memory stays bounded at any step count; more tracks than fit one
+step are transported in groups that each fit. One track is the case P = 1.
+Each pair gets one (N, N) operator, or (P, N, N) for a stack, bitwise the
+operator of that pair transported alone.
 ``holonomy_signs`` likewise takes (line bundle, loop) pairs, each loop one
 loop or a stack of loops, and ``holonomy_sign`` is its one-pair case.
 
@@ -368,11 +370,12 @@ class Path:
     """Curve [0,1] -> base, or a stack of P curves (tracks), optionally
     carrying an exact velocity.
 
-    ``fn`` and ``velocity`` take one time or a 1-d array of T times; for an
-    array they return the points (velocities) at those times, shape
-    (T, ...) for one track and (T, P, ...) for a stack of tracks.
-    ``transport_operator`` calls them on consecutive windows of its time
-    grid, every track in each call.
+    ``fn(t)`` takes one time or a 1-d array of T times; for an array it
+    returns the points at those times, shape (T, ...) for one track and
+    (T, P, ...) for a stack of tracks. ``velocity(t, xt)`` returns the
+    velocities at the same times, stacked the same way, given the points
+    xt = fn(t) already evaluated. ``joint_transport_operators`` calls them
+    on consecutive windows of its time grid, every track in each call.
     """
 
     def __init__(self, fn, velocity=None):
@@ -389,30 +392,39 @@ def homotopy_path(homotopy, x):
     homotopy's family and velocity."""
     vel = None
     if homotopy.velocity is not None:
-        vel = lambda t: homotopy.velocity(t, x)
+        vel = lambda t, xt: homotopy.velocity(t, x, xt)
     return Path(lambda t: homotopy.family(t, x), velocity=vel)
 
 
-def _stage_arrays(bundle, path, ts, nodes):
+def _stage_arrays(bundle, path, ts, nodes, tracks):
     """Projector derivatives at the RK4 stage times ts and the projectors at
     the node times, laid out (time, track, N, N), each from one field call
-    on the stack of points of all tracks at those times (time axis first)."""
+    on the stack of points of the selected tracks (a slice of the flattened
+    track axis; the path itself is evaluated on all of its tracks) at those
+    times (time axis first). With an exact velocity the path is evaluated
+    once, on ts: the node times are ts[::2] bitwise, since both are h * k
+    rounded once."""
 
     def field(fn, *args):
-        # flatten times x tracks into one stack for the call
+        # times x selected tracks as one flat stack for the call
         shape = bundle.base.stack_shape(args[0])
-        flat = [map_points(lambda a: a.reshape((-1,) + a.shape[len(shape):]), a)
-                for a in args]
-        out = fn(*flat)
+
+        def flat(a):
+            a = a.reshape((shape[0], -1) + a.shape[len(shape):])[:, tracks]
+            return a.reshape((-1,) + a.shape[2:])
+
+        out = fn(*[map_points(flat, a) for a in args])
         return out.reshape((shape[0], -1) + out.shape[1:])
 
     if path.velocity is not None and bundle.has_projector_differential:
-        qp = field(bundle.projector_differential, path(ts), path.velocity(ts))
+        xt = path(ts)
+        qp = field(bundle.projector_differential, xt, path.velocity(ts, xt))
+        qnode = field(bundle.fiber_projector, map_points(lambda a: a[::2], xt))
     else:
         delta = TOL.fd_delta
         qp = (field(bundle.fiber_projector, path(ts + delta))
               - field(bundle.fiber_projector, path(ts - delta))) / (2.0 * delta)
-    qnode = field(bundle.fiber_projector, path(nodes))
+        qnode = field(bundle.fiber_projector, path(nodes))
     return qp, qnode
 
 
@@ -429,16 +441,15 @@ def _place(window, part, start, tracks):
 
 
 # Bytes of window stage arrays (qp and qnode together) one RK4 kernel call
-# may take: the time grid is walked in windows of as many steps as fit for
-# all tracks of all (bundle, path) pairs of a ``joint_transport_operators``
-# call, which share this one budget. Each pair's stage arrays are copied
-# into its track slice of the window, one pair at a time, so one pair's
-# arrays come on top of the budget (none for a single pair, whose arrays
-# are the window), as do the kernel's step increments D (w matrices per
-# track for a window of w steps) and its few increment blocks. A window
-# holds at least one step (five N x N matrices per track), so more
-# than about budget / (5 * 8 * N^2) tracks exceed the budget: about 2,900
-# tracks on the tangent bundle of S^2 (N = 3).
+# may take: the tracks of all (bundle, path) pairs of a
+# ``joint_transport_operators`` call share this one budget. They are split
+# into groups of as many tracks as fit one step (five N x N matrices per
+# track), and each group walks the time grid in windows of as many steps
+# as fit. Each pair's stage arrays are copied into its track slice of the
+# window, one pair at a time, so one pair's arrays come on top of the
+# budget (none for a single pair, whose arrays are the window), as do the
+# kernel's step increments D (w matrices per track for a window of w steps)
+# and its few increment blocks.
 TRANSPORT_CHUNK_BYTES = 2 ** 20
 
 
@@ -467,25 +478,34 @@ def joint_transport_operators(pairs, steps=DEFAULT_TRANSPORT_STEPS):
     ends = list(itertools.accumulate(math.prod(shape) for shape in shapes))
     starts = [0] + ends[:-1]
     tracks = ends[-1]
-    # a window of w steps holds 2w+1 stage and w+1 node matrices per track;
-    # with no track at all, one window of empty arrays gives each pair its
-    # empty operator
-    stack_bytes = max(tracks, 1) * n * n * 8
-    window = max(1, (TRANSPORT_CHUNK_BYTES // stack_bytes - 2) // 3)
+    matrix_bytes = n * n * 8
+    group = max(1, TRANSPORT_CHUNK_BYTES // (5 * matrix_bytes))
     h = 1.0 / steps
     ts = (0.5 * h) * np.arange(2 * steps + 1)
     nodes = h * np.arange(steps + 1)
-    x = None
-    for i in range(0, steps, window):
-        j = min(i + window, steps)
-        qp = qnode = None
-        for (bundle, path), start in zip(pairs, starts):
-            part_qp, part_qnode = _stage_arrays(bundle, path, ts[2 * i:2 * j + 1],
-                                                nodes[i:j + 1])
-            qp = _place(qp, part_qp, start, tracks)
-            qnode = _place(qnode, part_qnode, start, tracks)
-        x = _kernels.rk4_transport(qp, qnode, qnode[0] if x is None else x, h)
-    return [x[a:b].reshape(shape + (n, n))
+    # with no track at all there is no group, and each pair gets its empty
+    # operator
+    out = np.empty((tracks, n, n))
+    for g in range(0, tracks, group):
+        e = min(g + group, tracks)
+        # a window of w steps holds 2w+1 stage and w+1 node matrices per track
+        window = max(1, (TRANSPORT_CHUNK_BYTES // ((e - g) * matrix_bytes) - 2) // 3)
+        x = None
+        for i in range(0, steps, window):
+            j = min(i + window, steps)
+            qp = qnode = None
+            for (bundle, path), start, end in zip(pairs, starts, ends):
+                lo, hi = max(start, g), min(end, e)
+                if lo >= hi:
+                    continue
+                part_qp, part_qnode = _stage_arrays(
+                    bundle, path, ts[2 * i:2 * j + 1], nodes[i:j + 1],
+                    slice(lo - start, hi - start))
+                qp = _place(qp, part_qp, lo - g, e - g)
+                qnode = _place(qnode, part_qnode, lo - g, e - g)
+            x = _kernels.rk4_transport(qp, qnode, qnode[0] if x is None else x, h)
+        out[g:e] = x
+    return [out[a:b].reshape(shape + (n, n))
             for shape, a, b in zip(shapes, starts, ends)]
 
 

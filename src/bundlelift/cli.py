@@ -100,7 +100,9 @@ def _report_checks(prefix, report, tol, checks, isometry=True):
 def _draw(model, seed, tag, count):
     """count points of model, one block from the stream [seed, tag]. Each
     draw of a scenario has its own tag: not 0 (the stream [seed, 0] is
-    default_rng(seed)), and not 1-3, the tags of the lifts module's probes."""
+    default_rng(seed)), not 1-3, the tags of the lifts module's probes, and
+    not 77 or 600, the streams that the theta = 0 slice of s1xs2_generators
+    and the torus sweep's matrices are drawn from."""
     return model.random_points(np.random.default_rng([seed, tag]), count)
 
 
@@ -354,17 +356,14 @@ def _scenario_torus_sweep(cfg):
     rows = []
     mismatches = 0
     lift_disagreements = 0
-    # every matrix first, one stack of 20 per bit vector b
+    # every matrix first, one stack of 20 per bit vector b, all drawn from
+    # one stream
+    rng = np.random.default_rng([cfg.seed, 600])
     cases = []
-    total = 0
     for n in (1, 2, 3):
         for m in range(1, 2 ** n):
             b = tuple(int(x) for x in np.binary_repr(m, width=n))
-            mats = []
-            for i in range(20):
-                mats.append(random_unimodular(n, cfg.seed + 101 * i + 7 * total))
-                total += 1
-            cases.append((n, b, np.stack(mats)))
+            cases.append((n, b, random_unimodular(n, rng, 20)))
     for n, b, mats in cases:
         res = torus_criterion(mats, b)  # one call per bit vector
         mismatches += int(np.sum(res.fast_verdict != res.oracle_verdict))

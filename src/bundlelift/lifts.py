@@ -132,7 +132,7 @@ def _draw_probes(bundle, samples, seed):
     and normalised on the whole stack; a vector the projector nearly kills
     is redrawn from the stream [seed, 2] (see unit_fiber_vectors). Each
     purpose has its own nonzero tag: default_rng(seed) is the stream
-    [seed, 0], which random_point(model, seed) draws."""
+    [seed, 0], which random_orthogonal(n, seed) draws."""
     rng = np.random.default_rng([seed, 1])
     xs = bundle.base.random_points(rng, samples)
     gauss = rng.normal(size=(samples, 2, bundle.ambient_fiber_dim))

@@ -45,8 +45,6 @@ __all__ = [
     "SmoothMap",
     "Diffeo",
     "Homotopy",
-    "random_point",
-    "stack_points",
     "map_points",
     "named_diffeo",
     "product_diffeo",
@@ -209,19 +207,6 @@ class Product(ManifoldModel):
         return (self.left.copy_point(point[0]), self.right.copy_point(point[1]))
 
 
-def random_point(model, seed):
-    """Deterministic membership-valid point for the given seed."""
-    return model.random_point(np.random.default_rng(seed))
-
-
-def stack_points(points):
-    """One stack from a sequence of points (a pair of stacks for product
-    points)."""
-    if isinstance(points[0], tuple):
-        return tuple(stack_points(factor) for factor in zip(*points))
-    return np.stack(points)
-
-
 def map_points(fn, points):
     """fn applied to the array of a point or a stack of points, factor by
     factor for product points."""
@@ -286,10 +271,12 @@ class Homotopy:
     """One-parameter family family(t, x) with family(0, .) = id.
 
     ``t`` is one time or a 1-d array of times; for an array the family
-    returns the stack of the points at those times. ``velocity(t, x)``,
+    returns the stack of the points at those times. ``velocity(t, x, xt)``,
     when provided, returns the exact time derivative of the family at
-    (t, x) in point coordinates, stacked the same way; transport can use it
-    instead of finite differences.
+    (t, x) in point coordinates, stacked the same way, given the points
+    xt = family(t, x) already evaluated, so that the family is evaluated
+    once per set of times; transport can use it instead of finite
+    differences.
     """
 
     def __init__(self, name, family, endpoint, source, velocity=None):
@@ -478,10 +465,19 @@ def named_diffeo(model, name, **params):
     diffeo = builder(model, params)
     # one round trip on a stack of three seeded points; negated, so that a
     # NaN at any point refuses the map
-    x = model.random_points(np.random.default_rng(3), 3)
+    x = _round_trip_points(model)
     if not np.max(model.distance(diffeo.inverse(diffeo.forward(x)), x)) <= 1e-8:
         raise BadParams(f"{name}: inverse round-trip check failed")
     return diffeo
+
+
+@functools.lru_cache(maxsize=32)
+def _round_trip_points(model):
+    # the three points of named_diffeo's round trip depend on the model
+    # alone: one draw per model, cached and shared, so read-only
+    x = model.random_points(np.random.default_rng(3), 3)
+    map_points(lambda a: a.setflags(write=False), x)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +514,8 @@ def rotation_homotopy(model, plane, angle):
     def family(t, x):
         return np.matvec(_per_time(rot(t * angle), t, model, x), x)
 
-    def velocity(t, x):
-        return angle * (family(t, x) @ gen.T)
+    def velocity(t, x, xt):
+        return angle * (xt @ gen.T)
 
     return Homotopy(f"rotation[{i},{j};{angle:g}]", family, endpoint, model,
                     velocity=velocity)
@@ -553,8 +549,7 @@ def _unitary_family_homotopy(model, x_gen, name):
         u = _per_time(unitary(t), t, model, p)
         return small_matmul(small_matmul(u, p), np.conj(np.swapaxes(u, -1, -2)))
 
-    def velocity(t, p):
-        pt = family(t, p)
+    def velocity(t, p, pt):
         return small_matmul(x_gen, pt) - small_matmul(pt, x_gen)
 
     return Homotopy(name, family, endpoint, model, velocity=velocity)
@@ -753,20 +748,28 @@ def random_orthogonal(n, seed):
     return q * np.sign(np.diag(r))
 
 
-def random_unimodular(n, seed):
-    """Product of at most 8 elementary integer matrices (row additions and
-    swaps), so |det| = 1 holds exactly in integer arithmetic."""
-    rng = np.random.default_rng(seed)
-    a = np.eye(n, dtype=np.int64)
-    n_ops = int(rng.integers(1, 9))
-    for _ in range(n_ops):
-        if n == 1:
-            break
-        kind = rng.integers(0, 2)
-        i, j = rng.choice(n, size=2, replace=False)
-        if kind == 0:
-            coeff = int(rng.choice([-2, -1, 1, 2]))
-            a[i] = a[i] + coeff * a[j]
-        else:
-            a[[i, j]] = a[[j, i]]
+def random_unimodular(n, rng, count):
+    """count integer matrices (count, n, n), each a product of 1 to 8
+    elementary integer matrices, so |det| = 1 holds exactly in integer
+    arithmetic. Every draw is one block from rng: the op counts, the kinds
+    (row addition or swap), the rows i (uniform) and j = (i + U{1..n-1})
+    mod n, and the coefficients in {-2, -1, 1, 2} of the additions. Round k
+    then applies op k to every matrix that has more than k ops: row i +=
+    coeff * row j, or rows i and j swapped. For n = 1, identities."""
+    a = np.zeros((count, n, n), dtype=np.int64) + np.eye(n, dtype=np.int64)
+    if n == 1:
+        return a
+    n_ops = rng.integers(1, 9, size=count)
+    kind = rng.integers(0, 2, size=(8, count))
+    i = rng.integers(0, n, size=(8, count))
+    j = (i + rng.integers(1, n, size=(8, count))) % n
+    coeff = rng.choice(np.array([-2, -1, 1, 2]), size=(8, count))
+    rows = np.arange(count)
+    for k in range(8):
+        live = k < n_ops
+        add = (live & (kind[k] == 0))[:, None]
+        swap = (live & (kind[k] == 1))[:, None]
+        ri, rj = a[rows, i[k]], a[rows, j[k]]
+        a[rows, i[k]] = np.where(swap, rj, ri + add * coeff[k][:, None] * rj)
+        a[rows, j[k]] = np.where(swap, ri, rj)
     return a

@@ -189,7 +189,7 @@ def _coordinate_loops(n):
     # the n coordinate loops t -> t e_i of T^n as one stack of tracks
     eye = np.eye(n)
     return Path(lambda ts: np.multiply.outer(ts, eye),
-                velocity=lambda ts: np.multiply.outer(np.ones_like(ts), eye))
+                velocity=lambda ts, xt: np.multiply.outer(np.ones_like(ts), eye))
 
 
 def w1_profiles(bs, steps=DEFAULT_TRANSPORT_STEPS):

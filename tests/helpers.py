@@ -6,12 +6,32 @@ import numpy as np
 from bundlelift import manifolds as mf
 
 
+def random_point(model, seed):
+    """Deterministic membership-valid point for the given seed: row 0 of a
+    one-point draw from default_rng(seed)."""
+    return model.random_point(np.random.default_rng(seed))
+
+
+def stack_points(points):
+    """One stack from a sequence of points (a pair of stacks for product
+    points)."""
+    if isinstance(points[0], tuple):
+        return tuple(stack_points(factor) for factor in zip(*points))
+    return np.stack(points)
+
+
+def unimodular(n, seed):
+    """One n x n unimodular integer matrix: the one-matrix block of
+    random_unimodular from default_rng(seed)."""
+    return mf.random_unimodular(n, np.random.default_rng(seed), 1)[0]
+
+
 def constant_homotopy(model):
     """The homotopy that keeps every point where it is: the identity at
     every time, with the identity as its endpoint."""
     def family(t, x):
         if np.ndim(t) == 0:
             return model.copy_point(x)
-        return mf.stack_points([x] * len(t))
+        return stack_points([x] * len(t))
 
     return mf.Homotopy("constant", family, mf.identity_diffeo(model), model)

@@ -21,6 +21,8 @@ from bundlelift.gluing import (LocalLiftDatum, TransitionDatum,
                                cocycle_compat_check)
 from bundlelift.numkernel import polar_two_metric
 
+from helpers import random_point, unimodular
+
 
 def _criterion(number, description):
     conftest.start_criterion(number, description)
@@ -72,7 +74,7 @@ def test_criterion_2_conjugation_obstruction():
 
     bundle = lift.bundle
     for i in range(20):
-        x = mf.random_point(mf.ComplexProjective(1), 9000 + i)
+        x = random_point(mf.ComplexProjective(1), 9000 + i)
         psi = lf.fiberwise_complex_correction(lift, x)
         y = lift.base_map.inverse(x)
         b_y = bundle.fiber_basis(y)
@@ -111,7 +113,7 @@ def test_criterion_3_homotopy_lifting_order():
         # against a 16384-step reference (exact projector derivatives keep
         # the finite-difference noise floor out of the comparison)
         for i in range(3):
-            x = mf.random_point(model, 40 + i)
+            x = random_point(model, 40 + i)
             path = bd.homotopy_path(h_order, x)
             ref = bd.transport_operator(bundle, path, steps=16384)
             err = {s: float(np.max(np.abs(
@@ -137,7 +139,7 @@ def test_criterion_4_polar_metrization():
         iso = lf.metrize(lift)
         iso2 = lf.metrize(iso)
         for j in range(4):
-            x = mf.random_point(model, 50 * i + j)
+            x = random_point(model, 50 * i + j)
             b = bundle.fiber_basis(x)
             m_iso = iso.fiber_matrix_between(x, b, b)
             assert np.max(np.abs(m_iso.T @ m_iso - np.eye(3))) <= 1e-8
@@ -157,7 +159,7 @@ def test_criterion_5_torus_criterion_sweep():
         for m in range(1, 2 ** dim):
             b = tuple(int(x) for x in np.binary_repr(m, width=dim))
             for i in range(20):
-                a = mf.random_unimodular(dim, 7777 + 131 * total)
+                a = unimodular(dim, 7777 + 131 * total)
                 res = ob.torus_criterion(a, b)
                 assert res.fast_verdict == res.oracle_verdict
                 try:

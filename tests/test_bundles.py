@@ -9,7 +9,7 @@ from bundlelift.config import DEFAULT_TOLERANCES as TOL
 from bundlelift.errors import Ambiguous, BadParams
 from bundlelift.numkernel import norms, realify
 
-from helpers import constant_homotopy
+from helpers import constant_homotopy, random_point, stack_points
 
 
 ALL_BUNDLES = [
@@ -30,7 +30,7 @@ ALL_BUNDLES = [
 @pytest.mark.parametrize("name,bundle", ALL_BUNDLES, ids=[n for n, _ in ALL_BUNDLES])
 def test_projector_field_invariants(name, bundle):
     for seed in range(10):
-        x = mf.random_point(bundle.base, seed)
+        x = random_point(bundle.base, seed)
         q = bundle.fiber_projector(x)
         assert np.max(np.abs(q @ q - q)) <= 1e-8
         assert np.max(np.abs(q - q.T)) <= 1e-8
@@ -45,7 +45,7 @@ def test_projector_field_invariants(name, bundle):
 @pytest.mark.parametrize("name,bundle", ALL_BUNDLES, ids=[n for n, _ in ALL_BUNDLES])
 def test_fiber_basis_and_sampling(name, bundle):
     rng = np.random.default_rng(3)
-    x = mf.random_point(bundle.base, 17)
+    x = random_point(bundle.base, 17)
     basis = bundle.fiber_basis(x)
     assert basis.shape == (bundle.ambient_fiber_dim, bundle.real_rank)
     assert np.max(np.abs(basis.T @ basis - np.eye(bundle.real_rank))) <= 1e-10
@@ -56,10 +56,10 @@ def test_fiber_basis_and_sampling(name, bundle):
 @pytest.mark.parametrize("name,bundle", ALL_BUNDLES, ids=[n for n, _ in ALL_BUNDLES])
 def test_fields_on_a_stack_equal_per_point_fields(name, bundle):
     seeds = range(20, 27)
-    xs = [mf.random_point(bundle.base, s) for s in seeds]
-    stack = mf.stack_points(xs)
+    xs = [random_point(bundle.base, s) for s in seeds]
+    stack = stack_points(xs)
     # any array of the point shape serves as a direction for the differential
-    dirs = [mf.random_point(bundle.base, s + 100) for s in seeds]
+    dirs = [random_point(bundle.base, s + 100) for s in seeds]
     fields = [bundle.fiber_projector]
     if bundle.has_complex_structure:
         fields += [bundle.complex_fiber_projector, bundle.complex_structure]
@@ -69,14 +69,14 @@ def test_fields_on_a_stack_equal_per_point_fields(name, bundle):
     if bundle.has_projector_differential:
         per_point = np.stack([bundle.projector_differential(x, d)
                               for x, d in zip(xs, dirs)])
-        batched = bundle.projector_differential(stack, mf.stack_points(dirs))
+        batched = bundle.projector_differential(stack, stack_points(dirs))
         assert np.max(np.abs(batched - per_point)) <= 1e-15
 
 
 @pytest.mark.parametrize("name,bundle", ALL_BUNDLES, ids=[n for n, _ in ALL_BUNDLES])
 def test_fiber_basis_on_a_stack_equals_per_point_bases(name, bundle):
-    xs = [mf.random_point(bundle.base, s) for s in range(30, 37)]
-    stacked = bundle.fiber_basis(mf.stack_points(xs))
+    xs = [random_point(bundle.base, s) for s in range(30, 37)]
+    stacked = bundle.fiber_basis(stack_points(xs))
     assert np.array_equal(stacked, np.stack([bundle.fiber_basis(x) for x in xs]))
 
 
@@ -85,7 +85,7 @@ def test_pullback_fibers_bitwise():
     f = mf.cp1_power_map(2)
     pb = bd.pullback(f, w)
     for seed in range(5):
-        x = mf.random_point(pb.base, seed)
+        x = random_point(pb.base, seed)
         assert np.array_equal(pb.fiber_projector(x),
                               w.fiber_projector(f.forward(x)))
 
@@ -118,7 +118,7 @@ def _constant(x):
 class TestTransport:
     def test_constant_path_fixes_vector(self):
         ts = bd.tangent_sphere(2)
-        x = mf.random_point(mf.Sphere(2), 1)
+        x = random_point(mf.Sphere(2), 1)
         v = ts.random_fiber_vector(x, np.random.default_rng(0))
         out = bd.transport_operator(ts, _constant(x), steps=64) @ v
         assert np.linalg.norm(out - v) <= 1e-12
@@ -152,7 +152,7 @@ class TestTransport:
     def test_norm_preserved_complex_line(self):
         tc = bd.tautological_complex(1)
         h = mf.cpn_phase_homotopy(mf.ComplexProjective(1), 1.9)
-        x = mf.random_point(mf.ComplexProjective(1), 6)
+        x = random_point(mf.ComplexProjective(1), 6)
         v = tc.random_fiber_vector(x, np.random.default_rng(2))
         out = bd.transport_operator(tc, bd.homotopy_path(h, x), steps=256) @ v
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-6
@@ -160,7 +160,7 @@ class TestTransport:
     def test_reversal(self):
         ts = bd.tangent_sphere(2)
         h = mf.rotation_homotopy(mf.Sphere(2), (1, 2), 1.4)
-        x = mf.random_point(mf.Sphere(2), 9)
+        x = random_point(mf.Sphere(2), 9)
         v = ts.random_fiber_vector(x, np.random.default_rng(5))
         fwd_path = bd.homotopy_path(h, x)
         out = bd.transport_operator(ts, fwd_path, steps=512) @ v
@@ -171,7 +171,7 @@ class TestTransport:
     def test_exact_derivative_matches_fd(self):
         ts = bd.tangent_sphere(2)
         h = mf.rotation_homotopy(mf.Sphere(2), (0, 1), 1.1)
-        x = mf.random_point(mf.Sphere(2), 10)
+        x = random_point(mf.Sphere(2), 10)
         v = ts.random_fiber_vector(x, np.random.default_rng(6))
         path = bd.homotopy_path(h, x)
         out_fd = bd.transport_operator(ts, bd.Path(path.fn), steps=256) @ v
@@ -189,7 +189,7 @@ def _looped_stage_arrays(bundle, path, steps):
     if path.velocity is not None and bundle.has_projector_differential:
         for j in range(n_stage):
             t = 0.5 * h * j
-            qp[j] = bundle.projector_differential(path(t), path.velocity(t))
+            qp[j] = bundle.projector_differential(path(t), path.velocity(t, path(t)))
     else:
         delta = TOL.fd_delta
         for j in range(n_stage):
@@ -211,22 +211,22 @@ def _looped_transport(bundle, path, steps):
 def _torus_loop(n, i):
     d = np.eye(n)[i]
     return bd.Path(lambda ts: np.multiply.outer(ts, d),
-                   velocity=lambda ts: np.multiply.outer(np.ones_like(ts), d))
+                   velocity=lambda ts, xt: np.multiply.outer(np.ones_like(ts), d))
 
 
 ORACLE_TRACKS = [
     # (bundle, path, bound); exact projector differentials first
     ("sphere_rotation", bd.tangent_sphere(2),
      bd.homotopy_path(mf.rotation_homotopy(mf.Sphere(2), (0, 1), 1.8 * np.pi),
-                      mf.random_point(mf.Sphere(2), 41)), 1e-12),
+                      random_point(mf.Sphere(2), 41)), 1e-12),
     ("complex_phase", bd.tautological_complex(1),
      bd.homotopy_path(mf.cpn_phase_homotopy(mf.ComplexProjective(1), 6 * np.pi),
-                      mf.random_point(mf.ComplexProjective(1), 41)), 1e-12),
+                      random_point(mf.ComplexProjective(1), 41)), 1e-12),
     ("torus_loop", bd.torus_line((1, 1, 0)), _torus_loop(3, 1), 1e-12),
     # central differences divide last-bit differences of Q by 2 fd_delta
     ("pullback_fd", bd.pullback(mf.cp1_power_map(2), bd.tautological_complex(1)),
      bd.homotopy_path(mf.cp1_plane_rotation_homotopy(mf.ComplexProjective(1), np.pi),
-                      mf.random_point(mf.ComplexProjective(1), 41)), 1e-10),
+                      random_point(mf.ComplexProjective(1), 41)), 1e-10),
 ]
 
 
@@ -242,7 +242,7 @@ def _torus_loops(n):
     # the n coordinate loops as one stack of tracks, as w1_profile builds it
     eye = np.eye(n)
     return bd.Path(lambda ts: np.multiply.outer(ts, eye),
-                   velocity=lambda ts: np.multiply.outer(np.ones_like(ts), eye))
+                   velocity=lambda ts, xt: np.multiply.outer(np.ones_like(ts), eye))
 
 
 STACKED_TRACKS = [
@@ -278,8 +278,8 @@ WINDOWS = (1, 7, 256)
 def test_stacked_transport_is_bitwise_per_track(monkeypatch, name, bundle,
                                                 tracks, model):
     n = bundle.ambient_fiber_dim
-    xs = [mf.random_point(model, 60 + i) for i in range(5)]
-    stacked = bd.transport_operator(bundle, tracks(mf.stack_points(xs)), steps=256)
+    xs = [random_point(model, 60 + i) for i in range(5)]
+    stacked = bd.transport_operator(bundle, tracks(stack_points(xs)), steps=256)
     single = [bd.transport_operator(bundle, tracks(x), steps=256) for x in xs]
     assert stacked.shape == (5,) + 2 * (n,)
     for i in range(5):
@@ -288,7 +288,7 @@ def test_stacked_transport_is_bitwise_per_track(monkeypatch, name, bundle,
     for window in WINDOWS:
         monkeypatch.setattr(bd, "TRANSPORT_CHUNK_BYTES", _window_bytes(5, window, n))
         assert np.array_equal(
-            bd.transport_operator(bundle, tracks(mf.stack_points(xs)), steps=256),
+            bd.transport_operator(bundle, tracks(stack_points(xs)), steps=256),
             stacked)
         monkeypatch.setattr(bd, "TRANSPORT_CHUNK_BYTES", _window_bytes(1, window, n))
         for i, x in enumerate(xs):
@@ -330,7 +330,7 @@ def _counted_kernel(monkeypatch):
 def test_chunk_budget_sets_the_kernel_calls(monkeypatch):
     calls = _counted_kernel(monkeypatch)
     monkeypatch.setattr(bd, "TRANSPORT_CHUNK_BYTES", _window_bytes(7, 10, 3))
-    xs = mf.stack_points([mf.random_point(mf.Sphere(2), s) for s in range(7)])
+    xs = stack_points([random_point(mf.Sphere(2), s) for s in range(7)])
     h = mf.rotation_homotopy(mf.Sphere(2), (0, 2), 0.8)
     bd.transport_operator(bd.tangent_sphere(2), bd.homotopy_path(h, xs), steps=64)
     assert len(calls) == math.ceil(64 / 10)
@@ -344,10 +344,43 @@ def test_transport_stage_arrays_stay_in_budget_at_large_step_counts(monkeypatch)
     calls = _counted_kernel(monkeypatch)
     steps = 2 ** 16
     h = mf.rotation_homotopy(mf.Sphere(2), (0, 1), 0.8)
-    x = mf.random_point(mf.Sphere(2), 3)
+    x = random_point(mf.Sphere(2), 3)
     bd.transport_operator(bd.tangent_sphere(2), bd.homotopy_path(h, x), steps=steps)
     assert max(c[1] for c in calls) <= bd.TRANSPORT_CHUNK_BYTES
     assert sum(c[0] for c in calls) == steps
+
+
+def test_more_tracks_than_fit_one_step_are_transported_in_groups(monkeypatch):
+    # a budget of one step for 7 tracks (five 3x3 matrices each): 40 tracks
+    # go in groups of 7, each in budget, and every operator is bitwise the
+    # one of the unsplit run
+    xs = stack_points([random_point(mf.Sphere(2), s) for s in range(40)])
+    path = bd.homotopy_path(mf.rotation_homotopy(mf.Sphere(2), (0, 2), 0.8), xs)
+    unsplit = bd.transport_operator(bd.tangent_sphere(2), path, steps=64)
+    budget = 7 * 5 * 3 * 3 * 8
+    monkeypatch.setattr(bd, "TRANSPORT_CHUNK_BYTES", budget)
+    calls = _counted_kernel(monkeypatch)
+    split = bd.transport_operator(bd.tangent_sphere(2), path, steps=64)
+    assert np.array_equal(split, unsplit)
+    assert max(c[1] for c in calls) <= budget
+    # six groups of 7 tracks walk 64 one-step windows; the last group of 5
+    # fits windows of (budget // (5 * 72) - 2) // 3 = 1 step too
+    assert [c[2] for c in calls] == [7] * (5 * 64) + [5] * 64
+
+
+def test_track_groups_cut_across_joint_pairs(monkeypatch):
+    # groups of 4 tracks cut through the 35 tracks of the 15 joint pairs,
+    # exact velocities and central differences alike
+    pairs = _joint_pairs()
+    alone = [bd.transport_operator(b, p, steps=64) for b, p in pairs]
+    budget = 4 * 5 * 2 * 2 * 8
+    monkeypatch.setattr(bd, "TRANSPORT_CHUNK_BYTES", budget)
+    calls = _counted_kernel(monkeypatch)
+    joint = bd.joint_transport_operators(pairs, steps=64)
+    assert max(c[1] for c in calls) <= budget
+    assert sorted({c[2] for c in calls}) == [3, 4]
+    for got, want in zip(joint, alone):
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 @settings(max_examples=15)
@@ -359,7 +392,7 @@ def test_reversed_stacked_path_inverts_transport(seed, angle, plane):
     # reversed tracks undoes the forward transport on the fiber
     ts = bd.tangent_sphere(2)
     rng = np.random.default_rng(seed)
-    xs = mf.stack_points([ts.base.random_point(rng) for _ in range(3)])
+    xs = stack_points([ts.base.random_point(rng) for _ in range(3)])
     vs = np.stack([ts.random_fiber_vector(mf.map_points(lambda a: a[i], xs), rng)
                    for i in range(3)])
     forward = bd.homotopy_path(mf.rotation_homotopy(ts.base, plane, angle), xs)
@@ -383,7 +416,7 @@ def test_transport_makes_at_most_three_field_calls_per_track(monkeypatch,
         monkeypatch.setattr(bd.BundleModel, attr, counted)
     ts = bd.tangent_sphere(2)
     h = mf.rotation_homotopy(mf.Sphere(2), (0, 1), 1.1)
-    path = bd.homotopy_path(h, mf.random_point(mf.Sphere(2), 3))
+    path = bd.homotopy_path(h, random_point(mf.Sphere(2), 3))
     if not exact:
         path = bd.Path(path.fn)
     bd.transport_operator(ts, path, steps=1024)
@@ -403,8 +436,8 @@ def _joint_pairs():
     pairs = [(bd.torus_line(b), _torus_loops(n)) for n in (1, 2, 3) for b in _all_bits(n)]
     ts1 = bd.tangent_sphere(1)
     h = mf.rotation_homotopy(mf.Sphere(1), (0, 1), 1.3 * np.pi)
-    one = bd.homotopy_path(h, mf.random_point(mf.Sphere(1), 79))
-    xs = mf.stack_points([mf.random_point(mf.Sphere(1), 80 + i) for i in range(4)])
+    one = bd.homotopy_path(h, random_point(mf.Sphere(1), 79))
+    xs = stack_points([random_point(mf.Sphere(1), 80 + i) for i in range(4)])
     pairs += [(ts1, one), (ts1, bd.homotopy_path(h, xs)), (ts1, bd.Path(one.fn)),
               (bd.torus_line((1, 0)), _torus_loop(2, 1))]
     return pairs
@@ -579,7 +612,7 @@ class TestHolonomySign:
 
 def test_fiber_basis_calls_return_equal_distinct_arrays():
     ts = bd.tangent_sphere(2)
-    x = mf.random_point(ts.base, 0)
+    x = random_point(ts.base, 0)
     first = ts.fiber_basis(x)
     again = ts.fiber_basis(x)
     assert again is not first
@@ -588,7 +621,7 @@ def test_fiber_basis_calls_return_equal_distinct_arrays():
 
 def test_direct_sum_blocks():
     ds = bd.direct_sum(bd.tautological_real(1, 2), bd.tautological_complex(1))
-    x = mf.random_point(ds.base, 5)
+    x = random_point(ds.base, 5)
     q = ds.fiber_projector(x)
     assert np.allclose(q[:2, 2:], 0.0)
     assert np.allclose(q[2:, :2], 0.0)
@@ -601,7 +634,7 @@ def test_complex_direct_sum_is_one_hermitian_field():
     ds = bd.direct_sum(v1, v2)
     assert ds.has_complex_structure
     assert (ds.ambient_fiber_dim, ds.real_rank) == (10, 4)
-    x = mf.random_point(ds.base, 5)
+    x = random_point(ds.base, 5)
     p = ds.complex_fiber_projector(x)
     assert np.array_equal(p[:2, :2], v1.complex_fiber_projector(x[0]))
     assert np.array_equal(p[2:, 2:], v2.complex_fiber_projector(x[1]))
@@ -610,7 +643,7 @@ def test_complex_direct_sum_is_one_hermitian_field():
 
 def test_real_bundle_has_no_complex_structure():
     ts = bd.tangent_sphere(2)
-    x = mf.random_point(ts.base, 0)
+    x = random_point(ts.base, 0)
     for field in (ts.complex_fiber_projector, ts.complex_structure):
         with pytest.raises(BadParams, match="no complex structure"):
             field(x)
@@ -620,7 +653,7 @@ def test_complement_of_complex_bundle_keeps_structure():
     w = bd.tautological_complex(1)
     c = bd.complement(w)
     assert c.has_complex_structure
-    x = mf.random_point(c.base, 2)
+    x = random_point(c.base, 2)
     pc = c.complex_fiber_projector(x)
     assert np.allclose(pc + w.complex_fiber_projector(x), np.eye(2), atol=1e-12)
     # realified from I - P_W, the real field equals I - Q_W exactly

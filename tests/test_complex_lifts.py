@@ -7,6 +7,8 @@ import pytest
 from bundlelift import bundles as bd, lifts as lf, manifolds as mf
 from bundlelift.errors import (BadParams, CriterionFails, NoComplexStructure)
 
+from helpers import random_point
+
 
 class TestCpnConjugationLift:
     def test_fixes_real_vectors(self):
@@ -125,7 +127,7 @@ class TestFiberwiseCorrection:
         bundle = bd.tautological_complex(1)
         h = mf.cpn_phase_homotopy(mf.ComplexProjective(1), 1.1)
         lift = lf.lift_from_homotopy(bundle, h, steps=256)
-        x = mf.random_point(mf.ComplexProjective(1), 6)
+        x = random_point(mf.ComplexProjective(1), 6)
         psi = lf.fiberwise_complex_correction(lift, x)
         q = bundle.fiber_projector(x)
         j = bundle.complex_structure(x)
@@ -135,7 +137,7 @@ class TestFiberwiseCorrection:
     def test_conjugation_produces_minus_j(self):
         lift = lf.cpn_conjugation_lift(1)
         bundle = lift.bundle
-        x = mf.random_point(mf.ComplexProjective(1), 7)
+        x = random_point(mf.ComplexProjective(1), 7)
         y = lift.base_map.inverse(x)
         b_y = bundle.fiber_basis(y)
         b_x = bundle.fiber_basis(x)
@@ -162,7 +164,7 @@ class TestFiberwiseCorrection:
         lift = lf.Lift(bundle, mf.identity_diffeo(bundle.base), action,
                        "vertical_r_linear", 1e-8)
         for seed in range(10):
-            x = mf.random_point(mf.ComplexProjective(1), 100 + seed)
+            x = random_point(mf.ComplexProjective(1), 100 + seed)
             # internal certification asserts the corrected map commutes
             lf.fiberwise_complex_correction(lift, x)
 
@@ -177,7 +179,7 @@ class TestTorusLineLift:
     def test_identity_any_b(self):
         for b in ((1,), (1, 0), (1, 1), (1, 0, 1)):
             lift = lf.torus_line_lift(np.eye(len(b), dtype=int), b)
-            x = mf.random_point(mf.Torus(len(b)), 3)
+            x = random_point(mf.Torus(len(b)), 3)
             v = lift.bundle.random_fiber_vector(x, np.random.default_rng(0))
             assert np.linalg.norm(lift.action(x, v) - v) <= 1e-12
 
@@ -233,7 +235,7 @@ class TestS1xS2Generators:
     def test_s_base_involution(self):
         lift = lf.s1xs2_generator_lift("s", 1)
         for seed in range(10):
-            x = mf.random_point(lift.bundle.base, seed)
+            x = random_point(lift.bundle.base, seed)
             y = lift.base_map.forward(lift.base_map.forward(x))
             assert lift.bundle.base.distance(x, y) <= 1e-10
 
@@ -250,7 +252,7 @@ class TestS1xS2Generators:
     def test_r_base_rotates_sphere_factor(self):
         lift = lf.s1xs2_generator_lift("r", 1)
         rng = np.random.default_rng(10)
-        x1 = mf.random_point(mf.GrassmannReal(1, 2), 11)
+        x1 = random_point(mf.GrassmannReal(1, 2), 11)
         x2 = mf.ComplexProjective(1).random_point(rng)
         theta = float(np.arctan2(2 * x1[0, 1], x1[0, 0] - x1[1, 1]))
         u = np.diag([np.exp(1j * theta), 1.0])

@@ -4,6 +4,8 @@ import pytest
 from bundlelift import cli, gluing as gl, lifts as lf, manifolds as mf
 from bundlelift.errors import BadParams, NotOrthonormal, PatchNotInvariant
 
+from helpers import random_point
+
 
 def rot(angle, axes=(0, 1), dim=3):
     m = np.eye(dim)
@@ -185,7 +187,7 @@ class TestAdapter:
         pts1, pts2, overlap = [], [], []
         seed = 0
         while len(overlap) < 10 and seed < 300:
-            p = mf.random_point(bundle.base, seed)
+            p = random_point(bundle.base, seed)
             seed += 1
             if in_u1(p):
                 pts1.append(p)

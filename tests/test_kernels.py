@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from bundlelift import _kernels, bundles as bd, manifolds as mf
 
+from helpers import random_point, stack_points
+
 
 def _plaquette_phases_loop(qv, tris):
     phases = np.empty(tris.shape[0])
@@ -208,11 +210,11 @@ STACKED_TRACKS = [
 def test_rk4_transport_matches_staged_oracle(name, bundle, tracks, model):
     # the batched increments regroup the RK4 arithmetic, so they agree with
     # the staged loop to roundoff over a long run, not bitwise
-    path = tracks(mf.stack_points([mf.random_point(model, 70 + i) for i in range(3)]))
+    path = tracks(stack_points([random_point(model, 70 + i) for i in range(3)]))
     h = 1.0 / ORACLE_STEPS
     qp, qnode = bd._stage_arrays(bundle, path,
                                  (0.5 * h) * np.arange(2 * ORACLE_STEPS + 1),
-                                 h * np.arange(ORACLE_STEPS + 1))
+                                 h * np.arange(ORACLE_STEPS + 1), slice(None))
     new = _kernels.rk4_transport(qp, qnode, qnode[0], h)
     oracle = _staged_rk4_transport(qp, qnode, qnode[0], h)
     assert np.max(np.abs(new - oracle)) <= 1e-13

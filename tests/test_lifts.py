@@ -10,7 +10,7 @@ from bundlelift.errors import (BadParams, BundleMismatch, DegenerateJacobian,
                                NonInjective, NotIsometric, NotOrthonormal)
 from bundlelift.numkernel import singular_values, worst
 
-from helpers import constant_homotopy
+from helpers import constant_homotopy, random_point
 
 
 def _probe(lift, seed=0):
@@ -345,7 +345,7 @@ class TestGroupStructure:
     def test_compose_base_homomorphism(self):
         comp = lf.compose(self.l1, self.l2)
         for seed in range(100):
-            x = mf.random_point(comp.bundle.base, seed)
+            x = random_point(comp.bundle.base, seed)
             direct = self.l1.base_map.forward(self.l2.base_map.forward(x))
             assert comp.bundle.base.distance(comp.base_map.forward(x),
                                              direct) <= 1e-10
@@ -377,7 +377,7 @@ class TestGroupStructure:
         comp = lf.compose(lf.lift_from_homotopy(bundle, h1, steps=128),
                           lf.lift_from_homotopy(bundle, h2, steps=128))
         for seed in range(10):
-            x = mf.random_point(mf.Sphere(2), seed)
+            x = random_point(mf.Sphere(2), seed)
             assert np.linalg.norm(comp.base_map.forward(x)
                                   - h12.endpoint.forward(x)) <= 1e-8
 
@@ -504,7 +504,7 @@ class TestLiftFromHomotopy:
         rep = lf.check_lift(lift, samples=8, seed=3)
         assert rep.passed
         for seed in range(10):
-            x = mf.random_point(bundle.base, seed)
+            x = random_point(bundle.base, seed)
             assert bundle.base.distance(lift.base_map.forward(x),
                                         h.endpoint.forward(x)) <= 1e-8
 
@@ -701,14 +701,14 @@ class TestFrameLiftView:
     def test_identity_keeps_frame(self):
         bundle = bd.tautological_real(2, 4)
         lift = lf.identity_lift(bundle)
-        x = mf.random_point(bundle.base, 3)
+        x = random_point(bundle.base, 3)
         frame = lf.FiberFrame(x, bundle.fiber_basis(x))
         out = lf.frame_lift_view(lift, frame)
         assert np.allclose(out.vectors, frame.vectors)
 
     def test_orthonormal_output(self):
         lift = lf.grassmann_orthogonal_lift(mf.random_orthogonal(4, 6), 2)
-        x = mf.random_point(lift.bundle.base, 4)
+        x = random_point(lift.bundle.base, 4)
         frame = lf.FiberFrame(x, lift.bundle.fiber_basis(x))
         out = lf.frame_lift_view(lift, frame)
         gram = out.vectors.T @ out.vectors
@@ -716,7 +716,7 @@ class TestFrameLiftView:
 
     def test_equivariance(self):
         lift = lf.grassmann_orthogonal_lift(mf.random_orthogonal(4, 7), 2)
-        x = mf.random_point(lift.bundle.base, 5)
+        x = random_point(lift.bundle.base, 5)
         g = mf.random_orthogonal(2, 8)
         frame = lf.FiberFrame(x, lift.bundle.fiber_basis(x))
         out = lf.frame_lift_view(lift, frame)
@@ -768,7 +768,7 @@ class TestFrameLiftView:
     def test_rejects_bad_frame(self):
         bundle = bd.tautological_real(2, 4)
         lift = lf.identity_lift(bundle)
-        x = mf.random_point(bundle.base, 6)
+        x = random_point(bundle.base, 6)
         bad = lf.FiberFrame(x, 1.5 * bundle.fiber_basis(x))
         with pytest.raises(NotOrthonormal):
             lf.frame_lift_view(lift, bad)
@@ -778,7 +778,7 @@ class TestFrameLiftView:
         stretch = lf.Lift(bundle, mf.identity_diffeo(mf.Sphere(2)),
                           lambda x, v: np.matvec(np.diag([2.0, 1.0]), v),
                           "stretch", 1e-10)
-        x = mf.random_point(mf.Sphere(2), 7)
+        x = random_point(mf.Sphere(2), 7)
         frame = lf.FiberFrame(x, bundle.fiber_basis(x))
         with pytest.raises(NotIsometric):
             lf.frame_lift_view(stretch, frame)
@@ -787,7 +787,7 @@ class TestFrameLiftView:
         bundle = bd.tautological_complex(1)
         nan_lift = lf.Lift(bundle, mf.identity_diffeo(bundle.base),
                            lambda x, v: v * np.nan, "nan", 1e-10)
-        x = mf.random_point(bundle.base, 8)
+        x = random_point(bundle.base, 8)
         frame = lf.FiberFrame(x, bundle.fiber_basis(x))
         with pytest.raises(NotIsometric):
             lf.frame_lift_view(nan_lift, frame)
@@ -834,6 +834,6 @@ def test_homotopy_invariance_mechanism():
     rep = lf.check_lift(psi_lift, samples=10, seed=3, tolerance=1e-5)
     assert rep.passed
     for seed in range(10):
-        x = mf.random_point(mf.Sphere(2), seed)
+        x = random_point(mf.Sphere(2), seed)
         expected = sigma.forward(h.endpoint.forward(x))
         assert np.linalg.norm(psi_lift.base_map.forward(x) - expected) <= 1e-10

@@ -6,7 +6,7 @@ import pytest
 from bundlelift import manifolds as mf
 from bundlelift.errors import BadParams, BadPlane, UnknownName
 
-from helpers import constant_homotopy
+from helpers import constant_homotopy, random_point, stack_points, unimodular
 
 
 MODELS = [
@@ -25,9 +25,9 @@ MODELS = [
 @pytest.mark.parametrize("model", MODELS, ids=str)
 def test_random_points_are_members_and_repeatable(model):
     for seed in (0, 1, 42):
-        x = mf.random_point(model, seed)
+        x = random_point(model, seed)
         assert model.membership_residual(x) <= 1e-10
-        y = mf.random_point(model, seed)
+        y = random_point(model, seed)
         assert model.distance(x, y) == 0.0
 
 
@@ -103,17 +103,17 @@ def test_random_point_is_row_0_of_the_one_point_draw(model):
 
 
 def test_sphere_point_norm():
-    x = mf.random_point(mf.Sphere(2), 5)
+    x = random_point(mf.Sphere(2), 5)
     assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
 
 
 def test_grassmann_point_trace():
-    p = mf.random_point(mf.GrassmannReal(2, 4), 9)
+    p = random_point(mf.GrassmannReal(2, 4), 9)
     assert abs(np.trace(p) - 2.0) <= 1e-10
 
 
 def test_torus_reduced_coordinates():
-    x = mf.random_point(mf.Torus(3), 4)
+    x = random_point(mf.Torus(3), 4)
     assert np.all(x >= 0.0) and np.all(x < 1.0)
 
 
@@ -211,6 +211,28 @@ def test_round_trip_with_a_nan_at_one_point_is_refused(monkeypatch):
         mf.named_diffeo(mf.Sphere(2), "nan_at_one_point")
 
 
+@pytest.mark.parametrize("model", [mf.Sphere(2), mf.Torus(3),
+                                   mf.Product(mf.GrassmannReal(1, 2),
+                                              mf.ComplexProjective(1))])
+def test_round_trip_points_are_drawn_once_per_model_and_read_only(model):
+    x = mf._round_trip_points(model)
+    assert mf._round_trip_points(model) is x
+    want = model.random_points(np.random.default_rng(3), 3)
+    assert _points_equal(x, want)
+    for a in (x if isinstance(x, tuple) else (x,)):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
+def test_cached_round_trip_still_refuses_a_nan(monkeypatch):
+    monkeypatch.setitem(mf._DIFFEO_REGISTRY, (mf.Sphere, "nan_at_one_point"),
+                        _build_nan_at_one_point)
+    mf.named_diffeo(mf.Sphere(2), "antipodal")  # the points are cached now
+    for _ in range(2):
+        with pytest.raises(BadParams, match="round-trip"):
+            mf.named_diffeo(mf.Sphere(2), "nan_at_one_point")
+
+
 class TestNamedDiffeos:
     def test_unknown_name(self):
         with pytest.raises(UnknownName):
@@ -242,13 +264,13 @@ class TestNamedDiffeos:
 
     def test_torus_identity(self):
         d = mf.named_diffeo(mf.Torus(2), "torus_auto", matrix=np.eye(2, dtype=int))
-        x = mf.random_point(mf.Torus(2), 3)
+        x = random_point(mf.Torus(2), 3)
         assert mf.Torus(2).distance(d.forward(x), x) <= 1e-12
 
     def test_grassmann_involution_is_involution(self):
         m = mf.GrassmannReal(1, 2)
         d = mf.named_diffeo(m, "grassmann_involution")
-        x = mf.random_point(m, 8)
+        x = random_point(m, 8)
         assert m.distance(d.forward(d.forward(x)), x) <= 1e-12
         assert np.allclose(d.forward(x), np.eye(2) - x)
 
@@ -273,12 +295,12 @@ class TestNamedDiffeos:
         (mf.ComplexProjective(1), "cp1_antipodal", {}),
         (mf.ComplexProjective(2), "cpn_unitary",
          {"matrix": np.diag([np.exp(0.7j), 1.0, np.exp(-0.2j)])}),
-        (mf.Torus(3), "torus_auto", {"matrix": mf.random_unimodular(3, 5)}),
+        (mf.Torus(3), "torus_auto", {"matrix": unimodular(3, 5)}),
     ])
     def test_round_trip_and_membership(self, model, name, params):
         d = mf.named_diffeo(model, name, **params)
         for seed in range(100):
-            x = mf.random_point(model, seed)
+            x = random_point(model, seed)
             y = d.forward(x)
             assert model.membership_residual(y) <= 1e-8
             assert model.distance(d.inverse(y), x) <= 1e-8
@@ -287,14 +309,14 @@ class TestNamedDiffeos:
         m = mf.GrassmannReal(2, 4)
         d = mf.named_diffeo(m, "grassmann_action", matrix=mf.random_orthogonal(4, 3))
         for seed in range(10):
-            p = d.forward(mf.random_point(m, seed))
+            p = d.forward(random_point(m, seed))
             assert np.max(np.abs(p @ p - p)) <= 1e-10
 
 
 class TestHomotopies:
     def test_rotation_homotopy_zero_angle(self):
         h = mf.rotation_homotopy(mf.Sphere(2), (0, 1), 0.0)
-        x = mf.random_point(mf.Sphere(2), 2)
+        x = random_point(mf.Sphere(2), 2)
         assert np.allclose(h(0.4, x), x)
         assert np.allclose(h.endpoint.forward(x), x)
 
@@ -323,7 +345,7 @@ class TestHomotopies:
         m = mf.ComplexProjective(1)
         h = make(m)
         for seed in range(10):
-            x = mf.random_point(m, seed)
+            x = random_point(m, seed)
             assert m.distance(h(0.0, x), x) <= 1e-10
             assert m.distance(h(1.0, x), h.endpoint.forward(x)) <= 1e-10
             assert m.membership_residual(h(0.37, x)) <= 1e-10
@@ -334,10 +356,10 @@ class TestHomotopies:
 
     def test_velocity_matches_finite_difference(self):
         h = mf.cpn_phase_homotopy(mf.ComplexProjective(1), 0.9)
-        x = mf.random_point(mf.ComplexProjective(1), 4)
+        x = random_point(mf.ComplexProjective(1), 4)
         t, eps = 0.3, 1e-6
         fd = (h(t + eps, x) - h(t - eps, x)) / (2 * eps)
-        assert np.max(np.abs(h.velocity(t, x) - fd)) <= 1e-8
+        assert np.max(np.abs(h.velocity(t, x, h(t, x)) - fd)) <= 1e-8
 
     def test_endpoint_agreement_100_points(self):
         cases = [
@@ -350,7 +372,7 @@ class TestHomotopies:
         ]
         for model, h in cases:
             for seed in range(100):
-                x = mf.random_point(model, seed)
+                x = random_point(model, seed)
                 assert model.distance(h(1.0, x), h.endpoint.forward(x)) <= 1e-10
                 assert model.distance(h(0.0, x), x) <= 1e-10
 
@@ -365,7 +387,7 @@ REGISTERED = [
     (mf.ComplexProjective(2), "cpn_unitary",
      {"matrix": np.diag([np.exp(0.7j), 1.0, np.exp(-0.2j)])}),
     (mf.ComplexProjective(1), "cp1_antipodal", {}),
-    (mf.Torus(3), "torus_auto", {"matrix": mf.random_unimodular(3, 5)}),
+    (mf.Torus(3), "torus_auto", {"matrix": unimodular(3, 5)}),
 ]
 
 
@@ -377,8 +399,8 @@ def test_stack_cases_cover_the_registry():
                          ids=[c[1] for c in REGISTERED])
 def test_registered_diffeo_on_a_stack_equals_per_point(model, name, params):
     d = mf.named_diffeo(model, name, **params)
-    xs = [mf.random_point(model, 70 + s) for s in range(7)]
-    stack = mf.stack_points(xs)
+    xs = [random_point(model, 70 + s) for s in range(7)]
+    stack = stack_points(xs)
     maps = [d.forward, d.inverse, d.inverted().forward, d.then(d).forward,
             mf.identity_diffeo(model).forward]
     for f in maps:
@@ -389,9 +411,9 @@ def test_product_diffeo_on_a_stack_equals_per_point():
     model = mf.Product(mf.GrassmannReal(1, 2), mf.ComplexProjective(1))
     d = mf.product_diffeo(model, mf.named_diffeo(model.left, "grassmann_involution"),
                           mf.named_diffeo(model.right, "cp1_antipodal"))
-    xs = [mf.random_point(model, 80 + s) for s in range(7)]
+    xs = [random_point(model, 80 + s) for s in range(7)]
     for f in (d.forward, d.inverse):
-        assert _points_equal(f(mf.stack_points(xs)), mf.stack_points([f(x) for x in xs]))
+        assert _points_equal(f(stack_points(xs)), stack_points([f(x) for x in xs]))
 
 
 HOMOTOPIES = [
@@ -413,18 +435,18 @@ def test_homotopy_on_a_point_stack_stacks_per_point_tracks(model, make):
     # times first: family(ts, stack) has shape (T, P, ...)
     h = make(model)
     ts = np.linspace(-0.1, 1.1, 13)
-    xs = [mf.random_point(model, seed) for seed in range(5)]
-    stack = mf.stack_points(xs)
-    per_point = mf.stack_points([h.family(ts, x) for x in xs])
+    xs = [random_point(model, seed) for seed in range(5)]
+    stack = stack_points(xs)
+    per_point = stack_points([h.family(ts, x) for x in xs])
     assert _points_equal(h.family(ts, stack),
                          mf.map_points(lambda a: np.swapaxes(a, 0, 1), per_point))
     assert _points_equal(h.family(0.4, stack),
-                         mf.stack_points([h.family(0.4, x) for x in xs]))
+                         stack_points([h.family(0.4, x) for x in xs]))
     if h.velocity is not None:
-        per_point = np.stack([h.velocity(ts, x) for x in xs], axis=1)
-        assert np.array_equal(h.velocity(ts, stack), per_point)
+        per_point = np.stack([h.velocity(ts, x, h.family(ts, x)) for x in xs], axis=1)
+        assert np.array_equal(h.velocity(ts, stack, h.family(ts, stack)), per_point)
     assert _points_equal(h.endpoint.forward(stack),
-                         mf.stack_points([h.endpoint.forward(x) for x in xs]))
+                         stack_points([h.endpoint.forward(x) for x in xs]))
 
 
 @pytest.mark.parametrize("model,make", HOMOTOPIES, ids=HOMOTOPY_IDS)
@@ -432,12 +454,12 @@ def test_homotopy_on_time_vector_stacks_per_time_values(model, make):
     h = make(model)
     ts = np.linspace(-0.1, 1.1, 13)
     for seed in range(3):
-        x = mf.random_point(model, seed)
-        stacked = mf.stack_points([h.family(t, x) for t in ts])
+        x = random_point(model, seed)
+        stacked = stack_points([h.family(t, x) for t in ts])
         assert _points_equal(h.family(ts, x), stacked)
         if h.velocity is not None:
-            assert np.array_equal(h.velocity(ts, x),
-                                  np.stack([h.velocity(t, x) for t in ts]))
+            per_time = [h.velocity(t, x, h.family(t, x)) for t in ts]
+            assert np.array_equal(h.velocity(ts, x, h.family(ts, x)), np.stack(per_time))
 
 
 UNITARY_HOMOTOPIES = [
@@ -458,12 +480,12 @@ def test_unitary_family_matches_matmul_oracle(homotopy, x_gen):
     w, v = np.linalg.eigh(-1j * x_gen)
     ts = np.linspace(-0.1, 1.1, 13)
     u = ((v * np.exp(1j * ts[:, None, None] * w)) @ v.conj().T)[:, None]
-    p = mf.stack_points([mf.random_point(model, seed) for seed in range(5)])
+    p = stack_points([random_point(model, seed) for seed in range(5)])
     want = u @ p @ np.conj(np.swapaxes(u, -1, -2))
     pt = h.family(ts, p)
     assert pt.shape == want.shape == (13, 5) + p.shape[1:]
     assert np.max(np.abs(pt - want)) <= 1e-14
-    assert np.max(np.abs(h.velocity(ts, p) - (x_gen @ want - want @ x_gen))
+    assert np.max(np.abs(h.velocity(ts, p, pt) - (x_gen @ want - want @ x_gen))
                   ) <= 1e-14 * np.max(np.abs(x_gen))
     assert np.max(np.abs(pt - np.conj(np.swapaxes(pt, -1, -2)))) <= 1e-14
     assert np.max(np.abs(pt @ pt - pt)) <= 1e-14
@@ -490,7 +512,7 @@ def _homogeneous_power_map(p, n):
 def test_power_map_closed_form_matches_homogeneous_formula(n):
     f = mf.cp1_power_map(n)
     m = mf.ComplexProjective(1)
-    ps = [mf.random_point(m, seed) for seed in range(200)]
+    ps = [random_point(m, seed) for seed in range(200)]
     ps += [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
     for p in ps:
         assert np.max(np.abs(f.forward(p) - _homogeneous_power_map(p, n))) <= 1e-14
@@ -527,7 +549,7 @@ _CHART_POINTS = np.concatenate([
     np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0],
               [1.0, 0.0, 0.0], [1.0, -0.0, -0.0], [-0.0, -1.0, 0.0],
               [0.6, -0.8, 0.0], [-0.6, 0.8, -0.0]]),
-    np.stack([mf.random_point(mf.Sphere(2), seed) for seed in range(50)]),
+    np.stack([random_point(mf.Sphere(2), seed) for seed in range(50)]),
 ])
 
 
@@ -543,7 +565,7 @@ class TestIdentification:
     def test_cp1_to_sphere_stack_matches_per_point(self):
         ps = np.concatenate([
             mf.sphere_to_cp1(_CHART_POINTS),
-            np.stack([mf.random_point(mf.ComplexProjective(1), seed)
+            np.stack([random_point(mf.ComplexProjective(1), seed)
                       for seed in range(50)]),
         ])
         stacked = mf.cp1_to_sphere(ps)
@@ -562,7 +584,7 @@ class TestIdentification:
 
     def test_round_trip(self):
         for seed in range(25):
-            x = mf.random_point(mf.Sphere(2), seed)
+            x = random_point(mf.Sphere(2), seed)
             assert np.linalg.norm(mf.cp1_to_sphere(mf.sphere_to_cp1(x)) - x) <= 1e-12
 
     def test_power_map_fixes_poles(self):
@@ -648,10 +670,65 @@ class TestIcosphere:
         assert total == pytest.approx(4 * np.pi, rel=1e-12)
 
 
+def _sequential_unimodular(n, seed, count):
+    # the oracle of random_unimodular's masked rounds: the same blocks from
+    # the same stream, then each matrix built alone by applying its drawn
+    # ops one at a time, in Python integers
+    if n == 1:
+        return [np.eye(1, dtype=np.int64)] * count
+    rng = np.random.default_rng(seed)
+    n_ops = rng.integers(1, 9, size=count)
+    kind = rng.integers(0, 2, size=(8, count))
+    i = rng.integers(0, n, size=(8, count))
+    j = (i + rng.integers(1, n, size=(8, count))) % n
+    coeff = rng.choice(np.array([-2, -1, 1, 2]), size=(8, count))
+    mats = []
+    for r in range(count):
+        a = [[int(p == q) for q in range(n)] for p in range(n)]
+        for k in range(n_ops[r]):
+            ri, rj = int(i[k, r]), int(j[k, r])
+            assert ri != rj
+            if kind[k, r] == 0:
+                a[ri] = [x + int(coeff[k, r]) * y for x, y in zip(a[ri], a[rj])]
+            else:
+                a[ri], a[rj] = a[rj], a[ri]
+        mats.append(np.array(a, dtype=np.int64))
+    return mats
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_random_unimodular_rows_equal_the_sequential_ops(n):
+    for seed, count in [(0, 1), (5, 37), (11, 400)]:
+        block = mf.random_unimodular(n, np.random.default_rng(seed), count)
+        assert block.dtype == np.int64 and block.shape == (count, n, n)
+        for k, want in enumerate(_sequential_unimodular(n, seed, count)):
+            assert np.array_equal(block[k], want), (seed, k)
+
+
+def _int_det(a):
+    # exact determinant of a stack of small integer matrices: cofactor
+    # expansion along the first row, in int64
+    n = a.shape[-1]
+    if n == 1:
+        return a[..., 0, 0]
+    return sum((-1) ** c * a[..., 0, c] * _int_det(np.delete(a[..., 1:, :], c, axis=-1))
+               for c in range(n))
+
+
 def test_random_unimodular_det():
-    for seed in range(40):
-        a = mf.random_unimodular(3, seed)
-        assert abs(round(np.linalg.det(a.astype(float)))) == 1
+    # |det| = 1 exactly, in integer arithmetic, over a large block
+    for n in (2, 3, 4):
+        block = mf.random_unimodular(n, np.random.default_rng(n), 5000)
+        assert np.all(np.abs(_int_det(block)) == 1)
+        mf.integer_inverse(block)  # an exact integer inverse of every matrix
+        # the ops act: most matrices are not the identity
+        moved = (block != np.eye(n, dtype=np.int64)).any(axis=(1, 2))
+        assert np.count_nonzero(moved) > 4000
+
+
+def test_random_unimodular_for_n_1_gives_identities():
+    block = mf.random_unimodular(1, np.random.default_rng(0), 6)
+    assert block.dtype == np.int64 and np.array_equal(block, np.ones((6, 1, 1)))
 
 
 def test_random_orthogonal():

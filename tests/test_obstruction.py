@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 from bundlelift import _kernels, bundles as bd, manifolds as mf, obstruction as ob
 from bundlelift.errors import BadParams, DegeneratePlaquette
 
+from helpers import unimodular
+
 
 class TestLatticeChernNumber:
     def test_trivial_line_is_zero(self):
@@ -114,7 +116,7 @@ class TestTorusCriterion:
         for n in (1, 2, 3):
             for b in _all_bits(n):
                 for i in range(20):
-                    a = mf.random_unimodular(n, 1000 * n + 31 * i + hash(b) % 97)
+                    a = unimodular(n, 1000 * n + 31 * i + hash(b) % 97)
                     res = ob.torus_criterion(a, b)
                     assert res.fast_verdict == res.oracle_verdict
                     total += 1
@@ -128,7 +130,7 @@ class TestTorusCriterion:
         b = tuple(rng.integers(0, 2, size=n).tolist())
         if not any(b):
             b = tuple([1] + [0] * (n - 1))
-        a = mf.random_unimodular(n, seed)
+        a = unimodular(n, seed)
         res = ob.torus_criterion(a, b)
         assert res.fast_verdict == res.oracle_verdict
 
@@ -164,7 +166,7 @@ class TestStackedCriterion:
            st.lists(st.integers(min_value=0, max_value=10 ** 6), min_size=1,
                     max_size=12))
     def test_stack_equals_per_matrix_calls(self, n, seeds):
-        mats = np.stack([mf.random_unimodular(n, s) for s in seeds])
+        mats = np.stack([unimodular(n, s) for s in seeds])
         inv = mf.integer_inverse(mats)
         assert inv.dtype == np.int64
         for a, a_inv in zip(mats, inv):
@@ -186,7 +188,7 @@ class TestStackedCriterion:
                     max_size=8),
            st.data())
     def test_bad_matrix_in_stack_is_named(self, n, seeds, data):
-        mats = np.stack([mf.random_unimodular(n, s) for s in seeds])
+        mats = np.stack([unimodular(n, s) for s in seeds])
         k = data.draw(st.integers(min_value=0, max_value=len(seeds) - 2))
         b = (1,) + (0,) * (n - 1)
         singular = mats.copy()
@@ -260,7 +262,7 @@ class TestW1Profile:
         n = len(b)
         eye = np.eye(n)
         loops = bd.Path(lambda ts: np.multiply.outer(ts, eye),
-                        velocity=lambda ts: np.multiply.outer(np.ones_like(ts), eye))
+                        velocity=lambda ts, xt: np.multiply.outer(np.ones_like(ts), eye))
         return bd.holonomy_sign(bd.torus_line(b), loops, steps=steps).astype(np.int64)
 
     def test_stacked_profiles_equal_the_per_bundle_loop(self):
@@ -284,7 +286,7 @@ def test_torus_lift_agrees_with_criterion():
     for n in (1, 2, 3):
         for b in _all_bits(n):
             for i in range(20):
-                a = mf.random_unimodular(n, 555 * n + 13 * i + hash(b) % 101)
+                a = unimodular(n, 555 * n + 13 * i + hash(b) % 101)
                 expected = ob.torus_criterion(a, b).fast_verdict
                 try:
                     lf.torus_line_lift(a, b)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from bundlelift import _kernels, bundles, numkernel
+from bundlelift import _kernels, bundles, cli, lifts, manifolds, numkernel
 from bundlelift.bundles import trivial
 from bundlelift.cli import ScenarioConfig, run_scenario
 from bundlelift.lifts import (FiberFrame, Lift, compose, frame_lift_view,
@@ -33,11 +33,23 @@ def _one_point_distance(a, b):
     return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
 
 
+# (tag, block) of every draw the loops make, for the test to hold against
+# the scenarios' own draws
+LOOP_DRAWS = []
+
+
 def _rows(model, seed, tag, count):
     # the points of a scenario's block draw from the stream [seed, tag], one
     # at a time
     block = model.random_points(np.random.default_rng([seed, tag]), count)
+    LOOP_DRAWS.append((tag, block))
     return [map_points(lambda a: a[i], block) for i in range(count)]
+
+
+def _points_equal(a, b):
+    if isinstance(a, tuple):
+        return all(_points_equal(p, q) for p, q in zip(a, b))
+    return np.array_equal(a, b)
 
 
 # -- the per-point loops, kept as oracles -------------------------------------
@@ -125,11 +137,28 @@ LOOPS = [
 
 @pytest.mark.parametrize("seed,samples", [(0, 3), (7, 40), (42, 200)])
 @pytest.mark.parametrize("scenario,loop", LOOPS, ids=[n for n, _ in LOOPS])
-def test_stacked_checks_equal_the_per_point_loops(scenario, loop, seed, samples):
+def test_stacked_checks_equal_the_per_point_loops(monkeypatch, scenario, loop,
+                                                 seed, samples):
+    # the scenario's draws, by tag: some residuals (the base homomorphism,
+    # the endpoint agreement, the involution round trip) read exactly 0 on
+    # any points, so the loop's points are held to the scenario's as well
+    drawn = []
+    draw = cli._draw
+
+    def recorded(model, seed, tag, count):
+        points = draw(model, seed, tag, count)
+        drawn.append((tag, points))
+        return points
+
+    monkeypatch.setattr(cli, "_draw", recorded)
     # transport steps do not enter these checks; 64 keeps the lifts cheap
     got = _residuals(scenario, seed=seed, samples=samples, transport_steps=64)
+    LOOP_DRAWS.clear()
     for name, residual in loop(seed, samples).items():
         assert got[name] == residual, name
+    assert LOOP_DRAWS
+    for tag, block in LOOP_DRAWS:
+        assert any(t == tag and _points_equal(block, points) for t, points in drawn), tag
 
 
 # -- the work-count guard -----------------------------------------------------
@@ -191,3 +220,33 @@ def test_torus_sweep_transports_every_w1_loop_in_one_window_walk(monkeypatch, st
     assert all(c[1] == 28 for c in calls)
     if steps == 1024:
         assert [c[0] for c in calls] == [389, 389, 246]
+
+
+def _count_generators(monkeypatch):
+    """The seed of every np.random.default_rng construction."""
+    seeds = []
+    original = np.random.default_rng
+
+    def counted(*args, **kwargs):
+        seeds.append(args[0] if args else None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    return seeds
+
+
+def test_torus_sweep_builds_one_generator_for_its_draws(monkeypatch):
+    # one stream for the 220 matrices, and no generator per matrix, per lift
+    # or per named_diffeo call: the round trip draws its three points once
+    # per model (T^1, T^2, T^3 on a cold cache)
+    manifolds._round_trip_points.cache_clear()
+    seeds = _count_generators(monkeypatch)
+    assert _residuals("torus_sweep", seed=5)["criterion.lift_construction_agreement"] == 0
+    assert seeds == [[5, 600], 3, 3, 3]
+    seeds.clear()
+    _residuals("torus_sweep", seed=6)
+    assert seeds == [[6, 600]]
+    seeds.clear()
+    for k in range(50):
+        lifts.torus_line_lift(np.eye(3, dtype=np.int64), (1, 0, k % 2))
+    assert seeds == []
