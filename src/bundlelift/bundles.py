@@ -244,11 +244,12 @@ def pullback(f, w):
 
 
 def _check_bits(b):
-    """b as an int64 array, rejected unless it is a nonzero 0/1 vector."""
-    b = np.asarray(b, dtype=np.int64)
+    """b as an int64 array, rejected unless it is a nonzero 0/1 vector
+    (tested before the cast: a bit of 0.5 or NaN is refused, not cut)."""
+    b = np.asarray(b)
     if b.ndim != 1 or not ((b == 0) | (b == 1)).all() or not b.any():
         raise BadParams("b must be a nonzero 0/1 vector")
-    return b
+    return b.astype(np.int64)
 
 
 def torus_line(b):

@@ -27,8 +27,7 @@ from .bundles import (pullback, tangent_sphere, tautological_complex,
 from .config import (DEFAULT_MESH_LEVEL, DEFAULT_SAMPLES, DEFAULT_SEED,
                      DEFAULT_TOLERANCES as TOL, DEFAULT_TRANSPORT_STEPS,
                      MAX_MESH_LEVEL)
-from .errors import (BadParams, BundleLiftError, ConfigInvalid, NonInjective,
-                     UnknownScenario)
+from .errors import BadParams, ConfigInvalid, NonInjective, UnknownScenario
 from .gluing import (LocalLiftDatum, TransitionDatum, cocycle_compat_check,
                      local_data_from_lift)
 from .lifts import (ambient_projection_lift, check_lift, compose,
@@ -36,7 +35,7 @@ from .lifts import (ambient_projection_lift, check_lift, compose,
                     fiberwise_complex_correction, frame_lift_view,
                     FiberFrame, grassmann_orthogonal_lift, invert, Lift,
                     lift_from_homotopy, metrize, s1xs2_generator_lift,
-                    torus_line_lift)
+                    torus_line_lifts)
 from .manifolds import (ComplexProjective, Sphere, cp1_power_map, degree,
                         identity_diffeo, named_diffeo, random_orthogonal,
                         random_unimodular, rotation_homotopy, sphere_power_map)
@@ -365,16 +364,12 @@ def _scenario_torus_sweep(cfg):
             b = tuple(int(x) for x in np.binary_repr(m, width=n))
             cases.append((n, b, random_unimodular(n, rng, 20)))
     for n, b, mats in cases:
-        res = torus_criterion(mats, b)  # one call per bit vector
+        # one criterion and one stacked lift construction per bit vector
+        res = torus_criterion(mats, b)
         mismatches += int(np.sum(res.fast_verdict != res.oracle_verdict))
-        for i, a in enumerate(mats):
-            try:
-                torus_line_lift(a, b)
-                built = True
-            except BundleLiftError:
-                built = False
-            if built != res.fast_verdict[i]:
-                lift_disagreements += 1
+        built = [isinstance(lift, Lift) for lift in torus_line_lifts(mats, b)]
+        lift_disagreements += int(np.sum(built != res.fast_verdict))
+        for i in range(len(mats)):
             rows.append([n, "".join(map(str, b)), i,
                          int(res.fast_verdict[i]), int(res.oracle_verdict[i])])
     checks.append(_check("criterion.fast_vs_oracle_mismatches", mismatches, 0.5))

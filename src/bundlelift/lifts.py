@@ -18,6 +18,7 @@ vector it needs on the probe stack (one action call) and evaluates each
 other quantity once on that stack. Nothing is cached between calls.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +33,7 @@ from .errors import (BadParams, BundleMismatch, CriterionFails,
                      NotIsometric, NotOrthonormal, Singular)
 from .manifolds import (Diffeo, Sphere, cp1_plane_rotation_homotopy,
                         cp1_power_map, identity_diffeo, map_points,
-                        named_diffeo, product_diffeo)
+                        named_diffeo, product_diffeo, torus_autos)
 from .numkernel import (complex_structure_conjugator, norms, polar_two_metric,
                         singular_values, worst)
 
@@ -52,6 +53,7 @@ __all__ = [
     "cpn_conjugation_lift",
     "pullback_conjugation_lift",
     "torus_line_lift",
+    "torus_line_lifts",
     "s1xs2_generator_lift",
     "frame_lift_view",
     "fiberwise_complex_correction",
@@ -444,31 +446,46 @@ def torus_line_lift(a, b):
     inconsistent across representatives of the same torus point and the
     construction is refused with a sign-mismatch witness.
     """
+    lift = torus_line_lifts(a, b)
+    if isinstance(lift, CriterionFails):
+        raise lift
+    return lift
+
+
+def torus_line_lifts(a, b):
+    """torus_line_lift of one matrix or of each matrix of a stack (an array
+    (m, n, n) or a sequence of n x n matrices), from one bundle L_b, one
+    ``torus_autos`` validation and one mod-2 test of its own (never
+    torus_criterion's verdict): the Lift or the CriterionFails that
+    torus_line_lift raises, one per matrix of a stack. A matrix that is no
+    torus automorphism refuses the stack with BadParams naming it."""
     bundle = torus_line(b)
-    # validates the shape, integrality and |det| = 1 of A
-    base = named_diffeo(bundle.base, "torus_auto", matrix=a)
-    a = np.asarray(a).astype(np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    mismatch = np.mod(b @ a - b, 2)
-    if mismatch.any():
-        j = int(np.nonzero(mismatch)[0][0])
+    b = np.array(bundle.key[1])  # the checked bits
+    bases = torus_autos(bundle.base, a)
+    stacked = isinstance(bases, list)
+    bases = bases if stacked else [bases]
+    af = np.reshape([base.matrix for base in bases], (-1,) + 2 * b.shape)
+    ba = np.mod(b @ af.astype(np.int64), 2)
+    out = []
+    for base, ba_k, wrong_k in zip(bases, ba, (ba != b).tolist()):
+        if not any(wrong_k):
+            out.append(Lift(bundle, base, functools.partial(
+                _torus_line_action, bundle.unit_section, base.matrix),
+                f"torus_line[{b.tolist()}]", TOL.exact))
+            continue
         m = np.zeros(b.shape[0], dtype=np.int64)
-        m[j] = 1
-        raise CriterionFails(
-            f"b^T A = {np.mod(b @ a, 2).tolist()} != {b.tolist()} mod 2; "
+        m[wrong_k.index(True)] = 1
+        out.append(CriterionFails(
+            f"b^T A = {ba_k.tolist()} != {b.tolist()} mod 2; "
             f"representatives x=0 and x=m={m.tolist()} give fiber images of "
             f"opposite sign ((-1)^{{b.Am}} = -1 while (-1)^{{b.m}} = +1)",
-            witness={"x": np.zeros(b.shape[0]), "m": m},
-        )
-    af = a.astype(float)
-    u_of = bundle.unit_section
+            witness={"x": np.zeros(b.shape[0]), "m": m}))
+    return out if stacked else out[0]
 
-    def action(x, v):
-        xr = np.mod(np.asarray(x, dtype=float), 1.0)
-        s = np.vecdot(u_of(xr), v)
-        return s[..., None] * u_of(np.matvec(af, xr))
 
-    return Lift(bundle, base, action, f"torus_line[{b.tolist()}]", TOL.exact)
+def _torus_line_action(u_of, af, x, v):
+    xr = np.mod(np.asarray(x, dtype=float), 1.0)
+    return np.vecdot(u_of(xr), v)[..., None] * u_of(np.matvec(af, xr))
 
 
 def _split_product_lift(bundle, n1, base, act1, act2, provenance, tolerance):

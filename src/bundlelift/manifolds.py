@@ -21,8 +21,8 @@ mesh vertices in one call, so the map must take a stack. A homotopy family
 on a time vector and a stack of points returns times first: shape
 (T, P, ...). Each model draws a stack with ``random_points(rng, count)``:
 one block of normals or uniforms from one stream, mapped onto the model on
-the whole stack; ``random_point(rng)`` is its one-point case. ``distance``
-of two stacks is the array of the per-point distances.
+the whole stack; one point is row 0 of a one-point draw. ``distance`` of
+two stacks is the array of the per-point distances.
 """
 
 import functools
@@ -47,6 +47,7 @@ __all__ = [
     "Homotopy",
     "map_points",
     "named_diffeo",
+    "torus_autos",
     "product_diffeo",
     "identity_diffeo",
     "rotation_homotopy",
@@ -89,9 +90,6 @@ class ManifoldModel:
         product) on the whole stack."""
         raise NotImplementedError
 
-    def random_point(self, rng):
-        return map_points(lambda a: a[0], self.random_points(rng, 1))
-
     def copy_point(self, point):
         return np.array(point)
 
@@ -130,7 +128,8 @@ def _flat_norms(d, point_ndim):
     float for one point): the dot product of the flattened point, and for
     complex points the real and imaginary dots added, as norm does
     (complex vecdot differs from it in the last bit)."""
-    d = d.reshape(d.shape[:d.ndim - point_ndim] + (-1,))
+    k = d.ndim - point_ndim
+    d = d.reshape(d.shape[:k] + (math.prod(d.shape[k:]),))
     if np.iscomplexobj(d):
         n = np.sqrt(np.vecdot(d.real, d.real) + np.vecdot(d.imag, d.imag))
     else:
@@ -427,15 +426,43 @@ def _build_cp1_antipodal(model, params):
     return Diffeo("cp1_antipodal", anti, anti, model)
 
 
+def _torus_auto(model, af, ainvf):
+    # x -> Ax mod 1, from A and its exact inverse as floats; the maps of a
+    # stack (m, n, n) take points with an axis for the matrices
+    diffeo = Diffeo("torus_auto", lambda x: np.mod(np.matvec(af, x), 1.0),
+                    lambda x: np.mod(np.matvec(ainvf, x), 1.0), model)
+    diffeo.matrix = af
+    return diffeo
+
+
 def _build_torus_auto(model, params):
-    a = np.asarray(params["matrix"])
-    if a.shape != (model.n, model.n):
-        raise BadParams(f"expected {model.n}x{model.n}, got {a.shape}")
+    return torus_autos(model, params["matrix"])
+
+
+def torus_autos(model, a):
+    """x -> Ax mod 1 for an n x n integer matrix A with |det| = 1, or the
+    list of these maps for a stack of them: an array (m, n, n) or a
+    sequence of n x n matrices. One integer_inverse call and one round trip
+    check the whole stack, and a refusal names its first bad matrix. Each
+    map keeps its A, as floats, in ``matrix``."""
+    n = model.n
+    stacked = (any(np.ndim(m) >= 2 for m in a) if isinstance(a, (list, tuple))
+               else np.ndim(a) == 3)
+    if stacked:
+        shapes = [np.shape(m) for m in a]
+        _refuse(np.array([s != (n, n) for s in shapes], dtype=bool),
+                lambda i: f"has shape {shapes[i[0]]}, not {n}x{n}")
+    elif np.shape(a) != (n, n):
+        raise BadParams(f"expected {n}x{n}, got {np.shape(a)}")
+    a = np.reshape(a, (-1, n, n) if stacked else (n, n))
     # validates integrality and |det| = 1 before any cast
     ainvf = integer_inverse(a).astype(float)
     af = a.astype(float)
-    return Diffeo("torus_auto", lambda x: np.mod(np.matvec(af, x), 1.0),
-                  lambda x: np.mod(np.matvec(ainvf, x), 1.0), model)
+    diffeo = _torus_auto(model, af, ainvf)
+    _check_round_trip(model, "torus_auto", diffeo, stacked)
+    if not stacked:
+        return diffeo
+    return [_torus_auto(model, *pair) for pair in zip(af, ainvf)]
 
 
 _DIFFEO_REGISTRY = {
@@ -457,18 +484,27 @@ def named_diffeo(model, name, **params):
     Known names: sphere_rotation, sphere_reflection, antipodal (spheres);
     grassmann_action, grassmann_involution (real Grassmannians);
     cpn_conjugation, cpn_unitary, cp1_antipodal (complex projective);
-    torus_auto (tori).
+    torus_auto (tori; given a stack of matrices, the list of its maps).
     """
     builder = _DIFFEO_REGISTRY.get((type(model), name))
     if builder is None:
         raise UnknownName(f"no diffeomorphism named {name!r} on {model}")
     diffeo = builder(model, params)
-    # one round trip on a stack of three seeded points; negated, so that a
-    # NaN at any point refuses the map
-    x = _round_trip_points(model)
-    if not np.max(model.distance(diffeo.inverse(diffeo.forward(x)), x)) <= 1e-8:
-        raise BadParams(f"{name}: inverse round-trip check failed")
+    if builder is not _build_torus_auto:  # torus_autos makes its own
+        _check_round_trip(model, name, diffeo)
     return diffeo
+
+
+def _check_round_trip(model, name, diffeo, stacked=False):
+    # one round trip on three seeded points, negated so that a NaN refuses
+    # the map; the maps of a stack take the points with an axis for them
+    x = _round_trip_points(model)
+    x = x[:, None] if stacked else x
+    bad = ~(np.max(model.distance(diffeo.inverse(diffeo.forward(x)), x),
+                   axis=0) <= 1e-8)
+    if np.any(bad):
+        where = f" (matrix {np.argmax(bad)} of the stack)" if stacked else ""
+        raise BadParams(f"{name}: inverse round-trip check failed{where}")
 
 
 @functools.lru_cache(maxsize=32)

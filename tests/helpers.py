@@ -7,9 +7,12 @@ from bundlelift import manifolds as mf
 
 
 def random_point(model, seed):
-    """Deterministic membership-valid point for the given seed: row 0 of a
-    one-point draw from default_rng(seed)."""
-    return model.random_point(np.random.default_rng(seed))
+    """Deterministic membership-valid point: row 0 of the one-point draw
+    model.random_points(rng, 1), with rng = default_rng(seed); seed may
+    also be a Generator, which default_rng hands back unchanged, to draw
+    the point from that stream."""
+    rng = np.random.default_rng(seed)
+    return mf.map_points(lambda a: a[0], model.random_points(rng, 1))
 
 
 def stack_points(points):

@@ -208,7 +208,7 @@ def test_criterion_8_group_structure():
     base = l1.bundle.base
     for i in range(100):
         rng = np.random.default_rng([17, i])
-        x = base.random_point(rng)
+        x = random_point(base, rng)
         v = l1.bundle.random_fiber_vector(x, rng)
         direct = l1.base_map.forward(l2.base_map.forward(x))
         assert base.distance(comp.base_map.forward(x), direct) <= 1e-8
@@ -279,7 +279,7 @@ def test_criterion_10_s1xs2_generators():
         p1 = np.array([[1.0, 0.0], [0.0, 0.0]])
         rng = np.random.default_rng(power)
         for _ in range(10):
-            x = (p1, mf.ComplexProjective(1).random_point(rng))
+            x = (p1, random_point(mf.ComplexProjective(1), rng))
             v = r_lift.bundle.random_fiber_vector(x, rng)
             assert np.linalg.norm(r_lift.action(x, v) - v) <= 1e-12
     _done(n)

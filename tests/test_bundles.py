@@ -106,6 +106,28 @@ def test_torus_line_rejects_bad_bits():
         bd.torus_line((2, 1))
 
 
+@pytest.mark.parametrize("bits", [(0.5, 1), (1.5, 0), (1, 0.999),
+                                  (np.nan, 1), (1, np.nan)])
+def test_non_integer_bits_are_refused_not_truncated(bits):
+    # the bits are tested before the integer cast: (0.5, 1) is not L_(0,1)
+    # and (1.5, 0) is not L_(1,0)
+    from bundlelift import lifts as lf, obstruction as ob
+
+    eye = np.eye(2, dtype=np.int64)
+    for build in (lambda: bd.torus_line(bits),
+                  lambda: ob.torus_criterion(eye, bits),
+                  lambda: ob.subgroup_generators(bits),
+                  lambda: ob.w1_profile(bits, steps=8),
+                  lambda: lf.torus_line_lift(eye, bits),
+                  lambda: lf.torus_line_lifts(eye[None], bits)):
+        with pytest.raises(BadParams, match="b must be a nonzero 0/1 vector"):
+            build()
+
+
+def test_integer_valued_float_bits_are_kept():
+    assert bd.torus_line((1.0, 0.0)).key == bd.torus_line((1, 0)).key
+
+
 def _line(d):
     # the path t -> t d, on one time or a time vector
     return bd.Path(lambda t: np.multiply.outer(t, d))
@@ -392,7 +414,7 @@ def test_reversed_stacked_path_inverts_transport(seed, angle, plane):
     # reversed tracks undoes the forward transport on the fiber
     ts = bd.tangent_sphere(2)
     rng = np.random.default_rng(seed)
-    xs = stack_points([ts.base.random_point(rng) for _ in range(3)])
+    xs = stack_points([random_point(ts.base, rng) for _ in range(3)])
     vs = np.stack([ts.random_fiber_vector(mf.map_points(lambda a: a[i], xs), rng)
                    for i in range(3)])
     forward = bd.homotopy_path(mf.rotation_homotopy(ts.base, plane, angle), xs)

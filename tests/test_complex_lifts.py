@@ -23,7 +23,7 @@ class TestCpnConjugationLift:
         bundle = lift.bundle
         for seed in range(10):
             rng = np.random.default_rng(seed)
-            x = bundle.base.random_point(rng)
+            x = random_point(bundle.base, rng)
             v = bundle.random_fiber_vector(x, rng)
             j_x = bundle.complex_structure(x)
             j_y = bundle.complex_structure(lift.base_map.forward(x))
@@ -96,7 +96,7 @@ class TestPullbackConjugationLift:
         squared = lf.compose(lift, lift)
         for seed in range(10):
             rng = np.random.default_rng(seed)
-            x = lift.bundle.base.random_point(rng)
+            x = random_point(lift.bundle.base, rng)
             v = lift.bundle.random_fiber_vector(x, rng)
             assert np.linalg.norm(squared.action(x, v) - v) <= 1e-10
             assert lift.bundle.base.distance(
@@ -108,7 +108,7 @@ class TestPullbackConjugationLift:
         plain = lf.cpn_conjugation_lift(1)
         for seed in range(10):
             rng = np.random.default_rng(seed)
-            x = pb.bundle.base.random_point(rng)
+            x = random_point(pb.bundle.base, rng)
             v = pb.bundle.random_fiber_vector(x, rng)
             assert np.linalg.norm(pb.action(x, v) - plain.action(x, v)) <= 1e-12
 
@@ -215,6 +215,115 @@ class TestTorusLineLift:
         assert np.linalg.norm(w1 - w2) <= 1e-6
 
 
+def _shears(count, k, bad):
+    # count copies of the liftable shear of L_(0,1), with bad at index k
+    mats = [np.array([[1, 1], [0, 1]])] * count
+    mats[k] = np.asarray(bad)
+    return mats
+
+
+class TestTorusLineLifts:
+    def test_one_matrix_messages_are_unchanged(self):
+        # the one-matrix refusals of named_diffeo and torus_line_lift, word
+        # for word
+        for bad, message in (
+                ([[2, 0], [0, 1]], "matrix is not unimodular (det 2)"),
+                ([[1.5, 0], [0, 1]], "matrix is not an integer matrix"),
+                (np.eye(3, dtype=int), "expected 2x2, got (3, 3)"),
+                ([[1, 2 ** 62], [0, 1]],
+                 "torus_auto: inverse round-trip check failed")):
+            for build in (lambda: lf.torus_line_lift(bad, (0, 1)),
+                          lambda: mf.named_diffeo(mf.Torus(2), "torus_auto",
+                                                  matrix=np.array(bad))):
+                with pytest.raises(BadParams) as err:
+                    build()
+                assert str(err.value) == message
+        with pytest.raises(CriterionFails) as err:
+            lf.torus_line_lift([[1, 1], [0, 1]], (1, 0))
+        assert str(err.value) == (
+            "b^T A = [1, 1] != [1, 0] mod 2; representatives x=0 and "
+            "x=m=[0, 1] give fiber images of opposite sign ((-1)^{b.Am} = -1 "
+            "while (-1)^{b.m} = +1)")
+
+    @pytest.mark.parametrize("k", [0, 3, 6])
+    @pytest.mark.parametrize("bad,problem", [
+        ([[2, 0], [0, 1]], "is not unimodular (det 2)"),
+        ([[1, 0.5], [0, 1]], "is not an integer matrix"),
+        ([[1, np.nan], [0, 1]], "is not an integer matrix"),
+        (np.eye(3, dtype=int), "has shape (3, 3), not 2x2"),
+        ([1, 0], "has shape (2,), not 2x2"),
+        ([[1, 2 ** 62], [0, 1]], "failed"),
+    ], ids=["det2", "half", "nan", "3x3", "vector", "round_trip"])
+    def test_a_bad_matrix_refuses_the_stack_by_its_index(self, k, bad,
+                                                         problem):
+        mats = _shears(7, k, bad)
+        with pytest.raises(BadParams) as err:
+            lf.torus_line_lifts(mats, (0, 1))
+        if problem == "failed":
+            assert str(err.value) == (
+                f"torus_auto: inverse round-trip check failed "
+                f"(matrix {k} of the stack)")
+        else:
+            assert str(err.value) == f"matrix {k} of the stack {problem}"
+
+    def test_a_nan_round_trip_refuses_the_stack(self, monkeypatch):
+        # a NaN in the round trip of matrix 4 alone: the negated test
+        # refuses it instead of reading NaN <= 1e-8 as a pass
+        exact = mf.integer_inverse
+
+        def nan_at_4(a):
+            inv = exact(a).astype(float)
+            inv[4, 0, 0] = np.nan
+            return inv
+
+        monkeypatch.setattr(mf, "integer_inverse", nan_at_4)
+        with pytest.raises(BadParams, match=r"round-trip check failed "
+                                            r"\(matrix 4 of the stack\)"):
+            lf.torus_line_lifts(np.stack(_shears(7, 0, [[1, 0], [0, 1]])),
+                                (0, 1))
+
+    def test_an_empty_stack_gives_no_lifts(self):
+        assert lf.torus_line_lifts(np.zeros((0, 2, 2), dtype=int), (1, 1)) == []
+
+    def test_array_and_sequence_give_the_same_lifts(self):
+        mats = _shears(5, 2, [[0, 1], [1, 0]])
+        x = np.array([[0.3, 0.9], [0.7, 0.2]])
+        v = np.array([[0.6, 0.8], [1.0, 0.0]])
+        for b in ((0, 1), (1, 0), (1, 1)):
+            from_list = lf.torus_line_lifts(mats, b)
+            from_array = lf.torus_line_lifts(np.stack(mats), b)
+            for one, other in zip(from_list, from_array):
+                assert type(one) is type(other)
+                if isinstance(one, lf.Lift):
+                    assert np.array_equal(one.action(x, v), other.action(x, v))
+                else:
+                    assert str(one) == str(other)
+
+    def test_one_matrix_is_the_one_row_case(self):
+        # one matrix gives one item, not a list, and the 2-D messages
+        x = np.array([[0.3, 0.9], [0.7, 0.2]])
+        v = np.array([[0.6, 0.8], [1.0, 0.0]])
+        shear = np.array([[1, 1], [0, 1]])
+        lift = lf.torus_line_lifts(shear, (0, 1))
+        row = lf.torus_line_lifts(shear[None], (0, 1))[0]
+        assert np.array_equal(lift.action(x, v), row.action(x, v))
+        fails = lf.torus_line_lifts(shear, (1, 0))
+        assert isinstance(fails, CriterionFails)
+        assert str(fails) == str(lf.torus_line_lifts(shear[None], (1, 0))[0])
+        with pytest.raises(BadParams, match=r"^matrix is not unimodular"):
+            lf.torus_line_lifts([[2, 0], [0, 1]], (0, 1))
+
+    def test_named_diffeo_makes_one_round_trip(self, monkeypatch):
+        calls = []
+        checked = mf._check_round_trip
+        monkeypatch.setattr(mf, "_check_round_trip",
+                            lambda *args: calls.append(args) or checked(*args))
+        mf.named_diffeo(mf.Torus(2), "torus_auto", matrix=np.eye(2, dtype=int))
+        assert len(calls) == 1
+        mf.named_diffeo(mf.Sphere(2), "antipodal")
+        assert len(calls) == 2
+
+
 class TestS1xS2Generators:
     @pytest.mark.parametrize("n", [1, 2])
     def test_s_and_r_pass_exactly(self, n):
@@ -244,7 +353,7 @@ class TestS1xS2Generators:
         p1 = np.array([[1.0, 0.0], [0.0, 0.0]])
         rng = np.random.default_rng(9)
         for _ in range(10):
-            x2 = mf.ComplexProjective(1).random_point(rng)
+            x2 = random_point(mf.ComplexProjective(1), rng)
             x = (p1, x2)
             v = lift.bundle.random_fiber_vector(x, rng)
             assert np.linalg.norm(lift.action(x, v) - v) <= 1e-12
@@ -253,7 +362,7 @@ class TestS1xS2Generators:
         lift = lf.s1xs2_generator_lift("r", 1)
         rng = np.random.default_rng(10)
         x1 = random_point(mf.GrassmannReal(1, 2), 11)
-        x2 = mf.ComplexProjective(1).random_point(rng)
+        x2 = random_point(mf.ComplexProjective(1), rng)
         theta = float(np.arctan2(2 * x1[0, 1], x1[0, 0] - x1[1, 1]))
         u = np.diag([np.exp(1j * theta), 1.0])
         _, y2 = lift.base_map.forward((x1, x2))

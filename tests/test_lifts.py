@@ -15,7 +15,7 @@ from helpers import constant_homotopy, random_point
 
 def _probe(lift, seed=0):
     rng = np.random.default_rng(seed)
-    x = lift.bundle.base.random_point(rng)
+    x = random_point(lift.bundle.base, rng)
     v = lift.bundle.random_fiber_vector(x, rng)
     return x, v
 

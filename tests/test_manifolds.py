@@ -96,10 +96,16 @@ def test_equal_seeds_give_bitwise_equal_stacks(model):
 @pytest.mark.parametrize("model", DRAW_MODELS, ids=str)
 def test_random_point_is_row_0_of_the_one_point_draw(model):
     for seed in (0, 3, 42):
-        one = model.random_point(np.random.default_rng(seed))
+        one = random_point(model, seed)
         stack = model.random_points(np.random.default_rng(seed), 1)
         assert model.stack_shape(stack) == (1,)
         assert _same_bytes(one, mf.map_points(lambda a: a[0], stack))
+
+
+@pytest.mark.parametrize("model", DRAW_MODELS, ids=str)
+def test_distance_of_empty_stacks_is_empty(model):
+    empty = model.random_points(np.random.default_rng(0), 0)
+    assert np.shape(model.distance(empty, empty)) == (0,)
 
 
 def test_sphere_point_norm():

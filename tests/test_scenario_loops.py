@@ -8,9 +8,11 @@ import sys
 import numpy as np
 import pytest
 
-from bundlelift import _kernels, bundles, cli, lifts, manifolds, numkernel
+from bundlelift import (_kernels, bundles, cli, lifts, manifolds, numkernel,
+                        obstruction)
 from bundlelift.bundles import trivial
 from bundlelift.cli import ScenarioConfig, run_scenario
+from bundlelift.errors import CriterionFails
 from bundlelift.lifts import (FiberFrame, Lift, compose, frame_lift_view,
                               grassmann_orthogonal_lift, metrize,
                               s1xs2_generator_lift)
@@ -250,3 +252,72 @@ def test_torus_sweep_builds_one_generator_for_its_draws(monkeypatch):
     for k in range(50):
         lifts.torus_line_lift(np.eye(3, dtype=np.int64), (1, 0, k % 2))
     assert seeds == []
+
+
+def _sweep_cases(seed):
+    # the bit vectors of torus_sweep with their 20 matrices each, drawn as
+    # the scenario draws them: one block per bit vector from [seed, 600]
+    rng = np.random.default_rng([seed, 600])
+    return [(tuple(int(x) for x in np.binary_repr(m, width=n)),
+             manifolds.random_unimodular(n, rng, 20))
+            for n in (1, 2, 3) for m in range(1, 2 ** n)]
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_stacked_torus_lifts_equal_the_one_matrix_lifts(seed):
+    # each sweep matrix: built or refused alike, the same refusal message
+    # and witness, and for a built lift the same base map and bitwise the
+    # same action on a probe stack
+    built = refused = 0
+    for b, mats in _sweep_cases(seed):
+        torus = manifolds.Torus(len(b))
+        x = torus.random_points(np.random.default_rng([seed, 9]), 16) * 3.0
+        v = np.random.default_rng([seed, 10]).normal(size=(16, 2))
+        stacked = lifts.torus_line_lifts(mats, b)
+        assert len(stacked) == len(mats)
+        for a, got in zip(mats, stacked):
+            try:
+                want = lifts.torus_line_lift(a, b)
+            except CriterionFails as err:
+                want = err
+            assert type(got) is type(want)
+            if isinstance(want, CriterionFails):
+                refused += 1
+                assert str(got) == str(want)
+                assert want.witness.keys() == got.witness.keys()
+                for key, value in want.witness.items():
+                    assert got.witness[key].dtype == value.dtype
+                    assert np.array_equal(got.witness[key], value)
+            else:
+                built += 1
+                assert (got.bundle.key, got.provenance, got.tolerance) == (
+                    want.bundle.key, want.provenance, want.tolerance)
+                assert got.action(x, v).tobytes() == want.action(x, v).tobytes()
+                for image in ("forward", "inverse"):
+                    assert (getattr(got.base_map, image)(x).tobytes()
+                            == getattr(want.base_map, image)(x).tobytes())
+    assert built + refused == 220 and built > 0 and refused > 0
+
+
+def test_torus_sweep_validates_and_builds_each_bundle_at_most_twice(
+        monkeypatch):
+    # one integer_inverse and one torus_line per bit vector for the lifts
+    # (torus_criterion and w1_profiles make the others), not one per matrix
+    calls = {"integer_inverse": 0, "torus_line": 0}
+    for name in calls:
+        original = getattr(manifolds if name == "integer_inverse" else bundles,
+                           name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (bundles, cli, lifts, manifolds, obstruction):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    assert _residuals("torus_sweep", seed=42)[
+        "criterion.lift_construction_agreement"] == 0
+    bit_vectors = len(_sweep_cases(42))
+    assert bit_vectors == 11
+    assert 0 < calls["integer_inverse"] <= 2 * bit_vectors
+    assert 0 < calls["torus_line"] <= 2 * bit_vectors
