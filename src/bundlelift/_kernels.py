@@ -1,7 +1,9 @@
 """Hot numeric kernels, in numpy: RK4 transport (step increments built in
 batched products over blocks of steps, then one short loop over the
-steps), plaquette phases and solid angles. The symmetric eigensolver is
-LAPACK's, behind :func:`bundlelift.numkernel.sym_eigh`.
+steps), plaquette phases and solid angles (corner data gathered with
+``np.take(..., axis=0)``, faster than fancy indexing for the same rows).
+The symmetric eigensolver is LAPACK's, behind
+:func:`bundlelift.numkernel.sym_eigh`.
 """
 
 import numpy as np
@@ -69,9 +71,7 @@ def rk4_transport(qp, qnode, x0, h):
 
 
 def plaquette_phases(qv, tris):
-    qa = qv[tris[:, 0]]
-    qb = qv[tris[:, 1]]
-    qc = qv[tris[:, 2]]
+    qa, qb, qc = (np.take(qv, t, axis=0) for t in tris.T)
     tr = np.einsum("kij,kjl,kli->k", qa, qb, qc)
     mags = np.abs(tr)
     min_abs = float(mags.min()) if mags.size else 1e300
@@ -83,9 +83,7 @@ def plaquette_phases(qv, tris):
 
 
 def solid_angles(pts, tris):
-    a = pts[tris[:, 0]]
-    b = pts[tris[:, 1]]
-    c = pts[tris[:, 2]]
+    a, b, c = (np.take(pts, t, axis=0) for t in tris.T)
     num = np.einsum("ki,ki->k", a, np.cross(b, c))
     den = (
         1.0

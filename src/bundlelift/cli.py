@@ -277,16 +277,14 @@ def _scenario_cpn_conjugation(cfg):
     checks.append(_check("conjugation.c_linearity_defect",
                          rep.complex_linearity_residual, 1.0, "ge"))
 
-    corr = 0.0
-    for x in _draw(ComplexProjective(1), cfg.seed, 300, 20):
-        y = lift.base_map.inverse(x)
-        psi = fiberwise_complex_correction(lift, x)
-        j_x = lift.bundle.complex_structure(x)
-        j_y = lift.bundle.complex_structure(y)
-        corrected = psi @ lift.fiber_matrix(y)
-        corr = worst(corr, float(np.max(np.abs(
-            (corrected @ j_y - j_x @ corrected) @ lift.bundle.fiber_projector(y)))))
-    checks.append(_check("fiberwise_correction.commutation", corr, 1e-8))
+    x = _draw(ComplexProjective(1), cfg.seed, 300, 20)
+    y = lift.base_map.inverse(x)
+    bundle = lift.bundle
+    corrected = fiberwise_complex_correction(lift, x) @ lift.fiber_matrix(y)
+    comm = ((corrected @ bundle.complex_structure(y)
+             - bundle.complex_structure(x) @ corrected) @ bundle.fiber_projector(y))
+    checks.append(_check("fiberwise_correction.commutation",
+                         worst(0.0, *_max_abs(comm)), 1e-8))
 
     report = pullback_invariance_report(lift.base_map, lift.bundle,
                                         mesh_level=cfg.mesh_level)
@@ -304,7 +302,7 @@ def _scenario_cpn_conjugation(cfg):
     table = {
         "name": "plaquette_phases",
         "header": ["triangle_index", "phase"],
-        "rows": [[i, repr(float(p))] for i, p in enumerate(phases)],
+        "rows": list(enumerate(phases.tolist())),
     }
     return checks, table
 

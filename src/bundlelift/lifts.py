@@ -44,7 +44,6 @@ __all__ = [
     "check_lift",
     "compose",
     "invert",
-    "identity_lift",
     "lift_from_homotopy",
     "metrize",
     "differential_lift",
@@ -227,11 +226,6 @@ def check_lift(lift, samples=DEFAULT_SAMPLES, seed=0, tolerance=None):
 
 # ---------------------------------------------------------------------------
 # Group operations
-
-
-def identity_lift(bundle):
-    return Lift(bundle, identity_diffeo(bundle.base),
-                lambda x, v: v.copy(), "identity", TOL.exact)
 
 
 def compose(outer, inner):
@@ -613,12 +607,14 @@ def frame_lift_view(lift, frame):
 
 def fiberwise_complex_correction(lift, x):
     """The fiberwise witness that an R-linear lift admits a C-linear
-    correction at x.
+    correction at x, or at each point of a stack.
 
     Computes K = Phi J Phi^{-1} transported to the fiber over x, solves the
     conjugation problem psi^{-1} J psi = K, and certifies that psi composed
     with the fiber map commutes with J. Returns psi as an ambient matrix
-    acting on the fiber over x (identity on the complement).
+    acting on the fiber over x (identity on the complement), or the stack
+    of them, each bitwise its one-point result. A stack is refused if any
+    one of its points is.
     """
     bundle = lift.bundle
     if not bundle.has_complex_structure:
@@ -627,11 +623,11 @@ def fiberwise_complex_correction(lift, x):
     b_y = bundle.fiber_basis(y)
     b_x = bundle.fiber_basis(x)
     m = lift.fiber_matrix_between(y, b_y, b_x)
-    sv = singular_values(m)
-    if sv[0] <= 1e-8:
-        raise Singular(f"fiber map not invertible at x (sv {sv[0]:.3e})")
-    j_y = b_y.T @ bundle.complex_structure(y) @ b_y
-    j_x = b_x.T @ bundle.complex_structure(x) @ b_x
+    low = singular_values(m)[..., 0]
+    if np.any(low <= 1e-8):
+        raise Singular(f"fiber map not invertible at x (sv {np.min(low):.3e})")
+    j_y = np.swapaxes(b_y, -1, -2) @ bundle.complex_structure(y) @ b_y
+    j_x = np.swapaxes(b_x, -1, -2) @ bundle.complex_structure(x) @ b_x
     k = m @ j_y @ np.linalg.inv(m)
     psi = complex_structure_conjugator(j_x, k)
     conj_defect = np.max(np.abs(np.linalg.inv(psi) @ j_x @ psi - k))
@@ -642,4 +638,5 @@ def fiberwise_complex_correction(lift, x):
     if comm_defect > 1e-8:
         raise AssertionError(f"corrected map commutation {comm_defect:.3e} > 1e-8")
     q_x = bundle.fiber_projector(x)
-    return b_x @ psi @ b_x.T + np.eye(bundle.ambient_fiber_dim) - q_x
+    return (b_x @ psi @ np.swapaxes(b_x, -1, -2)
+            + np.eye(bundle.ambient_fiber_dim) - q_x)

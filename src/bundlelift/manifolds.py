@@ -51,7 +51,6 @@ __all__ = [
     "product_diffeo",
     "identity_diffeo",
     "rotation_homotopy",
-    "cpn_phase_homotopy",
     "cp1_plane_rotation_homotopy",
     "sphere_to_cp1",
     "cp1_to_sphere",
@@ -591,17 +590,6 @@ def _unitary_family_homotopy(model, x_gen, name):
     return Homotopy(name, family, endpoint, model, velocity=velocity)
 
 
-def cpn_phase_homotopy(model, angle, slot=0):
-    """Rotation of CP^n induced by diag(..., e^{i t angle} at slot, ...)."""
-    if not isinstance(model, ComplexProjective):
-        raise BadParams("cpn_phase_homotopy is defined on CP^n")
-    if not 0 <= slot <= model.n:
-        raise BadParams(f"slot {slot} out of range")
-    gen = np.zeros((model.n + 1, model.n + 1), dtype=complex)
-    gen[slot, slot] = 1j * angle
-    return _unitary_family_homotopy(model, gen, f"cpn_phase[{slot};{angle:g}]")
-
-
 def cp1_plane_rotation_homotopy(model, angle):
     """Rotation of CP^1 covering the sphere rotation about the x2-axis.
 
@@ -719,14 +707,16 @@ def icosphere(level):
         # the edges ab, bc, ca of every triangle in face order; a midpoint
         # takes the next vertex index at the first edge that reaches it
         edges = np.sort(tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-        pairs, first, inverse = np.unique(edges, axis=0, return_index=True,
-                                          return_inverse=True)
+        # one integer per edge, sorted as the pairs (a, b) are, since b < nv
+        key = edges[:, 0] * len(coarse) + edges[:, 1]
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
         order = np.argsort(first)
+        pairs = edges[first[order]]
         index = np.empty_like(order)
         index[order] = np.arange(len(coarse), len(coarse) + len(order))
         ab, bc, ca = index[inverse].reshape(-1, 3).T
         a, b, c = tris.T
-        m = coarse[pairs[order, 0]] + coarse[pairs[order, 1]]
+        m = coarse[pairs[:, 0]] + coarse[pairs[:, 1]]
         # sqrt(vecdot) is bitwise the per-vector np.linalg.norm
         verts = np.concatenate([coarse, m / np.sqrt(np.vecdot(m, m))[:, None]])
         faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca],

@@ -6,12 +6,12 @@ singular values come from LAPACK through ``numpy.linalg``; the symmetric
 eigensolver fixes the eigenvector signs, so repeated calls on equal input
 are bitwise identical.
 
-``sym_eigh``, ``sym_sqrt``, ``singular_values`` and ``polar_two_metric``
-take one matrix or a stack of matrices on leading axes; LAPACK factors
-each matrix of a stack on its own, so every result is bitwise the
-per-matrix result. Matrix-vector products on stacks are
-``np.matvec``, and :func:`norms` is the Euclidean norm of each vector of a
-stack, both bitwise equal to ``m @ v`` and ``np.linalg.norm(v)`` per
+``sym_eigh``, ``sym_sqrt``, ``singular_values``, ``polar_two_metric`` and
+``complex_structure_conjugator`` take one matrix or a stack of matrices on
+leading axes; LAPACK factors each matrix of a stack on its own, so every
+result is bitwise the per-matrix result. Matrix-vector products on stacks
+are ``np.matvec``, and :func:`norms` is the Euclidean norm of each vector
+of a stack, both bitwise equal to ``m @ v`` and ``np.linalg.norm(v)`` per
 vector.
 """
 
@@ -136,54 +136,68 @@ def polar_two_metric(f, g_u, g_w):
 
 def _complex_adapted_basis(j, tol):
     """Columns (b1, J b1, b2, J b2, ...) orthonormal for the J-invariant
-    inner product <u,w> + <Ju,Jw>."""
-    n = j.shape[0]
-    gram = np.eye(n) + j.T @ j
+    inner product <u,w> + <Ju,Jw>, for each J of a stack (m, n, n). Each J
+    takes, of the candidates e_0, e_1, ..., the ones whose Gram-Schmidt
+    remainder against its own accepted b's is longer than tol."""
+    m, n = j.shape[:2]
+    gram = np.eye(n) + _swap(j) @ j
 
-    def dot(u, w):
-        return float(u @ gram @ w)
+    def dot(rows, u, w):
+        # u @ gram @ w of each row, as (1, n) @ (n, n) @ (n, 1) products
+        return ((u[:, None] @ gram[rows]) @ w[..., None])[:, 0, 0]
 
-    basis = []
+    def sweep(rows, c, b):
+        # c minus its components along b (rows of the stack)
+        return c - (dot(rows, b, c) / dot(rows, b, b))[:, None] * b
+
+    basis = np.zeros((m, n // 2, n))
+    count = np.zeros(m, dtype=np.int64)
     for cand_idx in range(n):
-        if 2 * len(basis) == n:
+        rows = np.flatnonzero(2 * count < n)
+        if not rows.size:
             break
-        c = np.zeros(n)
-        c[cand_idx] = 1.0
-        for b in basis:
-            c = c - dot(b, c) / dot(b, b) * b
-            jb = j @ b
-            c = c - dot(jb, c) / dot(jb, jb) * jb
-        nrm = np.sqrt(dot(c, c))
-        if nrm > tol:
-            basis.append(c / nrm)
-    if 2 * len(basis) != n:
+        c = np.zeros((len(rows), n))
+        c[:, cand_idx] = 1.0
+        for t in range(n // 2):
+            pos = np.flatnonzero(count[rows] > t)
+            sel = rows[pos]
+            b = basis[sel, t]
+            c[pos] = sweep(sel, c[pos], b)
+            c[pos] = sweep(sel, c[pos], (j[sel] @ b[..., None])[..., 0])
+        nrm = np.sqrt(dot(rows, c, c))
+        ok = nrm > tol
+        basis[rows[ok], count[rows[ok]]] = c[ok] / nrm[ok, None]
+        count[rows[ok]] += 1
+    if np.any(2 * count != n):
         raise NotComplexStructure("failed to build a complex-adapted basis")
-    cols = []
-    for b in basis:
-        cols.append(b)
-        cols.append(j @ b)
-    return np.column_stack(cols)
+    out = np.empty((m, n, n))
+    out[..., 0::2] = _swap(basis)
+    out[..., 1::2] = _swap((j[:, None] @ basis[..., None])[..., 0])
+    return out
 
 
 def complex_structure_conjugator(j, k):
     """Invertible psi with psi^{-1} J psi = K, for two complex structures
-    J, K on R^{2r} (any two are conjugate)."""
+    J, K on R^{2r} (any two are conjugate), or the stack of the psi's for
+    two equal-shape stacks, each bitwise its one-matrix result. A stack is
+    refused if any one of its matrices is."""
     j = _as_square(j, "J")
     k = _as_square(k, "K")
-    n = j.shape[0]
+    n = j.shape[-1]
     if n % 2 != 0 or j.shape != k.shape:
         raise NotComplexStructure("need matching even-dimensional matrices")
-    dj = np.max(np.abs(j @ j + np.eye(n)))
-    dk = np.max(np.abs(k @ k + np.eye(n)))
-    if dj > 1e-8:
-        raise NotComplexStructure(f"J^2 + I defect {dj:.3e} exceeds 1e-8")
-    if dk > 1e-8:
-        raise NotComplexStructure(f"K^2 + I defect {dk:.3e} exceeds 1e-8")
+    shape = j.shape
+    j, k = j.reshape(-1, n, n), k.reshape(-1, n, n)
+    for name, s in (("J", j), ("K", k)):
+        defect = np.max(np.abs(s @ s + np.eye(n)), axis=(-2, -1))
+        if np.any(defect > 1e-8):
+            raise NotComplexStructure(f"{name}^2 + I defect "
+                                      f"{defect[defect > 1e-8][0]:.3e} exceeds 1e-8")
     bj = _complex_adapted_basis(j, 1e-8)
     bk = _complex_adapted_basis(k, 1e-8)
     # psi maps the K-adapted basis onto the J-adapted one, pairwise; then
     # psi^{-1} J psi agrees with K on a basis, hence everywhere.
-    return bj @ np.linalg.inv(bk)
+    return (bj @ np.linalg.inv(bk)).reshape(shape)
 
 
 # -- realification helpers ---------------------------------------------------

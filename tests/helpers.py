@@ -4,6 +4,9 @@ does not need."""
 import numpy as np
 
 from bundlelift import manifolds as mf
+from bundlelift.config import DEFAULT_TOLERANCES as TOL
+from bundlelift.errors import BadParams
+from bundlelift.lifts import Lift
 
 
 def random_point(model, seed):
@@ -38,3 +41,21 @@ def constant_homotopy(model):
         return stack_points([x] * len(t))
 
     return mf.Homotopy("constant", family, mf.identity_diffeo(model), model)
+
+
+def identity_lift(bundle):
+    """The lift of the identity map that leaves every vector where it is."""
+    return Lift(bundle, mf.identity_diffeo(bundle.base),
+                lambda x, v: v.copy(), "identity", TOL.exact)
+
+
+def cpn_phase_homotopy(model, angle, slot=0):
+    """Rotation of CP^n induced by diag(..., e^{i t angle} at slot, ...)."""
+    if not isinstance(model, mf.ComplexProjective):
+        raise BadParams("cpn_phase_homotopy is defined on CP^n")
+    if not 0 <= slot <= model.n:
+        raise BadParams(f"slot {slot} out of range")
+    gen = np.zeros((model.n + 1, model.n + 1), dtype=complex)
+    gen[slot, slot] = 1j * angle
+    return mf._unitary_family_homotopy(model, gen,
+                                       f"cpn_phase[{slot};{angle:g}]")

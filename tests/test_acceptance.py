@@ -21,7 +21,7 @@ from bundlelift.gluing import (LocalLiftDatum, TransitionDatum,
                                cocycle_compat_check)
 from bundlelift.numkernel import polar_two_metric
 
-from helpers import random_point, unimodular
+from helpers import cpn_phase_homotopy, random_point, unimodular
 
 
 def _criterion(number, description):
@@ -96,8 +96,8 @@ def test_criterion_3_homotopy_lifting_order():
          mf.rotation_homotopy(mf.Sphere(2), (0, 1), 1.8 * np.pi),
          mf.Sphere(2)),
         (bd.tautological_complex(1),
-         mf.cpn_phase_homotopy(mf.ComplexProjective(1), 2 * np.pi / 3),
-         mf.cpn_phase_homotopy(mf.ComplexProjective(1), 6 * np.pi),
+         cpn_phase_homotopy(mf.ComplexProjective(1), 2 * np.pi / 3),
+         cpn_phase_homotopy(mf.ComplexProjective(1), 6 * np.pi),
          mf.ComplexProjective(1)),
     ]
     for bundle, h_check, h_order, model in cases:

@@ -9,7 +9,8 @@ from bundlelift.config import DEFAULT_TOLERANCES as TOL
 from bundlelift.errors import Ambiguous, BadParams
 from bundlelift.numkernel import norms, realify
 
-from helpers import constant_homotopy, random_point, stack_points
+from helpers import (constant_homotopy, cpn_phase_homotopy, random_point,
+                     stack_points)
 
 
 ALL_BUNDLES = [
@@ -173,7 +174,7 @@ class TestTransport:
 
     def test_norm_preserved_complex_line(self):
         tc = bd.tautological_complex(1)
-        h = mf.cpn_phase_homotopy(mf.ComplexProjective(1), 1.9)
+        h = cpn_phase_homotopy(mf.ComplexProjective(1), 1.9)
         x = random_point(mf.ComplexProjective(1), 6)
         v = tc.random_fiber_vector(x, np.random.default_rng(2))
         out = bd.transport_operator(tc, bd.homotopy_path(h, x), steps=256) @ v
@@ -242,7 +243,7 @@ ORACLE_TRACKS = [
      bd.homotopy_path(mf.rotation_homotopy(mf.Sphere(2), (0, 1), 1.8 * np.pi),
                       random_point(mf.Sphere(2), 41)), 1e-12),
     ("complex_phase", bd.tautological_complex(1),
-     bd.homotopy_path(mf.cpn_phase_homotopy(mf.ComplexProjective(1), 6 * np.pi),
+     bd.homotopy_path(cpn_phase_homotopy(mf.ComplexProjective(1), 6 * np.pi),
                       random_point(mf.ComplexProjective(1), 41)), 1e-12),
     ("torus_loop", bd.torus_line((1, 1, 0)), _torus_loop(3, 1), 1e-12),
     # central differences divide last-bit differences of Q by 2 fd_delta
@@ -275,7 +276,7 @@ STACKED_TRACKS = [
          mf.rotation_homotopy(mf.Sphere(2), (0, 1), 1.8 * np.pi), x), mf.Sphere(2)),
     ("tautological_complex", bd.tautological_complex(1),
      lambda x: bd.homotopy_path(
-         mf.cpn_phase_homotopy(mf.ComplexProjective(1), 6 * np.pi), x),
+         cpn_phase_homotopy(mf.ComplexProjective(1), 6 * np.pi), x),
      mf.ComplexProjective(1)),
     ("pullback_fd", bd.pullback(mf.cp1_power_map(2), bd.tautological_complex(1)),
      lambda x: bd.homotopy_path(

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from bundlelift import cli
+from bundlelift.bundles import tautological_complex
 from bundlelift.cli import (SCENARIOS, ScenarioConfig, emit_plot_data,
                             run_scenario)
 from bundlelift.config import DEFAULT_TOLERANCES, MAX_MESH_LEVEL
 from bundlelift.errors import ConfigInvalid, UnknownScenario
+from bundlelift.obstruction import plaquette_phases
 
 
 FAST = {"samples": 10, "transport_steps": 64, "mesh_level": 3}
@@ -142,13 +144,20 @@ def test_reports_byte_identical(tmp_path):
 
 def test_plaquette_csv_sums_to_chern(tmp_path):
     path = tmp_path / "phases.csv"
-    out = _run("scenario", "cpn_conjugation", "--samples", "5", "--steps",
-               "64", "--mesh", "4", "--no-timestamp", "--csv", str(path))
+    out = _run("scenario", "cpn_conjugation", "--seed", "42", "--samples",
+               "5", "--steps", "64", "--mesh", "4", "--no-timestamp", "--csv",
+               str(path))
     assert out.returncode == 0
     rows = path.read_text().strip().split("\n")
     assert rows[0] == "triangle_index,phase"
     total = sum(float(r.split(",")[1]) for r in rows[1:])
     assert round(total / (2 * np.pi)) == -1
+    # the table holds floats and csv writes each as its repr: the bytes of
+    # the rows once formatted as f"{i},{repr(float(p))}"
+    phases = plaquette_phases(tautological_complex(1), 4)
+    want = "triangle_index,phase\n" + "".join(
+        f"{i},{repr(float(p))}\n" for i, p in enumerate(phases))
+    assert path.read_bytes() == want.encode()
 
 
 def test_torus_sweep_csv_verdict_columns(tmp_path):

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from bundlelift import bundles as bd, lifts as lf, manifolds as mf
-from bundlelift.errors import (BadParams, CriterionFails, NoComplexStructure)
+from bundlelift.errors import (BadParams, CriterionFails, NoComplexStructure,
+                               Singular)
 
-from helpers import random_point
+from helpers import cpn_phase_homotopy, identity_lift, random_point
 
 
 class TestCpnConjugationLift:
@@ -46,7 +47,7 @@ class TestCpnConjugationLift:
 
     def test_identity_defect_pair(self):
         bundle = bd.tautological_complex(1)
-        rep = lf.check_lift(lf.identity_lift(bundle), samples=20, seed=2)
+        rep = lf.check_lift(identity_lift(bundle), samples=20, seed=2)
         assert rep.complex_linearity_residual <= 1e-12
         # |2 J v| = 2 on unit probes
         assert abs(rep.anti_linearity_residual - 2.0) <= 1e-10
@@ -62,7 +63,7 @@ class TestCpnConjugationLift:
         assert not any(rep.verdicts.values())
 
     def test_no_complex_structure(self):
-        rep = lf.check_lift(lf.identity_lift(bd.tangent_sphere(2)), samples=5)
+        rep = lf.check_lift(identity_lift(bd.tangent_sphere(2)), samples=5)
         assert rep.complex_linearity_residual is None
         assert rep.anti_linearity_residual is None
         assert "complex_linear" not in rep.verdicts
@@ -118,14 +119,14 @@ class TestFiberwiseCorrection:
         # the projection connection of a complex subbundle commutes with J,
         # so transport along any track stays C-linear up to integration error
         bundle = bd.tautological_complex(1)
-        h = mf.cpn_phase_homotopy(mf.ComplexProjective(1), 1.1)
+        h = cpn_phase_homotopy(mf.ComplexProjective(1), 1.1)
         lift = lf.lift_from_homotopy(bundle, h, steps=1024)
         rep = lf.check_lift(lift, samples=10, seed=5)
         assert rep.complex_linearity_residual <= 1e-5
 
     def test_c_linear_lift_gives_conjugation_of_j_itself(self):
         bundle = bd.tautological_complex(1)
-        h = mf.cpn_phase_homotopy(mf.ComplexProjective(1), 1.1)
+        h = cpn_phase_homotopy(mf.ComplexProjective(1), 1.1)
         lift = lf.lift_from_homotopy(bundle, h, steps=256)
         x = random_point(mf.ComplexProjective(1), 6)
         psi = lf.fiberwise_complex_correction(lift, x)
@@ -168,10 +169,38 @@ class TestFiberwiseCorrection:
             # internal certification asserts the corrected map commutes
             lf.fiberwise_complex_correction(lift, x)
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 123, 999])
+    def test_stack_equals_the_per_point_calls_bitwise(self, seed):
+        # the 20 points of cpn_conjugation's correction check
+        lift = lf.cpn_conjugation_lift(1)
+        x = mf.ComplexProjective(1).random_points(
+            np.random.default_rng([seed, 300]), 20)
+        psi = lf.fiberwise_complex_correction(lift, x)
+        assert psi.shape == (20, 4, 4)
+        for i in range(20):
+            one = lf.fiberwise_complex_correction(lift, x[i])
+            assert one.shape == (4, 4)
+            assert one.tobytes() == psi[i].tobytes()
+
+    def test_one_singular_point_refuses_the_stack(self):
+        bundle = bd.tautological_complex(1)
+        x = mf.ComplexProjective(1).random_points(np.random.default_rng(4), 5)
+
+        def action(p, v):
+            # the zero map over x[3], the identity elsewhere
+            dead = np.all(p == x[3], axis=(-2, -1))[..., None]
+            return np.where(dead, 0.0, v)
+
+        lift = lf.Lift(bundle, mf.identity_diffeo(bundle.base), action,
+                       "dead_fiber", 1e-8)
+        lf.fiberwise_complex_correction(lift, x[[0, 1, 2, 4]])
+        with pytest.raises(Singular, match="not invertible"):
+            lf.fiberwise_complex_correction(lift, x)
+
     def test_requires_complex_structure(self):
         with pytest.raises(NoComplexStructure):
             lf.fiberwise_complex_correction(
-                lf.identity_lift(bd.tangent_sphere(2)),
+                identity_lift(bd.tangent_sphere(2)),
                 np.array([0.0, 0.0, 1.0]))
 
 

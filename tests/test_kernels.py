@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from bundlelift import _kernels, bundles as bd, manifolds as mf
 
-from helpers import random_point, stack_points
+from helpers import cpn_phase_homotopy, random_point, stack_points
 
 
 def _plaquette_phases_loop(qv, tris):
@@ -75,6 +75,44 @@ def test_solid_angles_match_loop():
     tris = rng.integers(0, 20, size=(40, 3))
     assert np.allclose(_kernels.solid_angles(pts, tris),
                        _solid_angles_loop(pts, tris), atol=1e-12)
+
+
+def _plaquette_phases_fancy(qv, tris):
+    # the fancy-index gathers that np.take replaced, kept as the oracle
+    tr = np.einsum("kij,kjl,kli->k", qv[tris[:, 0]], qv[tris[:, 1]],
+                   qv[tris[:, 2]])
+    return np.angle(tr), float(np.abs(tr).min())
+
+
+def _solid_angles_fancy(pts, tris):
+    a, b, c = pts[tris[:, 0]], pts[tris[:, 1]], pts[tris[:, 2]]
+    num = np.einsum("ki,ki->k", a, np.cross(b, c))
+    den = (1.0 + np.einsum("ki,ki->k", a, b) + np.einsum("ki,ki->k", b, c)
+           + np.einsum("ki,ki->k", c, a))
+    return 2.0 * np.arctan2(num, den)
+
+
+@pytest.mark.parametrize("level", [3, 4, 5, 6])
+def test_take_gathers_equal_the_fancy_index_gathers(level):
+    # gamma, its pullbacks along f_2 and f_3 and the trivial line, on the
+    # mesh Chern numbers read; the solid angles of the images of the mesh
+    # under id, f_2 and f_3, which degrees read
+    cp1 = mf.ComplexProjective(1)
+    gamma = bd.tautological_complex(1)
+    verts, tris = mf.icosphere(level)
+    pts = mf.sphere_to_cp1(verts)
+    for bundle in (gamma, bd.pullback(mf.cp1_power_map(2), gamma),
+                   bd.pullback(mf.cp1_power_map(3), gamma),
+                   bd.trivial(cp1, 1, complex_fibers=True)):
+        qv = np.ascontiguousarray(bundle.complex_fiber_projector(pts))
+        phases, min_abs = _kernels.plaquette_phases(qv, tris)
+        ref_phases, ref_min = _plaquette_phases_fancy(qv, tris)
+        assert phases.tobytes() == ref_phases.tobytes(), bundle.key
+        assert min_abs == ref_min, bundle.key
+    for n in (1, 2, 3):
+        image = np.ascontiguousarray(mf.sphere_power_map(n).forward(verts))
+        assert (_kernels.solid_angles(image, tris).tobytes()
+                == _solid_angles_fancy(image, tris).tobytes()), n
 
 
 def test_rk4_transport_constant_generator_is_taylor_polynomial():
@@ -196,7 +234,7 @@ STACKED_TRACKS = [
          mf.rotation_homotopy(mf.Sphere(2), (0, 1), 1.8 * np.pi), x), mf.Sphere(2)),
     ("complex_phase", bd.tautological_complex(1),
      lambda x: bd.homotopy_path(
-         mf.cpn_phase_homotopy(mf.ComplexProjective(1), 6 * np.pi), x),
+         cpn_phase_homotopy(mf.ComplexProjective(1), 6 * np.pi), x),
      mf.ComplexProjective(1)),
     ("pullback_fd", bd.pullback(mf.cp1_power_map(2), bd.tautological_complex(1)),
      lambda x: bd.homotopy_path(

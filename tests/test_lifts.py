@@ -10,7 +10,8 @@ from bundlelift.errors import (BadParams, BundleMismatch, DegenerateJacobian,
                                NonInjective, NotIsometric, NotOrthonormal)
 from bundlelift.numkernel import singular_values, worst
 
-from helpers import constant_homotopy, random_point
+from helpers import (constant_homotopy, cpn_phase_homotopy, identity_lift,
+                     random_point)
 
 
 def _probe(lift, seed=0):
@@ -240,7 +241,7 @@ def test_check_lift_calls_do_not_grow_with_samples(monkeypatch):
 class TestCheckLift:
     def test_identity_lift_passes_everything(self):
         for bundle in (bd.tangent_sphere(2), bd.tautological_complex(1)):
-            rep = lf.check_lift(lf.identity_lift(bundle), samples=15, seed=0)
+            rep = lf.check_lift(identity_lift(bundle), samples=15, seed=0)
             assert rep.passed
             assert rep.base_residual <= 1e-12
             assert rep.linearity_residual <= 1e-12
@@ -297,11 +298,11 @@ class TestCheckLift:
         zero = bd.BundleModel(("zero",), mf.Sphere(2), 3, 1,
                               lambda x: np.zeros(np.shape(x)[:-1] + (3, 3)))
         with pytest.raises(BadParams, match="could not sample"):
-            lf.check_lift(lf.identity_lift(zero), samples=3)
+            lf.check_lift(identity_lift(zero), samples=3)
 
     def test_samples_floor(self):
         with pytest.raises(BadParams):
-            lf.check_lift(lf.identity_lift(bd.tangent_sphere(2)), samples=0)
+            lf.check_lift(identity_lift(bd.tangent_sphere(2)), samples=0)
 
     def test_deterministic_given_seed(self):
         lift = lf.grassmann_orthogonal_lift(mf.random_orthogonal(4, 2), 2)
@@ -365,7 +366,7 @@ class TestGroupStructure:
             assert np.linalg.norm(left.action(x, v) - right.action(x, v)) <= 1e-10
 
     def test_bundle_mismatch(self):
-        other = lf.identity_lift(bd.tangent_sphere(2))
+        other = identity_lift(bd.tangent_sphere(2))
         with pytest.raises(BundleMismatch):
             lf.compose(self.l1, other)
 
@@ -466,7 +467,7 @@ class TestAlgebraProperties:
            st.integers(min_value=0, max_value=10 ** 6))
     def test_invert_is_a_two_sided_inverse(self, family, seed):
         lift = _registered_lift(family, seed)
-        ident = lf.identity_lift(lift.bundle)
+        ident = identity_lift(lift.bundle)
         x, v, _, _, _ = lf._draw_probes(lift.bundle, 8, seed)
         assert _gap(lf.compose(lift, lf.invert(lift)), ident, x, v) <= 1e-8
         assert _gap(lf.compose(lf.invert(lift), lift), ident, x, v) <= 1e-8
@@ -499,7 +500,7 @@ class TestLiftFromHomotopy:
 
     def test_base_is_endpoint(self):
         bundle = bd.tautological_complex(1)
-        h = mf.cpn_phase_homotopy(mf.ComplexProjective(1), 2 * np.pi / 3)
+        h = cpn_phase_homotopy(mf.ComplexProjective(1), 2 * np.pi / 3)
         lift = lf.lift_from_homotopy(bundle, h, steps=256)
         rep = lf.check_lift(lift, samples=8, seed=3)
         assert rep.passed
@@ -510,7 +511,7 @@ class TestLiftFromHomotopy:
 
     def test_wrong_base_rejected(self):
         bundle = bd.tangent_sphere(2)
-        h = mf.cpn_phase_homotopy(mf.ComplexProjective(1), 0.5)
+        h = cpn_phase_homotopy(mf.ComplexProjective(1), 0.5)
         with pytest.raises(BadParams):
             lf.lift_from_homotopy(bundle, h, steps=64)
 
@@ -700,7 +701,7 @@ class TestGrassmannLift:
 class TestFrameLiftView:
     def test_identity_keeps_frame(self):
         bundle = bd.tautological_real(2, 4)
-        lift = lf.identity_lift(bundle)
+        lift = identity_lift(bundle)
         x = random_point(bundle.base, 3)
         frame = lf.FiberFrame(x, bundle.fiber_basis(x))
         out = lf.frame_lift_view(lift, frame)
@@ -740,7 +741,7 @@ class TestFrameLiftView:
     @pytest.mark.parametrize("bad", [0, 4, 9])
     def test_one_bad_frame_refuses_the_stack(self, bad):
         bundle = bd.tautological_real(2, 4)
-        lift = lf.identity_lift(bundle)
+        lift = identity_lift(bundle)
         x = bundle.base.random_points(np.random.default_rng(0), 10)
         vectors = bundle.fiber_basis(x)
         lf.frame_lift_view(lift, lf.FiberFrame(x, vectors))
@@ -767,7 +768,7 @@ class TestFrameLiftView:
 
     def test_rejects_bad_frame(self):
         bundle = bd.tautological_real(2, 4)
-        lift = lf.identity_lift(bundle)
+        lift = identity_lift(bundle)
         x = random_point(bundle.base, 6)
         bad = lf.FiberFrame(x, 1.5 * bundle.fiber_basis(x))
         with pytest.raises(NotOrthonormal):
@@ -801,7 +802,7 @@ def test_cached_objects_are_freed_without_gc(kind):
     bundle = bd.tangent_sphere(2)
     sigma = mf.named_diffeo(bundle.base, "sphere_reflection")
     h = mf.rotation_homotopy(bundle.base, (0, 1), 0.5)
-    x, v = _probe(lf.identity_lift(bundle), 1)
+    x, v = _probe(identity_lift(bundle), 1)
     make = {
         "bundle": lambda: bd.tangent_sphere(2),
         "metrize": lambda: lf.metrize(lf.differential_lift(sigma)),

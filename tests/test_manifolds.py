@@ -6,7 +6,8 @@ import pytest
 from bundlelift import manifolds as mf
 from bundlelift.errors import BadParams, BadPlane, UnknownName
 
-from helpers import constant_homotopy, random_point, stack_points, unimodular
+from helpers import (constant_homotopy, cpn_phase_homotopy, random_point,
+                     stack_points, unimodular)
 
 
 MODELS = [
@@ -344,7 +345,7 @@ class TestHomotopies:
             mf.rotation_homotopy(mf.Sphere(2), (0, 5), 0.3)
 
     @pytest.mark.parametrize("make", [
-        lambda m: mf.cpn_phase_homotopy(m, 1.3),
+        lambda m: cpn_phase_homotopy(m, 1.3),
         lambda m: mf.cp1_plane_rotation_homotopy(m, np.pi),
     ])
     def test_cp1_homotopy_invariants(self, make):
@@ -358,10 +359,10 @@ class TestHomotopies:
 
     def test_nan_generator_is_refused(self):
         with pytest.raises(BadParams, match="anti-Hermitian"):
-            mf.cpn_phase_homotopy(mf.ComplexProjective(1), np.nan)
+            cpn_phase_homotopy(mf.ComplexProjective(1), np.nan)
 
     def test_velocity_matches_finite_difference(self):
-        h = mf.cpn_phase_homotopy(mf.ComplexProjective(1), 0.9)
+        h = cpn_phase_homotopy(mf.ComplexProjective(1), 0.9)
         x = random_point(mf.ComplexProjective(1), 4)
         t, eps = 0.3, 1e-6
         fd = (h(t + eps, x) - h(t - eps, x)) / (2 * eps)
@@ -371,7 +372,7 @@ class TestHomotopies:
         cases = [
             (mf.Sphere(2), mf.rotation_homotopy(mf.Sphere(2), (1, 2), 2.3)),
             (mf.ComplexProjective(1),
-             mf.cpn_phase_homotopy(mf.ComplexProjective(1), 1.7)),
+             cpn_phase_homotopy(mf.ComplexProjective(1), 1.7)),
             (mf.ComplexProjective(1),
              mf.cp1_plane_rotation_homotopy(mf.ComplexProjective(1), 0.9)),
             (mf.Torus(2), constant_homotopy(mf.Torus(2))),
@@ -425,8 +426,8 @@ def test_product_diffeo_on_a_stack_equals_per_point():
 HOMOTOPIES = [
     (mf.Sphere(2), lambda m: mf.rotation_homotopy(m, (0, 2), 1.8 * np.pi)),
     (mf.Sphere(3), lambda m: mf.rotation_homotopy(m, (3, 1), -0.7)),
-    (mf.ComplexProjective(1), lambda m: mf.cpn_phase_homotopy(m, 6 * np.pi)),
-    (mf.ComplexProjective(2), lambda m: mf.cpn_phase_homotopy(m, 1.3, slot=2)),
+    (mf.ComplexProjective(1), lambda m: cpn_phase_homotopy(m, 6 * np.pi)),
+    (mf.ComplexProjective(2), lambda m: cpn_phase_homotopy(m, 1.3, slot=2)),
     (mf.ComplexProjective(1), lambda m: mf.cp1_plane_rotation_homotopy(m, np.pi)),
     (mf.Torus(2), constant_homotopy),
     (mf.Product(mf.GrassmannReal(1, 2), mf.ComplexProjective(1)),
@@ -647,7 +648,34 @@ def _icosphere_from_scratch(level):
     return np.array(verts), np.array(faces, dtype=np.int64)
 
 
+def _subdivide_by_unique_rows(coarse, tris):
+    # one subdivision step that finds the edge midpoints with np.unique over
+    # the edge rows, the form the scalar edge keys replaced; kept as the
+    # oracle
+    edges = np.sort(tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    pairs, first, inverse = np.unique(edges, axis=0, return_index=True,
+                                      return_inverse=True)
+    order = np.argsort(first)
+    index = np.empty_like(order)
+    index[order] = np.arange(len(coarse), len(coarse) + len(order))
+    ab, bc, ca = index[inverse].reshape(-1, 3).T
+    a, b, c = tris.T
+    m = coarse[pairs[order, 0]] + coarse[pairs[order, 1]]
+    verts = np.concatenate([coarse, m / np.sqrt(np.vecdot(m, m))[:, None]])
+    faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca],
+                     axis=1).reshape(-1, 3)
+    return verts, faces
+
+
 class TestIcosphere:
+    @pytest.mark.parametrize("level", range(1, 7))
+    def test_scalar_edge_keys_match_the_unique_rows_subdivision(self, level):
+        verts, tris = mf.icosphere(level)
+        ref_verts, ref_tris = _subdivide_by_unique_rows(*mf.icosphere(level - 1))
+        assert verts.dtype == ref_verts.dtype and tris.dtype == ref_tris.dtype
+        assert verts.tobytes() == ref_verts.tobytes()
+        assert tris.tobytes() == ref_tris.tobytes()
+
     def test_matches_from_scratch_oracle_bytewise(self):
         for level in range(7):
             verts, tris = mf.icosphere(level)

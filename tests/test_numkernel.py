@@ -120,6 +120,74 @@ class TestComplexStructureConjugator:
         with pytest.raises(NotComplexStructure):
             nk.complex_structure_conjugator(np.eye(2), nk.standard_complex_structure(1))
 
+    def test_stack_equals_the_per_matrix_calls_bitwise(self):
+        # the standard J of C^2 takes e_0 and e_1; the block-diagonal J with
+        # J e_0 = e_1 rejects e_1 and takes e_2, so the stack mixes the
+        # second candidates, and K = -J is among the pairs
+        std, block = nk.standard_complex_structure(2), _block_structure()
+        a = np.random.default_rng(3).normal(size=(4, 4)) + 2.0 * np.eye(4)
+        conj = a @ block @ np.linalg.inv(a)
+        j = np.stack([std, block, std, conj, block, conj])
+        k = np.stack([block, std, -std, -conj, -block, std])
+        second = nk._complex_adapted_basis(j[:2], 1e-8)[..., 2]
+        assert [np.flatnonzero(b).tolist() for b in second] == [[1], [2]]
+        psi = nk.complex_structure_conjugator(j, k)
+        assert psi.shape == (6, 4, 4)
+        for i in range(6):
+            one = nk.complex_structure_conjugator(j[i], k[i])
+            assert one.shape == (4, 4)
+            assert one.tobytes() == psi[i].tobytes()
+            assert one.tobytes() == _conjugator_per_matrix(j[i], k[i]).tobytes()
+            assert np.max(np.abs(np.linalg.inv(one) @ j[i] @ one - k[i])) <= 1e-8
+        nested = nk.complex_structure_conjugator(j.reshape(2, 3, 4, 4),
+                                                 k.reshape(2, 3, 4, 4))
+        assert nested.reshape(6, 4, 4).tobytes() == psi.tobytes()
+
+    @pytest.mark.parametrize("side", ["J", "K"])
+    def test_one_non_structure_refuses_the_stack(self, side):
+        good = np.stack([nk.standard_complex_structure(2), _block_structure()] * 2)
+        bad = good.copy()
+        bad[2] = np.diag([1.0, 1.0, -1.0, -1.0])
+        j, k = (bad, good) if side == "J" else (good, bad)
+        with pytest.raises(NotComplexStructure, match=f"{side}\\^2 \\+ I defect"):
+            nk.complex_structure_conjugator(j, k)
+
+
+def _block_structure():
+    # J e_0 = e_1, J e_2 = e_3
+    j = np.zeros((4, 4))
+    j[1, 0] = j[3, 2] = 1.0
+    j[0, 1] = j[2, 3] = -1.0
+    return j
+
+
+def _conjugator_per_matrix(j, k):
+    # the one-matrix Gram-Schmidt that the masked stack replaced, kept as
+    # the oracle
+    def adapted(j):
+        n = j.shape[0]
+        gram = np.eye(n) + j.T @ j
+
+        def dot(u, w):
+            return float(u @ gram @ w)
+
+        basis = []
+        for cand_idx in range(n):
+            if 2 * len(basis) == n:
+                break
+            c = np.zeros(n)
+            c[cand_idx] = 1.0
+            for b in basis:
+                c = c - dot(b, c) / dot(b, b) * b
+                jb = j @ b
+                c = c - dot(jb, c) / dot(jb, jb) * jb
+            nrm = np.sqrt(dot(c, c))
+            if nrm > 1e-8:
+                basis.append(c / nrm)
+        return np.column_stack([col for b in basis for col in (b, j @ b)])
+
+    return adapted(j) @ np.linalg.inv(adapted(k))
+
 
 class TestRealification:
     def test_realify_is_multiplicative(self):

@@ -16,8 +16,9 @@ from bundlelift.errors import CriterionFails
 from bundlelift.lifts import (FiberFrame, Lift, compose, frame_lift_view,
                               grassmann_orthogonal_lift, metrize,
                               s1xs2_generator_lift)
-from bundlelift.manifolds import (Sphere, identity_diffeo, map_points,
-                                  random_orthogonal, rotation_homotopy)
+from bundlelift.manifolds import (ComplexProjective, Sphere, identity_diffeo,
+                                  map_points, random_orthogonal,
+                                  rotation_homotopy)
 from bundlelift.numkernel import polar_two_metric, worst
 
 
@@ -128,12 +129,28 @@ def _s1xs2_involution_loop(seed, samples):
     return out
 
 
+def _cpn_correction_loop(seed, samples):
+    lift = lifts.cpn_conjugation_lift(1)
+    bundle = lift.bundle
+    corr = 0.0
+    for x in _rows(ComplexProjective(1), seed, 300, 20):
+        y = lift.base_map.inverse(x)
+        psi = lifts.fiberwise_complex_correction(lift, x)
+        j_x = bundle.complex_structure(x)
+        j_y = bundle.complex_structure(y)
+        corrected = psi @ lift.fiber_matrix(y)
+        corr = worst(corr, float(np.max(np.abs(
+            (corrected @ j_y - j_x @ corrected) @ bundle.fiber_projector(y)))))
+    return {"fiberwise_correction.commutation": corr}
+
+
 LOOPS = [
     ("metrize_random", _metrize_random_loop),
     ("frame_view", _frame_view_loop),
     ("grassmann_action", _grassmann_action_loop),
     ("homotopy_lift_sphere", _homotopy_endpoint_loop),
     ("s1xs2_generators", _s1xs2_involution_loop),
+    ("cpn_conjugation", _cpn_correction_loop),
 ]
 
 
@@ -194,6 +211,28 @@ def test_eigensolve_count_does_not_grow_with_samples(monkeypatch, scenario):
         run_scenario(ScenarioConfig(scenario=scenario, samples=samples))
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def test_cpn_conjugation_corrects_all_its_points_in_one_call(monkeypatch):
+    # one stacked correction, hence one stacked conjugator call, for the
+    # scenario's 20 points, not one of each per point
+    shapes = {"fiberwise_complex_correction": [],
+              "complex_structure_conjugator": []}
+    for name, module in (("fiberwise_complex_correction", lifts),
+                         ("complex_structure_conjugator", numkernel)):
+        original = getattr(module, name)
+
+        def counted(lift_or_j, x_or_k, _name=name, _original=original):
+            shapes[_name].append(np.shape(x_or_k))
+            return _original(lift_or_j, x_or_k)
+
+        for holder in (cli, lifts, numkernel):
+            if getattr(holder, name, None) is original:
+                monkeypatch.setattr(holder, name, counted)
+    assert _residuals("cpn_conjugation", samples=5)[
+        "fiberwise_correction.commutation"] <= 1e-8
+    assert shapes == {"fiberwise_complex_correction": [(20, 2, 2)],
+                      "complex_structure_conjugator": [(20, 2, 2)]}
 
 
 @pytest.mark.parametrize("steps,window", [(1024, None), (64, 10)])
