@@ -42,10 +42,11 @@ step are transported in groups that each fit. One track is the case P = 1.
 Each pair gets one (N, N) operator, or (P, N, N) for a stack, bitwise the
 operator of that pair transported alone.
 ``holonomy_signs`` likewise takes (line bundle, loop) pairs, each loop one
-loop or a stack of loops, and ``holonomy_sign`` is its one-pair case.
+loop or a stack of loops, and gives each pair its orientation sign.
 
-Nothing is cached per point: ``fiber_basis`` is one stacked eigensolve,
-deterministic in the point.
+Nothing is cached per point: ``fiber_basis`` is one stacked pivoted
+Cholesky of the projector, deterministic in the point; an eigensolve runs
+only to name the measured rank of a projector it refuses.
 """
 
 import itertools
@@ -59,7 +60,8 @@ from .config import DEFAULT_TRANSPORT_STEPS
 from .errors import Ambiguous, BadParams
 from .manifolds import (ComplexProjective, GrassmannReal, Product, Sphere,
                         Torus, map_points)
-from .numkernel import norms, realify, standard_complex_structure, sym_eigh
+from .numkernel import (norms, projector_basis, realify,
+                        standard_complex_structure, sym_eigh)
 
 __all__ = [
     "BundleModel",
@@ -71,12 +73,10 @@ __all__ = [
     "torus_line",
     "tangent_sphere",
     "trivial",
-    "complement",
     "direct_sum",
     "joint_transport_operators",
     "transport_operator",
     "holonomy_signs",
-    "holonomy_sign",
 ]
 
 
@@ -142,15 +142,22 @@ class BundleModel:
 
     def fiber_basis(self, x):
         """Orthonormal basis of the fiber over x as columns of an (N, r)
-        matrix, or a stack of them; deterministic: equal points give equal
-        bases."""
-        w, v = sym_eigh(self.fiber_projector(x))
-        # eigenvalues ascend, so the rank-r fiber is the last r columns
-        ranks = np.sum(w > 0.5, axis=-1)
-        if np.any(ranks != self.real_rank):
-            bad = int(ranks[ranks != self.real_rank].flat[0])
-            raise BadParams(f"projector rank {bad} != bundle rank {self.real_rank}")
-        return v[..., v.shape[-1] - self.real_rank:]
+        matrix, or a stack of them: the columns of the pivoted Cholesky
+        factor of Q(x) (``projector_basis``), in pivot order, each with a
+        positive pivot entry. Deterministic, so equal points give equal
+        bases, but not continuous in x: where the largest diagonal entries
+        of the residual tie, the pivot and with it the basis can switch."""
+        q = self.fiber_projector(x)
+        basis, ok = projector_basis(q, self.real_rank)
+        if not np.all(ok):
+            # name the rank that the eigenvalues measure at a refused point
+            ranks = np.sum(sym_eigh(q[~ok])[0] > 0.5, axis=-1)
+            wrong = ranks[ranks != self.real_rank]
+            raise BadParams(
+                f"projector rank {int(wrong[0])} != bundle rank {self.real_rank}"
+                if wrong.size else
+                f"projector is not an orthogonal projector of rank {self.real_rank}")
+        return basis
 
     def random_fiber_vector(self, x, rng):
         """A unit vector in the fiber over x, or one over each point of a
@@ -323,24 +330,6 @@ def trivial(model, rank, complex_fibers=False):
         projector=constant(eye),
         projector_differential=constant(np.zeros_like(eye)),
         complex_fibers=complex_fibers,
-    )
-
-
-def complement(w):
-    """Orthogonal complement of W inside its ambient trivial bundle."""
-    n = w.ambient_fiber_dim
-    eye = np.eye(n // 2 if w.has_complex_structure else n)
-    pdiff = None
-    if w.has_projector_differential:
-        pdiff = lambda x, xdot: -w._projector_differential(x, xdot)
-    return BundleModel(
-        key=("complement", w.key),
-        base=w.base,
-        ambient_fiber_dim=n,
-        real_rank=n - w.real_rank,
-        projector=lambda x: eye - w._projector(x),
-        projector_differential=pdiff,
-        complex_fibers=w.has_complex_structure,
     )
 
 
@@ -519,8 +508,10 @@ def transport_operator(bundle, path, steps=DEFAULT_TRANSPORT_STEPS):
 
 
 def holonomy_signs(pairs, steps=DEFAULT_TRANSPORT_STEPS):
-    """``holonomy_sign`` of every (line bundle, loop) pair of a list, from
-    one ``joint_transport_operators`` call. An open loop, a NaN gap or an
+    """Orientation sign picked up by each real line bundle of a list of
+    (line bundle, loop) pairs around its closed loop (an int array of one
+    sign per loop for a stack of loops), from one
+    ``joint_transport_operators`` call. An open loop, a NaN gap or an
     ambiguous sign names the failing pair."""
     m = len(pairs)
     v0s = []
@@ -548,8 +539,3 @@ def holonomy_signs(pairs, steps=DEFAULT_TRANSPORT_STEPS):
         signs.append(int(sign) if sign.ndim == 0 else sign)
     return signs
 
-
-def holonomy_sign(line_bundle, loop, steps=DEFAULT_TRANSPORT_STEPS):
-    """Orientation sign picked up by a real line bundle around a closed
-    loop; for a stack of loops, the int array of one sign per loop."""
-    return holonomy_signs([(line_bundle, loop)], steps)[0]

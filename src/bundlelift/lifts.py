@@ -51,7 +51,6 @@ __all__ = [
     "grassmann_orthogonal_lift",
     "cpn_conjugation_lift",
     "pullback_conjugation_lift",
-    "torus_line_lift",
     "torus_line_lifts",
     "s1xs2_generator_lift",
     "frame_lift_view",
@@ -101,9 +100,9 @@ class Lift:
 
     def fiber_matrix_in_bases(self, x):
         """r x r matrix in the deterministic orthonormal fiber bases at x and
-        phi(x). The bases of degenerate eigenspaces are only defined up to
-        rotation, so use this for basis-invariant quantities (Gram
-        defects, singular values); pass explicit bases otherwise."""
+        phi(x). The bases follow the pivots of ``fiber_basis`` and turn
+        when a pivot switches, so use this for basis-invariant quantities
+        (Gram defects, singular values); pass explicit bases otherwise."""
         return self.fiber_matrix_between(
             x, self.bundle.fiber_basis(x),
             self.bundle.fiber_basis(self.base_map.forward(x)))
@@ -262,8 +261,8 @@ def invert(lift):
         b_y = bundle.fiber_basis(y)
         b_x = bundle.fiber_basis(x)
         # b_x must be the basis at the caller's exact x: phi(y) only
-        # reproduces x up to roundoff, and a degenerate-eigenspace
-        # basis at a perturbed point can be arbitrarily rotated
+        # reproduces x up to roundoff, and where two pivot candidates
+        # tie, the basis at a perturbed point can be rotated
         m = lift.fiber_matrix_between(y, b_y, b_x)
         low = singular_values(m)[..., 0]
         if np.any(low <= 1e-8):
@@ -433,26 +432,19 @@ def pullback_conjugation_lift(n):
                 f"pullback_conjugation[{n}]", TOL.exact)
 
 
-def torus_line_lift(a, b):
-    """Lift of the torus automorphism x -> Ax over the line bundle L_b.
-
-    Exists exactly when b^T A = b^T mod 2; otherwise the fiber formula is
-    inconsistent across representatives of the same torus point and the
-    construction is refused with a sign-mismatch witness.
-    """
-    lift = torus_line_lifts(a, b)
-    if isinstance(lift, CriterionFails):
-        raise lift
-    return lift
-
-
 def torus_line_lifts(a, b):
-    """torus_line_lift of one matrix or of each matrix of a stack (an array
-    (m, n, n) or a sequence of n x n matrices), from one bundle L_b, one
-    ``torus_autos`` validation and one mod-2 test of its own (never
-    torus_criterion's verdict): the Lift or the CriterionFails that
-    torus_line_lift raises, one per matrix of a stack. A matrix that is no
-    torus automorphism refuses the stack with BadParams naming it."""
+    """Lift of the torus automorphism x -> Ax over the line bundle L_b,
+    for one matrix or each matrix of a stack (an array (m, n, n) or a
+    sequence of n x n matrices).
+
+    The lift exists exactly when b^T A = b^T mod 2; otherwise the fiber
+    formula is inconsistent across representatives of the same torus
+    point, and the matrix gets a CriterionFails with a sign-mismatch
+    witness instead of a Lift, one result per matrix of a stack. One
+    bundle L_b, one ``torus_autos`` validation and one mod-2 test of its
+    own (never torus_criterion's verdict) serve the whole stack. A matrix
+    that is no torus automorphism refuses the stack with BadParams naming
+    it."""
     bundle = torus_line(b)
     b = np.array(bundle.key[1])  # the checked bits
     bases = torus_autos(bundle.base, a)

@@ -4,15 +4,16 @@ All routines work on plain float64 numpy arrays (complex data travels in
 the realified 2n x 2n block form, see :func:`realify`). Eigenvalues and
 singular values come from LAPACK through ``numpy.linalg``; the symmetric
 eigensolver fixes the eigenvector signs, so repeated calls on equal input
-are bitwise identical.
+are bitwise identical. Fiber bases need no eigensolve: ``projector_basis``
+factors the projector by pivoted Cholesky.
 
-``sym_eigh``, ``sym_sqrt``, ``singular_values``, ``polar_two_metric`` and
-``complex_structure_conjugator`` take one matrix or a stack of matrices on
-leading axes; LAPACK factors each matrix of a stack on its own, so every
-result is bitwise the per-matrix result. Matrix-vector products on stacks
-are ``np.matvec``, and :func:`norms` is the Euclidean norm of each vector
-of a stack, both bitwise equal to ``m @ v`` and ``np.linalg.norm(v)`` per
-vector.
+``sym_eigh``, ``projector_basis``, ``sym_sqrt``, ``singular_values``,
+``polar_two_metric`` and ``complex_structure_conjugator`` take one matrix
+or a stack of matrices on leading axes; each matrix of a stack is factored
+on its own, so every result is bitwise the per-matrix result.
+Matrix-vector products on stacks are ``np.matvec``, and :func:`norms` is
+the Euclidean norm of each vector of a stack, both bitwise equal to
+``m @ v`` and ``np.linalg.norm(v)`` per vector.
 """
 
 import numpy as np
@@ -22,6 +23,7 @@ from .errors import NotComplexStructure, NotSPD, Singular
 
 __all__ = [
     "sym_eigh",
+    "projector_basis",
     "sym_sqrt",
     "polar_two_metric",
     "complex_structure_conjugator",
@@ -60,6 +62,40 @@ def sym_eigh(s):
     # a zero column has no nonzero entry: argmax gives row 0, which is 0
     lead = np.take_along_axis(v, first[..., None, :], axis=-2)
     return w, np.where(lead < 0.0, -v, v)
+
+
+def projector_basis(q, rank):
+    """Orthonormal basis of the image of a rank-``rank`` orthogonal
+    projector, from ``rank`` steps of pivoted Cholesky (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, section 10.3) on its symmetric
+    part: each step takes the largest diagonal entry k of the residual R,
+    the column l = R[:, k] / sqrt(R_kk) and R <- R - l l^T. A projector of
+    rank r with Q = L L^T, L of shape (N, r), has L^T L = I, so the columns
+    are orthonormal, and each has a positive pivot entry.
+
+    Returns (basis, ok) for one matrix or a stack: ok is False where a
+    pivot is at or below 0.5/N (rank too low) or the trace left after
+    ``rank`` steps is 0.5 or more (rank too high). Each matrix is
+    factored on its own, so a stack is bitwise its per-matrix results.
+    """
+    s = _as_square(q)
+    shape, n = s.shape, s.shape[-1]
+    s = s.reshape(-1, n, n)
+    s = 0.5 * (s + _swap(s))
+    floor = 0.5 / n
+    rows = np.arange(len(s))
+    basis = np.empty((len(s), n, rank))
+    ok = np.ones(len(s), dtype=bool)
+    for j in range(rank):
+        k = np.argmax(s.diagonal(axis1=1, axis2=2), axis=1)
+        col = s[rows, :, k]
+        pivot = col[rows, k]
+        ok &= pivot > floor
+        col /= np.sqrt(np.maximum(pivot, floor))[:, None]
+        basis[:, :, j] = col
+        s -= col[:, :, None] * col[:, None, :]
+    ok &= np.trace(s, axis1=1, axis2=2) < 0.5
+    return basis.reshape(shape[:-1] + (rank,)), ok.reshape(shape[:-2])
 
 
 def singular_values(f):

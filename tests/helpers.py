@@ -4,9 +4,12 @@ does not need."""
 import numpy as np
 
 from bundlelift import manifolds as mf
+from bundlelift.bundles import BundleModel, holonomy_signs
 from bundlelift.config import DEFAULT_TOLERANCES as TOL
-from bundlelift.errors import BadParams
-from bundlelift.lifts import Lift
+from bundlelift.config import DEFAULT_TRANSPORT_STEPS
+from bundlelift.errors import BadParams, CriterionFails
+from bundlelift.lifts import Lift, torus_line_lifts
+from bundlelift.numkernel import sym_eigh
 
 
 def random_point(model, seed):
@@ -59,3 +62,44 @@ def cpn_phase_homotopy(model, angle, slot=0):
     gen[slot, slot] = 1j * angle
     return mf._unitary_family_homotopy(model, gen,
                                        f"cpn_phase[{slot};{angle:g}]")
+
+
+def eigh_fiber_basis(bundle, x):
+    """The fiber basis as the eigenvectors of the r largest eigenvalues of
+    Q(x), with sym_eigh's sign convention: the basis fiber_basis gave
+    before it factored the projector, kept as the oracle of its span."""
+    v = sym_eigh(bundle.fiber_projector(x))[1]
+    return v[..., v.shape[-1] - bundle.real_rank:]
+
+
+def complement(w):
+    """Orthogonal complement of W inside its ambient trivial bundle."""
+    n = w.ambient_fiber_dim
+    eye = np.eye(n // 2 if w.has_complex_structure else n)
+    pdiff = None
+    if w.has_projector_differential:
+        pdiff = lambda x, xdot: -w._projector_differential(x, xdot)
+    return BundleModel(
+        key=("complement", w.key),
+        base=w.base,
+        ambient_fiber_dim=n,
+        real_rank=n - w.real_rank,
+        projector=lambda x: eye - w._projector(x),
+        projector_differential=pdiff,
+        complex_fibers=w.has_complex_structure,
+    )
+
+
+def holonomy_sign(line_bundle, loop, steps=DEFAULT_TRANSPORT_STEPS):
+    """Orientation sign picked up by a real line bundle around a closed
+    loop; for a stack of loops, the int array of one sign per loop."""
+    return holonomy_signs([(line_bundle, loop)], steps)[0]
+
+
+def torus_line_lift(a, b):
+    """The Lift of one torus automorphism over L_b (torus_line_lifts of one
+    matrix), raising its CriterionFails when b^T A != b^T mod 2."""
+    lift = torus_line_lifts(a, b)
+    if isinstance(lift, CriterionFails):
+        raise lift
+    return lift

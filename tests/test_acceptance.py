@@ -21,7 +21,8 @@ from bundlelift.gluing import (LocalLiftDatum, TransitionDatum,
                                cocycle_compat_check)
 from bundlelift.numkernel import polar_two_metric
 
-from helpers import cpn_phase_homotopy, random_point, unimodular
+from helpers import (cpn_phase_homotopy, random_point, torus_line_lift,
+                     unimodular)
 
 
 def _criterion(number, description):
@@ -163,7 +164,7 @@ def test_criterion_5_torus_criterion_sweep():
                 res = ob.torus_criterion(a, b)
                 assert res.fast_verdict == res.oracle_verdict
                 try:
-                    lf.torus_line_lift(a, b)
+                    torus_line_lift(a, b)
                     built = True
                 except BundleLiftError:
                     built = False

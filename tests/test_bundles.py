@@ -9,8 +9,9 @@ from bundlelift.config import DEFAULT_TOLERANCES as TOL
 from bundlelift.errors import Ambiguous, BadParams
 from bundlelift.numkernel import norms, realify
 
-from helpers import (constant_homotopy, cpn_phase_homotopy, random_point,
-                     stack_points)
+from helpers import (complement, constant_homotopy, cpn_phase_homotopy,
+                     eigh_fiber_basis, holonomy_sign, random_point,
+                     stack_points, torus_line_lift)
 
 
 ALL_BUNDLES = [
@@ -19,12 +20,13 @@ ALL_BUNDLES = [
     ("tautological_complex", bd.tautological_complex(1)),
     ("torus_line", bd.torus_line((1, 0))),
     ("trivial", bd.trivial(mf.Sphere(2), 3)),
-    ("complement_tangent", bd.complement(bd.tangent_sphere(2))),
+    ("complement_tangent", complement(bd.tangent_sphere(2))),
     ("pullback_f2", bd.pullback(mf.cp1_power_map(2), bd.tautological_complex(1))),
     ("direct_sum", bd.direct_sum(bd.tautological_real(1, 2),
                                  bd.tautological_complex(1))),
     ("direct_sum_complex", bd.direct_sum(bd.tautological_complex(1),
                                          bd.tautological_complex(1))),
+    ("trivial_complex", bd.trivial(mf.Sphere(2), 2, complex_fibers=True)),
 ]
 
 
@@ -81,6 +83,84 @@ def test_fiber_basis_on_a_stack_equals_per_point_bases(name, bundle):
     assert np.array_equal(stacked, np.stack([bundle.fiber_basis(x) for x in xs]))
 
 
+def _transposed(a):
+    return np.swapaxes(a, -1, -2)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name,bundle", ALL_BUNDLES, ids=[n for n, _ in ALL_BUNDLES])
+def test_fiber_basis_spans_the_eigh_fiber_orthonormally(name, bundle, seed):
+    # the pivoted Cholesky basis against the eigh basis it replaced: the
+    # same fiber, orthonormal columns, and bitwise the per-point bases
+    x = bundle.base.random_points(np.random.default_rng([seed, 50]), 300)
+    basis = bundle.fiber_basis(x)
+    oracle = eigh_fiber_basis(bundle, x)
+    span = basis @ _transposed(basis) - oracle @ _transposed(oracle)
+    assert np.max(np.abs(span)) <= 1e-14
+    gram = _transposed(basis) @ basis - np.eye(bundle.real_rank)
+    assert np.max(np.abs(gram)) <= 1e-14
+    for i in range(0, 300, 37):
+        one = bundle.fiber_basis(mf.map_points(lambda a: a[i], x))
+        assert np.array_equal(one, basis[i])
+
+
+def _with_rank(bundle, rank, projector=None):
+    # the bundle's own field declared with another rank
+    return bd.BundleModel(("rank", rank, bundle.key), bundle.base,
+                          bundle.ambient_fiber_dim, rank,
+                          projector or bundle._projector,
+                          complex_fibers=bundle.has_complex_structure)
+
+
+@pytest.mark.parametrize("name,bundle", ALL_BUNDLES, ids=[n for n, _ in ALL_BUNDLES])
+def test_fiber_basis_refuses_a_wrong_rank_naming_the_measured_one(name, bundle):
+    x = bundle.base.random_points(np.random.default_rng(5), 6)
+    r = bundle.real_rank
+    for rank in (r - 1, r + 1):
+        wrong = _with_rank(bundle, rank)
+        for points in (x, mf.map_points(lambda a: a[2], x)):
+            with pytest.raises(BadParams,
+                               match=rf"^projector rank {r} != bundle rank {rank}$"):
+                wrong.fiber_basis(points)
+
+
+@pytest.mark.parametrize("name,bundle", ALL_BUNDLES, ids=[n for n, _ in ALL_BUNDLES])
+def test_fiber_basis_refuses_a_nan_projector(name, bundle):
+    nan = _with_rank(bundle, bundle.real_rank,
+                     lambda p: bundle._projector(p) * np.nan)
+    x = bundle.base.random_points(np.random.default_rng(6), 3)
+    with pytest.raises(ValueError, match="non-finite"):
+        nan.fiber_basis(x)
+
+
+def test_fiber_basis_refuses_a_stack_with_one_nan_point():
+    ts = bd.tangent_sphere(2)
+    x = ts.base.random_points(np.random.default_rng(7), 4)
+    x[1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        ts.fiber_basis(x)
+
+
+def test_fiber_basis_refuses_a_non_projector_of_the_eigh_rank():
+    # eigenvalues 1, 0.3, 0.3 count rank 1, but one pivot leaves trace 0.6
+    q = np.diag([1.0, 0.3, 0.3])
+    model = bd.BundleModel("diag", mf.Sphere(2), 3, 1,
+                           lambda x: np.broadcast_to(q, np.shape(x)[:-1] + q.shape))
+    with pytest.raises(BadParams,
+                       match=r"^projector is not an orthogonal projector of rank 1$"):
+        model.fiber_basis(np.array([0.0, 0.0, 1.0]))
+
+
+def test_fiber_basis_makes_no_eigensolve(monkeypatch):
+    # the eigensolver names the rank of a refused projector, and only then
+    def refuse(s):
+        raise AssertionError("sym_eigh called")
+
+    monkeypatch.setattr(bd, "sym_eigh", refuse)
+    for _, bundle in ALL_BUNDLES:
+        bundle.fiber_basis(bundle.base.random_points(np.random.default_rng(8), 5))
+
+
 def test_pullback_fibers_bitwise():
     w = bd.tautological_complex(1)
     f = mf.cp1_power_map(2)
@@ -119,7 +199,7 @@ def test_non_integer_bits_are_refused_not_truncated(bits):
                   lambda: ob.torus_criterion(eye, bits),
                   lambda: ob.subgroup_generators(bits),
                   lambda: ob.w1_profile(bits, steps=8),
-                  lambda: lf.torus_line_lift(eye, bits),
+                  lambda: torus_line_lift(eye, bits),
                   lambda: lf.torus_line_lifts(eye[None], bits)):
         with pytest.raises(BadParams, match="b must be a nonzero 0/1 vector"):
             build()
@@ -517,7 +597,7 @@ def test_transport_of_no_tracks_gives_empty_operators():
 class TestHolonomySign:
     def test_trivial_bundle(self):
         tr = bd.trivial(mf.Torus(2), 1)
-        assert bd.holonomy_sign(tr, _line([1.0, 0.0]), steps=64) == 1
+        assert holonomy_sign(tr, _line([1.0, 0.0]), steps=64) == 1
 
     @pytest.mark.parametrize("b,n", [((1,), 1), ((1, 0), 2), ((0, 1), 2),
                                      ((1, 1), 2), ((1, 0, 1), 3)])
@@ -527,23 +607,23 @@ class TestHolonomySign:
         for i in range(n):
             direction = np.zeros(n)
             direction[i] = 1.0
-            sign = bd.holonomy_sign(tl, _line(direction), steps=256)
+            sign = holonomy_sign(tl, _line(direction), steps=256)
             assert sign == (-1) ** b[i]
 
     def test_open_loop_rejected(self):
         tl = bd.torus_line((1, 0))
         with pytest.raises(BadParams):
-            bd.holonomy_sign(tl, _line([0.4, 0.0]), steps=64)
+            holonomy_sign(tl, _line([0.4, 0.0]), steps=64)
 
     def test_rank_requirement(self):
         ts = bd.tangent_sphere(2)
         with pytest.raises(BadParams):
-            bd.holonomy_sign(ts, _constant([1.0, 0.0, 0.0]), steps=64)
+            holonomy_sign(ts, _constant([1.0, 0.0, 0.0]), steps=64)
 
     def test_stack_of_loops_gives_per_loop_signs(self):
         tl = bd.torus_line((1, 0, 1))
-        signs = bd.holonomy_sign(tl, _torus_loops(3), steps=256)
-        assert signs.tolist() == [bd.holonomy_sign(tl, _torus_loop(3, i), steps=256)
+        signs = holonomy_sign(tl, _torus_loops(3), steps=256)
+        assert signs.tolist() == [holonomy_sign(tl, _torus_loop(3, i), steps=256)
                                   for i in range(3)] == [-1, 1, -1]
 
     def test_ambiguous_quarter_turn(self):
@@ -559,7 +639,7 @@ class TestHolonomySign:
 
         synthetic = bd.BundleModel(("synthetic_quarter",), base, 2, 1, q_quarter)
         with pytest.raises(Ambiguous):
-            bd.holonomy_sign(synthetic, _line([1.0]), steps=64)
+            holonomy_sign(synthetic, _line([1.0]), steps=64)
 
     @staticmethod
     def _nan_after_half(keep_end):
@@ -575,18 +655,18 @@ class TestHolonomySign:
         # torus_line((1,)) has sign -1, which a NaN used to come back as
         tl = bd.torus_line((1,))
         with pytest.raises(Ambiguous):
-            bd.holonomy_sign(tl, self._nan_after_half(keep_end=True), steps=64)
+            holonomy_sign(tl, self._nan_after_half(keep_end=True), steps=64)
 
     def test_nan_gap_is_not_closed(self):
         tl = bd.torus_line((1,))
         nan_loop = self._nan_after_half(keep_end=False)
         with pytest.raises(BadParams, match="not closed"):
-            bd.holonomy_sign(tl, nan_loop, steps=64)
+            holonomy_sign(tl, nan_loop, steps=64)
         # also behind a closed loop in a stack: the builtin max drops a NaN
         # after the first item
         stack = bd.Path(lambda t: np.stack([_line([1.0])(t), nan_loop(t)], axis=-2))
         with pytest.raises(BadParams, match="not closed"):
-            bd.holonomy_sign(tl, stack, steps=64)
+            holonomy_sign(tl, stack, steps=64)
 
     def test_pairs_give_each_pair_its_own_signs(self):
         pairs = [(bd.torus_line(b), _torus_loops(n))
@@ -594,7 +674,7 @@ class TestHolonomySign:
         pairs.append((bd.torus_line((1, 0)), _line([1.0, 0.0])))
         signs = bd.holonomy_signs(pairs, steps=256)
         for (line_bundle, loop), got in zip(pairs, signs):
-            want = bd.holonomy_sign(line_bundle, loop, steps=256)
+            want = holonomy_sign(line_bundle, loop, steps=256)
             assert type(got) is type(want) and np.array_equal(got, want)
         assert signs[-1] == -1
 
@@ -626,11 +706,11 @@ class TestHolonomySign:
     def test_one_pair_keeps_its_messages(self):
         tl = bd.torus_line((1,))
         with pytest.raises(BadParams, match=r"^loop is not closed \(gap nan\)$"):
-            bd.holonomy_sign(tl, self._nan_after_half(keep_end=False), steps=64)
+            holonomy_sign(tl, self._nan_after_half(keep_end=False), steps=64)
         with pytest.raises(Ambiguous, match=r"^\|<chi\(1\), v0>\| = nan <= 0\.9"):
-            bd.holonomy_sign(tl, self._nan_after_half(keep_end=True), steps=64)
+            holonomy_sign(tl, self._nan_after_half(keep_end=True), steps=64)
         with pytest.raises(BadParams, match=r"^holonomy_sign needs a real line"):
-            bd.holonomy_sign(bd.tangent_sphere(2), _constant([1.0, 0.0, 0.0]), steps=64)
+            holonomy_sign(bd.tangent_sphere(2), _constant([1.0, 0.0, 0.0]), steps=64)
 
 
 def test_fiber_basis_calls_return_equal_distinct_arrays():
@@ -674,7 +754,7 @@ def test_real_bundle_has_no_complex_structure():
 
 def test_complement_of_complex_bundle_keeps_structure():
     w = bd.tautological_complex(1)
-    c = bd.complement(w)
+    c = complement(w)
     assert c.has_complex_structure
     x = random_point(c.base, 2)
     pc = c.complex_fiber_projector(x)

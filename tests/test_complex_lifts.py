@@ -8,7 +8,8 @@ from bundlelift import bundles as bd, lifts as lf, manifolds as mf
 from bundlelift.errors import (BadParams, CriterionFails, NoComplexStructure,
                                Singular)
 
-from helpers import cpn_phase_homotopy, identity_lift, random_point
+from helpers import (cpn_phase_homotopy, identity_lift, random_point,
+                     torus_line_lift)
 
 
 class TestCpnConjugationLift:
@@ -207,14 +208,14 @@ class TestFiberwiseCorrection:
 class TestTorusLineLift:
     def test_identity_any_b(self):
         for b in ((1,), (1, 0), (1, 1), (1, 0, 1)):
-            lift = lf.torus_line_lift(np.eye(len(b), dtype=int), b)
+            lift = torus_line_lift(np.eye(len(b), dtype=int), b)
             x = random_point(mf.Torus(len(b)), 3)
             v = lift.bundle.random_fiber_vector(x, np.random.default_rng(0))
             assert np.linalg.norm(lift.action(x, v) - v) <= 1e-12
 
     def test_shear_liftable_case(self):
         a = np.array([[1, 1], [0, 1]])
-        lift = lf.torus_line_lift(a, (0, 1))
+        lift = torus_line_lift(a, (0, 1))
         rep = lf.check_lift(lift, samples=40, seed=5)
         assert rep.passed
         assert rep.isometry_residual <= 1e-10
@@ -222,7 +223,7 @@ class TestTorusLineLift:
     def test_shear_refused_case(self):
         a = np.array([[1, 1], [0, 1]])
         with pytest.raises(CriterionFails) as err:
-            lf.torus_line_lift(a, (1, 0))
+            torus_line_lift(a, (1, 0))
         assert err.value.witness is not None
         m = err.value.witness["m"]
         b = np.array([1, 0])
@@ -233,7 +234,7 @@ class TestTorusLineLift:
         # the fiber map just below x1 = 1 must agree with the map at the
         # wrapped representative x1 = 0 (same torus point, same fiber)
         a = np.array([[1, 1], [0, 1]])
-        lift = lf.torus_line_lift(a, (0, 1))
+        lift = torus_line_lift(a, (0, 1))
         bundle = lift.bundle
         eps = 1e-9
         x_below = np.array([1.0 - eps, 0.4])
@@ -261,14 +262,14 @@ class TestTorusLineLifts:
                 (np.eye(3, dtype=int), "expected 2x2, got (3, 3)"),
                 ([[1, 2 ** 62], [0, 1]],
                  "torus_auto: inverse round-trip check failed")):
-            for build in (lambda: lf.torus_line_lift(bad, (0, 1)),
+            for build in (lambda: torus_line_lift(bad, (0, 1)),
                           lambda: mf.named_diffeo(mf.Torus(2), "torus_auto",
                                                   matrix=np.array(bad))):
                 with pytest.raises(BadParams) as err:
                     build()
                 assert str(err.value) == message
         with pytest.raises(CriterionFails) as err:
-            lf.torus_line_lift([[1, 1], [0, 1]], (1, 0))
+            torus_line_lift([[1, 1], [0, 1]], (1, 0))
         assert str(err.value) == (
             "b^T A = [1, 1] != [1, 0] mod 2; representatives x=0 and "
             "x=m=[0, 1] give fiber images of opposite sign ((-1)^{b.Am} = -1 "

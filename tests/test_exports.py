@@ -1,6 +1,7 @@
 """Every name a module exports in ``__all__`` exists in that module, every
 name a module imports is used in it, and every private function and class
-is used somewhere in the package outside its own body."""
+and every public module-level function is used somewhere in the package
+outside its own body."""
 
 import ast
 import importlib
@@ -58,13 +59,33 @@ def _references(tree):
             if isinstance(node, (ast.Name, ast.Attribute))]
 
 
-def test_every_private_helper_is_used_in_the_package():
-    # a private function or class that only its own body (or the tests)
-    # refers to is dead code
+def _public_functions(tree):
+    return [node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+
+
+def _unused(definitions):
+    # the definitions that only their own body (or the tests) refers to
     trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
     uses = [name for tree in trees.values() for name in _references(tree)]
-    unused = [f"{module}:{node.lineno} {node.name}"
-              for module, tree in trees.items()
-              for node in _private_definitions(tree)
-              if uses.count(node.name) == _references(node).count(node.name)]
+    return [f"{module}:{node.lineno} {node.name}"
+            for module, tree in trees.items()
+            for node in definitions(tree)
+            if uses.count(node.name) == _references(node).count(node.name)]
+
+
+def test_every_private_helper_is_used_in_the_package():
+    # a private function or class that nothing else in the package uses
+    # is dead code
+    assert _unused(_private_definitions) == []
+
+
+def test_every_public_function_is_used_in_the_package():
+    # a public module-level function that nothing else in the package uses
+    # is code that only tests reach; they keep it in tests/helpers.py. The
+    # one exception is obstruction.w1_profile: the benchmark's tracer
+    # (perfbench/tracer.py) hooks it by name.
+    unused = [entry for entry in _unused(_public_functions)
+              if not (entry.startswith("obstruction.py:")
+                      and entry.endswith(" w1_profile"))]
     assert unused == []

@@ -11,7 +11,7 @@ from bundlelift.errors import (BadParams, BundleMismatch, DegenerateJacobian,
 from bundlelift.numkernel import singular_values, worst
 
 from helpers import (constant_homotopy, cpn_phase_homotopy, identity_lift,
-                     random_point)
+                     random_point, torus_line_lift)
 
 
 def _probe(lift, seed=0):
@@ -189,7 +189,7 @@ ORACLE_LIFTS = [
         mf.rotation_homotopy(mf.Sphere(2), (0, 1), np.pi / 2), steps=256), 6, 3),
     ("s1xs2_a", lambda: lf.s1xs2_generator_lift("a", 2, steps=256), 5, 11),
     ("metrize_random", lambda: _metrized_random_lift(42), 20, 42),
-    ("torus_line", lambda: lf.torus_line_lift([[1, 0], [1, 1]], [1, 0]), 20, 5),
+    ("torus_line", lambda: torus_line_lift([[1, 0], [1, 1]], [1, 0]), 20, 5),
     ("s1xs2_r", lambda: lf.s1xs2_generator_lift("r", 2), 20, 9),
 ]
 

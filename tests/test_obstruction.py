@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from bundlelift import _kernels, bundles as bd, manifolds as mf, obstruction as ob
 from bundlelift.errors import BadParams, DegeneratePlaquette
 
-from helpers import unimodular
+from helpers import holonomy_sign, torus_line_lift, unimodular
 
 
 class TestLatticeChernNumber:
@@ -263,7 +263,7 @@ class TestW1Profile:
         eye = np.eye(n)
         loops = bd.Path(lambda ts: np.multiply.outer(ts, eye),
                         velocity=lambda ts, xt: np.multiply.outer(np.ones_like(ts), eye))
-        return bd.holonomy_sign(bd.torus_line(b), loops, steps=steps).astype(np.int64)
+        return holonomy_sign(bd.torus_line(b), loops, steps=steps).astype(np.int64)
 
     def test_stacked_profiles_equal_the_per_bundle_loop(self):
         bs = [b for n in (1, 2, 3) for b in _all_bits(n)]
@@ -280,7 +280,6 @@ class TestW1Profile:
 
 
 def test_torus_lift_agrees_with_criterion():
-    from bundlelift import lifts as lf
     from bundlelift.errors import BundleLiftError
 
     for n in (1, 2, 3):
@@ -289,7 +288,7 @@ def test_torus_lift_agrees_with_criterion():
                 a = unimodular(n, 555 * n + 13 * i + hash(b) % 101)
                 expected = ob.torus_criterion(a, b).fast_verdict
                 try:
-                    lf.torus_line_lift(a, b)
+                    torus_line_lift(a, b)
                     built = True
                 except BundleLiftError:
                     built = False

@@ -1,6 +1,7 @@
 """The stacked checks of the CLI scenarios against the per-point loops
-they replaced, and a guard that keeps them stacked: a scenario's
-eigensolve count must not grow with --samples."""
+they replaced, and a guard that keeps them stacked: a scenario's count
+of eigensolves and fiber-basis factorisations must not grow with
+--samples."""
 
 import math
 import sys
@@ -20,6 +21,8 @@ from bundlelift.manifolds import (ComplexProjective, Sphere, identity_diffeo,
                                   map_points, random_orthogonal,
                                   rotation_homotopy)
 from bundlelift.numkernel import polar_two_metric, worst
+
+from helpers import torus_line_lift
 
 
 def _residuals(name, **config):
@@ -183,28 +186,36 @@ def test_stacked_checks_equal_the_per_point_loops(monkeypatch, scenario, loop,
 # -- the work-count guard -----------------------------------------------------
 
 
-def _count_sym_eigh(monkeypatch):
-    """Count numkernel.sym_eigh calls from every module that holds it."""
+def _count_factorisations(monkeypatch):
+    """Count numkernel.sym_eigh calls from every module that holds it, and
+    BundleModel.fiber_basis calls (one pivoted Cholesky of a stack each)."""
     calls = []
     original = numkernel.sym_eigh
+    original_basis = bundles.BundleModel.fiber_basis
 
     def counted(s):
         calls.append(np.shape(s))
         return original(s)
 
+    def counted_basis(self, x):
+        basis = original_basis(self, x)
+        calls.append(basis.shape)
+        return basis
+
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "bundlelift" and \
                 getattr(module, "sym_eigh", None) is original:
             monkeypatch.setattr(module, "sym_eigh", counted)
+    monkeypatch.setattr(bundles.BundleModel, "fiber_basis", counted_basis)
     return calls
 
 
 @pytest.mark.parametrize("scenario", ["metrize_random", "frame_view",
                                       "ambient_projection"])
 def test_eigensolve_count_does_not_grow_with_samples(monkeypatch, scenario):
-    # a per-point loop makes one eigensolve per point, so its count would
-    # follow min(samples, loop length)
-    calls = _count_sym_eigh(monkeypatch)
+    # a per-point loop makes one eigensolve or basis factorisation per
+    # point, so its count would follow min(samples, loop length)
+    calls = _count_factorisations(monkeypatch)
     counts = []
     for samples in (5, 200):
         calls.clear()
@@ -289,7 +300,7 @@ def test_torus_sweep_builds_one_generator_for_its_draws(monkeypatch):
     assert seeds == [[6, 600]]
     seeds.clear()
     for k in range(50):
-        lifts.torus_line_lift(np.eye(3, dtype=np.int64), (1, 0, k % 2))
+        torus_line_lift(np.eye(3, dtype=np.int64), (1, 0, k % 2))
     assert seeds == []
 
 
@@ -316,7 +327,7 @@ def test_stacked_torus_lifts_equal_the_one_matrix_lifts(seed):
         assert len(stacked) == len(mats)
         for a, got in zip(mats, stacked):
             try:
-                want = lifts.torus_line_lift(a, b)
+                want = torus_line_lift(a, b)
             except CriterionFails as err:
                 want = err
             assert type(got) is type(want)
