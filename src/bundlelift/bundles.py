@@ -517,7 +517,7 @@ def holonomy_signs(pairs, steps=DEFAULT_TRANSPORT_STEPS):
     v0s = []
     for k, (line_bundle, loop) in enumerate(pairs):
         if line_bundle.real_rank != 1:
-            raise BadParams(f"{_pair_name(k, m)}holonomy_sign needs a real line "
+            raise BadParams(f"{_pair_name(k, m)}holonomy_signs needs a real line "
                             "bundle (rank 1)")
         start = loop(0.0)
         gap = np.max(line_bundle.base.distance(start, loop(1.0)))

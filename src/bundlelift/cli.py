@@ -157,7 +157,7 @@ def _scenario_metrize_random(cfg):
     m2 = iso2.fiber_matrix_in_bases(x)
     idem = worst(0.0, *_max_abs(m1 - m2))
     f = vert.fiber_matrix_in_bases(x)
-    psi, xi = polar_two_metric(f, np.eye(3), np.eye(3))
+    psi, xi = polar_two_metric(f)
     fact = worst(0.0, *_max_abs(xi @ psi - f))
     checks.append(_check("metrize.idempotence", idem, 1e-8))
     checks.append(_check("metrize.factorization", fact, 1e-8))

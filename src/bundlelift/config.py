@@ -14,8 +14,6 @@ class Tolerances:
     exact: float = 1e-10
     pipeline: float = 1e-8
     transport: float = 1e-5
-    # eigenvalue floor for "positive definite"
-    spd_eig: float = 1e-12
     # central-difference step for Jacobians and projector derivatives
     fd_delta: float = 1e-6
 

@@ -5,10 +5,6 @@ class BundleLiftError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NotSPD(BundleLiftError):
-    """Matrix expected to be symmetric positive definite is not."""
-
-
 class Singular(BundleLiftError):
     """Matrix expected to be invertible is (numerically) singular."""
 

@@ -34,8 +34,8 @@ from .errors import (BadParams, BundleMismatch, CriterionFails,
 from .manifolds import (Diffeo, Sphere, cp1_plane_rotation_homotopy,
                         cp1_power_map, identity_diffeo, map_points,
                         named_diffeo, product_diffeo, torus_autos)
-from .numkernel import (complex_structure_conjugator, norms, polar_two_metric,
-                        singular_values, worst)
+from .numkernel import (complex_structure_conjugator, min_singular_value,
+                        norms, polar_two_metric, worst)
 
 __all__ = [
     "Lift",
@@ -182,12 +182,8 @@ def check_lift(lift, samples=DEFAULT_SAMPLES, seed=0, tolerance=None):
          @ np.moveaxis(images[n_vecs:], 0, -1))
     gram = np.swapaxes(m, -1, -2) @ m
     iso_res = _worst_of(np.max(np.abs(gram - np.eye(m.shape[-1])), axis=(1, 2)))
-    # LAPACK's SVD rejects a non-finite matrix; NaN then fails the verdict
-    finite = np.all(np.isfinite(m), axis=(1, 2))
-    sv = np.full(samples, np.nan)
-    if np.any(finite):
-        sv[finite] = singular_values(m[finite])[:, 0]
-    min_sv = float(np.min(sv))
+    # min_singular_value refuses a non-finite matrix, whose NaN fails the verdict
+    min_sv = float(np.min(min_singular_value(m))) if np.isfinite(m).all() else np.nan
 
     c_res = a_res = None
     if has_j:
@@ -264,7 +260,7 @@ def invert(lift):
         # reproduces x up to roundoff, and where two pivot candidates
         # tie, the basis at a perturbed point can be rotated
         m = lift.fiber_matrix_between(y, b_y, b_x)
-        low = singular_values(m)[..., 0]
+        low = min_singular_value(m)
         if np.any(low <= 1e-8):
             raise Singular(f"fiber map not invertible (sv {np.min(low):.3e})")
         return b_y @ np.linalg.inv(m) @ np.swapaxes(b_x, -1, -2)
@@ -294,18 +290,15 @@ def lift_from_homotopy(bundle, homotopy, steps=DEFAULT_TRANSPORT_STEPS):
 
 
 def metrize(lift):
-    """Replace each fiber map by the isometric factor of its two-metric
-    polar decomposition; the base map is unchanged and isometric lifts are
-    fixed points."""
+    """Replace each fiber map by the isometric factor of its polar
+    decomposition in orthonormal fiber bases; the base map is unchanged and
+    isometric lifts are fixed points."""
     bundle = lift.bundle
 
     def operator_at(x):
         b_in = bundle.fiber_basis(x)
         b_out = bundle.fiber_basis(lift.base_map.forward(x))
-        f = lift.fiber_matrix_between(x, b_in, b_out)
-        r = f.shape[-1]
-        # orthonormal bases make both fiber metrics the identity
-        psi, _ = polar_two_metric(f, np.eye(r), np.eye(r))
+        psi, _ = polar_two_metric(lift.fiber_matrix_between(x, b_in, b_out))
         return b_out @ psi @ np.swapaxes(b_in, -1, -2)
 
     return _operator_lift(bundle, lift.base_map, operator_at,
@@ -336,7 +329,7 @@ def differential_lift(diffeo):
         y = diffeo.forward(x)
         b_in = bundle.fiber_basis(x)
         b_out = bundle.fiber_basis(y)
-        low = singular_values(np.swapaxes(b_out, -1, -2) @ jac @ b_in)[..., 0]
+        low = min_singular_value(np.swapaxes(b_out, -1, -2) @ jac @ b_in)
         if np.any(low < 1e-6):
             raise DegenerateJacobian(
                 f"Jacobian singular value {np.min(low):.3e} below 1e-6"
@@ -373,7 +366,7 @@ def ambient_projection_lift(bundle, diffeo, variant="fiber", seed=1):
     # the first probe that fails
     x = base.random_points(np.random.default_rng([seed, 3]), 25)
     cols = target_projector(diffeo.forward(x)) @ bundle.fiber_basis(x)
-    sv = singular_values(cols)[:, 0]
+    sv = min_singular_value(cols)
     if np.any(sv <= 1e-6):
         i = int(np.argmax(sv <= 1e-6))
         raise NonInjective(
@@ -615,7 +608,7 @@ def fiberwise_complex_correction(lift, x):
     b_y = bundle.fiber_basis(y)
     b_x = bundle.fiber_basis(x)
     m = lift.fiber_matrix_between(y, b_y, b_x)
-    low = singular_values(m)[..., 0]
+    low = min_singular_value(m)
     if np.any(low <= 1e-8):
         raise Singular(f"fiber map not invertible at x (sv {np.min(low):.3e})")
     j_y = np.swapaxes(b_y, -1, -2) @ bundle.complex_structure(y) @ b_y

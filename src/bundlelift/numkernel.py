@@ -2,12 +2,12 @@
 
 All routines work on plain float64 numpy arrays (complex data travels in
 the realified 2n x 2n block form, see :func:`realify`). Eigenvalues and
-singular values come from LAPACK through ``numpy.linalg``; the symmetric
+the polar factor come from LAPACK through ``numpy.linalg``; the symmetric
 eigensolver fixes the eigenvector signs, so repeated calls on equal input
-are bitwise identical. Fiber bases need no eigensolve: ``projector_basis``
-factors the projector by pivoted Cholesky.
+are bitwise identical. Fiber bases need no eigensolve, nor smallest
+singular values an SVD: see ``projector_basis`` and ``min_singular_value``.
 
-``sym_eigh``, ``projector_basis``, ``sym_sqrt``, ``singular_values``,
+``sym_eigh``, ``projector_basis``, ``min_singular_value``,
 ``polar_two_metric`` and ``complex_structure_conjugator`` take one matrix
 or a stack of matrices on leading axes; each matrix of a stack is factored
 on its own, so every result is bitwise the per-matrix result.
@@ -18,16 +18,14 @@ the Euclidean norm of each vector of a stack, both bitwise equal to
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES as TOL
-from .errors import NotComplexStructure, NotSPD, Singular
+from .errors import NotComplexStructure, Singular
 
 __all__ = [
     "sym_eigh",
     "projector_basis",
-    "sym_sqrt",
     "polar_two_metric",
     "complex_structure_conjugator",
-    "singular_values",
+    "min_singular_value",
     "realify",
     "norms",
     "small_matmul",
@@ -98,12 +96,60 @@ def projector_basis(q, rank):
     return basis.reshape(shape[:-1] + (rank,)), ok.reshape(shape[:-2])
 
 
-def singular_values(f):
-    """Singular values (ascending) of a rectangular matrix or a stack."""
+def _row_sum(x):
+    # x[0] + x[1] + ... in order, where numpy's sum may group them otherwise
+    return sum(x[1:], x[0])
+
+
+JACOBI_SWEEPS = 30
+
+
+def min_singular_value(f):
+    """Smallest singular value of a matrix (a wide one is transposed) or of
+    each matrix of a stack, by one-sided Jacobi (Demmel & Veselic, SIAM J.
+    Matrix Anal. Appl. 13, 1992): a column pair is rotated where |gamma| >
+    m eps sqrt(alpha beta) (m rows), its squared norms alpha, beta are then
+    recomputed (alpha - t gamma can go negative), and elsewhere c = 1, s =
+    0, so a stack is bitwise its per-matrix calls. Raises ValueError on
+    non-finite entries, LinAlgError after JACOBI_SWEEPS sweeps."""
     f = np.asarray(f, dtype=float)
-    if f.ndim < 2:
-        raise ValueError("expected a matrix or a stack of matrices")
-    return np.linalg.svd(f, compute_uv=False)[..., ::-1]
+    if f.ndim < 2 or 0 in f.shape[-2:]:
+        raise ValueError(f"expected a nonempty matrix or stack, got shape {f.shape}")
+    if not np.all(np.isfinite(f)):
+        raise ValueError("matrix has non-finite entries")
+    f = _swap(f) if f.shape[-2] < f.shape[-1] else f
+    shape, (m, n) = f.shape[:-2], f.shape[-2:]
+    # exact scaling to a largest entry in [0.5, 1): no square over/underflows
+    _, scale = np.frexp(np.max(np.abs(f), axis=(-2, -1)))
+    f = np.ldexp(f, -scale[..., None, None])
+    # column k of every matrix is cols[k], shaped (m, stack size)
+    cols = list(f.reshape(-1, m, n).transpose(2, 1, 0).copy())
+    sq = [_row_sum(c ** 2) for c in cols]
+    tol = m * np.finfo(float).eps
+    # a column this short is roundoff of the others: its direction is noise
+    floor = np.max(sq, axis=0) * np.finfo(float).eps ** 2
+    for _ in range(JACOBI_SWEEPS):
+        rotated = False
+        for i in range(n - 1):
+            for j in range(i + 1, n):
+                a, b = cols[i], cols[j]
+                gamma = _row_sum(a * b)
+                rot = np.abs(gamma) > tol * np.sqrt(sq[i] * sq[j])
+                rot &= np.minimum(sq[i], sq[j]) > floor
+                if not rot.any():
+                    continue
+                rotated = True
+                # t = tan of the smaller angle that zeroes gamma
+                d, g2 = sq[j] - sq[i], gamma + gamma
+                t = np.divide(g2, d + np.copysign(np.hypot(d, g2), d),
+                              out=np.zeros_like(d), where=rot)
+                c = 1.0 / np.hypot(1.0, t)
+                s = c * t
+                cols[i], cols[j] = c * a - s * b, s * a + c * b
+                sq[i], sq[j] = _row_sum(cols[i] ** 2), _row_sum(cols[j] ** 2)
+        if not rotated:
+            return np.ldexp(np.sqrt(np.min(sq, axis=0)).reshape(shape), scale)
+    raise np.linalg.LinAlgError(f"Jacobi sweeps did not converge in {JACOBI_SWEEPS}")
 
 
 def norms(v):
@@ -124,50 +170,16 @@ def small_matmul(a, b):
     return out
 
 
-def sym_sqrt(s):
-    """Symmetric positive-definite square root R with R @ R = S."""
-    s = _as_square(s)
-    defect = np.max(np.abs(s - _swap(s)))
-    if defect > 1e-10:
-        raise NotSPD(f"symmetry defect {defect:.3e} exceeds 1e-10")
-    w, v = sym_eigh(s)
-    low = np.min(w[..., 0])
-    if low <= TOL.spd_eig:
-        raise NotSPD(f"eigenvalue {low:.3e} below SPD floor {TOL.spd_eig:.0e}")
-    return (v * np.sqrt(w)[..., None, :]) @ _swap(v)
-
-
-def _inv_spd(s):
-    w, v = sym_eigh(_as_square(s))
-    low = np.min(w[..., 0])
-    if low <= TOL.spd_eig:
-        raise NotSPD(f"eigenvalue {low:.3e} below SPD floor")
-    return (v / w[..., None, :]) @ _swap(v)
-
-
-def polar_two_metric(f, g_u, g_w):
-    """Two-metric polar factorization F = Xi @ Psi.
-
-    Psi is a (G_U, G_W)-isometry and Xi is G_W-self-adjoint positive
-    definite; both factors are unique. With S = sqrt(G), both come from
-    the SVD U Sigma V^T of A = S_W F S_U^{-1}: Psi = S_W^{-1} U V^T S_U and
-    Xi = S_W^{-1} U Sigma U^T S_W. Working on A directly (Higham 1986)
-    keeps the condition number of F instead of squaring it. F, G_U and G_W
-    may each be a stack; the factors then broadcast over it.
-    """
-    f = _as_square(f, "F")
-    g_u = _as_square(g_u, "G_U")
-    g_w = _as_square(g_w, "G_W")
-    low = singular_values(f)[..., 0]
+def polar_two_metric(f):
+    """Polar factorization F = Xi @ Psi of a square matrix or of each
+    matrix of a stack, from one SVD U Sigma V^T (Higham 1986): the
+    orthogonal Psi = U V^T and the symmetric positive definite Xi = U Sigma
+    U^T. Refused where a singular value is at or below 1e-10."""
+    u, sigma, vt = np.linalg.svd(_as_square(f, "F"))
+    low = sigma[..., -1]
     if np.any(low <= 1e-10):
         raise Singular(f"min singular value {np.min(low):.3e} <= 1e-10")
-    s_u = sym_sqrt(g_u)
-    s_w = sym_sqrt(g_w)
-    s_w_inv = _inv_spd(s_w)
-    u, sigma, vt = np.linalg.svd(s_w @ f @ _inv_spd(s_u))
-    psi = s_w_inv @ u @ vt @ s_u
-    xi = s_w_inv @ (u * sigma[..., None, :]) @ _swap(u) @ s_w
-    return psi, xi
+    return u @ vt, (u * sigma[..., None, :]) @ _swap(u)
 
 
 def _complex_adapted_basis(j, tol):

@@ -72,6 +72,29 @@ def eigh_fiber_basis(bundle, x):
     return v[..., v.shape[-1] - bundle.real_rank:]
 
 
+def sym_sqrt(s):
+    """Symmetric positive-definite square root R with R @ R = S, from the
+    signed eigensolve. Raises ValueError on a symmetry defect above 1e-10
+    or an eigenvalue at or below 1e-12."""
+    s = np.asarray(s, dtype=float)
+    defect = np.max(np.abs(s - np.swapaxes(s, -1, -2)))
+    if defect > 1e-10:
+        raise ValueError(f"symmetry defect {defect:.3e} exceeds 1e-10")
+    w, v = sym_eigh(s)
+    if np.min(w[..., 0]) <= 1e-12:
+        raise ValueError(f"eigenvalue {np.min(w[..., 0]):.3e} at or below 1e-12")
+    return (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
+
+
+def polar_via_sym_sqrt(f):
+    """Polar factors (Psi, Xi) of a square F with Xi = sqrt(F F^T) and Psi =
+    Xi^{-1} F: the square-root formula of the two-metric polar factor at
+    identity metrics, kept as the oracle of the one-SVD factor."""
+    m = f @ f.T
+    xi = sym_sqrt(0.5 * (m + m.T))
+    return np.linalg.solve(xi, f), xi
+
+
 def complement(w):
     """Orthogonal complement of W inside its ambient trivial bundle."""
     n = w.ambient_fiber_dim

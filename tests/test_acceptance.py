@@ -145,7 +145,7 @@ def test_criterion_4_polar_metrization():
             m_iso = iso.fiber_matrix_between(x, b, b)
             assert np.max(np.abs(m_iso.T @ m_iso - np.eye(3))) <= 1e-8
             f = lift.fiber_matrix_between(x, b, b)
-            psi, xi = polar_two_metric(f, np.eye(3), np.eye(3))
+            psi, xi = polar_two_metric(f)
             assert np.max(np.abs(xi @ psi - f)) <= 1e-8
             m_iso2 = iso2.fiber_matrix_between(x, b, b)
             assert np.max(np.abs(m_iso2 - m_iso)) <= 1e-8

@@ -709,7 +709,7 @@ class TestHolonomySign:
             holonomy_sign(tl, self._nan_after_half(keep_end=False), steps=64)
         with pytest.raises(Ambiguous, match=r"^\|<chi\(1\), v0>\| = nan <= 0\.9"):
             holonomy_sign(tl, self._nan_after_half(keep_end=True), steps=64)
-        with pytest.raises(BadParams, match=r"^holonomy_sign needs a real line"):
+        with pytest.raises(BadParams, match=r"^holonomy_signs needs a real line"):
             holonomy_sign(bd.tangent_sphere(2), _constant([1.0, 0.0, 0.0]), steps=64)
 
 

@@ -79,6 +79,31 @@ def test_unexpected_error_exits_2(monkeypatch, capsys, exc):
     assert err == f"error: {type(exc).__name__}: {exc}\n"
 
 
+def _nan_images(make):
+    # make(...) with every image of its lift's action NaN
+    def patched(*args, **kwargs):
+        lift = make(*args, **kwargs)
+        return cli.Lift(lift.bundle, lift.base_map,
+                        lambda x, v: lift.action(x, v) * np.nan, "nan",
+                        lift.tolerance)
+
+    return patched
+
+
+@pytest.mark.parametrize("scenario,maker", [
+    ("grassmann_action", "grassmann_orthogonal_lift"),  # reaches invert
+    ("cpn_conjugation", "cpn_conjugation_lift"),  # fiberwise_complex_correction
+])
+def test_nan_fiber_matrix_exits_2(monkeypatch, capsys, scenario, maker):
+    # a NaN fiber matrix has no singular value: the invertibility guards
+    # refuse it instead of letting it past their sv <= 1e-8 test
+    monkeypatch.setattr(cli, maker, _nan_images(getattr(cli, maker)))
+    assert cli.main(["scenario", scenario, "--samples", "5",
+                     "--no-timestamp"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: ValueError: matrix has non-finite entries\n"
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 

@@ -198,6 +198,24 @@ class TestFiberwiseCorrection:
         with pytest.raises(Singular, match="not invertible"):
             lf.fiberwise_complex_correction(lift, x)
 
+    def test_one_nan_point_refuses_the_stack(self):
+        # a NaN fiber matrix has no singular value to compare with 1e-8:
+        # it is refused, not let through the invertibility guard
+        bundle = bd.tautological_complex(1)
+        x = mf.ComplexProjective(1).random_points(np.random.default_rng(4), 5)
+
+        def action(p, v):
+            dead = np.all(p == x[3], axis=(-2, -1))[..., None]
+            return np.where(dead, np.nan, v)
+
+        lift = lf.Lift(bundle, mf.identity_diffeo(bundle.base), action,
+                       "nan_fiber", 1e-8)
+        lf.fiberwise_complex_correction(lift, x[[0, 1, 2, 4]])
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            lf.fiberwise_complex_correction(lift, x)
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            lf.fiberwise_complex_correction(lift, x[3])
+
     def test_requires_complex_structure(self):
         with pytest.raises(NoComplexStructure):
             lf.fiberwise_complex_correction(

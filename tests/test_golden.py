@@ -40,7 +40,19 @@ eigensolve: the bases span the same fibers but are other rotations of
 them, so 19 residuals moved in their last digits (listed in CHANGES.md),
 and every name, verdict and tolerance stayed. metrize_random,
 gluing_demo, sphere_pullbacks and both torus_sweep files kept their
-bytes."""
+bytes.
+
+grassmann_action, metrize_random, s1xs2_generators and tangent_isometry
+.json were regenerated when smallest singular values came to be computed
+by one-sided Jacobi sweeps instead of LAPACK's SVD: five residuals moved
+in their last digits (grassmann_action
+``orthogonal_lift.min_singular_value``, metrize_random
+``metrized.min_singular_value``, s1xs2_generators
+``a_lift.n1.min_singular_value`` and ``a_lift.n2.min_singular_value``,
+tangent_isometry ``differential_sigma.min_singular_value``), and every
+name, verdict and tolerance stayed. The polar factor from one SVD moved
+no byte: at identity metrics the two-metric formula it replaced computed
+the same products."""
 
 import csv
 import io

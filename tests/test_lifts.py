@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from bundlelift import _kernels, bundles as bd, lifts as lf, manifolds as mf
 from bundlelift.errors import (BadParams, BundleMismatch, DegenerateJacobian,
                                NonInjective, NotIsometric, NotOrthonormal)
-from bundlelift.numkernel import singular_values, worst
+from bundlelift.numkernel import min_singular_value, worst
 
 from helpers import (constant_homotopy, cpn_phase_homotopy, identity_lift,
                      random_point, torus_line_lift)
@@ -49,7 +49,7 @@ def _per_probe_check_lift(lift, samples, seed, tolerance=None):
         m = bundle.fiber_basis(y).T @ images
         iso_res = worst(iso_res,
                         float(np.max(np.abs(m.T @ m - np.eye(m.shape[0])))))
-        sv = singular_values(m)[0] if np.all(np.isfinite(m)) else np.nan
+        sv = min_singular_value(m) if np.all(np.isfinite(m)) else np.nan
         min_sv = float(np.minimum(min_sv, sv))
         if has_j:
             j_x = bundle.complex_structure(x)
@@ -358,6 +358,25 @@ class TestGroupStructure:
             assert np.linalg.norm(comp.action(x, v) - v) <= 1e-8
             assert comp.bundle.base.distance(comp.base_map.forward(x), x) <= 1e-8
 
+    def test_invert_refuses_a_nan_fiber_map(self):
+        # a NaN fiber matrix has no singular value to compare with 1e-8:
+        # the inverse's action is refused, not let through the guard
+        bundle = self.l1.bundle
+        x = bundle.base.random_points(np.random.default_rng(6), 4)
+        v = bundle.unit_fiber_vectors(
+            x, np.random.default_rng(7).normal(size=(4, 4)), np.random.default_rng(8))
+
+        y2 = self.l1.base_map.inverse(x[2])
+
+        def action(p, w):
+            dead = np.max(np.abs(p - y2), axis=(-2, -1)) <= 1e-9
+            return np.where(dead[..., None], np.nan, self.l1.action(p, w))
+
+        inv = lf.invert(lf.Lift(bundle, self.l1.base_map, action, "nan_fiber", 1e-10))
+        inv.action(x[[0, 1, 3]], v[[0, 1, 3]])
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            inv.action(x, v)
+
     def test_associativity_on_probes(self):
         left = lf.compose(lf.compose(self.l1, self.l2), self.l3)
         right = lf.compose(self.l1, lf.compose(self.l2, self.l3))
@@ -627,9 +646,9 @@ def _per_probe_injectivity(bundle, diffeo, seed):
     # (point, singular value) of the first failing probe, or None
     for x in bundle.base.random_points(np.random.default_rng([seed, 3]), 25):
         cols = bundle.fiber_projector(diffeo.forward(x)) @ bundle.fiber_basis(x)
-        sv = singular_values(cols)
-        if sv[0] <= 1e-6:
-            return x, float(sv[0])
+        sv = min_singular_value(cols)
+        if sv <= 1e-6:
+            return x, float(sv)
     return None
 
 

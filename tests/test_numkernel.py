@@ -3,7 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bundlelift import numkernel as nk
-from bundlelift.errors import NotComplexStructure, NotSPD, Singular
+from bundlelift.errors import NotComplexStructure, Singular
+
+from helpers import polar_via_sym_sqrt, sym_sqrt
+
+EPS = np.finfo(float).eps
 
 
 def random_spd(rng, n, floor=0.1):
@@ -12,18 +16,19 @@ def random_spd(rng, n, floor=0.1):
 
 
 class TestSymSqrt:
+    # the square root behind the polar oracle (tests/helpers.py)
     def test_identity(self):
-        assert np.allclose(nk.sym_sqrt(np.eye(4)), np.eye(4), atol=1e-12)
+        assert np.allclose(sym_sqrt(np.eye(4)), np.eye(4), atol=1e-12)
 
     def test_diagonal(self):
-        assert np.allclose(nk.sym_sqrt(np.diag([4.0, 9.0])),
+        assert np.allclose(sym_sqrt(np.diag([4.0, 9.0])),
                            np.diag([2.0, 3.0]), atol=1e-12)
 
     def test_random_spd_squares_back(self):
         rng = np.random.default_rng(11)
         for n in (2, 3, 5, 8):
             s = random_spd(rng, n)
-            r = nk.sym_sqrt(s)
+            r = sym_sqrt(s)
             assert np.max(np.abs(r @ r - s)) <= 1e-10
             assert np.max(np.abs(r - r.T)) <= 1e-12
             w, _ = nk.sym_eigh(r)
@@ -33,64 +38,79 @@ class TestSymSqrt:
     @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=10**6))
     def test_property_sqrt(self, n, seed):
         s = random_spd(np.random.default_rng(seed), n, floor=0.5)
-        r = nk.sym_sqrt(s)
+        r = sym_sqrt(s)
         assert np.max(np.abs(r @ r - s)) <= 1e-10 * max(1.0, np.max(np.abs(s)))
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(NotSPD):
-            nk.sym_sqrt(np.array([[1.0, 0.5], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="symmetry defect"):
+            sym_sqrt(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
     def test_rejects_indefinite(self):
-        with pytest.raises(NotSPD):
-            nk.sym_sqrt(np.diag([1.0, -0.5]))
+        with pytest.raises(ValueError, match="eigenvalue"):
+            sym_sqrt(np.diag([1.0, -0.5]))
 
     def test_bitwise_deterministic(self):
         s = random_spd(np.random.default_rng(3), 5)
-        r1 = nk.sym_sqrt(s)
-        r2 = nk.sym_sqrt(s.copy())
+        r1 = sym_sqrt(s)
+        r2 = sym_sqrt(s.copy())
         assert np.array_equal(r1, r2)
 
 
 class TestPolarTwoMetric:
     def test_identity(self):
-        psi, xi = nk.polar_two_metric(np.eye(3), np.eye(3), np.eye(3))
+        psi, xi = nk.polar_two_metric(np.eye(3))
         assert np.allclose(psi, np.eye(3), atol=1e-12)
         assert np.allclose(xi, np.eye(3), atol=1e-12)
 
     def test_conformal_rotation(self):
         th = 0.6
         r = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-        psi, xi = nk.polar_two_metric(2.0 * r, np.eye(2), np.eye(2))
+        psi, xi = nk.polar_two_metric(2.0 * r)
         assert np.allclose(psi, r, atol=1e-10)
         assert np.allclose(xi, 2.0 * np.eye(2), atol=1e-10)
 
     def test_random_metrics(self):
+        # fiber metrics G_U, G_W other than the identity need no factor of
+        # their own: in the bases S^{-1} (S = sqrt(G)) both are orthonormal,
+        # and the one-metric factor of A = S_W F S_U^{-1} gives the
+        # (G_U, G_W)-isometry Psi = S_W^{-1} Psi_A S_U and the G_W-self-
+        # adjoint positive definite Xi = S_W^{-1} Xi_A S_W with Xi Psi = F
         rng = np.random.default_rng(23)
         for _ in range(5):
             f = rng.normal(size=(3, 3)) + 1.5 * np.eye(3)
             g_u = random_spd(rng, 3, floor=0.4)
             g_w = random_spd(rng, 3, floor=0.4)
-            psi, xi = nk.polar_two_metric(f, g_u, g_w)
+            s_u, s_w = sym_sqrt(g_u), sym_sqrt(g_w)
+            psi_a, xi_a = nk.polar_two_metric(s_w @ f @ np.linalg.inv(s_u))
+            psi = np.linalg.solve(s_w, psi_a @ s_u)
+            xi = np.linalg.solve(s_w, xi_a @ s_w)
             assert np.max(np.abs(xi @ psi - f)) <= 1e-8
             assert np.max(np.abs(psi.T @ g_w @ psi - g_u)) <= 1e-8
-            # G_W-self-adjoint positive definite
             assert np.max(np.abs(xi.T @ g_w - g_w @ xi)) <= 1e-8
-            w, _ = nk.sym_eigh(nk.sym_sqrt(g_w) @ xi @ np.linalg.inv(nk.sym_sqrt(g_w)))
+            w, _ = nk.sym_eigh(s_w @ xi @ np.linalg.inv(s_w))
             assert w[0] > 0
 
     def test_deterministic(self):
-        rng = np.random.default_rng(5)
-        f = rng.normal(size=(4, 4)) + 2 * np.eye(4)
-        g = random_spd(np.random.default_rng(6), 4)
-        out1 = nk.polar_two_metric(f, g, np.eye(4))
-        out2 = nk.polar_two_metric(f.copy(), g.copy(), np.eye(4))
+        f = np.random.default_rng(5).normal(size=(4, 4)) + 2 * np.eye(4)
+        out1 = nk.polar_two_metric(f)
+        out2 = nk.polar_two_metric(f.copy())
         assert np.array_equal(out1[0], out2[0])
         assert np.array_equal(out1[1], out2[1])
 
     def test_singular_rejected(self):
         f = np.diag([1.0, 0.0, 2.0])
-        with pytest.raises(Singular):
-            nk.polar_two_metric(f, np.eye(3), np.eye(3))
+        with pytest.raises(Singular, match=r"^min singular value 0\.000e\+00 <= 1e-10$"):
+            nk.polar_two_metric(f)
+
+    def test_one_singular_matrix_refuses_the_stack(self):
+        f = np.random.default_rng(7).normal(size=(5, 3, 3)) + 2.0 * np.eye(3)
+        f[3] = np.diag([1.0, 5e-11, 2.0])
+        with pytest.raises(Singular, match=r"^min singular value 5\.000e-11 <= 1e-10$"):
+            nk.polar_two_metric(f)
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            nk.polar_two_metric(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
 class TestComplexStructureConjugator:
@@ -251,14 +271,6 @@ def _jacobi_eigh(a):
     return np.diag(a).copy(), v
 
 
-def _polar_via_sym_sqrt(f, g_u, g_w):
-    """Xi = G_W-symmetric square root of F F^sharp, Psi = Xi^{-1} F."""
-    s = nk.sym_sqrt(g_w)
-    m = s @ f @ np.linalg.inv(g_u) @ f.T @ s
-    xi = np.linalg.inv(s) @ nk.sym_sqrt(0.5 * (m + m.T)) @ s
-    return np.linalg.solve(xi, f), xi
-
-
 def test_sym_eigh_matches_jacobi_oracle():
     rng = np.random.default_rng(17)
     compared = 0
@@ -289,18 +301,11 @@ def test_polar_two_metric_matches_sym_sqrt_oracle():
         f = rng.normal(size=(n, n))
         if np.linalg.cond(f) > 1e3:
             continue
-        g_u = random_spd(rng, n, floor=0.4)
-        g_w = random_spd(rng, n, floor=0.4)
-        psi, xi = nk.polar_two_metric(f, g_u, g_w)
-        psi_ref, xi_ref = _polar_via_sym_sqrt(f, g_u, g_w)
+        psi, xi = nk.polar_two_metric(f)
+        psi_ref, xi_ref = polar_via_sym_sqrt(f)
         assert np.max(np.abs(psi - psi_ref)) <= 1e-10
         assert np.max(np.abs(xi - xi_ref)) <= 1e-10
         compared += 1
-
-
-def test_singular_values_ascending():
-    f = np.diag([3.0, 1.0, 2.0])[:, :2]
-    assert np.allclose(nk.singular_values(f), [1.0, 3.0], atol=1e-15)
 
 
 def _looped_sign_rule(v):
@@ -338,11 +343,113 @@ def test_sym_eigh_on_a_stack_equals_per_matrix_oracle():
 def test_polar_two_metric_on_a_stack_equals_per_matrix():
     rng = np.random.default_rng(31)
     f = rng.normal(size=(9, 3, 3)) + 2.0 * np.eye(3)
-    psi, xi = nk.polar_two_metric(f, np.eye(3), np.eye(3))
+    psi, xi = nk.polar_two_metric(f)
     for i in range(9):
-        psi_i, xi_i = nk.polar_two_metric(f[i], np.eye(3), np.eye(3))
+        psi_i, xi_i = nk.polar_two_metric(f[i])
         assert np.array_equal(psi[i], psi_i)
         assert np.array_equal(xi[i], xi_i)
+    nested = nk.polar_two_metric(f.reshape(3, 3, 3, 3))
+    assert nested[0].reshape(9, 3, 3).tobytes() == psi.tobytes()
+    assert nested[1].reshape(9, 3, 3).tobytes() == xi.tobytes()
+
+
+def test_min_singular_value_of_a_tall_matrix():
+    f = np.diag([3.0, 1.0, 2.0])[:, :2]
+    assert nk.min_singular_value(f) == 1.0
+    # a wide matrix is transposed
+    assert nk.min_singular_value(f.T) == 1.0
+
+
+CONDITIONS = [1e1, 1e4, 1e8, 1e12, 1e16, np.inf]
+
+
+def _graded(rng, count, rows, cols, cond):
+    # U diag(sigma) V^T with sigma geometric from 1 to 1/cond; at cond inf
+    # the last column is exactly half the first (rank deficient), or zero
+    # for one column
+    u = np.linalg.qr(rng.normal(size=(count, rows, cols)))[0]
+    v = np.linalg.qr(rng.normal(size=(count, cols, cols)))[0]
+    sigma = np.geomspace(1.0, 1.0 / cond if np.isfinite(cond) else 0.1, cols)
+    f = (u * sigma) @ np.swapaxes(v, -1, -2)
+    if not np.isfinite(cond):
+        f[..., -1] = 0.5 * f[..., 0] if cols > 1 else 0.0
+    return f
+
+
+@pytest.mark.parametrize("cond", CONDITIONS)
+@pytest.mark.parametrize("tall", [0, 3])
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_min_singular_value_matches_svd_oracle(r, tall, cond):
+    # LAPACK's SVD as the oracle, at condition 1e1 to 1e16 and on exactly
+    # rank-deficient matrices: within 4 eps of the largest singular value
+    f = _graded(np.random.default_rng(100 * r + tall), 40, r + tall, r, cond)
+    sv = np.linalg.svd(f, compute_uv=False)
+    err = np.abs(nk.min_singular_value(f) - sv[:, -1])
+    assert np.all(err <= 4 * EPS * sv[:, 0])
+
+
+@pytest.mark.parametrize("tall", [0, 3])
+@pytest.mark.parametrize("r", [2, 3, 5])
+def test_min_singular_value_stack_equals_per_matrix_bitwise(r, tall):
+    # conditions mixed in one stack, so its matrices converge at different
+    # sweeps and the ones done early sit through the others' rotations
+    rng = np.random.default_rng(7 * r + tall)
+    f = np.concatenate([_graded(rng, 6, r + tall, r, c) for c in CONDITIONS])
+    f = f[rng.permutation(len(f))]
+    low = nk.min_singular_value(f)
+    assert low.shape == (len(f),)
+    for i in range(len(f)):
+        one = nk.min_singular_value(f[i])
+        assert one.shape == ()
+        assert one.tobytes() == low[i].tobytes()
+    nested = nk.min_singular_value(f.reshape(2, -1, r + tall, r))
+    assert nested.reshape(-1).tobytes() == low.tobytes()
+    if tall:
+        # a wide stack is transposed
+        wide = np.swapaxes(f, -1, -2)
+        assert nk.min_singular_value(wide).tobytes() == low.tobytes()
+
+
+@pytest.mark.parametrize("tall", [0, 3])
+def test_min_singular_value_of_proportional_rows(tall):
+    # rank deficient through its rows: the column left over is roundoff
+    # lying in the others' span, which no rotation makes orthogonal to them
+    f = np.random.default_rng(11).normal(size=(200, 3 + tall, 3))
+    f[:, -1] = 0.5 * f[:, 0]
+    sv = np.linalg.svd(f, compute_uv=False)
+    err = np.abs(nk.min_singular_value(f) - sv[:, -1])
+    assert np.all(err <= 4 * EPS * sv[:, 0])
+
+
+@pytest.mark.parametrize("power", [-900, -500, 500, 900])
+def test_min_singular_value_scales_exactly_by_powers_of_two(power):
+    f = np.random.default_rng(13).normal(size=(50, 4, 3))
+    low = nk.min_singular_value(f)
+    assert nk.min_singular_value(np.ldexp(f, power)).tobytes() == \
+        np.ldexp(low, power).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_min_singular_value_refuses_non_finite_entries(bad):
+    f = np.random.default_rng(3).normal(size=(4, 3, 3))
+    f[2, 1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        nk.min_singular_value(f)
+    with pytest.raises(ValueError, match="non-finite"):
+        nk.min_singular_value(f[2])
+
+
+@pytest.mark.parametrize("shape", [(3,), (4, 0, 2), (2, 3, 0)])
+def test_min_singular_value_refuses_empty_and_non_matrices(shape):
+    with pytest.raises(ValueError, match="nonempty matrix"):
+        nk.min_singular_value(np.ones(shape))
+
+
+def test_min_singular_value_refuses_unconverged_sweeps(monkeypatch):
+    f = np.random.default_rng(5).normal(size=(3, 3))
+    monkeypatch.setattr(nk, "JACOBI_SWEEPS", 1)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge in 1"):
+        nk.min_singular_value(f)
 
 
 def test_norms_equal_per_vector_norms():

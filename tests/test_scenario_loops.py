@@ -78,7 +78,7 @@ def _metrize_random_loop(seed, samples):
         m2 = iso2.fiber_matrix_in_bases(x)
         idem = worst(idem, float(np.max(np.abs(m1 - m2))))
         f = vert.fiber_matrix_in_bases(x)
-        psi, xi = polar_two_metric(f, np.eye(3), np.eye(3))
+        psi, xi = polar_two_metric(f)
         fact = worst(fact, float(np.max(np.abs(xi @ psi - f))))
     return {"metrize.idempotence": idem, "metrize.factorization": fact}
 
