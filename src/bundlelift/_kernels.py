@@ -1,7 +1,7 @@
 """Hot numeric kernels, in numpy: RK4 transport (step increments built in
 batched products over blocks of steps, then one short loop over the
-steps), plaquette phases and solid angles (corner data gathered with
-``np.take(..., axis=0)``, faster than fancy indexing for the same rows).
+steps), plaquette phases from unit sections and solid angles (corner
+data gathered with ``np.take``, faster than fancy indexing).
 The symmetric eigensolver is LAPACK's, behind
 :func:`bundlelift.numkernel.sym_eigh`.
 """
@@ -67,15 +67,26 @@ def rk4_transport(qp, qnode, x0, h):
 
 
 # ---------------------------------------------------------------------------
-# Bargmann-phase plaquette sums: arg tr(Q_a Q_b Q_c) per oriented triangle.
+# Bargmann-phase plaquette sums: arg tr(Q_a Q_b Q_c) per oriented triangle,
+# for rank-1 Q = w w* that of <a|b><b|c><c|a>, w = Q[:, k] / sqrt(Q_kk) with
+# k = argmax Re diag Q (Fukui, Hatsugai and Suzuki, J. Phys. Soc. Jpn. 74,
+# 1674, 2005). w is (m, V): an overlap is m multiply-adds over length-K arrays.
+
+
+def _overlap(u, v):
+    return sum((u[i].conj() * v[i] for i in range(1, len(u))), u[0].conj() * v[0])
 
 
 def plaquette_phases(qv, tris):
-    qa, qb, qc = (np.take(qv, t, axis=0) for t in tris.T)
-    tr = np.einsum("kij,kjl,kli->k", qa, qb, qc)
-    mags = np.abs(tr)
-    min_abs = float(mags.min()) if mags.size else 1e300
-    return np.angle(tr), min_abs
+    # a zero or non-finite Q gives NaN sections quietly; min |tr| is then NaN
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rows = np.arange(qv.shape[0])
+        diag = qv.diagonal(axis1=1, axis2=2).real
+        k = np.argmax(diag, axis=1)
+        w = qv[rows, :, k].T / np.sqrt(diag[rows, k])
+        a, b, c = (np.take(w, t, axis=1) for t in tris.T)
+        tr = _overlap(a, b) * _overlap(b, c) * _overlap(c, a)
+        return np.angle(tr), float(np.abs(tr).min(initial=1e300))
 
 
 # ---------------------------------------------------------------------------

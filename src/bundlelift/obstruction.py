@@ -3,12 +3,12 @@ pullback-invariance reports, holonomy sign profiles and the integer
 criterion for torus line bundles.
 
 The Chern number of a complex line bundle over the two-sphere is computed
-from gauge-invariant Bargmann phases arg tr(Q_a Q_b Q_c) accumulated over
-an icosphere triangulation, with one projector-field call on the stack of
-all mesh vertices per mesh; the orientation convention is pinned by the
-calibration anchor c1(tautological line over CP^1) = -1. Only
-convention-independent ratios and products are meaningful across other
-conventions.
+from gauge-invariant Bargmann phases arg tr(Q_a Q_b Q_c), for rank-1
+Q = w w* the phases of <a|b><b|c><c|a>, summed over an icosphere
+triangulation, with one projector-field call on the stack of all mesh
+vertices per mesh; the orientation convention is pinned by the calibration
+anchor c1(tautological line over CP^1) = -1. Only convention-independent
+ratios and products are meaningful across other conventions.
 """
 
 import functools
@@ -63,12 +63,15 @@ def _mesh_base_points(base, level):
 def plaquette_phases(line_bundle, mesh_level):
     """Per-triangle Bargmann phases of the bundle on the icosphere mesh,
     in triangle-index order. The complex projector field is evaluated once,
-    on the stack of all mesh vertices; a NaN overlap counts as degenerate."""
+    on the stack of all mesh vertices; a zero or non-finite projector gives
+    a NaN overlap, which is degenerate. Only complex line bundles (rank-1
+    Q) are taken."""
+    if line_bundle.real_rank != 2 or not line_bundle.has_complex_structure:
+        raise BadParams("lattice_chern_number needs a complex line bundle")
     pts = _mesh_base_points(line_bundle.base, mesh_level)
     _, tris = icosphere(mesh_level)
     qv = line_bundle.complex_fiber_projector(pts)
-    phases, min_abs = _kernels.plaquette_phases(
-        np.ascontiguousarray(qv), np.ascontiguousarray(tris))
+    phases, min_abs = _kernels.plaquette_phases(qv, tris)
     if not min_abs >= 1e-12:
         raise DegeneratePlaquette(
             f"plaquette overlap {min_abs:.3e} < 1e-12 at level {mesh_level}"
@@ -92,8 +95,6 @@ def lattice_chern_number(line_bundle, mesh_level):
     """
     if mesh_level < 3:
         raise BadParams("mesh_level must be >= 3")
-    if line_bundle.real_rank != 2 or not line_bundle.has_complex_structure:
-        raise BadParams("lattice_chern_number needs a complex line bundle")
     raw = _chern_raw(line_bundle, mesh_level)
     raw_next = _chern_raw(line_bundle, mesh_level + 1)
     value = int(round(raw))

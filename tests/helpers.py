@@ -4,7 +4,8 @@ does not need."""
 import numpy as np
 
 from bundlelift import manifolds as mf
-from bundlelift.bundles import BundleModel, holonomy_signs
+from bundlelift.bundles import (BundleModel, holonomy_signs, pullback,
+                                tautological_complex, trivial)
 from bundlelift.config import DEFAULT_TOLERANCES as TOL
 from bundlelift.config import DEFAULT_TRANSPORT_STEPS
 from bundlelift.errors import BadParams, CriterionFails
@@ -126,3 +127,55 @@ def torus_line_lift(a, b):
     if isinstance(lift, CriterionFails):
         raise lift
     return lift
+
+
+def _spiky(p):
+    # one point or a stack, as the field contract requires
+    x = mf.cp1_to_sphere(p)
+    s = 40.0 * x[..., 0] + 40.03 * x[..., 1]
+    z = np.stack([np.ones_like(s), s], axis=-1).astype(complex)
+    z /= np.linalg.norm(z, axis=-1, keepdims=True)
+    return z[..., :, None] * z.conj()[..., None, :]
+
+
+def spiky_bundle():
+    """A line over CP^1 whose section turns far faster than the level-3
+    mesh resolves: its Chern estimate aliases across mesh levels."""
+    return BundleModel(("spiky",), mf.ComplexProjective(1), 4, 2, _spiky,
+                       complex_fibers=True)
+
+
+def oracle_line_bundles():
+    """The complex line bundles the Chern-phase oracles run on, by name:
+    over CP^1 and, through the chart, over S^2; the trivial one has 1 x 1
+    projectors, the others 2 x 2."""
+    cp1 = mf.ComplexProjective(1)
+    gamma = tautological_complex(1)
+    chart = mf.SmoothMap("chart", mf.sphere_to_cp1, mf.Sphere(2), cp1)
+    return {
+        "trivial": trivial(cp1, 1, complex_fibers=True),
+        "gamma": gamma,
+        "f2": pullback(mf.cp1_power_map(2), gamma),
+        "f3": pullback(mf.cp1_power_map(3), gamma),
+        "conj": pullback(mf.named_diffeo(cp1, "cpn_conjugation"), gamma),
+        "sphere_chart": pullback(chart, gamma),
+        "spiky": spiky_bundle(),
+    }
+
+
+def _expm_skew(a):
+    # e^a of a real skew matrix (or a stack), from one Hermitian eigensolve
+    # of i a: i a = V diag(w) V* gives e^a = V diag(e^{-i w}) V*
+    w, v = np.linalg.eigh(1j * a)
+    return ((v * np.exp(-1j * w)[..., None, :])
+            @ np.swapaxes(v.conj(), -1, -2)).real
+
+
+def exact_group_transport(a, p0):
+    """Projector transport T(1) along P(t) = e^{tA} P0 e^{-tA}, t in [0, 1],
+    for a real skew A (a sphere rotation, or a realified anti-Hermitian
+    generator): T(1) = e^A e^{K - A} P0 with K = [[A, P0], P0], the
+    closed form of Kato's adiabatic evolution (J. Phys. Soc. Jpn. 5, 435,
+    1950). K - A is skew too. P0 may be a stack."""
+    s = a @ p0 - p0 @ a
+    return _expm_skew(a) @ _expm_skew(s @ p0 - p0 @ s - a) @ p0

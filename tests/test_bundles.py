@@ -10,8 +10,8 @@ from bundlelift.errors import Ambiguous, BadParams
 from bundlelift.numkernel import norms, realify
 
 from helpers import (complement, constant_homotopy, cpn_phase_homotopy,
-                     eigh_fiber_basis, holonomy_sign, random_point,
-                     stack_points, torus_line_lift)
+                     eigh_fiber_basis, exact_group_transport, holonomy_sign,
+                     random_point, stack_points, torus_line_lift)
 
 
 ALL_BUNDLES = [
@@ -525,6 +525,72 @@ def test_transport_makes_at_most_three_field_calls_per_track(monkeypatch,
     bd.transport_operator(ts, path, steps=1024)
     assert len(calls) <= 3
     assert ("projector_differential" in calls) == exact
+
+
+def _plane_generator(dim, plane, angle):
+    # the skew generator of rotation_homotopy's rotations by t * angle
+    i, j = plane
+    a = np.zeros((dim, dim))
+    a[i, j], a[j, i] = -angle, angle
+    return a
+
+
+def _group_pairs(dim):
+    # joint transport pairs along one-parameter groups, each with its skew
+    # generator and its fibers at t = 0: sphere rotations on two planes of
+    # TS^2 (dim 3), or a rotation of TS^3 with the cpn_phase and plane
+    # rotation families of gamma over CP^1 (dim 4), three tracks each
+    out = []
+    if dim == 3:
+        s2, ts = mf.Sphere(2), bd.tangent_sphere(2)
+        xs = stack_points([random_point(s2, 80 + i) for i in range(3)])
+        for plane, angle in (((0, 1), 1.8 * np.pi), ((1, 2), 1.3 * np.pi)):
+            h = mf.rotation_homotopy(s2, plane, angle)
+            out.append((ts, bd.homotopy_path(h, xs), _plane_generator(3, plane, angle),
+                        ts.fiber_projector(xs), f"S2 {plane}"))
+        return out
+    s3, ts = mf.Sphere(3), bd.tangent_sphere(3)
+    xs = stack_points([random_point(s3, 83 + i) for i in range(3)])
+    h = mf.rotation_homotopy(s3, (0, 3), 1.8 * np.pi)
+    out.append((ts, bd.homotopy_path(h, xs), _plane_generator(4, (0, 3), 1.8 * np.pi),
+                ts.fiber_projector(xs), "S3 (0, 3)"))
+    cp1, gamma = mf.ComplexProjective(1), bd.tautological_complex(1)
+    ps = stack_points([random_point(cp1, 90 + i) for i in range(3)])
+    quarter = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
+    for h, gen in ((cpn_phase_homotopy(cp1, 6 * np.pi), np.diag([6j * np.pi, 0.0])),
+                   (mf.cp1_plane_rotation_homotopy(cp1, np.pi), 0.5 * np.pi * quarter),
+                   (mf.cp1_plane_rotation_homotopy(cp1, 4 * np.pi), 2 * np.pi * quarter)):
+        out.append((gamma, bd.homotopy_path(h, ps), realify(gen),
+                    gamma.fiber_projector(ps), h.name))
+    return out
+
+
+def _closed_form_errors(cases, steps):
+    # the largest entry error of each track's operator, one row per pair
+    ops = bd.joint_transport_operators([(b, p) for b, p, *_ in cases], steps)
+    return [np.max(np.abs(op - exact_group_transport(a, p0)), axis=(-2, -1))
+            for op, (_, _, a, p0, _) in zip(ops, cases)]
+
+
+@pytest.mark.parametrize("dim,bound", [(3, 1e-10), (4, 3e-9)])
+def test_transport_error_against_the_closed_form(dim, bound):
+    # at 1024 steps the largest errors are 2.7e-11 (TS^2) and 8.6e-10
+    # (cpn_phase over 6 pi); every track of a joint window is held to it
+    cases = _group_pairs(dim)
+    for errs, case in zip(_closed_form_errors(cases, 1024), cases):
+        assert np.all(errs <= bound), (case[-1], errs)
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_transport_is_fourth_order_against_the_closed_form(dim):
+    # from 64 to 128 to 256 steps the truncation error, far above the
+    # roundoff floor, falls 16x per doubling on every track
+    cases = _group_pairs(dim)
+    errs = [_closed_form_errors(cases, steps) for steps in (64, 128, 256)]
+    for k, case in enumerate(cases):
+        for coarse, fine in zip(errs, errs[1:]):
+            order = np.log2(coarse[k] / fine[k])
+            assert np.all((order > 3.8) & (order < 4.2)), (case[-1], order)
 
 
 def _all_bits(n):

@@ -1,5 +1,6 @@
-"""The numpy kernels against slow oracles: per-triangle loops for the
-plaquette and solid-angle sums, the per-step staged RK4 loop for transport,
+"""The numpy kernels against slow oracles: per-triangle loops and the
+complex triple product for the plaquette sums, per-triangle loops for the
+solid-angle sums, the per-step staged RK4 loop for transport,
 and the exact one-step RK4 polynomial for a constant generator."""
 
 import math
@@ -11,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from bundlelift import _kernels, bundles as bd, manifolds as mf
 
-from helpers import cpn_phase_homotopy, random_point, stack_points
+from helpers import (cpn_phase_homotopy, oracle_line_bundles, random_point,
+                     stack_points)
 
 
 def _plaquette_phases_loop(qv, tris):
@@ -59,13 +61,16 @@ def _random_projector_field(rng, count, dim):
 
 
 def test_plaquette_phases_match_loop():
-    rng = np.random.default_rng(0)
-    qv = _random_projector_field(rng, 30, 3)
-    tris = rng.integers(0, 30, size=(50, 3))
-    phases, min_abs = _kernels.plaquette_phases(qv, tris)
-    ref_phases, ref_min = _plaquette_phases_loop(qv, tris)
-    assert np.allclose(phases, ref_phases, atol=1e-12)
-    assert abs(min_abs - ref_min) < 1e-12
+    # m = 1 (trivial lines) has one section entry; m = 2 is the CP^1 field
+    # every Chern number reads
+    for dim, seed in [(3, 0), (1, 1), (2, 2)]:
+        rng = np.random.default_rng(seed)
+        qv = _random_projector_field(rng, 30, dim)
+        tris = rng.integers(0, 30, size=(50, 3))
+        phases, min_abs = _kernels.plaquette_phases(qv, tris)
+        ref_phases, ref_min = _plaquette_phases_loop(qv, tris)
+        assert np.allclose(phases, ref_phases, atol=1e-12), dim
+        assert abs(min_abs - ref_min) < 1e-12, dim
 
 
 def test_solid_angles_match_loop():
@@ -78,7 +83,8 @@ def test_solid_angles_match_loop():
 
 
 def _plaquette_phases_fancy(qv, tris):
-    # the fancy-index gathers that np.take replaced, kept as the oracle
+    # the complex triple product with fancy-index gathers that the unit
+    # sections and take gathers replaced, kept as the oracle
     tr = np.einsum("kij,kjl,kli->k", qv[tris[:, 0]], qv[tris[:, 1]],
                    qv[tris[:, 2]])
     return np.angle(tr), float(np.abs(tr).min())
@@ -94,21 +100,20 @@ def _solid_angles_fancy(pts, tris):
 
 @pytest.mark.parametrize("level", [3, 4, 5, 6])
 def test_take_gathers_equal_the_fancy_index_gathers(level):
-    # gamma, its pullbacks along f_2 and f_3 and the trivial line, on the
-    # mesh Chern numbers read; the solid angles of the images of the mesh
-    # under id, f_2 and f_3, which degrees read
-    cp1 = mf.ComplexProjective(1)
-    gamma = bd.tautological_complex(1)
+    # the plaquette phases of every oracle line bundle against the triple
+    # product: three overlaps of unit sections regroup the arithmetic, so
+    # they agree to roundoff, not bitwise; the solid angles of the images
+    # of the mesh under id, f_2 and f_3, which degrees read, bitwise
     verts, tris = mf.icosphere(level)
-    pts = mf.sphere_to_cp1(verts)
-    for bundle in (gamma, bd.pullback(mf.cp1_power_map(2), gamma),
-                   bd.pullback(mf.cp1_power_map(3), gamma),
-                   bd.trivial(cp1, 1, complex_fibers=True)):
-        qv = np.ascontiguousarray(bundle.complex_fiber_projector(pts))
+    pts = {mf.Sphere(2): verts, mf.ComplexProjective(1): mf.sphere_to_cp1(verts)}
+    for name, bundle in oracle_line_bundles().items():
+        qv = np.ascontiguousarray(bundle.complex_fiber_projector(pts[bundle.base]))
         phases, min_abs = _kernels.plaquette_phases(qv, tris)
         ref_phases, ref_min = _plaquette_phases_fancy(qv, tris)
-        assert phases.tobytes() == ref_phases.tobytes(), bundle.key
-        assert min_abs == ref_min, bundle.key
+        gap = np.abs(np.remainder(phases - ref_phases + np.pi, 2 * np.pi) - np.pi)
+        assert np.max(gap) <= 1e-14, name
+        assert abs(min_abs - ref_min) <= 1e-14, name
+        assert abs(np.sum(phases) - np.sum(ref_phases)) / (2 * np.pi) <= 1e-12, name
     for n in (1, 2, 3):
         image = np.ascontiguousarray(mf.sphere_power_map(n).forward(verts))
         assert (_kernels.solid_angles(image, tris).tobytes()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from bundlelift import _kernels, bundles as bd, manifolds as mf, obstruction as ob
 from bundlelift.errors import BadParams, DegeneratePlaquette
 
-from helpers import holonomy_sign, torus_line_lift, unimodular
+from helpers import (holonomy_sign, oracle_line_bundles, spiky_bundle,
+                     torus_line_lift, unimodular)
 
 
 class TestLatticeChernNumber:
@@ -295,12 +298,10 @@ def test_torus_lift_agrees_with_criterion():
                 assert built == expected
 
 
-def test_degenerate_plaquette_detected():
+def _pointwise_orthogonal_bundle():
     # a field orthogonal to its surroundings at one mesh vertex zeroes the
     # triple overlap on every triangle touching it
-    base = mf.ComplexProjective(1)
-    verts, _ = mf.icosphere(3)
-    pole = verts[0]
+    pole = mf.icosphere(3)[0][0]
 
     def field(p):
         # one point or a stack, as the field contract requires
@@ -310,24 +311,27 @@ def test_degenerate_plaquette_detected():
                      np.array([1.0, 0.0], dtype=complex))
         return z[..., :, None] * z.conj()[..., None, :]
 
-    bundle = bd.BundleModel(("pointwise_orthogonal",), base, 4, 2, field,
-                            complex_fibers=True)
-    with pytest.raises(DegeneratePlaquette):
-        ob.lattice_chern_number(bundle, 3)
+    return bd.BundleModel(("pointwise_orthogonal",), mf.ComplexProjective(1),
+                          4, 2, field, complex_fibers=True)
 
 
-def _spiky(p):
-    # one point or a stack, as the field contract requires
-    x = mf.cp1_to_sphere(p)
-    s = 40.0 * x[..., 0] + 40.03 * x[..., 1]
-    z = np.stack([np.ones_like(s), s], axis=-1).astype(complex)
-    z /= np.linalg.norm(z, axis=-1, keepdims=True)
-    return z[..., :, None] * z.conj()[..., None, :]
+def _holed_bundle(fill=np.nan):
+    # the tautological field with `fill` entries at one mesh vertex; a zero
+    # fill is z z* for a section that vanishes there
+    pole = mf.icosphere(3)[0][0]
 
+    def holed(p):
+        q = np.array(p, dtype=complex)
+        q[np.linalg.norm(mf.cp1_to_sphere(p) - pole, axis=-1) < 1e-9] = fill
+        return q
 
-def _spiky_bundle():
-    return bd.BundleModel(("spiky",), mf.ComplexProjective(1), 4, 2, _spiky,
+    return bd.BundleModel(("holed",), mf.ComplexProjective(1), 4, 2, holed,
                           complex_fibers=True)
+
+
+def test_degenerate_plaquette_detected():
+    with pytest.raises(DegeneratePlaquette):
+        ob.lattice_chern_number(_pointwise_orthogonal_bundle(), 3)
 
 
 def test_non_convergent_detected():
@@ -336,25 +340,43 @@ def test_non_convergent_detected():
     from bundlelift.errors import NonConvergent
 
     with pytest.raises(NonConvergent):
-        ob.lattice_chern_number(_spiky_bundle(), 3)
+        ob.lattice_chern_number(spiky_bundle(), 3)
 
 
 def test_nan_projector_is_degenerate():
     # a NaN overlap used to pass the `min_abs < 1e-12` guard, and the NaN
     # phases then died in int(round(nan)) with a ValueError
-    pole = mf.icosphere(3)[0][0]
-
-    def holed(p):
-        q = np.array(p, dtype=complex)
-        q[np.linalg.norm(mf.cp1_to_sphere(p) - pole, axis=-1) < 1e-9] = np.nan
-        return q
-
-    bundle = bd.BundleModel(("holed",), mf.ComplexProjective(1), 4, 2, holed,
-                            complex_fibers=True)
+    bundle = _holed_bundle()
     with pytest.raises(DegeneratePlaquette):
         ob.plaquette_phases(bundle, 3)
     with pytest.raises(DegeneratePlaquette):
         ob.lattice_chern_number(bundle, 3)
+
+
+@pytest.mark.parametrize("make", [_holed_bundle, lambda: _holed_bundle(0.0),
+                                  _pointwise_orthogonal_bundle],
+                         ids=["nan", "zero", "pointwise_orthogonal"])
+def test_degenerate_fields_are_refused_without_a_warning(make):
+    # a zero or non-finite projector makes the section's division 0/0 or
+    # NaN; the kernel does it quietly and the NaN overlap is refused
+    bundle = make()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegeneratePlaquette):
+            ob.plaquette_phases(bundle, 3)
+        with pytest.raises(DegeneratePlaquette):
+            ob.lattice_chern_number(bundle, 3)
+
+
+def test_plaquette_phases_refuse_a_bundle_of_rank_two():
+    # the unit-section phases are exact only for rank-1 projectors; the
+    # identity field of C^2 would give wrong phases, not an error
+    bundle = bd.trivial(mf.ComplexProjective(1), 2, complex_fibers=True)
+    for call in (ob.plaquette_phases, ob.lattice_chern_number):
+        with pytest.raises(BadParams, match="needs a complex line bundle"):
+            call(bundle, 3)
+    with pytest.raises(BadParams, match="needs a complex line bundle"):
+        ob.plaquette_phases(bd.tangent_sphere(2), 3)
 
 
 def test_cached_mesh_points_are_read_only():
@@ -374,27 +396,12 @@ def _plaquette_phases_per_vertex(line_bundle, pts, tris):
     return phases
 
 
-def _oracle_bundles():
-    cp1 = mf.ComplexProjective(1)
-    gamma = bd.tautological_complex(1)
-    chart = mf.SmoothMap("chart", mf.sphere_to_cp1, mf.Sphere(2), cp1)
-    return {
-        "trivial": bd.trivial(cp1, 1, complex_fibers=True),
-        "gamma": gamma,
-        "f2": bd.pullback(mf.cp1_power_map(2), gamma),
-        "f3": bd.pullback(mf.cp1_power_map(3), gamma),
-        "conj": bd.pullback(mf.named_diffeo(cp1, "cpn_conjugation"), gamma),
-        "sphere_chart": bd.pullback(chart, gamma),
-        "spiky": _spiky_bundle(),
-    }
-
-
 @pytest.mark.parametrize("level", [3, 4, 5])
 def test_plaquette_phases_match_per_vertex_oracle(level):
     verts, tris = mf.icosphere(level)
     pts = {mf.Sphere(2): list(verts),
            mf.ComplexProjective(1): [mf.sphere_to_cp1(v) for v in verts]}
-    for name, bundle in _oracle_bundles().items():
+    for name, bundle in oracle_line_bundles().items():
         phases = ob.plaquette_phases(bundle, level)
         oracle = _plaquette_phases_per_vertex(bundle, pts[bundle.base], tris)
         assert phases.dtype == oracle.dtype and phases.shape == oracle.shape
