@@ -36,9 +36,10 @@ from .lifts import (ambient_projection_lift, check_lift, compose,
                     FiberFrame, grassmann_orthogonal_lift, invert, Lift,
                     lift_from_homotopy, metrize, s1xs2_generator_lift,
                     torus_line_lifts)
-from .manifolds import (ComplexProjective, Sphere, cp1_power_map, degree,
-                        identity_diffeo, named_diffeo, random_orthogonal,
-                        random_unimodular, rotation_homotopy, sphere_power_map)
+from .manifolds import (ComplexProjective, Diffeo, Sphere, cp1_power_map,
+                        degree, identity_diffeo, named_diffeo,
+                        random_orthogonal, random_unimodular,
+                        rotation_homotopy, sphere_power_map)
 from .numkernel import norms, polar_two_metric, worst
 from .obstruction import (lattice_chern_number, plaquette_phases,
                           pullback_invariance_report, torus_criterion,
@@ -426,29 +427,26 @@ def _scenario_gluing_demo(cfg):
     """Cocycle compatibility on a patch overlap: a constructed-compatible
     datum, its rotation-perturbed variant, and the adapter that extracts
     local data from a lift."""
-    rng = np.random.default_rng(cfg.seed)
-    points = [rng.uniform(-1.0, 1.0, size=2) for _ in range(12)]
-    shift = rng.uniform(0.05, 0.3, size=2)
+    points = np.random.default_rng(cfg.seed).uniform(-1.0, 1.0, size=(12, 2))
 
     def rot3(angle, axes=(0, 1)):
-        m = np.eye(3)
+        m = np.tile(np.eye(3), np.shape(angle) + (1, 1))
         i, j = axes
         c, s = np.cos(angle), np.sin(angle)
-        m[i, i] = c
-        m[j, j] = c
-        m[i, j] = -s
-        m[j, i] = s
+        m[..., i, i] = c
+        m[..., j, j] = c
+        m[..., i, j] = -s
+        m[..., j, i] = s
         return m
 
-    from .manifolds import Diffeo as _Diffeo
-    phi = _Diffeo("patch_shift", lambda x: np.asarray(x) * np.array([1.0, -1.0]),
-                  lambda x: np.asarray(x) * np.array([1.0, -1.0]), None)
+    flip = lambda x: x * np.array([1.0, -1.0])
+    phi = Diffeo("patch_shift", flip, flip, None)
 
     def alpha1(x):
-        return rot3(0.4 * float(x[0]), (0, 1)) @ rot3(0.2 * float(x[0] * x[0]), (1, 2))
+        return rot3(0.4 * x[:, 0], (0, 1)) @ rot3(0.2 * (x[:, 0] * x[:, 0]), (1, 2))
 
     def alpha_t(x):
-        return rot3(0.3 * float(x[0]) + 0.1, (0, 2))
+        return rot3(0.3 * x[:, 0] + 0.1, (0, 2))
 
     def alpha2(x):
         return np.linalg.inv(alpha_t(phi.forward(x))) @ alpha1(x) @ alpha_t(x)
@@ -478,13 +476,9 @@ def _scenario_gluing_demo(cfg):
     def in_u2(p):
         return p[..., 1, 1] > 0.1
 
-    def frame_u1(p):
-        col = np.asarray(p)[:, 0]
-        return (col / np.linalg.norm(col)).reshape(2, 1)
-
-    def frame_u2(p):
-        col = np.asarray(p)[:, 1]
-        return (col / np.linalg.norm(col)).reshape(2, 1)
+    def unit_column(j):
+        # the frame of the line: column j of p, normalised, as (P, 2, 1)
+        return lambda p: (p[..., :, j] / norms(p[..., :, j])[..., None])[..., None]
 
     # 200 candidates, of which the prefix up to the 8th overlap point is kept
     p = _draw(bundle.base, cfg.seed, 400, 200)
@@ -492,10 +486,10 @@ def _scenario_gluing_demo(cfg):
     if len(both) < 8:
         raise BadParams(f"200 draws gave {len(both)} overlap points, fewer than 8")
     p = p[:both[7] + 1]
-    pts1, pts2, overlap = (list(p[m]) for m in (in_u1(p), in_u2(p), both[:8]))
+    pts1, pts2, overlap = (p[m] for m in (in_u1(p), in_u2(p), both[:8]))
     da, db, dt = local_data_from_lift(lift, ("U1", pts1, in_u1),
                                       ("U2", pts2, in_u2),
-                                      frame_u1, frame_u2, overlap)
+                                      unit_column(0), unit_column(1), overlap)
     adapted = cocycle_compat_check(da, db, dt, lift.base_map)
     checks.append(_check("cocycle.adapter_from_lift",
                          adapted["max_residual"], 1e-10))

@@ -6,6 +6,12 @@ verifier, not a constructor): a local lift datum is the orthogonal matrix
 field alpha_i of the lift in the patch's frame, a transition datum is the
 orthogonal change-of-frame field alpha on the overlap. Compatibility on
 the overlap means alpha_2(x) = alpha(phi(x))^{-1} alpha_1(x) alpha(x).
+
+Fields take point stacks, as the fields of ``bundles`` do: a lift or
+transition field maps a stack of P points to a (P, r, r) stack of
+matrices, a frame maps it to a (P, N, r) stack, and a patch predicate maps
+it to P booleans. Sample and overlap points are such stacks. Every check
+evaluates a field once per stack it needs, whatever the number of points.
 """
 
 from dataclasses import dataclass
@@ -24,21 +30,21 @@ __all__ = [
 
 
 def _check_orthogonal_field(alpha, points, label):
-    for x in points:
-        a = np.asarray(alpha(x), dtype=float)
-        defect = float(np.max(np.abs(a @ a.T - np.eye(a.shape[0]))))
-        if not defect <= 1e-8:
-            raise NotOrthonormal(
-                f"{label} is not orthogonal at a sample (defect {defect:.3e})"
-            )
+    a = np.asarray(alpha(points), dtype=float)
+    eye = np.eye(a.shape[-1])
+    defects = np.max(np.abs(a @ np.swapaxes(a, -1, -2) - eye), axis=(-2, -1))
+    bad = np.flatnonzero(~(defects <= 1e-8))
+    if bad.size:
+        raise NotOrthonormal(f"{label} is not orthogonal at sample {bad[0]} "
+                             f"(defect {defects[bad[0]]:.3e})")
 
 
 @dataclass
 class LocalLiftDatum:
     patch_id: str
-    sample_points: list
-    alpha: object  # point -> orthogonal (r, r) matrix
-    contains: object = None  # optional membership predicate for the patch
+    sample_points: np.ndarray
+    alpha: object  # (P, ...) points -> (P, r, r) orthogonal matrices
+    contains: object = None  # optional (P, ...) points -> P booleans
 
     def __post_init__(self):
         _check_orthogonal_field(self.alpha, self.sample_points,
@@ -47,8 +53,8 @@ class LocalLiftDatum:
 
 @dataclass
 class TransitionDatum:
-    overlap_points: list
-    alpha: object  # point -> orthogonal (r, r) matrix
+    overlap_points: np.ndarray
+    alpha: object  # (P, ...) points -> (P, r, r) orthogonal matrices
 
     def __post_init__(self):
         _check_orthogonal_field(self.alpha, self.overlap_points, "transition alpha")
@@ -59,27 +65,26 @@ def cocycle_compat_check(d1, d2, transition, diffeo, tolerance=1e-6):
     verdict. Patch invariance under the diffeomorphism is checked first
     wherever a membership predicate was supplied. An empty overlap is
     refused: with nothing to measure there is no verdict."""
-    if len(transition.overlap_points) == 0:
+    x = transition.overlap_points
+    if len(x) == 0:
         raise BadParams("no overlap points to check the cocycle condition on")
     for datum in (d1, d2):
         if datum.contains is None:
             continue
-        for x in datum.sample_points:
-            if not datum.contains(diffeo.forward(x)):
-                raise PatchNotInvariant(
-                    f"diffeomorphism leaves patch {datum.patch_id} at a sample"
-                )
-    max_residual = 0.0
-    for x in transition.overlap_points:
-        a1 = np.asarray(d1.alpha(x), dtype=float)
-        a2 = np.asarray(d2.alpha(x), dtype=float)
-        a_here = np.asarray(transition.alpha(x), dtype=float)
-        a_there = np.asarray(transition.alpha(diffeo.forward(x)), dtype=float)
-        gap = a2 - np.linalg.inv(a_there) @ a1 @ a_here
-        # spectral norm: a rotation perturbation by angle d scores 2 sin(d/2);
-        # LAPACK's SVD rejects a non-finite matrix, NaN then fails the verdict
-        res = float(np.linalg.norm(gap, 2)) if np.all(np.isfinite(gap)) else np.nan
-        max_residual = worst(max_residual, res)
+        inside = datum.contains(diffeo.forward(datum.sample_points))
+        moved = np.flatnonzero(np.logical_not(inside))
+        if moved.size:
+            raise PatchNotInvariant(f"diffeomorphism moves sample {moved[0]} "
+                                    f"out of patch {datum.patch_id}")
+    a_there = transition.alpha(diffeo.forward(x))
+    gap = d2.alpha(x) - np.linalg.inv(a_there) @ d1.alpha(x) @ transition.alpha(x)
+    # spectral norm: a rotation perturbation by angle d scores 2 sin(d/2);
+    # LAPACK's SVD rejects a non-finite matrix, so it is zeroed for the SVD
+    # and its residual reads NaN, which fails the verdict
+    finite = np.isfinite(gap).all(axis=(-2, -1))
+    res = np.linalg.matrix_norm(np.where(finite[:, None, None], gap, 0.0), ord=2)
+    res[~finite] = np.nan
+    max_residual = worst(0.0, *res.tolist())
     return {"max_residual": max_residual,
             "compatible": max_residual <= tolerance}
 
@@ -89,28 +94,21 @@ def local_data_from_lift(lift, patch1, patch2, frame1, frame2, overlap_points):
     lift and two explicit orthonormal frame fields.
 
     ``patch1``/``patch2`` are (patch_id, sample_points, contains) triples;
-    frame fields map a base point to an (N, r) matrix of orthonormal
-    columns spanning the fiber. The local matrix of the lift in a frame is
-    alpha_i(x) = s_i(phi(x))^T Phi_x s_i(x); the transition is
-    alpha(x) = s_1(x)^T s_2(x).
+    frame fields map a stack of base points to a (P, N, r) stack of
+    orthonormal columns spanning the fibers. The local matrix of the lift
+    in a frame is alpha_i(x) = s_i(phi(x))^T Phi_x s_i(x); the transition
+    is alpha(x) = s_1(x)^T s_2(x).
     """
     phi = lift.base_map
 
     def make_alpha(frame):
-        def alpha(x):
-            return lift.fiber_matrix_between(
-                x, np.asarray(frame(x), dtype=float),
-                np.asarray(frame(phi.forward(x)), dtype=float))
-
-        return alpha
+        return lambda x: lift.fiber_matrix_between(x, frame(x),
+                                                   frame(phi.forward(x)))
 
     id1, pts1, contains1 = patch1
     id2, pts2, contains2 = patch2
     d1 = LocalLiftDatum(id1, pts1, make_alpha(frame1), contains=contains1)
     d2 = LocalLiftDatum(id2, pts2, make_alpha(frame2), contains=contains2)
-
-    def alpha_transition(x):
-        return np.asarray(frame1(x), dtype=float).T @ np.asarray(frame2(x), dtype=float)
-
-    t = TransitionDatum(overlap_points, alpha_transition)
+    t = TransitionDatum(
+        overlap_points, lambda x: np.swapaxes(frame1(x), -1, -2) @ frame2(x))
     return d1, d2, t

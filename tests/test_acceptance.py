@@ -229,23 +229,22 @@ def test_criterion_8_group_structure():
 def test_criterion_9_gluing():
     n = _criterion(9, "constructed cocycle datum residual <= 1e-12; rotation "
                       "0.1 perturbation scores within 10% of 0.1, incompatible")
-    rng = np.random.default_rng(31)
-    points = [rng.uniform(-1, 1, size=2) for _ in range(10)]
+    points = np.random.default_rng(31).uniform(-1, 1, size=(10, 2))
     phi = mf.Diffeo("flip", lambda x: x * np.array([1.0, -1.0]),
                     lambda x: x * np.array([1.0, -1.0]), None)
 
     def rot(angle, axes=(0, 1)):
-        m = np.eye(3)
+        m = np.tile(np.eye(3), np.shape(angle) + (1, 1))
         i, j = axes
         c, s = np.cos(angle), np.sin(angle)
-        m[i, i] = c
-        m[j, j] = c
-        m[i, j] = -s
-        m[j, i] = s
+        m[..., i, i] = c
+        m[..., j, j] = c
+        m[..., i, j] = -s
+        m[..., j, i] = s
         return m
 
-    alpha1 = lambda x: rot(0.5 * float(x[0])) @ rot(0.2 * float(x[1]), (1, 2))
-    alpha_t = lambda x: rot(0.3 * float(x[0]) + 0.2, (0, 2))
+    alpha1 = lambda x: rot(0.5 * x[:, 0]) @ rot(0.2 * x[:, 1], (1, 2))
+    alpha_t = lambda x: rot(0.3 * x[:, 0] + 0.2, (0, 2))
     alpha2 = lambda x: (np.linalg.inv(alpha_t(phi.forward(x)))
                         @ alpha1(x) @ alpha_t(x))
     good = cocycle_compat_check(LocalLiftDatum("U1", points, alpha1),
