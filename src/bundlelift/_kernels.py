@@ -1,7 +1,8 @@
 """Hot numeric kernels, in numpy: RK4 transport (step increments built in
-batched products over blocks of steps, then one short loop over the
-steps), plaquette phases from unit sections and solid angles (corner
-data gathered with ``np.take``, faster than fancy indexing).
+batched products over blocks of steps, then one short loop over the steps
+of the window's segments side by side), plaquette phases from unit
+sections and solid angles (corner data gathered with ``np.take``, faster
+than fancy indexing).
 The symmetric eigensolver is LAPACK's, behind
 :func:`bundlelift.numkernel.sym_eigh`.
 """
@@ -25,8 +26,11 @@ import numpy as np
 # rounds the state to the size of I, and the roundoff floor of a long run
 # rises about 60x, while x + D x keeps the small increment apart from the
 # state.
-# The method is one-step: a run split at a node, the second call started
-# from the first call's result, is bitwise the same as the whole run.
+# A window of ``segments`` equal segments runs them side by side: x0 and the
+# result hold one state per segment on a leading axis (none for one
+# segment), each bitwise the segment walked alone. The method is one-step:
+# a segment split at a node, the second call started from the first call's
+# result, is bitwise the same as the whole segment.
 
 # Bytes of one matrix stack of an increment block (one matrix per track and
 # step): the temporaries of the batched products are a few blocks, so next
@@ -36,7 +40,7 @@ import numpy as np
 INCREMENT_BLOCK_BYTES = 2 ** 16
 
 
-def rk4_transport(qp, qnode, x0, h):
+def rk4_transport(qp, qnode, x0, h, segments=1):
     steps = qnode.shape[0] - 1
     d = np.empty((steps,) + qp.shape[1:], dtype=qp.dtype)
     block = max(1, INCREMENT_BLOCK_BYTES // max(1, qnode[0].nbytes))
@@ -60,10 +64,14 @@ def rk4_transport(qp, qnode, x0, h):
         k += a2
         de += k
         de *= h / 6.0
+    # (step in segment, segment) on the leading axes
+    split = (segments, steps // segments) + d.shape[1:]
+    d = d.reshape(split).swapaxes(0, 1)
+    qn = qnode[1:].reshape(split).swapaxes(0, 1)
     x = x0
-    for i in range(steps):
-        x = qnode[i + 1] @ (x + d[i] @ x)
-    return x
+    for i in range(len(d)):
+        x = qn[i] @ (x + d[i] @ x)
+    return x.reshape(x0.shape)
 
 
 # ---------------------------------------------------------------------------

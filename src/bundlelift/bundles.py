@@ -25,20 +25,24 @@ The ODE is linear, so the kernel builds the RK4 increment D of every step
 of a window in batched products of the stage matrices and then loops
 chi <- Qnode (chi + D chi). The identity is kept out of D: folded in, it
 would round chi to the size of I and raise the roundoff floor of long
-runs.
+runs. The ODE being linear, the operator is also the product of the
+transports over the gcd(steps, ``TRANSPORT_SEGMENTS``) equal segments of
+the grid, each walked from the projector at its first node.
 
 A ``Path`` is one track or a stack of P tracks: evaluated on a vector of T
 times it returns shape (T, ...) or (T, P, ...). ``joint_transport_operators``
 takes a list of (bundle, path) pairs whose bundles share the ambient fiber
-dimension N, and walks the RK4 time grid in windows of consecutive steps.
+dimension N, and walks the RK4 time grid in windows of consecutive steps
+that never cross a segment boundary.
 Per window and pair it evaluates the path on the window's stage and node
 times (once, on the stage times, for a path with an exact velocity) and
 calls each field once on the flattened times x tracks stack; the tracks of
 all pairs go side by side on the axis after time, into one RK4 kernel
-call, which continues from the previous window's state. A window holds as
-many steps as fit in ``TRANSPORT_CHUNK_BYTES`` of stage arrays for all
-tracks, so memory stays bounded at any step count; more tracks than fit one
-step are transported in groups that each fit. One track is the case P = 1.
+call, which runs the window's whole segments side by side or continues a
+segment from the previous window's state. A window holds as many steps as
+fit in ``TRANSPORT_CHUNK_BYTES`` of stage arrays for all tracks, so memory
+stays bounded at any step count; more tracks than fit one step are
+transported in groups that each fit. One track is the case P = 1.
 Each pair gets one (N, N) operator, or (P, N, N) for a stack, bitwise the
 operator of that pair transported alone.
 ``holonomy_signs`` likewise takes (line bundle, loop) pairs, each loop one
@@ -435,12 +439,17 @@ def _place(window, part, start, tracks):
 # ``joint_transport_operators`` call share this one budget. They are split
 # into groups of as many tracks as fit one step (five N x N matrices per
 # track), and each group walks the time grid in windows of as many steps
-# as fit. Each pair's stage arrays are copied into its track slice of the
-# window, one pair at a time, so one pair's arrays come on top of the
-# budget (none for a single pair, whose arrays are the window), as do the
-# kernel's step increments D (w matrices per track for a window of w steps)
-# and its few increment blocks.
+# as fit, rounded down to whole segments; a window shorter than a segment
+# ends at its segment's end at the latest. Each pair's stage arrays are copied into its
+# track slice of the window, one pair at a time, so one pair's arrays come
+# on top of the budget (none for a single pair, whose arrays are the
+# window), as do the kernel's step increments D (w matrices per track for
+# a window of w steps) and its few increment blocks.
 TRANSPORT_CHUNK_BYTES = 2 ** 20
+
+# The grid is cut into gcd(steps, TRANSPORT_SEGMENTS) segments: a number
+# of steps alone, so no operator depends on windows, groups or pairs.
+TRANSPORT_SEGMENTS = 32
 
 
 def _pair_name(k, m):
@@ -454,6 +463,8 @@ def joint_transport_operators(pairs, steps=DEFAULT_TRANSPORT_STEPS):
     transported alone. The bundles must share ``ambient_fiber_dim``: the
     tracks of all pairs go side by side into each window, and each window
     makes one RK4 kernel call."""
+    if not isinstance(steps, (int, np.integer)):
+        raise BadParams(f"transport steps must be an integer, not {steps!r}")
     if steps < 16:
         raise BadParams("transport needs at least 16 steps")
     if not pairs:
@@ -470,6 +481,7 @@ def joint_transport_operators(pairs, steps=DEFAULT_TRANSPORT_STEPS):
     tracks = ends[-1]
     matrix_bytes = n * n * 8
     group = max(1, TRANSPORT_CHUNK_BYTES // (5 * matrix_bytes))
+    seg = steps // math.gcd(steps, TRANSPORT_SEGMENTS)
     h = 1.0 / steps
     ts = (0.5 * h) * np.arange(2 * steps + 1)
     nodes = h * np.arange(steps + 1)
@@ -480,9 +492,12 @@ def joint_transport_operators(pairs, steps=DEFAULT_TRANSPORT_STEPS):
         e = min(g + group, tracks)
         # a window of w steps holds 2w+1 stage and w+1 node matrices per track
         window = max(1, (TRANSPORT_CHUNK_BYTES // ((e - g) * matrix_bytes) - 2) // 3)
-        x = None
-        for i in range(0, steps, window):
-            j = min(i + window, steps)
+        window = window - window % seg if window >= seg else window
+        x = total = None
+        i = 0
+        while i < steps:
+            # whole segments, or a part of one segment
+            j = min(i + window, steps if window >= seg else i - i % seg + seg)
             qp = qnode = None
             for (bundle, path), start, end in zip(pairs, starts, ends):
                 lo, hi = max(start, g), min(end, e)
@@ -493,8 +508,15 @@ def joint_transport_operators(pairs, steps=DEFAULT_TRANSPORT_STEPS):
                     slice(lo - start, hi - start))
                 qp = _place(qp, part_qp, lo - g, e - g)
                 qnode = _place(qnode, part_qnode, lo - g, e - g)
-            x = _kernels.rk4_transport(qp, qnode, qnode[0] if x is None else x, h)
-        out[g:e] = x
+            # a segment starts from the projector at its first node
+            x = _kernels.rk4_transport(qp, qnode, qnode[:-1:seg] if x is None else x,
+                                       h, segments=max(1, (j - i) // seg))
+            if j % seg == 0:
+                for t in x:
+                    total = t if total is None else t @ total
+                x = None
+            i = j
+        out[g:e] = total
     return [out[a:b].reshape(shape + (n, n))
             for shape, a, b in zip(shapes, starts, ends)]
 

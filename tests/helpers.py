@@ -3,9 +3,9 @@ does not need."""
 
 import numpy as np
 
-from bundlelift import manifolds as mf
-from bundlelift.bundles import (BundleModel, holonomy_signs, pullback,
-                                tautological_complex, trivial)
+from bundlelift import _kernels, manifolds as mf
+from bundlelift.bundles import (BundleModel, _stage_arrays, holonomy_signs,
+                                pullback, tautological_complex, trivial)
 from bundlelift.config import DEFAULT_TOLERANCES as TOL
 from bundlelift.config import DEFAULT_TRANSPORT_STEPS
 from bundlelift.errors import BadParams, CriterionFails
@@ -118,6 +118,19 @@ def holonomy_sign(line_bundle, loop, steps=DEFAULT_TRANSPORT_STEPS):
     """Orientation sign picked up by a real line bundle around a closed
     loop; for a stack of loops, the int array of one sign per loop."""
     return holonomy_signs([(line_bundle, loop)], steps)[0]
+
+
+def sequential_transport(bundle, path, steps):
+    """``transport_operator`` as one RK4 walk over the whole time grid from
+    the projector at t = 0, as it was before the grid was cut into
+    segments: a split at a node does not change a bit of a walk, so this is
+    every windowed walk of that design."""
+    h = 1.0 / steps
+    qp, qnode = _stage_arrays(bundle, path, (0.5 * h) * np.arange(2 * steps + 1),
+                              h * np.arange(steps + 1), slice(None))
+    n = bundle.ambient_fiber_dim
+    shape = bundle.base.stack_shape(path(0.0))
+    return _kernels.rk4_transport(qp, qnode, qnode[0], h).reshape(shape + (n, n))
 
 
 def torus_line_lift(a, b):

@@ -11,7 +11,8 @@ from bundlelift.numkernel import norms, realify
 
 from helpers import (complement, constant_homotopy, cpn_phase_homotopy,
                      eigh_fiber_basis, exact_group_transport, holonomy_sign,
-                     random_point, stack_points, torus_line_lift)
+                     random_point, sequential_transport, stack_points,
+                     torus_line_lift)
 
 
 ALL_BUNDLES = [
@@ -371,9 +372,10 @@ def _window_bytes(tracks, window, n):
     return tracks * (3 * window + 2) * n * n * 8
 
 
-# windows of one step, of 7 steps (the last one short) and one window over
-# the whole grid of 256 steps
-WINDOWS = (1, 7, 256)
+# at 256 steps the 32 segments are of L = 8 steps: windows of one step, of
+# 7 steps (then 1 to the segment's end), of 9 steps (rounded down to one
+# segment) and one window over the whole grid
+WINDOWS = (1, 7, 9, 256)
 
 
 @pytest.mark.parametrize("name,bundle,tracks,model", STACKED_TRACKS,
@@ -418,13 +420,14 @@ def test_stacked_torus_loops_are_bitwise_per_loop(monkeypatch):
 
 
 def _counted_kernel(monkeypatch):
-    # (steps, stage bytes, tracks) of every RK4 kernel call
+    # (steps, stage bytes, tracks, segments) of every RK4 kernel call
     calls = []
     kernel = _kernels.rk4_transport
 
-    def counted(qp, qnode, *rest):
-        calls.append((qnode.shape[0] - 1, qp.nbytes + qnode.nbytes, qp.shape[1]))
-        return kernel(qp, qnode, *rest)
+    def counted(qp, qnode, *rest, **kwargs):
+        calls.append((qnode.shape[0] - 1, qp.nbytes + qnode.nbytes, qp.shape[1],
+                      kwargs.get("segments", 1)))
+        return kernel(qp, qnode, *rest, **kwargs)
 
     monkeypatch.setattr(_kernels, "rk4_transport", counted)
     return calls
@@ -436,9 +439,12 @@ def test_chunk_budget_sets_the_kernel_calls(monkeypatch):
     xs = stack_points([random_point(mf.Sphere(2), s) for s in range(7)])
     h = mf.rotation_homotopy(mf.Sphere(2), (0, 2), 0.8)
     bd.transport_operator(bd.tangent_sphere(2), bd.homotopy_path(h, xs), steps=64)
+    # 64 steps are 32 segments of 2: windows of 10 steps are 5 whole segments
     assert len(calls) == math.ceil(64 / 10)
     assert [c[0] for c in calls] == [10] * 6 + [4]
+    assert [c[3] for c in calls] == [5] * 6 + [2]
     assert all(c[2] == 7 for c in calls)
+    assert max(c[1] for c in calls) <= bd.TRANSPORT_CHUNK_BYTES
 
 
 def test_transport_stage_arrays_stay_in_budget_at_large_step_counts(monkeypatch):
@@ -451,6 +457,8 @@ def test_transport_stage_arrays_stay_in_budget_at_large_step_counts(monkeypatch)
     bd.transport_operator(bd.tangent_sphere(2), bd.homotopy_path(h, x), steps=steps)
     assert max(c[1] for c in calls) <= bd.TRANSPORT_CHUNK_BYTES
     assert sum(c[0] for c in calls) == steps
+    # the budget fits 4853 steps, rounded down to two segments of 2048
+    assert [(c[0], c[3]) for c in calls] == [(4096, 2)] * 16
 
 
 def test_more_tracks_than_fit_one_step_are_transported_in_groups(monkeypatch):
@@ -622,17 +630,71 @@ def test_joint_transport_is_bitwise_each_pair_alone(monkeypatch):
     assert len(joint) == len(pairs)
     for got, want in zip(joint, alone):
         assert got.shape == want.shape and np.array_equal(got, want)
-    # the window size does not change the operators
+    # the window size does not change the operators; no window crosses a
+    # segment boundary of the 32 segments of 8 steps
+    expected = {1: [(1, 1)] * 256, 7: [(7, 1), (1, 1)] * 32, 9: [(8, 1)] * 32,
+                256: [(256, 32)]}
     for window in WINDOWS:
         monkeypatch.setattr(bd, "TRANSPORT_CHUNK_BYTES", _window_bytes(tracks, window, 2))
         calls = _counted_kernel(monkeypatch)
         joint = bd.joint_transport_operators(pairs, steps=256)
         monkeypatch.undo()
-        assert [c[0] for c in calls] == [window] * (256 // window) + (
-            [256 % window] if 256 % window else [])
+        assert [(c[0], c[3]) for c in calls] == expected[window]
         assert all(c[2] == tracks for c in calls)
+        assert max(c[1] for c in calls) <= _window_bytes(tracks, window, 2)
         for got, want in zip(joint, alone):
             assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("steps", [256, 1024])
+def test_segmented_transport_matches_the_sequential_walk(steps):
+    # the product of the segment transports regroups the arithmetic of one
+    # walk over the whole grid, so the two agree to roundoff, not bitwise
+    pairs = _joint_pairs()
+    ops = bd.joint_transport_operators(pairs, steps)
+    for _, bundle, tracks, model in STACKED_TRACKS:
+        path = tracks(stack_points([random_point(model, 60 + i) for i in range(3)]))
+        pairs.append((bundle, path))
+        ops.append(bd.transport_operator(bundle, path, steps))
+    for (bundle, path), op in zip(pairs, ops):
+        assert np.max(np.abs(op - sequential_transport(bundle, path, steps))) <= 1e-13
+
+
+def test_transport_of_one_segment_is_bitwise_the_sequential_walk():
+    # gcd(255, 32) = 1: one segment, walked in windows from its first node
+    pairs = _joint_pairs()[-4:]
+    for (bundle, path), op in zip(pairs, bd.joint_transport_operators(pairs, 255)):
+        assert np.array_equal(op, sequential_transport(bundle, path, 255))
+
+
+@settings(max_examples=15)
+@given(steps=st.integers(16, 300), data=st.data())
+def test_segment_windows_leave_every_operator_bitwise(steps, data):
+    # one window below the segment length L (it ends at the segment's end)
+    # and one of at least L (rounded down to whole segments)
+    seg = steps // math.gcd(steps, bd.TRANSPORT_SEGMENTS)
+    short = data.draw(st.integers(1, max(1, seg - 1)), label="short")
+    long = data.draw(st.integers(seg, steps), label="long")
+    pairs = _joint_pairs()[-4:]
+    tracks = 1 + 4 + 1 + 1
+    want = bd.joint_transport_operators(pairs, steps)
+    for window in (short, long):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bd, "TRANSPORT_CHUNK_BYTES", _window_bytes(tracks, window, 2))
+            got = bd.joint_transport_operators(pairs, steps)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+def test_transport_steps_must_be_an_integer():
+    bundle, path = bd.torus_line((1, 0)), _torus_loop(2, 1)
+    for steps in (64.0, 100.5, "64"):
+        with pytest.raises(BadParams, match="^transport steps must be an integer"):
+            bd.transport_operator(bundle, path, steps=steps)
+    with pytest.raises(BadParams, match="at least 16 steps"):
+        bd.transport_operator(bundle, path, steps=15)
+    assert np.array_equal(bd.transport_operator(bundle, path, steps=np.int64(64)),
+                          bd.transport_operator(bundle, path, steps=64))
 
 
 def test_joint_transport_refuses_mixed_fiber_dimensions_and_no_pairs():

@@ -52,7 +52,16 @@ in their last digits (grassmann_action
 tangent_isometry ``differential_sigma.min_singular_value``), and every
 name, verdict and tolerance stayed. The polar factor from one SVD moved
 no byte: at identity metrics the two-metric formula it replaced computed
-the same products."""
+the same products.
+
+homotopy_lift_sphere and s1xs2_generators .json were regenerated when
+the RK4 grid of every transport came to be cut into segments, each
+walked from the projector at its first node, and the operator came to be
+the product of the segment transports: ten residuals moved in their last
+digits (homotopy_lift_sphere ``checks[0]`` to ``[3]``, s1xs2_generators
+``checks[8]``, ``[9]``, ``[10]``, ``[21]``, ``[22]``, ``[23]``, listed in
+CHANGES.md), and every name, verdict and tolerance stayed. The other
+reports, both torus_sweep files included, kept their bytes."""
 
 import csv
 import io

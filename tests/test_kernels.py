@@ -168,6 +168,26 @@ def test_rk4_transport_split_at_any_node_is_bitwise_one_call(steps, data, tracks
         _kernels.rk4_transport(qp[2 * split:], qnode[split:], first, h), whole)
 
 
+@pytest.mark.parametrize("segments,length,tracks,n",
+                         [(4, 8, 3, 3), (12, 32, 28, 2), (3, 1, 1, 4), (1, 13, 2, 2)])
+def test_rk4_transport_segments_side_by_side_are_bitwise_separate_calls(
+        segments, length, tracks, n):
+    # a window of k segments of L steps, each started from its own state,
+    # is k one-segment calls on the segments' stage arrays
+    steps = segments * length
+    rng = np.random.default_rng([segments, length, tracks, n])
+    h = 1.0 / steps
+    qp = rng.normal(size=(2 * steps + 1, tracks, n, n))
+    qnode = 0.5 * rng.normal(size=(steps + 1, tracks, n, n))
+    x0 = rng.normal(size=(segments, tracks, n, n))
+    whole = _kernels.rk4_transport(qp, qnode, x0, h, segments=segments)
+    assert whole.shape == x0.shape
+    for s in range(segments):
+        a, b = s * length, (s + 1) * length
+        alone = _kernels.rk4_transport(qp[2 * a:2 * b + 1], qnode[a:b + 1], x0[s], h)
+        assert np.array_equal(whole[s], alone)
+
+
 def _unblocked_rk4_transport(qp, qnode, x0, h):
     # the increments of the whole window in one batch of products, as
     # before they were built in blocks; kept as the oracle

@@ -215,9 +215,9 @@ def test_check_lift_calls_do_not_grow_with_samples(monkeypatch):
         counts["action"] = counts.get("action", 0) + 1
         return action(self, x, v)
 
-    def counted_kernel(qp, qnode, x0, h):
+    def counted_kernel(qp, qnode, x0, h, **kwargs):
         counts["rk4_transport"] = counts.get("rk4_transport", 0) + 1
-        return kernel(qp, qnode, x0, h)
+        return kernel(qp, qnode, x0, h, **kwargs)
 
     def counted_projector(self, x):
         counts["fiber_projector"] = counts.get("fiber_projector", 0) + 1
