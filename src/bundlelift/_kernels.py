@@ -1,8 +1,8 @@
 """Hot numeric kernels, in numpy: RK4 transport (step increments built in
 batched products over blocks of steps, then one short loop over the steps
 of the window's segments side by side), plaquette phases from unit
-sections and solid angles (corner data gathered with ``np.take``, faster
-than fancy indexing).
+sections per subdivision group of four triangles, and solid angles (data
+gathered with ``np.take``, faster than fancy indexing).
 The symmetric eigensolver is LAPACK's, behind
 :func:`bundlelift.numkernel.sym_eigh`.
 """
@@ -78,23 +78,29 @@ def rk4_transport(qp, qnode, x0, h, segments=1):
 # Bargmann-phase plaquette sums: arg tr(Q_a Q_b Q_c) per oriented triangle,
 # for rank-1 Q = w w* that of <a|b><b|c><c|a>, w = Q[:, k] / sqrt(Q_kk) with
 # k = argmax Re diag Q (Fukui, Hatsugai and Suzuki, J. Phys. Soc. Jpn. 74,
-# 1674, 2005). w is (m, V): an overlap is m multiply-adds over length-K arrays.
+# 1674, 2005); a zero or non-finite Q gives a NaN w and min |tr| quietly.
+# w is (m, V). Each vertex of a subdivision group of manifolds.icosphere is
+# gathered and conjugated once; <v|u> is not always bitwise conj(<u|v>).
 
 
-def _overlap(u, v):
-    return sum((u[i].conj() * v[i] for i in range(1, len(u))), u[0].conj() * v[0])
+@np.errstate(invalid="ignore", divide="ignore")
+def unit_sections(qv):
+    rows = np.arange(qv.shape[0])
+    diag = qv.diagonal(axis1=1, axis2=2).real
+    k = np.argmax(diag, axis=1)
+    return qv[rows, :, k].T / np.sqrt(diag[rows, k])
 
 
-def plaquette_phases(qv, tris):
-    # a zero or non-finite Q gives NaN sections quietly; min |tr| is then NaN
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rows = np.arange(qv.shape[0])
-        diag = qv.diagonal(axis1=1, axis2=2).real
-        k = np.argmax(diag, axis=1)
-        w = qv[rows, :, k].T / np.sqrt(diag[rows, k])
-        a, b, c = (np.take(w, t, axis=1) for t in tris.T)
-        tr = _overlap(a, b) * _overlap(b, c) * _overlap(c, a)
-        return np.angle(tr), float(np.abs(tr).min(initial=1e300))
+def plaquette_phases(w, tris):
+    a, ab, ca, b, bc, c = range(6)  # a group's vertices on axis 1 of u
+    u = np.take(w, tris.reshape(-1, 12)[:, [0, 1, 2, 3, 4, 6]].T, axis=1)
+    uc = u.conj()
+
+    def o(i, j):
+        return sum((uc[n, i] * u[n, j] for n in range(1, len(u))), uc[0, i] * u[0, j])
+    tr = np.stack([o(a, ab) * o(ab, ca) * o(ca, a), o(b, bc) * o(bc, ab) * o(ab, b),
+                   o(c, ca) * o(ca, bc) * o(bc, c), o(ab, bc) * o(bc, ca) * o(ca, ab)], 1)
+    return np.angle(tr).reshape(-1), float(np.abs(tr).min(initial=1e300))
 
 
 # ---------------------------------------------------------------------------

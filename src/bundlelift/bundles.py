@@ -201,6 +201,12 @@ def _outer(a, b):
     return a[..., :, None] * b[..., None, :]
 
 
+def _sym_outer(a, b):
+    # outer(a, b) + outer(b, a), bitwise: b_i a_j is a_j b_i exactly
+    s = _outer(a, b)
+    return s + np.swapaxes(s, -1, -2)
+
+
 def _block_diag(a, b):
     """Block-diagonal [[a, 0], [0, b]] of two stacks of square matrices."""
     n1, n2 = a.shape[-1], b.shape[-1]
@@ -291,7 +297,7 @@ def torus_line(b):
         u = u_of(x)
         rate = np.pi * (np.asarray(xdot, dtype=float) @ bf)
         du = rate[..., None] * (u[..., ::-1] * quarter_turn)
-        return _outer(du, u) + _outer(u, du)
+        return _sym_outer(du, u)
 
     model = BundleModel(
         key=("torus_line", tuple(int(v) for v in b)),
@@ -314,7 +320,7 @@ def tangent_sphere(n):
         ambient_fiber_dim=n + 1,
         real_rank=n,
         projector=lambda x: eye - _outer(x, x),
-        projector_differential=lambda x, xdot: -(_outer(xdot, x) + _outer(x, xdot)),
+        projector_differential=lambda x, xdot: -_sym_outer(xdot, x),
     )
 
 

@@ -676,10 +676,11 @@ def sphere_power_map(n):
 def icosphere(level):
     """Subdivided icosahedron: (vertices (nv,3), triangles (nt,3)).
 
-    Level L splits every triangle of the cached level L-1 into four at its
-    edge midpoints, pushed out to the sphere and appended in face order.
-    Triangles are oriented outward (positive triple product); vertex and
-    triangle order are deterministic.
+    Level L appends the edge midpoints of the cached level L-1, pushed out
+    to the sphere, to its vertices, and splits each face [a, b, c] in order
+    into [a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]. Triangles are
+    oriented outward (positive triple product); vertex and triangle order
+    are deterministic.
     """
     if level < 0:
         raise BadParams("subdivision level must be >= 0")

@@ -5,10 +5,10 @@ criterion for torus line bundles.
 The Chern number of a complex line bundle over the two-sphere is computed
 from gauge-invariant Bargmann phases arg tr(Q_a Q_b Q_c), for rank-1
 Q = w w* the phases of <a|b><b|c><c|a>, summed over an icosphere
-triangulation, with one projector-field call on the stack of all mesh
-vertices per mesh; the orientation convention is pinned by the calibration
-anchor c1(tautological line over CP^1) = -1. Only convention-independent
-ratios and products are meaningful across other conventions.
+triangulation at levels L and L+1 from one projector-field call per Chern
+number, at level L+1; the orientation convention is pinned by the anchor
+c1(tautological line over CP^1) = -1. Only convention-independent ratios
+and products are meaningful across other conventions.
 """
 
 import functools
@@ -60,30 +60,31 @@ def _mesh_base_points(base, level):
     raise BadParams(f"chern computation needs a base S^2 or CP^1, got {base}")
 
 
+def _level_phases(line_bundle, levels):
+    # the phases at each level from one field call on the last level's
+    # vertices: the first vertices of a mesh are those of every coarser one
+    if line_bundle.real_rank != 2 or not line_bundle.has_complex_structure:
+        raise BadParams("lattice_chern_number needs a complex line bundle")
+    pts = _mesh_base_points(line_bundle.base, levels[-1])
+    w = _kernels.unit_sections(line_bundle.complex_fiber_projector(pts))
+    for level in levels:
+        verts, tris = icosphere(level)
+        phases, min_abs = _kernels.plaquette_phases(w[:, :len(verts)], tris)
+        if not min_abs >= 1e-12:
+            raise DegeneratePlaquette(f"plaquette overlap {min_abs:.3e} < 1e-12 "
+                                      f"at level {level}")
+        yield phases
+
+
 def plaquette_phases(line_bundle, mesh_level):
     """Per-triangle Bargmann phases of the bundle on the icosphere mesh,
     in triangle-index order. The complex projector field is evaluated once,
     on the stack of all mesh vertices; a zero or non-finite projector gives
     a NaN overlap, which is degenerate. Only complex line bundles (rank-1
-    Q) are taken."""
-    if line_bundle.real_rank != 2 or not line_bundle.has_complex_structure:
-        raise BadParams("lattice_chern_number needs a complex line bundle")
-    pts = _mesh_base_points(line_bundle.base, mesh_level)
-    _, tris = icosphere(mesh_level)
-    qv = line_bundle.complex_fiber_projector(pts)
-    phases, min_abs = _kernels.plaquette_phases(qv, tris)
-    if not min_abs >= 1e-12:
-        raise DegeneratePlaquette(
-            f"plaquette overlap {min_abs:.3e} < 1e-12 at level {mesh_level}"
-        )
-    return phases
-
-
-def _chern_raw(line_bundle, mesh_level):
-    # sum of outward-oriented plaquette phases equals 2 pi c1 in this
-    # package's conventions (anchor: tautological bundle -> -1)
-    phases = plaquette_phases(line_bundle, mesh_level)
-    return float(np.sum(phases)) / (2.0 * np.pi)
+    Q) are taken, on meshes of level 1 or more."""
+    if mesh_level < 1:
+        raise BadParams("plaquette phases need mesh_level >= 1")
+    return next(_level_phases(line_bundle, [mesh_level]))
 
 
 def lattice_chern_number(line_bundle, mesh_level):
@@ -95,8 +96,9 @@ def lattice_chern_number(line_bundle, mesh_level):
     """
     if mesh_level < 3:
         raise BadParams("mesh_level must be >= 3")
-    raw = _chern_raw(line_bundle, mesh_level)
-    raw_next = _chern_raw(line_bundle, mesh_level + 1)
+    # the outward phases sum to 2 pi c1 (anchor: tautological bundle -> -1)
+    raw, raw_next = (float(np.sum(phases)) / (2.0 * np.pi) for phases
+                     in _level_phases(line_bundle, [mesh_level, mesh_level + 1]))
     value = int(round(raw))
     value_next = int(round(raw_next))
     if value != value_next:

@@ -176,6 +176,21 @@ def oracle_line_bundles():
     }
 
 
+def _overlap(u, v):
+    return sum((u[i].conj() * v[i] for i in range(1, len(u))), u[0].conj() * v[0])
+
+
+def plaquette_phases_per_triangle(w, tris):
+    """The per-triangle plaquette kernel that the subdivision-group kernel
+    replaced, kept as its oracle: from the (m, V) unit sections, three
+    gathers and three overlaps <a|b><b|c><c|a> per triangle, for any
+    triangle list; (phases, min |tr|) as _kernels.plaquette_phases."""
+    with np.errstate(invalid="ignore"):
+        a, b, c = (np.take(w, t, axis=1) for t in tris.T)
+        tr = _overlap(a, b) * _overlap(b, c) * _overlap(c, a)
+        return np.angle(tr), float(np.abs(tr).min(initial=1e300))
+
+
 def _expm_skew(a):
     # e^a of a real skew matrix (or a stack), from one Hermitian eigensolve
     # of i a: i a = V diag(w) V* gives e^a = V diag(e^{-i w}) V*

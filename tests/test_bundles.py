@@ -172,6 +172,27 @@ def test_pullback_fibers_bitwise():
                               w.fiber_projector(f.forward(x)))
 
 
+def test_differentials_are_bitwise_the_two_outer_products():
+    # the differentials of tangent_sphere and torus_line build outer(a, b)
+    # once and add its transpose: b_i a_j is a_j b_i exactly, so the sum is
+    # bitwise outer(a, b) + outer(b, a), C-ordered as that sum is
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(9232, 3))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    xdot = rng.normal(size=(9232, 3))
+    got = bd.tangent_sphere(2).projector_differential(x, xdot)
+    ref = -(bd._outer(xdot, x) + bd._outer(x, xdot))
+    assert got.flags.c_contiguous and got.tobytes() == ref.tobytes()
+    bits = np.array([1, 1])
+    t = rng.uniform(-2.0, 2.0, size=(2307, 2))
+    tdot = rng.normal(size=(2307, 2))
+    u = bd.torus_line(bits).unit_section(t)
+    du = (np.pi * (tdot @ bits.astype(float)))[:, None] * (u[:, ::-1] * [-1.0, 1.0])
+    got = bd.torus_line(bits).projector_differential(t, tdot)
+    ref = bd._outer(du, u) + bd._outer(u, du)
+    assert got.flags.c_contiguous and got.tobytes() == ref.tobytes()
+
+
 def test_torus_line_periodic():
     tl = bd.torus_line((1, 1))
     x = np.array([0.3, 0.6])

@@ -1,7 +1,8 @@
-"""The numpy kernels against slow oracles: per-triangle loops and the
-complex triple product for the plaquette sums, per-triangle loops for the
-solid-angle sums, the per-step staged RK4 loop for transport,
-and the exact one-step RK4 polynomial for a constant generator."""
+"""The numpy kernels against slow oracles: per-triangle loops, the
+per-triangle section kernel and the complex triple product for the
+plaquette sums, per-triangle loops for the solid-angle sums, the per-step
+staged RK4 loop for transport, and the exact one-step RK4 polynomial for a
+constant generator."""
 
 import math
 import tracemalloc
@@ -12,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from bundlelift import _kernels, bundles as bd, manifolds as mf
 
-from helpers import (cpn_phase_homotopy, oracle_line_bundles, random_point,
-                     stack_points)
+from helpers import (cpn_phase_homotopy, oracle_line_bundles,
+                     plaquette_phases_per_triangle, random_point, stack_points)
 
 
 def _plaquette_phases_loop(qv, tris):
@@ -60,17 +61,59 @@ def _random_projector_field(rng, count, dim):
     return np.einsum("ki,kj->kij", z, z.conj())
 
 
-def test_plaquette_phases_match_loop():
-    # m = 1 (trivial lines) has one section entry; m = 2 is the CP^1 field
-    # every Chern number reads
+def _random_fields_on_the_mesh():
+    # random rank-1 fields on the level-2 icosphere vertices, by fiber
+    # dimension: m = 1 (trivial lines) has one section entry; m = 2 is the
+    # CP^1 field every Chern number reads
+    verts, tris = mf.icosphere(2)
     for dim, seed in [(3, 0), (1, 1), (2, 2)]:
         rng = np.random.default_rng(seed)
-        qv = _random_projector_field(rng, 30, dim)
-        tris = rng.integers(0, 30, size=(50, 3))
-        phases, min_abs = _kernels.plaquette_phases(qv, tris)
+        yield dim, _random_projector_field(rng, len(verts), dim), tris
+
+
+def test_plaquette_phases_match_loop():
+    # to roundoff against the triple matrix products, and bitwise against
+    # the per-triangle section kernel
+    for dim, qv, tris in _random_fields_on_the_mesh():
+        w = _kernels.unit_sections(qv)
+        phases, min_abs = _kernels.plaquette_phases(w, tris)
         ref_phases, ref_min = _plaquette_phases_loop(qv, tris)
         assert np.allclose(phases, ref_phases, atol=1e-12), dim
         assert abs(min_abs - ref_min) < 1e-12, dim
+        _assert_bitwise_the_per_triangle_oracle(w, tris)
+
+
+def _assert_bitwise_the_per_triangle_oracle(w, tris):
+    phases, min_abs = _kernels.plaquette_phases(w, tris)
+    ref_phases, ref_min = plaquette_phases_per_triangle(w, tris)
+    assert phases.dtype == ref_phases.dtype and phases.shape == ref_phases.shape
+    assert phases.tobytes() == ref_phases.tobytes()
+    assert np.float64(min_abs).tobytes() == np.float64(ref_min).tobytes()
+
+
+@pytest.mark.parametrize("level", range(1, 6))
+def test_grouped_plaquette_phases_are_bitwise_the_per_triangle_oracle(level):
+    # the twelve overlaps of a subdivision group are the three overlaps of
+    # each of its four triangles, in the same order and from the same bits
+    verts, tris = mf.icosphere(level)
+    pts = {mf.Sphere(2): verts, mf.ComplexProjective(1): mf.sphere_to_cp1(verts)}
+    for name, bundle in oracle_line_bundles().items():
+        qv = bundle.complex_fiber_projector(pts[bundle.base])
+        _assert_bitwise_the_per_triangle_oracle(_kernels.unit_sections(qv), tris)
+
+
+@pytest.mark.parametrize("fill", [0.0, np.nan], ids=["zero", "nan"])
+def test_grouped_plaquette_phases_match_the_oracle_at_a_degenerate_vertex(fill):
+    # a zero or NaN projector at one vertex: NaN sections there, NaN phases
+    # on its triangles and a NaN min |tr| on both sides
+    _, qv, tris = next(_random_fields_on_the_mesh())
+    qv[17] = fill
+    w = _kernels.unit_sections(qv)
+    phases, min_abs = _kernels.plaquette_phases(w, tris)
+    ref_phases, ref_min = plaquette_phases_per_triangle(w, tris)
+    assert math.isnan(min_abs) and math.isnan(ref_min)
+    assert np.isnan(phases).sum() == np.any(tris == 17, axis=1).sum()
+    assert phases.tobytes() == ref_phases.tobytes()
 
 
 def test_solid_angles_match_loop():
@@ -108,7 +151,7 @@ def test_take_gathers_equal_the_fancy_index_gathers(level):
     pts = {mf.Sphere(2): verts, mf.ComplexProjective(1): mf.sphere_to_cp1(verts)}
     for name, bundle in oracle_line_bundles().items():
         qv = np.ascontiguousarray(bundle.complex_fiber_projector(pts[bundle.base]))
-        phases, min_abs = _kernels.plaquette_phases(qv, tris)
+        phases, min_abs = _kernels.plaquette_phases(_kernels.unit_sections(qv), tris)
         ref_phases, ref_min = _plaquette_phases_fancy(qv, tris)
         gap = np.abs(np.remainder(phases - ref_phases + np.pi, 2 * np.pi) - np.pi)
         assert np.max(gap) <= 1e-14, name

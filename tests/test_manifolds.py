@@ -685,6 +685,25 @@ class TestIcosphere:
             assert verts.tobytes() == ref_verts.tobytes()
             assert tris.tobytes() == ref_tris.tobytes()
 
+    @pytest.mark.parametrize("level", range(1, 7))
+    def test_faces_come_in_subdivision_groups(self, level):
+        # the layout the plaquette kernel reads: each coarse face [a, b, c]
+        # gives [a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca] in a row,
+        # ab, bc and ca new vertices of this level
+        coarse_verts, coarse_tris = mf.icosphere(level - 1)
+        g = mf.icosphere(level)[1].reshape(-1, 12)
+        a, ab, ca, b, bc, c = g[:, [0, 1, 2, 3, 4, 6]].T
+        assert np.array_equal(np.stack([a, b, c], axis=1), coarse_tris)
+        for col, role in [(5, ab), (9, ab), (7, ca), (11, ca), (8, bc), (10, bc)]:
+            assert np.array_equal(g[:, col], role)
+        assert np.all(np.stack([ab, bc, ca]) >= len(coarse_verts))
+
+    @pytest.mark.parametrize("level", range(1, 7))
+    def test_vertices_of_a_level_prefix_the_next(self, level):
+        coarse = mf.icosphere(level)[0]
+        fine = mf.icosphere(level + 1)[0]
+        assert fine[:len(coarse)].tobytes() == coarse.tobytes()
+
     def test_counts(self):
         for level, nv, nt in [(0, 12, 20), (1, 42, 80), (2, 162, 320)]:
             verts, tris = mf.icosphere(level)

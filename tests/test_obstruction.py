@@ -315,10 +315,10 @@ def _pointwise_orthogonal_bundle():
                           4, 2, field, complex_fibers=True)
 
 
-def _holed_bundle(fill=np.nan):
+def _holed_bundle(fill=np.nan, vertex=0):
     # the tautological field with `fill` entries at one mesh vertex; a zero
     # fill is z z* for a section that vanishes there
-    pole = mf.icosphere(3)[0][0]
+    pole = mf.icosphere(4)[0][vertex]
 
     def holed(p):
         q = np.array(p, dtype=complex)
@@ -392,7 +392,8 @@ def _plaquette_phases_per_vertex(line_bundle, pts, tris):
     # oracle; pts is the list of mesh points in the bundle's base
     qv = np.stack([line_bundle.complex_fiber_projector(p) for p in pts])
     phases, _ = _kernels.plaquette_phases(
-        np.ascontiguousarray(qv), np.ascontiguousarray(tris))
+        _kernels.unit_sections(np.ascontiguousarray(qv)),
+        np.ascontiguousarray(tris))
     return phases
 
 
@@ -431,6 +432,37 @@ def test_plaquette_phases_evaluates_each_field_once(monkeypatch):
     # once, on the mapped stack of all mesh vertices
     assert counts == {bundle.key: 1}
     assert stacks == [(len(mf.icosphere(3)[0]), 2, 2)]
+    # a Chern number reads both of its levels from one call on the finer
+    # mesh, whose first vertices are the coarser mesh's
+    counts.clear()
+    stacks.clear()
+    assert ob.lattice_chern_number(bundle, 4).value == -3
+    assert counts == {bundle.key: 1}
+    assert stacks == [(len(mf.icosphere(5)[0]), 2, 2)]
+
+
+def test_a_vertex_of_the_finer_level_alone_is_degenerate_at_that_level():
+    # NaN at the first vertex that level 4 adds: level 3 is clean, and the
+    # Chern number at 3 names level 4
+    bundle = _holed_bundle(vertex=len(mf.icosphere(3)[0]))
+    assert np.all(np.isfinite(ob.plaquette_phases(bundle, 3)))
+    with pytest.raises(DegeneratePlaquette, match="at level 4$"):
+        ob.lattice_chern_number(bundle, 3)
+
+
+def test_plaquette_phases_refuse_level_zero():
+    # the level-0 faces come in no subdivision groups
+    with pytest.raises(BadParams, match="mesh_level >= 1"):
+        ob.plaquette_phases(bd.tautological_complex(1), 0)
+    assert ob.plaquette_phases(bd.tautological_complex(1), 1).shape == (80,)
+
+
+@pytest.mark.parametrize("level", range(1, 7))
+def test_cp1_mesh_points_of_a_level_prefix_the_next(level):
+    # a Chern number reads level L from the sections at level L + 1
+    coarse = ob._cp1_mesh_points(level)
+    fine = ob._cp1_mesh_points(level + 1)
+    assert fine[:len(coarse)].tobytes() == coarse.tobytes()
 
 
 # Naturality c1(f^* gamma) = deg(f) c1(gamma), with f read on the sphere
