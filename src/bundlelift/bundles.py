@@ -19,8 +19,7 @@ the one transport, and ``transport_operator`` its one-pair case: it
 returns the transport map as an ambient matrix, integrating
 chi'(t) = Q'(t) chi(t) with classical RK4 and re-projecting after every
 step. Q' is the bundle's exact projector differential along the path
-velocity when the path has a velocity and the bundle a projector
-differential, and central differences on the path parameter otherwise.
+velocity; a bundle without a projector differential is refused.
 The ODE is linear, so the kernel builds the RK4 increment D of every step
 of a window in batched products of the stage matrices and then loops
 chi <- Qnode (chi + D chi). The identity is kept out of D: folded in, it
@@ -34,9 +33,9 @@ times it returns shape (T, ...) or (T, P, ...). ``joint_transport_operators``
 takes a list of (bundle, path) pairs whose bundles share the ambient fiber
 dimension N, and walks the RK4 time grid in windows of consecutive steps
 that never cross a segment boundary.
-Per window and pair it evaluates the path on the window's stage and node
-times (once, on the stage times, for a path with an exact velocity) and
-calls each field once on the flattened times x tracks stack; the tracks of
+Per window and pair it evaluates the path and its velocity once, on the
+window's stage times, whose even entries are the node times, and calls
+each field once on the flattened times x tracks stack; the tracks of
 all pairs go side by side on the axis after time, into one RK4 kernel
 call, which runs the window's whole segments side by side or continues a
 segment from the previous window's state. A window holds as many steps as
@@ -59,7 +58,6 @@ import math
 import numpy as np
 
 from . import _kernels
-from .config import DEFAULT_TOLERANCES as TOL
 from .config import DEFAULT_TRANSPORT_STEPS
 from .errors import Ambiguous, BadParams
 from .manifolds import (ComplexProjective, GrassmannReal, Product, Sphere,
@@ -246,16 +244,22 @@ def tautological_complex(n):
 
 
 def pullback(f, w):
-    """Pullback bundle f^* W with fibers Q(x) = Q_W(f(x)). Its fields take
-    stacks when ``f.forward`` does."""
+    """Pullback bundle f^* W with fibers Q(x) = Q_W(f(x)), and the projector
+    differential Q_W'(f(x))[df_x xdot] when f has a differential and W a
+    projector differential. Its fields take stacks when ``f.forward`` does."""
     if f.target != w.base:
         raise BadParams(f"map target {f.target} does not match bundle base {w.base}")
+    pdiff = None
+    if f.differential is not None and w.has_projector_differential:
+        pdiff = lambda x, xdot: w._projector_differential(
+            f.forward(x), f.differential(x, xdot))
     return BundleModel(
         key=("pullback", f.name, w.key),
         base=f.source,
         ambient_fiber_dim=w.ambient_fiber_dim,
         real_rank=w.real_rank,
         projector=lambda x: w._projector(f.forward(x)),
+        projector_differential=pdiff,
         complex_fibers=w.has_complex_structure,
     )
 
@@ -367,8 +371,8 @@ def direct_sum(v1, v2):
 
 
 class Path:
-    """Curve [0,1] -> base, or a stack of P curves (tracks), optionally
-    carrying an exact velocity.
+    """Curve [0,1] -> base, or a stack of P curves (tracks), with its exact
+    velocity.
 
     ``fn(t)`` takes one time or a 1-d array of T times; for an array it
     returns the points at those times, shape (T, ...) for one track and
@@ -378,7 +382,7 @@ class Path:
     on consecutive windows of its time grid, every track in each call.
     """
 
-    def __init__(self, fn, velocity=None):
+    def __init__(self, fn, velocity):
         self.fn = fn
         self.velocity = velocity
 
@@ -390,20 +394,17 @@ def homotopy_path(homotopy, x):
     """The track t -> family(t, x) of a point under a homotopy, or the stack
     of tracks of a stack of points, evaluated on time vectors by the
     homotopy's family and velocity."""
-    vel = None
-    if homotopy.velocity is not None:
-        vel = lambda t, xt: homotopy.velocity(t, x, xt)
-    return Path(lambda t: homotopy.family(t, x), velocity=vel)
+    return Path(lambda t: homotopy.family(t, x),
+                lambda t, xt: homotopy.velocity(t, x, xt))
 
 
-def _stage_arrays(bundle, path, ts, nodes, tracks):
+def _stage_arrays(bundle, path, ts, tracks):
     """Projector derivatives at the RK4 stage times ts and the projectors at
-    the node times, laid out (time, track, N, N), each from one field call
-    on the stack of points of the selected tracks (a slice of the flattened
-    track axis; the path itself is evaluated on all of its tracks) at those
-    times (time axis first). With an exact velocity the path is evaluated
-    once, on ts: the node times are ts[::2] bitwise, since both are h * k
-    rounded once."""
+    the node times ts[::2], laid out (time, track, N, N), each from one
+    field call on the stack of points of the selected tracks (a slice of
+    the flattened track axis; the path itself is evaluated on all of its
+    tracks) at those times (time axis first). The path is evaluated once,
+    on ts."""
 
     def field(fn, *args):
         # times x selected tracks as one flat stack for the call
@@ -416,15 +417,9 @@ def _stage_arrays(bundle, path, ts, nodes, tracks):
         out = fn(*[map_points(flat, a) for a in args])
         return out.reshape((shape[0], -1) + out.shape[1:])
 
-    if path.velocity is not None and bundle.has_projector_differential:
-        xt = path(ts)
-        qp = field(bundle.projector_differential, xt, path.velocity(ts, xt))
-        qnode = field(bundle.fiber_projector, map_points(lambda a: a[::2], xt))
-    else:
-        delta = TOL.fd_delta
-        qp = (field(bundle.fiber_projector, path(ts + delta))
-              - field(bundle.fiber_projector, path(ts - delta))) / (2.0 * delta)
-        qnode = field(bundle.fiber_projector, path(nodes))
+    xt = path(ts)
+    qp = field(bundle.projector_differential, xt, path.velocity(ts, xt))
+    qnode = field(bundle.fiber_projector, map_points(lambda a: a[::2], xt))
     return qp, qnode
 
 
@@ -481,6 +476,9 @@ def joint_transport_operators(pairs, steps=DEFAULT_TRANSPORT_STEPS):
             raise BadParams(
                 f"{_pair_name(k, len(pairs))}ambient fiber dimension "
                 f"{bundle.ambient_fiber_dim} != {n} of pair 0")
+        if not bundle.has_projector_differential:
+            raise BadParams(f"{_pair_name(k, len(pairs))}bundle {bundle.key} "
+                            "has no projector differential to transport by")
     shapes = [bundle.base.stack_shape(path(0.0)) for bundle, path in pairs]
     ends = list(itertools.accumulate(math.prod(shape) for shape in shapes))
     starts = [0] + ends[:-1]
@@ -490,7 +488,6 @@ def joint_transport_operators(pairs, steps=DEFAULT_TRANSPORT_STEPS):
     seg = steps // math.gcd(steps, TRANSPORT_SEGMENTS)
     h = 1.0 / steps
     ts = (0.5 * h) * np.arange(2 * steps + 1)
-    nodes = h * np.arange(steps + 1)
     # with no track at all there is no group, and each pair gets its empty
     # operator
     out = np.empty((tracks, n, n))
@@ -510,8 +507,7 @@ def joint_transport_operators(pairs, steps=DEFAULT_TRANSPORT_STEPS):
                 if lo >= hi:
                     continue
                 part_qp, part_qnode = _stage_arrays(
-                    bundle, path, ts[2 * i:2 * j + 1], nodes[i:j + 1],
-                    slice(lo - start, hi - start))
+                    bundle, path, ts[2 * i:2 * j + 1], slice(lo - start, hi - start))
                 qp = _place(qp, part_qp, lo - g, e - g)
                 qnode = _place(qnode, part_qnode, lo - g, e - g)
             # a segment starts from the projector at its first node

@@ -14,8 +14,6 @@ class Tolerances:
     exact: float = 1e-10
     pipeline: float = 1e-8
     transport: float = 1e-5
-    # central-difference step for Jacobians and projector derivatives
-    fd_delta: float = 1e-6
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -307,25 +307,19 @@ def metrize(lift):
 
 def differential_lift(diffeo):
     """Lift of a sphere diffeomorphism to the tangent bundle by its
-    Jacobian (central differences on the radial extension), projected to
-    the target tangent fiber."""
+    differential, projected to the target tangent fiber: the Jacobian's
+    columns are ``diffeo.differential`` of the ambient unit vectors."""
     model = diffeo.source
     if not isinstance(model, Sphere):
         raise BadParams("differential_lift is defined for sphere diffeomorphisms")
+    if diffeo.differential is None:
+        raise BadParams(f"{diffeo.name} has no differential to lift")
     bundle = tangent_sphere(model.n)
-    delta = TOL.fd_delta
-    dim = model.n + 1
-
-    def extended(y):
-        nrm = norms(y)[..., None]
-        return nrm * np.asarray(diffeo.forward(y / nrm))
+    eye = np.eye(model.n + 1)
 
     def operator_at(x):
-        jac = np.empty(np.shape(x) + (dim,))
-        for i in range(dim):
-            step = np.zeros(dim)
-            step[i] = delta
-            jac[..., i] = (extended(x + step) - extended(x - step)) / (2 * delta)
+        # differential(x, e_i) for the unit vectors e_i are the Jacobian's columns
+        jac = np.swapaxes(diffeo.differential(np.asarray(x)[..., None, :], eye), -1, -2)
         y = diffeo.forward(x)
         b_in = bundle.fiber_basis(x)
         b_out = bundle.fiber_basis(y)

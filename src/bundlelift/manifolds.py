@@ -224,16 +224,17 @@ def _per_time(m, t, model, x):
 
 
 class SmoothMap:
-    """A smooth map between models, given by an explicit point formula."""
+    """A smooth map between models, given by an explicit point formula and,
+    if something differentiates or transports along it, by its exact
+    differential ``differential(x, xdot)`` = df_x xdot in point coordinates,
+    linear in xdot, which takes stacks as ``forward`` does."""
 
-    def __init__(self, name, forward, source, target):
+    def __init__(self, name, forward, source, target, differential=None):
         self.name = name
         self.forward = forward
         self.source = source
         self.target = target
-
-    def __call__(self, point):
-        return self.forward(point)
+        self.differential = differential
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
@@ -246,8 +247,9 @@ class Diffeo(SmoothMap):
     point or a stack of points and return the matching stack.
     """
 
-    def __init__(self, name, forward, inverse, source, target=None):
-        super().__init__(name, forward, source, target or source)
+    def __init__(self, name, forward, inverse, source, target=None,
+                 differential=None):
+        super().__init__(name, forward, source, target or source, differential)
         self.inverse = inverse
 
     def inverted(self):
@@ -269,28 +271,29 @@ class Homotopy:
     """One-parameter family family(t, x) with family(0, .) = id.
 
     ``t`` is one time or a 1-d array of times; for an array the family
-    returns the stack of the points at those times. ``velocity(t, x, xt)``,
-    when provided, returns the exact time derivative of the family at
-    (t, x) in point coordinates, stacked the same way, given the points
-    xt = family(t, x) already evaluated, so that the family is evaluated
-    once per set of times; transport can use it instead of finite
-    differences.
+    returns the stack of the points at those times. ``velocity(t, x, xt)``
+    returns the exact time derivative of the family at (t, x) in point
+    coordinates, stacked the same way, given the points xt = family(t, x)
+    already evaluated, so that the family is evaluated once per set of
+    times.
     """
 
-    def __init__(self, name, family, endpoint, source, velocity=None):
+    def __init__(self, name, family, endpoint, source, velocity):
         self.name = name
         self.family = family
         self.endpoint = endpoint
         self.source = source
         self.velocity = velocity
 
-    def __call__(self, t, point):
-        return self.family(t, point)
+
+def _linear_diffeo(name, forward, inverse, model):
+    # a linear map is its own differential: df_x xdot = forward(xdot)
+    return Diffeo(name, forward, inverse, model,
+                  differential=lambda x, xdot: forward(xdot))
 
 
 def identity_diffeo(model):
-    return Diffeo("identity", lambda x: model.copy_point(x),
-                  lambda x: model.copy_point(x), model)
+    return _linear_diffeo("identity", model.copy_point, model.copy_point, model)
 
 
 def product_diffeo(model, left, right, name=None):
@@ -361,8 +364,8 @@ def integer_inverse(a):
 
 def _build_sphere_rotation(model, params):
     a = _check_orthogonal(params["matrix"], model.n + 1)
-    return Diffeo("sphere_rotation", lambda x: np.matvec(a, x),
-                  lambda x: np.matvec(a.T, x), model)
+    return _linear_diffeo("sphere_rotation", lambda x: np.matvec(a, x),
+                          lambda x: np.matvec(a.T, x), model)
 
 
 def _build_sphere_reflection(model, params):
@@ -375,11 +378,11 @@ def _build_sphere_reflection(model, params):
     def refl(x):
         return d * x
 
-    return Diffeo(f"sphere_reflection[{axis}]", refl, refl, model)
+    return _linear_diffeo(f"sphere_reflection[{axis}]", refl, refl, model)
 
 
 def _build_sphere_antipodal(model, params):
-    return Diffeo("antipodal", lambda x: -x, lambda x: -x, model)
+    return _linear_diffeo("antipodal", np.negative, np.negative, model)
 
 
 def _build_grassmann_action(model, params):
@@ -654,7 +657,15 @@ def cp1_power_map(n):
         out[..., 1, 1] = d1 / norm
         return out
 
-    return SmoothMap(f"cp1_power[{n}]", fwd, model, model)
+    def differential(p, pdot):
+        # d(p_ij^n) = n p_ij^(n-1) pdot_ij, and dnorm is the real trace of it
+        p = np.asarray(p)
+        e = n * p ** (n - 1) * pdot
+        dnorm = (e[..., 0, 0].real + e[..., 1, 1].real)[..., None, None]
+        norm = (p[..., 0, 0].real ** n + p[..., 1, 1].real ** n)[..., None, None]
+        return (e - fwd(p) * dnorm) / norm
+
+    return SmoothMap(f"cp1_power[{n}]", fwd, model, model, differential)
 
 
 def sphere_power_map(n):

@@ -38,13 +38,23 @@ def unimodular(n, seed):
 
 def constant_homotopy(model):
     """The homotopy that keeps every point where it is: the identity at
-    every time, with the identity as its endpoint."""
+    every time, with the identity as its endpoint and velocity zero."""
     def family(t, x):
         if np.ndim(t) == 0:
             return model.copy_point(x)
         return stack_points([x] * len(t))
 
-    return mf.Homotopy("constant", family, mf.identity_diffeo(model), model)
+    return mf.Homotopy("constant", family, mf.identity_diffeo(model), model,
+                       lambda t, x, xt: mf.map_points(np.zeros_like, xt))
+
+
+def fd_differential(forward, delta=1e-6):
+    """The central difference (forward(x + delta xdot) - forward(x - delta
+    xdot)) / (2 delta): the finite-difference oracle of a differential
+    df_x xdot, for one point or a stack as forward takes them, and of a
+    time derivative when x is a time and xdot is 1."""
+    return lambda x, xdot: (forward(x + delta * xdot)
+                            - forward(x - delta * xdot)) / (2.0 * delta)
 
 
 def identity_lift(bundle):
@@ -127,7 +137,7 @@ def sequential_transport(bundle, path, steps):
     every windowed walk of that design."""
     h = 1.0 / steps
     qp, qnode = _stage_arrays(bundle, path, (0.5 * h) * np.arange(2 * steps + 1),
-                              h * np.arange(steps + 1), slice(None))
+                              slice(None))
     n = bundle.ambient_fiber_dim
     shape = bundle.base.stack_shape(path(0.0))
     return _kernels.rk4_transport(qp, qnode, qnode[0], h).reshape(shape + (n, n))

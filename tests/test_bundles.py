@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bundlelift import _kernels, bundles as bd, manifolds as mf
-from bundlelift.config import DEFAULT_TOLERANCES as TOL
 from bundlelift.errors import Ambiguous, BadParams
 from bundlelift.numkernel import norms, realify
 
 from helpers import (complement, constant_homotopy, cpn_phase_homotopy,
-                     eigh_fiber_basis, exact_group_transport, holonomy_sign,
-                     random_point, sequential_transport, stack_points,
-                     torus_line_lift)
+                     eigh_fiber_basis, exact_group_transport, fd_differential,
+                     holonomy_sign, random_point, sequential_transport,
+                     stack_points, torus_line_lift)
 
 
 ALL_BUNDLES = [
@@ -233,11 +232,19 @@ def test_integer_valued_float_bits_are_kept():
 
 def _line(d):
     # the path t -> t d, on one time or a time vector
-    return bd.Path(lambda t: np.multiply.outer(t, d))
+    return bd.Path(lambda t: np.multiply.outer(t, d),
+                   lambda t, xt: np.multiply.outer(np.ones_like(t), d))
 
 
 def _constant(x):
-    return bd.Path(lambda t: np.multiply.outer(np.ones_like(t), x))
+    return bd.Path(lambda t: np.multiply.outer(np.ones_like(t), x),
+                   lambda t, xt: np.zeros_like(xt))
+
+
+def _reversed(path):
+    # t -> path(1 - t), whose velocity is minus the velocity at 1 - t
+    return bd.Path(lambda t: path(1.0 - t),
+                   lambda t, xt: -path.velocity(1.0 - t, xt))
 
 
 class TestTransport:
@@ -261,14 +268,20 @@ class TestTransport:
         ts = bd.tangent_sphere(2)
         e = np.eye(3)
 
-        def loop_fn(t):
-            s = (t * 3) % 1.0
-            leg = np.floor(np.minimum(t * 3, 2.999)).astype(int)
-            a, b = e[leg], e[(leg + 1) % 3]
-            return (np.cos(s * np.pi / 2)[..., None] * a
-                    + np.sin(s * np.pi / 2)[..., None] * b)
+        def leg(t):
+            # the leg e_k -> e_k+1 that t is on, and the angle along it
+            k = np.floor(np.minimum(t * 3, 2.999)).astype(int)
+            return e[k], e[(k + 1) % 3], (t * 3 - k)[..., None] * (np.pi / 2)
 
-        loop = bd.Path(loop_fn)
+        def loop_fn(t):
+            a, b, s = leg(t)
+            return np.cos(s) * a + np.sin(s) * b
+
+        def loop_velocity(t, xt):
+            a, b, s = leg(t)
+            return (1.5 * np.pi) * (np.cos(s) * b - np.sin(s) * a)
+
+        loop = bd.Path(loop_fn, loop_velocity)
         out = bd.transport_operator(ts, loop, steps=2048) @ e[2]
         assert np.linalg.norm(out - (-e[1])) <= 1e-4
         oracle = bd.transport_operator(ts, loop, steps=8192) @ e[2]
@@ -289,46 +302,48 @@ class TestTransport:
         v = ts.random_fiber_vector(x, np.random.default_rng(5))
         fwd_path = bd.homotopy_path(h, x)
         out = bd.transport_operator(ts, fwd_path, steps=512) @ v
-        back = bd.transport_operator(ts, bd.Path(lambda t: fwd_path(1.0 - t)),
-                                     steps=512) @ out
+        back = bd.transport_operator(ts, _reversed(fwd_path), steps=512) @ out
         assert np.linalg.norm(back - v) <= 1e-5
 
     def test_exact_derivative_matches_fd(self):
-        ts = bd.tangent_sphere(2)
-        h = mf.rotation_homotopy(mf.Sphere(2), (0, 1), 1.1)
-        x = random_point(mf.Sphere(2), 10)
-        v = ts.random_fiber_vector(x, np.random.default_rng(6))
-        path = bd.homotopy_path(h, x)
-        out_fd = bd.transport_operator(ts, bd.Path(path.fn), steps=256) @ v
-        out_ex = bd.transport_operator(ts, path, steps=256) @ v
-        assert np.linalg.norm(out_fd - out_ex) <= 1e-8
+        # on TS^2, and on the pullback of gamma along f_2, whose projector
+        # differential composes the power map's differential
+        cp1 = mf.ComplexProjective(1)
+        cases = [
+            (bd.tangent_sphere(2), mf.rotation_homotopy(mf.Sphere(2), (0, 1), 1.1)),
+            (bd.pullback(mf.cp1_power_map(2), bd.tautological_complex(1)),
+             mf.cp1_plane_rotation_homotopy(cp1, 1.1)),
+        ]
+        for bundle, h in cases:
+            x = random_point(h.source, 10)
+            v = bundle.random_fiber_vector(x, np.random.default_rng(6))
+            path = bd.homotopy_path(h, x)
+            out_fd = _looped_transport(bundle, path, 256, fd=True) @ v
+            out_ex = bd.transport_operator(bundle, path, steps=256) @ v
+            assert np.linalg.norm(out_fd - out_ex) <= 1e-8, bundle
 
 
-def _looped_stage_arrays(bundle, path, steps):
+def _looped_stage_arrays(bundle, path, steps, fd=False):
     # the per-stage assembly that the batched field calls replaced: one
-    # field evaluation per stage time, kept as the oracle
+    # field evaluation per stage time, kept as the oracle; with ``fd`` the
+    # projector derivative is the central difference on the path parameter
     n = bundle.ambient_fiber_dim
     h = 1.0 / steps
     n_stage = 2 * steps + 1
     qp = np.empty((n_stage, n, n))
-    if path.velocity is not None and bundle.has_projector_differential:
-        for j in range(n_stage):
-            t = 0.5 * h * j
-            qp[j] = bundle.projector_differential(path(t), path.velocity(t, path(t)))
-    else:
-        delta = TOL.fd_delta
-        for j in range(n_stage):
-            t = 0.5 * h * j
-            qp[j] = (bundle.fiber_projector(path(t + delta))
-                     - bundle.fiber_projector(path(t - delta))) / (2.0 * delta)
+    along = fd_differential(lambda t: bundle.fiber_projector(path(t)))
+    for j in range(n_stage):
+        t = 0.5 * h * j
+        qp[j] = (along(t, 1.0) if fd else
+                 bundle.projector_differential(path(t), path.velocity(t, path(t))))
     qnode = np.empty((steps + 1, n, n))
     for i in range(steps + 1):
         qnode[i] = bundle.fiber_projector(path(i * h))
     return qp, qnode
 
 
-def _looped_transport(bundle, path, steps):
-    qp, qnode = _looped_stage_arrays(bundle, path, steps)
+def _looped_transport(bundle, path, steps, fd=False):
+    qp, qnode = _looped_stage_arrays(bundle, path, steps, fd)
     return _kernels.rk4_transport(qp, qnode, np.ascontiguousarray(qnode[0]),
                                   1.0 / steps)
 
@@ -348,10 +363,9 @@ ORACLE_TRACKS = [
      bd.homotopy_path(cpn_phase_homotopy(mf.ComplexProjective(1), 6 * np.pi),
                       random_point(mf.ComplexProjective(1), 41)), 1e-12),
     ("torus_loop", bd.torus_line((1, 1, 0)), _torus_loop(3, 1), 1e-12),
-    # central differences divide last-bit differences of Q by 2 fd_delta
-    ("pullback_fd", bd.pullback(mf.cp1_power_map(2), bd.tautological_complex(1)),
+    ("pullback", bd.pullback(mf.cp1_power_map(2), bd.tautological_complex(1)),
      bd.homotopy_path(mf.cp1_plane_rotation_homotopy(mf.ComplexProjective(1), np.pi),
-                      random_point(mf.ComplexProjective(1), 41)), 1e-10),
+                      random_point(mf.ComplexProjective(1), 41)), 1e-12),
 ]
 
 
@@ -371,8 +385,7 @@ def _torus_loops(n):
 
 
 STACKED_TRACKS = [
-    # (bundle, tracks from a stack of points or one point, model); the
-    # pullback's projector has no differential: central differences
+    # (bundle, tracks from a stack of points or one point, model)
     ("tangent_sphere", bd.tangent_sphere(2),
      lambda x: bd.homotopy_path(
          mf.rotation_homotopy(mf.Sphere(2), (0, 1), 1.8 * np.pi), x), mf.Sphere(2)),
@@ -380,7 +393,7 @@ STACKED_TRACKS = [
      lambda x: bd.homotopy_path(
          cpn_phase_homotopy(mf.ComplexProjective(1), 6 * np.pi), x),
      mf.ComplexProjective(1)),
-    ("pullback_fd", bd.pullback(mf.cp1_power_map(2), bd.tautological_complex(1)),
+    ("pullback", bd.pullback(mf.cp1_power_map(2), bd.tautological_complex(1)),
      lambda x: bd.homotopy_path(
          mf.cp1_plane_rotation_homotopy(mf.ComplexProjective(1), np.pi), x),
      mf.ComplexProjective(1)),
@@ -501,8 +514,7 @@ def test_more_tracks_than_fit_one_step_are_transported_in_groups(monkeypatch):
 
 
 def test_track_groups_cut_across_joint_pairs(monkeypatch):
-    # groups of 4 tracks cut through the 35 tracks of the 15 joint pairs,
-    # exact velocities and central differences alike
+    # groups of 4 tracks cut through the 35 tracks of the 15 joint pairs
     pairs = _joint_pairs()
     alone = [bd.transport_operator(b, p, steps=64) for b, p in pairs]
     budget = 4 * 5 * 2 * 2 * 8
@@ -529,14 +541,11 @@ def test_reversed_stacked_path_inverts_transport(seed, angle, plane):
                    for i in range(3)])
     forward = bd.homotopy_path(mf.rotation_homotopy(ts.base, plane, angle), xs)
     out = np.matvec(bd.transport_operator(ts, forward, steps=512), vs)
-    backward = bd.Path(lambda t: forward(1.0 - t))
-    back = np.matvec(bd.transport_operator(ts, backward, steps=512), out)
+    back = np.matvec(bd.transport_operator(ts, _reversed(forward), steps=512), out)
     assert np.max(norms(back - vs)) <= 1e-5
 
 
-@pytest.mark.parametrize("name,exact", [("exact", True), ("fd", False)])
-def test_transport_makes_at_most_three_field_calls_per_track(monkeypatch,
-                                                             name, exact):
+def test_transport_makes_at_most_three_field_calls_per_track(monkeypatch):
     calls = []
     for attr in ("fiber_projector", "projector_differential"):
         original = getattr(bd.BundleModel, attr)
@@ -549,11 +558,10 @@ def test_transport_makes_at_most_three_field_calls_per_track(monkeypatch,
     ts = bd.tangent_sphere(2)
     h = mf.rotation_homotopy(mf.Sphere(2), (0, 1), 1.1)
     path = bd.homotopy_path(h, random_point(mf.Sphere(2), 3))
-    if not exact:
-        path = bd.Path(path.fn)
     bd.transport_operator(ts, path, steps=1024)
-    assert len(calls) <= 3
-    assert ("projector_differential" in calls) == exact
+    # one window: one differential call on the stage times, one projector
+    # call on the node times
+    assert sorted(calls) == ["fiber_projector", "projector_differential"]
 
 
 def _plane_generator(dim, plane, angle):
@@ -630,13 +638,13 @@ def _joint_pairs():
     # the 11 torus line bundles over T^1, T^2, T^3 with their coordinate
     # loops (stacks of tracks), then more pairs of ambient dimension 2: the
     # tangent bundle of S^1 on one track, on a stack of four tracks and on
-    # one track by central differences, and one torus loop alone
+    # the first track reversed, and one torus loop alone
     pairs = [(bd.torus_line(b), _torus_loops(n)) for n in (1, 2, 3) for b in _all_bits(n)]
     ts1 = bd.tangent_sphere(1)
     h = mf.rotation_homotopy(mf.Sphere(1), (0, 1), 1.3 * np.pi)
     one = bd.homotopy_path(h, random_point(mf.Sphere(1), 79))
     xs = stack_points([random_point(mf.Sphere(1), 80 + i) for i in range(4)])
-    pairs += [(ts1, one), (ts1, bd.homotopy_path(h, xs)), (ts1, bd.Path(one.fn)),
+    pairs += [(ts1, one), (ts1, bd.homotopy_path(h, xs)), (ts1, _reversed(one)),
               (bd.torus_line((1, 0)), _torus_loop(2, 1))]
     return pairs
 
@@ -729,6 +737,20 @@ def test_joint_transport_refuses_mixed_fiber_dimensions_and_no_pairs():
         bd.holonomy_signs([], steps=64)
 
 
+def test_joint_transport_names_the_pair_without_a_projector_differential():
+    # sphere_power_map carries no differential, so neither does a pullback
+    # along it
+    power = bd.pullback(mf.sphere_power_map(2), bd.tangent_sphere(2))
+    assert not power.has_projector_differential
+    path = bd.homotopy_path(mf.rotation_homotopy(mf.Sphere(2), (0, 1), 1.0),
+                            random_point(mf.Sphere(2), 0))
+    with pytest.raises(BadParams, match=r"^bundle \('pullback', 'sphere_power\[2\]'"):
+        bd.transport_operator(power, path, steps=64)
+    pairs = [(bd.tangent_sphere(2), path), (power, path)]
+    with pytest.raises(BadParams, match="^pair 1 of 2: bundle .* no projector differential"):
+        bd.joint_transport_operators(pairs, steps=64)
+
+
 def test_transport_of_no_tracks_gives_empty_operators():
     # every pair empty: the window size and the kernel's increment block
     # must not divide by the zero bytes of zero tracks
@@ -780,13 +802,23 @@ class TestHolonomySign:
         # |<chi(1), v0>| = cos(pi/4) <= 0.9, which cannot be resolved to a sign
         base = mf.Torus(1)
 
-        def q_quarter(x):
+        def u_quarter(x):
             # one point (1,) or a stack (T, 1), as the field contract requires
             phase = 0.25 * np.pi * np.asarray(x, dtype=float)[..., 0]
-            u = np.stack([np.cos(phase), np.sin(phase)], axis=-1)
+            return np.stack([np.cos(phase), np.sin(phase)], axis=-1)
+
+        def q_quarter(x):
+            u = u_quarter(x)
             return u[..., :, None] * u[..., None, :]
 
-        synthetic = bd.BundleModel(("synthetic_quarter",), base, 2, 1, q_quarter)
+        def q_quarter_diff(x, xdot):
+            # u turns by a quarter of pi per unit of x
+            u = u_quarter(x)
+            du = (0.25 * np.pi) * np.asarray(xdot)[..., :1] * u[..., ::-1] * [-1.0, 1.0]
+            return du[..., :, None] * u[..., None, :] + u[..., :, None] * du[..., None, :]
+
+        synthetic = bd.BundleModel(("synthetic_quarter",), base, 2, 1, q_quarter,
+                                   q_quarter_diff)
         with pytest.raises(Ambiguous):
             holonomy_sign(synthetic, _line([1.0]), steps=64)
 
@@ -798,7 +830,7 @@ class TestHolonomySign:
             t = np.asarray(t, dtype=float)
             bad = (t > 0.5) & ~(keep_end & (t == 1.0))
             return np.where(bad, np.nan, t)[..., None]
-        return bd.Path(fn)
+        return bd.Path(fn, lambda t, xt: np.ones_like(xt))
 
     def test_nan_transport_is_ambiguous_not_a_sign(self):
         # torus_line((1,)) has sign -1, which a NaN used to come back as
@@ -813,7 +845,8 @@ class TestHolonomySign:
             holonomy_sign(tl, nan_loop, steps=64)
         # also behind a closed loop in a stack: the builtin max drops a NaN
         # after the first item
-        stack = bd.Path(lambda t: np.stack([_line([1.0])(t), nan_loop(t)], axis=-2))
+        stack = bd.Path(lambda t: np.stack([_line([1.0])(t), nan_loop(t)], axis=-2),
+                        lambda t, xt: np.ones_like(xt))
         with pytest.raises(BadParams, match="not closed"):
             holonomy_sign(tl, stack, steps=64)
 

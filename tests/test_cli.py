@@ -8,13 +8,15 @@ import sys
 import numpy as np
 import pytest
 
-from bundlelift import cli
+from bundlelift import bundles as bd, cli, lifts as lf, manifolds as mf
 from bundlelift.bundles import tautological_complex
 from bundlelift.cli import (SCENARIOS, ScenarioConfig, emit_plot_data,
                             run_scenario)
 from bundlelift.config import DEFAULT_TOLERANCES, MAX_MESH_LEVEL
-from bundlelift.errors import ConfigInvalid, UnknownScenario
+from bundlelift.errors import BadParams, ConfigInvalid, UnknownScenario
 from bundlelift.obstruction import plaquette_phases
+
+from helpers import constant_homotopy, random_point
 
 
 FAST = {"samples": 10, "transport_steps": 64, "mesh_level": 3}
@@ -77,6 +79,44 @@ def test_unexpected_error_exits_2(monkeypatch, capsys, exc):
     assert cli.main(["scenario", "gluing_demo", "--no-timestamp"]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {type(exc).__name__}: {exc}\n"
+
+
+def _track(homotopy, seed=0):
+    return bd.homotopy_path(homotopy, random_point(homotopy.source, seed))
+
+
+def _bare_reflection():
+    d = mf.named_diffeo(mf.Sphere(2), "sphere_reflection")
+    return mf.Diffeo("bare", d.forward, d.inverse, d.source)
+
+
+# derivatives that have no exact path: sphere_power_map carries no
+# differential, so neither does a pullback along it; a direct sum has no
+# projector differential
+REFUSALS = {
+    "pullback_along_power_map": lambda: bd.transport_operator(
+        bd.pullback(mf.sphere_power_map(2), bd.tangent_sphere(2)),
+        _track(mf.rotation_homotopy(mf.Sphere(2), (0, 1), 1.0)), 64),
+    "differential_lift_of_bare_diffeo": lambda: lf.differential_lift(_bare_reflection()),
+    "direct_sum": lambda: bd.transport_operator(
+        bd.direct_sum(bd.tautological_real(1, 2), bd.tautological_complex(1)),
+        _track(constant_homotopy(mf.Product(mf.GrassmannReal(1, 2),
+                                            mf.ComplexProjective(1)))), 64),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_refused_derivative_exits_2(monkeypatch, capsys, name):
+    with pytest.raises(BadParams, match="has no (projector )?differential"):
+        REFUSALS[name]()
+
+    def scenario(cfg):
+        REFUSALS[name]()
+
+    monkeypatch.setitem(cli.SCENARIOS, "gluing_demo", scenario)
+    assert cli.main(["scenario", "gluing_demo", "--no-timestamp"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: BadParams: ") and err.count("\n") == 1
 
 
 def _nan_images(make):

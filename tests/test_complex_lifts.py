@@ -389,6 +389,28 @@ class TestS1xS2Generators:
         assert rep.passed
         assert rep.base_residual <= 1e-5
 
+    def test_a_transports_by_the_unitary_family_velocity(self, monkeypatch):
+        # the half-turn's exact velocity, and with it the pullback's exact
+        # projector differential, drives the transport inside the a lift
+        entered = []
+        make = lf.cp1_plane_rotation_homotopy
+
+        def counted(model, angle):
+            h = make(model, angle)
+
+            def velocity(t, x, xt):
+                entered.append(np.shape(t))
+                return h.velocity(t, x, xt)
+
+            return mf.Homotopy(h.name, h.family, h.endpoint, h.source, velocity)
+
+        monkeypatch.setattr(lf, "cp1_plane_rotation_homotopy", counted)
+        lift = lf.s1xs2_generator_lift("a", 2, steps=64)
+        x = random_point(lift.bundle.base, 12)
+        lift.action(x, lift.bundle.random_fiber_vector(x, np.random.default_rng(12)))
+        # one window of the 64 steps: 129 stage times
+        assert entered == [(129,)]
+
     def test_s_base_involution(self):
         lift = lf.s1xs2_generator_lift("s", 1)
         for seed in range(10):

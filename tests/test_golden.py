@@ -61,7 +61,23 @@ the product of the segment transports: ten residuals moved in their last
 digits (homotopy_lift_sphere ``checks[0]`` to ``[3]``, s1xs2_generators
 ``checks[8]``, ``[9]``, ``[10]``, ``[21]``, ``[22]``, ``[23]``, listed in
 CHANGES.md), and every name, verdict and tolerance stayed. The other
-reports, both torus_sweep files included, kept their bytes."""
+reports, both torus_sweep files included, kept their bytes.
+
+s1xs2_generators and tangent_isometry .json were regenerated when every
+derivative came to be exact: transport along a pullback by the map's
+differential instead of central differences, and the differential lift's
+Jacobian from the diffeomorphism's differential instead of central
+differences on its radial extension. Ten residuals moved, and every name,
+verdict and tolerance stayed: s1xs2_generators ``a_lift.n1.linearity``
+9.4e-17 -> 1.2e-16, ``a_lift.n1.min_singular_value`` 1 - 1.7e-12 ->
+1 - 4.4e-14, ``a_lift.n2.base`` 4.59e-16 -> 4.57e-16,
+``a_lift.n2.linearity`` 1.5e-16 -> 1.3e-16 and
+``a_lift.n2.min_singular_value`` 1 - 4.2e-12 -> 1 - 7.7e-14;
+tangent_isometry ``differential_sigma.base`` 1.8e-16 -> 1.6e-16,
+``differential_sigma.linearity`` 1.6e-16 -> 1.2e-16,
+``differential_sigma.min_singular_value`` 1 - 2.7e-11 -> 1 - 4.4e-16,
+``metrized_sigma.isometry`` 1.3e-15 -> 1.1e-15 and
+``differential_rotation.isometry`` 1.8e-10 -> 1.0e-15."""
 
 import csv
 import io

@@ -295,8 +295,7 @@ def test_rk4_transport_adds_one_increment_per_step_and_a_few_blocks():
 ORACLE_STEPS = 16384
 
 STACKED_TRACKS = [
-    # (bundle, tracks of a stack of points, model); the pullback's projector
-    # has no differential: central differences
+    # (bundle, tracks of a stack of points, model)
     ("sphere_rotation", bd.tangent_sphere(2),
      lambda x: bd.homotopy_path(
          mf.rotation_homotopy(mf.Sphere(2), (0, 1), 1.8 * np.pi), x), mf.Sphere(2)),
@@ -304,7 +303,7 @@ STACKED_TRACKS = [
      lambda x: bd.homotopy_path(
          cpn_phase_homotopy(mf.ComplexProjective(1), 6 * np.pi), x),
      mf.ComplexProjective(1)),
-    ("pullback_fd", bd.pullback(mf.cp1_power_map(2), bd.tautological_complex(1)),
+    ("pullback", bd.pullback(mf.cp1_power_map(2), bd.tautological_complex(1)),
      lambda x: bd.homotopy_path(
          mf.cp1_plane_rotation_homotopy(mf.ComplexProjective(1), np.pi), x),
      mf.ComplexProjective(1)),
@@ -320,7 +319,7 @@ def test_rk4_transport_matches_staged_oracle(name, bundle, tracks, model):
     h = 1.0 / ORACLE_STEPS
     qp, qnode = bd._stage_arrays(bundle, path,
                                  (0.5 * h) * np.arange(2 * ORACLE_STEPS + 1),
-                                 h * np.arange(ORACLE_STEPS + 1), slice(None))
+                                 slice(None))
     new = _kernels.rk4_transport(qp, qnode, qnode[0], h)
     oracle = _staged_rk4_transport(qp, qnode, qnode[0], h)
     assert np.max(np.abs(new - oracle)) <= 1e-13

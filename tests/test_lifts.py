@@ -10,8 +10,8 @@ from bundlelift.errors import (BadParams, BundleMismatch, DegenerateJacobian,
                                NonInjective, NotIsometric, NotOrthonormal)
 from bundlelift.numkernel import min_singular_value, worst
 
-from helpers import (constant_homotopy, cpn_phase_homotopy, identity_lift,
-                     random_point, torus_line_lift)
+from helpers import (constant_homotopy, cpn_phase_homotopy, fd_differential,
+                     identity_lift, random_point, torus_line_lift)
 
 
 def _probe(lift, seed=0):
@@ -596,10 +596,11 @@ class TestDifferentialLift:
     def test_degenerate_jacobian(self):
         # collapsing the third coordinate kills one tangent direction
         def squash(x):
-            y = np.array([x[0], x[1], 1e-9 * x[2]])
-            return y / np.linalg.norm(y)
+            y = x * np.array([1.0, 1.0, 1e-9])
+            return y / np.linalg.norm(y, axis=-1, keepdims=True)
 
-        fake = mf.Diffeo("squash", squash, squash, mf.Sphere(2))
+        fake = mf.Diffeo("squash", squash, squash, mf.Sphere(2),
+                         differential=fd_differential(squash))
         lift = lf.differential_lift(fake)
         x = np.array([0.6, 0.0, 0.8])
         with pytest.raises(DegenerateJacobian):

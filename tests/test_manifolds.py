@@ -6,8 +6,8 @@ import pytest
 from bundlelift import manifolds as mf
 from bundlelift.errors import BadParams, BadPlane, UnknownName
 
-from helpers import (constant_homotopy, cpn_phase_homotopy, random_point,
-                     stack_points, unimodular)
+from helpers import (constant_homotopy, cpn_phase_homotopy, fd_differential,
+                     random_point, stack_points, unimodular)
 
 
 MODELS = [
@@ -324,19 +324,19 @@ class TestHomotopies:
     def test_rotation_homotopy_zero_angle(self):
         h = mf.rotation_homotopy(mf.Sphere(2), (0, 1), 0.0)
         x = random_point(mf.Sphere(2), 2)
-        assert np.allclose(h(0.4, x), x)
+        assert np.allclose(h.family(0.4, x), x)
         assert np.allclose(h.endpoint.forward(x), x)
 
     def test_quarter_turn(self):
         h = mf.rotation_homotopy(mf.Sphere(2), (0, 1), np.pi / 2)
         e1 = np.array([1.0, 0.0, 0.0])
-        assert np.allclose(h(1.0, e1), [0.0, 1.0, 0.0], atol=1e-12)
+        assert np.allclose(h.family(1.0, e1), [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_full_turn_loops(self):
         h = mf.rotation_homotopy(mf.Sphere(2), (0, 1), 2 * np.pi)
         e1 = np.array([1.0, 0.0, 0.0])
-        assert np.allclose(h(1.0, e1), e1, atol=1e-12)
-        assert np.allclose(h(0.5, e1), -e1, atol=1e-12)
+        assert np.allclose(h.family(1.0, e1), e1, atol=1e-12)
+        assert np.allclose(h.family(0.5, e1), -e1, atol=1e-12)
 
     def test_bad_plane(self):
         with pytest.raises(BadPlane):
@@ -353,9 +353,9 @@ class TestHomotopies:
         h = make(m)
         for seed in range(10):
             x = random_point(m, seed)
-            assert m.distance(h(0.0, x), x) <= 1e-10
-            assert m.distance(h(1.0, x), h.endpoint.forward(x)) <= 1e-10
-            assert m.membership_residual(h(0.37, x)) <= 1e-10
+            assert m.distance(h.family(0.0, x), x) <= 1e-10
+            assert m.distance(h.family(1.0, x), h.endpoint.forward(x)) <= 1e-10
+            assert m.membership_residual(h.family(0.37, x)) <= 1e-10
 
     def test_nan_generator_is_refused(self):
         with pytest.raises(BadParams, match="anti-Hermitian"):
@@ -364,9 +364,9 @@ class TestHomotopies:
     def test_velocity_matches_finite_difference(self):
         h = cpn_phase_homotopy(mf.ComplexProjective(1), 0.9)
         x = random_point(mf.ComplexProjective(1), 4)
-        t, eps = 0.3, 1e-6
-        fd = (h(t + eps, x) - h(t - eps, x)) / (2 * eps)
-        assert np.max(np.abs(h.velocity(t, x, h(t, x)) - fd)) <= 1e-8
+        t = 0.3
+        fd = fd_differential(lambda s: h.family(s, x))(t, 1.0)
+        assert np.max(np.abs(h.velocity(t, x, h.family(t, x)) - fd)) <= 1e-8
 
     def test_endpoint_agreement_100_points(self):
         cases = [
@@ -380,8 +380,8 @@ class TestHomotopies:
         for model, h in cases:
             for seed in range(100):
                 x = random_point(model, seed)
-                assert model.distance(h(1.0, x), h.endpoint.forward(x)) <= 1e-10
-                assert model.distance(h(0.0, x), x) <= 1e-10
+                assert model.distance(h.family(1.0, x), h.endpoint.forward(x)) <= 1e-10
+                assert model.distance(h.family(0.0, x), x) <= 1e-10
 
 
 REGISTERED = [
@@ -449,9 +449,9 @@ def test_homotopy_on_a_point_stack_stacks_per_point_tracks(model, make):
                          mf.map_points(lambda a: np.swapaxes(a, 0, 1), per_point))
     assert _points_equal(h.family(0.4, stack),
                          stack_points([h.family(0.4, x) for x in xs]))
-    if h.velocity is not None:
-        per_point = np.stack([h.velocity(ts, x, h.family(ts, x)) for x in xs], axis=1)
-        assert np.array_equal(h.velocity(ts, stack, h.family(ts, stack)), per_point)
+    per_point = stack_points([h.velocity(ts, x, h.family(ts, x)) for x in xs])
+    assert _points_equal(h.velocity(ts, stack, h.family(ts, stack)),
+                         mf.map_points(lambda a: np.swapaxes(a, 0, 1), per_point))
     assert _points_equal(h.endpoint.forward(stack),
                          stack_points([h.endpoint.forward(x) for x in xs]))
 
@@ -464,9 +464,8 @@ def test_homotopy_on_time_vector_stacks_per_time_values(model, make):
         x = random_point(model, seed)
         stacked = stack_points([h.family(t, x) for t in ts])
         assert _points_equal(h.family(ts, x), stacked)
-        if h.velocity is not None:
-            per_time = [h.velocity(t, x, h.family(t, x)) for t in ts]
-            assert np.array_equal(h.velocity(ts, x, h.family(ts, x)), np.stack(per_time))
+        per_time = [h.velocity(t, x, h.family(t, x)) for t in ts]
+        assert _points_equal(h.velocity(ts, x, h.family(ts, x)), stack_points(per_time))
 
 
 UNITARY_HOMOTOPIES = [
@@ -525,6 +524,43 @@ def test_power_map_closed_form_matches_homogeneous_formula(n):
         assert np.max(np.abs(f.forward(p) - _homogeneous_power_map(p, n))) <= 1e-14
     stacked = f.forward(np.stack(ps))
     assert np.array_equal(stacked, np.stack([f.forward(p) for p in ps]))
+
+
+def _tangent_directions(model, seed):
+    # 7 points of the model and a tangent direction at each: the velocity of
+    # a random unitary family X P - P X on CP^1, the tangent part of a
+    # random vector on a sphere
+    rng = np.random.default_rng(seed)
+    xs = model.random_points(rng, 7)
+    if isinstance(model, mf.ComplexProjective):
+        g = rng.normal(size=(7, 2, 2)) + 1j * rng.normal(size=(7, 2, 2))
+        gen = g - np.conj(np.swapaxes(g, -1, -2))
+        return xs, gen @ xs - xs @ gen
+    v = rng.normal(size=xs.shape)
+    return xs, v - np.vecdot(v, xs)[..., None] * xs
+
+
+_S2 = mf.Sphere(2)
+DIFFERENTIABLE_MAPS = [
+    ("cp1_power_1", mf.cp1_power_map(1)),
+    ("cp1_power_2", mf.cp1_power_map(2)),
+    ("cp1_power_3", mf.cp1_power_map(3)),
+    ("sphere_rotation", mf.named_diffeo(_S2, "sphere_rotation",
+                                        matrix=mf.random_orthogonal(3, 8))),
+    ("sphere_reflection", mf.named_diffeo(_S2, "sphere_reflection", axis=0)),
+    ("antipodal", mf.named_diffeo(_S2, "antipodal")),
+    ("identity", mf.identity_diffeo(_S2)),
+]
+
+
+@pytest.mark.parametrize("name,f", DIFFERENTIABLE_MAPS,
+                         ids=[c[0] for c in DIFFERENTIABLE_MAPS])
+def test_differential_matches_finite_difference(name, f):
+    xs, dirs = _tangent_directions(f.source, 11)
+    exact = f.differential(xs, dirs)
+    assert np.max(np.abs(exact - fd_differential(f.forward)(xs, dirs))) <= 1e-8
+    assert np.array_equal(exact, np.stack([f.differential(x, d)
+                                           for x, d in zip(xs, dirs)]))
 
 
 def _sphere_to_cp1_per_point(x):
