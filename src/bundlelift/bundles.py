@@ -12,7 +12,8 @@ a mixed sum keeps its summands' real blocks.
 
 The field and its differential take one point or a stack of points on a
 leading axis (see ``manifolds``) and are each written once in broadcasting
-numpy.
+numpy; the 2 x 2 fields of the torus line bundles write their entries in
+closed form.
 
 Fiber vectors are plain ambient arrays. ``joint_transport_operators`` is
 the one transport, and ``transport_operator`` its one-pair case: it
@@ -278,13 +279,14 @@ def torus_line(b):
     Q(x) = u u^T with u(x) = (cos(pi b.x), sin(pi b.x)).
 
     Changing x by an integer vector m flips u by (-1)^{b.m}, so Q is
-    well defined on the torus.
+    well defined on the torus. Q and its differential are written entry by
+    entry in the double angle 2 pi b.x: Q = (I + [[cos, sin], [sin, -cos]])
+    / 2 and Q' = pi b.xdot [[-sin, cos], [cos, sin]]. The torus lifts read
+    the section u itself, as ``unit_section``.
     """
     b = _check_bits(b)
     n = b.shape[0]
     bf = b.astype(float)
-
-    quarter_turn = np.array([-1.0, 1.0])
 
     def u_of(x):
         phase = np.pi * (np.asarray(x, dtype=float) @ bf)
@@ -293,15 +295,26 @@ def torus_line(b):
         u[..., 1] = np.sin(phase)
         return u
 
+    def double_angle(x):
+        phase = (2.0 * np.pi) * (np.asarray(x, dtype=float) @ bf)
+        return np.cos(phase), np.sin(phase)
+
     def q_of(x):
-        u = u_of(x)
-        return _outer(u, u)
+        c, s = double_angle(x)
+        q = np.empty(c.shape + (2, 2))
+        q[..., 0, 0] = 0.5 * (1.0 + c)
+        q[..., 0, 1] = q[..., 1, 0] = 0.5 * s
+        q[..., 1, 1] = 0.5 * (1.0 - c)
+        return q
 
     def q_diff(x, xdot):
-        u = u_of(x)
+        c, s = double_angle(x)
         rate = np.pi * (np.asarray(xdot, dtype=float) @ bf)
-        du = rate[..., None] * (u[..., ::-1] * quarter_turn)
-        return _sym_outer(du, u)
+        dq = np.empty(c.shape + (2, 2))
+        dq[..., 0, 0] = -rate * s
+        dq[..., 0, 1] = dq[..., 1, 0] = rate * c
+        dq[..., 1, 1] = rate * s
+        return dq
 
     model = BundleModel(
         key=("torus_line", tuple(int(v) for v in b)),

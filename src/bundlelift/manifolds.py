@@ -33,7 +33,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import BadParams, BadPlane, NonConvergent, UnknownName
-from .numkernel import norms, small_matmul, worst
+from .numkernel import norms, worst
 
 __all__ = [
     "ManifoldModel",
@@ -213,12 +213,6 @@ def map_points(fn, points):
     return fn(points)
 
 
-def _per_time(m, t, model, x):
-    """A stack of matrices over the times t, given one singleton axis per
-    stack axis of x, so that it broadcasts to shape t + stack of x."""
-    return m.reshape(np.shape(t) + (1,) * len(model.stack_shape(x)) + m.shape[-2:])
-
-
 # ---------------------------------------------------------------------------
 # Maps, diffeomorphisms, homotopies
 
@@ -257,13 +251,18 @@ class Diffeo(SmoothMap):
                       self.target, self.source)
 
     def then(self, other):
-        """Composite other . self (apply self first)."""
+        """Composite other . self (apply self first), with the chain rule
+        differential when both maps have one."""
+        d1, d2 = self.differential, other.differential
+        differential = (None if d1 is None or d2 is None else
+                        lambda x, xdot: d2(self.forward(x), d1(x, xdot)))
         return Diffeo(
             f"{other.name}.{self.name}",
             lambda x: other.forward(self.forward(x)),
             lambda x: self.inverse(other.inverse(x)),
             self.source,
             other.target,
+            differential,
         )
 
 
@@ -523,86 +522,85 @@ def _round_trip_points(model):
 
 
 def rotation_homotopy(model, plane, angle):
-    """Family of rotations by t*angle in a coordinate plane of the ambient
-    space of a sphere; at t=0 the identity."""
+    """Family of rotations by t*angle in a coordinate plane (i, j) of the
+    ambient space of a sphere, the identity at t=0: x_i' = c x_i - s x_j and
+    x_j' = s x_i + c x_j, every other coordinate copied."""
     if not isinstance(model, Sphere):
         raise BadPlane("rotation_homotopy is defined on spheres")
     i, j = plane
     dim = model.n + 1
     if i == j or not (0 <= i < dim and 0 <= j < dim):
         raise BadPlane(f"invalid plane {plane} for ambient dimension {dim}")
-    gen = np.zeros((dim, dim))
-    gen[i, j] = -1.0
-    gen[j, i] = 1.0
-    eye = np.eye(dim)
 
-    def rot(alpha):
+    def rotate(alpha, x):
+        # x turned by alpha, which broadcasts against the stack axes of x
+        x = np.asarray(x, dtype=float)
         c, s = np.cos(alpha), np.sin(alpha)
-        r = np.zeros(np.shape(alpha) + (dim, dim)) + eye
-        r[..., i, i] = c
-        r[..., j, j] = c
-        r[..., i, j] = -s
-        r[..., j, i] = s
-        return r
+        xi, xj = x[..., i], x[..., j]
+        yi = c * xi - s * xj
+        out = np.broadcast_to(x, yi.shape + (dim,)).copy()
+        out[..., i] = yi
+        out[..., j] = s * xi + c * xj
+        return out
 
-    r_end, r_back = rot(angle), rot(-angle)
-    endpoint = Diffeo("sphere_rotation", lambda x: np.matvec(r_end, x),
-                      lambda x: np.matvec(r_back, x), model)
+    endpoint = _linear_diffeo("sphere_rotation", lambda x: rotate(angle, x),
+                              lambda x: rotate(-angle, x), model)
 
     def family(t, x):
-        return np.matvec(_per_time(rot(t * angle), t, model, x), x)
+        return rotate(np.reshape(np.multiply(t, angle),
+                                 np.shape(t) + (1,) * (np.ndim(x) - 1)), x)
 
     def velocity(t, x, xt):
-        return angle * (xt @ gen.T)
+        v = np.zeros(np.shape(xt))
+        v[..., i] = -angle * xt[..., j]
+        v[..., j] = angle * xt[..., i]
+        return v
 
     return Homotopy(f"rotation[{i},{j};{angle:g}]", family, endpoint, model,
                     velocity=velocity)
 
 
-def _unitary_family_homotopy(model, x_gen, name):
-    """Homotopy P(t) = U(t) P U(t)^* with U(t) = exp(t X), X anti-Hermitian.
-
-    U(t), the family and its velocity multiply stacks of small complex
-    matrices, one per time and point, with ``small_matmul``, not ``@``:
-    numpy's complex ``@`` costs about 1.3 us per 2x2 matrix, which made this
-    family the largest cost of transport along it. (The eigenframe form, Vh P V times
-    the phases e^{it(w_a - w_b)}, was measured too: no faster end to end,
-    and slower on the 50-track stacks of the CLI defaults.)"""
-    x_gen = np.asarray(x_gen, dtype=complex)
-    herm = -1j * x_gen
-    if not np.max(np.abs(herm - herm.conj().T)) <= 1e-12:
-        raise BadParams("generator must be anti-Hermitian")
-    w, v = np.linalg.eigh(herm)
-    vh = v.conj().T
-
-    def unitary(t):
-        t = np.asarray(t, dtype=float)[..., None, None]
-        return small_matmul(v * np.exp(1j * t * w), vh)
-
-    u1 = unitary(1.0)
-    endpoint = Diffeo("cpn_unitary", lambda p: u1 @ p @ u1.conj().T,
-                      lambda p: u1.conj().T @ p @ u1, model)
-
-    def family(t, p):
-        u = _per_time(unitary(t), t, model, p)
-        return small_matmul(small_matmul(u, p), np.conj(np.swapaxes(u, -1, -2)))
-
-    def velocity(t, p, pt):
-        return small_matmul(x_gen, pt) - small_matmul(pt, x_gen)
-
-    return Homotopy(name, family, endpoint, model, velocity=velocity)
-
-
 def cp1_plane_rotation_homotopy(model, angle):
-    """Rotation of CP^1 covering the sphere rotation about the x2-axis.
+    """Rotation of CP^1 covering the sphere rotation about the x2-axis:
+    P(t) = R P R^T with R the real rotation by t * angle / 2, and velocity
+    (angle / 2) [J, P(t)] with J = [[0, -1], [1, 0]], both written entry by
+    entry on the real and imaginary parts.
 
     The endpoint at angle pi is the Moebius map z -> -1/z, which composed
     with conjugation gives the antipodal map.
     """
     if not isinstance(model, ComplexProjective) or model.n != 1:
         raise BadParams("cp1_plane_rotation_homotopy is defined on CP^1")
-    gen = 0.5 * angle * np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
-    return _unitary_family_homotopy(model, gen, f"cp1_plane_rotation[{angle:g}]")
+
+    def turn(alpha, p):
+        # R(alpha / 2) p R(alpha / 2)^T, real and imaginary part at once
+        # (last axis): (d, m) = (p00 - p11, p01 + p10) / 2 turns by alpha to
+        # (x, y), and with a = (p00 + p11) / 2, k = (p01 - p10) / 2 the image
+        # is [[a + x, k + y], [y - k, a - x]]
+        c, s = np.cos(alpha)[..., None], np.sin(alpha)[..., None]
+        f = 0.5 * np.stack([np.real(p), np.imag(p)], axis=-1)
+        a, d = f[..., 0, 0, :] + f[..., 1, 1, :], f[..., 0, 0, :] - f[..., 1, 1, :]
+        m, k = f[..., 0, 1, :] + f[..., 1, 0, :], f[..., 0, 1, :] - f[..., 1, 0, :]
+        x, y = c * d - s * m, s * d + c * m
+        out = np.stack([a + x, k + y, y - k, a - x], axis=-2)
+        return out.reshape(x.shape[:-1] + (2, 2, 2)).view(complex)[..., 0]
+
+    name = f"cp1_plane_rotation[{angle:g}]"
+    endpoint = _linear_diffeo(name, lambda p: turn(angle, p),
+                              lambda p: turn(-angle, p), model)
+
+    def family(t, p):
+        return turn(np.reshape(np.multiply(t, angle),
+                               np.shape(t) + (1,) * (np.ndim(p) - 2)), p)
+
+    def velocity(t, p, pt):
+        # (angle / 2) [J, P] = (angle / 2) [[-(p01 + p10), p00 - p11],
+        #                                   [p00 - p11, p01 + p10]]
+        m = 0.5 * angle * (pt[..., 0, 1] + pt[..., 1, 0])
+        d = 0.5 * angle * (pt[..., 0, 0] - pt[..., 1, 1])
+        return np.stack([-m, d, d, m], axis=-1).reshape(np.shape(pt))
+
+    return Homotopy(name, family, endpoint, model, velocity=velocity)
 
 
 # ---------------------------------------------------------------------------
@@ -658,12 +656,22 @@ def cp1_power_map(n):
         return out
 
     def differential(p, pdot):
-        # d(p_ij^n) = n p_ij^(n-1) pdot_ij, and dnorm is the real trace of it
-        p = np.asarray(p)
+        # (e - fwd(p) dnorm) / norm, e_ij = d(p_ij^n) = n p_ij^(n-1) pdot_ij
+        # and dnorm its real trace, with fwd's entries d_k / norm and p01^n
+        # times 1 / norm (as numpy divides a complex number by a real one)
+        p = np.asarray(p, dtype=complex)
         e = n * p ** (n - 1) * pdot
-        dnorm = (e[..., 0, 0].real + e[..., 1, 1].real)[..., None, None]
-        norm = (p[..., 0, 0].real ** n + p[..., 1, 1].real ** n)[..., None, None]
-        return (e - fwd(p) * dnorm) / norm
+        d0, d1 = p[..., 0, 0].real ** n, p[..., 1, 1].real ** n
+        norm = d0 + d1
+        inv = 1.0 / norm
+        dnorm = e[..., 0, 0].real + e[..., 1, 1].real
+        off = p[..., 0, 1] ** n * inv * dnorm
+        e.real[..., 0, 0] -= d0 / norm * dnorm
+        e.real[..., 1, 1] -= d1 / norm * dnorm
+        e[..., 0, 1] -= off
+        e[..., 1, 0] -= np.conj(off)
+        e *= inv[..., None, None]
+        return e
 
     return SmoothMap(f"cp1_power[{n}]", fwd, model, model, differential)
 

@@ -13,7 +13,9 @@ or a stack of matrices on leading axes; each matrix of a stack is factored
 on its own, so every result is bitwise the per-matrix result.
 Matrix-vector products on stacks are ``np.matvec``, and :func:`norms` is
 the Euclidean norm of each vector of a stack, both bitwise equal to
-``m @ v`` and ``np.linalg.norm(v)`` per vector.
+``m @ v`` and ``np.linalg.norm(v)`` per vector. There is no stacked small
+matrix product: the 2 x 2 families and fields that transport evaluates
+write their entries in closed form (``manifolds``, ``bundles``).
 """
 
 import numpy as np
@@ -28,7 +30,6 @@ __all__ = [
     "min_singular_value",
     "realify",
     "norms",
-    "small_matmul",
     "worst",
 ]
 
@@ -155,19 +156,6 @@ def min_singular_value(f):
 def norms(v):
     """Euclidean norm of a vector, or of each vector of a stack."""
     return np.sqrt(np.vecdot(v, v))
-
-
-def small_matmul(a, b):
-    """``a @ b`` for broadcast stacks of small matrices, as the sum over the
-    inner index j = 0..N-1 of broadcast elementwise products. On stacks of
-    2x2 complex matrices numpy's ``@`` costs about 1.3 us per matrix; this
-    costs a few ufunc calls per product. Each entry is computed alone, so a
-    stacked call is bitwise equal to its per-matrix calls (to ``@`` it
-    agrees to rounding only)."""
-    out = a[..., :, :1] * b[..., :1, :]
-    for j in range(1, a.shape[-1]):
-        out += a[..., :, j:j + 1] * b[..., j:j + 1, :]
-    return out
 
 
 def polar_two_metric(f):

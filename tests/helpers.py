@@ -71,8 +71,55 @@ def cpn_phase_homotopy(model, angle, slot=0):
         raise BadParams(f"slot {slot} out of range")
     gen = np.zeros((model.n + 1, model.n + 1), dtype=complex)
     gen[slot, slot] = 1j * angle
-    return mf._unitary_family_homotopy(model, gen,
-                                       f"cpn_phase[{slot};{angle:g}]")
+    return _unitary_family_homotopy(model, gen, f"cpn_phase[{slot};{angle:g}]")
+
+
+def _unitary_family_homotopy(model, x_gen, name):
+    """Homotopy P(t) = U(t) P U(t)^* with U(t) = exp(t X), X anti-Hermitian,
+    in complex ``@`` products, with velocity X P(t) - P(t) X: the general
+    unitary family that cp1_plane_rotation_homotopy was once built on,
+    kept for the phase homotopies and as the oracle of that closed form."""
+    x_gen = np.asarray(x_gen, dtype=complex)
+    herm = -1j * x_gen
+    if not np.max(np.abs(herm - herm.conj().T)) <= 1e-12:
+        raise BadParams("generator must be anti-Hermitian")
+    w, v = np.linalg.eigh(herm)
+
+    def unitary(t):
+        t = np.asarray(t, dtype=float)[..., None, None]
+        return (v * np.exp(1j * t * w)) @ v.conj().T
+
+    u1 = unitary(1.0)
+    endpoint = mf.Diffeo("cpn_unitary", lambda p: u1 @ p @ u1.conj().T,
+                         lambda p: u1.conj().T @ p @ u1, model)
+
+    def family(t, p):
+        # one U per time, with a singleton axis per stack axis of the points
+        u = unitary(t)
+        u = u.reshape(np.shape(t) + (1,) * len(model.stack_shape(p)) + x_gen.shape)
+        return u @ p @ np.conj(np.swapaxes(u, -1, -2))
+
+    def velocity(t, p, pt):
+        return x_gen @ pt - pt @ x_gen
+
+    return mf.Homotopy(name, family, endpoint, model, velocity=velocity)
+
+
+def cp1_power_differential(n):
+    """The differential of cp1_power_map(n) as (e - fwd(p) dnorm) / norm in
+    complex array arithmetic, e_ij = n p_ij^(n-1) pdot_ij and dnorm its
+    real trace: the formula the package wrote before it wrote the entries
+    with real norm and dnorm, kept as their bitwise oracle."""
+    fwd = mf.cp1_power_map(n).forward
+
+    def differential(p, pdot):
+        p = np.asarray(p)
+        e = n * p ** (n - 1) * pdot
+        dnorm = (e[..., 0, 0].real + e[..., 1, 1].real)[..., None, None]
+        norm = (p[..., 0, 0].real ** n + p[..., 1, 1].real ** n)[..., None, None]
+        return (e - fwd(p) * dnorm) / norm
+
+    return differential
 
 
 def eigh_fiber_basis(bundle, x):

@@ -172,9 +172,9 @@ def test_pullback_fibers_bitwise():
 
 
 def test_differentials_are_bitwise_the_two_outer_products():
-    # the differentials of tangent_sphere and torus_line build outer(a, b)
-    # once and add its transpose: b_i a_j is a_j b_i exactly, so the sum is
-    # bitwise outer(a, b) + outer(b, a), C-ordered as that sum is
+    # the differential of tangent_sphere builds outer(a, b) once and adds
+    # its transpose: b_i a_j is a_j b_i exactly, so the sum is bitwise
+    # outer(a, b) + outer(b, a), C-ordered as that sum is
     rng = np.random.default_rng(5)
     x = rng.normal(size=(9232, 3))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
@@ -182,14 +182,32 @@ def test_differentials_are_bitwise_the_two_outer_products():
     got = bd.tangent_sphere(2).projector_differential(x, xdot)
     ref = -(bd._outer(xdot, x) + bd._outer(x, xdot))
     assert got.flags.c_contiguous and got.tobytes() == ref.tobytes()
+
+
+def test_torus_line_fields_are_the_outer_products_to_roundoff():
+    # Q and Q' of L_b are written in the double angle 2 pi b.x; the outer
+    # products u u^T and du u^T + u du^T of the section u = (cos, sin)(pi
+    # b.x) are their oracle, to a few units of roundoff: of 1 for Q, of the
+    # rate pi b.xdot for Q' (measured: 1 and 1.9 eps)
+    rng = np.random.default_rng(5)
     bits = np.array([1, 1])
     t = rng.uniform(-2.0, 2.0, size=(2307, 2))
     tdot = rng.normal(size=(2307, 2))
-    u = bd.torus_line(bits).unit_section(t)
-    du = (np.pi * (tdot @ bits.astype(float)))[:, None] * (u[:, ::-1] * [-1.0, 1.0])
-    got = bd.torus_line(bits).projector_differential(t, tdot)
-    ref = bd._outer(du, u) + bd._outer(u, du)
-    assert got.flags.c_contiguous and got.tobytes() == ref.tobytes()
+    tl = bd.torus_line(bits)
+    u = tl.unit_section(t)
+    rate = np.pi * (tdot @ bits.astype(float))
+    du = rate[:, None] * (u[:, ::-1] * [-1.0, 1.0])
+    eps = np.finfo(float).eps
+    q = tl.fiber_projector(t)
+    assert q.flags.c_contiguous
+    assert np.max(np.abs(q - bd._outer(u, u))) <= 4 * eps
+    dq = tl.projector_differential(t, tdot)
+    err = np.abs(dq - (bd._outer(du, u) + bd._outer(u, du)))
+    assert dq.flags.c_contiguous and np.all(err <= 8 * eps * np.abs(rate)[:, None, None])
+    # entry by entry, so a stack is bitwise its per-point calls
+    assert q.tobytes() == np.stack([tl.fiber_projector(p) for p in t]).tobytes()
+    assert dq.tobytes() == np.stack([tl.projector_differential(p, v)
+                                     for p, v in zip(t, tdot)]).tobytes()
 
 
 def test_torus_line_periodic():

@@ -77,7 +77,23 @@ tangent_isometry ``differential_sigma.base`` 1.8e-16 -> 1.6e-16,
 ``differential_sigma.linearity`` 1.6e-16 -> 1.2e-16,
 ``differential_sigma.min_singular_value`` 1 - 2.7e-11 -> 1 - 4.4e-16,
 ``metrized_sigma.isometry`` 1.3e-15 -> 1.1e-15 and
-``differential_rotation.isometry`` 1.8e-10 -> 1.0e-15."""
+``differential_rotation.isometry`` 1.8e-10 -> 1.0e-15.
+
+homotopy_lift_sphere and s1xs2_generators .json were regenerated when the
+transport paths came to be written in closed form: the sphere rotation
+family on its two plane coordinates instead of a matrix-vector product,
+and the CP^1 half-turn as R P R^T, entry by entry, instead of the general
+unitary family. Nine residuals moved in their last digits, and every
+name, verdict and tolerance stayed: homotopy_lift_sphere
+``homotopy_lift.linearity`` 1.66e-16 -> 1.64e-16,
+``homotopy_lift.min_singular_value`` 1 - 8.95e-14 -> 1 - 9.07e-14 and
+``homotopy_lift.isometry`` 1.665e-13 -> 1.671e-13; s1xs2_generators
+``a_lift.n1.base`` 4.75e-16 -> 4.61e-16, ``a_lift.n1.linearity``
+1.2e-16 -> 1.6e-16, ``a_lift.n1.min_singular_value`` 1 - 4.4e-14 ->
+1 - 8.0e-14, ``a_lift.n2.base`` 4.569e-16 -> 4.578e-16,
+``a_lift.n2.linearity`` 1.26e-16 -> 1.61e-16 and
+``a_lift.n2.min_singular_value`` 1 - 7.7e-14 -> 1 - 1.1e-13. The other
+reports, both torus_sweep files included, kept their bytes."""
 
 import csv
 import io

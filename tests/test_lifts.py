@@ -593,6 +593,27 @@ class TestDifferentialLift:
         rep_iso = lf.check_lift(iso, samples=10, seed=7, tolerance=1e-8)
         assert rep_iso.isometry_residual <= 1e-8
 
+    def test_rotation_endpoint_and_composite_lift(self):
+        # a rotation homotopy's endpoint and a composite of two linear
+        # sphere maps carry their differentials, so both lift
+        s2 = mf.Sphere(2)
+        r = mf.named_diffeo(s2, "sphere_rotation", matrix=mf.random_orthogonal(3, 4))
+        for diffeo in (mf.rotation_homotopy(s2, (0, 1), 0.5).endpoint,
+                       r.then(mf.named_diffeo(s2, "sphere_reflection"))):
+            lift = lf.differential_lift(diffeo)
+            assert lf.check_lift(lift, samples=10, seed=5, tolerance=1e-8).passed
+            x, v = _probe(lift, 2)
+            fd = fd_differential(diffeo.forward)(x, v)
+            assert np.linalg.norm(lift.action(x, v) - fd) <= 1e-8
+
+    def test_inverse_has_no_differential_to_lift(self):
+        # a Diffeo carries no inverse differential, so its inverse is refused
+        r = mf.named_diffeo(mf.Sphere(2), "sphere_rotation",
+                            matrix=mf.random_orthogonal(3, 4))
+        with pytest.raises(BadParams,
+                           match=r"^sphere_rotation\^-1 has no differential to lift$"):
+            lf.differential_lift(r.inverted())
+
     def test_degenerate_jacobian(self):
         # collapsing the third coordinate kills one tangent direction
         def squash(x):

@@ -6,8 +6,8 @@ import pytest
 from bundlelift import manifolds as mf
 from bundlelift.errors import BadParams, BadPlane, UnknownName
 
-from helpers import (constant_homotopy, cpn_phase_homotopy, fd_differential,
-                     random_point, stack_points, unimodular)
+from helpers import (constant_homotopy, cp1_power_differential, cpn_phase_homotopy,
+                     fd_differential, random_point, stack_points, unimodular)
 
 
 MODELS = [
@@ -479,8 +479,9 @@ UNITARY_HOMOTOPIES = [
 @pytest.mark.parametrize("homotopy,x_gen", UNITARY_HOMOTOPIES,
                          ids=["phase_cp1", "phase_cp2", "plane_cp1"])
 def test_unitary_family_matches_matmul_oracle(homotopy, x_gen):
-    # the complex @ forms that small_matmul replaced in the unitary family:
-    # P(t) = U(t) P U(t)^*, velocity X P(t) - P(t) X
+    # the complex @ forms of the unitary family P(t) = U(t) P U(t)^*, with
+    # U(t) = exp(t X) and velocity X P(t) - P(t) X: the oracle of the closed
+    # form of cp1_plane_rotation_homotopy, and of its endpoint at t = 1
     model, make = homotopy
     h = make(model)
     w, v = np.linalg.eigh(-1j * x_gen)
@@ -495,6 +496,36 @@ def test_unitary_family_matches_matmul_oracle(homotopy, x_gen):
                   ) <= 1e-14 * np.max(np.abs(x_gen))
     assert np.max(np.abs(pt - np.conj(np.swapaxes(pt, -1, -2)))) <= 1e-14
     assert np.max(np.abs(pt @ pt - pt)) <= 1e-14
+    assert np.max(np.abs(h.endpoint.forward(p) - want[11])) <= 1e-14
+    assert np.max(np.abs(h.endpoint.inverse(want[11]) - p)) <= 1e-14
+
+
+@pytest.mark.parametrize("model,plane,angle", [(mf.Sphere(2), (0, 2), 1.8 * np.pi),
+                                               (mf.Sphere(3), (3, 1), -0.7)],
+                         ids=["rot_s2", "rot_s3"])
+def test_rotation_family_matches_matvec_oracle(model, plane, angle):
+    # np.matvec of the rotation matrices by t * angle in the plane (i, j),
+    # which the family on the two plane coordinates replaced, and the
+    # velocity angle * (G x) of the generator G = dR/dalpha at 0
+    i, j = plane
+    dim = model.n + 1
+    h = mf.rotation_homotopy(model, plane, angle)
+    ts = np.linspace(-0.1, 1.1, 13)
+    r = np.zeros((13, dim, dim)) + np.eye(dim)
+    r[:, i, i] = r[:, j, j] = np.cos(ts * angle)
+    r[:, j, i] = np.sin(ts * angle)
+    r[:, i, j] = -r[:, j, i]
+    gen = np.zeros((dim, dim))
+    gen[j, i], gen[i, j] = 1.0, -1.0
+    x = model.random_points(np.random.default_rng(11), 5)
+    want = np.matvec(r[:, None], x)
+    xt = h.family(ts, x)
+    assert xt.shape == want.shape == (13, 5, dim)
+    assert np.max(np.abs(xt - want)) <= 1e-15
+    assert np.max(np.abs(h.velocity(ts, x, xt) - angle * np.matvec(gen, xt))
+                  ) <= 1e-15 * abs(angle)
+    assert np.max(np.abs(h.endpoint.forward(x) - want[11])) <= 1e-15
+    assert np.max(np.abs(h.endpoint.inverse(want[11]) - x)) <= 1e-15
 
 
 def _points_equal(a, b):
@@ -526,14 +557,14 @@ def test_power_map_closed_form_matches_homogeneous_formula(n):
     assert np.array_equal(stacked, np.stack([f.forward(p) for p in ps]))
 
 
-def _tangent_directions(model, seed):
-    # 7 points of the model and a tangent direction at each: the velocity of
-    # a random unitary family X P - P X on CP^1, the tangent part of a
-    # random vector on a sphere
+def _tangent_directions(model, seed, count=7):
+    # count points of the model and a tangent direction at each: the
+    # velocity of a random unitary family X P - P X on CP^1, the tangent
+    # part of a random vector on a sphere
     rng = np.random.default_rng(seed)
-    xs = model.random_points(rng, 7)
+    xs = model.random_points(rng, count)
     if isinstance(model, mf.ComplexProjective):
-        g = rng.normal(size=(7, 2, 2)) + 1j * rng.normal(size=(7, 2, 2))
+        g = rng.normal(size=(count, 2, 2)) + 1j * rng.normal(size=(count, 2, 2))
         gen = g - np.conj(np.swapaxes(g, -1, -2))
         return xs, gen @ xs - xs @ gen
     v = rng.normal(size=xs.shape)
@@ -550,6 +581,13 @@ DIFFERENTIABLE_MAPS = [
     ("sphere_reflection", mf.named_diffeo(_S2, "sphere_reflection", axis=0)),
     ("antipodal", mf.named_diffeo(_S2, "antipodal")),
     ("identity", mf.identity_diffeo(_S2)),
+    # linear endpoints, and the chain rule of a composite
+    ("rotation_endpoint", mf.rotation_homotopy(_S2, (0, 2), 0.7).endpoint),
+    ("cp1_rotation_endpoint", mf.cp1_plane_rotation_homotopy(
+        mf.ComplexProjective(1), np.pi).endpoint),
+    ("rotation_then_reflection", mf.named_diffeo(
+        _S2, "sphere_rotation", matrix=mf.random_orthogonal(3, 8)).then(
+            mf.named_diffeo(_S2, "sphere_reflection", axis=0))),
 ]
 
 
@@ -561,6 +599,19 @@ def test_differential_matches_finite_difference(name, f):
     assert np.max(np.abs(exact - fd_differential(f.forward)(xs, dirs))) <= 1e-8
     assert np.array_equal(exact, np.stack([f.differential(x, d)
                                            for x, d in zip(xs, dirs)]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cp1_power_differential_is_bitwise_the_complex_formula(n):
+    # the entries written with real norm and dnorm against the complex
+    # array formula (e - fwd(p) dnorm) / norm that they replaced: bitwise on
+    # random points and tangent directions; at the poles, where the zero
+    # entries may differ in their sign, equal in value
+    f, oracle = mf.cp1_power_map(n).differential, cp1_power_differential(n)
+    xs, dirs = _tangent_directions(mf.ComplexProjective(1), 40 + n, count=500)
+    assert f(xs, dirs).tobytes() == oracle(xs, dirs).tobytes()
+    poles = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
+    assert np.array_equal(f(poles, dirs[:2]), oracle(poles, dirs[:2]))
 
 
 def _sphere_to_cp1_per_point(x):

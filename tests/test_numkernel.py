@@ -455,39 +455,3 @@ def test_min_singular_value_refuses_unconverged_sweeps(monkeypatch):
 def test_norms_equal_per_vector_norms():
     v = np.random.default_rng(37).normal(size=(50, 5))
     assert np.array_equal(nk.norms(v), [np.linalg.norm(row) for row in v])
-
-
-def _draw(rng, dtype, *shape):
-    a = rng.normal(size=shape)
-    return a + 1j * rng.normal(size=shape) if dtype is complex else a
-
-
-@pytest.mark.parametrize("dtype", [float, complex])
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_small_matmul_matches_matmul_oracle(dtype, n):
-    # @ is the oracle, to rounding: relative to |a| @ |b| entrywise
-    rng = np.random.default_rng(41 + n)
-    a, b = _draw(rng, dtype, 7, 1, n, n), _draw(rng, dtype, 5, n, n)
-    for x, y in ((a, b), (b, a), (a[0, 0], b), (b, a[0, 0])):
-        got, want = nk.small_matmul(x, y), x @ y
-        assert got.shape == want.shape and got.dtype == want.dtype
-        assert np.all(np.abs(got - want) <= 1e-14 * (np.abs(x) @ np.abs(y)))
-    # elementwise, so a stacked call is bitwise its per-matrix calls
-    got = nk.small_matmul(a, b)
-    for i in range(7):
-        for j in range(5):
-            assert np.array_equal(got[i, j], nk.small_matmul(a[i, 0], b[j]))
-
-
-@pytest.mark.parametrize("dtype", [float, complex])
-def test_small_matmul_on_empty_stacks_and_nan(dtype):
-    rng = np.random.default_rng(43)
-    m = _draw(rng, dtype, 3, 3)
-    assert nk.small_matmul(np.zeros((0, 1, 3, 3), dtype), _draw(rng, dtype, 5, 3, 3)
-                           ).shape == (0, 5, 3, 3)
-    assert nk.small_matmul(m, np.zeros((0, 3, 3), dtype)).shape == (0, 3, 3)
-    a = _draw(rng, dtype, 4, 3, 3)
-    a[1, 2, 0] = np.nan
-    got = nk.small_matmul(a, m)
-    assert np.array_equal(np.isnan(got), np.isnan(a @ m))
-    assert np.isnan(got[1, 2]).all() and not np.isnan(np.delete(got, 1, 0)).any()
