@@ -121,8 +121,7 @@ def _scenario_homotopy_lift_sphere(cfg):
     bundle = tangent_sphere(2)
     h = rotation_homotopy(Sphere(2), (0, 1), np.pi / 2)
     lift = lift_from_homotopy(bundle, h, steps=cfg.transport_steps)
-    rep = check_lift(lift, samples=cfg.samples, seed=cfg.seed,
-                     tolerance=cfg.tol_transport)
+    rep = check_lift(lift, samples=cfg.samples, seed=cfg.seed)
     checks = []
     _report_checks("homotopy_lift", rep, cfg.tol_transport, checks)
     x = _draw(Sphere(2), cfg.seed, 1000, min(cfg.samples, 100))
@@ -146,10 +145,9 @@ def _scenario_metrize_random(cfg):
         return a + 0.2 * np.asarray(x)[..., 0, None, None] * s
 
     vert = Lift(bundle, identity_diffeo(model),
-                lambda x, v: np.matvec(field(x), v), "vertical_random",
-                cfg.tol_exact)
+                lambda x, v: np.matvec(field(x), v), "vertical_random")
     iso = metrize(vert)
-    rep = check_lift(iso, samples=cfg.samples, seed=cfg.seed, tolerance=1e-8)
+    rep = check_lift(iso, samples=cfg.samples, seed=cfg.seed)
     checks = []
     _report_checks("metrized", rep, 1e-8, checks)
     iso2 = metrize(iso)
@@ -190,19 +188,17 @@ def _scenario_tangent_isometry(cfg):
     every diffeomorphism yields an isometry of the round tangent bundle."""
     sigma = named_diffeo(Sphere(2), "sphere_reflection")
     dl = differential_lift(sigma)
-    rep = check_lift(dl, samples=cfg.samples, seed=cfg.seed,
-                     tolerance=cfg.tol_transport)
+    rep = check_lift(dl, samples=cfg.samples, seed=cfg.seed)
     checks = []
     _report_checks("differential_sigma", rep, cfg.tol_transport, checks,
                    isometry=False)
     iso = metrize(dl)
-    rep_iso = check_lift(iso, samples=min(cfg.samples, 50), seed=cfg.seed,
-                         tolerance=1e-8)
+    rep_iso = check_lift(iso, samples=min(cfg.samples, 50), seed=cfg.seed)
     checks.append(_check("metrized_sigma.isometry", rep_iso.isometry_residual, 1e-8))
     rot = named_diffeo(Sphere(2), "sphere_rotation",
                        matrix=random_orthogonal(3, cfg.seed))
     rep_rot = check_lift(differential_lift(rot), samples=min(cfg.samples, 50),
-                         seed=cfg.seed, tolerance=cfg.tol_transport)
+                         seed=cfg.seed)
     checks.append(_check("differential_rotation.isometry",
                          rep_rot.isometry_residual, 1e-8))
     return checks, None
@@ -218,8 +214,7 @@ def _scenario_ambient_projection(cfg):
                     [np.sin(theta), np.cos(theta)]])
     phi = named_diffeo(bundle.base, "grassmann_action", matrix=rot)
     lift = ambient_projection_lift(bundle, phi, seed=cfg.seed)
-    rep = check_lift(lift, samples=cfg.samples, seed=cfg.seed,
-                     tolerance=cfg.tol_exact)
+    rep = check_lift(lift, samples=cfg.samples, seed=cfg.seed)
     checks = []
     _report_checks("small_rotation", rep, cfg.tol_exact, checks, isometry=False)
 
@@ -235,8 +230,7 @@ def _scenario_ambient_projection(cfg):
     # its image is orthogonal to the target fiber
     literal = ambient_projection_lift(bundle, involution,
                                       variant="orthocomplement", seed=cfg.seed)
-    rep_lit = check_lift(literal, samples=min(cfg.samples, 50), seed=cfg.seed,
-                         tolerance=cfg.tol_exact)
+    rep_lit = check_lift(literal, samples=min(cfg.samples, 50), seed=cfg.seed)
     checks.append(_check("orthocomplement_variant.leaves_fibers",
                          rep_lit.base_residual, 0.5, "ge"))
     return checks, None
@@ -249,8 +243,7 @@ def _scenario_grassmann_action(cfg):
     a2 = random_orthogonal(4, cfg.seed + 1)
     l1 = grassmann_orthogonal_lift(a1, 2)
     l2 = grassmann_orthogonal_lift(a2, 2)
-    rep = check_lift(l1, samples=cfg.samples, seed=cfg.seed,
-                     tolerance=cfg.tol_exact)
+    rep = check_lift(l1, samples=cfg.samples, seed=cfg.seed)
     checks = []
     _report_checks("orthogonal_lift", rep, cfg.tol_exact, checks)
     comp = compose(l1, l2)
@@ -259,8 +252,7 @@ def _scenario_grassmann_action(cfg):
         comp.base_map.forward(x), l1.base_map.forward(l2.base_map.forward(x))))
     checks.append(_check("compose.base_homomorphism", hom, 1e-10))
     inv_rep = check_lift(compose(l1, invert(l1)),
-                         samples=min(cfg.samples, 50), seed=cfg.seed,
-                         tolerance=1e-8)
+                         samples=min(cfg.samples, 50), seed=cfg.seed)
     checks.append(_check("compose_invert.base", inv_rep.base_residual, 1e-8))
     return checks, None
 
@@ -269,8 +261,7 @@ def _scenario_cpn_conjugation(cfg):
     """Conjugation lift on the tautological line bundle over CP^n:
     anti-linear, obstructed as a C-linear lift, fiberwise correctable."""
     lift = cpn_conjugation_lift(1)
-    rep = check_lift(lift, samples=cfg.samples, seed=cfg.seed,
-                     tolerance=cfg.tol_exact)
+    rep = check_lift(lift, samples=cfg.samples, seed=cfg.seed)
     checks = []
     _report_checks("conjugation", rep, cfg.tol_exact, checks)
     checks.append(_check("conjugation.anti_linearity",
@@ -296,7 +287,7 @@ def _scenario_cpn_conjugation(cfg):
                          0.0 if report["lift_obstructed"] else 1.0, 0.5))
 
     rep2 = check_lift(cpn_conjugation_lift(2), samples=min(cfg.samples, 50),
-                      seed=cfg.seed, tolerance=cfg.tol_exact)
+                      seed=cfg.seed)
     checks.append(_check("conjugation_n2.base", rep2.base_residual, cfg.tol_exact))
 
     phases = plaquette_phases(tautological_complex(1), cfg.mesh_level)
@@ -402,7 +393,7 @@ def _scenario_s1xs2_generators(cfg):
             lift = s1xs2_generator_lift(name, n, steps=cfg.transport_steps)
             samples = cfg.samples if name != "a" else min(cfg.samples, 50)
             tol = cfg.tol_exact if name != "a" else cfg.tol_transport
-            rep = check_lift(lift, samples=samples, seed=cfg.seed, tolerance=tol)
+            rep = check_lift(lift, samples=samples, seed=cfg.seed)
             _report_checks(f"{name}_lift.n{n}", rep, tol, checks,
                            isometry=(name != "a"))
         # theta = 0 slice of r: fiber action is the identity

@@ -1,9 +1,9 @@
 """Shared numeric defaults: the tolerance ladder and integration parameters.
 
-Two tolerance tiers are used throughout: ``exact`` for closed-formula
-constructions and algebraic identities on freshly built objects, and
-``transport`` for anything derived from ODE integration at the default
-step count. ``pipeline`` sits in between for multi-stage compositions.
+Two tolerance tiers are the CLI's defaults (``--tol-exact`` and
+``--tol-transport``): ``exact`` for closed-formula constructions and
+algebraic identities on freshly built objects, and ``transport`` for
+anything derived from ODE integration at the default step count.
 """
 
 from dataclasses import dataclass
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class Tolerances:
     exact: float = 1e-10
-    pipeline: float = 1e-8
     transport: float = 1e-5
 
 

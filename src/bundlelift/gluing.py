@@ -60,11 +60,15 @@ class TransitionDatum:
         _check_orthogonal_field(self.alpha, self.overlap_points, "transition alpha")
 
 
-def cocycle_compat_check(d1, d2, transition, diffeo, tolerance=1e-6):
+def cocycle_compat_check(d1, d2, transition, diffeo):
     """Largest deviation from the overlap compatibility identity, plus the
-    verdict. Patch invariance under the diffeomorphism is checked first
-    wherever a membership predicate was supplied. An empty overlap is
-    refused: with nothing to measure there is no verdict."""
+    verdict: compatible when it is at most 1e-6. That bound sits far above
+    the roundoff of a datum that is compatible by construction and far
+    below the frame rotations the check is meant to catch (a rotation by an
+    angle d scores 2 sin(d/2)). Patch invariance under the diffeomorphism
+    is checked first wherever a membership predicate was supplied. An
+    empty overlap is refused: with nothing to measure there is no
+    verdict."""
     x = transition.overlap_points
     if len(x) == 0:
         raise BadParams("no overlap points to check the cocycle condition on")
@@ -86,7 +90,7 @@ def cocycle_compat_check(d1, d2, transition, diffeo, tolerance=1e-6):
     res[~finite] = np.nan
     max_residual = worst(0.0, *res.tolist())
     return {"max_residual": max_residual,
-            "compatible": max_residual <= tolerance}
+            "compatible": max_residual <= 1e-6}
 
 
 def local_data_from_lift(lift, patch1, patch2, frame1, frame2, overlap_points):

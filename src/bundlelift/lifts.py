@@ -4,8 +4,8 @@ fiberwise complex corrections.
 
 A Lift is a closure pair (base diffeomorphism, fiberwise action); fiber
 matrices are extracted on demand by probing an orthonormal fiber basis.
-Formula-backed lifts carry the ``exact`` tolerance, transport-derived ones
-the looser ``transport`` tolerance.
+``check_lift`` measures residuals and decides nothing: each caller holds
+them to its own thresholds, as the CLI's checks do.
 
 Lifts take stacks like the fields of ``bundles`` do: ``Lift.action(x, v)``
 takes one point and one vector, or a stack of points and the matching
@@ -19,15 +19,14 @@ other quantity once on that stack. Nothing is cached between calls.
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bundles import (direct_sum, homotopy_path, pullback, tangent_sphere,
                       tautological_complex, tautological_real, torus_line,
                       transport_operator)
-from .config import DEFAULT_SAMPLES, DEFAULT_TOLERANCES as TOL
-from .config import DEFAULT_TRANSPORT_STEPS
+from .config import DEFAULT_SAMPLES, DEFAULT_TRANSPORT_STEPS
 from .errors import (BadParams, BundleMismatch, CriterionFails,
                      DegenerateJacobian, NoComplexStructure, NonInjective,
                      NotIsometric, NotOrthonormal, Singular)
@@ -61,12 +60,11 @@ __all__ = [
 class Lift:
     """A lift of a base diffeomorphism to a bundle automorphism."""
 
-    def __init__(self, bundle, base_map, action, provenance, tolerance):
+    def __init__(self, bundle, base_map, action, provenance):
         self.bundle = bundle
         self.base_map = base_map
         self._action = action
         self.provenance = provenance
-        self.tolerance = tolerance
 
     def __repr__(self):
         return f"<Lift {self.provenance} over {self.bundle.key}>"
@@ -117,12 +115,6 @@ class LiftReport:
     complex_linearity_residual: float | None
     anti_linearity_residual: float | None
     samples: int
-    verdicts: dict = field(default_factory=dict)
-
-    @property
-    def passed(self):
-        return (self.verdicts["base"] and self.verdicts["linearity"]
-                and self.verdicts["invertibility"])
 
 
 def _draw_probes(bundle, samples, seed):
@@ -146,20 +138,19 @@ def _worst_of(residuals):
     return float(worst(0.0, *np.ravel(residuals)))
 
 
-def check_lift(lift, samples=DEFAULT_SAMPLES, seed=0, tolerance=None):
+def check_lift(lift, samples=DEFAULT_SAMPLES, seed=0):
     """Evaluate lift residuals on seeded random (x, v) probes.
 
     Residuals: base compatibility (membership of the image in the fiber
     over phi(x)), fiberwise linearity, invertibility (min singular value
     of the extracted fiber matrix), isometry, and, when the bundle is
     complex, commutation and anti-commutation defects against J on unit
-    probes. Verdict thresholds default to the lift's own tolerance tier; a
-    residual that could not be measured (NaN) fails its verdict. Every
-    quantity is evaluated once on the stack of all probes.
+    probes. The report holds residuals and no verdict; a residual that
+    could not be measured reads NaN, which a caller's check must fail.
+    Every quantity is evaluated once on the stack of all probes.
     """
     if samples < 1:
         raise BadParams("samples must be >= 1")
-    tol = lift.tolerance if tolerance is None else tolerance
     bundle = lift.bundle
     has_j = bundle.has_complex_structure
 
@@ -182,7 +173,7 @@ def check_lift(lift, samples=DEFAULT_SAMPLES, seed=0, tolerance=None):
          @ np.moveaxis(images[n_vecs:], 0, -1))
     gram = np.swapaxes(m, -1, -2) @ m
     iso_res = _worst_of(np.max(np.abs(gram - np.eye(m.shape[-1])), axis=(1, 2)))
-    # min_singular_value refuses a non-finite matrix, whose NaN fails the verdict
+    # min_singular_value refuses a non-finite matrix, which reads NaN
     min_sv = float(np.min(min_singular_value(m))) if np.isfinite(m).all() else np.nan
 
     c_res = a_res = None
@@ -198,15 +189,6 @@ def check_lift(lift, samples=DEFAULT_SAMPLES, seed=0, tolerance=None):
         c_res = _worst_of(c_i)
         a_res = _worst_of(a_i)
 
-    verdicts = {
-        "base": base_res <= tol,
-        "linearity": lin_res <= tol,
-        "invertibility": min_sv > 1e-8,
-        "isometry": iso_res <= tol,
-    }
-    if has_j:
-        verdicts["complex_linear"] = c_res <= tol
-        verdicts["anti_linear"] = a_res <= tol
     return LiftReport(
         base_residual=base_res,
         linearity_residual=lin_res,
@@ -215,7 +197,6 @@ def check_lift(lift, samples=DEFAULT_SAMPLES, seed=0, tolerance=None):
         complex_linearity_residual=c_res,
         anti_linearity_residual=a_res,
         samples=samples,
-        verdicts=verdicts,
     )
 
 
@@ -235,16 +216,14 @@ def compose(outer, inner):
         return outer.action(inner.base_map.forward(x), inner.action(x, v))
 
     return Lift(outer.bundle, base, action,
-                f"compose({outer.provenance},{inner.provenance})",
-                max(outer.tolerance, inner.tolerance))
+                f"compose({outer.provenance},{inner.provenance})")
 
 
-def _operator_lift(bundle, base_map, operator_at, provenance, tolerance):
+def _operator_lift(bundle, base_map, operator_at, provenance):
     """A lift whose fiber map at x is the ambient matrix operator_at(x);
     operator_at takes one point or a stack and is called once per action."""
     return Lift(bundle, base_map,
-                lambda x, v: np.matvec(operator_at(x), v),
-                provenance, tolerance)
+                lambda x, v: np.matvec(operator_at(x), v), provenance)
 
 
 def invert(lift):
@@ -266,8 +245,7 @@ def invert(lift):
         return b_y @ np.linalg.inv(m) @ np.swapaxes(b_x, -1, -2)
 
     return _operator_lift(bundle, base, operator_at,
-                          f"invert({lift.provenance})",
-                          max(lift.tolerance, TOL.pipeline))
+                          f"invert({lift.provenance})")
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +263,7 @@ def lift_from_homotopy(bundle, homotopy, steps=DEFAULT_TRANSPORT_STEPS):
                                   steps=steps)
 
     return _operator_lift(bundle, homotopy.endpoint, operator_at,
-                          f"homotopy({homotopy.name},steps={steps})",
-                          TOL.transport)
+                          f"homotopy({homotopy.name},steps={steps})")
 
 
 def metrize(lift):
@@ -302,7 +279,7 @@ def metrize(lift):
         return b_out @ psi @ np.swapaxes(b_in, -1, -2)
 
     return _operator_lift(bundle, lift.base_map, operator_at,
-                          f"metrize({lift.provenance})", lift.tolerance)
+                          f"metrize({lift.provenance})")
 
 
 def differential_lift(diffeo):
@@ -331,7 +308,7 @@ def differential_lift(diffeo):
         return bundle.fiber_projector(y) @ jac
 
     return _operator_lift(bundle, diffeo, operator_at,
-                          f"differential({diffeo.name})", TOL.transport)
+                          f"differential({diffeo.name})")
 
 
 def ambient_projection_lift(bundle, diffeo, variant="fiber", seed=1):
@@ -374,7 +351,7 @@ def ambient_projection_lift(bundle, diffeo, variant="fiber", seed=1):
         return np.matvec(target_projector(diffeo.forward(x)), v)
 
     return Lift(bundle, diffeo, action,
-                f"ambient_projection({diffeo.name},{variant})", TOL.exact)
+                f"ambient_projection({diffeo.name},{variant})")
 
 
 def grassmann_orthogonal_lift(a, k):
@@ -385,7 +362,7 @@ def grassmann_orthogonal_lift(a, k):
     # raises BadParams unless a is orthogonal
     base = named_diffeo(bundle.base, "grassmann_action", matrix=a)
     return Lift(bundle, base, lambda x, v: np.matvec(a, v),
-                "grassmann_orthogonal", TOL.exact)
+                "grassmann_orthogonal")
 
 
 def _realified_conjugation(v):
@@ -402,7 +379,7 @@ def cpn_conjugation_lift(n):
     bundle = tautological_complex(n)
     base = named_diffeo(bundle.base, "cpn_conjugation")
     return Lift(bundle, base, lambda x, v: _realified_conjugation(v),
-                "cpn_conjugation", TOL.exact)
+                "cpn_conjugation")
 
 
 def pullback_conjugation_lift(n):
@@ -416,7 +393,7 @@ def pullback_conjugation_lift(n):
     bundle = pullback(f, tautological_complex(1))
     base = named_diffeo(bundle.base, "cpn_conjugation")
     return Lift(bundle, base, lambda x, v: _realified_conjugation(v),
-                f"pullback_conjugation[{n}]", TOL.exact)
+                f"pullback_conjugation[{n}]")
 
 
 def torus_line_lifts(a, b):
@@ -444,7 +421,7 @@ def torus_line_lifts(a, b):
         if not any(wrong_k):
             out.append(Lift(bundle, base, functools.partial(
                 _torus_line_action, bundle.unit_section, base.matrix),
-                f"torus_line[{b.tolist()}]", TOL.exact))
+                f"torus_line[{b.tolist()}]"))
             continue
         m = np.zeros(b.shape[0], dtype=np.int64)
         m[wrong_k.index(True)] = 1
@@ -461,7 +438,7 @@ def _torus_line_action(u_of, af, x, v):
     return np.vecdot(u_of(xr), v)[..., None] * u_of(np.matvec(af, xr))
 
 
-def _split_product_lift(bundle, n1, base, act1, act2, provenance, tolerance):
+def _split_product_lift(bundle, n1, base, act1, act2, provenance):
     def action(p, v):
         x1, x2 = p
         out = np.empty_like(v)
@@ -469,7 +446,7 @@ def _split_product_lift(bundle, n1, base, act1, act2, provenance, tolerance):
         out[..., n1:] = act2(x2, v[..., n1:])
         return out
 
-    return Lift(bundle, base, action, provenance, tolerance)
+    return Lift(bundle, base, action, provenance)
 
 
 def s1xs2_generator_lift(name, n, steps=DEFAULT_TRANSPORT_STEPS):
@@ -500,7 +477,7 @@ def s1xs2_generator_lift(name, n, steps=DEFAULT_TRANSPORT_STEPS):
         left = grassmann_orthogonal_lift(refl, 1)
         base = product_diffeo(model, left.base_map, ident2, name="s")
         return _split_product_lift(bundle, 2, base, left.action,
-                                   lambda x2, w: w.copy(), "s1xs2_s", TOL.exact)
+                                   lambda x2, w: w.copy(), "s1xs2_s")
 
     if name == "r":
         def theta_of(p1):
@@ -533,7 +510,7 @@ def s1xs2_generator_lift(name, n, steps=DEFAULT_TRANSPORT_STEPS):
             out[..., 2:] = act2(v[..., 2:], theta_of(x1))
             return out
 
-        return Lift(bundle, base, action, "s1xs2_r", TOL.exact)
+        return Lift(bundle, base, action, "s1xs2_r")
 
     if name == "a":
         conj_lift = pullback_conjugation_lift(n)
@@ -543,7 +520,7 @@ def s1xs2_generator_lift(name, n, steps=DEFAULT_TRANSPORT_STEPS):
         anti = named_diffeo(v2.base, "cp1_antipodal")
         base = product_diffeo(model, ident1, anti, name="a")
         return _split_product_lift(bundle, 2, base, lambda x1, w: w.copy(),
-                                   right.action, "s1xs2_a", TOL.transport)
+                                   right.action, "s1xs2_a")
 
     raise BadParams(f"unknown generator {name!r}; expected one of a, r, s")
 

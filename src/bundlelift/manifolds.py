@@ -33,7 +33,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import BadParams, BadPlane, NonConvergent, UnknownName
-from .numkernel import norms, worst
+from .numkernel import norms
 
 __all__ = [
     "ManifoldModel",
@@ -75,30 +75,15 @@ class ManifoldModel:
         """Leading shape of a stack of points; () for one point."""
         return np.shape(point)[:np.ndim(point) - self.point_ndim]
 
-    def membership_residual(self, point):
-        raise NotImplementedError
-
     def distance(self, a, b):
         """Distance of two points (a float), or the array of the per-point
         distances of two stacks, each bitwise the one-point value."""
         return _flat_norms(np.asarray(a) - np.asarray(b), self.point_ndim)
 
-    def random_points(self, rng, count):
-        """A stack of count points: one block of normals or uniforms from
-        rng, then one map onto the model (normalisation, QR or outer
-        product) on the whole stack."""
-        raise NotImplementedError
-
-    def copy_point(self, point):
-        return np.array(point)
-
 
 @dataclass(frozen=True)
 class Sphere(ManifoldModel):
     n: int
-
-    def membership_residual(self, point):
-        return abs(float(np.linalg.norm(point)) - 1.0)
 
     def random_points(self, rng, count):
         v = rng.normal(size=(count, self.n + 1))
@@ -109,10 +94,6 @@ class Sphere(ManifoldModel):
 @dataclass(frozen=True)
 class Torus(ManifoldModel):
     n: int
-
-    def membership_residual(self, point):
-        point = np.asarray(point, dtype=float)
-        return float(np.linalg.norm(point - np.mod(point, 1.0)))
 
     def distance(self, a, b):
         d = np.mod(np.asarray(a) - np.asarray(b) + 0.5, 1.0) - 0.5
@@ -136,14 +117,6 @@ def _flat_norms(d, point_ndim):
     return float(n) if n.ndim == 0 else n
 
 
-def _projector_residual(p, trace_target):
-    p = np.asarray(p)
-    idem = float(np.max(np.abs(p @ p - p)))
-    herm = float(np.max(np.abs(p - p.conj().T)))
-    tr = abs(complex(np.trace(p)).real - trace_target) + abs(complex(np.trace(p)).imag)
-    return worst(idem, herm, tr)
-
-
 @dataclass(frozen=True)
 class GrassmannReal(ManifoldModel):
     k: int
@@ -154,9 +127,6 @@ class GrassmannReal(ManifoldModel):
         if not 0 < self.k < self.n:
             raise BadParams(f"need 0 < k < n, got k={self.k}, n={self.n}")
 
-    def membership_residual(self, point):
-        return _projector_residual(point, self.k)
-
     def random_points(self, rng, count):
         q, _ = np.linalg.qr(rng.normal(size=(count, self.n, self.k)))
         return q @ np.swapaxes(q, -1, -2)
@@ -166,9 +136,6 @@ class GrassmannReal(ManifoldModel):
 class ComplexProjective(ManifoldModel):
     n: int
     point_ndim = 2
-
-    def membership_residual(self, point):
-        return _projector_residual(point, 1.0)
 
     def random_points(self, rng, count):
         # the real and then the imaginary parts of each point
@@ -187,10 +154,6 @@ class Product(ManifoldModel):
     def stack_shape(self, point):
         return self.left.stack_shape(point[0])
 
-    def membership_residual(self, point):
-        a, b = point
-        return worst(self.left.membership_residual(a), self.right.membership_residual(b))
-
     def distance(self, a, b):
         d = np.maximum(self.left.distance(a[0], b[0]),
                        self.right.distance(a[1], b[1]))
@@ -200,9 +163,6 @@ class Product(ManifoldModel):
         # the left block, then the right one
         return (self.left.random_points(rng, count),
                 self.right.random_points(rng, count))
-
-    def copy_point(self, point):
-        return (self.left.copy_point(point[0]), self.right.copy_point(point[1]))
 
 
 def map_points(fn, points):
@@ -292,7 +252,10 @@ def _linear_diffeo(name, forward, inverse, model):
 
 
 def identity_diffeo(model):
-    return _linear_diffeo("identity", model.copy_point, model.copy_point, model)
+    """The identity of a model; it returns a copy of its point, factor by
+    factor for product points."""
+    copy = functools.partial(map_points, np.array)
+    return _linear_diffeo("identity", copy, copy, model)
 
 
 def product_diffeo(model, left, right, name=None):
@@ -316,16 +279,6 @@ def _check_orthogonal(a, n):
     if not defect <= 1e-10:
         raise BadParams(f"matrix is not orthogonal (defect {defect:.3e})")
     return a
-
-
-def _check_unitary(u, n):
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (n, n):
-        raise BadParams(f"expected a {n}x{n} matrix, got {u.shape}")
-    defect = np.max(np.abs(u @ u.conj().T - np.eye(n)))
-    if not defect <= 1e-10:
-        raise BadParams(f"matrix is not unitary (defect {defect:.3e})")
-    return u
 
 
 def _refuse(bad, problem):
@@ -380,10 +333,6 @@ def _build_sphere_reflection(model, params):
     return _linear_diffeo(f"sphere_reflection[{axis}]", refl, refl, model)
 
 
-def _build_sphere_antipodal(model, params):
-    return _linear_diffeo("antipodal", np.negative, np.negative, model)
-
-
 def _build_grassmann_action(model, params):
     a = _check_orthogonal(params["matrix"], model.n)
     return Diffeo("grassmann_action", lambda p: a @ p @ a.T,
@@ -408,12 +357,6 @@ def _build_cpn_conjugation(model, params):
     return Diffeo("cpn_conjugation", conj, conj, model)
 
 
-def _build_cpn_unitary(model, params):
-    u = _check_unitary(params["matrix"], model.n + 1)
-    uh = u.conj().T
-    return Diffeo("cpn_unitary", lambda p: u @ p @ uh, lambda p: uh @ p @ u, model)
-
-
 def _build_cp1_antipodal(model, params):
     if model.n != 1:
         raise BadParams("antipodal map is registered for CP^1 only")
@@ -434,10 +377,6 @@ def _torus_auto(model, af, ainvf):
                     lambda x: np.mod(np.matvec(ainvf, x), 1.0), model)
     diffeo.matrix = af
     return diffeo
-
-
-def _build_torus_auto(model, params):
-    return torus_autos(model, params["matrix"])
 
 
 def torus_autos(model, a):
@@ -469,30 +408,26 @@ def torus_autos(model, a):
 _DIFFEO_REGISTRY = {
     (Sphere, "sphere_rotation"): _build_sphere_rotation,
     (Sphere, "sphere_reflection"): _build_sphere_reflection,
-    (Sphere, "antipodal"): _build_sphere_antipodal,
     (GrassmannReal, "grassmann_action"): _build_grassmann_action,
     (GrassmannReal, "grassmann_involution"): _build_grassmann_involution,
     (ComplexProjective, "cpn_conjugation"): _build_cpn_conjugation,
-    (ComplexProjective, "cpn_unitary"): _build_cpn_unitary,
     (ComplexProjective, "cp1_antipodal"): _build_cp1_antipodal,
-    (Torus, "torus_auto"): _build_torus_auto,
 }
 
 
 def named_diffeo(model, name, **params):
     """Look up a registered diffeomorphism family on the given model.
 
-    Known names: sphere_rotation, sphere_reflection, antipodal (spheres);
+    Known names: sphere_rotation, sphere_reflection (spheres);
     grassmann_action, grassmann_involution (real Grassmannians);
-    cpn_conjugation, cpn_unitary, cp1_antipodal (complex projective);
-    torus_auto (tori; given a stack of matrices, the list of its maps).
+    cpn_conjugation, cp1_antipodal (complex projective). Torus
+    automorphisms come from ``torus_autos``.
     """
     builder = _DIFFEO_REGISTRY.get((type(model), name))
     if builder is None:
         raise UnknownName(f"no diffeomorphism named {name!r} on {model}")
     diffeo = builder(model, params)
-    if builder is not _build_torus_auto:  # torus_autos makes its own
-        _check_round_trip(model, name, diffeo)
+    _check_round_trip(model, name, diffeo)
     return diffeo
 
 

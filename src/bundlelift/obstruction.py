@@ -29,7 +29,6 @@ __all__ = [
     "pullback_invariance_report",
     "TorusCriterionResult",
     "torus_criterion",
-    "w1_profile",
     "w1_profiles",
 ]
 
@@ -196,21 +195,16 @@ def _coordinate_loops(n):
 
 
 def w1_profiles(bs, steps=DEFAULT_TRANSPORT_STEPS):
-    """``w1_profile`` of every bit vector of a list, from one
-    ``holonomy_signs`` call: the coordinate loops of all the line bundles
-    share each RK4 window."""
+    """For every bit vector b of a list, the holonomy signs of L_b around
+    the n = len(b) coordinate loops of the torus (the first Stiefel-Whitney
+    class evaluated on the standard 1-cycles), from one ``holonomy_signs``
+    call: the coordinate loops of all the line bundles share each RK4
+    window."""
     pairs = []
     for b in bs:
         b = _check_bits(b)
         n = b.shape[0]
         if n > 4:
-            raise BadParams("w1_profile supports n <= 4")
+            raise BadParams("w1_profiles supports n <= 4")
         pairs.append((torus_line(b), _coordinate_loops(n)))
     return [signs.astype(np.int64) for signs in holonomy_signs(pairs, steps=steps)]
-
-
-def w1_profile(b, steps=DEFAULT_TRANSPORT_STEPS):
-    """Holonomy signs of L_b around the n = len(b) coordinate loops of the
-    torus (the first Stiefel-Whitney class evaluated on the standard
-    1-cycles)."""
-    return w1_profiles([b], steps=steps)[0]

@@ -6,11 +6,10 @@ import numpy as np
 from bundlelift import _kernels, manifolds as mf
 from bundlelift.bundles import (BundleModel, _stage_arrays, holonomy_signs,
                                 pullback, tautological_complex, trivial)
-from bundlelift.config import DEFAULT_TOLERANCES as TOL
 from bundlelift.config import DEFAULT_TRANSPORT_STEPS
 from bundlelift.errors import BadParams, CriterionFails
 from bundlelift.lifts import Lift, torus_line_lifts
-from bundlelift.numkernel import sym_eigh
+from bundlelift.numkernel import sym_eigh, worst
 
 
 def random_point(model, seed):
@@ -41,7 +40,7 @@ def constant_homotopy(model):
     every time, with the identity as its endpoint and velocity zero."""
     def family(t, x):
         if np.ndim(t) == 0:
-            return model.copy_point(x)
+            return mf.map_points(np.array, x)
         return stack_points([x] * len(t))
 
     return mf.Homotopy("constant", family, mf.identity_diffeo(model), model,
@@ -60,7 +59,79 @@ def fd_differential(forward, delta=1e-6):
 def identity_lift(bundle):
     """The lift of the identity map that leaves every vector where it is."""
     return Lift(bundle, mf.identity_diffeo(bundle.base),
-                lambda x, v: v.copy(), "identity", TOL.exact)
+                lambda x, v: v.copy(), "identity")
+
+
+def passes(report, tol):
+    """Whether a check_lift report passes at tolerance tol: base and
+    linearity residuals at most tol and the least singular value above
+    1e-8; a NaN residual fails. The tests hold formula lifts to 1e-10,
+    transport and differential lifts to 1e-5, a composite to the larger
+    tier of its parts, an inverse to the larger of its lift's tier and
+    1e-8, and a metrized lift to its input's tier."""
+    return (report.base_residual <= tol and report.linearity_residual <= tol
+            and report.min_singular_value > 1e-8)
+
+
+def _projector_residual(p, trace_target):
+    p = np.asarray(p)
+    idem = float(np.max(np.abs(p @ p - p)))
+    herm = float(np.max(np.abs(p - p.conj().T)))
+    tr = abs(complex(np.trace(p)).real - trace_target) + abs(complex(np.trace(p)).imag)
+    return worst(idem, herm, tr)
+
+
+def membership_residual(model, point):
+    """How far one point is from the model: the unit-norm defect on a
+    sphere, the distance to [0, 1)^n on a torus, the idempotence,
+    symmetry and trace defects of a projector on a Grassmannian or CP^n,
+    and the worse factor (NaN if either is) on a product."""
+    if isinstance(model, mf.Product):
+        a, b = point
+        return worst(membership_residual(model.left, a),
+                     membership_residual(model.right, b))
+    if isinstance(model, mf.Sphere):
+        return abs(float(np.linalg.norm(point)) - 1.0)
+    if isinstance(model, mf.Torus):
+        point = np.asarray(point, dtype=float)
+        return float(np.linalg.norm(point - np.mod(point, 1.0)))
+    if isinstance(model, mf.GrassmannReal):
+        return _projector_residual(point, model.k)
+    return _projector_residual(point, 1.0)
+
+
+def antipodal(model):
+    """The antipodal map x -> -x of a sphere, its own differential."""
+    return mf._linear_diffeo("antipodal", np.negative, np.negative, model)
+
+
+def cpn_unitary(model, matrix):
+    """The map P -> U P U^* of CP^n; BadParams unless U is an (n+1) x
+    (n+1) matrix unitary to 1e-10, a NaN defect included."""
+    n = model.n + 1
+    u = np.asarray(matrix, dtype=complex)
+    if u.shape != (n, n):
+        raise BadParams(f"expected a {n}x{n} matrix, got {u.shape}")
+    defect = np.max(np.abs(u @ u.conj().T - np.eye(n)))
+    if not defect <= 1e-10:
+        raise BadParams(f"matrix is not unitary (defect {defect:.3e})")
+    uh = u.conj().T
+    return mf.Diffeo("cpn_unitary", lambda p: u @ p @ uh, lambda p: uh @ p @ u, model)
+
+
+# the maps that tests build beside the package's registry, by name
+TEST_DIFFEOS = {
+    "antipodal": lambda model, params: antipodal(model),
+    "cpn_unitary": lambda model, params: cpn_unitary(model, params["matrix"]),
+    "torus_auto": lambda model, params: mf.torus_autos(model, params["matrix"]),
+}
+
+
+def diffeo(model, name, **params):
+    """``named_diffeo`` of a registered name, or one of TEST_DIFFEOS."""
+    if name in TEST_DIFFEOS:
+        return TEST_DIFFEOS[name](model, params)
+    return mf.named_diffeo(model, name, **params)
 
 
 def cpn_phase_homotopy(model, angle, slot=0):

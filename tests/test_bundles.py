@@ -237,7 +237,7 @@ def test_non_integer_bits_are_refused_not_truncated(bits):
     for build in (lambda: bd.torus_line(bits),
                   lambda: ob.torus_criterion(eye, bits),
                   lambda: ob.subgroup_generators(bits),
-                  lambda: ob.w1_profile(bits, steps=8),
+                  lambda: ob.w1_profiles([bits], steps=8),
                   lambda: torus_line_lift(eye, bits),
                   lambda: lf.torus_line_lifts(eye[None], bits)):
         with pytest.raises(BadParams, match="b must be a nonzero 0/1 vector"):
@@ -396,7 +396,7 @@ def test_batched_transport_matches_per_stage_oracle(name, bundle, path, bound):
 
 
 def _torus_loops(n):
-    # the n coordinate loops as one stack of tracks, as w1_profile builds it
+    # the n coordinate loops as one stack of tracks, as w1_profiles builds them
     eye = np.eye(n)
     return bd.Path(lambda ts: np.multiply.outer(ts, eye),
                    velocity=lambda ts, xt: np.multiply.outer(np.ones_like(ts), eye))

@@ -124,8 +124,7 @@ def _nan_images(make):
     def patched(*args, **kwargs):
         lift = make(*args, **kwargs)
         return cli.Lift(lift.bundle, lift.base_map,
-                        lambda x, v: lift.action(x, v) * np.nan, "nan",
-                        lift.tolerance)
+                        lambda x, v: lift.action(x, v) * np.nan, "nan")
 
     return patched
 

@@ -9,6 +9,8 @@ import pytest
 from bundlelift import _kernels, manifolds as mf
 from bundlelift.errors import BadParams, NonConvergent
 
+from helpers import antipodal
+
 
 def _tangent_basis(x):
     proj = np.eye(3) - np.outer(x, x)
@@ -84,7 +86,7 @@ def test_reflection_degree():
 
 def test_antipodal_degree():
     # deg(-id) = (-1)^{n+1} = -1 on S^2
-    anti = mf.named_diffeo(mf.Sphere(2), "antipodal")
+    anti = antipodal(mf.Sphere(2))
     assert mf.degree(anti, 3) == -1
 
 

@@ -1,7 +1,8 @@
 """Every name a module exports in ``__all__`` exists in that module, every
 name a module imports is used in it, and every private function and class
 and every public module-level function is used somewhere in the package
-outside its own body."""
+outside its own body. That every function also runs is ``test_reach.py``'s
+audit."""
 
 import ast
 import importlib
@@ -82,10 +83,5 @@ def test_every_private_helper_is_used_in_the_package():
 
 def test_every_public_function_is_used_in_the_package():
     # a public module-level function that nothing else in the package uses
-    # is code that only tests reach; they keep it in tests/helpers.py. The
-    # one exception is obstruction.w1_profile: the benchmark's tracer
-    # (perfbench/tracer.py) hooks it by name.
-    unused = [entry for entry in _unused(_public_functions)
-              if not (entry.startswith("obstruction.py:")
-                      and entry.endswith(" w1_profile"))]
-    assert unused == []
+    # is code that only tests reach; they keep it in tests/helpers.py
+    assert _unused(_public_functions) == []

@@ -48,7 +48,7 @@ def _oracle_orthogonal(alpha, points, label):
             )
 
 
-def oracle_check(d1, d2, transition, diffeo, tolerance=1e-6):
+def oracle_check(d1, d2, transition, diffeo):
     """d1 and d2 are (patch_id, sample_points, alpha, contains) and
     transition is (overlap_points, alpha), with stacked fields."""
     data = [(pid, pts, _one(alpha), contains)
@@ -77,20 +77,20 @@ def oracle_check(d1, d2, transition, diffeo, tolerance=1e-6):
         res = float(np.linalg.norm(gap, 2)) if np.all(np.isfinite(gap)) else np.nan
         max_residual = worst(max_residual, res)
     return {"max_residual": max_residual,
-            "compatible": max_residual <= tolerance}
+            "compatible": max_residual <= 1e-6}
 
 
-def check_both(d1, d2, transition, diffeo, tolerance=1e-6):
+def check_both(d1, d2, transition, diffeo):
     """The stacked checker's result, after asserting that the per-point
     oracle gives the same residual bit for bit, or the same refusal."""
     def stacked():
         return gl.cocycle_compat_check(
             gl.LocalLiftDatum(*d1[:3], contains=d1[3]),
             gl.LocalLiftDatum(*d2[:3], contains=d2[3]),
-            gl.TransitionDatum(*transition), diffeo, tolerance)
+            gl.TransitionDatum(*transition), diffeo)
 
     try:
-        expected = oracle_check(d1, d2, transition, diffeo, tolerance)
+        expected = oracle_check(d1, d2, transition, diffeo)
     except (BadParams, NotOrthonormal, PatchNotInvariant) as exc:
         with pytest.raises(type(exc)):
             stacked()

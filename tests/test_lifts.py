@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bundlelift import _kernels, bundles as bd, lifts as lf, manifolds as mf
+from bundlelift import _kernels, bundles as bd, cli, lifts as lf, manifolds as mf
 from bundlelift.errors import (BadParams, BundleMismatch, DegenerateJacobian,
                                NonInjective, NotIsometric, NotOrthonormal)
 from bundlelift.numkernel import min_singular_value, worst
 
-from helpers import (constant_homotopy, cpn_phase_homotopy, fd_differential,
-                     identity_lift, random_point, torus_line_lift)
+from helpers import (antipodal, constant_homotopy, cpn_phase_homotopy,
+                     fd_differential, identity_lift, passes, random_point,
+                     torus_line_lift)
 
 
 def _probe(lift, seed=0):
@@ -21,11 +22,10 @@ def _probe(lift, seed=0):
     return x, v
 
 
-def _per_probe_check_lift(lift, samples, seed, tolerance=None):
+def _per_probe_check_lift(lift, samples, seed):
     # the one-probe-at-a-time checker that the stacked check_lift
     # replaced, kept as its oracle: each probe of the drawn blocks on its
     # own, one action call per vector
-    tol = lift.tolerance if tolerance is None else tolerance
     bundle = lift.bundle
     has_j = bundle.has_complex_structure
     base_res = lin_res = iso_res = 0.0
@@ -57,13 +57,8 @@ def _per_probe_check_lift(lift, samples, seed, tolerance=None):
             w_jv = lift.action(x, j_x @ v)
             c_res = worst(c_res, float(np.linalg.norm(w_jv - j_y @ w)))
             a_res = worst(a_res, float(np.linalg.norm(w_jv + j_y @ w)))
-    verdicts = {"base": base_res <= tol, "linearity": lin_res <= tol,
-                "invertibility": min_sv > 1e-8, "isometry": iso_res <= tol}
-    if has_j:
-        verdicts["complex_linear"] = c_res <= tol
-        verdicts["anti_linear"] = a_res <= tol
     return lf.LiftReport(base_res, lin_res, min_sv, iso_res, c_res, a_res,
-                         samples, verdicts)
+                         samples)
 
 
 def _blocks(bundle, samples, seed):
@@ -177,7 +172,7 @@ def _metrized_random_lift(seed):
     s = rng.normal(size=(3, 3))
     vert = lf.Lift(bd.trivial(model, 3), mf.identity_diffeo(model),
                    lambda x, v: np.matvec(a + 0.2 * x[..., 0, None, None] * s, v),
-                   "vertical_random", 1e-10)
+                   "vertical_random")
     return lf.metrize(vert)
 
 
@@ -242,27 +237,28 @@ class TestCheckLift:
     def test_identity_lift_passes_everything(self):
         for bundle in (bd.tangent_sphere(2), bd.tautological_complex(1)):
             rep = lf.check_lift(identity_lift(bundle), samples=15, seed=0)
-            assert rep.passed
+            assert passes(rep, 1e-10)
             assert rep.base_residual <= 1e-12
             assert rep.linearity_residual <= 1e-12
             assert rep.isometry_residual <= 1e-12
             assert rep.min_singular_value >= 1 - 1e-12
             if bundle.has_complex_structure:
-                assert rep.verdicts["complex_linear"]
+                assert rep.complex_linearity_residual <= 1e-12
 
     def test_broken_map_fails_membership(self):
         # keep the vector while moving the base with the involution: the
         # old fiber is orthogonal to the new one, so the defect is ~|v|
         bundle = bd.tautological_real(1, 2)
         phi = mf.named_diffeo(bundle.base, "grassmann_involution")
-        broken = lf.Lift(bundle, phi, lambda x, v: v.copy(), "broken", 1e-10)
+        broken = lf.Lift(bundle, phi, lambda x, v: v.copy(), "broken")
         rep = lf.check_lift(broken, samples=10, seed=1)
-        assert not rep.passed
+        assert not passes(rep, 1e-10)
         assert rep.base_residual >= 0.9
 
-    def test_nan_residual_fails_its_verdict(self):
+    def test_nan_residual_fails_its_verdict(self, monkeypatch, capsys):
         # NaN off unit vectors: only the linearity probe alpha*u + beta*v
-        # sees it, and a NaN residual must not read as 0
+        # sees it, and a NaN residual must not read as 0: its CLI check
+        # fails, and the run exits 1
         bundle = bd.tangent_sphere(2)
 
         def action(x, v):
@@ -270,12 +266,19 @@ class TestCheckLift:
             return np.where(unit[..., None], v, np.nan)
 
         lift = lf.Lift(bundle, mf.identity_diffeo(bundle.base), action,
-                       "nan_off_unit", 1e-10)
+                       "nan_off_unit")
         rep = lf.check_lift(lift, samples=5, seed=0)
         assert np.isnan(rep.linearity_residual)
-        assert not rep.verdicts["linearity"]
-        assert not rep.passed
-        assert rep.verdicts["base"] and rep.verdicts["isometry"]
+        assert not passes(rep, 1e-10)
+        assert rep.base_residual <= 1e-10 and rep.isometry_residual <= 1e-10
+        checks = []
+        cli._report_checks("nan_off_unit", rep, 1e-10, checks)
+        assert [c["verdict"] for c in checks] == [True, False, True, True]
+
+        monkeypatch.setitem(cli.SCENARIOS, "gluing_demo",
+                            lambda cfg: (checks, None))
+        assert cli.main(["scenario", "gluing_demo", "--no-timestamp"]) == 1
+        assert '"nonfinite": "nan"' in capsys.readouterr().out
 
     def test_near_singular_map_fails_invertibility(self):
         # smallest singular value 3e-9, below the 1e-8 floor; through the
@@ -286,11 +289,10 @@ class TestCheckLift:
         m = q1 @ np.diag([1.0, 0.7, 3e-9]) @ q2.T
         bundle = bd.trivial(mf.Sphere(2), 3)
         lift = lf.Lift(bundle, mf.identity_diffeo(bundle.base),
-                       lambda x, v: np.matvec(m, v), "near_singular", 1e-10)
+                       lambda x, v: np.matvec(m, v), "near_singular")
         rep = lf.check_lift(lift, samples=3, seed=0)
         assert abs(rep.min_singular_value - 3e-9) <= 1e-12
-        assert not rep.verdicts["invertibility"]
-        assert not rep.passed
+        assert not passes(rep, 1e-10)
 
     def test_degenerate_projector_raises_as_per_point_sampling(self):
         # every draw is killed by a zero projector: the vectors are redrawn
@@ -372,7 +374,7 @@ class TestGroupStructure:
             dead = np.max(np.abs(p - y2), axis=(-2, -1)) <= 1e-9
             return np.where(dead[..., None], np.nan, self.l1.action(p, w))
 
-        inv = lf.invert(lf.Lift(bundle, self.l1.base_map, action, "nan_fiber", 1e-10))
+        inv = lf.invert(lf.Lift(bundle, self.l1.base_map, action, "nan_fiber"))
         inv.action(x[[0, 1, 3]], v[[0, 1, 3]])
         with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
             inv.action(x, v)
@@ -423,7 +425,7 @@ def _registered_sphere_lift(seed):
     elif kind == 1:
         d = mf.named_diffeo(_SPHERE, "sphere_reflection", axis=seed % 3)
     else:
-        d = mf.named_diffeo(_SPHERE, "antipodal")
+        d = antipodal(_SPHERE)
     return lf.differential_lift(d)
 
 
@@ -440,7 +442,7 @@ def _random_vertical_lift(seed):
     s = rng.normal(size=(3, 3))
     return lf.Lift(bd.trivial(_SPHERE, 3), mf.identity_diffeo(_SPHERE),
                    lambda x, v: np.matvec(a + 0.2 * x[..., 0, None, None] * s, v),
-                   "vertical_random", 1e-10)
+                   "vertical_random")
 
 
 def _random_formula_lift(seed):
@@ -514,7 +516,7 @@ class TestLiftFromHomotopy:
         h = mf.rotation_homotopy(mf.Sphere(2), (0, 1), np.pi / 2)
         lift = lf.lift_from_homotopy(bundle, h, steps=1024)
         rep = lf.check_lift(lift, samples=10, seed=2)
-        assert rep.passed
+        assert passes(rep, 1e-5)
         assert rep.isometry_residual <= 1e-5
 
     def test_base_is_endpoint(self):
@@ -522,7 +524,7 @@ class TestLiftFromHomotopy:
         h = cpn_phase_homotopy(mf.ComplexProjective(1), 2 * np.pi / 3)
         lift = lf.lift_from_homotopy(bundle, h, steps=256)
         rep = lf.check_lift(lift, samples=8, seed=3)
-        assert rep.passed
+        assert passes(rep, 1e-5)
         for seed in range(10):
             x = random_point(bundle.base, seed)
             assert bundle.base.distance(lift.base_map.forward(x),
@@ -548,7 +550,7 @@ class TestMetrize:
         th = 0.8
         r = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
         lift = lf.Lift(bundle, mf.identity_diffeo(mf.Sphere(2)),
-                       lambda x, v: 2.0 * np.matvec(r, v), "conformal", 1e-10)
+                       lambda x, v: 2.0 * np.matvec(r, v), "conformal")
         iso = lf.metrize(lift)
         x, v = _probe(lift, 7)
         assert np.linalg.norm(iso.action(x, v) - r @ v) <= 1e-10
@@ -558,7 +560,7 @@ class TestMetrize:
         rng = np.random.default_rng(12)
         a = rng.normal(size=(3, 3)) + 2.0 * np.eye(3)
         lift = lf.Lift(bundle, mf.identity_diffeo(mf.Sphere(2)),
-                       lambda x, v: np.matvec(a, v), "vertical", 1e-10)
+                       lambda x, v: np.matvec(a, v), "vertical")
         iso = lf.metrize(lift)
         rep = lf.check_lift(iso, samples=10, seed=4)
         assert rep.isometry_residual <= 1e-8
@@ -578,8 +580,8 @@ class TestDifferentialLift:
         r = mf.random_orthogonal(3, 4)
         diffeo = mf.named_diffeo(mf.Sphere(2), "sphere_rotation", matrix=r)
         lift = lf.differential_lift(diffeo)
-        rep = lf.check_lift(lift, samples=15, seed=5, tolerance=1e-5)
-        assert rep.passed
+        rep = lf.check_lift(lift, samples=15, seed=5)
+        assert passes(rep, 1e-5)
         assert rep.isometry_residual <= 1e-9
         x, v = _probe(lift, 2)
         assert np.linalg.norm(lift.action(x, v) - r @ v) <= 1e-8
@@ -587,10 +589,10 @@ class TestDifferentialLift:
     def test_reflection_pipeline(self):
         sigma = mf.named_diffeo(mf.Sphere(2), "sphere_reflection")
         lift = lf.differential_lift(sigma)
-        rep = lf.check_lift(lift, samples=15, seed=6, tolerance=1e-5)
-        assert rep.passed
+        rep = lf.check_lift(lift, samples=15, seed=6)
+        assert passes(rep, 1e-5)
         iso = lf.metrize(lift)
-        rep_iso = lf.check_lift(iso, samples=10, seed=7, tolerance=1e-8)
+        rep_iso = lf.check_lift(iso, samples=10, seed=7)
         assert rep_iso.isometry_residual <= 1e-8
 
     def test_rotation_endpoint_and_composite_lift(self):
@@ -601,7 +603,7 @@ class TestDifferentialLift:
         for diffeo in (mf.rotation_homotopy(s2, (0, 1), 0.5).endpoint,
                        r.then(mf.named_diffeo(s2, "sphere_reflection"))):
             lift = lf.differential_lift(diffeo)
-            assert lf.check_lift(lift, samples=10, seed=5, tolerance=1e-8).passed
+            assert passes(lf.check_lift(lift, samples=10, seed=5), 1e-8)
             x, v = _probe(lift, 2)
             fd = fd_differential(diffeo.forward)(x, v)
             assert np.linalg.norm(lift.action(x, v) - fd) <= 1e-8
@@ -643,7 +645,7 @@ class TestAmbientProjection:
         phi = mf.named_diffeo(bundle.base, "grassmann_action", matrix=rot)
         lift = lf.ambient_projection_lift(bundle, phi)
         rep = lf.check_lift(lift, samples=20, seed=8)
-        assert rep.passed
+        assert passes(rep, 1e-10)
 
     def test_involution_non_injective(self):
         bundle = bd.tautological_real(1, 2)
@@ -658,7 +660,7 @@ class TestAmbientProjection:
         literal = lf.ambient_projection_lift(bundle, phi,
                                              variant="orthocomplement")
         rep = lf.check_lift(literal, samples=10, seed=9)
-        assert not rep.passed
+        assert not passes(rep, 1e-10)
         assert rep.base_residual >= 0.9
 
 
@@ -725,13 +727,13 @@ class TestGrassmannLift:
     def test_reflection_on_rp1(self):
         lift = lf.grassmann_orthogonal_lift(np.diag([1.0, -1.0]), 1)
         rep = lf.check_lift(lift, samples=20, seed=1)
-        assert rep.passed
+        assert passes(rep, 1e-10)
         assert rep.isometry_residual <= 1e-10
 
     def test_seeded_o4(self):
         lift = lf.grassmann_orthogonal_lift(mf.random_orthogonal(4, 11), 2)
         rep = lf.check_lift(lift, samples=30, seed=2)
-        assert rep.passed
+        assert passes(rep, 1e-10)
         assert rep.isometry_residual <= 1e-10
 
     def test_rejects_non_orthogonal(self):
@@ -802,7 +804,7 @@ class TestFrameLiftView:
             return out
 
         stretch = lf.Lift(bundle, mf.identity_diffeo(mf.Sphere(2)), action,
-                          "stretch_one", 1e-10)
+                          "stretch_one")
         x = mf.Sphere(2).random_points(np.random.default_rng(0), 8)
         with pytest.raises(NotIsometric):
             lf.frame_lift_view(stretch, lf.FiberFrame(x, bundle.fiber_basis(x)))
@@ -819,7 +821,7 @@ class TestFrameLiftView:
         bundle = bd.trivial(mf.Sphere(2), 2)
         stretch = lf.Lift(bundle, mf.identity_diffeo(mf.Sphere(2)),
                           lambda x, v: np.matvec(np.diag([2.0, 1.0]), v),
-                          "stretch", 1e-10)
+                          "stretch")
         x = random_point(mf.Sphere(2), 7)
         frame = lf.FiberFrame(x, bundle.fiber_basis(x))
         with pytest.raises(NotIsometric):
@@ -828,7 +830,7 @@ class TestFrameLiftView:
     def test_rejects_nan_output(self):
         bundle = bd.tautological_complex(1)
         nan_lift = lf.Lift(bundle, mf.identity_diffeo(bundle.base),
-                           lambda x, v: v * np.nan, "nan", 1e-10)
+                           lambda x, v: v * np.nan, "nan")
         x = random_point(bundle.base, 8)
         frame = lf.FiberFrame(x, bundle.fiber_basis(x))
         with pytest.raises(NotIsometric):
@@ -873,8 +875,8 @@ def test_homotopy_invariance_mechanism():
     phi_lift = lf.differential_lift(sigma)
     h = mf.rotation_homotopy(mf.Sphere(2), (0, 2), 0.7)
     psi_lift = lf.compose(phi_lift, lf.lift_from_homotopy(bundle, h, steps=256))
-    rep = lf.check_lift(psi_lift, samples=10, seed=3, tolerance=1e-5)
-    assert rep.passed
+    rep = lf.check_lift(psi_lift, samples=10, seed=3)
+    assert passes(rep, 1e-5)
     for seed in range(10):
         x = random_point(mf.Sphere(2), seed)
         expected = sigma.forward(h.endpoint.forward(x))

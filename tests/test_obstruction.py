@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from bundlelift import _kernels, bundles as bd, manifolds as mf, obstruction as ob
 from bundlelift.errors import BadParams, DegeneratePlaquette
 
-from helpers import (holonomy_sign, oracle_line_bundles, spiky_bundle,
-                     torus_line_lift, unimodular)
+from helpers import (cpn_unitary, holonomy_sign, oracle_line_bundles,
+                     spiky_bundle, torus_line_lift, unimodular)
 
 
 class TestLatticeChernNumber:
@@ -89,8 +89,7 @@ class TestPullbackInvariance:
         assert rep["lift_obstructed"]
 
     def test_rotation_not_obstructed(self):
-        rot = mf.named_diffeo(mf.ComplexProjective(1), "cpn_unitary",
-                              matrix=np.diag([np.exp(0.9j), 1.0]))
+        rot = cpn_unitary(mf.ComplexProjective(1), np.diag([np.exp(0.9j), 1.0]))
         rep = ob.pullback_invariance_report(rot, bd.tautological_complex(1),
                                             mesh_level=3)
         assert rep["c1"] == rep["c1_pullback"] == -1
@@ -241,22 +240,22 @@ class TestW1Profile:
         ((0, 1), (1, -1)),
     ])
     def test_t2_profiles(self, b, expected):
-        assert tuple(ob.w1_profile(b, steps=256)) == expected
+        assert tuple(ob.w1_profiles([b], steps=256)[0]) == expected
 
     def test_t3_all_bits(self):
         for b in _all_bits(3):
-            profile = ob.w1_profile(b, steps=256)
+            profile = ob.w1_profiles([b], steps=256)[0]
             assert tuple(profile) == tuple((-1) ** bi for bi in b)
 
     def test_trivial_bundle_distinguished(self):
         # every nonzero b forces at least one -1 in the profile
         for n in (1, 2, 3):
             for b in _all_bits(n):
-                assert -1 in ob.w1_profile(b, steps=256)
+                assert -1 in ob.w1_profiles([b], steps=256)[0]
 
     def test_dimension_cap(self):
         with pytest.raises(BadParams):
-            ob.w1_profile((1, 0, 0, 0, 1), steps=64)
+            ob.w1_profiles([(1, 0, 0, 0, 1)], steps=64)
 
     @staticmethod
     def _per_bundle_profile(b, steps):
@@ -276,7 +275,7 @@ class TestW1Profile:
             want = self._per_bundle_profile(b, 256)
             assert profile.dtype == want.dtype == np.int64
             assert np.array_equal(profile, want)
-            assert np.array_equal(ob.w1_profile(b, steps=256), want)
+            assert np.array_equal(ob.w1_profiles([b], steps=256)[0], want)
         for bad in ([(1, 0), (1, 0, 0, 0, 1)], [(1, 0), (0, 0)], []):
             with pytest.raises(BadParams):
                 ob.w1_profiles(bad, steps=64)
@@ -481,8 +480,7 @@ def _random_unitary(seed):
 @settings(max_examples=5)
 @given(st.integers(min_value=0, max_value=10 ** 6))
 def test_unitary_pullback_keeps_c1(seed):
-    phi = mf.named_diffeo(mf.ComplexProjective(1), "cpn_unitary",
-                          matrix=_random_unitary(seed))
+    phi = cpn_unitary(mf.ComplexProjective(1), _random_unitary(seed))
     gamma = bd.tautological_complex(1)
     c_pb = ob.lattice_chern_number(bd.pullback(phi, gamma), 3).value
     assert c_pb == -1
