@@ -44,7 +44,9 @@ fit in ``TRANSPORT_CHUNK_BYTES`` of stage arrays for all tracks, so memory
 stays bounded at any step count; more tracks than fit one step are
 transported in groups that each fit. One track is the case P = 1.
 Each pair gets one (N, N) operator, or (P, N, N) for a stack, bitwise the
-operator of that pair transported alone.
+operator of that pair transported alone, and, in a list ``errors``, the
+Richardson error estimate of each track from a walk at twice the step on
+the node entries of the same stage arrays.
 ``holonomy_signs`` likewise takes (line bundle, loop) pairs, each loop one
 loop or a stack of loops, and gives each pair its orientation sign.
 
@@ -453,12 +455,14 @@ def _place(window, part, start, tracks):
 # ``joint_transport_operators`` call share this one budget. They are split
 # into groups of as many tracks as fit one step (five N x N matrices per
 # track), and each group walks the time grid in windows of as many steps
-# as fit, rounded down to whole segments; a window shorter than a segment
-# ends at its segment's end at the latest. Each pair's stage arrays are copied into its
-# track slice of the window, one pair at a time, so one pair's arrays come
-# on top of the budget (none for a single pair, whose arrays are the
-# window), as do the kernel's step increments D (w matrices per track for
-# a window of w steps) and its few increment blocks.
+# as fit, rounded down to whole segments of the walk at 2h; a window
+# shorter than that ends at its segment's end at the latest. Each pair's
+# stage arrays are copied into its track slice of the window, one pair at
+# a time, so one pair's arrays come on top of the budget (none for a
+# single pair, whose arrays are the window), as do the kernel's step
+# increments D (w matrices per track for a window of w steps, and w / 2
+# at 2h), its few increment blocks and, for a window that starts on an
+# odd node, a copy of its node matrices.
 TRANSPORT_CHUNK_BYTES = 2 ** 20
 
 # The grid is cut into gcd(steps, TRANSPORT_SEGMENTS) segments: a number
@@ -471,12 +475,26 @@ def _pair_name(k, m):
     return f"pair {k} of {m}: " if m > 1 else ""
 
 
-def joint_transport_operators(pairs, steps=DEFAULT_TRANSPORT_STEPS):
+def _chain(total, segments):
+    # the transport so far, followed by those of the segments just walked
+    for t in segments:
+        total = t if total is None else t @ total
+    return total
+
+
+def joint_transport_operators(pairs, steps=DEFAULT_TRANSPORT_STEPS, errors=None):
     """``transport_operator`` of every (bundle, path) pair of a list, each
     pair's result in that pair's own shape and bitwise equal to the pair
     transported alone. The bundles must share ``ambient_fiber_dim``: the
     tracks of all pairs go side by side into each window, and each window
-    makes one RK4 kernel call."""
+    makes one RK4 kernel call.
+
+    Each track is also walked at 2h on the node data of the same windows,
+    and its Richardson estimate max |X_h - X_2h| / 15 over the operator
+    entries goes to the list ``errors``, if given: one array per pair, in
+    its track shape, bitwise that of the pair alone. The walk at 2h pairs
+    the steps of each segment, or of two odd segments; over an odd number
+    of steps it takes the last step at h and leaves out its error."""
     if not isinstance(steps, (int, np.integer)):
         raise BadParams(f"transport steps must be an integer, not {steps!r}")
     if steps < 16:
@@ -499,21 +517,26 @@ def joint_transport_operators(pairs, steps=DEFAULT_TRANSPORT_STEPS):
     matrix_bytes = n * n * 8
     group = max(1, TRANSPORT_CHUNK_BYTES // (5 * matrix_bytes))
     seg = steps // math.gcd(steps, TRANSPORT_SEGMENTS)
+    # the segments of the walk at 2h: an even number of steps, or all steps
+    pair_seg = 2 * seg if seg % 2 and steps % 2 == 0 else seg
     h = 1.0 / steps
     ts = (0.5 * h) * np.arange(2 * steps + 1)
     # with no track at all there is no group, and each pair gets its empty
     # operator
     out = np.empty((tracks, n, n))
+    err = np.empty(tracks)
     for g in range(0, tracks, group):
         e = min(g + group, tracks)
         # a window of w steps holds 2w+1 stage and w+1 node matrices per track
         window = max(1, (TRANSPORT_CHUNK_BYTES // ((e - g) * matrix_bytes) - 2) // 3)
-        window = window - window % seg if window >= seg else window
-        x = total = None
+        window = window - window % pair_seg if window >= pair_seg else window
+        # each walk's state and product, and the node data of the last even
+        # node of a window that ends on an odd one, where a step of 2h starts
+        x = total = y = y_total = lead = None
         i = 0
         while i < steps:
             # whole segments, or a part of one segment
-            j = min(i + window, steps if window >= seg else i - i % seg + seg)
+            j = min(i + window, steps if window >= pair_seg else i - i % seg + seg)
             qp = qnode = None
             for (bundle, path), start, end in zip(pairs, starts, ends):
                 lo, hi = max(start, g), min(end, e)
@@ -527,29 +550,49 @@ def joint_transport_operators(pairs, steps=DEFAULT_TRANSPORT_STEPS):
             x = _kernels.rk4_transport(qp, qnode, qnode[:-1:seg] if x is None else x,
                                        h, segments=max(1, (j - i) // seg))
             if j % seg == 0:
-                for t in x:
-                    total = t if total is None else t @ total
+                total = _chain(total, x)
                 x = None
+            # the walk at 2h over the nodes c..d, the even ones at or before i, j
+            nodes = (qp[::2], qnode)
+            if i % 2:
+                nodes = [np.concatenate(both) for both in zip(lead, nodes)]
+            c, d = i - i % 2, j - j % 2
+            if j % 2:
+                lead = [a[d - c:d - c + 1].copy() for a in nodes]
+            if d > c:
+                qpn, qn = (a[:d - c + 1] for a in nodes)
+                y = _kernels.rk4_transport_doubled(
+                    qpn, qn, qn[:-1:pair_seg] if y is None else y, h,
+                    segments=max(1, (d - c) // pair_seg))
+            if j == steps and steps % 2:
+                y = _kernels.rk4_transport(qp[-3:], qnode[-2:], y, h)
+            if j == steps or (d > c and d % pair_seg == 0):
+                y_total = _chain(y_total, y)
+                y = None
             i = j
         out[g:e] = total
+        err[g:e] = np.max(np.abs(total - y_total), axis=(-2, -1)) / 15.0
+    if errors is not None:
+        errors.extend(err[a:b].reshape(shape) for shape, a, b in zip(shapes, starts, ends))
     return [out[a:b].reshape(shape + (n, n))
             for shape, a, b in zip(shapes, starts, ends)]
 
 
-def transport_operator(bundle, path, steps=DEFAULT_TRANSPORT_STEPS):
+def transport_operator(bundle, path, steps=DEFAULT_TRANSPORT_STEPS, errors=None):
     """The full transport map fiber(path(0)) -> fiber(path(1)) as an
     ambient matrix (the orthogonal complement of the fiber is killed); for
     a stack of P tracks, the (P, N, N) stack of the per-track maps, each
-    bitwise equal to the map of its track alone."""
-    return joint_transport_operators([(bundle, path)], steps)[0]
+    bitwise equal to the map of its track alone; ``errors`` as in
+    ``joint_transport_operators``."""
+    return joint_transport_operators([(bundle, path)], steps, errors)[0]
 
 
-def holonomy_signs(pairs, steps=DEFAULT_TRANSPORT_STEPS):
+def holonomy_signs(pairs, steps=DEFAULT_TRANSPORT_STEPS, errors=None):
     """Orientation sign picked up by each real line bundle of a list of
     (line bundle, loop) pairs around its closed loop (an int array of one
     sign per loop for a stack of loops), from one
-    ``joint_transport_operators`` call. An open loop, a NaN gap or an
-    ambiguous sign names the failing pair."""
+    ``joint_transport_operators`` call (``errors`` as there). An open
+    loop, a NaN gap or an ambiguous sign names the failing pair."""
     m = len(pairs)
     v0s = []
     for k, (line_bundle, loop) in enumerate(pairs):
@@ -562,7 +605,7 @@ def holonomy_signs(pairs, steps=DEFAULT_TRANSPORT_STEPS):
         if not gap <= 1e-10:
             raise BadParams(f"{_pair_name(k, m)}loop is not closed (gap {gap:.3e})")
         v0s.append(line_bundle.fiber_basis(start)[..., 0])
-    ops = joint_transport_operators(pairs, steps)
+    ops = joint_transport_operators(pairs, steps, errors)
     signs = []
     for k, (v0, op) in enumerate(zip(v0s, ops)):
         out = np.matvec(op, v0)

@@ -89,12 +89,15 @@ def _check(name, residual, tolerance, comparator="le"):
 
 
 def _report_checks(prefix, report, tol, checks, isometry=True):
+    # a lift that transports is held to the transport tier, its estimate too
     checks.append(_check(f"{prefix}.base", report.base_residual, tol))
     checks.append(_check(f"{prefix}.linearity", report.linearity_residual, tol))
     checks.append(_check(f"{prefix}.min_singular_value",
                          report.min_singular_value, 1e-8, "ge"))
     if isometry:
         checks.append(_check(f"{prefix}.isometry", report.isometry_residual, tol))
+    if report.transport_error is not None:
+        checks.append(_check(f"{prefix}.transport_error", report.transport_error, tol))
 
 
 def _draw(model, seed, tag, count):
@@ -370,11 +373,15 @@ def _scenario_torus_sweep(cfg):
 
     w1_bad = 0
     bs = [b for _, b, _ in cases]
+    errors = []
     # one transport for all 11 bundles' coordinate loops
-    for b, profile in zip(bs, w1_profiles(bs, steps=cfg.transport_steps)):
+    for b, profile in zip(bs, w1_profiles(bs, steps=cfg.transport_steps,
+                                          errors=errors)):
         expected = np.array([(-1) ** bi for bi in b])
         w1_bad += int(np.any(profile != expected))
     checks.append(_check("w1.profile_mismatches", w1_bad, 0.5))
+    checks.append(_check("w1.transport_error", worst(0.0, *np.concatenate(errors)),
+                         cfg.tol_transport))
     table = {
         "name": "torus_sweep",
         "header": ["n", "b", "case", "fast_verdict", "oracle_verdict"],

@@ -58,18 +58,21 @@ __all__ = [
 
 
 class Lift:
-    """A lift of a base diffeomorphism to a bundle automorphism."""
+    """A lift of a base diffeomorphism to a bundle automorphism. The action
+    of a lift that ``transports`` takes a third argument, ``errors``, as
+    ``bundles.joint_transport_operators`` does."""
 
-    def __init__(self, bundle, base_map, action, provenance):
+    def __init__(self, bundle, base_map, action, provenance, transports=False):
         self.bundle = bundle
         self.base_map = base_map
         self._action = action
         self.provenance = provenance
+        self.transports = transports
 
     def __repr__(self):
         return f"<Lift {self.provenance} over {self.bundle.key}>"
 
-    def action(self, x, v):
+    def action(self, x, v, errors=None):
         """Apply the fiber map at x to an ambient fiber vector, or at each
         point of a stack to the matching vector of a stack.
 
@@ -78,7 +81,8 @@ class Lift:
         every vector over it. Write actions so that they broadcast:
         ``np.matvec(m, v)``, not ``m @ v``, which reads a leading axis of
         v as matrix columns."""
-        return self._action(x, np.asarray(v, dtype=float))
+        v = np.asarray(v, dtype=float)
+        return self._action(x, v, errors) if self.transports else self._action(x, v)
 
     def _images(self, x, basis):
         # the images of the basis columns, as the columns of a matrix
@@ -114,6 +118,7 @@ class LiftReport:
     isometry_residual: float
     complex_linearity_residual: float | None
     anti_linearity_residual: float | None
+    transport_error: float | None
     samples: int
 
 
@@ -145,9 +150,10 @@ def check_lift(lift, samples=DEFAULT_SAMPLES, seed=0):
     over phi(x)), fiberwise linearity, invertibility (min singular value
     of the extracted fiber matrix), isometry, and, when the bundle is
     complex, commutation and anti-commutation defects against J on unit
-    probes. The report holds residuals and no verdict; a residual that
-    could not be measured reads NaN, which a caller's check must fail.
-    Every quantity is evaluated once on the stack of all probes.
+    probes, and the largest transport error estimate (None for a lift
+    that transports nothing). The report holds residuals and no verdict; a
+    residual that could not be measured reads NaN, which a caller's check
+    must fail. Every quantity is evaluated once on the stack of all probes.
     """
     if samples < 1:
         raise BadParams("samples must be >= 1")
@@ -161,8 +167,9 @@ def check_lift(lift, samples=DEFAULT_SAMPLES, seed=0):
     if has_j:
         vecs.append(np.matvec(bundle.complex_structure(x), v))
     n_vecs = len(vecs)
+    errors = []
     images = lift.action(x, np.concatenate(
-        [np.stack(vecs), np.moveaxis(bundle.fiber_basis(x), -1, 0)]))
+        [np.stack(vecs), np.moveaxis(bundle.fiber_basis(x), -1, 0)]), errors)
     w, w_u, w_mix = images[:3]
     base_res = _worst_of(bundle.membership_residual(y, w))
 
@@ -196,6 +203,8 @@ def check_lift(lift, samples=DEFAULT_SAMPLES, seed=0):
         isometry_residual=iso_res,
         complex_linearity_residual=c_res,
         anti_linearity_residual=a_res,
+        transport_error=(_worst_of(np.concatenate([np.ravel(e) for e in errors]))
+                         if errors else None),
         samples=samples,
     )
 
@@ -212,11 +221,13 @@ def compose(outer, inner):
         )
     base = inner.base_map.then(outer.base_map)
 
-    def action(x, v):
-        return outer.action(inner.base_map.forward(x), inner.action(x, v))
+    def action(x, v, errors=None):
+        return outer.action(inner.base_map.forward(x), inner.action(x, v, errors),
+                            errors)
 
     return Lift(outer.bundle, base, action,
-                f"compose({outer.provenance},{inner.provenance})")
+                f"compose({outer.provenance},{inner.provenance})",
+                transports=outer.transports or inner.transports)
 
 
 def _operator_lift(bundle, base_map, operator_at, provenance):
@@ -258,12 +269,12 @@ def lift_from_homotopy(bundle, homotopy, steps=DEFAULT_TRANSPORT_STEPS):
     if homotopy.source != bundle.base:
         raise BadParams("homotopy lives on a different model than the bundle")
 
-    def operator_at(x):
-        return transport_operator(bundle, homotopy_path(homotopy, x),
-                                  steps=steps)
+    def action(x, v, errors):
+        return np.matvec(transport_operator(bundle, homotopy_path(homotopy, x),
+                                            steps=steps, errors=errors), v)
 
-    return _operator_lift(bundle, homotopy.endpoint, operator_at,
-                          f"homotopy({homotopy.name},steps={steps})")
+    return Lift(bundle, homotopy.endpoint, action,
+                f"homotopy({homotopy.name},steps={steps})", transports=True)
 
 
 def metrize(lift):
@@ -438,15 +449,18 @@ def _torus_line_action(u_of, af, x, v):
     return np.vecdot(u_of(xr), v)[..., None] * u_of(np.matvec(af, xr))
 
 
-def _split_product_lift(bundle, n1, base, act1, act2, provenance):
-    def action(p, v):
-        x1, x2 = p
+def _split_product_lift(bundle, n1, base, lifts, provenance):
+    # the lift on each summand of the product bundle (the first n1 ambient
+    # coordinates and the rest), None for the identity
+    def action(p, v, errors=None):
         out = np.empty_like(v)
-        out[..., :n1] = act1(x1, v[..., :n1])
-        out[..., n1:] = act2(x2, v[..., n1:])
+        for x, lift, part in zip(p, lifts, (slice(None, n1), slice(n1, None))):
+            w = v[..., part]
+            out[..., part] = w if lift is None else lift.action(x, w, errors)
         return out
 
-    return Lift(bundle, base, action, provenance)
+    return Lift(bundle, base, action, provenance,
+                transports=any(lift is not None and lift.transports for lift in lifts))
 
 
 def s1xs2_generator_lift(name, n, steps=DEFAULT_TRANSPORT_STEPS):
@@ -476,8 +490,7 @@ def s1xs2_generator_lift(name, n, steps=DEFAULT_TRANSPORT_STEPS):
         refl = np.diag([1.0, -1.0])
         left = grassmann_orthogonal_lift(refl, 1)
         base = product_diffeo(model, left.base_map, ident2, name="s")
-        return _split_product_lift(bundle, 2, base, left.action,
-                                   lambda x2, w: w.copy(), "s1xs2_s")
+        return _split_product_lift(bundle, 2, base, (left, None), "s1xs2_s")
 
     if name == "r":
         def theta_of(p1):
@@ -519,8 +532,7 @@ def s1xs2_generator_lift(name, n, steps=DEFAULT_TRANSPORT_STEPS):
         right = compose(conj_lift, rot_lift)
         anti = named_diffeo(v2.base, "cp1_antipodal")
         base = product_diffeo(model, ident1, anti, name="a")
-        return _split_product_lift(bundle, 2, base, lambda x1, w: w.copy(),
-                                   right.action, "s1xs2_a")
+        return _split_product_lift(bundle, 2, base, (None, right), "s1xs2_a")
 
     raise BadParams(f"unknown generator {name!r}; expected one of a, r, s")
 

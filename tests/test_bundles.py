@@ -534,14 +534,17 @@ def test_more_tracks_than_fit_one_step_are_transported_in_groups(monkeypatch):
 def test_track_groups_cut_across_joint_pairs(monkeypatch):
     # groups of 4 tracks cut through the 35 tracks of the 15 joint pairs
     pairs = _joint_pairs()
-    alone = [bd.transport_operator(b, p, steps=64) for b, p in pairs]
+    alone_errors = []
+    alone = [bd.transport_operator(b, p, steps=64, errors=alone_errors)
+             for b, p in pairs]
     budget = 4 * 5 * 2 * 2 * 8
     monkeypatch.setattr(bd, "TRANSPORT_CHUNK_BYTES", budget)
     calls = _counted_kernel(monkeypatch)
-    joint = bd.joint_transport_operators(pairs, steps=64)
+    errors = []
+    joint = bd.joint_transport_operators(pairs, steps=64, errors=errors)
     assert max(c[1] for c in calls) <= budget
     assert sorted({c[2] for c in calls}) == [3, 4]
-    for got, want in zip(joint, alone):
+    for got, want in zip(joint + errors, alone + alone_errors):
         assert got.shape == want.shape and np.array_equal(got, want)
 
 
@@ -648,6 +651,50 @@ def test_transport_is_fourth_order_against_the_closed_form(dim):
             assert np.all((order > 3.8) & (order < 4.2)), (case[-1], order)
 
 
+def _quarter_turn(steps, errors=None):
+    # the S^2 quarter-turn about the z axis on 200 tracks: the transport
+    # operators at ``steps`` and their closed form
+    s2, ts = mf.Sphere(2), bd.tangent_sphere(2)
+    xs = s2.random_points(np.random.default_rng(5), 200)
+    path = bd.homotopy_path(mf.rotation_homotopy(s2, (0, 1), np.pi / 2), xs)
+    exact = exact_group_transport(_plane_generator(3, (0, 1), np.pi / 2),
+                                  ts.fiber_projector(xs))
+    return bd.transport_operator(ts, path, steps, errors), exact
+
+
+@pytest.mark.parametrize("steps", [17, 64, 65, 128, 255, 256, 1024])
+def test_error_estimate_tracks_the_closed_form_error(steps):
+    # the largest Richardson estimate over the tracks against the largest
+    # true error: 5.97e-9 against 5.93e-9 at 64 steps, 9.0e-14 against
+    # 1.04e-13 at 1024, where roundoff starts to show; an odd count
+    # estimates all but its last step (1.17e-6 against 1.21e-6 at 17)
+    errors = []
+    op, exact = _quarter_turn(steps, errors)
+    true = np.max(np.abs(op - exact), axis=(-2, -1))
+    assert errors[0].shape == (200,)
+    assert 0.5 <= np.max(errors[0]) / np.max(true) <= 2.0
+
+
+@pytest.mark.parametrize("steps", [32, 48, 64, 256, 1024])
+def test_step_doubled_walk_is_the_transport_at_half_the_steps(steps):
+    # the walk at 2h on the node data is bitwise transport_operator at
+    # steps / 2: the node times, the step and the segments are the same
+    errors = []
+    op, _ = _quarter_turn(steps, errors)
+    half, _ = _quarter_turn(steps // 2)
+    assert np.array_equal(errors[0], np.max(np.abs(op - half), axis=(-2, -1)) / 15.0)
+    # the same in the kernel, on one segment
+    h = 1.0 / steps
+    bundle, path = bd.tangent_sphere(2), bd.homotopy_path(
+        mf.rotation_homotopy(mf.Sphere(2), (0, 1), 1.1), random_point(mf.Sphere(2), 3))
+    qp, qnode = bd._stage_arrays(bundle, path, (0.5 * h) * np.arange(2 * steps + 1),
+                                 slice(None))
+    qp2, qnode2 = bd._stage_arrays(bundle, path, h * np.arange(steps + 1), slice(None))
+    assert np.array_equal(
+        _kernels.rk4_transport_doubled(qp[::2], qnode, qnode[0], h),
+        _kernels.rk4_transport(qp2, qnode2, qnode2[0], 2 * h))
+
+
 def _all_bits(n):
     return [tuple(int(c) for c in np.binary_repr(m, width=n)) for m in range(1, 2 ** n)]
 
@@ -669,13 +716,18 @@ def _joint_pairs():
 
 def test_joint_transport_is_bitwise_each_pair_alone(monkeypatch):
     pairs = _joint_pairs()
-    alone = [bd.transport_operator(b, p, steps=256) for b, p in pairs]
+    alone_errors = []
+    alone = [bd.transport_operator(b, p, steps=256, errors=alone_errors)
+             for b, p in pairs]
     assert {a.shape for a in alone} >= {(2, 2), (1, 2, 2), (3, 2, 2), (4, 2, 2)}
     tracks = sum(math.prod(a.shape[:-2]) for a in alone)
     assert tracks == 28 + 7
-    joint = bd.joint_transport_operators(pairs, steps=256)
-    assert len(joint) == len(pairs)
+    errors = []
+    joint = bd.joint_transport_operators(pairs, steps=256, errors=errors)
+    assert len(joint) == len(pairs) == len(errors)
     for got, want in zip(joint, alone):
+        assert got.shape == want.shape and np.array_equal(got, want)
+    for got, want in zip(errors, alone_errors):
         assert got.shape == want.shape and np.array_equal(got, want)
     # the window size does not change the operators; no window crosses a
     # segment boundary of the 32 segments of 8 steps
@@ -724,12 +776,16 @@ def test_segment_windows_leave_every_operator_bitwise(steps, data):
     long = data.draw(st.integers(seg, steps), label="long")
     pairs = _joint_pairs()[-4:]
     tracks = 1 + 4 + 1 + 1
-    want = bd.joint_transport_operators(pairs, steps)
+    want_errors = []
+    want = bd.joint_transport_operators(pairs, steps, want_errors)
     for window in (short, long):
+        errors = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bd, "TRANSPORT_CHUNK_BYTES", _window_bytes(tracks, window, 2))
-            got = bd.joint_transport_operators(pairs, steps)
-        for g, w in zip(got, want):
+            got = bd.joint_transport_operators(pairs, steps, errors)
+        # the error estimates too: the step-doubled walk pairs steps across
+        # windows that end on an odd node
+        for g, w in zip(got + errors, want + want_errors):
             assert np.array_equal(g, w)
 
 

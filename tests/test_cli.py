@@ -12,7 +12,7 @@ from bundlelift import bundles as bd, cli, lifts as lf, manifolds as mf
 from bundlelift.bundles import tautological_complex
 from bundlelift.cli import (SCENARIOS, ScenarioConfig, emit_plot_data,
                             run_scenario)
-from bundlelift.config import DEFAULT_TOLERANCES, MAX_MESH_LEVEL
+from bundlelift.config import DEFAULT_TOLERANCES, DEFAULT_TRANSPORT_STEPS, MAX_MESH_LEVEL
 from bundlelift.errors import BadParams, ConfigInvalid, UnknownScenario
 from bundlelift.obstruction import plaquette_phases
 
@@ -300,3 +300,58 @@ def test_tolerance_defaults_come_from_the_config():
     assert (args.tol_exact, args.tol_transport) == \
         (cfg.tol_exact, cfg.tol_transport) == \
         (DEFAULT_TOLERANCES.exact, DEFAULT_TOLERANCES.transport)
+
+
+TRANSPORT_ERRORS = {
+    "homotopy_lift_sphere": ["homotopy_lift.transport_error"],
+    "s1xs2_generators": ["a_lift.n1.transport_error", "a_lift.n2.transport_error"],
+    "torus_sweep": ["w1.transport_error"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSPORT_ERRORS))
+def test_default_step_count_keeps_transport_errors_far_inside_the_gate(name):
+    # the default step count was chosen so that every transport error
+    # estimate at seeds 0-9 stays below tol_transport / 1000; the worst is
+    # a_lift.n2.transport_error at 2.5e-9
+    args = cli.build_parser().parse_args(["scenario", name])
+    assert args.steps == ScenarioConfig(name).transport_steps == DEFAULT_TRANSPORT_STEPS
+    for seed in range(10):
+        report, _ = run_scenario(ScenarioConfig(name, seed=seed, no_timestamp=True))
+        errors = {c["name"]: c for c in report["checks"]
+                  if c["name"].endswith(".transport_error")}
+        assert sorted(errors) == TRANSPORT_ERRORS[name]
+        for check in errors.values():
+            assert check["tolerance"] == DEFAULT_TOLERANCES.transport
+            assert check["residual"] <= DEFAULT_TOLERANCES.transport / 1000, (seed, check)
+
+
+@pytest.mark.parametrize("name,flags,failing", [
+    # the quarter-turn's estimate is 1.6e-6 at 16 steps; the n = 2 half-turn
+    # reads 2.0e-5 and the torus loops 2.8e-5, over the default 1e-5
+    ("homotopy_lift_sphere", ["--tol-transport", "1e-7"],
+     "homotopy_lift.transport_error"),
+    ("s1xs2_generators", [], "a_lift.n2.transport_error"),
+    ("torus_sweep", [], "w1.transport_error"),
+])
+def test_transport_error_check_fails_a_coarse_grid(tmp_path, name, flags, failing):
+    path = tmp_path / "report.json"
+    assert cli.main(["scenario", name, "--steps", "16", *flags, "--no-timestamp",
+                     "--json", str(path)]) == 1
+    failed = [c["name"] for c in json.loads(path.read_text())["checks"]
+              if not c["verdict"]]
+    assert failing in failed
+
+
+@pytest.mark.parametrize("name", sorted(TRANSPORT_ERRORS))
+def test_odd_step_count_runs_with_an_estimate(tmp_path, name):
+    # an odd count is not refused: its step-doubled walk pairs all steps
+    # but the last, which it takes at step h, and the estimate is checked
+    # as at an even count
+    path = tmp_path / "report.json"
+    assert cli.main(["scenario", name, "--steps", "129", "--samples", "10",
+                     "--no-timestamp", "--json", str(path)]) == 0
+    report = json.loads(path.read_text())
+    errors = [c for c in report["checks"] if c["name"].endswith(".transport_error")]
+    assert [c["name"] for c in errors] == TRANSPORT_ERRORS[name]
+    assert all(0.0 < c["residual"] <= 1e-8 for c in errors)

@@ -93,7 +93,26 @@ name, verdict and tolerance stayed: homotopy_lift_sphere
 1 - 8.0e-14, ``a_lift.n2.base`` 4.569e-16 -> 4.578e-16,
 ``a_lift.n2.linearity`` 1.26e-16 -> 1.61e-16 and
 ``a_lift.n2.min_singular_value`` 1 - 7.7e-14 -> 1 - 1.1e-13. The other
-reports, both torus_sweep files included, kept their bytes."""
+reports, both torus_sweep files included, kept their bytes.
+
+Every .json file was regenerated when the default transport step count
+went from 1024 to 128 and every transport came to carry its Richardson
+error estimate: each report's ``config.transport_steps`` moved, and the
+eight reports that transport nothing changed in that field alone.
+homotopy_lift_sphere gained ``homotopy_lift.transport_error`` (3.7e-10),
+s1xs2_generators ``a_lift.n1.transport_error`` (5.0e-10) and
+``a_lift.n2.transport_error`` (2.4e-9), and torus_sweep.json
+``w1.transport_error`` (8.8e-10). Ten residuals of the transport lifts
+moved, and every name, verdict and tolerance stayed: homotopy_lift_sphere
+``homotopy_lift.base`` 1.67e-16 -> 2.22e-16, ``homotopy_lift.linearity``
+1.64e-16 -> 1.33e-16, ``homotopy_lift.min_singular_value`` 1 - 9.1e-14 ->
+1 - 2.4e-10 and ``homotopy_lift.isometry`` 1.67e-13 -> 4.48e-10;
+s1xs2_generators ``a_lift.n1.base`` 4.61e-16 -> 4.65e-16,
+``a_lift.n1.linearity`` 1.59e-16 -> 1.95e-16,
+``a_lift.n1.min_singular_value`` 1 - 8.0e-14 -> 1 - 7.6e-12,
+``a_lift.n2.base`` 4.58e-16 -> 4.61e-16, ``a_lift.n2.linearity``
+1.61e-16 -> 1.84e-16 and ``a_lift.n2.min_singular_value`` 1 - 1.1e-13 ->
+1 - 3.2e-10. torus_sweep.csv kept its bytes."""
 
 import csv
 import io
