@@ -32,8 +32,8 @@ import numpy as np
 # a segment split at a node, the second call started from the first call's
 # result, is bitwise the same as the whole segment.
 # The stage times of a step of 2h are nodes of the h grid, so the walk at
-# 2h of Richardson's error estimate runs on the node entries of the same
-# arrays; for RK4 the two walks differ by 15 times the error of the finer
+# 2h of Richardson's error estimate is rk4_transport(qp[::2], qnode[::2],
+# x0, 2h); for RK4 the two walks differ by 15 times the error of the finer
 # one (Hairer, Norsett and Wanner, Solving ODEs I, section II.4).
 
 # Bytes of one matrix stack of an increment block (one matrix per track and
@@ -45,18 +45,6 @@ INCREMENT_BLOCK_BYTES = 2 ** 16
 
 
 def rk4_transport(qp, qnode, x0, h, segments=1):
-    """The walk at step h from x0 (one state per segment); its node
-    entries qp[::2] and qnode are the data of the walk at 2h."""
-    return _walk(qp, qnode, x0, h, segments)
-
-
-def rk4_transport_doubled(qp, qnode, x0, h, segments=1):
-    """rk4_transport at step 2h, from qp and qnode at the 2s+1 nodes of an
-    h grid (s steps of 2h)."""
-    return _walk(qp, qnode[::2], x0, 2.0 * h, segments)
-
-
-def _walk(qp, qnode, x0, h, segments):
     steps = qnode.shape[0] - 1
     d = np.empty((steps,) + qp.shape[1:], dtype=qp.dtype)
     block = max(1, INCREMENT_BLOCK_BYTES // max(1, qnode[0].nbytes))

@@ -44,9 +44,9 @@ fit in ``TRANSPORT_CHUNK_BYTES`` of stage arrays for all tracks, so memory
 stays bounded at any step count; more tracks than fit one step are
 transported in groups that each fit. One track is the case P = 1.
 Each pair gets one (N, N) operator, or (P, N, N) for a stack, bitwise the
-operator of that pair transported alone, and, in a list ``errors``, the
-Richardson error estimate of each track from a walk at twice the step on
-the node entries of the same stage arrays.
+operator of that pair transported alone; the innermost open
+``transport_errors()`` block gets each track's Richardson error estimate,
+from a walk at twice the step on the node entries of the same arrays.
 ``holonomy_signs`` likewise takes (line bundle, loop) pairs, each loop one
 loop or a stack of loops, and gives each pair its orientation sign.
 
@@ -55,6 +55,8 @@ Cholesky of the projector, deterministic in the point; an eigensolve runs
 only to name the measured rank of a projector it refuses.
 """
 
+import contextlib
+import contextvars
 import itertools
 import math
 
@@ -70,6 +72,7 @@ from .numkernel import (norms, projector_basis, realify,
 
 __all__ = [
     "BundleModel",
+    "transport_errors",
     "Path",
     "homotopy_path",
     "tautological_real",
@@ -482,19 +485,35 @@ def _chain(total, segments):
     return total
 
 
-def joint_transport_operators(pairs, steps=DEFAULT_TRANSPORT_STEPS, errors=None):
+_ERRORS = contextvars.ContextVar("transport_errors")
+
+
+@contextlib.contextmanager
+def transport_errors():
+    """``with transport_errors() as errors:`` collects in ``errors`` the
+    estimates of every transport made in the block. Only the innermost
+    open block collects; outside every block the estimates are dropped."""
+    token = _ERRORS.set([])
+    try:
+        yield _ERRORS.get()
+    finally:
+        _ERRORS.reset(token)
+
+
+def joint_transport_operators(pairs, steps=DEFAULT_TRANSPORT_STEPS):
     """``transport_operator`` of every (bundle, path) pair of a list, each
     pair's result in that pair's own shape and bitwise equal to the pair
     transported alone. The bundles must share ``ambient_fiber_dim``: the
     tracks of all pairs go side by side into each window, and each window
-    makes one RK4 kernel call.
+    makes one RK4 kernel call at step h.
 
     Each track is also walked at 2h on the node data of the same windows,
     and its Richardson estimate max |X_h - X_2h| / 15 over the operator
-    entries goes to the list ``errors``, if given: one array per pair, in
-    its track shape, bitwise that of the pair alone. The walk at 2h pairs
-    the steps of each segment, or of two odd segments; over an odd number
-    of steps it takes the last step at h and leaves out its error."""
+    entries goes to the innermost open ``transport_errors()`` block: one
+    array per pair, in its track shape, bitwise that of the pair alone.
+    The walk at 2h pairs the steps of each segment, or of two odd
+    segments; over an odd number of steps it takes the last step at h and
+    leaves out its error."""
     if not isinstance(steps, (int, np.integer)):
         raise BadParams(f"transport steps must be an integer, not {steps!r}")
     if steps < 16:
@@ -561,8 +580,8 @@ def joint_transport_operators(pairs, steps=DEFAULT_TRANSPORT_STEPS, errors=None)
                 lead = [a[d - c:d - c + 1].copy() for a in nodes]
             if d > c:
                 qpn, qn = (a[:d - c + 1] for a in nodes)
-                y = _kernels.rk4_transport_doubled(
-                    qpn, qn, qn[:-1:pair_seg] if y is None else y, h,
+                y = _kernels.rk4_transport(
+                    qpn, qn[::2], qn[:-1:pair_seg] if y is None else y, 2.0 * h,
                     segments=max(1, (d - c) // pair_seg))
             if j == steps and steps % 2:
                 y = _kernels.rk4_transport(qp[-3:], qnode[-2:], y, h)
@@ -572,27 +591,26 @@ def joint_transport_operators(pairs, steps=DEFAULT_TRANSPORT_STEPS, errors=None)
             i = j
         out[g:e] = total
         err[g:e] = np.max(np.abs(total - y_total), axis=(-2, -1)) / 15.0
-    if errors is not None:
-        errors.extend(err[a:b].reshape(shape) for shape, a, b in zip(shapes, starts, ends))
-    return [out[a:b].reshape(shape + (n, n))
-            for shape, a, b in zip(shapes, starts, ends)]
+    spans = list(zip(shapes, starts, ends))
+    # outside every transport_errors() block, to a list that is dropped
+    _ERRORS.get([]).extend(err[a:b].reshape(shape) for shape, a, b in spans)
+    return [out[a:b].reshape(shape + (n, n)) for shape, a, b in spans]
 
 
-def transport_operator(bundle, path, steps=DEFAULT_TRANSPORT_STEPS, errors=None):
+def transport_operator(bundle, path, steps=DEFAULT_TRANSPORT_STEPS):
     """The full transport map fiber(path(0)) -> fiber(path(1)) as an
     ambient matrix (the orthogonal complement of the fiber is killed); for
     a stack of P tracks, the (P, N, N) stack of the per-track maps, each
-    bitwise equal to the map of its track alone; ``errors`` as in
-    ``joint_transport_operators``."""
-    return joint_transport_operators([(bundle, path)], steps, errors)[0]
+    bitwise equal to the map of its track alone."""
+    return joint_transport_operators([(bundle, path)], steps)[0]
 
 
-def holonomy_signs(pairs, steps=DEFAULT_TRANSPORT_STEPS, errors=None):
+def holonomy_signs(pairs, steps=DEFAULT_TRANSPORT_STEPS):
     """Orientation sign picked up by each real line bundle of a list of
     (line bundle, loop) pairs around its closed loop (an int array of one
     sign per loop for a stack of loops), from one
-    ``joint_transport_operators`` call (``errors`` as there). An open
-    loop, a NaN gap or an ambiguous sign names the failing pair."""
+    ``joint_transport_operators`` call. An open loop, a NaN gap or an
+    ambiguous sign names the failing pair."""
     m = len(pairs)
     v0s = []
     for k, (line_bundle, loop) in enumerate(pairs):
@@ -605,7 +623,7 @@ def holonomy_signs(pairs, steps=DEFAULT_TRANSPORT_STEPS, errors=None):
         if not gap <= 1e-10:
             raise BadParams(f"{_pair_name(k, m)}loop is not closed (gap {gap:.3e})")
         v0s.append(line_bundle.fiber_basis(start)[..., 0])
-    ops = joint_transport_operators(pairs, steps, errors)
+    ops = joint_transport_operators(pairs, steps)
     signs = []
     for k, (v0, op) in enumerate(zip(v0s, ops)):
         out = np.matvec(op, v0)

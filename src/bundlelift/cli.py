@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .bundles import (pullback, tangent_sphere, tautological_complex,
-                      tautological_real, trivial)
+                      tautological_real, transport_errors, trivial)
 from .config import (DEFAULT_MESH_LEVEL, DEFAULT_SAMPLES, DEFAULT_SEED,
                      DEFAULT_TOLERANCES as TOL, DEFAULT_TRANSPORT_STEPS,
                      MAX_MESH_LEVEL)
@@ -373,10 +373,10 @@ def _scenario_torus_sweep(cfg):
 
     w1_bad = 0
     bs = [b for _, b, _ in cases]
-    errors = []
     # one transport for all 11 bundles' coordinate loops
-    for b, profile in zip(bs, w1_profiles(bs, steps=cfg.transport_steps,
-                                          errors=errors)):
+    with transport_errors() as errors:
+        profiles = w1_profiles(bs, steps=cfg.transport_steps)
+    for b, profile in zip(bs, profiles):
         expected = np.array([(-1) ** bi for bi in b])
         w1_bad += int(np.any(profile != expected))
     checks.append(_check("w1.profile_mismatches", w1_bad, 0.5))

@@ -14,8 +14,9 @@ of the point axes. Every lift built here computes all of that in one pass
 (an operator lift evaluates its operators once per action call, so a
 transport lift runs one stacked transport). ``check_lift`` draws all of its
 probes first, as blocks from one stream, applies the lift once to every
-vector it needs on the probe stack (one action call) and evaluates each
-other quantity once on that stack. Nothing is cached between calls.
+vector it needs on the probe stack (one action call, in one
+``transport_errors()`` block) and evaluates each other quantity once on
+that stack. Nothing is cached between calls.
 """
 
 import functools
@@ -25,7 +26,7 @@ import numpy as np
 
 from .bundles import (direct_sum, homotopy_path, pullback, tangent_sphere,
                       tautological_complex, tautological_real, torus_line,
-                      transport_operator)
+                      transport_errors, transport_operator)
 from .config import DEFAULT_SAMPLES, DEFAULT_TRANSPORT_STEPS
 from .errors import (BadParams, BundleMismatch, CriterionFails,
                      DegenerateJacobian, NoComplexStructure, NonInjective,
@@ -58,21 +59,20 @@ __all__ = [
 
 
 class Lift:
-    """A lift of a base diffeomorphism to a bundle automorphism. The action
-    of a lift that ``transports`` takes a third argument, ``errors``, as
-    ``bundles.joint_transport_operators`` does."""
+    """A lift of a base diffeomorphism to a bundle automorphism. Every
+    transport its action makes, however deep, reports its error estimates
+    to the innermost open ``bundles.transport_errors()`` block."""
 
-    def __init__(self, bundle, base_map, action, provenance, transports=False):
+    def __init__(self, bundle, base_map, action, provenance):
         self.bundle = bundle
         self.base_map = base_map
         self._action = action
         self.provenance = provenance
-        self.transports = transports
 
     def __repr__(self):
         return f"<Lift {self.provenance} over {self.bundle.key}>"
 
-    def action(self, x, v, errors=None):
+    def action(self, x, v):
         """Apply the fiber map at x to an ambient fiber vector, or at each
         point of a stack to the matching vector of a stack.
 
@@ -81,8 +81,7 @@ class Lift:
         every vector over it. Write actions so that they broadcast:
         ``np.matvec(m, v)``, not ``m @ v``, which reads a leading axis of
         v as matrix columns."""
-        v = np.asarray(v, dtype=float)
-        return self._action(x, v, errors) if self.transports else self._action(x, v)
+        return self._action(x, np.asarray(v, dtype=float))
 
     def _images(self, x, basis):
         # the images of the basis columns, as the columns of a matrix
@@ -167,9 +166,9 @@ def check_lift(lift, samples=DEFAULT_SAMPLES, seed=0):
     if has_j:
         vecs.append(np.matvec(bundle.complex_structure(x), v))
     n_vecs = len(vecs)
-    errors = []
-    images = lift.action(x, np.concatenate(
-        [np.stack(vecs), np.moveaxis(bundle.fiber_basis(x), -1, 0)]), errors)
+    with transport_errors() as errors:
+        images = lift.action(x, np.concatenate(
+            [np.stack(vecs), np.moveaxis(bundle.fiber_basis(x), -1, 0)]))
     w, w_u, w_mix = images[:3]
     base_res = _worst_of(bundle.membership_residual(y, w))
 
@@ -221,13 +220,11 @@ def compose(outer, inner):
         )
     base = inner.base_map.then(outer.base_map)
 
-    def action(x, v, errors=None):
-        return outer.action(inner.base_map.forward(x), inner.action(x, v, errors),
-                            errors)
+    def action(x, v):
+        return outer.action(inner.base_map.forward(x), inner.action(x, v))
 
     return Lift(outer.bundle, base, action,
-                f"compose({outer.provenance},{inner.provenance})",
-                transports=outer.transports or inner.transports)
+                f"compose({outer.provenance},{inner.provenance})")
 
 
 def _operator_lift(bundle, base_map, operator_at, provenance):
@@ -269,12 +266,11 @@ def lift_from_homotopy(bundle, homotopy, steps=DEFAULT_TRANSPORT_STEPS):
     if homotopy.source != bundle.base:
         raise BadParams("homotopy lives on a different model than the bundle")
 
-    def action(x, v, errors):
-        return np.matvec(transport_operator(bundle, homotopy_path(homotopy, x),
-                                            steps=steps, errors=errors), v)
+    def operator_at(x):
+        return transport_operator(bundle, homotopy_path(homotopy, x), steps=steps)
 
-    return Lift(bundle, homotopy.endpoint, action,
-                f"homotopy({homotopy.name},steps={steps})", transports=True)
+    return _operator_lift(bundle, homotopy.endpoint, operator_at,
+                          f"homotopy({homotopy.name},steps={steps})")
 
 
 def metrize(lift):
@@ -452,15 +448,14 @@ def _torus_line_action(u_of, af, x, v):
 def _split_product_lift(bundle, n1, base, lifts, provenance):
     # the lift on each summand of the product bundle (the first n1 ambient
     # coordinates and the rest), None for the identity
-    def action(p, v, errors=None):
+    def action(p, v):
         out = np.empty_like(v)
         for x, lift, part in zip(p, lifts, (slice(None, n1), slice(n1, None))):
             w = v[..., part]
-            out[..., part] = w if lift is None else lift.action(x, w, errors)
+            out[..., part] = w if lift is None else lift.action(x, w)
         return out
 
-    return Lift(bundle, base, action, provenance,
-                transports=any(lift is not None and lift.transports for lift in lifts))
+    return Lift(bundle, base, action, provenance)
 
 
 def s1xs2_generator_lift(name, n, steps=DEFAULT_TRANSPORT_STEPS):

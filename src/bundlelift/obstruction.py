@@ -194,12 +194,12 @@ def _coordinate_loops(n):
                 velocity=lambda ts, xt: np.multiply.outer(np.ones_like(ts), eye))
 
 
-def w1_profiles(bs, steps=DEFAULT_TRANSPORT_STEPS, errors=None):
+def w1_profiles(bs, steps=DEFAULT_TRANSPORT_STEPS):
     """For every bit vector b of a list, the holonomy signs of L_b around
     the n = len(b) coordinate loops of the torus (the first Stiefel-Whitney
     class evaluated on the standard 1-cycles), from one ``holonomy_signs``
     call: the coordinate loops of all the line bundles share each RK4
-    window; ``errors`` as in ``bundles.joint_transport_operators``."""
+    window."""
     pairs = []
     for b in bs:
         b = _check_bits(b)
@@ -207,5 +207,4 @@ def w1_profiles(bs, steps=DEFAULT_TRANSPORT_STEPS, errors=None):
         if n > 4:
             raise BadParams("w1_profiles supports n <= 4")
         pairs.append((torus_line(b), _coordinate_loops(n)))
-    return [signs.astype(np.int64)
-            for signs in holonomy_signs(pairs, steps=steps, errors=errors)]
+    return [signs.astype(np.int64) for signs in holonomy_signs(pairs, steps=steps)]

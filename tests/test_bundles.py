@@ -472,45 +472,58 @@ def test_stacked_torus_loops_are_bitwise_per_loop(monkeypatch):
 
 
 def _counted_kernel(monkeypatch):
-    # (steps, stage bytes, tracks, segments) of every RK4 kernel call
-    calls = []
+    # (steps, stage bytes, tracks, segments) of every RK4 kernel call, in
+    # one list per step h: the transport's walk and the walk at 2h of its
+    # error estimate
+    calls = {}
     kernel = _kernels.rk4_transport
 
-    def counted(qp, qnode, *rest, **kwargs):
-        calls.append((qnode.shape[0] - 1, qp.nbytes + qnode.nbytes, qp.shape[1],
-                      kwargs.get("segments", 1)))
-        return kernel(qp, qnode, *rest, **kwargs)
+    def counted(qp, qnode, x0, h, segments=1):
+        calls.setdefault(h, []).append(
+            (qnode.shape[0] - 1, qp.nbytes + qnode.nbytes, qp.shape[1], segments))
+        return kernel(qp, qnode, x0, h, segments)
 
     monkeypatch.setattr(_kernels, "rk4_transport", counted)
     return calls
 
 
 def test_chunk_budget_sets_the_kernel_calls(monkeypatch):
-    calls = _counted_kernel(monkeypatch)
+    walks = _counted_kernel(monkeypatch)
     monkeypatch.setattr(bd, "TRANSPORT_CHUNK_BYTES", _window_bytes(7, 10, 3))
     xs = stack_points([random_point(mf.Sphere(2), s) for s in range(7)])
     h = mf.rotation_homotopy(mf.Sphere(2), (0, 2), 0.8)
     bd.transport_operator(bd.tangent_sphere(2), bd.homotopy_path(h, xs), steps=64)
+    assert sorted(walks) == [1 / 64, 2 / 64]
+    calls, doubled = walks[1 / 64], walks[2 / 64]
     # 64 steps are 32 segments of 2: windows of 10 steps are 5 whole segments
     assert len(calls) == math.ceil(64 / 10)
     assert [c[0] for c in calls] == [10] * 6 + [4]
     assert [c[3] for c in calls] == [5] * 6 + [2]
     assert all(c[2] == 7 for c in calls)
     assert max(c[1] for c in calls) <= bd.TRANSPORT_CHUNK_BYTES
+    # at 2h each window is 5 segments of one step, the last one 2
+    assert [(c[0], c[3]) for c in doubled] == [(5, 5)] * 6 + [(2, 2)]
+    assert all(c[2] == 7 for c in doubled)
+    assert max(c[1] for c in doubled) <= bd.TRANSPORT_CHUNK_BYTES
 
 
 def test_transport_stage_arrays_stay_in_budget_at_large_step_counts(monkeypatch):
     # one track at 2**16 steps: the stage arrays of the whole grid would be
     # 9.4 MB, but every kernel call stays within TRANSPORT_CHUNK_BYTES
-    calls = _counted_kernel(monkeypatch)
+    walks = _counted_kernel(monkeypatch)
     steps = 2 ** 16
     h = mf.rotation_homotopy(mf.Sphere(2), (0, 1), 0.8)
     x = random_point(mf.Sphere(2), 3)
     bd.transport_operator(bd.tangent_sphere(2), bd.homotopy_path(h, x), steps=steps)
+    assert sorted(walks) == [1 / steps, 2 / steps]
+    calls, doubled = walks[1 / steps], walks[2 / steps]
     assert max(c[1] for c in calls) <= bd.TRANSPORT_CHUNK_BYTES
     assert sum(c[0] for c in calls) == steps
     # the budget fits 4853 steps, rounded down to two segments of 2048
     assert [(c[0], c[3]) for c in calls] == [(4096, 2)] * 16
+    # the walk at 2h takes half the steps of the same windows
+    assert max(c[1] for c in doubled) <= bd.TRANSPORT_CHUNK_BYTES
+    assert [(c[0], c[3]) for c in doubled] == [(2048, 2)] * 16
 
 
 def test_more_tracks_than_fit_one_step_are_transported_in_groups(monkeypatch):
@@ -522,28 +535,38 @@ def test_more_tracks_than_fit_one_step_are_transported_in_groups(monkeypatch):
     unsplit = bd.transport_operator(bd.tangent_sphere(2), path, steps=64)
     budget = 7 * 5 * 3 * 3 * 8
     monkeypatch.setattr(bd, "TRANSPORT_CHUNK_BYTES", budget)
-    calls = _counted_kernel(monkeypatch)
+    walks = _counted_kernel(monkeypatch)
     split = bd.transport_operator(bd.tangent_sphere(2), path, steps=64)
+    assert sorted(walks) == [1 / 64, 2 / 64]
+    calls, doubled = walks[1 / 64], walks[2 / 64]
     assert np.array_equal(split, unsplit)
     assert max(c[1] for c in calls) <= budget
     # six groups of 7 tracks walk 64 one-step windows; the last group of 5
     # fits windows of (budget // (5 * 72) - 2) // 3 = 1 step too
     assert [c[2] for c in calls] == [7] * (5 * 64) + [5] * 64
+    # at 2h a step spans two windows: one call per window that ends on an
+    # even node, from the node data of the two
+    assert max(c[1] for c in doubled) <= budget
+    assert [c[2] for c in doubled] == [7] * (5 * 32) + [5] * 32
+    assert all((c[0], c[3]) == (1, 1) for c in doubled)
 
 
 def test_track_groups_cut_across_joint_pairs(monkeypatch):
     # groups of 4 tracks cut through the 35 tracks of the 15 joint pairs
     pairs = _joint_pairs()
-    alone_errors = []
-    alone = [bd.transport_operator(b, p, steps=64, errors=alone_errors)
-             for b, p in pairs]
+    with bd.transport_errors() as alone_errors:
+        alone = [bd.transport_operator(b, p, steps=64) for b, p in pairs]
     budget = 4 * 5 * 2 * 2 * 8
     monkeypatch.setattr(bd, "TRANSPORT_CHUNK_BYTES", budget)
-    calls = _counted_kernel(monkeypatch)
-    errors = []
-    joint = bd.joint_transport_operators(pairs, steps=64, errors=errors)
+    walks = _counted_kernel(monkeypatch)
+    with bd.transport_errors() as errors:
+        joint = bd.joint_transport_operators(pairs, steps=64)
+    assert sorted(walks) == [1 / 64, 2 / 64]
+    calls, doubled = walks[1 / 64], walks[2 / 64]
     assert max(c[1] for c in calls) <= budget
     assert sorted({c[2] for c in calls}) == [3, 4]
+    assert max(c[1] for c in doubled) <= budget
+    assert sorted({c[2] for c in doubled}) == [3, 4]
     for got, want in zip(joint + errors, alone + alone_errors):
         assert got.shape == want.shape and np.array_equal(got, want)
 
@@ -651,7 +674,7 @@ def test_transport_is_fourth_order_against_the_closed_form(dim):
             assert np.all((order > 3.8) & (order < 4.2)), (case[-1], order)
 
 
-def _quarter_turn(steps, errors=None):
+def _quarter_turn(steps):
     # the S^2 quarter-turn about the z axis on 200 tracks: the transport
     # operators at ``steps`` and their closed form
     s2, ts = mf.Sphere(2), bd.tangent_sphere(2)
@@ -659,7 +682,7 @@ def _quarter_turn(steps, errors=None):
     path = bd.homotopy_path(mf.rotation_homotopy(s2, (0, 1), np.pi / 2), xs)
     exact = exact_group_transport(_plane_generator(3, (0, 1), np.pi / 2),
                                   ts.fiber_projector(xs))
-    return bd.transport_operator(ts, path, steps, errors), exact
+    return bd.transport_operator(ts, path, steps), exact
 
 
 @pytest.mark.parametrize("steps", [17, 64, 65, 128, 255, 256, 1024])
@@ -668,8 +691,8 @@ def test_error_estimate_tracks_the_closed_form_error(steps):
     # true error: 5.97e-9 against 5.93e-9 at 64 steps, 9.0e-14 against
     # 1.04e-13 at 1024, where roundoff starts to show; an odd count
     # estimates all but its last step (1.17e-6 against 1.21e-6 at 17)
-    errors = []
-    op, exact = _quarter_turn(steps, errors)
+    with bd.transport_errors() as errors:
+        op, exact = _quarter_turn(steps)
     true = np.max(np.abs(op - exact), axis=(-2, -1))
     assert errors[0].shape == (200,)
     assert 0.5 <= np.max(errors[0]) / np.max(true) <= 2.0
@@ -679,8 +702,8 @@ def test_error_estimate_tracks_the_closed_form_error(steps):
 def test_step_doubled_walk_is_the_transport_at_half_the_steps(steps):
     # the walk at 2h on the node data is bitwise transport_operator at
     # steps / 2: the node times, the step and the segments are the same
-    errors = []
-    op, _ = _quarter_turn(steps, errors)
+    with bd.transport_errors() as errors:
+        op, _ = _quarter_turn(steps)
     half, _ = _quarter_turn(steps // 2)
     assert np.array_equal(errors[0], np.max(np.abs(op - half), axis=(-2, -1)) / 15.0)
     # the same in the kernel, on one segment
@@ -691,7 +714,7 @@ def test_step_doubled_walk_is_the_transport_at_half_the_steps(steps):
                                  slice(None))
     qp2, qnode2 = bd._stage_arrays(bundle, path, h * np.arange(steps + 1), slice(None))
     assert np.array_equal(
-        _kernels.rk4_transport_doubled(qp[::2], qnode, qnode[0], h),
+        _kernels.rk4_transport(qp[::2], qnode[::2], qnode[0], 2 * h),
         _kernels.rk4_transport(qp2, qnode2, qnode2[0], 2 * h))
 
 
@@ -716,14 +739,13 @@ def _joint_pairs():
 
 def test_joint_transport_is_bitwise_each_pair_alone(monkeypatch):
     pairs = _joint_pairs()
-    alone_errors = []
-    alone = [bd.transport_operator(b, p, steps=256, errors=alone_errors)
-             for b, p in pairs]
+    with bd.transport_errors() as alone_errors:
+        alone = [bd.transport_operator(b, p, steps=256) for b, p in pairs]
     assert {a.shape for a in alone} >= {(2, 2), (1, 2, 2), (3, 2, 2), (4, 2, 2)}
     tracks = sum(math.prod(a.shape[:-2]) for a in alone)
     assert tracks == 28 + 7
-    errors = []
-    joint = bd.joint_transport_operators(pairs, steps=256, errors=errors)
+    with bd.transport_errors() as errors:
+        joint = bd.joint_transport_operators(pairs, steps=256)
     assert len(joint) == len(pairs) == len(errors)
     for got, want in zip(joint, alone):
         assert got.shape == want.shape and np.array_equal(got, want)
@@ -733,14 +755,21 @@ def test_joint_transport_is_bitwise_each_pair_alone(monkeypatch):
     # segment boundary of the 32 segments of 8 steps
     expected = {1: [(1, 1)] * 256, 7: [(7, 1), (1, 1)] * 32, 9: [(8, 1)] * 32,
                 256: [(256, 32)]}
+    # at 2h: a step across two windows is walked once its second one ends
+    expected_doubled = {1: [(1, 1)] * 128, 7: [(3, 1), (1, 1)] * 32,
+                        9: [(4, 1)] * 32, 256: [(128, 32)]}
     for window in WINDOWS:
         monkeypatch.setattr(bd, "TRANSPORT_CHUNK_BYTES", _window_bytes(tracks, window, 2))
-        calls = _counted_kernel(monkeypatch)
+        walks = _counted_kernel(monkeypatch)
         joint = bd.joint_transport_operators(pairs, steps=256)
         monkeypatch.undo()
+        assert sorted(walks) == [1 / 256, 2 / 256]
+        calls, doubled = walks[1 / 256], walks[2 / 256]
         assert [(c[0], c[3]) for c in calls] == expected[window]
         assert all(c[2] == tracks for c in calls)
         assert max(c[1] for c in calls) <= _window_bytes(tracks, window, 2)
+        assert [(c[0], c[3]) for c in doubled] == expected_doubled[window]
+        assert all(c[2] == tracks for c in doubled)
         for got, want in zip(joint, alone):
             assert got.shape == want.shape and np.array_equal(got, want)
 
@@ -776,13 +805,12 @@ def test_segment_windows_leave_every_operator_bitwise(steps, data):
     long = data.draw(st.integers(seg, steps), label="long")
     pairs = _joint_pairs()[-4:]
     tracks = 1 + 4 + 1 + 1
-    want_errors = []
-    want = bd.joint_transport_operators(pairs, steps, want_errors)
+    with bd.transport_errors() as want_errors:
+        want = bd.joint_transport_operators(pairs, steps)
     for window in (short, long):
-        errors = []
-        with pytest.MonkeyPatch.context() as mp:
+        with pytest.MonkeyPatch.context() as mp, bd.transport_errors() as errors:
             mp.setattr(bd, "TRANSPORT_CHUNK_BYTES", _window_bytes(tracks, window, 2))
-            got = bd.joint_transport_operators(pairs, steps, errors)
+            got = bd.joint_transport_operators(pairs, steps)
         # the error estimates too: the step-doubled walk pairs steps across
         # windows that end on an odd node
         for g, w in zip(got + errors, want + want_errors):
@@ -837,6 +865,38 @@ def test_transport_of_no_tracks_gives_empty_operators():
          (bd.torus_line((1,)), bd.homotopy_path(constant_homotopy(mf.Torus(1)),
                                                 np.zeros((3, 0, 1))))], steps=32)
     assert [o.shape for o in ops] == [(0, 2, 2), (3, 0, 2, 2)]
+
+
+def _torus_loop_transport():
+    # one transport of one track, whose estimate is an array of shape ()
+    return bd.transport_operator(bd.torus_line((1, 0)), _torus_loop(2, 1), steps=64)
+
+
+def test_transport_errors_collect_in_the_innermost_open_block():
+    with bd.transport_errors() as closed:
+        pass
+    # outside every block a transport records nothing
+    _torus_loop_transport()
+    assert closed == []
+    with bd.transport_errors() as outer:
+        with bd.transport_errors() as inner:
+            _torus_loop_transport()
+        assert len(inner) == 1 and outer == []
+        _torus_loop_transport()
+    assert len(inner) == 1 and len(outer) == 1
+    assert np.array_equal(inner[0], outer[0]) and inner[0].shape == ()
+
+
+def test_transport_errors_block_resets_after_an_exception():
+    with bd.transport_errors() as outer:
+        with pytest.raises(ZeroDivisionError):
+            with bd.transport_errors() as inner:
+                _torus_loop_transport()
+                1 / 0
+        # the inner block is closed: the outer one collects again
+        _torus_loop_transport()
+    _torus_loop_transport()
+    assert len(inner) == 1 and len(outer) == 1
 
 
 class TestHolonomySign:

@@ -25,40 +25,39 @@ def _probe(lift, seed=0):
 def _per_probe_check_lift(lift, samples, seed):
     # the one-probe-at-a-time checker that the stacked check_lift
     # replaced, kept as its oracle: each probe of the drawn blocks on its
-    # own, one action call per vector, each handing over its transport
-    # error estimates
+    # own, one action call per vector, all in one transport_errors() block
     bundle = lift.bundle
     has_j = bundle.has_complex_structure
     base_res = lin_res = iso_res = 0.0
-    errors = []
     min_sv = np.inf
     c_res = 0.0 if has_j else None
     a_res = 0.0 if has_j else None
     xs, vs, us, alphas, betas = _per_probe_draws(bundle, samples, seed)
-    for i in range(samples):
-        x = mf.map_points(lambda a: a[i], xs)
-        v, u, alpha, beta = vs[i], us[i], alphas[i], betas[i]
-        y = lift.base_map.forward(x)
-        w = lift.action(x, v, errors)
-        base_res = worst(base_res, float(bundle.membership_residual(y, w)))
-        w_u = lift.action(x, u, errors)
-        w_mix = lift.action(x, alpha * u + beta * v, errors)
-        lin = np.linalg.norm(w_mix - alpha * w_u - beta * w)
-        lin_res = worst(lin_res, float(lin) / (abs(alpha) + abs(beta) + 1.0))
-        b_x = bundle.fiber_basis(x)
-        images = np.stack([lift.action(x, b_x[:, i], errors)
-                           for i in range(b_x.shape[1])], axis=-1)
-        m = bundle.fiber_basis(y).T @ images
-        iso_res = worst(iso_res,
-                        float(np.max(np.abs(m.T @ m - np.eye(m.shape[0])))))
-        sv = min_singular_value(m) if np.all(np.isfinite(m)) else np.nan
-        min_sv = float(np.minimum(min_sv, sv))
-        if has_j:
-            j_x = bundle.complex_structure(x)
-            j_y = bundle.complex_structure(y)
-            w_jv = lift.action(x, j_x @ v, errors)
-            c_res = worst(c_res, float(np.linalg.norm(w_jv - j_y @ w)))
-            a_res = worst(a_res, float(np.linalg.norm(w_jv + j_y @ w)))
+    with bd.transport_errors() as errors:
+        for i in range(samples):
+            x = mf.map_points(lambda a: a[i], xs)
+            v, u, alpha, beta = vs[i], us[i], alphas[i], betas[i]
+            y = lift.base_map.forward(x)
+            w = lift.action(x, v)
+            base_res = worst(base_res, float(bundle.membership_residual(y, w)))
+            w_u = lift.action(x, u)
+            w_mix = lift.action(x, alpha * u + beta * v)
+            lin = np.linalg.norm(w_mix - alpha * w_u - beta * w)
+            lin_res = worst(lin_res, float(lin) / (abs(alpha) + abs(beta) + 1.0))
+            b_x = bundle.fiber_basis(x)
+            images = np.stack([lift.action(x, b_x[:, i])
+                               for i in range(b_x.shape[1])], axis=-1)
+            m = bundle.fiber_basis(y).T @ images
+            iso_res = worst(iso_res,
+                            float(np.max(np.abs(m.T @ m - np.eye(m.shape[0])))))
+            sv = min_singular_value(m) if np.all(np.isfinite(m)) else np.nan
+            min_sv = float(np.minimum(min_sv, sv))
+            if has_j:
+                j_x = bundle.complex_structure(x)
+                j_y = bundle.complex_structure(y)
+                w_jv = lift.action(x, j_x @ v)
+                c_res = worst(c_res, float(np.linalg.norm(w_jv - j_y @ w)))
+                a_res = worst(a_res, float(np.linalg.norm(w_jv + j_y @ w)))
     transport_res = float(worst(0.0, *errors)) if errors else None
     return lf.LiftReport(base_res, lin_res, min_sv, iso_res, c_res, a_res,
                          transport_res, samples)
@@ -202,19 +201,20 @@ def test_stacked_check_lift_equals_per_probe_oracle(name, make, samples, seed):
 
 def test_check_lift_calls_do_not_grow_with_samples(monkeypatch):
     # every vector of every probe goes to one action call, every probe's
-    # track to one kernel call, and every field is evaluated once on the
-    # probe stack
+    # track to one kernel call at step h and one at 2h for the error
+    # estimate, and every field is evaluated once on the probe stack
     counts = {}
     kernel = _kernels.rk4_transport
     projector = bd.BundleModel.fiber_projector
     action = lf.Lift.action
 
-    def counted_action(self, x, v, errors=None):
+    def counted_action(self, x, v):
         counts["action"] = counts.get("action", 0) + 1
-        return action(self, x, v, errors)
+        return action(self, x, v)
 
     def counted_kernel(qp, qnode, x0, h, **kwargs):
-        counts["rk4_transport"] = counts.get("rk4_transport", 0) + 1
+        key = ("rk4_transport", h)
+        counts[key] = counts.get(key, 0) + 1
         return kernel(qp, qnode, x0, h, **kwargs)
 
     def counted_projector(self, x):
@@ -232,7 +232,8 @@ def test_check_lift_calls_do_not_grow_with_samples(monkeypatch):
         lf.check_lift(lift, samples=samples, seed=1)
         per_samples[samples] = dict(counts)
     assert per_samples[4] == per_samples[40]
-    assert per_samples[4]["rk4_transport"] == 1
+    assert per_samples[4][("rk4_transport", 1 / 64)] == 1
+    assert per_samples[4][("rk4_transport", 2 / 64)] == 1
     assert per_samples[4]["action"] == 1
 
 
@@ -264,13 +265,39 @@ class TestCheckLift:
                 (lf.compose(formula, transport), True),
                 (lf.compose(transport, formula), True),
                 (lf.s1xs2_generator_lift("a", 1, steps=64), True)]:
-            assert lift.transports == transports
             rep = lf.check_lift(lift, samples=6, seed=2)
             if transports:
                 # 5.97e-9 on the quarter-turn at 64 steps
                 assert 1e-11 < rep.transport_error < 1e-6
             else:
                 assert rep.transport_error is None
+
+    def test_invert_and_metrize_carry_the_transport_error(self):
+        # the operator lifts reach the transport through the fiber
+        # matrices they extract, inside check_lift's block
+        h = mf.rotation_homotopy(mf.Sphere(2), (0, 1), np.pi / 2)
+        transport = lf.lift_from_homotopy(bd.tangent_sphere(2), h, steps=64)
+        # 3.07e-9 on 5 probes
+        want = lf.check_lift(transport, samples=5).transport_error
+        assert 1e-9 < want < 1e-8
+        for lift in (lf.invert(transport), lf.metrize(transport)):
+            got = lf.check_lift(lift, samples=5).transport_error
+            assert want / 2 <= got <= 2 * want
+
+    def test_check_lift_calls_share_no_transport_errors(self):
+        # each report holds the estimates of its own action call alone, and
+        # an enclosing block receives none of them
+        h = mf.rotation_homotopy(mf.Sphere(2), (0, 1), np.pi / 2)
+        transport = lf.lift_from_homotopy(bd.tangent_sphere(2), h, steps=64)
+        short = lf.lift_from_homotopy(bd.tangent_sphere(2), h, steps=16)
+        with bd.transport_errors() as outer:
+            first = lf.check_lift(transport, samples=5).transport_error
+            coarse = lf.check_lift(short, samples=5).transport_error
+            formula = lf.check_lift(identity_lift(bd.tangent_sphere(2)), samples=5)
+            again = lf.check_lift(transport, samples=5).transport_error
+        assert outer == []
+        assert formula.transport_error is None
+        assert again == first < coarse
 
     def test_broken_map_fails_membership(self):
         # keep the vector while moving the base with the involution: the

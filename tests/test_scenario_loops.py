@@ -252,13 +252,14 @@ def test_torus_sweep_transports_every_w1_loop_in_one_window_walk(monkeypatch, st
     # the 28 coordinate loops of the 11 torus line bundles share each RK4
     # window: ceil(steps / window) kernel calls of 28 tracks each, where one
     # transport per bit vector makes 11 walks of 1-3 tracks; a window is
-    # rounded down to whole segments of steps / 32 steps
-    calls = []
+    # rounded down to whole segments of steps / 32 steps, and each window
+    # makes one more call at 2h for the error estimate
+    walks = {}
     kernel = _kernels.rk4_transport
 
-    def counted(qp, qnode, *rest, **kwargs):
-        calls.append((qnode.shape[0] - 1, qp.shape[1]))
-        return kernel(qp, qnode, *rest, **kwargs)
+    def counted(qp, qnode, x0, h, **kwargs):
+        walks.setdefault(h, []).append((qnode.shape[0] - 1, qp.shape[1]))
+        return kernel(qp, qnode, x0, h, **kwargs)
 
     monkeypatch.setattr(_kernels, "rk4_transport", counted)
     if window is not None:
@@ -269,11 +270,16 @@ def test_torus_sweep_transports_every_w1_loop_in_one_window_walk(monkeypatch, st
         window -= window % (steps // 32)
     got = _residuals("torus_sweep", transport_steps=steps)
     assert got["w1.profile_mismatches"] == 0
+    assert sorted(walks) == [1 / steps, 2 / steps]
+    calls, doubled = walks[1 / steps], walks[2 / steps]
     assert len(calls) == math.ceil(steps / window)
     assert sum(c[0] for c in calls) == steps
     assert all(c[1] == 28 for c in calls)
+    assert [2 * c[0] for c in doubled] == [c[0] for c in calls]
+    assert all(c[1] == 28 for c in doubled)
     if steps == 1024:
         assert [c[0] for c in calls] == [384, 384, 256]
+        assert [c[0] for c in doubled] == [192, 192, 128]
 
 
 def _count_generators(monkeypatch):
