@@ -6,16 +6,8 @@ algebraic identities on freshly built objects, and ``transport`` for
 anything derived from ODE integration at the default step count.
 """
 
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    exact: float = 1e-10
-    transport: float = 1e-5
-
-
-DEFAULT_TOLERANCES = Tolerances()
+DEFAULT_TOL_EXACT = 1e-10
+DEFAULT_TOL_TRANSPORT = 1e-5
 
 DEFAULT_SEED = 42
 DEFAULT_SAMPLES = 200

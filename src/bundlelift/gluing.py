@@ -14,8 +14,6 @@ it to P booleans. Sample and overlap points are such stacks. Every check
 evaluates a field once per stack it needs, whatever the number of points.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import BadParams, NotOrthonormal, PatchNotInvariant
@@ -39,36 +37,30 @@ def _check_orthogonal_field(alpha, points, label):
                              f"(defect {defects[bad[0]]:.3e})")
 
 
-@dataclass
 class LocalLiftDatum:
-    patch_id: str
-    sample_points: np.ndarray
-    alpha: object  # (P, ...) points -> (P, r, r) orthogonal matrices
-    contains: object = None  # optional (P, ...) points -> P booleans
-
-    def __post_init__(self):
-        _check_orthogonal_field(self.alpha, self.sample_points,
-                                f"alpha[{self.patch_id}]")
+    def __init__(self, patch_id, sample_points, alpha, contains=None):
+        _check_orthogonal_field(alpha, sample_points, f"alpha[{patch_id}]")
+        self.patch_id = patch_id
+        self.sample_points = sample_points
+        self.alpha = alpha  # (P, ...) points -> (P, r, r) orthogonal matrices
+        self.contains = contains  # optional (P, ...) points -> P booleans
 
 
-@dataclass
 class TransitionDatum:
-    overlap_points: np.ndarray
-    alpha: object  # (P, ...) points -> (P, r, r) orthogonal matrices
-
-    def __post_init__(self):
-        _check_orthogonal_field(self.alpha, self.overlap_points, "transition alpha")
+    def __init__(self, overlap_points, alpha):
+        _check_orthogonal_field(alpha, overlap_points, "transition alpha")
+        self.overlap_points = overlap_points
+        self.alpha = alpha  # (P, ...) points -> (P, r, r) orthogonal matrices
 
 
 def cocycle_compat_check(d1, d2, transition, diffeo):
-    """Largest deviation from the overlap compatibility identity, plus the
-    verdict: compatible when it is at most 1e-6. That bound sits far above
-    the roundoff of a datum that is compatible by construction and far
-    below the frame rotations the check is meant to catch (a rotation by an
-    angle d scores 2 sin(d/2)). Patch invariance under the diffeomorphism
-    is checked first wherever a membership predicate was supplied. An
-    empty overlap is refused: with nothing to measure there is no
-    verdict."""
+    """Largest deviation from the overlap compatibility identity over the
+    overlap points (a spectral norm: a rotation by an angle d scores
+    2 sin(d/2)), NaN where it could not be measured. It decides nothing: a
+    caller holds it to its own bound, and a NaN must fail there. Patch
+    invariance under the diffeomorphism is checked first wherever a
+    membership predicate was supplied. An empty overlap is refused: with
+    nothing to measure there is no residual."""
     x = transition.overlap_points
     if len(x) == 0:
         raise BadParams("no overlap points to check the cocycle condition on")
@@ -82,15 +74,12 @@ def cocycle_compat_check(d1, d2, transition, diffeo):
                                     f"out of patch {datum.patch_id}")
     a_there = transition.alpha(diffeo.forward(x))
     gap = d2.alpha(x) - np.linalg.inv(a_there) @ d1.alpha(x) @ transition.alpha(x)
-    # spectral norm: a rotation perturbation by angle d scores 2 sin(d/2);
     # LAPACK's SVD rejects a non-finite matrix, so it is zeroed for the SVD
-    # and its residual reads NaN, which fails the verdict
+    # and its residual reads NaN
     finite = np.isfinite(gap).all(axis=(-2, -1))
     res = np.linalg.matrix_norm(np.where(finite[:, None, None], gap, 0.0), ord=2)
     res[~finite] = np.nan
-    max_residual = worst(0.0, *res.tolist())
-    return {"max_residual": max_residual,
-            "compatible": max_residual <= 1e-6}
+    return worst(0.0, *res.tolist())
 
 
 def local_data_from_lift(lift, patch1, patch2, frame1, frame2, overlap_points):

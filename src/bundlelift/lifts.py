@@ -20,7 +20,6 @@ that stack. Nothing is cached between calls.
 """
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,16 +108,22 @@ class Lift:
             self.bundle.fiber_basis(self.base_map.forward(x)))
 
 
-@dataclass
 class LiftReport:
-    base_residual: float
-    linearity_residual: float
-    min_singular_value: float
-    isometry_residual: float
-    complex_linearity_residual: float | None
-    anti_linearity_residual: float | None
-    transport_error: float | None
-    samples: int
+    """The residuals of ``check_lift``: floats, None where a residual does
+    not apply (the complex ones on a real bundle, the transport error of a
+    lift that does not transport)."""
+
+    def __init__(self, base_residual, linearity_residual, min_singular_value,
+                 isometry_residual, complex_linearity_residual,
+                 anti_linearity_residual, transport_error, samples):
+        self.base_residual = base_residual
+        self.linearity_residual = linearity_residual
+        self.min_singular_value = min_singular_value
+        self.isometry_residual = isometry_residual
+        self.complex_linearity_residual = complex_linearity_residual
+        self.anti_linearity_residual = anti_linearity_residual
+        self.transport_error = transport_error
+        self.samples = samples
 
 
 def _draw_probes(bundle, samples, seed):
@@ -536,10 +541,10 @@ def s1xs2_generator_lift(name, n, steps=DEFAULT_TRANSPORT_STEPS):
 # Frame views and complex corrections
 
 
-@dataclass
 class FiberFrame:
-    base_point: object
-    vectors: np.ndarray  # (N, r) orthonormal columns, or a (P, N, r) stack
+    def __init__(self, base_point, vectors):
+        self.base_point = base_point
+        self.vectors = vectors  # (N, r) orthonormal columns, or a (P, N, r) stack
 
 
 def _gram_defect(vecs):

@@ -27,7 +27,6 @@ two stacks is the array of the per-point distances.
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,9 +66,36 @@ __all__ = [
 # Models
 
 
-@dataclass(frozen=True)
 class ManifoldModel:
+    """An immutable value: a model is built from its ``fields``, positionally
+    or by name, and two models are equal (and hash alike) when they are of
+    one class with equal fields."""
+    fields = ()  # the constructor's arguments, in order
     point_ndim = 1  # array axes of one point
+
+    def __init__(self, *args, **kwargs):
+        values = dict(zip(self.fields, args), **kwargs)
+        if (len(args) + len(kwargs) != len(self.fields)
+                or set(values) != set(self.fields)):
+            raise TypeError(f"{type(self).__name__} takes the fields {self.fields}")
+        # past the refusing __setattr__; _key is what equality and hash read
+        vars(self).update(values, _key=tuple(values[f] for f in self.fields))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.fields)
+        return f"{type(self).__name__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} "
+                             "is immutable")
 
     def stack_shape(self, point):
         """Leading shape of a stack of points; () for one point."""
@@ -81,9 +107,8 @@ class ManifoldModel:
         return _flat_norms(np.asarray(a) - np.asarray(b), self.point_ndim)
 
 
-@dataclass(frozen=True)
 class Sphere(ManifoldModel):
-    n: int
+    fields = ("n",)
 
     def random_points(self, rng, count):
         v = rng.normal(size=(count, self.n + 1))
@@ -91,9 +116,8 @@ class Sphere(ManifoldModel):
         return v / np.sqrt(np.vecdot(v, v))[:, None]
 
 
-@dataclass(frozen=True)
 class Torus(ManifoldModel):
-    n: int
+    fields = ("n",)
 
     def distance(self, a, b):
         d = np.mod(np.asarray(a) - np.asarray(b) + 0.5, 1.0) - 0.5
@@ -117,24 +141,22 @@ def _flat_norms(d, point_ndim):
     return float(n) if n.ndim == 0 else n
 
 
-@dataclass(frozen=True)
 class GrassmannReal(ManifoldModel):
-    k: int
-    n: int
+    fields = ("k", "n")
     point_ndim = 2
 
-    def __post_init__(self):
-        if not 0 < self.k < self.n:
-            raise BadParams(f"need 0 < k < n, got k={self.k}, n={self.n}")
+    def __init__(self, k, n):
+        if not 0 < k < n:
+            raise BadParams(f"need 0 < k < n, got k={k}, n={n}")
+        super().__init__(k, n)
 
     def random_points(self, rng, count):
         q, _ = np.linalg.qr(rng.normal(size=(count, self.n, self.k)))
         return q @ np.swapaxes(q, -1, -2)
 
 
-@dataclass(frozen=True)
 class ComplexProjective(ManifoldModel):
-    n: int
+    fields = ("n",)
     point_ndim = 2
 
     def random_points(self, rng, count):
@@ -146,10 +168,8 @@ class ComplexProjective(ManifoldModel):
         return z[:, :, None] * z.conj()[:, None, :]
 
 
-@dataclass(frozen=True)
 class Product(ManifoldModel):
-    left: ManifoldModel
-    right: ManifoldModel
+    fields = ("left", "right")  # two models
 
     def stack_shape(self, point):
         return self.left.stack_shape(point[0])

@@ -12,7 +12,6 @@ and products are meaningful across other conventions.
 """
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,12 +32,12 @@ __all__ = [
 ]
 
 
-@dataclass
 class ChernResult:
-    value: int
-    raw: float
-    mesh_level: int
-    stable: bool
+    def __init__(self, value, raw, mesh_level, stable):
+        self.value = value  # int
+        self.raw = raw  # float
+        self.mesh_level = mesh_level
+        self.stable = stable  # bool
 
 
 @functools.lru_cache(maxsize=8)
@@ -128,14 +127,15 @@ def pullback_invariance_report(diffeo, line_bundle, mesh_level=4):
 # Torus line bundles
 
 
-@dataclass
 class TorusCriterionResult:
     """The verdicts for one matrix (bools), or for each matrix of a stack
     (boolean arrays)."""
-    a: np.ndarray
-    b: np.ndarray
-    fast_verdict: bool | np.ndarray
-    oracle_verdict: bool | np.ndarray
+
+    def __init__(self, a, b, fast_verdict, oracle_verdict):
+        self.a = a
+        self.b = b
+        self.fast_verdict = fast_verdict
+        self.oracle_verdict = oracle_verdict
 
 
 def subgroup_generators(b):

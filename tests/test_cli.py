@@ -12,7 +12,10 @@ from bundlelift import bundles as bd, cli, lifts as lf, manifolds as mf
 from bundlelift.bundles import tautological_complex
 from bundlelift.cli import (SCENARIOS, ScenarioConfig, emit_plot_data,
                             run_scenario)
-from bundlelift.config import DEFAULT_TOLERANCES, DEFAULT_TRANSPORT_STEPS, MAX_MESH_LEVEL
+from bundlelift.config import (DEFAULT_MESH_LEVEL, DEFAULT_SAMPLES,
+                               DEFAULT_SEED, DEFAULT_TOL_EXACT,
+                               DEFAULT_TOL_TRANSPORT, DEFAULT_TRANSPORT_STEPS,
+                               MAX_MESH_LEVEL)
 from bundlelift.errors import BadParams, ConfigInvalid, UnknownScenario
 from bundlelift.obstruction import plaquette_phases
 
@@ -294,12 +297,37 @@ def test_help_states_the_mesh_cap(capsys):
     assert f"3 to {MAX_MESH_LEVEL}" in " ".join(capsys.readouterr().out.split())
 
 
+def test_scenario_config_defaults_by_position_and_by_name():
+    defaults = {"scenario": "frame_view", "seed": DEFAULT_SEED,
+                "samples": DEFAULT_SAMPLES,
+                "transport_steps": DEFAULT_TRANSPORT_STEPS,
+                "mesh_level": DEFAULT_MESH_LEVEL, "tol_exact": DEFAULT_TOL_EXACT,
+                "tol_transport": DEFAULT_TOL_TRANSPORT, "json_path": None,
+                "csv_path": None, "no_timestamp": False}
+    assert vars(ScenarioConfig("frame_view")) == defaults
+    assert vars(ScenarioConfig(scenario="frame_view")) == defaults
+    # as a benchmark worker builds it: the name, then keywords
+    cfg = ScenarioConfig("frame_view", seed=7, no_timestamp=True, samples=3)
+    assert vars(cfg) == {**defaults, "seed": 7, "no_timestamp": True, "samples": 3}
+    assert vars(ScenarioConfig(*defaults.values())) == defaults
+
+
+def test_import_loads_no_dataclasses():
+    # the package writes its classes plainly: importing the CLI builds no
+    # class from generated source, so it never imports dataclasses
+    code = "import sys, bundlelift.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"
+
+
 def test_tolerance_defaults_come_from_the_config():
     args = cli.build_parser().parse_args(["scenario", "frame_view"])
     cfg = ScenarioConfig(scenario="frame_view")
     assert (args.tol_exact, args.tol_transport) == \
         (cfg.tol_exact, cfg.tol_transport) == \
-        (DEFAULT_TOLERANCES.exact, DEFAULT_TOLERANCES.transport)
+        (DEFAULT_TOL_EXACT, DEFAULT_TOL_TRANSPORT)
 
 
 TRANSPORT_ERRORS = {
@@ -322,8 +350,8 @@ def test_default_step_count_keeps_transport_errors_far_inside_the_gate(name):
                   if c["name"].endswith(".transport_error")}
         assert sorted(errors) == TRANSPORT_ERRORS[name]
         for check in errors.values():
-            assert check["tolerance"] == DEFAULT_TOLERANCES.transport
-            assert check["residual"] <= DEFAULT_TOLERANCES.transport / 1000, (seed, check)
+            assert check["tolerance"] == DEFAULT_TOL_TRANSPORT
+            assert check["residual"] <= DEFAULT_TOL_TRANSPORT / 1000, (seed, check)
 
 
 @pytest.mark.parametrize("name,flags,failing", [

@@ -76,12 +76,11 @@ def oracle_check(d1, d2, transition, diffeo):
         gap = a2 - np.linalg.inv(a_there) @ a1 @ a_here
         res = float(np.linalg.norm(gap, 2)) if np.all(np.isfinite(gap)) else np.nan
         max_residual = worst(max_residual, res)
-    return {"max_residual": max_residual,
-            "compatible": max_residual <= 1e-6}
+    return max_residual
 
 
 def check_both(d1, d2, transition, diffeo):
-    """The stacked checker's result, after asserting that the per-point
+    """The stacked checker's residual, after asserting that the per-point
     oracle gives the same residual bit for bit, or the same refusal."""
     def stacked():
         return gl.cocycle_compat_check(
@@ -96,9 +95,18 @@ def check_both(d1, d2, transition, diffeo):
             stacked()
         raise
     out = stacked()
-    np.testing.assert_array_equal(out["max_residual"], expected["max_residual"])
-    assert out["compatible"] is expected["compatible"]
+    np.testing.assert_array_equal(out, expected)
     return out
+
+
+def compatible(residual):
+    # the CLI's reading of a cocycle residual; a NaN is not compatible
+    return residual <= cli.COCYCLE_TOL
+
+
+def incompatible(residual):
+    # a NaN is not a measured incompatibility either
+    return residual > cli.COCYCLE_TOL
 
 
 @pytest.fixture
@@ -124,15 +132,15 @@ class TestCocycleCheck:
         ident = constant(np.eye(2))
         out = check_both(("U1", points, ident, None), ("U2", points, ident, None),
                          (points, ident), IDENTITY)
-        assert out["max_residual"] == 0.0
-        assert out["compatible"]
+        assert out == 0.0
+        assert compatible(out)
 
     def test_constructed_datum_compatible(self, setup_fields):
         points, phi, alpha1, alpha2, alpha_t = setup_fields
         out = check_both(("U1", points, alpha1, None),
                          ("U2", points, alpha2, None), (points, alpha_t), phi)
-        assert out["max_residual"] <= 1e-12
-        assert out["compatible"]
+        assert out <= 1e-12
+        assert compatible(out)
 
     def test_perturbed_datum_incompatible(self, setup_fields):
         points, phi, alpha1, alpha2, alpha_t = setup_fields
@@ -140,9 +148,9 @@ class TestCocycleCheck:
         out = check_both(("U1", points, alpha1, None),
                          ("U2", points, lambda x: alpha2(x) @ bump, None),
                          (points, alpha_t), phi)
-        assert not out["compatible"]
+        assert incompatible(out)
         # spectral distance of a rotation by 0.1 from the identity
-        assert abs(out["max_residual"] - 0.1) <= 0.01
+        assert abs(out - 0.1) <= 0.01
 
     def test_frame_independence(self, setup_fields):
         # replacing s1 by s1 g conjugates alpha1 and the transition; the
@@ -158,8 +166,8 @@ class TestCocycleCheck:
         conj = check_both(("U1", points, alpha1_g, None),
                           ("U2", points, lambda x: alpha2(x) @ bump, None),
                           (points, alpha_t_g), phi)
-        assert conj["compatible"] == base["compatible"]
-        assert abs(conj["max_residual"] - base["max_residual"]) <= 1e-10
+        assert compatible(conj) == compatible(base)
+        assert abs(conj - base) <= 1e-10
 
     def test_swap_symmetry(self, setup_fields):
         points, phi, alpha1, alpha2, alpha_t = setup_fields
@@ -170,7 +178,7 @@ class TestCocycleCheck:
         swapped = check_both(("U2", points, alpha2_bad, None),
                              ("U1", points, alpha1, None),
                              (points, lambda x: np.linalg.inv(alpha_t(x))), phi)
-        assert abs(fwd["max_residual"] - swapped["max_residual"]) <= 1e-10
+        assert abs(fwd - swapped) <= 1e-10
 
     def test_patch_invariance_enforced(self, setup_fields):
         points, _, alpha1, alpha2, alpha_t = setup_fields
@@ -231,8 +239,8 @@ class TestCocycleCheck:
         ident = constant(np.eye(3))
         out = check_both(("U1", samples, lambda x: rot(x[:, 0]), None),
                          ("U2", samples, ident, None), (overlap, ident), IDENTITY)
-        assert np.isnan(out["max_residual"])
-        assert out["compatible"] is False
+        assert np.isnan(out)
+        assert not compatible(out)
 
     def test_empty_overlap_is_refused_not_passed(self):
         # nothing to measure is no verdict: it must not read compatible
@@ -267,7 +275,7 @@ class TestCocycleCheck:
             d2 = gl.LocalLiftDatum("U2", points, counted("alpha2", alpha2),
                                    contains=counted("contains2", disc))
             t = gl.TransitionDatum(points, counted("alpha_t", alpha_t))
-            assert gl.cocycle_compat_check(d1, d2, t, FLIP)["compatible"]
+            assert compatible(gl.cocycle_compat_check(d1, d2, t, FLIP))
             return calls
 
         assert counts(5) == counts(50)
@@ -325,5 +333,26 @@ class TestAdapter:
         out = check_both(("U1", pts1, d1.alpha, in_u1),
                          ("U2", pts2, d2.alpha, in_u2), (overlap, t.alpha),
                          lift.base_map)
-        assert out["compatible"]
-        assert out["max_residual"] <= 1e-10
+        assert compatible(out)
+        assert out <= 1e-10
+
+
+def test_gluing_demo_fails_a_perturbed_residual_it_could_not_measure(monkeypatch):
+    # a NaN residual is no measured incompatibility: the check must fail,
+    # not pass with residual 0.0
+    real = cli.cocycle_compat_check
+    calls = []
+
+    def nan_on_the_perturbed_call(d1, d2, transition, diffeo):
+        calls.append(d2.patch_id)
+        residual = real(d1, d2, transition, diffeo)
+        return np.nan if len(calls) == 2 else residual
+
+    monkeypatch.setattr(cli, "cocycle_compat_check", nan_on_the_perturbed_call)
+    report, _ = cli.run_scenario(cli.ScenarioConfig("gluing_demo", no_timestamp=True))
+    verdicts = {c["name"]: c["verdict"] for c in report["checks"]}
+    assert len(calls) == 3
+    assert verdicts["cocycle.perturbed_incompatible"] is False
+    assert verdicts["cocycle.constructed_residual"] is True
+    assert verdicts["cocycle.adapter_from_lift"] is True
+    assert report["overall"] is False

@@ -25,6 +25,67 @@ MODELS = [
 ]
 
 
+# Each model, built by position and by name, with its repr. The models are
+# plain immutable values: the bundle constructors and lru_caches key on them
+# and the refusal messages print them.
+VALUES = [
+    (mf.Sphere(2), mf.Sphere(n=2), "Sphere(n=2)"),
+    (mf.Torus(3), mf.Torus(n=3), "Torus(n=3)"),
+    (mf.GrassmannReal(2, 4), mf.GrassmannReal(k=2, n=4), "GrassmannReal(k=2, n=4)"),
+    (mf.ComplexProjective(1), mf.ComplexProjective(n=1), "ComplexProjective(n=1)"),
+    (mf.Product(mf.Sphere(1), mf.Product(mf.Torus(2), mf.ComplexProjective(1))),
+     mf.Product(left=mf.Sphere(n=1),
+                right=mf.Product(mf.Torus(2), right=mf.ComplexProjective(1))),
+     "Product(left=Sphere(n=1), right=Product(left=Torus(n=2), "
+     "right=ComplexProjective(n=1)))"),
+]
+
+
+@pytest.mark.parametrize("model,by_name,text", VALUES, ids=[v[2] for v in VALUES])
+def test_model_is_a_value_with_equality_hash_and_repr(model, by_name, text):
+    assert repr(model) == str(model) == repr(by_name) == text
+    assert by_name is not model
+    assert by_name == model and not by_name != model
+    assert hash(by_name) == hash(model)
+    assert {model: "cached"}[by_name] == "cached"
+    # every other model differs, and so does anything that is no model
+    for other, _, _ in VALUES:
+        assert (other == model) is (other is model)
+    assert model != text and model != model.fields
+
+
+def test_models_with_equal_fields_differ_by_class_and_by_field():
+    assert mf.Sphere(2) != mf.Torus(2) and mf.Torus(2) != mf.ComplexProjective(2)
+    assert mf.Sphere(2) != mf.Sphere(3)
+    inner = mf.Product(mf.Torus(2), mf.ComplexProjective(1))
+    assert (mf.Product(mf.Sphere(1), inner)
+            != mf.Product(mf.Sphere(1), mf.Product(mf.Torus(2), mf.ComplexProjective(2))))
+    assert mf.Product(mf.Sphere(1), inner) != mf.Product(inner, mf.Sphere(1))
+
+
+@pytest.mark.parametrize("model,by_name,text", VALUES, ids=[v[2] for v in VALUES])
+def test_model_fields_cannot_be_assigned(model, by_name, text):
+    for name in model.fields + ("point_ndim", "extra"):
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(model, name, 5)
+    assert model == by_name and repr(model) == text
+
+
+@pytest.mark.parametrize("args,kwargs", [((), {}), ((1, 2), {}), ((1,), {"n": 2}),
+                                         ((), {"m": 2}), ((), {"n": 2, "m": 3})])
+def test_model_takes_exactly_its_fields(args, kwargs):
+    with pytest.raises(TypeError, match=r"^Sphere takes the fields \('n',\)$"):
+        mf.Sphere(*args, **kwargs)
+
+
+@pytest.mark.parametrize("k,n", [(0, 2), (2, 2), (3, 2), (-1, 3)])
+def test_grassmann_model_refuses_k_outside_0_n(k, n):
+    with pytest.raises(BadParams, match=rf"^need 0 < k < n, got k={k}, n={n}$"):
+        mf.GrassmannReal(k, n)
+    with pytest.raises(BadParams):
+        mf.GrassmannReal(k=k, n=n)
+
+
 @pytest.mark.parametrize("model", MODELS, ids=str)
 def test_random_points_are_members_and_repeatable(model):
     for seed in (0, 1, 42):

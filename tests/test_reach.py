@@ -33,6 +33,9 @@ ALLOWED = {
     ("bundles.py", "BundleModel.__hash__"): REPR,
     ("lifts.py", "Lift.__repr__"): REPR,
     ("manifolds.py", "SmoothMap.__repr__"): REPR,
+    ("manifolds.py", "ManifoldModel.__repr__"): REPR,
+    # models are immutable: every assignment to one is refused
+    ("manifolds.py", "ManifoldModel.__setattr__"): REFUSAL,
     ("bundles.py", "_pair_name"): REFUSAL,
     # names the rank that BundleModel refuses
     ("numkernel.py", "sym_eigh"): REFUSAL,
