@@ -34,7 +34,7 @@ from .manifolds import (Diffeo, Sphere, cp1_plane_rotation_homotopy,
                         cp1_power_map, identity_diffeo, map_points,
                         named_diffeo, product_diffeo, torus_autos)
 from .numkernel import (complex_structure_conjugator, min_singular_value,
-                        norms, polar_two_metric, worst)
+                        norms, polar_two_metric, stream, worst)
 
 __all__ = [
     "Lift",
@@ -129,17 +129,17 @@ class LiftReport:
 def _draw_probes(bundle, samples, seed):
     """The check_lift probes (x, v, u, alpha, beta), stacked: x, the
     (samples, 2, N) Gaussians behind v and u, and (alpha, beta) are three
-    blocks from the stream default_rng([seed, 1]). v and u are projected
-    and normalised on the whole stack; a vector the projector nearly kills
-    is redrawn from the stream [seed, 2] (see unit_fiber_vectors). Each
-    purpose has its own nonzero tag: default_rng(seed) is the stream
-    [seed, 0], which random_orthogonal(n, seed) draws."""
-    rng = np.random.default_rng([seed, 1])
+    blocks from stream(seed, 1). v and u are projected and normalised on
+    the whole stack; a vector the projector nearly kills is redrawn from
+    stream(seed, 2) (see unit_fiber_vectors). Each purpose has its own
+    nonzero tag: stream(seed, 0) is the one random_orthogonal(n, seed)
+    draws."""
+    rng = stream(seed, 1)
     xs = bundle.base.random_points(rng, samples)
     gauss = rng.normal(size=(samples, 2, bundle.ambient_fiber_dim))
     alpha, beta = rng.normal(size=(samples, 2)).T
     v, u = bundle.unit_fiber_vectors(xs, np.swapaxes(gauss, 0, 1),
-                                     np.random.default_rng([seed, 2]))
+                                     stream(seed, 2))
     return xs, v, u, alpha, beta
 
 
@@ -344,10 +344,10 @@ def ambient_projection_lift(bundle, diffeo, variant="fiber", seed=1):
             return q
         return np.eye(bundle.ambient_fiber_dim) - q
 
-    # the 25 probe points are one block from the stream [seed, 3] (check_lift
+    # the 25 probe points are one block from stream(seed, 3) (check_lift
     # draws from tags 1 and 2); all are checked at once, and a refusal names
     # the first probe that fails
-    x = base.random_points(np.random.default_rng([seed, 3]), 25)
+    x = base.random_points(stream(seed, 3), 25)
     cols = target_projector(diffeo.forward(x)) @ bundle.fiber_basis(x)
     sv = min_singular_value(cols)
     if np.any(sv <= 1e-6):

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import BadParams, BadPlane, NonConvergent, UnknownName
-from .numkernel import norms
+from .numkernel import norms, stream
 
 __all__ = [
     "ManifoldModel",
@@ -467,7 +467,7 @@ def _check_round_trip(model, name, diffeo, stacked=False):
 def _round_trip_points(model):
     # the three points of named_diffeo's round trip depend on the model
     # alone: one draw per model, cached and shared, so read-only
-    x = model.random_points(np.random.default_rng(3), 3)
+    x = model.random_points(stream(3, 0), 3)
     map_points(lambda a: a.setflags(write=False), x)
     return x
 
@@ -597,12 +597,20 @@ def cp1_power_map(n):
         raise BadParams("power must be >= 1")
     model = ComplexProjective(1)
 
+    def power(z, k):
+        # z ** k by k - 1 products, ones for k = 0: numpy's complex power
+        # is several times slower at k = 0, 1 and 3 (it squares at k = 2)
+        out = np.ones_like(z) if k == 0 else z
+        for _ in range(k - 1):
+            out = out * z
+        return out
+
     def fwd(p):
         p = np.asarray(p)
         d0 = p[..., 0, 0].real ** n
         d1 = p[..., 1, 1].real ** n
         norm = d0 + d1
-        off = p[..., 0, 1] ** n / norm
+        off = power(p[..., 0, 1], n) / norm
         out = np.empty(p.shape, dtype=complex)
         out[..., 0, 0] = d0 / norm
         out[..., 0, 1] = off
@@ -615,12 +623,12 @@ def cp1_power_map(n):
         # and dnorm its real trace, with fwd's entries d_k / norm and p01^n
         # times 1 / norm (as numpy divides a complex number by a real one)
         p = np.asarray(p, dtype=complex)
-        e = n * p ** (n - 1) * pdot
+        e = n * power(p, n - 1) * pdot
         d0, d1 = p[..., 0, 0].real ** n, p[..., 1, 1].real ** n
         norm = d0 + d1
         inv = 1.0 / norm
         dnorm = e[..., 0, 0].real + e[..., 1, 1].real
-        off = p[..., 0, 1] ** n * inv * dnorm
+        off = power(p[..., 0, 1], n) * inv * dnorm
         e.real[..., 0, 0] -= d0 / norm * dnorm
         e.real[..., 1, 1] -= d1 / norm * dnorm
         e[..., 0, 1] -= off
@@ -743,7 +751,9 @@ def degree(f, mesh_level):
 
 
 def random_orthogonal(n, seed):
-    rng = np.random.default_rng(seed)
+    """An n x n orthogonal matrix, the Q factor (signs fixed by R's
+    diagonal) of one block of normals from stream(seed, 0)."""
+    rng = stream(seed, 0)
     a = rng.normal(size=(n, n))
     q, r = np.linalg.qr(a)
     return q * np.sign(np.diag(r))

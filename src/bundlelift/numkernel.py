@@ -16,6 +16,12 @@ the Euclidean norm of each vector of a stack, both bitwise equal to
 ``m @ v`` and ``np.linalg.norm(v)`` per vector. There is no stacked small
 matrix product: the 2 x 2 families and fields that transport evaluates
 write their entries in closed form (``manifolds``, ``bundles``).
+
+Every seeded draw of the package comes from :class:`stream`, a
+counter-based generator written in numpy alone: SplitMix64 words, doubles
+from their top 53 bits and normals by Box-Muller. So no run imports
+numpy's random package, whose first import costs more than a small
+scenario.
 """
 
 import numpy as np
@@ -31,6 +37,7 @@ __all__ = [
     "realify",
     "norms",
     "worst",
+    "stream",
 ]
 
 
@@ -279,3 +286,59 @@ def worst(*residuals):
         if r != r:
             return r
     return max(residuals)
+
+
+# -- seeded draws ------------------------------------------------------------
+
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _mix(z):
+    # SplitMix64's finaliser on a uint64 array; array products wrap mod 2^64
+    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> 31)
+
+
+class stream:
+    """The seeded stream (seed, tag) of two non-negative integers, each
+    taken mod 2^64: word k is SplitMix64's mixer (Steele, Lea and Flood,
+    OOPSLA 2014) applied to key + k gamma, where key = mix(mix(seed) xor
+    tag), and every draw continues from the word where the last one ended.
+    It has the four methods of numpy's ``Generator`` that the package
+    calls, so a Generator may stand in for it. Doubles in [0, 1) are the
+    top 53 bits of a word; normals come from pairs of them by Box-Muller
+    (1958), with log1p(-u) so that u = 0 stays finite."""
+
+    def __init__(self, seed, tag):
+        if seed < 0 or tag < 0:
+            raise ValueError(f"seed and tag must be >= 0, got {seed}, {tag}")
+        key = _mix(np.array([seed % 2 ** 64], dtype=np.uint64))
+        self._key = _mix(key ^ np.uint64(tag % 2 ** 64))
+        self._next = 0
+
+    def _doubles(self, count):
+        k = np.arange(self._next, self._next + count, dtype=np.uint64)
+        self._next += count
+        return (_mix(k * _GAMMA + self._key) >> 11) * 2.0 ** -53
+
+    def uniform(self, low, high, size):
+        u = self._doubles(int(np.prod(size)))
+        return (low + (high - low) * u).reshape(size)
+
+    def normal(self, size):
+        """Standard normals, normal i from doubles 2i and 2i + 1 by
+        Box-Muller's cosine branch: each draw of n normals reads 2n words,
+        so a block is bitwise the draws of its rows one after another."""
+        u = self._doubles(2 * int(np.prod(size)))
+        r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
+        return (r * np.cos(2.0 * np.pi * u[1::2])).reshape(size)
+
+    def integers(self, low, high, size):
+        """Integers in [low, high): low + floor(u (high - low)); as u < 1,
+        the product rounds below high - low while that is below 2^53."""
+        u = self._doubles(int(np.prod(size)))
+        return (low + (u * (high - low)).astype(np.int64)).reshape(size)
+
+    def choice(self, a, size):
+        return np.asarray(a)[self.integers(0, len(a), size)]

@@ -4,6 +4,7 @@ CSV emission."""
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -320,6 +321,29 @@ def test_import_loads_no_dataclasses():
                          text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "False\n"
+
+
+def test_scenarios_never_import_numpy_random(tmp_path):
+    # every draw comes from numkernel.stream: the 11 scenarios, run in one
+    # fresh process, leave numpy's random package unimported, and no
+    # module of the package names it
+    code = (
+        "import json, sys\n"
+        "from bundlelift import cli\n"
+        "codes = {name: cli.main(['scenario', name, '--samples', '20', '--json',\n"
+        f"                        {str(tmp_path)!r} + '/' + name + '.json'])\n"
+        "         for name in cli.SCENARIOS}\n"
+        "print(json.dumps([codes, 'numpy.random' in sys.modules]))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stderr
+    codes, loaded = json.loads(out.stdout.splitlines()[-1])
+    assert codes == {name: 0 for name in SCENARIOS}
+    assert not loaded
+    package = Path(cli.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert "np.random" not in text and "numpy.random" not in text, path.name
 
 
 def test_tolerance_defaults_come_from_the_config():

@@ -112,7 +112,21 @@ s1xs2_generators ``a_lift.n1.base`` 4.61e-16 -> 4.65e-16,
 ``a_lift.n1.min_singular_value`` 1 - 8.0e-14 -> 1 - 7.6e-12,
 ``a_lift.n2.base`` 4.58e-16 -> 4.61e-16, ``a_lift.n2.linearity``
 1.61e-16 -> 1.84e-16 and ``a_lift.n2.min_singular_value`` 1 - 1.1e-13 ->
-1 - 3.2e-10. torus_sweep.csv kept its bytes."""
+1 - 3.2e-10. torus_sweep.csv kept its bytes.
+
+Every file but sphere_pullbacks.json and torus_sweep.json was
+regenerated when every seeded draw came to be taken from
+``numkernel.stream`` (SplitMix64 words, Box-Muller normals) instead of
+numpy's generator, with the same tags, and s1xs2_generators gained
+``a_lift.n1.isometry`` (1.5e-11) and ``a_lift.n2.isometry`` (6.5e-10),
+each against the transport tolerance and right after its lift's
+``min_singular_value`` check. The residuals measured on the drawn points
+moved at roundoff scale (listed in CHANGES.md), and every other name,
+every verdict and every tolerance stayed. torus_sweep.csv's matrices are
+new draws, so its rows' verdicts moved (81 of 220 liftable, from 77);
+every check of torus_sweep.json, and so its bytes, stayed.
+``cp1_power_map``'s integer powers by products, in the same change,
+moved no byte of sphere_pullbacks.json."""
 
 import csv
 import io

@@ -5,6 +5,7 @@ import pytest
 
 from bundlelift import manifolds as mf
 from bundlelift.errors import BadParams, BadPlane, UnknownName
+from bundlelift.numkernel import stream
 
 from helpers import (TEST_DIFFEOS, constant_homotopy, cp1_power_differential,
                      cpn_phase_homotopy, diffeo, fd_differential,
@@ -131,12 +132,14 @@ DRAW_MODELS = MODELS + [
 
 @pytest.mark.parametrize("model", DRAW_MODELS, ids=str)
 def test_stacked_draws_are_bitwise_the_per_point_draws(model):
-    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
-    stacked = model.random_points(rng, 64)
-    assert model.stack_shape(stacked) == (64,)
-    assert _same_bytes(stacked, _per_point_map(model, ref, 64))
-    # the block leaves the stream where the per-point draws leave it
-    assert rng.random() == ref.random()
+    # from the package's stream and from a numpy Generator alike
+    for make in (lambda seed: stream(seed, 0), np.random.default_rng):
+        rng, ref = make(7), make(7)
+        stacked = model.random_points(rng, 64)
+        assert model.stack_shape(stacked) == (64,)
+        assert _same_bytes(stacked, _per_point_map(model, ref, 64))
+        # the block leaves the stream where the per-point draws leave it
+        assert rng.uniform(0.0, 1.0, 1) == ref.uniform(0.0, 1.0, 1)
 
 
 @pytest.mark.parametrize("model", DRAW_MODELS, ids=str)
@@ -287,7 +290,7 @@ def test_round_trip_with_a_nan_at_one_point_is_refused(monkeypatch):
 def test_round_trip_points_are_drawn_once_per_model_and_read_only(model):
     x = mf._round_trip_points(model)
     assert mf._round_trip_points(model) is x
-    want = model.random_points(np.random.default_rng(3), 3)
+    want = model.random_points(stream(3, 0), 3)
     assert _points_equal(x, want)
     for a in (x if isinstance(x, tuple) else (x,)):
         with pytest.raises(ValueError, match="read-only"):

@@ -455,3 +455,96 @@ def test_min_singular_value_refuses_unconverged_sweeps(monkeypatch):
 def test_norms_equal_per_vector_norms():
     v = np.random.default_rng(37).normal(size=(50, 5))
     assert np.array_equal(nk.norms(v), [np.linalg.norm(row) for row in v])
+
+
+# -- the seeded stream -------------------------------------------------------
+
+_MASK = 2 ** 64 - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _splitmix(z):
+    # SplitMix64's mixer on a Python integer, the stream's reference
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def _reference_doubles(seed, tag, count):
+    key = _splitmix(_splitmix(seed) ^ tag)
+    return [(_splitmix((key + k * _GAMMA) & _MASK) >> 11) * 2.0 ** -53
+            for k in range(count)]
+
+
+def test_splitmix_reference_gives_the_published_first_word():
+    # SplitMix64 seeded with 0 first returns the mixer of gamma
+    assert _splitmix(_GAMMA) == 0xE220A8397B1DCDAF
+
+
+@pytest.mark.parametrize("seed,tag", [(0, 0), (42, 1), (7, 600), (2 ** 64 - 1, 3)])
+def test_stream_words_are_the_reference_words(seed, tag):
+    got = nk.stream(seed, tag).uniform(0.0, 1.0, 50)
+    assert got.tolist() == _reference_doubles(seed, tag, 50)
+
+
+def test_equal_keys_give_bitwise_equal_words():
+    for seed, tag in [(0, 0), (42, 600), (3, 77)]:
+        first, again = nk.stream(seed, tag), nk.stream(seed, tag)
+        assert (first.uniform(-1.0, 2.0, 40).tobytes()
+                == again.uniform(-1.0, 2.0, 40).tobytes())
+        assert first.normal(size=(7, 3)).tobytes() == again.normal(size=(7, 3)).tobytes()
+
+
+def test_other_seeds_and_tags_give_other_words():
+    keys = [(s, t) for s in (0, 1, 42) for t in (0, 1, 2, 3, 77, 600)]
+    words = {nk.stream(s, t).uniform(0.0, 1.0, 8).tobytes() for s, t in keys}
+    assert len(words) == len(keys)
+
+
+@pytest.mark.parametrize("n", [1, 5, 64])
+def test_a_draw_continues_where_the_last_one_ended(n):
+    whole = nk.stream(9, 4).uniform(0.0, 1.0, 2 * n)
+    halves = nk.stream(9, 4)
+    parts = np.concatenate([halves.uniform(0.0, 1.0, n), halves.uniform(0.0, 1.0, n)])
+    assert whole.tobytes() == parts.tobytes()
+    # normals read two words each, so a block is its rows drawn in turn
+    block = nk.stream(9, 5).normal(size=(n, 3))
+    rows = nk.stream(9, 5)
+    assert block.tobytes() == np.stack([rows.normal(size=3) for _ in range(n)]).tobytes()
+
+
+def test_uniform_lies_in_its_interval():
+    for low, high in [(0.0, 1.0), (-1.0, 1.0), (2.5, 2.75)]:
+        u = nk.stream(11, 0).uniform(low, high, size=(100, 50))
+        assert u.shape == (100, 50)
+        assert np.all((low <= u) & (u < high))
+
+
+@pytest.mark.parametrize("low,high", [(0, 2), (0, 3), (1, 9), (-2, 5)])
+def test_integers_hit_every_value_of_their_range_and_nothing_else(low, high):
+    k = nk.stream(13, 1).integers(low, high, size=(40, 50))
+    assert k.dtype == np.int64 and k.shape == (40, 50)
+    assert set(np.unique(k).tolist()) == set(range(low, high))
+
+
+def test_normals_are_finite_with_mean_0_and_variance_1():
+    n = 10 ** 5
+    z = nk.stream(17, 0).normal(size=n)
+    assert np.all(np.isfinite(z))
+    # within 5 standard errors: 1/sqrt(n) for the mean, sqrt(2/n) for the
+    # variance of a normal sample
+    assert abs(z.mean()) < 5.0 / np.sqrt(n)
+    assert abs(z.var() - 1.0) < 5.0 * np.sqrt(2.0 / n)
+
+
+def test_choice_returns_members_of_its_array():
+    a = np.array([-2, -1, 1, 2])
+    c = nk.stream(19, 2).choice(a, size=(8, 300))
+    assert c.shape == (8, 300)
+    assert set(np.unique(c).tolist()) == set(a.tolist())
+
+
+def test_stream_refuses_negative_keys():
+    for seed, tag in [(-1, 0), (0, -1)]:
+        with pytest.raises(ValueError, match=">= 0"):
+            nk.stream(seed, tag)

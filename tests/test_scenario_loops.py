@@ -20,7 +20,7 @@ from bundlelift.lifts import (FiberFrame, Lift, compose, frame_lift_view,
 from bundlelift.manifolds import (ComplexProjective, Sphere, identity_diffeo,
                                   map_points, random_orthogonal,
                                   rotation_homotopy)
-from bundlelift.numkernel import polar_two_metric, worst
+from bundlelift.numkernel import polar_two_metric, stream, worst
 
 from helpers import torus_line_lift
 
@@ -45,9 +45,9 @@ LOOP_DRAWS = []
 
 
 def _rows(model, seed, tag, count):
-    # the points of a scenario's block draw from the stream [seed, tag], one
-    # at a time
-    block = model.random_points(np.random.default_rng([seed, tag]), count)
+    # the points of a scenario's block draw from stream(seed, tag), one at
+    # a time
+    block = model.random_points(stream(seed, tag), count)
     LOOP_DRAWS.append((tag, block))
     return [map_points(lambda a: a[i], block) for i in range(count)]
 
@@ -64,7 +64,7 @@ def _points_equal(a, b):
 def _metrize_random_loop(seed, samples):
     model = Sphere(2)
     bundle = trivial(model, 3)
-    rng = np.random.default_rng(seed)
+    rng = stream(seed, 0)
     a = rng.normal(size=(3, 3)) + 2.5 * np.eye(3)
     s = rng.normal(size=(3, 3))
     vert = Lift(bundle, identity_diffeo(model),
@@ -283,15 +283,15 @@ def test_torus_sweep_transports_every_w1_loop_in_one_window_walk(monkeypatch, st
 
 
 def _count_generators(monkeypatch):
-    """The seed of every np.random.default_rng construction."""
+    """The (seed, tag) of every numkernel.stream construction."""
     seeds = []
-    original = np.random.default_rng
+    original = stream.__init__
 
-    def counted(*args, **kwargs):
-        seeds.append(args[0] if args else None)
-        return original(*args, **kwargs)
+    def counted(self, seed, tag):
+        seeds.append((seed, tag))
+        original(self, seed, tag)
 
-    monkeypatch.setattr(np.random, "default_rng", counted)
+    monkeypatch.setattr(stream, "__init__", counted)
     return seeds
 
 
@@ -302,10 +302,10 @@ def test_torus_sweep_builds_one_generator_for_its_draws(monkeypatch):
     manifolds._round_trip_points.cache_clear()
     seeds = _count_generators(monkeypatch)
     assert _residuals("torus_sweep", seed=5)["criterion.lift_construction_agreement"] == 0
-    assert seeds == [[5, 600], 3, 3, 3]
+    assert seeds == [(5, 600), (3, 0), (3, 0), (3, 0)]
     seeds.clear()
     _residuals("torus_sweep", seed=6)
-    assert seeds == [[6, 600]]
+    assert seeds == [(6, 600)]
     seeds.clear()
     for k in range(50):
         torus_line_lift(np.eye(3, dtype=np.int64), (1, 0, k % 2))
@@ -314,8 +314,8 @@ def test_torus_sweep_builds_one_generator_for_its_draws(monkeypatch):
 
 def _sweep_cases(seed):
     # the bit vectors of torus_sweep with their 20 matrices each, drawn as
-    # the scenario draws them: one block per bit vector from [seed, 600]
-    rng = np.random.default_rng([seed, 600])
+    # the scenario draws them: one block per bit vector from stream(seed, 600)
+    rng = stream(seed, 600)
     return [(tuple(int(x) for x in np.binary_repr(m, width=n)),
              manifolds.random_unimodular(n, rng, 20))
             for n in (1, 2, 3) for m in range(1, 2 ** n)]
