@@ -1,7 +1,8 @@
 """Hot numeric kernels, in numpy: RK4 transport (step increments built in
 batched products over blocks of steps, then one short loop over the steps
 of the window's segments side by side), plaquette phases from unit
-sections per subdivision group of four triangles, and solid angles (data
+sections per subdivision group of four triangles and of the triangle it
+splits, and solid angles (data
 gathered with ``np.take``, faster than fancy indexing).
 The symmetric eigensolver is LAPACK's, behind
 :func:`bundlelift.numkernel.sym_eigh`.
@@ -84,7 +85,11 @@ def rk4_transport(qp, qnode, x0, h, segments=1):
 # k = argmax Re diag Q (Fukui, Hatsugai and Suzuki, J. Phys. Soc. Jpn. 74,
 # 1674, 2005); a zero or non-finite Q gives a NaN w and min |tr| quietly.
 # w is (m, V). Each vertex of a subdivision group of manifolds.icosphere is
-# gathered and conjugated once; <v|u> is not always bitwise conj(<u|v>).
+# gathered once into the role stack; a role is conjugated one (G,) slice at
+# a time where an overlap reads it, and no other copy of the stack is made.
+# <v|u> is not always bitwise conj(<u|v>). Group g splits triangle g of the
+# level before, [a, b, c] in that order, so the same call gives that level's
+# phases, from the same section bits and in the same overlap order.
 
 
 @np.errstate(invalid="ignore", divide="ignore")
@@ -92,19 +97,34 @@ def unit_sections(qv):
     rows = np.arange(qv.shape[0])
     diag = qv.diagonal(axis1=1, axis2=2).real
     k = np.argmax(diag, axis=1)
-    return qv[rows, :, k].T / np.sqrt(diag[rows, k])
+    w = qv[rows, :, k]
+    w /= np.sqrt(diag[rows, k])[:, None]
+    return w.T
 
 
 def plaquette_phases(w, tris):
     a, ab, ca, b, bc, c = range(6)  # a group's vertices on axis 1 of u
+    # its four triangles, then the triangle it splits
+    triangles = ((a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca), (a, b, c))
     u = np.take(w, tris.reshape(-1, 12)[:, [0, 1, 2, 3, 4, 6]].T, axis=1)
-    uc = u.conj()
 
     def o(i, j):
-        return sum((uc[n, i] * u[n, j] for n in range(1, len(u))), uc[0, i] * u[0, j])
-    tr = np.stack([o(a, ab) * o(ab, ca) * o(ca, a), o(b, bc) * o(bc, ab) * o(ab, b),
-                   o(c, ca) * o(ca, bc) * o(bc, c), o(ab, bc) * o(bc, ca) * o(ca, ab)], 1)
-    return np.angle(tr).reshape(-1), float(np.abs(tr).min(initial=1e300))
+        s = u[0, i].conj()
+        s *= u[0, j]
+        for n in range(1, len(u)):
+            s += u[n, i].conj() * u[n, j]
+        return s
+    phases = np.empty((len(triangles), u.shape[2]))
+    min_abs = np.empty(len(triangles))
+    for k, (p, q, r) in enumerate(triangles):
+        tr = o(p, q)
+        tr *= o(q, r)
+        tr *= o(r, p)
+        np.arctan2(tr.imag, tr.real, out=phases[k])
+        min_abs[k] = np.abs(tr).min(initial=1e300)
+    # np.min keeps a NaN that the builtin min would drop
+    return ((phases[:4].T.reshape(-1), float(np.min(min_abs[:4]))),
+            (phases[4], float(min_abs[4])))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ criterion for torus line bundles.
 The Chern number of a complex line bundle over the two-sphere is computed
 from gauge-invariant Bargmann phases arg tr(Q_a Q_b Q_c), for rank-1
 Q = w w* the phases of <a|b><b|c><c|a>, summed over an icosphere
-triangulation at levels L and L+1 from one projector-field call per Chern
-number, at level L+1; the orientation convention is pinned by the anchor
+triangulation at levels L and L+1 from one projector-field call and one
+kernel call per Chern number, at level L+1, whose subdivision groups also
+give the level-L phases; the orientation convention is pinned by the anchor
 c1(tautological line over CP^1) = -1. Only convention-independent ratios
 and products are meaningful across other conventions.
 """
@@ -59,15 +60,15 @@ def _mesh_base_points(base, level):
 
 
 def _level_phases(line_bundle, levels):
-    # the phases at each level from one field call on the last level's
-    # vertices: the first vertices of a mesh are those of every coarser one
+    # the phases at the last level, or the last two, from one field call and
+    # one kernel call on the last level's mesh: its subdivision groups are
+    # the triangles of the level before, whose vertices come first
     if line_bundle.real_rank != 2 or not line_bundle.has_complex_structure:
         raise BadParams("lattice_chern_number needs a complex line bundle")
     pts = _mesh_base_points(line_bundle.base, levels[-1])
     w = _kernels.unit_sections(line_bundle.complex_fiber_projector(pts))
-    for level in levels:
-        verts, tris = icosphere(level)
-        phases, min_abs = _kernels.plaquette_phases(w[:, :len(verts)], tris)
+    fine, coarse = _kernels.plaquette_phases(w, icosphere(levels[-1])[1])
+    for level, (phases, min_abs) in zip(levels, [coarse, fine][-len(levels):]):
         if not min_abs >= 1e-12:
             raise DegeneratePlaquette(f"plaquette overlap {min_abs:.3e} < 1e-12 "
                                       f"at level {level}")

@@ -76,30 +76,41 @@ def test_plaquette_phases_match_loop():
     # the per-triangle section kernel
     for dim, qv, tris in _random_fields_on_the_mesh():
         w = _kernels.unit_sections(qv)
-        phases, min_abs = _kernels.plaquette_phases(w, tris)
+        (phases, min_abs), _ = _kernels.plaquette_phases(w, tris)
         ref_phases, ref_min = _plaquette_phases_loop(qv, tris)
         assert np.allclose(phases, ref_phases, atol=1e-12), dim
         assert abs(min_abs - ref_min) < 1e-12, dim
-        _assert_bitwise_the_per_triangle_oracle(w, tris)
+        _assert_bitwise_the_per_triangle_oracle(w, 2)
 
 
-def _assert_bitwise_the_per_triangle_oracle(w, tris):
-    phases, min_abs = _kernels.plaquette_phases(w, tris)
-    ref_phases, ref_min = plaquette_phases_per_triangle(w, tris)
+def _assert_bitwise(got, ref):
+    (phases, min_abs), (ref_phases, ref_min) = got, ref
     assert phases.dtype == ref_phases.dtype and phases.shape == ref_phases.shape
     assert phases.tobytes() == ref_phases.tobytes()
     assert np.float64(min_abs).tobytes() == np.float64(ref_min).tobytes()
 
 
+def _assert_bitwise_the_per_triangle_oracle(w, level):
+    # the fine phases on the level's triangles, and the coarse phases on
+    # those of the level before, in its order, from its first vertices
+    coarse_verts, coarse_tris = mf.icosphere(level - 1)
+    tris = mf.icosphere(level)[1]
+    fine, coarse = _kernels.plaquette_phases(w, tris)
+    _assert_bitwise(fine, plaquette_phases_per_triangle(w, tris))
+    _assert_bitwise(coarse, plaquette_phases_per_triangle(
+        w[:, :len(coarse_verts)], coarse_tris))
+
+
 @pytest.mark.parametrize("level", range(1, 6))
 def test_grouped_plaquette_phases_are_bitwise_the_per_triangle_oracle(level):
-    # the twelve overlaps of a subdivision group are the three overlaps of
-    # each of its four triangles, in the same order and from the same bits
-    verts, tris = mf.icosphere(level)
+    # the fifteen overlaps of a subdivision group are the three overlaps of
+    # each of its four triangles and of the triangle it splits, in the same
+    # order and from the same bits
+    verts = mf.icosphere(level)[0]
     pts = {mf.Sphere(2): verts, mf.ComplexProjective(1): mf.sphere_to_cp1(verts)}
     for name, bundle in oracle_line_bundles().items():
         qv = bundle.complex_fiber_projector(pts[bundle.base])
-        _assert_bitwise_the_per_triangle_oracle(_kernels.unit_sections(qv), tris)
+        _assert_bitwise_the_per_triangle_oracle(_kernels.unit_sections(qv), level)
 
 
 @pytest.mark.parametrize("fill", [0.0, np.nan], ids=["zero", "nan"])
@@ -109,11 +120,26 @@ def test_grouped_plaquette_phases_match_the_oracle_at_a_degenerate_vertex(fill):
     _, qv, tris = next(_random_fields_on_the_mesh())
     qv[17] = fill
     w = _kernels.unit_sections(qv)
-    phases, min_abs = _kernels.plaquette_phases(w, tris)
+    (phases, min_abs), _ = _kernels.plaquette_phases(w, tris)
     ref_phases, ref_min = plaquette_phases_per_triangle(w, tris)
     assert math.isnan(min_abs) and math.isnan(ref_min)
     assert np.isnan(phases).sum() == np.any(tris == 17, axis=1).sum()
     assert phases.tobytes() == ref_phases.tobytes()
+
+
+def test_a_nan_vertex_reaches_the_minimum_of_each_level_it_is_on():
+    # a vertex of the coarse mesh is on both levels' triangles; a vertex
+    # that only the fine mesh has leaves the coarse minimum finite. Every
+    # vertex in turn, so each of the four triangle roles carries the NaN
+    _, qv, tris = next(_random_fields_on_the_mesh())
+    coarse_count = len(mf.icosphere(1)[0])
+    for vertex in range(len(qv)):
+        field = qv.copy()
+        field[vertex] = np.nan
+        (_, fine_min), (_, coarse_min) = _kernels.plaquette_phases(
+            _kernels.unit_sections(field), tris)
+        assert math.isnan(fine_min), vertex
+        assert math.isnan(coarse_min) == (vertex < coarse_count), vertex
 
 
 def test_solid_angles_match_loop():
@@ -151,7 +177,7 @@ def test_take_gathers_equal_the_fancy_index_gathers(level):
     pts = {mf.Sphere(2): verts, mf.ComplexProjective(1): mf.sphere_to_cp1(verts)}
     for name, bundle in oracle_line_bundles().items():
         qv = np.ascontiguousarray(bundle.complex_fiber_projector(pts[bundle.base]))
-        phases, min_abs = _kernels.plaquette_phases(_kernels.unit_sections(qv), tris)
+        (phases, min_abs), _ = _kernels.plaquette_phases(_kernels.unit_sections(qv), tris)
         ref_phases, ref_min = _plaquette_phases_fancy(qv, tris)
         gap = np.abs(np.remainder(phases - ref_phases + np.pi, 2 * np.pi) - np.pi)
         assert np.max(gap) <= 1e-14, name
@@ -290,6 +316,28 @@ def test_rk4_transport_adds_one_increment_per_step_and_a_few_blocks():
     assert peak <= increments + 3 * _kernels.INCREMENT_BLOCK_BYTES + 2 ** 14
     # whole-window temporaries would make it three times D
     assert peak < 2 * increments
+
+
+def test_plaquette_kernel_makes_no_copy_of_the_role_stack():
+    # the role stack holds six section columns per group of four triangles;
+    # a conjugated or stacked copy of it would take the kernel's peak past
+    # twice its bytes, and a divide out of place the sections' past 2.5
+    # times theirs; here the level-5 field of a Chern number at level 4
+    verts, tris = mf.icosphere(5)
+    bundle = bd.pullback(mf.cp1_power_map(3), bd.tautological_complex(1))
+    qv = bundle.complex_fiber_projector(mf.sphere_to_cp1(verts))
+    tracemalloc.start()
+    try:
+        w = _kernels.unit_sections(qv)
+        _, sections_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        _kernels.plaquette_phases(w, tris)
+        _, kernel_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    role_stack = w.shape[0] * 6 * (len(tris) // 4) * w.itemsize
+    assert sections_peak <= 2.5 * w.nbytes
+    assert kernel_peak <= w.nbytes + 2 * role_stack
 
 
 ORACLE_STEPS = 16384

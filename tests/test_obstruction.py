@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bundlelift import _kernels, bundles as bd, manifolds as mf, obstruction as ob
+from bundlelift.cli import ScenarioConfig, run_scenario
 from bundlelift.errors import BadParams, DegeneratePlaquette
 
 from helpers import (cpn_unitary, holonomy_sign, oracle_line_bundles,
@@ -390,7 +391,7 @@ def _plaquette_phases_per_vertex(line_bundle, pts, tris):
     # the per-vertex evaluation that plaquette_phases replaced, kept as its
     # oracle; pts is the list of mesh points in the bundle's base
     qv = np.stack([line_bundle.complex_fiber_projector(p) for p in pts])
-    phases, _ = _kernels.plaquette_phases(
+    (phases, _), _ = _kernels.plaquette_phases(
         _kernels.unit_sections(np.ascontiguousarray(qv)),
         np.ascontiguousarray(tris))
     return phases
@@ -408,6 +409,19 @@ def test_plaquette_phases_match_per_vertex_oracle(level):
         assert phases.tobytes() == oracle.tobytes(), name
 
 
+def _count_kernel_calls(monkeypatch):
+    # the triangle count of each plaquette-kernel call, in call order
+    calls = []
+    kernel = _kernels.plaquette_phases
+
+    def counted(w, tris):
+        calls.append(len(tris))
+        return kernel(w, tris)
+
+    monkeypatch.setattr(_kernels, "plaquette_phases", counted)
+    return calls
+
+
 def test_plaquette_phases_evaluates_each_field_once(monkeypatch):
     counts = {}
     public = bd.BundleModel.complex_fiber_projector
@@ -423,21 +437,41 @@ def test_plaquette_phases_evaluates_each_field_once(monkeypatch):
         return np.asarray(p, dtype=complex)
 
     monkeypatch.setattr(bd.BundleModel, "complex_fiber_projector", counted)
+    kernel_calls = _count_kernel_calls(monkeypatch)
     gamma = bd.BundleModel(("counted_gamma",), mf.ComplexProjective(1), 4, 2,
                            gamma_field, complex_fibers=True)
     bundle = bd.pullback(mf.cp1_power_map(3), gamma)
     ob.plaquette_phases(bundle, 3)
     # one public call on the pullback, which evaluates gamma's own field
-    # once, on the mapped stack of all mesh vertices
+    # once, on the mapped stack of all mesh vertices, and one kernel call
     assert counts == {bundle.key: 1}
     assert stacks == [(len(mf.icosphere(3)[0]), 2, 2)]
-    # a Chern number reads both of its levels from one call on the finer
-    # mesh, whose first vertices are the coarser mesh's
+    assert kernel_calls == [len(mf.icosphere(3)[1])]
+    # a Chern number reads both of its levels from one field call and one
+    # kernel call on the finer mesh, whose first vertices are the coarser
+    # mesh's and whose subdivision groups are its triangles
     counts.clear()
     stacks.clear()
+    kernel_calls.clear()
     assert ob.lattice_chern_number(bundle, 4).value == -3
     assert counts == {bundle.key: 1}
     assert stacks == [(len(mf.icosphere(5)[0]), 2, 2)]
+    assert kernel_calls == [len(mf.icosphere(5)[1])]
+
+
+def test_invariant_scenarios_make_one_kernel_call_per_chern_number(monkeypatch):
+    # at CLI defaults: six Chern numbers and one phase table; a kernel call
+    # per level would make 13
+    kernel_calls = _count_kernel_calls(monkeypatch)
+    for name in ("sphere_pullbacks", "cpn_conjugation"):
+        run_scenario(ScenarioConfig(scenario=name))
+    assert len(kernel_calls) == 7
+
+
+def test_a_vertex_of_both_levels_is_degenerate_at_the_coarser():
+    # the coarse level is checked first
+    with pytest.raises(DegeneratePlaquette, match="at level 3$"):
+        ob.lattice_chern_number(_holed_bundle(vertex=0), 3)
 
 
 def test_a_vertex_of_the_finer_level_alone_is_degenerate_at_that_level():
